@@ -13,9 +13,10 @@ released values — sampled hub relay tables plus hop-local balls — for
   structure layered over Algorithm 2's k-covering for the sharper
   bounded-weight trade-off.
 
-Both are engine-native: exact tables come from one
-:mod:`repro.engine` multi-source CSR sweep and the noise is drawn in
-vectorized Laplace blocks; no dict-of-dicts is materialized.  The
+Both are engine-native: the exact values behind the released entries
+come from local :mod:`repro.engine` CSR searches (hub rows, hop-limited
+balls, weight-limited ball pairs), never from an all-pairs sweep, and
+the noise is drawn in vectorized Laplace blocks.  The
 serving layer wraps them as registered synopses
 (:class:`repro.serving.synopsis.HubSetSynopsis` /
 :class:`repro.serving.synopsis.HubBoundedSynopsis`).

@@ -31,6 +31,7 @@ from ..algorithms.covering import (
 from ..algorithms.traversal import is_connected
 from ..dp.params import PrivacyParams
 from ..engine.csr import CSRGraph
+from ..engine.kernels import multi_source_distances
 from ..exceptions import (
     DisconnectedGraphError,
     GraphError,
@@ -161,7 +162,7 @@ class HubSetBoundedRelease:
         m = len(covering)
         h = default_hub_count(m) if hub_count is None else hub_count
         b = default_ball_size(m) if ball_size is None else ball_size
-        self._structure, self._exact = build_hub_structure(
+        self._structure = build_hub_structure(
             self._csr, site_idx, h, b, eps, delta, rng
         )
         self._site_of = {v: i for i, v in enumerate(covering)}
@@ -249,15 +250,17 @@ class HubSetBoundedRelease:
             self._site_of[zu], self._site_of[zv]
         )
 
-    def exact_covering_distance(self, y: Vertex, z: Vertex) -> float:
+    def exact_covering_distance(  # privlint: ignore[PL1] analyst-side error measurement against the true distance; not part of the release
+        self, y: Vertex, z: Vertex
+    ) -> float:
         """The true distance between two covering vertices (for error
-        measurement; not private)."""
+        measurement; not private), from one source row swept on
+        demand."""
         for vertex in (y, z):
             if vertex not in self._site_of:
                 raise GraphError(
                     f"{vertex!r} is not a covering vertex of this "
                     "release"
                 )
-        return float(
-            self._exact[self._site_of[y], self._site_of[z]]
-        )
+        row = multi_source_distances(self._csr, [self._csr.index_of(y)])
+        return float(row[0, self._csr.index_of(z)])

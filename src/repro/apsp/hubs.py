@@ -27,21 +27,31 @@ Together the released vector has ``Q ~ V^{3/2}`` entries instead of
 pure post-processing of the released tables: a vectorized min over
 ``|S|`` relay sums plus one ball lookup.
 
-Construction is engine-native: the exact weighted distance tables come
-from one :func:`repro.engine.kernels.multi_source_distances` sweep
-over the CSR arrays (plus a second, unit-weight sweep for the
-hop-based ball membership when ``ball_size > 0``) and the noise is a
-single vectorized Laplace draw — no dict-of-dicts is ever
-materialized.  The dense exact matrix is transient except on the
-release object, which keeps it for non-private error measurement
-(``exact_distance``); the shipped synopsis carries only the
-``~V^{3/2}`` released values.
+Construction never builds a site-by-site matrix.  The topology is
+public, so the hub sample and the hop-count balls are chosen without
+reading a weight, and only the released entries need exact weighted
+distances.  Every sweep is a :func:`repro.engine.kernels.
+multi_source_distances` call over the CSR arrays, in row chunks of at
+most ``_ROW_CHUNK`` sources:
+
+* **hub rows** — one unlimited sweep from each hub;
+* **balls** — hop-limited unit-weight sweeps from every site, the
+  radius doubling until each site has found ``ball_size + 1`` sites;
+* **ball pairs** — a weight-limited sweep from each pair's lower-index
+  site, its limit doubling until all its partners are settled.
+
+A limited Dijkstra returns the unlimited value, bit for bit, for every
+target within the limit, so a seeded build releases exactly what one
+exact sweep from every site would have.  Each table's noise is one
+vectorized Laplace draw.  The shipped structure carries only the
+``~V^{3/2}`` released values, and the release objects keep no exact
+distances: ``exact_distance`` (error measurement, not private) sweeps
+one source row on demand.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -49,6 +59,7 @@ import numpy as np
 from ..algorithms.traversal import is_connected
 from ..dp.composition import composed_noise_scale
 from ..dp.params import PrivacyParams
+from ..engine.backends import kernel_span
 from ..engine.csr import CSRGraph
 from ..engine.kernels import multi_source_distances
 from ..exceptions import DisconnectedGraphError, GraphError
@@ -65,6 +76,10 @@ __all__ = [
     "hub_noise_scale",
     "predicted_hub_scale",
 ]
+
+#: Sources per engine sweep: a transient distance block holds at most
+#: ``_ROW_CHUNK x V`` floats (8.4 MB at V = 4096).
+_ROW_CHUNK = 256
 
 
 def default_hub_count(num_sites: int) -> int:
@@ -219,12 +234,21 @@ def build_hub_structure(
     eps: float,
     delta: float,
     rng: Rng,
-) -> Tuple[HubStructure, np.ndarray]:
+) -> HubStructure:
     """Build the released hub structure over the given site indices.
 
-    Returns ``(structure, exact)`` where ``exact`` is the ``(m, m)``
-    exact site-to-site distance matrix (kept by the release for error
-    measurement only — never part of the released structure).
+    ``site_idx`` holds the CSR indices of the ``m`` sites; the
+    structure addresses them by position.  The sites must all reach
+    each other, which is checked on the public topology before any
+    draw (:class:`~repro.exceptions.DisconnectedGraphError`).  The rng
+    then draws the hub sample, the hub-table noise and the ball noise,
+    in that order.
+
+    The exact values behind the released entries come from local
+    searches, in row chunks of at most :data:`_ROW_CHUNK` sources
+    (see the module docstring), so no exact ``m x m`` matrix is built
+    and none is returned: a release that measures its own error
+    recomputes a source row on demand.
     """
     site_idx = np.asarray(site_idx, dtype=np.int64)
     m = len(site_idx)
@@ -236,19 +260,14 @@ def build_hub_structure(
         raise GraphError(
             f"ball_size must be in [0, {max(m - 1, 0)}], got {ball_size}"
         )
-
-    telemetry = get_telemetry()
-    build_start = time.perf_counter()
-    with telemetry.span(
+    if len(np.unique(site_idx)) != m:
+        raise GraphError("hub sites must be distinct vertices")
+    with get_telemetry().span(
         "hubs.build", sites=m, hubs=hub_count, ball_size=ball_size
     ):
-        structure, exact = _build_hub_structure_inner(
+        return _build_hub_structure_inner(
             csr, site_idx, m, hub_count, ball_size, eps, delta, rng
         )
-    telemetry.registry.histogram(
-        "build.latency", phase="hubs", mechanism="hub-set"
-    ).observe(time.perf_counter() - build_start)
-    return structure, exact
 
 
 def _build_hub_structure_inner(
@@ -260,11 +279,8 @@ def _build_hub_structure_inner(
     eps: float,
     delta: float,
     rng: Rng,
-) -> Tuple[HubStructure, np.ndarray]:
-    # One engine sweep for the exact site-to-site weighted distances;
-    # the hub rows are a slice of it, never a separate computation.
-    exact = multi_source_distances(csr, site_idx)[:, site_idx]
-    if np.isinf(exact).any():
+) -> HubStructure:
+    if not _mutually_reachable(csr, site_idx):
         raise DisconnectedGraphError(
             "hub-set release requires all sites mutually reachable"
         )
@@ -274,23 +290,27 @@ def _build_hub_structure_inner(
         sorted(rng.sample(range(m), hub_count)), dtype=np.int64
     )
 
+    # Exact hub rows: one Dijkstra per hub.
+    with kernel_span("engine.hub_rows", hubs=hub_count):
+        exact_rows = np.empty((hub_count, m))
+        for lo in range(0, hub_count, _ROW_CHUNK):
+            block = multi_source_distances(
+                csr, site_idx[hubs[lo : lo + _ROW_CHUNK]]
+            )
+            exact_rows[lo : lo + _ROW_CHUNK] = block[:, site_idx]
+
     # Ball membership: nearest sites by hop count (public topology).
-    # Hop distances reuse the frozen CSR structure with unit weights.
     ball_pairs = np.empty(0, dtype=np.int64)
     if ball_size > 0:
-        unit = csr.with_weights(np.ones(csr.num_edges))
-        hops = multi_source_distances(unit, site_idx)[:, site_idx]
-        # Stable argsort: ties broken by site order, self (hop 0) first.
-        order = np.argsort(hops, axis=1, kind="stable")
-        members = order[:, 1 : ball_size + 1]
-        rows = np.repeat(np.arange(m, dtype=np.int64), members.shape[1])
-        cols = members.ravel()
+        with kernel_span("engine.hop_balls", sites=m, ball_size=ball_size):
+            rows, cols, hops = _hop_balls(csr, site_idx, ball_size)
         is_hub = np.zeros(m, dtype=bool)
         is_hub[hubs] = True
         keep = ~(is_hub[rows] | is_hub[cols])
         lo = np.minimum(rows[keep], cols[keep])
         hi = np.maximum(rows[keep], cols[keep])
-        ball_pairs = np.unique(lo * m + hi)
+        ball_pairs, first = np.unique(lo * m + hi, return_index=True)
+        pair_hops = hops[keep][first]
 
     # Budget accounting over the distinct released pair queries.
     q_hub = hub_count * (m - hub_count) + hub_count * (hub_count - 1) // 2
@@ -301,9 +321,9 @@ def _build_hub_structure_inner(
     # then enforce the data-independent entries — hub self-distances
     # are exactly 0 and each hub-hub pair is released once (the mirror
     # cell is a copy, not a second noisy release).
-    matrix = exact[hubs] + rng.laplace_vector(scale, hub_count * m).reshape(
-        hub_count, m
-    )
+    matrix = exact_rows + rng.laplace_vector(
+        scale, hub_count * m
+    ).reshape(hub_count, m)
     sub = matrix[:, hubs]
     upper = np.triu_indices(hub_count, k=1)
     sub[(upper[1], upper[0])] = sub[upper]
@@ -313,14 +333,14 @@ def _build_hub_structure_inner(
     # Local-ball table: vectorized noise over the deduplicated pairs.
     ball: Dict[int, float] = {}
     if len(ball_pairs):
-        lo = ball_pairs // m
-        hi = ball_pairs % m
-        values = exact[lo, hi] + rng.laplace_vector(scale, len(ball_pairs))
-        ball = {
-            int(key): float(v) for key, v in zip(ball_pairs, values)
-        }
+        with kernel_span("engine.ball_pairs", pairs=len(ball_pairs)):
+            exact_ball = _pair_distances(
+                csr, site_idx, ball_pairs // m, ball_pairs % m, pair_hops
+            )
+        values = exact_ball + rng.laplace_vector(scale, len(ball_pairs))
+        ball = dict(zip(ball_pairs.tolist(), values.tolist()))
 
-    structure = HubStructure(
+    return HubStructure(
         num_sites=m,
         hub_positions=hubs,
         matrix=matrix,
@@ -328,7 +348,140 @@ def _build_hub_structure_inner(
         noise_scale=scale,
         pair_count=pair_count,
     )
-    return structure, exact
+
+
+def _mutually_reachable(csr: CSRGraph, site_idx: np.ndarray) -> bool:
+    """Whether every site reaches every other, from topology alone:
+    all sites are reachable from the first one and, on a directed
+    graph, the first one from all of them."""
+    start = int(site_idx[0])
+    if not _reached(csr.indptr, csr.indices, start)[site_idx].all():
+        return False
+    if not csr.directed:
+        return True
+    in_indptr, in_tails, _ = csr.incoming()
+    return bool(_reached(in_indptr, in_tails, start)[site_idx].all())
+
+
+def _reached(
+    indptr: np.ndarray, heads: np.ndarray, start: int
+) -> np.ndarray:
+    """The vertices reachable from ``start`` along CSR adjacency, by a
+    breadth-first search one vectorized frontier at a time."""
+    seen = np.zeros(len(indptr) - 1, dtype=bool)
+    seen[start] = True
+    frontier = np.array([start], dtype=np.int64)
+    while frontier.size:
+        begin = indptr[frontier]
+        heads_out = heads[_ranges(begin, indptr[frontier + 1] - begin)]
+        frontier = np.unique(heads_out[~seen[heads_out]])
+        seen[frontier] = True
+    return seen
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The index ranges ``[start, start + count)``, concatenated."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+
+
+def _hop_balls(
+    csr: CSRGraph, site_idx: np.ndarray, ball_size: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each site's ``ball_size`` nearest other sites by hop count.
+
+    Returns ``(rows, cols, hops)``: the site positions of each ball's
+    owner and member and the hop count between them.  A ball is the
+    first ``ball_size`` entries after self of its row in (hop count,
+    site position) order — what a stable argsort of the full hop
+    matrix gives.  Each chunk of sources is searched to a hop radius,
+    and rows that found fewer than ``ball_size + 1`` sites (self
+    included) rerun at double the radius: every site beyond the
+    radius is farther than every site within it, so a row that found
+    enough sites has found its ball.
+    """
+    m = len(site_idx)
+    unit = csr.with_weights(np.ones(csr.num_edges))
+    position = np.full(csr.n, -1, dtype=np.int64)
+    position[site_idx] = np.arange(m)
+    radius = 1
+    found = []
+    for start in range(0, m, _ROW_CHUNK):
+        pending = np.arange(start, min(start + _ROW_CHUNK, m))
+        needed = []
+        while pending.size:
+            block = multi_source_distances(
+                unit, site_idx[pending], limit=radius
+            )
+            row, vertex = np.nonzero(block <= radius)
+            col = position[vertex]
+            is_site = col >= 0
+            # One integer key per entry: row, then hops, then position.
+            span = radius + 1
+            key = (
+                row[is_site] * span
+                + block[row[is_site], vertex[is_site]].astype(np.int64)
+            ) * m + col[is_site]
+            key.sort()
+            row, rest = np.divmod(key, span * m)
+            hop, col = np.divmod(rest, m)
+            counts = np.bincount(row, minlength=pending.size)
+            rank = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
+            full = counts > ball_size
+            take = full[row] & (rank >= 1) & (rank <= ball_size)
+            found.append((pending[row[take]], col[take], hop[take]))
+            needed.append(hop[take & (rank == ball_size)])
+            pending = pending[~full]
+            radius *= 2
+        # The next chunk starts at the largest radius this one needed.
+        radius = int(np.concatenate(needed).max())
+    rows, cols, hops = (np.concatenate(part) for part in zip(*found))
+    return rows, cols, hops
+
+
+def _pair_distances(
+    csr: CSRGraph,
+    site_idx: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    hops: np.ndarray,
+) -> np.ndarray:
+    """The exact distance from site ``lo[k]`` to site ``hi[k]`` for
+    each pair, computed from the lower-index site as the full sweep's
+    ``exact[lo, hi]`` was.
+
+    ``lo`` must be sorted.  Each source first sweeps to its farthest
+    partner's hop count times the mean arc weight; a source with a
+    partner still unsettled reruns at double its limit.  Every settled
+    value equals the unlimited one bit for bit.
+    """
+    values = np.empty(len(lo))
+    sources, first, counts = np.unique(
+        lo, return_index=True, return_counts=True
+    )
+    mean_weight = float(csr.weights.mean())
+    limits = np.maximum.reduceat(hops, first) * mean_weight
+    pending = np.arange(len(sources))
+    while pending.size:
+        pending = pending[np.argsort(limits[pending], kind="stable")]
+        retry = []
+        for start in range(0, pending.size, _ROW_CHUNK):
+            chunk = pending[start : start + _ROW_CHUNK]
+            limit = float(limits[chunk].max())
+            block = multi_source_distances(
+                csr, site_idx[sources[chunk]], limit=limit
+            )
+            owner = np.repeat(np.arange(chunk.size), counts[chunk])
+            pair = _ranges(first[chunk], counts[chunk])
+            got = block[owner, site_idx[hi[pair]]]
+            values[pair] = got
+            if limit < np.inf:
+                retry.append(chunk[np.unique(owner[np.isinf(got)])])
+        pending = np.concatenate(retry) if retry else pending[:0]
+        limits[pending] = np.where(
+            limits[pending] > 0, 2.0 * limits[pending], np.inf
+        )
+    return values
 
 
 class HubSetRelease:
@@ -366,7 +519,7 @@ class HubSetRelease:
         n = self._csr.n
         h = default_hub_count(n) if hub_count is None else hub_count
         b = default_ball_size(n) if ball_size is None else ball_size
-        self._structure, self._exact = build_hub_structure(
+        self._structure = build_hub_structure(
             self._csr,
             np.arange(n, dtype=np.int64),
             h,
@@ -423,10 +576,12 @@ class HubSetRelease:
             self._csr.index_of(source), self._csr.index_of(target)
         )
 
-    def exact_distance(self, source: Vertex, target: Vertex) -> float:
-        """The true distance (for error measurement; not private)."""
-        return float(
-            self._exact[
-                self._csr.index_of(source), self._csr.index_of(target)
-            ]
+    def exact_distance(  # privlint: ignore[PL1] analyst-side error measurement against the true distance; not part of the release
+        self, source: Vertex, target: Vertex
+    ) -> float:
+        """The true distance (for error measurement; not private),
+        from one source row swept on demand."""
+        row = multi_source_distances(
+            self._csr, [self._csr.index_of(source)]
         )
+        return float(row[0, self._csr.index_of(target)])

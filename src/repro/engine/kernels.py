@@ -123,6 +123,7 @@ def multi_source_distances(
     csr: CSRGraph,
     sources: Sequence[int] | np.ndarray,
     allow_negative: bool = False,
+    limit: float = np.inf,
 ) -> np.ndarray:
     """Exact distances from every source index, vectorized.
 
@@ -131,6 +132,12 @@ def multi_source_distances(
     is importable (zero-copy over the CSR arrays) and to
     :func:`relaxation_distances` otherwise; both match the reference
     Dijkstra bit for bit.
+
+    ``limit`` bounds the search: targets farther than it come back
+    ``inf``, and every target within it (inclusive) keeps its
+    unlimited value bit for bit — a limited Dijkstra settles the same
+    vertices in the same order up to the limit.  scipy prunes its
+    search there; the relaxation fallback masks the full sweep.
 
     Without ``allow_negative`` a negative weight raises
     :class:`~repro.exceptions.WeightError` (matching
@@ -156,14 +163,19 @@ def multi_source_distances(
         matrix = _scipy_csr_matrix(
             (csr.weights, csr.indices, csr.indptr), shape=(n, n)
         )
-        return _scipy_dijkstra(matrix, directed=True, indices=src)
-    return relaxation_distances(csr, src, allow_negative=allow_negative)
+        return _scipy_dijkstra(
+            matrix, directed=True, indices=src, limit=limit
+        )
+    return relaxation_distances(
+        csr, src, allow_negative=allow_negative, limit=limit
+    )
 
 
 def relaxation_distances(
     csr: CSRGraph,
     sources: Sequence[int] | np.ndarray,
     allow_negative: bool = False,
+    limit: float = np.inf,
 ) -> np.ndarray:
     """Pure-numpy multi-source distances (the scipy-free fallback).
 
@@ -172,7 +184,9 @@ def relaxation_distances(
     distances — until a round changes nothing.  With nonnegative
     weights the fixpoint matches Dijkstra bit for bit; with
     ``allow_negative``, non-convergence after ``n`` rounds raises
-    :class:`~repro.exceptions.GraphError` (negative cycle).
+    :class:`~repro.exceptions.GraphError` (negative cycle).  Entries
+    above ``limit`` are masked to ``inf`` afterwards, matching the
+    scipy path of :func:`multi_source_distances`.
     """
     n = csr.n
     src = np.asarray(sources, dtype=np.int64)
@@ -198,6 +212,7 @@ def relaxation_distances(
             d[:, nz] = np.where(improved, mins, d[:, nz])
         else:
             raise GraphError("graph contains a negative cycle")
+    dist[dist > limit] = np.inf
     return dist
 
 

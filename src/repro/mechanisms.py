@@ -677,7 +677,7 @@ class BoundaryRelayMechanism(Mechanism):
             else params.ball_size
         )
         csr = CSRGraph.from_graph(graph)
-        structure, _ = build_hub_structure(
+        structure = build_hub_structure(
             csr,
             csr.indices_of(sites),
             hub_count,

@@ -1,0 +1,91 @@
+"""The full-sweep hub construction, kept as a test oracle.
+
+This is the construction :func:`repro.apsp.hubs.build_hub_structure`
+used before it moved to local searches: one exact sweep from every
+site, a second unit-weight sweep for the hop counts, and a stable
+argsort of every row to pick the balls.  It allocates two ``m x m``
+matrices, so it only serves small graphs in tests, where it pins down
+what a seeded build must release.
+"""
+
+from __future__ import annotations
+
+from typing import Dict
+
+import numpy as np
+
+from repro.apsp.hubs import HubStructure, hub_noise_scale
+from repro.engine.csr import CSRGraph
+from repro.engine.kernels import multi_source_distances
+from repro.exceptions import DisconnectedGraphError
+from repro.rng import Rng
+
+
+def reference_hub_structure(
+    csr: CSRGraph,
+    site_idx: np.ndarray,
+    hub_count: int,
+    ball_size: int,
+    eps: float,
+    delta: float,
+    rng: Rng,
+) -> HubStructure:
+    """The hub structure the full-sweep construction releases."""
+    site_idx = np.asarray(site_idx, dtype=np.int64)
+    m = len(site_idx)
+    exact = multi_source_distances(csr, site_idx)[:, site_idx]
+    if np.isinf(exact).any():
+        raise DisconnectedGraphError(
+            "hub-set release requires all sites mutually reachable"
+        )
+
+    hubs = np.array(
+        sorted(rng.sample(range(m), hub_count)), dtype=np.int64
+    )
+
+    ball_pairs = np.empty(0, dtype=np.int64)
+    if ball_size > 0:
+        unit = csr.with_weights(np.ones(csr.num_edges))
+        hops = multi_source_distances(unit, site_idx)[:, site_idx]
+        # Stable argsort: ties broken by site order, self (hop 0) first.
+        order = np.argsort(hops, axis=1, kind="stable")
+        members = order[:, 1 : ball_size + 1]
+        rows = np.repeat(np.arange(m, dtype=np.int64), members.shape[1])
+        cols = members.ravel()
+        is_hub = np.zeros(m, dtype=bool)
+        is_hub[hubs] = True
+        keep = ~(is_hub[rows] | is_hub[cols])
+        lo = np.minimum(rows[keep], cols[keep])
+        hi = np.maximum(rows[keep], cols[keep])
+        ball_pairs = np.unique(lo * m + hi)
+
+    q_hub = hub_count * (m - hub_count) + hub_count * (hub_count - 1) // 2
+    pair_count = q_hub + len(ball_pairs)
+    scale = hub_noise_scale(pair_count, eps, delta)
+
+    matrix = exact[hubs] + rng.laplace_vector(scale, hub_count * m).reshape(
+        hub_count, m
+    )
+    sub = matrix[:, hubs]
+    upper = np.triu_indices(hub_count, k=1)
+    sub[(upper[1], upper[0])] = sub[upper]
+    np.fill_diagonal(sub, 0.0)
+    matrix[:, hubs] = sub
+
+    ball: Dict[int, float] = {}
+    if len(ball_pairs):
+        lo = ball_pairs // m
+        hi = ball_pairs % m
+        values = exact[lo, hi] + rng.laplace_vector(scale, len(ball_pairs))
+        ball = {
+            int(key): float(v) for key, v in zip(ball_pairs, values)
+        }
+
+    return HubStructure(
+        num_sites=m,
+        hub_positions=hubs,
+        matrix=matrix,
+        ball=ball,
+        noise_scale=scale,
+        pair_count=pair_count,
+    )

@@ -117,6 +117,27 @@ class TestBackendEquivalence:
             }
             assert row == reference[s]
 
+    @pytest.mark.parametrize("quantile", [0.0, 0.3, 0.7])
+    @pytest.mark.parametrize(
+        "sweep",
+        [kernels.multi_source_distances, kernels.relaxation_distances],
+        ids=["dispatch", "relaxation"],
+    )
+    def test_limited_sweep_exact(self, family, trial, quantile, sweep):
+        # Within the limit (inclusive) a limited sweep keeps the
+        # unlimited value bit for bit; beyond it every entry is inf.
+        # The limit is an attained distance, so the boundary is hit.
+        graph = self._graph(family, trial)
+        csr = CSRGraph.from_graph(graph)
+        full = kernels.multi_source_distances(csr, range(csr.n))
+        finite = np.sort(full[np.isfinite(full)])
+        limit = float(finite[int(quantile * (finite.size - 1))])
+        limited = sweep(csr, range(csr.n), limit=limit)
+        within = full <= limit
+        assert (full == limit).any()
+        assert np.array_equal(limited[within], full[within])
+        assert np.isinf(limited[~within]).all()
+
     def test_bellman_ford_distances_exact(self, family, trial):
         graph = self._graph(family, trial)
         source = graph.vertex_list()[-1]

@@ -159,11 +159,27 @@ class TestPhaseAttribution:
         if shards > 1:
             assert "hubs.build" in phases
 
-    def test_engine_kernel_spans_only_under_profiler(self):
+    @pytest.mark.parametrize(
+        "mechanism, phases",
+        [
+            ("auto", set()),
+            (
+                "hub-set",
+                {"engine.hub_rows", "engine.hop_balls", "engine.ball_pairs"},
+            ),
+        ],
+    )
+    def test_engine_kernel_spans_only_under_profiler(
+        self, mechanism, phases
+    ):
         # Unprofiled bundles must not pay for engine.* spans.
         plain = Telemetry()
         with use_telemetry(plain):
-            serve(_grid(), ServingConfig(eps=1.0), Rng(seed=1))
+            serve(
+                _grid(),
+                ServingConfig(eps=1.0, mechanism=mechanism),
+                Rng(seed=1),
+            )
 
         def walk(span):
             yield span.name
@@ -182,13 +198,17 @@ class TestPhaseAttribution:
         with use_telemetry(profiled):
             serve(
                 _grid(),
-                ServingConfig(eps=1.0, backend="numpy"),
+                ServingConfig(
+                    eps=1.0, backend="numpy", mechanism=mechanism
+                ),
                 Rng(seed=1),
                 telemetry=profiled,
             )
         assert any(
             name.startswith("engine.") for name in profiler.phases()
         )
+        # A hub build books its sweeps to one phase each.
+        assert phases <= set(profiler.phases())
 
 
 class TestFlightCapture:

@@ -153,6 +153,24 @@ class TestMetricsAndSpans:
         assert "serving.batch.latency" in names
         assert "mechanism.selected" in names
 
+    def test_build_latency_observed_once_per_build(self):
+        # Two shard synopses and one relay: three builds, three
+        # observations, each under its caller's phase and mechanism.
+        telemetry = Telemetry()
+        config = ServingConfig(eps=1.0, shards=2, mechanism="hub-set")
+        serve(
+            _grid(12, 12), config, Rng(seed=5), telemetry=telemetry
+        )
+        counts = {}
+        for metric in telemetry.registry.metrics():
+            if metric.name == "build.latency":
+                labels = dict(metric.labels)
+                counts[labels["phase"], labels["mechanism"]] = metric.count
+        assert counts == {
+            ("synopsis", "hub-set"): 2,
+            ("relay", "boundary-relay"): 1,
+        }
+
     def test_budget_gauges_per_tenant(self):
         telemetry = Telemetry()
         config = ServingConfig(eps=1.0, delta=1e-6)
