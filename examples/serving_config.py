@@ -10,8 +10,9 @@ Walks the redesigned serving API end to end:
 3. ask for rich ``Estimate`` answers — value, effective noise scale,
    Laplace confidence interval — instead of bare floats,
 4. swap the same workload onto a sharded deployment by editing one
-   config field (the consumer code does not change: both servers
-   speak the ``DistanceServer`` protocol),
+   config field (the consumer code does not change: there is one
+   ``DistanceService`` front, ``shards`` only sets how many regional
+   tenants sit behind it),
 5. inspect the mechanism registry the config names come from.
 
 Run with:  python examples/serving_config.py

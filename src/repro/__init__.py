@@ -140,7 +140,6 @@ from .serving import (
     BatchPlanner,
     BatchReport,
     BudgetLedger,
-    DistanceServer,
     DistanceService,
     DistanceSynopsis,
     Estimate,
@@ -231,7 +230,6 @@ __all__ = [
     # serving
     "DistanceService",
     "ShardedDistanceService",
-    "DistanceServer",
     "ServingConfig",
     "serve",
     "Estimate",

@@ -115,7 +115,7 @@ from . import (
 from .exceptions import ReproError
 from .graphs.graph import WeightedGraph
 from .graphs.io import graph_to_json, load_graph, read_edge_list
-from .serving.service import MECHANISMS
+from .mechanisms import standalone_mechanisms
 
 __all__ = ["main", "build_parser"]
 
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--mechanism",
-        choices=list(MECHANISMS),
+        choices=list(standalone_mechanisms()),
         default=None,
         help="force a mechanism instead of auto-selecting",
     )
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--mechanism",
-        choices=list(MECHANISMS),
+        choices=list(standalone_mechanisms()),
         default=None,
         help="force a mechanism instead of auto-selecting",
     )

@@ -117,9 +117,6 @@ class MechanismParams:
     #: Site subset to build over (``boundary-relay`` only; defaults to
     #: all vertices elsewhere).
     sites: Tuple[Vertex, ...] | None = None
-    #: Hub-structure overrides (hub mechanisms and the relay builder).
-    hub_count: int | None = None
-    ball_size: int | None = None
 
     @property
     def eps(self) -> float:
@@ -450,9 +447,7 @@ class HubBoundedMechanism(_BoundedFamily):
             )
         k = hub_bounded_optimal_k(v, m, eps, delta)
         z = max(v // (k + 1), 1)
-        return predicted_hub_scale(
-            z, eps, delta, params.hub_count, params.ball_size
-        )
+        return predicted_hub_scale(z, eps, delta)
 
     def build(self, graph, params, rng, backend=None):
         from .serving.synopsis import HubBoundedSynopsis
@@ -463,8 +458,6 @@ class HubBoundedMechanism(_BoundedFamily):
             params.eps,
             rng,
             delta=params.delta,
-            hub_count=params.hub_count,
-            ball_size=params.ball_size,
         )
         return HubBoundedSynopsis.from_release(release)
 
@@ -564,11 +557,7 @@ class HubSetMechanism(_AllPairsFamily):
 
     def predicted_noise_scale(self, graph, params):
         return predicted_hub_scale(
-            graph.num_vertices,
-            params.eps,
-            params.delta,
-            params.hub_count,
-            params.ball_size,
+            graph.num_vertices, params.eps, params.delta
         )
 
     def build(self, graph, params, rng, backend=None):
@@ -579,8 +568,6 @@ class HubSetMechanism(_AllPairsFamily):
             params.eps,
             rng,
             delta=params.delta,
-            hub_count=params.hub_count,
-            ball_size=params.ball_size,
         )
         return HubSetSynopsis.from_release(release)
 
@@ -640,13 +627,7 @@ class BoundaryRelayMechanism(Mechanism):
 
     def predicted_noise_scale(self, graph, params):
         m = len(params.sites) if params.sites else graph.num_vertices
-        return predicted_hub_scale(
-            m,
-            params.eps,
-            params.delta,
-            params.hub_count,
-            params.ball_size,
-        )
+        return predicted_hub_scale(m, params.eps, params.delta)
 
     def validate(self, graph, params):
         if not params.sites:
@@ -666,22 +647,12 @@ class BoundaryRelayMechanism(Mechanism):
 
         sites = tuple(params.sites)
         m = len(sites)
-        hub_count = (
-            default_hub_count(m)
-            if params.hub_count is None
-            else params.hub_count
-        )
-        ball_size = (
-            default_ball_size(m)
-            if params.ball_size is None
-            else params.ball_size
-        )
         csr = CSRGraph.from_graph(graph)
         structure = build_hub_structure(
             csr,
             csr.indices_of(sites),
-            hub_count,
-            ball_size,
+            default_hub_count(m),
+            default_ball_size(m),
             params.eps,
             params.delta,
             rng,

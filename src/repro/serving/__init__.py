@@ -2,27 +2,30 @@
 
 The paper's mechanisms release a synopsis once; differential privacy's
 post-processing property then makes every query answered from it free.
-This package turns that observation into a serving architecture:
+This package turns that observation into a serving architecture with
+one front:
 
+* :mod:`repro.serving.service` — :class:`DistanceService`, the front:
+  it owns the answer cache, the counters, the ledger and epoch, and
+  telemetry over ``k >= 1`` regional tenants (``k = 1`` is the
+  unsharded service), picks each tenant's mechanism from the
+  :mod:`repro.mechanisms` registry, and serves point/batch queries;
+* :mod:`repro.serving.routing` / :mod:`repro.serving.sharding` — the
+  topology-only partitioner, the tenants, the shard router and its
+  noisy boundary-hub relay, the sharded accounting, and
+  :class:`ShardedDistanceService` (the front's sharded name);
 * :mod:`repro.serving.synopsis` — immutable, serializable synopsis
   objects wrapping each release family, with a registry keyed by kind
   and per-pair noise-scale introspection;
 * :mod:`repro.serving.ledger` — a multi-tenant, epoch-rotating budget
   ledger that fails closed;
-* :mod:`repro.serving.service` — :class:`DistanceService`, the façade
-  that picks the best mechanism from the :mod:`repro.mechanisms`
-  registry and serves point/batch queries with an answer cache;
 * :mod:`repro.serving.estimates` — :class:`Estimate`, the rich query
   result (value + noise scale + Laplace-CDF confidence interval);
 * :mod:`repro.serving.config` — :class:`ServingConfig`, the
   declarative JSON-round-trippable deployment document, and
-  :func:`serve`, the one factory returning a
-  :class:`DistanceServer` (sharded or not);
+  :func:`serve`, the one factory (``shards=`` picks the shape);
 * :mod:`repro.serving.batching` — batch planning: dedupe, vectorized
   noise, latency reporting, the bounded answer cache;
-* :mod:`repro.serving.sharding` — sharded serving: a topology-only
-  partitioner, one synopsis + ledger tenant per shard, and noisy
-  boundary-hub relays stitching cross-shard queries back together;
 * :mod:`repro.serving.simulate` — rush-hour traffic replay measuring
   throughput and empirical error through the one serving interface.
 """
@@ -30,23 +33,13 @@ This package turns that observation into a serving architecture:
 from .batching import BatchPlanner, BatchReport, BoundedCache, fresh_batch
 from .ledger import BudgetLedger, LedgerEntry
 from .estimates import Estimate
-from .service import (
-    DistanceService,
-    MECHANISMS,
-    ServiceStats,
-    select_mechanism,
-)
+from .service import DistanceService, ServiceStats
 from .sharding import (
     ShardPlan,
     ShardedDistanceService,
     partition_graph,
 )
-from .config import (
-    DistanceServer,
-    EPOCH_POLICIES,
-    ServingConfig,
-    serve,
-)
+from .config import EPOCH_POLICIES, ServingConfig, serve
 from .simulate import EpochResult, SimulationReport, replay_rush_hour
 from .synopsis import (
     AllPairsSynopsis,
@@ -64,14 +57,11 @@ from .synopsis import (
 
 __all__ = [
     "DistanceService",
-    "DistanceServer",
     "ServingConfig",
     "serve",
     "EPOCH_POLICIES",
     "Estimate",
     "ServiceStats",
-    "select_mechanism",
-    "MECHANISMS",
     "ShardPlan",
     "ShardedDistanceService",
     "partition_graph",

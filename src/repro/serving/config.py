@@ -1,22 +1,18 @@
 """Declarative serving configuration: one document, one factory.
 
-Before this module, standing up a private distance server meant
-choosing between two unrelated classes
-(:class:`~repro.serving.service.DistanceService` /
-:class:`~repro.serving.sharding.ShardedDistanceService`) and threading
-half a dozen keyword arguments through every consumer.  Now a
-:class:`ServingConfig` captures the whole deployment — mechanism,
+A :class:`ServingConfig` captures a whole deployment — mechanism,
 budget split, epoch policy, backend, shard plan knobs, cache bound —
-as an immutable, JSON-round-trippable document, and
-:func:`serve` turns ``(graph, config, rng)`` into a running server.
+as an immutable, JSON-round-trippable document, and :func:`serve`
+turns ``(graph, config, rng)`` into a running
+:class:`~repro.serving.service.DistanceService`.
 
-Both service classes implement the :class:`DistanceServer` protocol
-(``query``, ``query_batch``, ``estimate``, ``estimate_batch``,
-``refresh``, plus the ``mechanism`` / ``stats`` / ``ledger`` /
-``epoch`` surface), so the CLI, the traffic replay, and the
-benchmarks consume exactly one interface; whether the answers come
-from one synopsis or from regional tenants stitched by a boundary
-relay is a config field, not a code path.
+There is one serving front: whether the answers come from one
+synopsis or from regional tenants stitched by a boundary relay is the
+``shards`` field, not a code path, so the CLI, the traffic replay,
+and the benchmarks consume exactly one interface (``query``,
+``query_batch``, ``estimate``, ``estimate_batch``, ``refresh``,
+``refresh_shard``, plus the ``mechanism`` / ``stats`` / ``ledger`` /
+``epoch`` surface).
 
 The config is public data — mechanism names, budgets, seeds, size
 knobs — so config documents can be shipped, versioned, and diffed
@@ -27,11 +23,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
-from typing import Protocol, Sequence, Tuple, runtime_checkable
 
 from ..dp.params import PrivacyParams
 from ..exceptions import GraphError, PrivacyError
-from ..graphs.graph import Vertex, WeightedGraph
+from ..graphs.graph import WeightedGraph
 from ..mechanisms import get_mechanism
 from ..rng import Rng
 from ..telemetry import (
@@ -43,10 +38,8 @@ from ..telemetry import (
     Telemetry,
     get_telemetry,
 )
-from .batching import BatchReport
-from .estimates import Estimate
 from .ledger import BudgetLedger
-from .service import DistanceService, ServiceStats
+from .service import DistanceService
 from .sharding import (
     DEFAULT_RELAY_FRACTION,
     ShardPlan,
@@ -55,7 +48,6 @@ from .sharding import (
 
 __all__ = [
     "ServingConfig",
-    "DistanceServer",
     "serve",
     "EPOCH_POLICIES",
     "CONFIG_FORMAT",
@@ -64,73 +56,13 @@ __all__ = [
 CONFIG_FORMAT = "repro-serving-config"
 _CONFIG_VERSION = 1
 
-#: How a server's budget behaves across :meth:`DistanceServer.refresh`:
+#: How a server's budget behaves across :meth:`DistanceService.refresh`:
 #: ``"rotate"`` treats every refresh as a new data epoch (the private
 #: ledger rotates and budgets reset — fresh weights are a new
 #: database); ``"fixed"`` pins the ledger epoch, so refreshes re-spend
 #: from the remaining epoch budget and fail closed when it runs out
 #: (the contract for rebuilding against the *same* database).
 EPOCH_POLICIES = ("rotate", "fixed")
-
-
-@runtime_checkable
-class DistanceServer(Protocol):
-    """The common serving surface of every server :func:`serve` returns.
-
-    Implemented by :class:`~repro.serving.service.DistanceService` and
-    :class:`~repro.serving.sharding.ShardedDistanceService`; consumers
-    written against this protocol never branch on sharding.
-    """
-
-    def query(self, source: Vertex, target: Vertex) -> float:
-        """One released distance (post-processing; free)."""
-        ...
-
-    def query_batch(
-        self, pairs: Sequence[Tuple[Vertex, Vertex]]
-    ) -> BatchReport:
-        """A deduplicated, cached batch of released distances."""
-        ...
-
-    def estimate(self, source: Vertex, target: Vertex) -> Estimate:
-        """One rich estimate: ``query()``'s value + noise scale."""
-        ...
-
-    def estimate_batch(
-        self, pairs: Sequence[Tuple[Vertex, Vertex]]
-    ) -> Sequence[Estimate]:
-        """A batch of rich estimates aligned with the input order."""
-        ...
-
-    def refresh(self, graph: WeightedGraph | None = None) -> None:
-        """Start a new epoch (rebuild under the epoch policy)."""
-        ...
-
-    @property
-    def mechanism(self) -> str:
-        """The mechanism label backing the current epoch."""
-        ...
-
-    @property
-    def stats(self) -> ServiceStats:
-        """Shared serving counters (``num_queries``, ``cache_hits``,
-        ...)."""
-        ...
-
-    @property
-    def ledger(self) -> BudgetLedger:
-        """The audited budget ledger."""
-        ...
-
-    @property
-    def epoch(self) -> int:
-        """The ledger epoch currently being served."""
-        ...
-
-    @property
-    def epoch_budget(self) -> PrivacyParams:
-        """The per-epoch privacy budget."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -315,18 +247,19 @@ def serve(
     ledger: BudgetLedger | None = None,
     plan: ShardPlan | None = None,
     telemetry: Telemetry | None = None,
-) -> DistanceServer:
+) -> DistanceService:
     """Stand up a distance server described by a :class:`ServingConfig`.
 
     The one construction path for every consumer (CLI, traffic
     replay, benchmarks): returns a
     :class:`~repro.serving.service.DistanceService` for
-    ``config.shards == 1`` and a
-    :class:`~repro.serving.sharding.ShardedDistanceService` otherwise
-    — both satisfying :class:`DistanceServer`.  With the same graph,
-    budget, and rng the returned server answers bit-for-bit
-    identically to constructing the class directly, so configs are a
-    pure convenience layer over the seeded reproducibility story.
+    ``config.shards == 1`` and its
+    :class:`~repro.serving.sharding.ShardedDistanceService` name
+    (the sharded default tenant) for more shards or an explicit
+    plan.  With the same graph, budget, and rng the returned server
+    answers bit-for-bit identically to constructing the class
+    directly, so configs are a pure convenience layer over the seeded
+    reproducibility story.
 
     Parameters
     ----------
@@ -381,29 +314,24 @@ def serve(
         # does not own, so refreshes re-spend from the remaining epoch
         # budget (failing closed) instead of rotating.
         ledger = BudgetLedger(config.budget)
-    common = dict(
+    options = dict(
         weight_bound=config.weight_bound,
         mechanism=mechanism,
         ledger=ledger,
         backend=config.backend,
         cache_size=config.cache_size,
         telemetry=telemetry,
+        # With an explicit plan a multi-shard config still passes its
+        # count through, so a config/plan disagreement raises instead
+        # of silently trusting the plan; the default shards=1 means
+        # "whatever the plan says".
+        shards=config.shards if config.shards > 1 else None,
+        plan=plan,
+        partition_seed=config.partition_seed,
+        relay_fraction=config.relay_fraction,
     )
     if config.tenant is not None:
-        common["tenant"] = config.tenant
-    if config.shards > 1 or plan is not None:
-        return ShardedDistanceService(
-            graph,
-            config.budget,
-            rng,
-            # With an explicit plan a multi-shard config still passes
-            # its count through, so a config/plan disagreement raises
-            # instead of silently trusting the plan; the default
-            # shards=1 means "whatever the plan says".
-            shards=config.shards if config.shards > 1 else None,
-            plan=plan,
-            partition_seed=config.partition_seed,
-            relay_fraction=config.relay_fraction,
-            **common,
-        )
-    return DistanceService(graph, config.budget, rng, **common)
+        options["tenant"] = config.tenant
+    sharded = config.shards > 1 or plan is not None
+    server = ShardedDistanceService if sharded else DistanceService
+    return server(graph, config.budget, rng, **options)

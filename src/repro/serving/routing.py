@@ -1,0 +1,579 @@
+"""Regional tenants and the shard router that stitches them together.
+
+:class:`ShardPlan` and :func:`partition_graph` split the public
+topology into ``k`` connected shards (data-independent); a
+:class:`_Tenant` is what one shard needs to serve; :class:`_ShardRouter`
+is the cache-miss path of a :class:`~repro.serving.service.DistanceService`
+with two or more tenants.  :mod:`repro.serving.sharding` explains the
+routing and the privacy accounting.
+"""
+
+from __future__ import annotations
+
+import json
+from collections import deque
+from typing import Dict, List, Mapping, Sequence, Tuple
+
+import numpy as np
+
+from ..algorithms.traversal import is_connected
+from ..apsp.hubs import HubStructure
+from ..engine.csr import CSRGraph
+from ..exceptions import (
+    DisconnectedGraphError,
+    GraphError,
+    PrivacyError,
+    VertexNotFoundError,
+)
+from ..graphs.graph import Edge, Vertex, WeightedGraph
+from ..graphs.io import _decode_vertex, _encode_vertex
+from ..rng import Rng
+from .synopsis import DistanceSynopsis
+
+__all__ = [
+    "ShardPlan",
+    "partition_graph",
+    "DEFAULT_RELAY_FRACTION",
+]
+
+#: Fraction of the epoch budget spent on the boundary-hub relay table
+#: when the plan has two or more shards; the rest goes to every shard
+#: tenant (parallel composition over disjoint intra-shard edge sets).
+DEFAULT_RELAY_FRACTION = 0.5
+
+_PLAN_FORMAT = "repro-shard-plan"
+_PLAN_VERSION = 1
+
+
+class ShardPlan:
+    """A topology-only sharding of a graph's vertex set.
+
+    Everything here — the assignment, the boundary, the cut edges — is
+    derived from the public topology by a seeded partitioner, so the
+    plan itself is data-independent and safe to publish or ship.
+
+    Parameters
+    ----------
+    num_shards:
+        How many shards the assignment uses (ids ``0..num_shards-1``).
+    assignment:
+        Vertex -> shard id, covering every vertex; each shard must be
+        non-empty.
+    boundary:
+        The boundary vertices — endpoints of cut edges — in a stable
+        order (this order is the relay structure's *site* order).
+    cut_edges:
+        The edges whose endpoints live in different shards.
+    seed:
+        The partitioner seed that produced the plan (provenance only).
+    """
+
+    def __init__(
+        self,
+        num_shards: int,
+        assignment: Mapping[Vertex, int],
+        boundary: Sequence[Vertex],
+        cut_edges: Sequence[Edge],
+        seed: int | None = None,
+    ) -> None:
+        if num_shards < 1:
+            raise GraphError(f"need at least 1 shard, got {num_shards}")
+        self._num_shards = int(num_shards)
+        self._assignment: Dict[Vertex, int] = dict(assignment)
+        members: List[List[Vertex]] = [[] for _ in range(self._num_shards)]
+        for vertex, shard in self._assignment.items():
+            if not 0 <= shard < self._num_shards:
+                raise GraphError(
+                    f"vertex {vertex!r} assigned to shard {shard}, "
+                    f"expected [0, {self._num_shards})"
+                )
+            members[shard].append(vertex)
+        for shard, shard_members in enumerate(members):
+            if not shard_members:
+                raise GraphError(f"shard {shard} has no vertices")
+        self._members = [tuple(m) for m in members]
+        self._boundary = tuple(boundary)
+        self._boundary_set = frozenset(self._boundary)
+        for vertex in self._boundary:
+            if vertex not in self._assignment:
+                raise GraphError(
+                    f"boundary vertex {vertex!r} is not assigned a shard"
+                )
+        self._cut_edges = tuple((u, v) for u, v in cut_edges)
+        self.seed = seed
+
+    @classmethod
+    def from_assignment(
+        cls,
+        graph: WeightedGraph,
+        assignment: Mapping[Vertex, int],
+        num_shards: int | None = None,
+        seed: int | None = None,
+    ) -> "ShardPlan":
+        """Build a plan from an explicit assignment, deriving the
+        boundary and cut edges from the graph's topology."""
+        for vertex in graph.vertices():
+            if vertex not in assignment:
+                raise GraphError(
+                    f"assignment misses vertex {vertex!r}"
+                )
+        if num_shards is None:
+            num_shards = max(assignment.values()) + 1 if assignment else 1
+        boundary_set = set()
+        boundary: List[Vertex] = []
+        cut_edges: List[Edge] = []
+        for u, v, _ in graph.edges():
+            if assignment[u] != assignment[v]:
+                cut_edges.append((u, v))
+                for endpoint in (u, v):
+                    if endpoint not in boundary_set:
+                        boundary_set.add(endpoint)
+                        boundary.append(endpoint)
+        # A stable, topology-derived site order: vertex insertion order.
+        order = {vert: i for i, vert in enumerate(graph.vertices())}
+        boundary.sort(key=lambda vert: order[vert])
+        return cls(num_shards, assignment, boundary, cut_edges, seed=seed)
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+
+    @property
+    def num_shards(self) -> int:
+        """How many shards the plan defines."""
+        return self._num_shards
+
+    @property
+    def boundary(self) -> Tuple[Vertex, ...]:
+        """Boundary vertices in relay site order."""
+        return self._boundary
+
+    @property
+    def cut_edges(self) -> Tuple[Edge, ...]:
+        """Edges whose endpoints live in different shards."""
+        return self._cut_edges
+
+    @property
+    def num_vertices(self) -> int:
+        """How many vertices the plan assigns."""
+        return len(self._assignment)
+
+    def shard_of(self, vertex: Vertex) -> int:
+        """The shard owning a vertex."""
+        try:
+            return self._assignment[vertex]
+        except KeyError:
+            raise VertexNotFoundError(vertex) from None
+
+    def members(self, shard: int) -> Tuple[Vertex, ...]:
+        """The vertices of one shard, in graph insertion order."""
+        if not 0 <= shard < self._num_shards:
+            raise GraphError(
+                f"shard id {shard} out of range [0, {self._num_shards})"
+            )
+        return self._members[shard]
+
+    def shard_sizes(self) -> List[int]:
+        """Vertex count per shard."""
+        return [len(m) for m in self._members]
+
+    def is_boundary(self, vertex: Vertex) -> bool:
+        """Whether a vertex is an endpoint of a cut edge."""
+        return vertex in self._boundary_set
+
+    def assignment(self) -> Dict[Vertex, int]:
+        """The full vertex -> shard mapping (a copy)."""
+        return dict(self._assignment)
+
+    # ------------------------------------------------------------------
+    # Serialization (the plan is public topology — safe to ship)
+    # ------------------------------------------------------------------
+
+    def to_json(self) -> str:
+        """Serialize the plan (all fields are public topology)."""
+        return json.dumps(
+            {
+                "format": _PLAN_FORMAT,
+                "version": _PLAN_VERSION,
+                "num_shards": self._num_shards,
+                "seed": self.seed,
+                "assignment": [
+                    [_encode_vertex(v), shard]
+                    for v, shard in self._assignment.items()
+                ],
+                "boundary": [_encode_vertex(v) for v in self._boundary],
+                "cut_edges": [
+                    [_encode_vertex(u), _encode_vertex(v)]
+                    for u, v in self._cut_edges
+                ],
+            }
+        )
+
+    @classmethod
+    def from_json(cls, text: str) -> "ShardPlan":
+        """Restore a plan serialized by :meth:`to_json`."""
+        document = json.loads(text)
+        if document.get("format") != _PLAN_FORMAT:
+            raise GraphError("not a repro-shard-plan JSON document")
+        if document.get("version") != _PLAN_VERSION:
+            raise GraphError(
+                f"unsupported shard-plan version "
+                f"{document.get('version')!r}"
+            )
+        return cls(
+            int(document["num_shards"]),
+            {
+                _decode_vertex(v): int(shard)
+                for v, shard in document["assignment"]
+            },
+            [_decode_vertex(v) for v in document["boundary"]],
+            [
+                (_decode_vertex(u), _decode_vertex(v))
+                for u, v in document["cut_edges"]
+            ],
+            seed=document.get("seed"),
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"ShardPlan(shards={self._num_shards}, "
+            f"sizes={self.shard_sizes()}, "
+            f"boundary={len(self._boundary)}, "
+            f"cut_edges={len(self._cut_edges)})"
+        )
+
+
+def partition_graph(
+    graph: WeightedGraph, shards: int, seed: int = 0
+) -> ShardPlan:
+    """Partition a connected graph into balanced, connected shards.
+
+    Seeded BFS region growing: ``shards`` seed vertices are sampled
+    uniformly (from ``Rng(seed)`` — never from a service rng, so the
+    partition depends only on the public topology and the seed), then
+    regions grow one vertex at a time, always the currently smallest
+    region that still has an unassigned frontier vertex.  Each region
+    grows only through adjacent vertices, so every shard induces a
+    connected subgraph; the smallest-first rule keeps the sizes within
+    a vertex of balanced wherever the topology allows.
+    """
+    if shards < 1:
+        raise GraphError(f"need at least 1 shard, got {shards}")
+    if shards > graph.num_vertices:
+        raise GraphError(
+            f"cannot split {graph.num_vertices} vertices into "
+            f"{shards} shards"
+        )
+    if not is_connected(graph):
+        raise DisconnectedGraphError(
+            "sharded serving requires a connected graph"
+        )
+    csr = CSRGraph.from_graph(graph)
+    n = csr.n
+    indptr, indices = csr.indptr, csr.indices
+    rng = Rng(seed)
+    shard_of = np.full(n, -1, dtype=np.int64)
+    seeds = rng.sample(range(n), shards)
+    sizes = [1] * shards
+    frontiers: List[deque] = []
+    for shard, seed_vertex in enumerate(seeds):
+        shard_of[seed_vertex] = shard
+        frontiers.append(
+            deque(
+                int(x)
+                for x in indices[indptr[seed_vertex] : indptr[seed_vertex + 1]]
+            )
+        )
+    open_shards = set(range(shards))
+    assigned = shards
+    while assigned < n:
+        if not open_shards:
+            raise DisconnectedGraphError(
+                "region growing stranded unassigned vertices"
+            )
+        shard = min(open_shards, key=lambda i: (sizes[i], i))
+        frontier = frontiers[shard]
+        grew = False
+        while frontier:
+            v = frontier.popleft()
+            if shard_of[v] != -1:
+                continue
+            shard_of[v] = shard
+            sizes[shard] += 1
+            assigned += 1
+            frontier.extend(
+                int(x) for x in indices[indptr[v] : indptr[v + 1]]
+            )
+            grew = True
+            break
+        if not grew:
+            open_shards.discard(shard)
+    vertices = csr.vertices
+    assignment = {
+        vertices[i]: int(shard_of[i]) for i in range(n)
+    }
+    return ShardPlan.from_assignment(
+        graph, assignment, num_shards=shards, seed=seed
+    )
+
+
+
+class _Tenant:
+    """What one shard needs to serve: its graph, its current synopsis
+    (``None`` while its rebuild is pending or after it failed), the
+    mechanism that built it, and its ledger tenant name (its budget
+    account).  Serving state — cache, counters, latency — belongs to
+    the front."""
+
+    __slots__ = ("name", "graph", "synopsis", "mechanism")
+
+    def __init__(self, name: str, graph: WeightedGraph) -> None:
+        self.name = name
+        self.graph = graph
+        self.synopsis: DistanceSynopsis | None = None
+        self.mechanism = ""
+
+    def released(self) -> DistanceSynopsis:
+        """The current epoch's synopsis; refuses (fails closed) when
+        the last rebuild failed."""
+        if self.synopsis is None:
+            raise PrivacyError(
+                "no synopsis for the current epoch (the last refresh "
+                "failed); call refresh() again before querying"
+            )
+        return self.synopsis
+
+
+class _ShardRouter:
+    """The cache-miss path of a service with two or more tenants.
+
+    Exposes the synopsis surface (``distance(s, t)``) that the front's
+    point queries and :class:`~repro.serving.batching.BatchPlanner`
+    call on a miss, routed by shard ownership (intra-shard pairs to the
+    owning synopsis capped by the relay, cross-shard pairs through the
+    relay).  Also holds what routing needs across epochs: the public
+    edge classification and relay site bookkeeping (fixed by the plan)
+    and the current relay release.
+    """
+
+    def __init__(
+        self,
+        plan: ShardPlan,
+        graph: WeightedGraph,
+        tenants: Sequence[_Tenant],
+    ) -> None:
+        self.plan = plan
+        self._tenants = tenants
+        #: The released boundary-hub relay structure (``None`` until
+        #: built, or after a failed rebuild).
+        self.relay: HubStructure | None = None
+        # Edge classification over the full graph's canonical edge
+        # order: owning shard for intra-shard edges, -1 for cut edges.
+        # This is what lets refresh_shard verify an update really is
+        # regional before committing it.
+        plan_of = plan.shard_of
+        self._edge_keys = graph.edge_list()
+        edge_shard = np.empty(len(self._edge_keys), dtype=np.int64)
+        for e, (u, v) in enumerate(self._edge_keys):
+            su, sv = plan_of(u), plan_of(v)
+            edge_shard[e] = su if su == sv else -1
+        self._edge_shard = edge_shard
+
+        # Relay site bookkeeping (static across refreshes: the plan and
+        # boundary are topology-only).
+        self._shard_boundary: List[Tuple[Vertex, ...]] = []
+        self._site_pos: List[np.ndarray] = []
+        site_shard = np.asarray(
+            [plan_of(v) for v in plan.boundary], dtype=np.int64
+        )
+        for shard in range(plan.num_shards):
+            positions = np.flatnonzero(site_shard == shard)
+            self._site_pos.append(positions)
+            self._shard_boundary.append(
+                tuple(plan.boundary[int(p)] for p in positions)
+            )
+        self._site_shard = site_shard
+        # Local position of each site within its shard's boundary list.
+        site_local = np.zeros(len(plan.boundary), dtype=np.int64)
+        for positions in self._site_pos:
+            site_local[positions] = np.arange(len(positions))
+        self._site_local = site_local
+        self._relay_ball_cross: Dict[
+            Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]
+        ] = {}
+
+    # ------------------------------------------------------------------
+    # Public-topology checks (before any budget is spent)
+    # ------------------------------------------------------------------
+
+    def check_topology(self, graph: WeightedGraph) -> None:
+        """Reject a full-refresh graph whose vertex or edge set differs
+        from the plan's: every tenant re-weights its subgraph from it,
+        and a mismatch would fail halfway through the rebuilds."""
+        plan = self.plan
+        if not (
+            graph.num_vertices == plan.num_vertices
+            and graph.num_edges == len(self._edge_keys)
+            and all(graph.has_edge(u, v) for u, v in self._edge_keys)
+            and all(
+                graph.has_vertex(v)
+                for shard in range(plan.num_shards)
+                for v in plan.members(shard)
+            )
+        ):
+            raise GraphError(
+                "refresh graph's vertex or edge set differs from the "
+                "shard plan's"
+            )
+
+    def check_regional(
+        self, shard: int, old: WeightedGraph, new: WeightedGraph
+    ) -> None:
+        """Reject an update of ``shard`` that changes weights outside
+        its own edges and the cut edges — it would silently stale the
+        untouched tenants."""
+        changed = old.weight_vector() != new.weight_vector()
+        allowed = (self._edge_shard == shard) | (self._edge_shard == -1)
+        bad = changed & ~allowed
+        if bad.any():
+            edge = self._edge_keys[int(np.argmax(bad))]
+            raise GraphError(
+                f"refresh_shard({shard}) may only change weights of "
+                f"shard-{shard} edges and cut edges; edge {edge!r} "
+                f"belongs elsewhere (use refresh() for a full epoch)"
+            )
+
+    # ------------------------------------------------------------------
+    # The relay release
+    # ------------------------------------------------------------------
+
+    def set_relay(self, structure: HubStructure) -> None:
+        """Install the epoch's relay release, bucketing its ball table
+        by shard pair (the hub sample is redrawn each epoch, so the
+        exclusions change too).  Same-shard buckets ``(i, i)`` refine
+        the intra-shard relay cap."""
+        m = len(self.plan.boundary)
+        buckets: Dict[Tuple[int, int], List[List[float]]] = {}
+        for key, value in structure.ball.items():
+            lo, hi = divmod(key, m)
+            pair = (
+                int(self._site_shard[lo]),
+                int(self._site_shard[hi]),
+            )
+            if pair[0] > pair[1]:
+                pair = (pair[1], pair[0])
+                lo, hi = hi, lo
+            buckets.setdefault(pair, [[], [], []])
+            rows = buckets[pair]
+            rows[0].append(int(self._site_local[lo]))
+            rows[1].append(int(self._site_local[hi]))
+            rows[2].append(value)
+        self._relay_ball_cross = {
+            pair: (
+                np.asarray(rows[0], dtype=np.int64),
+                np.asarray(rows[1], dtype=np.int64),
+                np.asarray(rows[2], dtype=float),
+            )
+            for pair, rows in buckets.items()
+        }
+        self.relay = structure
+
+    def require_relay(self) -> HubStructure:
+        """The relay release; refuses (fails closed) when the last
+        rebuild failed."""
+        if self.relay is None:
+            raise PrivacyError(
+                "no boundary-hub relay for the current epoch (the "
+                "last rebuild failed); refresh before serving "
+                "cross-shard queries"
+            )
+        return self.relay
+
+    # ------------------------------------------------------------------
+    # Routing (post-processing only)
+    # ------------------------------------------------------------------
+
+    def route(self, source: Vertex, target: Vertex) -> str:
+        """``"intra"`` when the pair shares a shard, else ``"cross"``
+        (raises :class:`~repro.exceptions.VertexNotFoundError` for a
+        vertex outside the plan)."""
+        shard_of = self.plan.shard_of
+        return "intra" if shard_of(source) == shard_of(target) else "cross"
+
+    def distance(self, source: Vertex, target: Vertex) -> float:
+        """The routed answer for one pair."""
+        shard_of = self.plan.shard_of
+        return self._distance(
+            source, shard_of(source), target, shard_of(target)
+        )
+
+    def _distance(self, s: Vertex, i: int, t: Vertex, j: int) -> float:
+        if i == j:
+            direct = self._tenants[i].released().distance(s, t)
+            if s == t or self.relay is None:
+                # A failed relay rebuild: intra answers keep serving
+                # from the shard synopsis.
+                return direct
+            # A border pair's best corridor may dip into a neighboring
+            # shard, which the induced-subgraph synopsis cannot see;
+            # cap the detour with the relay decomposition through the
+            # shard's own boundary (free post-processing).
+            return min(direct, self._relay_candidate(s, i, t, j))
+        self.require_relay()
+        return self._relay_candidate(s, i, t, j)
+
+    def _boundary_distances(self, shard: int, v: Vertex) -> np.ndarray:
+        """Released distances from ``v`` to its shard's boundary
+        vertices (free post-processing of the shard synopsis)."""
+        synopsis = self._tenants[shard].released()
+        return np.asarray(
+            [
+                synopsis.distance(v, b)
+                for b in self._shard_boundary[shard]
+            ],
+            dtype=float,
+        )
+
+    def _relay_candidate(
+        self, s: Vertex, i: int, t: Vertex, j: int
+    ) -> float:
+        """The relay decomposition estimate for any pair.
+
+        ``min_{b_s, b_t} d_i(s, b_s) + relay(b_s, b_t) + d_j(b_t, t)``
+        over shard ``i``'s and shard ``j``'s boundary vertices,
+        computed as a vectorized min over hub relays (the relay term
+        subsumes direct boundary-boundary hub lookups because hub
+        self-distances are exactly 0), refined by the relay's
+        local-ball entries for the shard pair, clamped at 0 — pure
+        post-processing of released values.  With ``i == j`` this is
+        the intra-shard cap for corridors leaving the shard.
+        """
+        structure = self.relay
+        assert structure is not None
+        ds = self._boundary_distances(i, s)
+        dt = self._boundary_distances(j, t)
+        matrix = structure.matrix
+        via_s = np.min(matrix[:, self._site_pos[i]] + ds, axis=1)
+        via_t = np.min(matrix[:, self._site_pos[j]] + dt, axis=1)
+        best = float(np.min(via_s + via_t))
+        pair = (i, j) if i <= j else (j, i)
+        bucket = self._relay_ball_cross.get(pair)
+        if bucket is not None:
+            lo_local, hi_local, values = bucket
+            if i == j:
+                # Both orientations: ds and dt differ over the same
+                # boundary list.
+                best = min(
+                    best,
+                    float((ds[lo_local] + values + dt[hi_local]).min()),
+                    float((ds[hi_local] + values + dt[lo_local]).min()),
+                )
+            elif i < j:
+                best = min(
+                    best, float((ds[lo_local] + values + dt[hi_local]).min())
+                )
+            else:
+                best = min(
+                    best, float((ds[hi_local] + values + dt[lo_local]).min())
+                )
+        return max(best, 0.0)

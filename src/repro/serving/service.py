@@ -1,16 +1,21 @@
-"""The query-serving façade: pay for privacy once, answer forever.
+"""The query-serving front: pay for privacy once, answer forever.
 
 :class:`DistanceService` is the paper's Section 1.1 navigation
 provider as a component: it holds the public topology plus the current
-epoch's private weights, picks the strongest release mechanism the
-graph admits from the :mod:`repro.mechanisms` registry, builds one
-synopsis per epoch under a ledgered budget, and then serves unlimited
-point and batch distance queries from that synopsis — pure
-post-processing, zero further privacy cost.
+epoch's private weights, builds one release per epoch under a
+ledgered budget, and then serves unlimited point and batch distance
+queries from it — pure post-processing, zero further privacy cost.
 
-Mechanism choice is the registry's predicted-noise-scale contest
-(:func:`repro.mechanisms.auto_select_mechanism`), which mirrors the
-paper's structure:
+The front owns the answer cache, :class:`ServiceStats`, the latency
+histograms, the ledger and epoch, and telemetry over ``k >= 1``
+regional tenants.  The unsharded service is the ``k = 1`` case: one
+tenant on the caller's graph and full budget, whose synopsis answers
+cache misses.  With ``shards=k`` a miss goes through the shard router
+and its boundary-hub relay (:mod:`repro.serving.sharding`).
+
+Each tenant's mechanism is the registry's predicted-noise-scale
+contest (:func:`repro.mechanisms.auto_select_mechanism`), which
+mirrors the paper's structure:
 
 * tree topology → Algorithm 1 + Theorem 4.2 (error ``O(log^1.5 V)``),
 * declared weight bound ``M`` → Algorithm 2's covering release
@@ -31,74 +36,50 @@ reproducibility.
 
 Epoch rotation (:meth:`DistanceService.refresh`) swaps in a fresh
 weight function — a new private database — rotates the ledger, clears
-the answer cache, and rebuilds the synopsis.
+the answer cache, and rebuilds every release;
+:meth:`DistanceService.refresh_shard` rebuilds one tenant (plus the
+relay) within the epoch.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, MutableMapping, Sequence, Tuple
+from typing import List, Mapping, MutableMapping, Sequence, Tuple
 
+from ..apsp.hubs import HubStructure
 from ..dp.params import PrivacyParams
-from ..exceptions import PrivacyError
-from ..graphs.graph import Vertex, WeightedGraph
+from ..exceptions import GraphError, PrivacyError
+from ..graphs.graph import Edge, Vertex, WeightedGraph
 from ..mechanisms import (
-    HUB_BOUNDED_MIN_VERTICES,
-    HUB_MIN_VERTICES,
-    HUB_SELECTION_MARGIN,
     MechanismParams,
     auto_select_mechanism,
     get_mechanism,
-    standalone_mechanisms,
 )
 from ..rng import Rng
 from ..telemetry import Telemetry, get_telemetry, use_telemetry
 from ..telemetry.registry import Counter
+from ..telemetry.tracer import _NULL_SPAN_CONTEXT
 from .batching import BatchPlanner, BatchReport, BoundedCache
 from .estimates import Estimate
 from .ledger import BudgetLedger
+from .routing import (
+    DEFAULT_RELAY_FRACTION,
+    ShardPlan,
+    _ShardRouter,
+    _Tenant,
+    partition_graph,
+)
 from .synopsis import DistanceSynopsis, canonical_pair
 
-__all__ = [
-    "DistanceService",
-    "ServiceStats",
-    "select_mechanism",
-    "MECHANISMS",
-    "HUB_MIN_VERTICES",
-    "HUB_SELECTION_MARGIN",
-    "HUB_BOUNDED_MIN_VERTICES",
-]
-
-#: Mechanisms a service can be forced to (graph + budget suffice) —
-#: the CLI's ``--mechanism`` choices.  Derived from the registry; kept
-#: under its historical name for compatibility.
-MECHANISMS = standalone_mechanisms()
-
-
-def select_mechanism(
-    graph: WeightedGraph,
-    budget: PrivacyParams,
-    weight_bound: float | None = None,
-) -> str:
-    """Pick the strongest release family the graph admits.
-
-    .. deprecated::
-        Thin shim over
-        :func:`repro.mechanisms.auto_select_mechanism`, kept for
-        callers of the pre-registry API; the registry contest makes
-        seeded-identical choices.  New code should call the registry
-        directly.
-    """
-    return auto_select_mechanism(graph, budget, weight_bound)
+__all__ = ["DistanceService", "ServiceStats"]
 
 
 class ServiceStats:
-    """Running counters for one service instance.
+    """Running counters for one server.
 
-    Shared verbatim by :class:`DistanceService` and
-    :class:`~repro.serving.sharding.ShardedDistanceService` (the
-    :class:`~repro.serving.config.DistanceServer` contract), so
-    consumers never special-case sharded services.
+    Kept by the :class:`DistanceService` front, once per server
+    however many shards it runs (tenants keep none), so consumers
+    never special-case sharded services.
 
     The counters are single-sourced in the service's telemetry
     registry (``serving.stats.*`` with ``tenant``/``instance``
@@ -174,14 +155,14 @@ class ServiceStats:
 
     @property
     def shard_refreshes(self) -> int:
-        """Regional rebuilds (sharded serving only; full epoch
-        rebuilds count under :attr:`epochs_built`)."""
+        """Regional rebuilds (:meth:`DistanceService.refresh_shard`;
+        full epoch rebuilds count under :attr:`epochs_built`)."""
         return self._counters["shard_refreshes"].value
 
     @property
     def num_queries(self) -> int:
-        """Total queries served (point + batch) — the shared headline
-        counter of the ``DistanceServer`` surface."""
+        """Total queries served (point + batch) — the headline
+        counter."""
         return self.point_queries + self.batch_queries
 
     def as_dict(self) -> Dict[str, int]:
@@ -234,19 +215,27 @@ class ServiceStats:
         return f"ServiceStats({inner})"
 
 
+
+
 class DistanceService:
-    """A private distance query-serving engine.
+    """A private distance query-serving engine over ``k >= 1``
+    regional tenants (``k = 1``, the default, is unsharded).
 
     Parameters
     ----------
     graph:
-        Public topology + the current epoch's private weights.
+        Public topology + the current epoch's private weights
+        (connected when sharded).
     epoch_budget:
         The ``(eps, delta)`` guarantee promised per epoch (a bare
-        float is taken as pure eps).  The whole budget is spent on one
-        synopsis per epoch.
+        float is taken as pure eps).  Unsharded, the whole budget is
+        spent on one synopsis per epoch.  With two or more shards it
+        splits ``(1 - relay_fraction)`` to every shard tenant
+        (parallel composition over disjoint intra-shard edge sets)
+        and ``relay_fraction`` to the boundary-hub relay.
     rng:
-        Noise source for the releases.
+        Noise source for the releases, consumed tenant 0..k-1 then
+        relay — a fixed, reproducible order.
     weight_bound:
         Public bound ``M`` on edge weights, if the provider has one
         (e.g. capped travel times); enables the Section 4.2 mechanism
@@ -254,15 +243,19 @@ class DistanceService:
     mechanism:
         Force a registered mechanism by name (see
         :func:`repro.mechanisms.available_mechanisms`; only standalone
-        mechanisms qualify) instead of auto-selecting.
+        mechanisms qualify) instead of auto-selecting, for every
+        tenant.
     ledger:
         Share a :class:`~repro.serving.ledger.BudgetLedger` with other
         products; defaults to a private ledger with ``epoch_budget``
-        per epoch.  The synopsis is only built after the ledger accepts
-        the spend, so an over-budget service fails closed at
-        construction.
+        per tenant per epoch.  Every release is only built after the
+        ledger accepts its spend, so an over-budget service fails
+        closed at construction.
     tenant:
-        The ledger tenant name this service spends under.
+        The ledger tenant name this service spends under.  With two
+        or more shards, shard ``i`` spends under ``{tenant}/shard-{i}``
+        and the relay under ``{tenant}/relay``, each failing closed
+        independently.
     backend:
         The :mod:`repro.engine` backend for the exact-recomputation
         half of the paper's releases (``"python"``, ``"numpy"``, or
@@ -274,7 +267,7 @@ class DistanceService:
         Bound the cross-batch answer cache to this many pairs (LRU
         eviction); ``None`` (the default) keeps every answered pair.
         Purely a memory knob: evicted answers are recomputed
-        identically from the immutable synopsis.
+        identically from the immutable releases.
     telemetry:
         The :class:`~repro.telemetry.Telemetry` bundle the service
         records into (query/batch latency histograms, the
@@ -284,6 +277,19 @@ class DistanceService:
         :data:`~repro.telemetry.NULL_TELEMETRY` to disable.
         Instrumentation never touches the rng — answers are
         bit-identical whatever bundle is in force.
+    shards:
+        How many regional tenants to partition into (``None`` means
+        the plan's count, or 1 without a plan).
+    plan:
+        Use an existing :class:`~repro.serving.routing.ShardPlan`
+        instead of partitioning.
+    partition_seed:
+        Seed for :func:`~repro.serving.routing.partition_graph`
+        (topology-only).
+    relay_fraction:
+        Fraction of the epoch budget spent on the relay table when
+        there are two or more shards (default
+        :data:`~repro.serving.routing.DEFAULT_RELAY_FRACTION`).
     """
 
     def __init__(
@@ -298,13 +304,13 @@ class DistanceService:
         backend: str | None = None,
         cache_size: int | None = None,
         telemetry: Telemetry | None = None,
+        shards: int | None = None,
+        plan: ShardPlan | None = None,
+        partition_seed: int = 0,
+        relay_fraction: float = DEFAULT_RELAY_FRACTION,
     ) -> None:
         if isinstance(epoch_budget, (int, float)):
             epoch_budget = PrivacyParams(float(epoch_budget))
-        self._budget = epoch_budget
-        self._rng = rng
-        self._weight_bound = weight_bound
-        self._forced_mechanism = mechanism
         if mechanism is not None:
             # Raises MechanismError (a PrivacyError) on unknown names.
             if not get_mechanism(mechanism).standalone:
@@ -313,6 +319,24 @@ class DistanceService:
                     "explicit workload or site subset) and cannot back "
                     "a standalone service"
                 )
+        if plan is None:
+            if shards is not None and shards != 1:
+                plan = partition_graph(graph, shards, seed=partition_seed)
+        else:
+            if shards is not None and shards != plan.num_shards:
+                raise GraphError(
+                    f"shards={shards} disagrees with the plan's "
+                    f"{plan.num_shards}"
+                )
+            if plan.num_vertices != graph.num_vertices:
+                raise GraphError(
+                    f"plan assigns {plan.num_vertices} vertices but "
+                    f"the graph has {graph.num_vertices}"
+                )
+        self._budget = epoch_budget
+        self._rng = rng
+        self._weight_bound = weight_bound
+        self._forced_mechanism = mechanism
         self._owns_ledger = ledger is None
         self._ledger = ledger if ledger is not None else BudgetLedger(
             epoch_budget
@@ -322,7 +346,7 @@ class DistanceService:
         self._telemetry = (
             telemetry if telemetry is not None else get_telemetry()
         )
-        # Per-query spans and flight-recorder checks only run when
+        # Per-query spans and flight-recorder offers only run when
         # someone is actually watching; the default point-query path
         # stays the two-clock-read fast path.
         self._observed = (
@@ -336,124 +360,240 @@ class DistanceService:
             {} if cache_size is None else BoundedCache(cache_size)
         )
         self._graph = graph
-        self._mechanism = ""
-        self._synopsis: DistanceSynopsis | None = None
-        self._build_synopsis()
+        self._plan = plan
+        if plan is None or plan.num_shards == 1:
+            # No partition, no subgraph, no relay, no split: the lone
+            # tenant serves the caller's graph on the full budget.
+            self._shard_params = epoch_budget
+            self._relay_params: PrivacyParams | None = None
+            self._tenants = [_Tenant(tenant, graph)]
+            self._shards: _ShardRouter | None = None
+        else:
+            if not 0.0 < relay_fraction < 1.0:
+                raise PrivacyError(
+                    f"relay_fraction must be in (0, 1), got "
+                    f"{relay_fraction}"
+                )
+            self._shard_params = PrivacyParams(
+                epoch_budget.eps * (1.0 - relay_fraction),
+                epoch_budget.delta * (1.0 - relay_fraction),
+            )
+            self._relay_params = PrivacyParams(
+                epoch_budget.eps * relay_fraction,
+                epoch_budget.delta * relay_fraction,
+            )
+            self._tenants = [
+                _Tenant(
+                    f"{tenant}/shard-{shard}",
+                    graph.subgraph(plan.members(shard)),
+                )
+                for shard in range(plan.num_shards)
+            ]
+            self._shards = _ShardRouter(plan, graph, self._tenants)
+        # What a cache miss calls: the lone synopsis, or the shard
+        # router; None while an unsharded rebuild is pending or failed.
+        self._router: DistanceSynopsis | _ShardRouter | None = None
+        self._build_epoch()
         self._telemetry.log.emit(
             "service.start",
             tenant=self._tenant,
             epoch=self._ledger.epoch,
             mechanism=self._mechanism,
             backend=self._backend,
-            shards=1,
+            shards=self.num_shards,
         )
 
     # ------------------------------------------------------------------
     # Epoch lifecycle
     # ------------------------------------------------------------------
 
-    def _build_synopsis(self) -> None:
+    def _build_epoch(self) -> None:
+        """Release every tenant's synopsis, then the relay — a fixed
+        rng order."""
+        for tenant in self._tenants:
+            self._build_tenant(tenant)
+        if self._shards is not None:
+            self._build_relay()
+        self._stats.record_epoch_built()
+        self._bind_metrics()
+
+    def _build_tenant(self, tenant: _Tenant) -> None:
+        """Release one tenant's synopsis for the current epoch."""
         # Scope the service's bundle over the build so the layers it
         # does not call directly — the ledger spend, the mechanism
         # contest, a hub build inside mech.build — record here too.
         start = time.perf_counter()
         with use_telemetry(self._telemetry), self._telemetry.span(
-            "synopsis.build", tenant=self._tenant
+            "synopsis.build", tenant=tenant.name
         ) as span:
             name = self._forced_mechanism or auto_select_mechanism(
-                self._graph, self._budget, self._weight_bound
+                tenant.graph, self._shard_params, self._weight_bound
             )
             span.set_attribute("mechanism", name)
             mech = get_mechanism(name)
             params = MechanismParams(
-                budget=self._budget, weight_bound=self._weight_bound
+                budget=self._shard_params, weight_bound=self._weight_bound
             )
             # Validate mechanism preconditions before touching the ledger,
             # so a config or precondition error never burns epoch budget.
             # The checks are public (topology, connectivity, the declared
             # bound's pre-noise precondition).
-            mech.validate(self._graph, params)
+            mech.validate(tenant.graph, params)
             # Spend first, release second: if the ledger refuses, no noise
             # is ever drawn and nothing about the weights leaks.
             self._ledger.spend(
-                self._budget,
-                tenant=self._tenant,
+                self._shard_params,
+                tenant=tenant.name,
                 label=f"epoch {self._ledger.epoch} {name} synopsis",
             )
-            self._synopsis = mech.build(
-                self._graph, params, self._rng, backend=self._backend
+            tenant.synopsis = mech.build(
+                tenant.graph, params, self._rng, backend=self._backend
             )
             self._telemetry.audit.record(
                 "synopsis.build",
                 epoch=self._ledger.epoch,
-                tenant=self._tenant,
+                tenant=tenant.name,
                 mechanism=name,
                 forced=self._forced_mechanism is not None,
             )
             self._telemetry.log.emit(
                 "synopsis.build",
-                tenant=self._tenant,
+                tenant=tenant.name,
                 epoch=self._ledger.epoch,
                 mechanism=name,
             )
-        self._mechanism = name
+        tenant.mechanism = name
         self._telemetry.registry.histogram(
             "build.latency", phase="synopsis", mechanism=name
         ).observe(time.perf_counter() - start)
-        self._stats.record_epoch_built()
-        self._bind_metrics()
+
+    def _build_relay(self) -> None:
+        """Release the boundary-hub relay table for the current epoch.
+
+        Spends the relay tenant's budget first (fail closed — a
+        refused spend draws no noise), then asks the registry's
+        ``boundary-relay`` mechanism for a hub structure over the
+        boundary sites on the *full* graph's CSR, so relay distances
+        may traverse any shard.
+        """
+        assert self._shards is not None and self._relay_params is not None
+        boundary = self._shards.plan.boundary
+        m = len(boundary)
+        if m == 0:
+            raise GraphError(
+                "multi-shard plan has no boundary vertices"
+            )
+        start = time.perf_counter()
+        with use_telemetry(self._telemetry), self._telemetry.span(
+            "relay.build", sites=m, tenant=self._tenant
+        ):
+            relay_mechanism = get_mechanism("boundary-relay")
+            relay_params = MechanismParams(
+                budget=self._relay_params, sites=boundary
+            )
+            relay_mechanism.validate(self._graph, relay_params)
+            self._ledger.spend(
+                self._relay_params,
+                tenant=f"{self._tenant}/relay",
+                label=(
+                    f"epoch {self._ledger.epoch} boundary-hub relay "
+                    f"({m} sites)"
+                ),
+            )
+            structure = relay_mechanism.build(
+                self._graph, relay_params, self._rng
+            ).structure
+            self._telemetry.audit.record(
+                "relay.build",
+                epoch=self._ledger.epoch,
+                tenant=f"{self._tenant}/relay",
+                sites=m,
+            )
+        self._telemetry.registry.histogram(
+            "build.latency", phase="relay", mechanism="boundary-relay"
+        ).observe(time.perf_counter() - start)
+        self._shards.set_relay(structure)
 
     def _bind_metrics(self) -> None:
-        """Re-resolve the hot-path latency histograms.
-
-        Called after every build so the ``mechanism`` label tracks the
-        current epoch's selection without a registry lookup per query.
-        """
+        """Re-bind the hot path after every build: the router a cache
+        miss calls, the mechanism label, and the latency histograms,
+        so the ``mechanism`` label tracks the current epoch's
+        selection without a registry lookup per query.  Sharded point
+        queries are split by ``route`` (intra vs. cross-shard) — the
+        routes have very different cost profiles."""
+        inner = sorted(set(self.shard_mechanisms))
+        label = inner[0] if len(inner) == 1 else "mixed"
+        if self._shards is None:
+            self._router = self._tenants[0].synopsis
+            service, routes = "distance", {"point": {}}
+        else:
+            self._router = self._shards
+            label = f"sharded({self.num_shards}x{label}+relay)"
+            service = "sharded"
+            routes = {route: {"route": route} for route in ("intra", "cross")}
         registry = self._telemetry.registry
-        self._query_latency = registry.histogram(
-            "serving.query.latency",
-            service="distance",
-            mechanism=self._mechanism,
-        )
+        self._mechanism = label
+        self._query_latency = {
+            route: registry.histogram(
+                "serving.query.latency",
+                service=service,
+                mechanism=label,
+                **route_label,
+            )
+            for route, route_label in routes.items()
+        }
+        self._batch_labels = {"service": service, "mechanism": label}
         self._batch_latency = registry.histogram(
-            "serving.batch.latency",
-            service="distance",
-            mechanism=self._mechanism,
+            "serving.batch.latency", **self._batch_labels
         )
 
     def refresh(self, graph: WeightedGraph | None = None) -> None:
         """Start a new epoch: swap in fresh weights (same public
         topology unless a new graph is given), clear the answer cache,
-        and rebuild the synopsis.
+        and rebuild every tenant and the relay.
+
+        A sharded service only takes a graph with the plan's vertex
+        and edge sets — anything else raises
+        :class:`~repro.exceptions.GraphError` before the ledger
+        rotates or any budget is spent.
 
         A privately owned ledger is rotated — the new weights are a
         new database, so the budget resets.  A *shared* ledger is NOT
         rotated: other tenants may still be serving releases of the
         current epoch's data, and rotating under them would let their
         budgets reset against an unchanged database.  With a shared
-        ledger the rebuild spends from the remaining epoch budget
-        (failing closed if exhausted); the ledger's owner decides when
-        the epoch actually turns via
+        ledger the rebuilds spend from the remaining epoch budget
+        (failing closed per tenant if exhausted); the ledger's owner
+        decides when the epoch actually turns via
         :meth:`~repro.serving.ledger.BudgetLedger.rotate`.
         """
         with use_telemetry(self._telemetry), self._telemetry.span(
-            "epoch.refresh", tenant=self._tenant
+            "epoch.refresh", tenant=self._tenant, shards=self.num_shards
         ):
+            if graph is not None and self._shards is not None:
+                self._shards.check_topology(graph)
             if self._owns_ledger:
                 self._ledger.rotate()
             if graph is not None:
                 self._graph = graph
             self._cache.clear()
-            # Drop the old synopsis first: if the rebuild fails partway,
-            # the service must refuse to serve rather than silently answer
-            # the new epoch from the previous epoch's release.
-            self._synopsis = None
-            self._build_synopsis()
+            # Drop every release first: if a rebuild fails partway, the
+            # tenants not yet rebuilt must refuse to serve rather than
+            # silently answer the new epoch from the previous epoch's
+            # release.
+            self._router = self._shards
+            if self._shards is not None:
+                self._shards.relay = None
+            for shard, tenant in enumerate(self._tenants):
+                tenant.synopsis = None
+                tenant.graph = self._tenant_graph(shard, self._graph)
+            self._build_epoch()
             self._telemetry.audit.record(
                 "epoch.refresh",
                 epoch=self._ledger.epoch,
                 tenant=self._tenant,
                 mechanism=self._mechanism,
+                shards=self.num_shards,
                 rotated=self._owns_ledger,
             )
             self._telemetry.log.emit(
@@ -461,121 +601,232 @@ class DistanceService:
                 tenant=self._tenant,
                 epoch=self._ledger.epoch,
                 mechanism=self._mechanism,
+                shards=self.num_shards,
                 rotated=self._owns_ledger,
             )
+
+    def refresh_shard(
+        self,
+        shard: int,
+        weights: Mapping[Edge, float] | Sequence[float] | None = None,
+    ) -> None:
+        """Regional epoch update: rebuild one tenant plus the relay.
+
+        ``weights`` (a mapping or a vector aligned with the full
+        graph's :meth:`~repro.graphs.graph.WeightedGraph.edge_list`)
+        may only differ from the current weights on the shard's own
+        edges and on cut edges — anything else would silently stale
+        the untouched tenants, so it raises
+        :class:`~repro.exceptions.GraphError` before any budget is
+        spent.  ``None`` re-releases the shard on the current weights.
+        Unsharded, shard 0 is the whole graph.
+
+        The tenant and the relay each spend again from the remaining
+        epoch budget (no rotation — the other shards are still serving
+        this epoch), so refreshed regions accumulate loss toward each
+        tenant's per-epoch cap (see :mod:`repro.serving.sharding`'s
+        accounting note), failing closed independently: a refused
+        tenant spend leaves the relay and the other shards untouched;
+        a refused relay spend leaves every shard serving but
+        cross-shard queries refusing until the next successful
+        refresh.
+        """
+        if not 0 <= shard < self.num_shards:
+            raise GraphError(
+                f"shard id {shard} out of range "
+                f"[0, {self.num_shards})"
+            )
+        with use_telemetry(self._telemetry), self._telemetry.span(
+            "shard.refresh", shard=shard, tenant=self._tenant
+        ):
+            if weights is not None:
+                new_graph = self._graph.with_weights(weights)
+                if self._shards is not None:
+                    self._shards.check_regional(
+                        shard, self._graph, new_graph
+                    )
+            else:
+                new_graph = self._graph
+            tenant = self._tenants[shard]
+            tenant.graph = self._tenant_graph(shard, new_graph)
+            # Fails closed on budget before any noise is drawn; on
+            # failure the tenant refuses to serve but nothing else
+            # moved.
+            self._router = self._shards
+            tenant.synopsis = None
+            self._build_tenant(tenant)
+            self._graph = new_graph
+            self._cache.clear()
+            self._stats.record_shard_refresh()
+            if self._shards is not None:
+                self._shards.relay = None
+                self._build_relay()
+            self._telemetry.audit.record(
+                "shard.refresh",
+                epoch=self._ledger.epoch,
+                tenant=self._tenant,
+                shard=shard,
+            )
+            self._telemetry.log.emit(
+                "shard.refresh",
+                tenant=self._tenant,
+                epoch=self._ledger.epoch,
+                shard=shard,
+            )
+        self._bind_metrics()
+
+    def _tenant_graph(  # privlint: ignore[PL1] feeds the tenant's budgeted synopsis build
+        self, shard: int, graph: WeightedGraph
+    ) -> WeightedGraph:
+        """The graph tenant ``shard`` serves, carrying ``graph``'s
+        weights: ``graph`` itself when unsharded, else the tenant's
+        subgraph re-weighted from it — an O(edges) gather over the
+        frozen topology (the subgraph clone keeps the compiled CSR
+        structure)."""
+        if self._shards is None:
+            return graph
+        sub = self._tenants[shard].graph
+        return sub.with_weights(
+            [graph.weight(u, v) for u, v in sub.edge_list()]
+        )
 
     # ------------------------------------------------------------------
     # Query serving (post-processing only)
     # ------------------------------------------------------------------
 
-    def _require_synopsis(self) -> DistanceSynopsis:
-        if self._synopsis is None:
-            raise PrivacyError(
-                "no synopsis for the current epoch (the last refresh "
-                "failed); call refresh() again before querying"
-            )
-        return self._synopsis
+    def _require_router(self) -> DistanceSynopsis | _ShardRouter:
+        if self._router is None:
+            # Unsharded, and the lone tenant's rebuild failed.
+            return self._tenants[0].released()
+        return self._router
 
     def query(self, source: Vertex, target: Vertex) -> float:
-        """Answer one distance query from the epoch synopsis."""
-        synopsis = self._require_synopsis()
-        if self._observed:
-            return self._query_observed(synopsis, source, target)
+        """Answer one distance query from the current epoch's
+        releases (routed by shard ownership when sharded)."""
+        router = self._require_router()
+        route = (
+            "point"
+            if self._shards is None
+            else self._shards.route(source, target)
+        )
+        observed = self._observed
         start = time.perf_counter()
-        key = canonical_pair(source, target)
-        hit = key in self._cache
-        if hit:
-            value = self._cache[key]
-        else:
-            value = synopsis.distance(source, target)
-            self._cache[key] = value
-        self._query_latency.observe(time.perf_counter() - start)
-        self._stats.record_point_query(hit)
-        return value
-
-    def _query_observed(
-        self, synopsis: DistanceSynopsis, source: Vertex, target: Vertex
-    ) -> float:
-        """The point-query path when a profiler or flight recorder is
-        live: same lookups in the same order (answers bit-identical),
-        wrapped in a ``query.point`` span and offered to the flight
-        recorder afterwards."""
-        start = time.perf_counter()
-        with self._telemetry.span(
-            "query.point",
-            tenant=self._tenant,
-            mechanism=self._mechanism,
+        with (
+            self._telemetry.span(
+                "query.point",
+                tenant=self._tenant,
+                route=route,
+                mechanism=self._mechanism,
+            )
+            if observed
+            else _NULL_SPAN_CONTEXT
         ) as span:
             key = canonical_pair(source, target)
             hit = key in self._cache
             if hit:
                 value = self._cache[key]
             else:
-                value = synopsis.distance(source, target)
+                value = router.distance(source, target)
                 self._cache[key] = value
             span.set_attribute("cache_hit", hit)
         elapsed = time.perf_counter() - start
-        self._query_latency.observe(elapsed)
+        self._query_latency[route].observe(elapsed)
         self._stats.record_point_query(hit)
-        self._telemetry.flight.consider(
-            elapsed,
-            pair=(source, target),
-            route="point",
-            mechanism=self._mechanism,
-            epoch=self._ledger.epoch,
-            tenant=self._tenant,
-            span=span,
-            cache_hit=hit,
-        )
+        if observed:
+            self._telemetry.flight.consider(
+                elapsed,
+                pair=(source, target),
+                route=route,
+                mechanism=self._mechanism,
+                epoch=self._ledger.epoch,
+                tenant=self._tenant,
+                span=span,
+                cache_hit=hit,
+            )
         return value
 
     def query_batch(
         self, pairs: Sequence[Tuple[Vertex, Vertex]]
     ) -> BatchReport:
-        """Answer a batch of queries; see
+        """Serve a batch with in-batch dedup and the cross-batch
+        cache; answers align with the input order.  See
         :class:`~repro.serving.batching.BatchPlanner`."""
         planner = BatchPlanner(
-            self._require_synopsis(),
+            self._require_router(),
             cache=self._cache,
             telemetry=self._telemetry,
-            labels={"service": "distance", "mechanism": self._mechanism},
+            labels=self._batch_labels,
         )
         report = planner.run(pairs)
         self._batch_latency.observe(report.elapsed_seconds)
         self._stats.record_batch(report)
         return report
 
+    def _noise_scale_for(
+        self, source: Vertex, target: Vertex, value: float
+    ) -> float:
+        """The effective noise scale behind the served answer
+        ``value``.
+
+        With no relay (unsharded, or after a failed relay rebuild)
+        and for intra-shard answers the relay cap did not win, it is
+        the owning synopsis's per-pair scale.  Otherwise — like every
+        cross-shard answer — it is the composed relay chain
+        ``sigma_i + 2 rho + sigma_j`` (one released boundary leg per
+        endpoint shard at its synopsis's per-entry scale, plus the
+        two-entry relay term).  Which branch served an intra pair is
+        read off the value itself (``value == min(direct, cap)``, so
+        the direct estimate won iff it equals the value — one synopsis
+        lookup, no relay recomputation).  Deterministic
+        post-processing: no rng, no budget.
+        """
+        if source == target:
+            return 0.0
+        i = j = 0
+        if self._shards is not None:
+            shard_of = self._shards.plan.shard_of
+            i, j = shard_of(source), shard_of(target)
+        own = self._tenants[i].released()
+        if i == j and (
+            self.relay is None or own.distance(source, target) == value
+        ):
+            return own.noise_scale_for(source, target)
+        relay = self._shards.require_relay()
+        return (
+            own.noise_scale
+            + 2.0 * relay.noise_scale
+            + self._tenants[j].released().noise_scale
+        )
+
     def estimate(self, source: Vertex, target: Vertex) -> Estimate:
         """One distance query as a rich
         :class:`~repro.serving.estimates.Estimate` — the ``query()``
         value (bit-identical, shared cache and counters) plus the
-        answer's effective noise scale, mechanism, and epoch."""
+        effective noise scale of the release that served it,
+        mechanism, and epoch."""
         value = self.query(source, target)
         return Estimate(
             value=value,
-            noise_scale=self._require_synopsis().noise_scale_for(
-                source, target
-            ),
+            noise_scale=self._noise_scale_for(source, target, value),
             mechanism=self._mechanism,
             epoch=self._ledger.epoch,
         )
 
-    def estimate_batch(  # privlint: ignore[PL1] serves values post-processed from the budget-accounted noised synopsis
+    def estimate_batch(  # privlint: ignore[PL1] serves values post-processed from the budget-accounted noised synopses
         self, pairs: Sequence[Tuple[Vertex, Vertex]]
     ) -> List[Estimate]:
         """A batch of rich estimates, aligned with the input order.
 
         Values come from :meth:`query_batch` (same dedupe, cache, and
-        counters); scales are free post-processing of the synopsis's
-        released-table structure.
+        counters); scales are free post-processing of the released
+        tables' structure.
         """
         report = self.query_batch(pairs)
-        synopsis = self._require_synopsis()
         mechanism, epoch = self._mechanism, self._ledger.epoch
         return [
             Estimate(
                 value=value,
-                noise_scale=synopsis.noise_scale_for(s, t),
+                noise_scale=self._noise_scale_for(s, t, value),
                 mechanism=mechanism,
                 epoch=epoch,
             )
@@ -588,7 +839,9 @@ class DistanceService:
 
     @property
     def mechanism(self) -> str:
-        """The mechanism backing the current synopsis."""
+        """The mechanism backing the current releases: the tenant's
+        registry name when unsharded, ``sharded(KxMECH+relay)``
+        otherwise."""
         return self._mechanism
 
     @property
@@ -599,12 +852,57 @@ class DistanceService:
 
     @property
     def synopsis(self) -> DistanceSynopsis:
-        """The current epoch's synopsis (immutable; shippable)."""
-        return self._require_synopsis()
+        """The current epoch's synopsis (immutable; shippable) of an
+        unsharded service; a sharded one holds one per shard
+        (:attr:`shard_synopses`)."""
+        if self._shards is not None:
+            raise GraphError(
+                "a sharded service holds one synopsis per shard; see "
+                "shard_synopses"
+            )
+        return self._tenants[0].released()
+
+    @property
+    def plan(self) -> ShardPlan | None:
+        """The (public) shard plan the service routes by (``None``
+        for an unsharded service built without one)."""
+        return self._plan
+
+    @property
+    def num_shards(self) -> int:
+        """How many regional tenants the service runs."""
+        return len(self._tenants)
+
+    @property
+    def shard_synopses(self) -> Tuple[DistanceSynopsis | None, ...]:
+        """Each tenant's current synopsis, in shard order (``None``
+        for a tenant whose last rebuild failed)."""
+        return tuple(t.synopsis for t in self._tenants)
+
+    @property
+    def shard_mechanisms(self) -> Tuple[str, ...]:
+        """The mechanism each tenant selected."""
+        return tuple(t.mechanism for t in self._tenants)
+
+    @property
+    def relay(self) -> HubStructure | None:
+        """The released boundary-hub relay structure (``None`` for a
+        single-shard service, or after a failed rebuild)."""
+        return None if self._shards is None else self._shards.relay
+
+    @property
+    def relay_params(self) -> PrivacyParams | None:
+        """The relay tenant's per-epoch budget share."""
+        return self._relay_params
+
+    @property
+    def shard_params(self) -> PrivacyParams:
+        """Each tenant's per-epoch budget share."""
+        return self._shard_params
 
     @property
     def ledger(self) -> BudgetLedger:
-        """The budget ledger this service spends against."""
+        """The budget ledger every tenant spends against."""
         return self._ledger
 
     @property
@@ -614,7 +912,7 @@ class DistanceService:
 
     @property
     def epoch_budget(self) -> PrivacyParams:
-        """The per-epoch privacy budget."""
+        """The per-epoch privacy budget (before any split)."""
         return self._budget
 
     @property
@@ -629,7 +927,8 @@ class DistanceService:
 
     def __repr__(self) -> str:
         return (
-            f"DistanceService(mechanism={self._mechanism!r}, "
-            f"budget={self._budget}, epoch={self._ledger.epoch}, "
+            f"{type(self).__name__}(shards={self.num_shards}, "
+            f"mechanism={self._mechanism!r}, budget={self._budget}, "
+            f"epoch={self._ledger.epoch}, "
             f"queries={self._stats.num_queries})"
         )

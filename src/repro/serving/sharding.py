@@ -1,13 +1,14 @@
 """Sharded distance serving: regional tenants + boundary-hub relays.
 
 A city-scale road network should not pay one monolithic synopsis
-rebuild per epoch when congestion updates are regional.  This module
-splits the public topology into ``k`` balanced, connected *shards*
-(seeded BFS region growing — :func:`partition_graph`), runs one
-CSR + synopsis + ledger tenant per shard, and stitches cross-shard
-queries back together through a noisy hub structure built over the
-*boundary* vertices (the endpoints of cut edges) with
-:func:`repro.apsp.hubs.build_hub_structure`:
+rebuild per epoch when congestion updates are regional.
+``DistanceService(..., shards=k)`` — or :class:`ShardedDistanceService`,
+the same front under a sharded default tenant name — splits the
+public topology into ``k`` balanced, connected *shards* (seeded BFS
+region growing — :func:`partition_graph`), runs one synopsis + ledger
+tenant per shard, and stitches cross-shard queries back together
+through a noisy hub structure built over the *boundary* vertices (the
+endpoints of cut edges) with :func:`repro.apsp.hubs.build_hub_structure`:
 
 * an **intra-shard** query is routed to the owning shard's synopsis —
   the unsharded serving path on a ``V/k``-vertex graph — then capped
@@ -34,29 +35,29 @@ shards, and the joint loss of the per-shard releases — each reading
 only its shard's intra-shard edges — is at most ``max_i eps_i``.  The
 relay table reads *all* edges (boundary-to-boundary distances traverse
 the whole graph), so its budget adds.  One full build therefore costs
-``eps_shard + eps_relay`` — the epoch budget — which
-:class:`ShardedDistanceService` realizes by giving every shard tenant
-``(1 - relay_fraction)`` of the epoch budget and the relay tenant the
-remaining ``relay_fraction``, each spending under its own fail-closed
-ledger tenant.  Regional refreshes *re-spend* within the epoch (the
-other shards are still serving it), and the ledger caps every tenant
-at the full per-tenant epoch budget — the standard multi-tenant
-contract of :class:`~repro.serving.ledger.BudgetLedger` — so with the
-default private ledger the worst-case per-epoch loss on any one
-edge's weight once regional refreshes occur is ``(shard tenant cap) +
-(relay tenant cap)``, i.e. 2x the epoch budget; size the epoch
-budget, the relay fraction, or a stricter shared ledger accordingly.
-The relay noise itself is priced by the shared
+``eps_shard + eps_relay`` — the epoch budget — which the service
+realizes by giving every shard tenant ``(1 - relay_fraction)`` of the
+epoch budget and the relay tenant the remaining ``relay_fraction``,
+each spending under its own fail-closed ledger tenant.  Regional
+refreshes *re-spend* within the epoch (the other shards are still
+serving it), and the ledger caps every tenant at the full per-tenant
+epoch budget — the standard multi-tenant contract of
+:class:`~repro.serving.ledger.BudgetLedger` — so with the default
+private ledger the worst-case per-epoch loss on any one edge's weight
+once regional refreshes occur is ``(shard tenant cap) + (relay tenant
+cap)``, i.e. 2x the epoch budget; size the epoch budget, the relay
+fraction, or a stricter shared ledger accordingly.  The relay noise
+itself is priced by the shared
 :func:`~repro.dp.composition.composed_noise_scale` accounting over the
 distinct boundary pairs the hub structure releases.
 
-With one shard there is no cut, no relay and no split: the single
-tenant receives the full epoch budget and consumes the rng exactly
-like the unsharded :class:`~repro.serving.service.DistanceService`, so
-``ShardedDistanceService(shards=1)`` answers match it bit for bit
-under the same seed.
+With one shard there is no partition, no cut, no relay and no split:
+the service is the unsharded one, its lone tenant serving the
+caller's graph on the full epoch budget, so
+``ShardedDistanceService(shards=1)`` answers match
+``DistanceService`` bit for bit under the same seed.
 
-Per-shard refresh (:meth:`ShardedDistanceService.refresh_shard`)
+Per-shard refresh (:meth:`~repro.serving.service.DistanceService.refresh_shard`)
 exploits the engine's cheap re-weighting: a regional congestion update
 re-gathers the shard subgraph's weight array over the frozen CSR
 structure, rebuilds only that shard's synopsis plus the relay table,
@@ -65,33 +66,21 @@ and leaves the other ``k - 1`` tenants serving untouched.
 
 from __future__ import annotations
 
-import json
-import time
-from collections import deque
-from typing import Dict, List, Mapping, MutableMapping, Sequence, Tuple
+from typing import Any
 
-import numpy as np
-
-from ..algorithms.traversal import is_connected
-from ..apsp.hubs import HubStructure
 from ..dp.params import PrivacyParams
-from ..engine.csr import CSRGraph
-from ..exceptions import (
-    DisconnectedGraphError,
-    GraphError,
-    PrivacyError,
-    VertexNotFoundError,
-)
-from ..graphs.graph import Edge, Vertex, WeightedGraph
-from ..graphs.io import _decode_vertex, _encode_vertex
-from ..mechanisms import MechanismParams, get_mechanism
+from ..exceptions import GraphError
+from ..graphs.graph import WeightedGraph
 from ..rng import Rng
-from ..telemetry import Telemetry, get_telemetry, use_telemetry
-from .batching import BatchPlanner, BatchReport, BoundedCache
-from .estimates import Estimate
-from .ledger import BudgetLedger
-from .service import DistanceService, ServiceStats
-from .synopsis import canonical_pair
+# _ShardRouter is imported for its qualified name: perfbench's traced
+# runs wrap repro.serving.sharding._ShardRouter.distance.
+from .routing import (  # noqa: F401
+    DEFAULT_RELAY_FRACTION,
+    ShardPlan,
+    _ShardRouter,
+    partition_graph,
+)
+from .service import DistanceService
 
 __all__ = [
     "ShardPlan",
@@ -100,335 +89,14 @@ __all__ = [
     "DEFAULT_RELAY_FRACTION",
 ]
 
-#: Fraction of the epoch budget spent on the boundary-hub relay table
-#: when the plan has two or more shards; the rest goes to every shard
-#: tenant (parallel composition over disjoint intra-shard edge sets).
-DEFAULT_RELAY_FRACTION = 0.5
 
-_PLAN_FORMAT = "repro-shard-plan"
-_PLAN_VERSION = 1
-
-
-class ShardPlan:
-    """A topology-only sharding of a graph's vertex set.
-
-    Everything here — the assignment, the boundary, the cut edges — is
-    derived from the public topology by a seeded partitioner, so the
-    plan itself is data-independent and safe to publish or ship.
-
-    Parameters
-    ----------
-    num_shards:
-        How many shards the assignment uses (ids ``0..num_shards-1``).
-    assignment:
-        Vertex -> shard id, covering every vertex; each shard must be
-        non-empty.
-    boundary:
-        The boundary vertices — endpoints of cut edges — in a stable
-        order (this order is the relay structure's *site* order).
-    cut_edges:
-        The edges whose endpoints live in different shards.
-    seed:
-        The partitioner seed that produced the plan (provenance only).
-    """
-
-    def __init__(
-        self,
-        num_shards: int,
-        assignment: Mapping[Vertex, int],
-        boundary: Sequence[Vertex],
-        cut_edges: Sequence[Edge],
-        seed: int | None = None,
-    ) -> None:
-        if num_shards < 1:
-            raise GraphError(f"need at least 1 shard, got {num_shards}")
-        self._num_shards = int(num_shards)
-        self._assignment: Dict[Vertex, int] = dict(assignment)
-        members: List[List[Vertex]] = [[] for _ in range(self._num_shards)]
-        for vertex, shard in self._assignment.items():
-            if not 0 <= shard < self._num_shards:
-                raise GraphError(
-                    f"vertex {vertex!r} assigned to shard {shard}, "
-                    f"expected [0, {self._num_shards})"
-                )
-            members[shard].append(vertex)
-        for shard, shard_members in enumerate(members):
-            if not shard_members:
-                raise GraphError(f"shard {shard} has no vertices")
-        self._members = [tuple(m) for m in members]
-        self._boundary = tuple(boundary)
-        self._boundary_set = frozenset(self._boundary)
-        for vertex in self._boundary:
-            if vertex not in self._assignment:
-                raise GraphError(
-                    f"boundary vertex {vertex!r} is not assigned a shard"
-                )
-        self._cut_edges = tuple((u, v) for u, v in cut_edges)
-        self.seed = seed
-
-    @classmethod
-    def from_assignment(
-        cls,
-        graph: WeightedGraph,
-        assignment: Mapping[Vertex, int],
-        num_shards: int | None = None,
-        seed: int | None = None,
-    ) -> "ShardPlan":
-        """Build a plan from an explicit assignment, deriving the
-        boundary and cut edges from the graph's topology."""
-        for vertex in graph.vertices():
-            if vertex not in assignment:
-                raise GraphError(
-                    f"assignment misses vertex {vertex!r}"
-                )
-        if num_shards is None:
-            num_shards = max(assignment.values()) + 1 if assignment else 1
-        boundary_set = set()
-        boundary: List[Vertex] = []
-        cut_edges: List[Edge] = []
-        for u, v, _ in graph.edges():
-            if assignment[u] != assignment[v]:
-                cut_edges.append((u, v))
-                for endpoint in (u, v):
-                    if endpoint not in boundary_set:
-                        boundary_set.add(endpoint)
-                        boundary.append(endpoint)
-        # A stable, topology-derived site order: vertex insertion order.
-        order = {vert: i for i, vert in enumerate(graph.vertices())}
-        boundary.sort(key=lambda vert: order[vert])
-        return cls(num_shards, assignment, boundary, cut_edges, seed=seed)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def num_shards(self) -> int:
-        """How many shards the plan defines."""
-        return self._num_shards
-
-    @property
-    def boundary(self) -> Tuple[Vertex, ...]:
-        """Boundary vertices in relay site order."""
-        return self._boundary
-
-    @property
-    def cut_edges(self) -> Tuple[Edge, ...]:
-        """Edges whose endpoints live in different shards."""
-        return self._cut_edges
-
-    @property
-    def num_vertices(self) -> int:
-        """How many vertices the plan assigns."""
-        return len(self._assignment)
-
-    def shard_of(self, vertex: Vertex) -> int:
-        """The shard owning a vertex."""
-        try:
-            return self._assignment[vertex]
-        except KeyError:
-            raise VertexNotFoundError(vertex) from None
-
-    def members(self, shard: int) -> Tuple[Vertex, ...]:
-        """The vertices of one shard, in graph insertion order."""
-        if not 0 <= shard < self._num_shards:
-            raise GraphError(
-                f"shard id {shard} out of range [0, {self._num_shards})"
-            )
-        return self._members[shard]
-
-    def shard_sizes(self) -> List[int]:
-        """Vertex count per shard."""
-        return [len(m) for m in self._members]
-
-    def is_boundary(self, vertex: Vertex) -> bool:
-        """Whether a vertex is an endpoint of a cut edge."""
-        return vertex in self._boundary_set
-
-    def assignment(self) -> Dict[Vertex, int]:
-        """The full vertex -> shard mapping (a copy)."""
-        return dict(self._assignment)
-
-    # ------------------------------------------------------------------
-    # Serialization (the plan is public topology — safe to ship)
-    # ------------------------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialize the plan (all fields are public topology)."""
-        return json.dumps(
-            {
-                "format": _PLAN_FORMAT,
-                "version": _PLAN_VERSION,
-                "num_shards": self._num_shards,
-                "seed": self.seed,
-                "assignment": [
-                    [_encode_vertex(v), shard]
-                    for v, shard in self._assignment.items()
-                ],
-                "boundary": [_encode_vertex(v) for v in self._boundary],
-                "cut_edges": [
-                    [_encode_vertex(u), _encode_vertex(v)]
-                    for u, v in self._cut_edges
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ShardPlan":
-        """Restore a plan serialized by :meth:`to_json`."""
-        document = json.loads(text)
-        if document.get("format") != _PLAN_FORMAT:
-            raise GraphError("not a repro-shard-plan JSON document")
-        if document.get("version") != _PLAN_VERSION:
-            raise GraphError(
-                f"unsupported shard-plan version "
-                f"{document.get('version')!r}"
-            )
-        return cls(
-            int(document["num_shards"]),
-            {
-                _decode_vertex(v): int(shard)
-                for v, shard in document["assignment"]
-            },
-            [_decode_vertex(v) for v in document["boundary"]],
-            [
-                (_decode_vertex(u), _decode_vertex(v))
-                for u, v in document["cut_edges"]
-            ],
-            seed=document.get("seed"),
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardPlan(shards={self._num_shards}, "
-            f"sizes={self.shard_sizes()}, "
-            f"boundary={len(self._boundary)}, "
-            f"cut_edges={len(self._cut_edges)})"
-        )
-
-
-def partition_graph(
-    graph: WeightedGraph, shards: int, seed: int = 0
-) -> ShardPlan:
-    """Partition a connected graph into balanced, connected shards.
-
-    Seeded BFS region growing: ``shards`` seed vertices are sampled
-    uniformly (from ``Rng(seed)`` — never from a service rng, so the
-    partition depends only on the public topology and the seed), then
-    regions grow one vertex at a time, always the currently smallest
-    region that still has an unassigned frontier vertex.  Each region
-    grows only through adjacent vertices, so every shard induces a
-    connected subgraph; the smallest-first rule keeps the sizes within
-    a vertex of balanced wherever the topology allows.
-    """
-    if shards < 1:
-        raise GraphError(f"need at least 1 shard, got {shards}")
-    if shards > graph.num_vertices:
-        raise GraphError(
-            f"cannot split {graph.num_vertices} vertices into "
-            f"{shards} shards"
-        )
-    if not is_connected(graph):
-        raise DisconnectedGraphError(
-            "sharded serving requires a connected graph"
-        )
-    csr = CSRGraph.from_graph(graph)
-    n = csr.n
-    indptr, indices = csr.indptr, csr.indices
-    rng = Rng(seed)
-    shard_of = np.full(n, -1, dtype=np.int64)
-    seeds = rng.sample(range(n), shards)
-    sizes = [1] * shards
-    frontiers: List[deque] = []
-    for shard, seed_vertex in enumerate(seeds):
-        shard_of[seed_vertex] = shard
-        frontiers.append(
-            deque(
-                int(x)
-                for x in indices[indptr[seed_vertex] : indptr[seed_vertex + 1]]
-            )
-        )
-    open_shards = set(range(shards))
-    assigned = shards
-    while assigned < n:
-        if not open_shards:
-            raise DisconnectedGraphError(
-                "region growing stranded unassigned vertices"
-            )
-        shard = min(open_shards, key=lambda i: (sizes[i], i))
-        frontier = frontiers[shard]
-        grew = False
-        while frontier:
-            v = frontier.popleft()
-            if shard_of[v] != -1:
-                continue
-            shard_of[v] = shard
-            sizes[shard] += 1
-            assigned += 1
-            frontier.extend(
-                int(x) for x in indices[indptr[v] : indptr[v + 1]]
-            )
-            grew = True
-            break
-        if not grew:
-            open_shards.discard(shard)
-    vertices = csr.vertices
-    assignment = {
-        vertices[i]: int(shard_of[i]) for i in range(n)
-    }
-    return ShardPlan.from_assignment(
-        graph, assignment, num_shards=shards, seed=seed
-    )
-
-
-class ShardedDistanceService:
-    """A private distance service partitioned into regional tenants.
-
-    Parameters
-    ----------
-    graph:
-        Public topology + the current epoch's private weights
-        (connected).
-    epoch_budget:
-        The ``(eps, delta)`` guarantee promised per epoch (a bare
-        float is taken as pure eps).  With two or more shards the
-        budget splits ``(1 - relay_fraction)`` to every shard tenant
-        (parallel composition over disjoint intra-shard edge sets)
-        and ``relay_fraction`` to the boundary-hub relay; with one
-        shard the single tenant receives it all and the service is
-        seeded-identical to the unsharded
-        :class:`~repro.serving.service.DistanceService`.
-    rng:
-        Noise source, consumed shard 0..k-1 then relay — a fixed,
-        reproducible order.
-    shards:
-        How many shards to partition into (ignored when ``plan`` is
-        given).
-    weight_bound, mechanism, backend:
-        Forwarded to every shard's
-        :class:`~repro.serving.service.DistanceService`.
-    ledger:
-        Share a ledger with other products; defaults to a private
-        ledger with ``epoch_budget`` per tenant per epoch.  Every
-        shard spends under ``{tenant}/shard-{i}`` and the relay under
-        ``{tenant}/relay``, each failing closed independently.
-    plan:
-        Use an existing :class:`ShardPlan` instead of partitioning.
-    partition_seed:
-        Seed for :func:`partition_graph` (topology-only).
-    relay_fraction:
-        Fraction of the epoch budget spent on the relay table when
-        there are two or more shards (default
-        :data:`DEFAULT_RELAY_FRACTION`).
-    relay_hub_count, relay_ball_size:
-        Overrides for the relay hub structure (defaults
-        ``~sqrt(|boundary|)``).
-    telemetry:
-        The :class:`~repro.telemetry.Telemetry` bundle the service —
-        and every shard tenant — records into; ``None`` captures the
-        process's current bundle.  Instrumentation never touches the
-        rng, so routed answers are bit-identical whatever bundle is
-        in force.
+class ShardedDistanceService(DistanceService):
+    """:class:`~repro.serving.service.DistanceService` under its
+    sharded name: the ledger tenant defaults to
+    ``sharded-distance-service`` (shards spend under
+    ``{tenant}/shard-{i}``, the relay under ``{tenant}/relay``), and
+    ``shards=`` or ``plan=`` is required.  Every other keyword is the
+    front's.
     """
 
     def __init__(
@@ -436,761 +104,22 @@ class ShardedDistanceService:
         graph: WeightedGraph,
         epoch_budget: PrivacyParams | float,
         rng: Rng,
+        *,
         shards: int | None = None,
-        weight_bound: float | None = None,
-        mechanism: str | None = None,
-        ledger: BudgetLedger | None = None,
-        tenant: str = "sharded-distance-service",
-        backend: str | None = None,
         plan: ShardPlan | None = None,
-        partition_seed: int = 0,
-        relay_fraction: float = DEFAULT_RELAY_FRACTION,
-        relay_hub_count: int | None = None,
-        relay_ball_size: int | None = None,
-        cache_size: int | None = None,
-        telemetry: Telemetry | None = None,
+        tenant: str = "sharded-distance-service",
+        **options: Any,
     ) -> None:
-        if isinstance(epoch_budget, (int, float)):
-            epoch_budget = PrivacyParams(float(epoch_budget))
-        if plan is None:
-            if shards is None:
-                raise GraphError(
-                    "ShardedDistanceService needs either shards= or "
-                    "plan="
-                )
-            plan = partition_graph(graph, shards, seed=partition_seed)
-        else:
-            if shards is not None and shards != plan.num_shards:
-                raise GraphError(
-                    f"shards={shards} disagrees with the plan's "
-                    f"{plan.num_shards}"
-                )
-            if plan.num_vertices != graph.num_vertices:
-                raise GraphError(
-                    f"plan assigns {plan.num_vertices} vertices but "
-                    f"the graph has {graph.num_vertices}"
-                )
-        self._plan = plan
-        self._budget = epoch_budget
-        self._rng = rng
-        self._tenant = tenant
-        self._backend = backend
-        self._owns_ledger = ledger is None
-        self._ledger = ledger if ledger is not None else BudgetLedger(
-            epoch_budget
-        )
-        self._telemetry = (
-            telemetry if telemetry is not None else get_telemetry()
-        )
-        # Same gate as the unsharded service: the observed query path
-        # (per-query spans + flight-recorder offers) only runs when a
-        # profiler or flight recorder is live on the bundle.
-        self._observed = (
-            self._telemetry.flight.enabled
-            or self._telemetry.profiler.enabled
-        )
-        self._stats = ServiceStats(
-            telemetry=self._telemetry, tenant=tenant
-        )
-        self._cache: MutableMapping[Tuple[Vertex, Vertex], float] = (
-            {} if cache_size is None else BoundedCache(cache_size)
-        )
-        self._graph = graph
-
-        if plan.num_shards == 1:
-            # No cut, no relay, no split: bit-for-bit the unsharded
-            # service under the same seed.
-            self._shard_params = epoch_budget
-            self._relay_params: PrivacyParams | None = None
-        else:
-            if not 0.0 < relay_fraction < 1.0:
-                raise PrivacyError(
-                    f"relay_fraction must be in (0, 1), got "
-                    f"{relay_fraction}"
-                )
-            self._shard_params = PrivacyParams(
-                epoch_budget.eps * (1.0 - relay_fraction),
-                epoch_budget.delta * (1.0 - relay_fraction),
-            )
-            self._relay_params = PrivacyParams(
-                epoch_budget.eps * relay_fraction,
-                epoch_budget.delta * relay_fraction,
-            )
-        self._relay_hub_count = relay_hub_count
-        self._relay_ball_size = relay_ball_size
-        self._relay: HubStructure | None = None
-
-        # Edge classification over the full graph's canonical edge
-        # order: owning shard for intra-shard edges, -1 for cut edges.
-        # This is what lets refresh_shard verify an update really is
-        # regional before committing it.
-        plan_of = plan.shard_of
-        self._edge_keys = graph.edge_list()
-        edge_shard = np.empty(len(self._edge_keys), dtype=np.int64)
-        for e, (u, v) in enumerate(self._edge_keys):
-            su, sv = plan_of(u), plan_of(v)
-            edge_shard[e] = su if su == sv else -1
-        self._edge_shard = edge_shard
-
-        # Relay site bookkeeping (static across refreshes: the plan and
-        # boundary are topology-only).
-        self._shard_boundary: List[Tuple[Vertex, ...]] = []
-        self._site_pos: List[np.ndarray] = []
-        site_shard = np.asarray(
-            [plan_of(v) for v in plan.boundary], dtype=np.int64
-        )
-        for shard in range(plan.num_shards):
-            positions = np.flatnonzero(site_shard == shard)
-            self._site_pos.append(positions)
-            self._shard_boundary.append(
-                tuple(plan.boundary[int(p)] for p in positions)
-            )
-        self._site_shard = site_shard
-        # Local position of each site within its shard's boundary list.
-        site_local = np.zeros(len(plan.boundary), dtype=np.int64)
-        for positions in self._site_pos:
-            site_local[positions] = np.arange(len(positions))
-        self._site_local = site_local
-        self._relay_ball_cross: Dict[
-            Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
-
-        # Build every shard tenant (spend-then-release inside each
-        # DistanceService), then the relay — a fixed rng order.
-        self._shard_graphs: List[WeightedGraph] = []
-        self._shard_edge_keys: List[List[Edge]] = []
-        self._services: List[DistanceService] = []
-        for shard in range(plan.num_shards):
-            sub = graph.subgraph(plan.members(shard))
-            self._shard_graphs.append(sub)
-            self._shard_edge_keys.append(sub.edge_list())
-            self._services.append(
-                DistanceService(
-                    sub,
-                    self._shard_params,
-                    rng,
-                    weight_bound=weight_bound,
-                    mechanism=mechanism,
-                    ledger=self._ledger,
-                    tenant=f"{tenant}/shard-{shard}",
-                    backend=backend,
-                    telemetry=self._telemetry,
-                )
-            )
-        if self._relay_params is not None:
-            self._build_relay()
-        self._stats.record_epoch_built()
-        self._bind_metrics()
-        self._telemetry.log.emit(
-            "service.start",
-            tenant=self._tenant,
-            epoch=self._ledger.epoch,
-            mechanism=self.mechanism,
-            backend=self._backend,
-            shards=self._plan.num_shards,
-        )
-
-    # ------------------------------------------------------------------
-    # Relay construction
-    # ------------------------------------------------------------------
-
-    def _build_relay(self) -> None:
-        """Release the boundary-hub relay table for the current epoch.
-
-        Spends the relay tenant's budget first (fail closed — a
-        refused spend draws no noise), then asks the registry's
-        ``boundary-relay`` mechanism for a hub structure over the
-        boundary sites on the *full* graph's CSR, so relay distances
-        may traverse any shard.
-        """
-        assert self._relay_params is not None
-        boundary = self._plan.boundary
-        m = len(boundary)
-        if m == 0:
+        if shards is None and plan is None:
             raise GraphError(
-                "multi-shard plan has no boundary vertices"
+                "ShardedDistanceService needs either shards= or plan="
             )
-        start = time.perf_counter()
-        with use_telemetry(self._telemetry), self._telemetry.span(
-            "relay.build", sites=m, tenant=self._tenant
-        ):
-            relay_mechanism = get_mechanism("boundary-relay")
-            relay_params = MechanismParams(
-                budget=self._relay_params,
-                sites=boundary,
-                hub_count=self._relay_hub_count,
-                ball_size=self._relay_ball_size,
-            )
-            relay_mechanism.validate(self._graph, relay_params)
-            self._ledger.spend(
-                self._relay_params,
-                tenant=f"{self._tenant}/relay",
-                label=(
-                    f"epoch {self._ledger.epoch} boundary-hub relay "
-                    f"({m} sites)"
-                ),
-            )
-            structure = relay_mechanism.build(
-                self._graph, relay_params, self._rng
-            ).structure
-            self._telemetry.audit.record(
-                "relay.build",
-                epoch=self._ledger.epoch,
-                tenant=f"{self._tenant}/relay",
-                sites=m,
-            )
-        self._telemetry.registry.histogram(
-            "build.latency", phase="relay", mechanism="boundary-relay"
-        ).observe(time.perf_counter() - start)
-        # Bucket the ball table by shard pair once per build (the hub
-        # sample is redrawn each epoch, so exclusions change too).
-        # Same-shard buckets ((i, i)) refine the intra-shard relay cap.
-        buckets: Dict[Tuple[int, int], List[List[float]]] = {}
-        for key, value in structure.ball.items():
-            lo, hi = divmod(key, m)
-            pair = (
-                int(self._site_shard[lo]),
-                int(self._site_shard[hi]),
-            )
-            if pair[0] > pair[1]:
-                pair = (pair[1], pair[0])
-                lo, hi = hi, lo
-            buckets.setdefault(pair, [[], [], []])
-            rows = buckets[pair]
-            rows[0].append(int(self._site_local[lo]))
-            rows[1].append(int(self._site_local[hi]))
-            rows[2].append(value)
-        self._relay_ball_cross = {
-            pair: (
-                np.asarray(rows[0], dtype=np.int64),
-                np.asarray(rows[1], dtype=np.int64),
-                np.asarray(rows[2], dtype=float),
-            )
-            for pair, rows in buckets.items()
-        }
-        self._relay = structure
-
-    def _require_relay(self) -> HubStructure:
-        if self._relay is None:
-            raise PrivacyError(
-                "no boundary-hub relay for the current epoch (the "
-                "last rebuild failed); refresh before serving "
-                "cross-shard queries"
-            )
-        return self._relay
-
-    # ------------------------------------------------------------------
-    # Epoch lifecycle
-    # ------------------------------------------------------------------
-
-    def refresh(self, graph: WeightedGraph | None = None) -> None:
-        """Start a new epoch: rebuild every shard and the relay.
-
-        A privately owned ledger is rotated (the new weights are a new
-        database); a shared ledger is left to its owner, and the
-        rebuilds spend from the remaining epoch budget, failing closed
-        per tenant.
-        """
-        with use_telemetry(self._telemetry), self._telemetry.span(
-            "epoch.refresh", tenant=self._tenant,
-            shards=self._plan.num_shards,
-        ):
-            if self._owns_ledger:
-                self._ledger.rotate()
-            if graph is not None:
-                if graph.num_vertices != self._plan.num_vertices:
-                    raise GraphError(
-                        f"refresh graph has {graph.num_vertices} "
-                        f"vertices; the plan assigns "
-                        f"{self._plan.num_vertices}"
-                    )
-                self._graph = graph
-            self._cache.clear()
-            # Drop the relay first: if any rebuild fails partway the
-            # service must refuse cross-shard answers from the old
-            # epoch.
-            self._relay = None
-            for shard in range(self._plan.num_shards):
-                sub = self._reweighted_shard(shard, self._graph)
-                self._shard_graphs[shard] = sub
-                self._services[shard].refresh(sub)
-            if self._relay_params is not None:
-                self._build_relay()
-            self._telemetry.audit.record(
-                "epoch.refresh",
-                epoch=self._ledger.epoch,
-                tenant=self._tenant,
-                shards=self._plan.num_shards,
-                rotated=self._owns_ledger,
-            )
-            self._telemetry.log.emit(
-                "epoch.refresh",
-                tenant=self._tenant,
-                epoch=self._ledger.epoch,
-                shards=self._plan.num_shards,
-                rotated=self._owns_ledger,
-            )
-        self._stats.record_epoch_built()
-        self._bind_metrics()
-
-    def refresh_shard(
-        self,
-        shard: int,
-        weights: Mapping[Edge, float] | Sequence[float] | None = None,
-    ) -> None:
-        """Regional epoch update: rebuild one shard plus the relay.
-
-        ``weights`` (a mapping or a vector aligned with the full
-        graph's :meth:`~repro.graphs.graph.WeightedGraph.edge_list`)
-        may only differ from the current weights on the shard's own
-        edges and on cut edges — anything else would silently stale
-        the untouched tenants, so it raises
-        :class:`~repro.exceptions.GraphError` before any budget is
-        spent.  ``None`` re-releases the shard on the current weights.
-
-        The shard tenant and the relay tenant each spend again from
-        the remaining epoch budget (no rotation — the other shards
-        are still serving this epoch), so refreshed regions
-        accumulate loss toward each tenant's per-epoch cap (see the
-        module docstring's accounting note), failing closed
-        independently:
-        a refused shard spend leaves the relay and the other shards
-        untouched; a refused relay spend leaves every shard serving
-        but cross-shard queries refusing until the next successful
-        refresh.
-        """
-        if not 0 <= shard < self._plan.num_shards:
-            raise GraphError(
-                f"shard id {shard} out of range "
-                f"[0, {self._plan.num_shards})"
-            )
-        with use_telemetry(self._telemetry), self._telemetry.span(
-            "shard.refresh", shard=shard, tenant=self._tenant
-        ):
-            if weights is not None:
-                new_graph = self._graph.with_weights(weights)
-                self._check_regional(shard, new_graph)
-            else:
-                new_graph = self._graph
-            sub = self._reweighted_shard(shard, new_graph)
-            # Fails closed on budget before any noise is drawn; on
-            # failure the shard refuses to serve but nothing else
-            # moved.
-            self._services[shard].refresh(sub)
-            self._graph = new_graph
-            self._shard_graphs[shard] = sub
-            self._cache.clear()
-            self._stats.record_shard_refresh()
-            if self._relay_params is not None:
-                self._relay = None
-                self._build_relay()
-            self._telemetry.audit.record(
-                "shard.refresh",
-                epoch=self._ledger.epoch,
-                tenant=self._tenant,
-                shard=shard,
-            )
-            self._telemetry.log.emit(
-                "shard.refresh",
-                tenant=self._tenant,
-                epoch=self._ledger.epoch,
-                shard=shard,
-            )
-        self._bind_metrics()
-
-    def _reweighted_shard(  # privlint: ignore[PL1] feeds the shard tenant's budgeted synopsis build
-        self, shard: int, graph: WeightedGraph
-    ) -> WeightedGraph:
-        """The shard subgraph re-weighted from the full graph — an
-        O(edges) gather over the frozen topology (the subgraph clone
-        keeps the compiled CSR structure)."""
-        return self._shard_graphs[shard].with_weights(
-            [graph.weight(u, v) for u, v in self._shard_edge_keys[shard]]
-        )
-
-    def _check_regional(
-        self, shard: int, new_graph: WeightedGraph
-    ) -> None:
-        old = self._graph.weight_vector()
-        new = new_graph.weight_vector()
-        changed = old != new
-        allowed = (self._edge_shard == shard) | (self._edge_shard == -1)
-        bad = changed & ~allowed
-        if bad.any():
-            edge = self._edge_keys[int(np.argmax(bad))]
-            raise GraphError(
-                f"refresh_shard({shard}) may only change weights of "
-                f"shard-{shard} edges and cut edges; edge {edge!r} "
-                f"belongs elsewhere (use refresh() for a full epoch)"
-            )
-
-    # ------------------------------------------------------------------
-    # Query serving (post-processing only)
-    # ------------------------------------------------------------------
-
-    def _distance(self, s: Vertex, i: int, t: Vertex, j: int) -> float:
-        if i == j:
-            direct = self._services[i].synopsis.distance(s, t)
-            if s == t or self._relay is None:
-                # Single-shard service, or a failed relay rebuild:
-                # intra answers keep serving from the shard synopsis.
-                return direct
-            # A border pair's best corridor may dip into a neighboring
-            # shard, which the induced-subgraph synopsis cannot see;
-            # cap the detour with the relay decomposition through the
-            # shard's own boundary (free post-processing).
-            return min(direct, self._relay_candidate(s, i, t, j))
-        return self._cross_distance(s, i, t, j)
-
-    def _boundary_distances(self, shard: int, v: Vertex) -> np.ndarray:
-        """Released distances from ``v`` to its shard's boundary
-        vertices (free post-processing of the shard synopsis)."""
-        synopsis = self._services[shard].synopsis
-        return np.asarray(
-            [
-                synopsis.distance(v, b)
-                for b in self._shard_boundary[shard]
-            ],
-            dtype=float,
-        )
-
-    def _cross_distance(
-        self, s: Vertex, i: int, t: Vertex, j: int
-    ) -> float:
-        """The boundary-hub relay estimate for a cross-shard pair
-        (fails closed when the relay is missing)."""
-        self._require_relay()
-        return self._relay_candidate(s, i, t, j)
-
-    def _relay_candidate(
-        self, s: Vertex, i: int, t: Vertex, j: int
-    ) -> float:
-        """The relay decomposition estimate for any pair.
-
-        ``min_{b_s, b_t} d_i(s, b_s) + relay(b_s, b_t) + d_j(b_t, t)``
-        over shard ``i``'s and shard ``j``'s boundary vertices,
-        computed as a vectorized min over hub relays (the relay term
-        subsumes direct boundary-boundary hub lookups because hub
-        self-distances are exactly 0), refined by the relay's
-        local-ball entries for the shard pair, clamped at 0 — pure
-        post-processing of released values.  With ``i == j`` this is
-        the intra-shard cap for corridors leaving the shard.
-        """
-        structure = self._relay
-        assert structure is not None
-        ds = self._boundary_distances(i, s)
-        dt = self._boundary_distances(j, t)
-        matrix = structure.matrix
-        via_s = np.min(matrix[:, self._site_pos[i]] + ds, axis=1)
-        via_t = np.min(matrix[:, self._site_pos[j]] + dt, axis=1)
-        best = float(np.min(via_s + via_t))
-        pair = (i, j) if i <= j else (j, i)
-        bucket = self._relay_ball_cross.get(pair)
-        if bucket is not None:
-            lo_local, hi_local, values = bucket
-            if i == j:
-                # Both orientations: ds and dt differ over the same
-                # boundary list.
-                best = min(
-                    best,
-                    float((ds[lo_local] + values + dt[hi_local]).min()),
-                    float((ds[hi_local] + values + dt[lo_local]).min()),
-                )
-            elif i < j:
-                best = min(
-                    best, float((ds[lo_local] + values + dt[hi_local]).min())
-                )
-            else:
-                best = min(
-                    best, float((ds[hi_local] + values + dt[lo_local]).min())
-                )
-        return max(best, 0.0)
-
-    def _bind_metrics(self) -> None:
-        """Re-resolve the hot-path latency histograms.
-
-        Called after every build so the ``mechanism`` label tracks the
-        shards' current selections without a registry lookup per
-        query.  Point queries are split by ``route`` (intra vs.
-        cross-shard) — the routes have very different cost profiles.
-        """
-        registry = self._telemetry.registry
-        mechanism = self.mechanism
-        self._intra_latency = registry.histogram(
-            "serving.query.latency",
-            service="sharded",
-            mechanism=mechanism,
-            route="intra",
-        )
-        self._cross_latency = registry.histogram(
-            "serving.query.latency",
-            service="sharded",
-            mechanism=mechanism,
-            route="cross",
-        )
-        self._batch_latency = registry.histogram(
-            "serving.batch.latency",
-            service="sharded",
-            mechanism=mechanism,
-        )
-
-    def query(self, source: Vertex, target: Vertex) -> float:
-        """Answer one distance query, routed by shard ownership."""
-        i = self._plan.shard_of(source)
-        j = self._plan.shard_of(target)
-        if self._observed:
-            return self._query_observed(source, i, target, j)
-        start = time.perf_counter()
-        key = canonical_pair(source, target)
-        hit = key in self._cache
-        if hit:
-            value = self._cache[key]
-        else:
-            value = self._distance(source, i, target, j)
-            self._cache[key] = value
-        latency = self._intra_latency if i == j else self._cross_latency
-        latency.observe(time.perf_counter() - start)
-        self._stats.record_point_query(hit)
-        return value
-
-    def _query_observed(
-        self, source: Vertex, i: int, target: Vertex, j: int
-    ) -> float:
-        """The routed query path when a profiler or flight recorder
-        is live: same lookups in the same order (answers
-        bit-identical), wrapped in a ``query.point`` span and offered
-        to the flight recorder afterwards."""
-        route = "intra" if i == j else "cross"
-        start = time.perf_counter()
-        with self._telemetry.span(
-            "query.point",
-            tenant=self._tenant,
-            route=route,
-            mechanism=self.mechanism,
-        ) as span:
-            key = canonical_pair(source, target)
-            hit = key in self._cache
-            if hit:
-                value = self._cache[key]
-            else:
-                value = self._distance(source, i, target, j)
-                self._cache[key] = value
-            span.set_attribute("cache_hit", hit)
-        elapsed = time.perf_counter() - start
-        latency = self._intra_latency if i == j else self._cross_latency
-        latency.observe(elapsed)
-        self._stats.record_point_query(hit)
-        self._telemetry.flight.consider(
-            elapsed,
-            pair=(source, target),
-            route=route,
-            mechanism=self.mechanism,
-            epoch=self._ledger.epoch,
-            tenant=self._tenant,
-            span=span,
-            cache_hit=hit,
-        )
-        return value
-
-    def query_batch(
-        self, pairs: Sequence[Tuple[Vertex, Vertex]]
-    ) -> BatchReport:
-        """Serve a batch with in-batch dedup and the cross-batch
-        cache; answers align with the input order.  Delegates to
-        :class:`~repro.serving.batching.BatchPlanner` over the shard
-        router, so batch accounting stays identical to the unsharded
-        service's."""
-        planner = BatchPlanner(
-            _ShardRouter(self),
-            cache=self._cache,
-            telemetry=self._telemetry,
-            labels={"service": "sharded", "mechanism": self.mechanism},
-        )
-        report = planner.run(pairs)
-        self._batch_latency.observe(report.elapsed_seconds)
-        self._stats.record_batch(report)
-        return report
-
-    def _noise_scale_for(
-        self, s: Vertex, i: int, t: Vertex, j: int, value: float
-    ) -> float:
-        """The effective noise scale behind the routed answer
-        ``value``.
-
-        Intra-shard answers report the owning synopsis's per-pair
-        scale unless the relay cap won the min, in which case — like
-        every cross-shard answer — the scale is the composed relay
-        chain ``sigma_i + 2 rho + sigma_j`` (one released boundary leg
-        per endpoint shard at its synopsis's per-entry scale, plus the
-        two-entry relay term).  Which branch served the pair is read
-        off the value itself (``value == min(direct, cap)``, so the
-        direct estimate won iff it equals the value — one synopsis
-        lookup, no relay recomputation).  Deterministic
-        post-processing: no rng, no budget.
-        """
-        if s == t:
-            return 0.0
-        if i == j:
-            synopsis = self._services[i].synopsis
-            if (
-                self._relay is None
-                or synopsis.distance(s, t) == value
-            ):
-                return synopsis.noise_scale_for(s, t)
-        relay = self._require_relay()
-        return (
-            self._services[i].synopsis.noise_scale
-            + 2.0 * relay.noise_scale
-            + self._services[j].synopsis.noise_scale
-        )
-
-    def estimate(self, source: Vertex, target: Vertex) -> Estimate:
-        """One routed query as a rich
-        :class:`~repro.serving.estimates.Estimate` — the ``query()``
-        value (bit-identical, shared cache and counters) plus the
-        composed noise scale of the branch that served it."""
-        value = self.query(source, target)
-        i = self._plan.shard_of(source)
-        j = self._plan.shard_of(target)
-        return Estimate(
-            value=value,
-            noise_scale=self._noise_scale_for(
-                source, i, target, j, value
-            ),
-            mechanism=self.mechanism,
-            epoch=self._ledger.epoch,
-        )
-
-    def estimate_batch(  # privlint: ignore[PL1] serves values post-processed from the budget-accounted noised shard synopses
-        self, pairs: Sequence[Tuple[Vertex, Vertex]]
-    ) -> List[Estimate]:
-        """A batch of rich estimates, aligned with the input order
-        (values via :meth:`query_batch`; scales are free
-        post-processing)."""
-        report = self.query_batch(pairs)
-        mechanism, epoch = self.mechanism, self._ledger.epoch
-        return [
-            Estimate(
-                value=value,
-                noise_scale=self._noise_scale_for(
-                    s,
-                    self._plan.shard_of(s),
-                    t,
-                    self._plan.shard_of(t),
-                    value,
-                ),
-                mechanism=mechanism,
-                epoch=epoch,
-            )
-            for (s, t), value in zip(pairs, report.answers)
-        ]
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def plan(self) -> ShardPlan:
-        """The (public) shard plan the service routes by."""
-        return self._plan
-
-    @property
-    def num_shards(self) -> int:
-        """How many shard tenants the service runs."""
-        return self._plan.num_shards
-
-    @property
-    def shard_services(self) -> Tuple[DistanceService, ...]:
-        """The per-shard tenant services, in shard order."""
-        return tuple(self._services)
-
-    @property
-    def shard_mechanisms(self) -> Tuple[str, ...]:
-        """The mechanism each shard tenant selected."""
-        return tuple(s.mechanism for s in self._services)
-
-    @property
-    def mechanism(self) -> str:
-        """A summary label: the inner mechanism for one shard, or
-        ``sharded(KxMECH+relay)`` for a multi-shard service."""
-        inner = sorted(set(self.shard_mechanisms))
-        label = inner[0] if len(inner) == 1 else "mixed"
-        if self._plan.num_shards == 1:
-            return label
-        return f"sharded({self._plan.num_shards}x{label}+relay)"
-
-    @property
-    def relay(self) -> HubStructure | None:
-        """The released boundary-hub relay structure (``None`` for a
-        single-shard service, or after a failed rebuild)."""
-        return self._relay
-
-    @property
-    def relay_params(self) -> PrivacyParams | None:
-        """The relay tenant's per-epoch budget share."""
-        return self._relay_params
-
-    @property
-    def shard_params(self) -> PrivacyParams:
-        """Each shard tenant's per-epoch budget share."""
-        return self._shard_params
-
-    @property
-    def ledger(self) -> BudgetLedger:
-        """The budget ledger every tenant spends against."""
-        return self._ledger
-
-    @property
-    def epoch(self) -> int:
-        """The ledger epoch currently being served."""
-        return self._ledger.epoch
-
-    @property
-    def epoch_budget(self) -> PrivacyParams:
-        """The per-epoch privacy budget (before the split)."""
-        return self._budget
-
-    @property
-    def backend(self) -> str | None:
-        """The engine backend forwarded to shard tenants."""
-        return self._backend
-
-    @property
-    def stats(self) -> ServiceStats:
-        """Running serving counters (top-level routing; each shard
-        tenant also keeps its own)."""
-        return self._stats
-
-    @property
-    def telemetry(self) -> Telemetry:
-        """The telemetry bundle this service (and every shard tenant)
-        records into."""
-        return self._telemetry
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedDistanceService(shards={self._plan.num_shards}, "
-            f"mechanism={self.mechanism!r}, budget={self._budget}, "
-            f"epoch={self._ledger.epoch}, "
-            f"boundary={len(self._plan.boundary)})"
-        )
-
-
-class _ShardRouter:
-    """Adapter exposing the sharded routing path through the synopsis
-    surface (``distance(s, t)``) that
-    :class:`~repro.serving.batching.BatchPlanner` plans over."""
-
-    __slots__ = ("_service",)
-
-    def __init__(self, service: ShardedDistanceService) -> None:
-        self._service = service
-
-    def distance(self, source: Vertex, target: Vertex) -> float:
-        service = self._service
-        return service._distance(
-            source,
-            service._plan.shard_of(source),
-            target,
-            service._plan.shard_of(target),
+        super().__init__(
+            graph,
+            epoch_budget,
+            rng,
+            shards=shards,
+            plan=plan,
+            tenant=tenant,
+            **options,
         )

@@ -32,7 +32,8 @@ from ..workloads.traffic import (
     grid_road_network,
     rush_hour_scenario,
 )
-from .config import DistanceServer, ServingConfig, serve
+from .config import ServingConfig, serve
+from .service import DistanceService
 
 __all__ = ["SimulationReport", "EpochResult", "replay_rush_hour"]
 
@@ -179,8 +180,8 @@ def replay_rush_hour(
     the Section 4.2 covering mechanism can auto-select.  With 2+
     shards each epoch is a full sharded rebuild (regional tenants +
     boundary-hub relay); the replay itself never branches on sharding
-    — both server shapes speak
-    :class:`~repro.serving.config.DistanceServer`.
+    — there is one :class:`~repro.serving.service.DistanceService`
+    front.
 
     ``telemetry`` is the bundle the replayed server records into; the
     default is a *fresh private* bundle per replay (or the null
@@ -262,7 +263,7 @@ def replay_rush_hour(
             )
         return congested
 
-    service: DistanceServer | None = None
+    service: DistanceService | None = None
     results: List[EpochResult] = []
     for epoch in range(epochs):
         graph = epoch_weights()

@@ -1,6 +1,6 @@
 """Unit tests for :mod:`repro.serving.config` — the declarative
-serving config, the ``serve()`` factory, and the shared
-``DistanceServer`` surface."""
+serving config, the ``serve()`` factory, and the one
+``DistanceService`` surface both shapes share."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 
 from repro import (
     BudgetExceededError,
-    DistanceServer,
     DistanceService,
     GraphError,
     MechanismError,
@@ -154,11 +153,11 @@ class TestServeFactory:
         )
 
     def test_auto_matches_select_mechanism(self, rng):
-        from repro.serving import select_mechanism
+        from repro.mechanisms import auto_select_mechanism
 
         grid = generators.grid_graph(5, 5)
         service = serve(grid, ServingConfig(eps=1.0), rng)
-        assert service.mechanism == select_mechanism(
+        assert service.mechanism == auto_select_mechanism(
             grid, PrivacyParams(1.0)
         )
 
@@ -240,8 +239,8 @@ class TestEpochPolicy:
         assert len(ledger.records()) == 2
 
 
-class TestDistanceServerSurface:
-    def test_both_shapes_satisfy_the_protocol(self, rng):
+class TestServingSurface:
+    def test_both_shapes_are_the_one_front(self, rng):
         network = grid_road_network(6, 6, Rng(340))
         unsharded = serve(network.graph, ServingConfig(eps=1.0), rng)
         sharded = serve(
@@ -250,7 +249,7 @@ class TestDistanceServerSurface:
             rng.spawn(),
         )
         for server in (unsharded, sharded):
-            assert isinstance(server, DistanceServer)
+            assert isinstance(server, DistanceService)
 
     def test_shared_stat_counter_names(self, rng):
         """The satellite fix: both service shapes expose the same

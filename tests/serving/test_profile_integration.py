@@ -302,11 +302,10 @@ class TestEventLogIntegration:
         records = read_event_log(path)
         events = [r["event"] for r in records]
         assert "shard.refresh" in events
-        # Inner per-shard services log their own starts (shards=1);
-        # the router's start carries the plan's shard count.
+        # One start for the one front, carrying the plan's shard count.
         shard_counts = [
             r["fields"]["shards"]
             for r in records
             if r["event"] == "service.start"
         ]
-        assert 2 in shard_counts
+        assert shard_counts == [2]

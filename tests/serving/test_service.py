@@ -13,11 +13,8 @@ from repro import (
 )
 from repro.exceptions import PrivacyError
 from repro.graphs import generators
-from repro.serving import (
-    BudgetLedger,
-    DistanceService,
-    select_mechanism,
-)
+from repro.mechanisms import auto_select_mechanism
+from repro.serving import BudgetLedger, DistanceService
 from repro.serving.synopsis import (
     AllPairsSynopsis,
     BoundedWeightSynopsis,
@@ -29,23 +26,23 @@ from repro.workloads import grid_road_network, uniform_pairs
 class TestMechanismSelection:
     def test_tree_topology_selects_tree(self, rng):
         tree = generators.random_tree(10, rng)
-        assert select_mechanism(tree, PrivacyParams(1.0)) == "tree"
+        assert auto_select_mechanism(tree, PrivacyParams(1.0)) == "tree"
 
     def test_weight_bound_selects_covering(self):
         grid = generators.grid_graph(4, 4)
         assert (
-            select_mechanism(grid, PrivacyParams(1.0), weight_bound=2.0)
+            auto_select_mechanism(grid, PrivacyParams(1.0), weight_bound=2.0)
             == "bounded-weight"
         )
 
     def test_pure_budget_selects_basic(self):
         grid = generators.grid_graph(4, 4)
-        assert select_mechanism(grid, PrivacyParams(1.0)) == "all-pairs-basic"
+        assert auto_select_mechanism(grid, PrivacyParams(1.0)) == "all-pairs-basic"
 
     def test_approx_budget_selects_advanced(self):
         grid = generators.grid_graph(4, 4)
         assert (
-            select_mechanism(grid, PrivacyParams(1.0, 1e-6))
+            auto_select_mechanism(grid, PrivacyParams(1.0, 1e-6))
             == "all-pairs-advanced"
         )
 
@@ -55,7 +52,7 @@ class TestMechanismSelection:
         graph = generators.cycle_graph(3)
         graph.add_vertex(99)
         assert (
-            select_mechanism(graph, PrivacyParams(1.0)) != "tree"
+            auto_select_mechanism(graph, PrivacyParams(1.0)) != "tree"
         )
 
 
@@ -248,19 +245,19 @@ class TestHubMechanismSelection:
     def test_small_graphs_keep_the_baseline(self, rng):
         small = generators.erdos_renyi_graph(48, 0.1, rng)
         assert (
-            select_mechanism(small, PrivacyParams(1.0))
+            auto_select_mechanism(small, PrivacyParams(1.0))
             == "all-pairs-basic"
         )
 
     def test_large_sparse_graph_selects_hub_set(self, rng):
         graph = generators.erdos_renyi_graph(1024, 2.0 / 1024, rng)
-        assert select_mechanism(graph, PrivacyParams(1.0)) == "hub-set"
+        assert auto_select_mechanism(graph, PrivacyParams(1.0)) == "hub-set"
 
     def test_selection_threshold_uses_predicted_scales(self):
         # At the margin-adjusted crossover the hub scale must actually
         # undercut the baseline's, not just the vertex-count floor.
         from repro.apsp import predicted_hub_scale
-        from repro.serving.service import (
+        from repro.mechanisms import (
             HUB_MIN_VERTICES,
             HUB_SELECTION_MARGIN,
         )
@@ -274,19 +271,19 @@ class TestHubMechanismSelection:
         )
 
     def test_weight_bound_upgrades_at_road_scale(self, rng):
-        from repro.serving.service import HUB_BOUNDED_MIN_VERTICES
+        from repro.mechanisms import HUB_BOUNDED_MIN_VERTICES
 
         large = generators.grid_graph(64, 64)
         assert large.num_vertices >= HUB_BOUNDED_MIN_VERTICES
         assert (
-            select_mechanism(
+            auto_select_mechanism(
                 large, PrivacyParams(1.0), weight_bound=1.0
             )
             == "hub-bounded"
         )
         small = generators.grid_graph(8, 8)
         assert (
-            select_mechanism(
+            auto_select_mechanism(
                 small, PrivacyParams(1.0), weight_bound=1.0
             )
             == "bounded-weight"

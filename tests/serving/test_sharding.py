@@ -22,6 +22,7 @@ from repro.exceptions import (
 )
 from repro.graphs import generators
 from repro.serving import (
+    BudgetLedger,
     DistanceService,
     ShardPlan,
     ShardedDistanceService,
@@ -192,7 +193,7 @@ class TestCrossShardRouting:
         for shard in range(2):
             members = plan.members(shard)
             s, t = members[0], members[-1]
-            direct = service.shard_services[shard].synopsis.distance(s, t)
+            direct = service.shard_synopses[shard].distance(s, t)
             assert service.query(s, t) <= direct
 
     def test_intra_relay_cap_beats_subgraph_detour(self):
@@ -234,11 +235,11 @@ class TestCrossShardRouting:
         for a in plan.boundary:
             if plan.shard_of(a) != 0:
                 continue
-            da = service.shard_services[0].synopsis.distance(s, a)
+            da = service.shard_synopses[0].distance(s, a)
             for b in plan.boundary:
                 if plan.shard_of(b) != 1:
                     continue
-                db = service.shard_services[1].synopsis.distance(t, b)
+                db = service.shard_synopses[1].distance(t, b)
                 mid = relay.estimate(site_of[a], site_of[b])
                 best = min(best, da + mid + db)
         expected = max(best, 0.0)
@@ -325,23 +326,83 @@ class TestBudgetAccounting:
             )
 
 
+class TestFullRefreshFailsClosed:
+    def test_refresh_graph_off_the_plan_rejected_before_rotation(
+        self, road
+    ):
+        """A refresh graph missing one shard-1 edge must be refused
+        before the ledger rotates or any tenant spends — not halfway
+        through the rebuilds, with shard 1 still answering from the
+        previous epoch."""
+        service = ShardedDistanceService(
+            road, 1e6, Rng(59), shards=2, mechanism="hub-set"
+        )
+        plan = service.plan
+        u, v = next(
+            (u, v)
+            for u, v in road.edge_list()
+            if plan.shard_of(u) == plan.shard_of(v) == 1
+        )
+        missing_edge = road.copy()
+        missing_edge.remove_edge(u, v)
+        extra_vertex = road.copy()
+        extra_vertex.add_vertex("island")
+        records = len(service.ledger.records())
+        for graph in (missing_edge, extra_vertex):
+            with pytest.raises(GraphError):
+                service.refresh(graph)
+        assert len(service.ledger.records()) == records
+        assert service.epoch == 0
+
+    def test_refused_spend_mid_refresh_leaves_unbuilt_shards_refusing(
+        self, road
+    ):
+        """On a shared ledger a tenant spend refused partway through a
+        full refresh must leave every shard not yet rebuilt refusing,
+        not serving its previous release."""
+        ledger = BudgetLedger(PrivacyParams(1.0))
+        service = ShardedDistanceService(
+            road, 1.0, Rng(61), shards=3, mechanism="hub-set",
+            ledger=ledger,
+        )
+        # Shard 1's account is now full: shard 0 rebuilds, then the
+        # refresh stops at shard 1's spend.
+        ledger.spend(
+            PrivacyParams(0.5), tenant="sharded-distance-service/shard-1"
+        )
+        with pytest.raises(BudgetExceededError):
+            service.refresh()
+        members = [service.plan.members(shard) for shard in range(3)]
+        s0 = members[0]
+        assert isinstance(service.query(s0[0], s0[-1]), float)
+        for shard in (1, 2):
+            a, b = members[shard][0], members[shard][-1]
+            with pytest.raises(PrivacyError):
+                service.query(a, b)
+        with pytest.raises(PrivacyError):
+            service.query(s0[0], members[1][0])
+
+
 class TestRegionalRefresh:
     def test_refresh_rebuilds_only_target_shard(self, road):
         service = ShardedDistanceService(
             road, 1.0, Rng(41), shards=2, mechanism="hub-set"
         )
         plan = service.plan
-        untouched = service.shard_services[1].synopsis
+        replaced, untouched = service.shard_synopses
         weights = road.weights()
         for (u, v), w in list(weights.items()):
             if plan.shard_of(u) == plan.shard_of(v) == 0:
                 weights[(u, v)] = w * 1.4
         service.refresh_shard(0, weights)
         # Shard 1's synopsis object is untouched; shard 0's is new.
-        assert service.shard_services[1].synopsis is untouched
+        assert service.shard_synopses[1] is untouched
+        assert service.shard_synopses[0] is not replaced
         assert service.stats.shard_refreshes == 1
-        assert service.shard_services[0].stats.epochs_built == 2
-        assert service.shard_services[1].stats.epochs_built == 1
+        # Tenants keep no counters: the ledger shows who rebuilt.
+        spenders = [r.tenant for r in service.ledger.records()]
+        assert spenders.count("sharded-distance-service/shard-0") == 2
+        assert spenders.count("sharded-distance-service/shard-1") == 1
 
     def test_non_regional_update_rejected_before_spending(self, road):
         service = ShardedDistanceService(

@@ -4,6 +4,8 @@ view, budget gauges, spans, and the replay's latency quantiles."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro import (
@@ -18,6 +20,7 @@ from repro import (
 )
 from repro.graphs import generators
 from repro.serving.service import ServiceStats
+from repro.telemetry import AuditLog, EventLog
 
 
 def _grid(rows=5, cols=5):
@@ -170,6 +173,44 @@ class TestMetricsAndSpans:
             ("synopsis", "hub-set"): 2,
             ("relay", "boundary-relay"): 1,
         }
+
+    def test_one_lifecycle_record_per_server_event(self):
+        # Tenants hold no serving state: a 4-shard server starts,
+        # refreshes and registers counters once, as one server, while
+        # every build and spend is still recorded per tenant.
+        log = EventLog()
+        telemetry = Telemetry().with_audit(AuditLog()).with_log(log)
+        config = ServingConfig(eps=1.0, shards=4, mechanism="hub-set")
+        service = serve(
+            _grid(12, 12), config, Rng(seed=11), telemetry=telemetry
+        )
+        service.query_batch([((0, 0), (11, 11)), ((3, 4), (8, 2))])
+        service.refresh()
+        service.refresh_shard(0)
+        audit = Counter(r["kind"] for r in telemetry.audit.records())
+        events = Counter(r["event"] for r in log.records())
+        assert events["service.start"] == 1
+        assert audit["epoch.refresh"] == events["epoch.refresh"] == 1
+        assert audit["shard.refresh"] == events["shard.refresh"] == 1
+        assert audit["synopsis.build"] == events["synopsis.build"] == 9
+        assert audit["relay.build"] == 3
+        assert audit["budget.spend"] == 12
+        assert audit["ledger.rotate"] == 1
+        stats = [
+            m
+            for m in telemetry.registry.metrics()
+            if m.name.startswith("serving.stats.")
+        ]
+        assert len(stats) == len(ServiceStats._FIELDS) + 1
+        assert {dict(m.labels)["tenant"] for m in stats} == {
+            "sharded-distance-service"
+        }
+        services = {
+            dict(m.labels)["service"]
+            for m in telemetry.registry.metrics()
+            if m.name in ("serving.query.latency", "serving.batch.latency")
+        }
+        assert services == {"sharded"}
 
     def test_budget_gauges_per_tenant(self):
         telemetry = Telemetry()

@@ -71,6 +71,7 @@ class TestExports:
             "repro.serving.config",
             "repro.serving.estimates",
             "repro.serving.sharding",
+            "repro.serving.routing",
             "repro.serving.simulate",
             "repro.analysis",
             "repro.analysis.errors",
