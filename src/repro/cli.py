@@ -34,7 +34,7 @@ Usage (after installing the package)::
     python -m repro.cli lint
     python -m repro.cli lint --format json --out lint-report.json
     python -m repro.cli lint --paths src/repro/serving
-    python -m repro.cli lint --update-baseline
+    python -m repro.cli lint --strict-ignores
 
 The ``serve`` and ``simulate`` subcommands speak the declarative
 serving API: ``--config`` loads a
@@ -64,10 +64,16 @@ fires, so it slots into CI and cron health checks.
 The ``lint`` subcommand runs :mod:`repro.privlint`, the repo's
 AST-based privacy/determinism static analyzer, over ``src/repro``
 (or ``--paths`` subsets, pre-commit style).  It exits 1 when any
-finding is not covered by the committed baseline or an inline
-``privlint: ignore`` comment, which is the CI lint gate; ``--format
-json`` emits the versioned ``repro-lint`` report document and
-``--update-baseline`` regrows the grandfathered-findings baseline.
+finding is not suppressed by an inline ``privlint: ignore``
+comment, which is the CI lint gate (``--strict-ignores`` also fails
+it on ignores that suppress nothing); ``--format json`` emits the
+versioned ``repro-lint`` report document.
+
+Every ``repro-*`` document a subcommand reads — a graph, a serving
+config, a snapshot, a profile, a flight dump, alert rules, an audit
+log — is read fail-closed (:mod:`repro.documents`): malformed JSON,
+a wrong format or version, or a missing field exits 2 with
+``error: ...``.
 
 ``serve`` and ``simulate`` also take the observability flags of
 :mod:`repro.telemetry.profile` and :mod:`repro.telemetry.logging`:
@@ -505,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the privlint static privacy/determinism analyzer "
         "(PL1 privacy taint — inter-procedural, PL2 rng discipline, "
         "PL3 observational purity, PL4 determinism hygiene, PL5 "
-        "budget hygiene); exits 1 on findings not covered by the "
-        "committed baseline",
+        "budget hygiene); exits 1 on any finding not suppressed by "
+        "an inline 'privlint: ignore[rule]' justification",
     )
     p.add_argument(
         "--paths",
@@ -523,18 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="findings as text lines or the versioned repro-lint "
         "JSON report document (default text)",
-    )
-    p.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline file of grandfathered findings (default: the "
-        "committed src/repro/privlint/baseline.json)",
-    )
-    p.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to grandfather every current "
-        "finding, then exit 0 (review the diff before committing)",
     )
     p.add_argument(
         "--out",
@@ -1276,13 +1270,10 @@ def _tenant_budget(document: dict, tenant: str) -> dict:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .privlint import (
-        DEFAULT_BASELINE_PATH,
         callgraph_document,
         lint_document,
-        load_baseline,
         render_text,
         run_lint,
-        save_baseline,
     )
 
     paths = [Path(p) for p in args.paths] if args.paths else None
@@ -1303,17 +1294,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             )
             + "\n"
         )
-    baseline_path = (
-        Path(args.baseline) if args.baseline else DEFAULT_BASELINE_PATH
-    )
-    if args.update_baseline:
-        count = save_baseline(baseline_path, result.findings)
-        print(
-            f"privlint: baseline {baseline_path} rewritten with "
-            f"{count} grandfathered finding(s)"
-        )
-        return 0
-    document = lint_document(result, load_baseline(baseline_path))
+    document = lint_document(result)
     show_unused = args.report_unused_ignores or args.strict_ignores
     rendered = (
         json.dumps(document, indent=2) + "\n"
@@ -1327,12 +1308,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(rendered)
     status = 0
-    new = document["summary"]["new"]
-    if new:
+    total = document["summary"]["total"]
+    if total:
         print(
-            f"privlint: {new} new finding(s) — fix them, add an "
-            "inline 'privlint: ignore[rule]' justification, or "
-            "grandfather with --update-baseline",
+            f"privlint: {total} finding(s) — fix them or add an "
+            "inline 'privlint: ignore[rule]' justification",
             file=sys.stderr,
         )
         status = 1

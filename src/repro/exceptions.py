@@ -103,7 +103,7 @@ class EngineError(ReproError):
 class LintError(ReproError):
     """A problem inside the :mod:`repro.privlint` static analyzer: an
     unparseable source file, a malformed ``repro-lint`` report or
-    baseline document, or an unknown rule name in a suppression.
+    ``repro-callgraph`` document, or a malformed suppression.
 
     The analyzer is fail-closed like the rest of the tooling: a file it
     cannot parse or a document it cannot trust raises instead of being

@@ -18,6 +18,7 @@ import json
 from pathlib import Path
 from typing import IO, Any
 
+from .. import documents
 from ..exceptions import GraphError
 from .graph import WeightedGraph
 
@@ -30,7 +31,8 @@ __all__ = [
     "read_edge_list",
 ]
 
-_FORMAT_VERSION = 1
+_GRAPH_FORMAT = "repro-graph"
+_GRAPH_VERSION = 1
 
 
 def _encode_vertex(v: Any) -> Any:
@@ -51,33 +53,31 @@ def _decode_vertex(v: Any) -> Any:
 
 def graph_to_json(graph: WeightedGraph) -> str:
     """Serialize a graph (topology + weights) to a JSON string."""
-    document = {
-        "format": "repro-graph",
-        "version": _FORMAT_VERSION,
-        "directed": graph.directed,
-        "vertices": [_encode_vertex(v) for v in graph.vertices()],
-        "edges": [
-            [_encode_vertex(u), _encode_vertex(v), w]
-            for u, v, w in graph.edges()
-        ],
-    }
-    return json.dumps(document)
+    return json.dumps(
+        documents.new(
+            _GRAPH_FORMAT,
+            _GRAPH_VERSION,
+            directed=graph.directed,
+            vertices=[_encode_vertex(v) for v in graph.vertices()],
+            edges=[
+                [_encode_vertex(u), _encode_vertex(v), w]
+                for u, v, w in graph.edges()
+            ],
+        )
+    )
 
 
 def graph_from_json(text: str) -> WeightedGraph:
     """Deserialize a graph from :func:`graph_to_json` output."""
-    document = json.loads(text)
-    if document.get("format") != "repro-graph":
-        raise GraphError("not a repro-graph JSON document")
-    if document.get("version") != _FORMAT_VERSION:
-        raise GraphError(
-            f"unsupported format version {document.get('version')!r}"
-        )
-    graph = WeightedGraph(directed=bool(document["directed"]))
-    for v in document["vertices"]:
-        graph.add_vertex(_decode_vertex(v))
-    for u, v, w in document["edges"]:
-        graph.add_edge(_decode_vertex(u), _decode_vertex(v), float(w))
+    document = documents.parse(
+        text, _GRAPH_FORMAT, _GRAPH_VERSION, GraphError, "graph document"
+    )
+    with documents.decoding(GraphError, "graph document"):
+        graph = WeightedGraph(directed=bool(document["directed"]))
+        for v in document["vertices"]:
+            graph.add_vertex(_decode_vertex(v))
+        for u, v, w in document["edges"]:
+            graph.add_edge(_decode_vertex(u), _decode_vertex(v), float(w))
     return graph
 
 

@@ -10,9 +10,10 @@ deterministic.  privlint turns those invariants into machine-checked
 properties of every source file: a zero-dependency ``ast`` visitor
 pipeline with five rule families (PL1 privacy taint, PL2 RNG
 discipline, PL3 observational purity, PL4 determinism hygiene, PL5
-budget hygiene), per-line ``# privlint: ignore[rule]`` suppressions,
-a count-aware committed JSON baseline for grandfathered findings, and
-a versioned ``repro-lint`` report document with a fail-closed reader.
+budget hygiene), per-line ``# privlint: ignore[rule]`` suppressions
+with dead-ignore detection, and a versioned ``repro-lint`` report
+document with a fail-closed reader.  Nothing grandfathers a finding:
+every one is fixed or carries an inline justification.
 
 PL1 and PL5 are inter-procedural: a project-wide call graph
 (:mod:`repro.privlint.callgraph`, serializable as the versioned
@@ -28,24 +29,18 @@ Run it via the CLI (the CI lint gate)::
     python -m repro.cli lint                      # self-host src/repro
     python -m repro.cli lint --format json        # machine-readable
     python -m repro.cli lint --paths src/repro/serving   # pre-commit
-    python -m repro.cli lint --update-baseline    # regrow the baseline
-    python -m repro.cli lint --report-unused-ignores  # dead ignores
+    python -m repro.cli lint --strict-ignores     # dead ignores fail
     python -m repro.cli lint --callgraph-out cg.json  # debug artifact
 
 or programmatically::
 
-    from repro.privlint import run_lint, lint_document, load_baseline
-    from repro.privlint import DEFAULT_BASELINE_PATH
+    from repro.privlint import run_lint, lint_document
 
-    result = run_lint()
-    document = lint_document(
-        result, load_baseline(DEFAULT_BASELINE_PATH)
-    )
-    assert document["summary"]["new"] == 0
+    document = lint_document(run_lint())
+    assert document["summary"]["total"] == 0
 
 See the README's "Static analysis" section for the rule catalog with
-motivating examples, the suppression syntax, and the baseline
-workflow.
+motivating examples and the suppression syntax.
 """
 
 from __future__ import annotations
@@ -74,15 +69,10 @@ from .engine import (
 )
 from .findings import SEVERITIES, Finding, finding_from_dict
 from .report import (
-    BASELINE_FORMAT,
-    BASELINE_VERSION,
-    DEFAULT_BASELINE_PATH,
     LINT_FORMAT,
     LINT_VERSION,
     lint_document,
-    load_baseline,
     render_text,
-    save_baseline,
     validate_lint_report,
 )
 from .rules import (
@@ -135,12 +125,7 @@ __all__ = [
     "is_suppressed",
     "LINT_FORMAT",
     "LINT_VERSION",
-    "BASELINE_FORMAT",
-    "BASELINE_VERSION",
-    "DEFAULT_BASELINE_PATH",
     "lint_document",
     "validate_lint_report",
-    "load_baseline",
-    "save_baseline",
     "render_text",
 ]

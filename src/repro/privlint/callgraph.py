@@ -48,6 +48,7 @@ from typing import (
     Tuple,
 )
 
+from .. import documents
 from ..exceptions import LintError
 from .engine import FunctionInfo, ModuleUnit
 
@@ -71,6 +72,15 @@ __all__ = [
 
 CALLGRAPH_FORMAT = "repro-callgraph"
 CALLGRAPH_VERSION = 1
+
+#: What each function entry of a callgraph document carries.
+_FUNCTION_KEYS = {
+    **dict.fromkeys(("id", "path", "module", "qualname"), str),
+    "line": int, "reads": list, "calls": list,
+    **dict.fromkeys(
+        ("returns_value", "serializes", "noises", "draws", "spends"), bool
+    ),
+}
 
 # ----------------------------------------------------------------------
 # The taint vocabulary (shared with the rules in rules.py)
@@ -528,18 +538,18 @@ def callgraph_document(graph: CallGraph) -> Dict[str, object]:
         if site.targets
     )
     total_sites = sum(len(node.calls) for node in nodes)
-    return {
-        "format": CALLGRAPH_FORMAT,
-        "version": CALLGRAPH_VERSION,
-        "functions": [node.as_dict() for node in nodes],
-        "stats": {
+    return documents.new(
+        CALLGRAPH_FORMAT,
+        CALLGRAPH_VERSION,
+        functions=[node.as_dict() for node in nodes],
+        stats={
             "functions": len(nodes),
             "call_sites": total_sites,
             "resolved_call_sites": resolved,
             "edges": graph.num_edges,
             "modules": len({node.module for node in nodes}),
         },
-    }
+    )
 
 
 def validate_callgraph(doc: object) -> Dict[str, object]:
@@ -551,64 +561,23 @@ def validate_callgraph(doc: object) -> Dict[str, object]:
     that disagree with the listed functions all raise
     :class:`~repro.exceptions.LintError`.
     """
-    if not isinstance(doc, dict):
-        raise LintError(
-            "callgraph must be a JSON object, got "
-            f"{type(doc).__name__}"
-        )
-    if doc.get("format") != CALLGRAPH_FORMAT:
-        raise LintError(
-            f"not a callgraph document (format={doc.get('format')!r}, "
-            f"expected {CALLGRAPH_FORMAT!r})"
-        )
-    if doc.get("version") != CALLGRAPH_VERSION:
-        raise LintError(
-            f"unsupported callgraph version {doc.get('version')!r} "
-            f"(this build reads version {CALLGRAPH_VERSION})"
-        )
-    functions = doc.get("functions")
-    if not isinstance(functions, list):
-        raise LintError("callgraph has no 'functions' list")
+    doc = documents.check(
+        doc, CALLGRAPH_FORMAT, CALLGRAPH_VERSION, LintError, "callgraph",
+        {"functions": list, "stats": dict},
+    )
+    functions = doc["functions"]
     ids = set()
     for entry in functions:
-        if not isinstance(entry, dict):
-            raise LintError("callgraph function entry is not an object")
-        for key in ("id", "path", "module", "qualname"):
-            if not isinstance(entry.get(key), str):
-                raise LintError(
-                    f"callgraph function entry lacks string {key!r}"
-                )
-        if not isinstance(entry.get("line"), int):
-            raise LintError(
-                "callgraph function entry lacks integer 'line'"
-            )
-        for key in (
-            "returns_value",
-            "serializes",
-            "noises",
-            "draws",
-            "spends",
-        ):
-            if not isinstance(entry.get(key), bool):
-                raise LintError(
-                    f"callgraph function entry lacks boolean {key!r}"
-                )
-        if not isinstance(entry.get("reads"), list) or not isinstance(
-            entry.get("calls"), list
-        ):
-            raise LintError(
-                "callgraph function entry lacks 'reads'/'calls' lists"
-            )
+        documents.require(
+            entry, LintError, "callgraph function entry", _FUNCTION_KEYS
+        )
         ids.add(entry["id"])
     edges = 0
     for entry in functions:
         for call in entry["calls"]:
-            if not isinstance(call, dict) or not isinstance(
-                call.get("targets"), list
-            ):
-                raise LintError(
-                    "callgraph call site lacks a 'targets' list"
-                )
+            documents.require(
+                call, LintError, "callgraph call site", {"targets": list}
+            )
             for target in call["targets"]:
                 if target not in ids:
                     raise LintError(
@@ -616,9 +585,7 @@ def validate_callgraph(doc: object) -> Dict[str, object]:
                         f"{target!r}"
                     )
                 edges += 1
-    stats = doc.get("stats")
-    if not isinstance(stats, dict):
-        raise LintError("callgraph has no 'stats' object")
+    stats = doc["stats"]
     if stats.get("functions") != len(functions) or (
         stats.get("edges") != edges
     ):

@@ -368,7 +368,7 @@ class UnusedIgnore:
 
 @dataclass(frozen=True)
 class LintResult:
-    """The outcome of one analyzer run (before baseline diffing)."""
+    """The outcome of one analyzer run."""
 
     #: Unsuppressed findings in stable report order.
     findings: Tuple[Finding, ...]
@@ -384,7 +384,7 @@ class LintResult:
 
 
 def _display_path(path: Path, package_root: Path) -> str:
-    """Report/baseline path for one scanned file: relative to the
+    """Report path for one scanned file: relative to the
     package root's parent when inside the package (stable across
     checkouts), else to the current directory, else absolute."""
     anchor = package_root.resolve().parent

@@ -2,14 +2,8 @@
 
 A finding pins one rule violation to one source location.  Findings
 are plain value objects so the rest of the analyzer — suppression
-filtering, baseline diffing, the JSON report — can treat them
-uniformly; rules never print, they only yield findings.
-
-Baselines match findings on :attr:`Finding.key` — ``(rule, path,
-message)``, deliberately *excluding* the line number — so grandfathered
-findings survive unrelated edits that shift code up or down, while any
-change to the offending function's name (messages embed the qualname)
-re-surfaces the finding for a fresh look.
+filtering, the JSON report — can treat them uniformly; rules never
+print, they only yield findings.
 """
 
 from __future__ import annotations
@@ -17,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from .. import documents
 from ..exceptions import LintError
 
 __all__ = ["Finding", "SEVERITIES", "finding_from_dict"]
 
 #: Recognized severities, strongest first.  Severity is informational —
-#: the lint gate fails on any *new* finding regardless of severity —
+#: the lint gate fails on any finding regardless of severity —
 #: but reports sort errors above warnings.
 SEVERITIES: Tuple[str, ...] = ("error", "warning")
 
@@ -38,13 +33,13 @@ class Finding:
     path:
         Display path of the offending file, POSIX-style and relative
         to the scan root's parent (``repro/serving/service.py``), so
-        reports and baselines are stable across checkouts.
+        reports are stable across checkouts.
     line:
         1-based line of the offending statement (the ``def`` line for
         function-scoped findings).
     message:
         Human-readable description; embeds the function qualname for
-        function-scoped findings so the baseline key is stable.
+        function-scoped findings.
     severity:
         ``error`` or ``warning`` (see :data:`SEVERITIES`).
     """
@@ -61,11 +56,6 @@ class Finding:
                 f"unknown finding severity {self.severity!r} "
                 f"(expected one of {', '.join(SEVERITIES)})"
             )
-
-    @property
-    def key(self) -> Tuple[str, str, str]:
-        """The baseline identity of this finding (line-independent)."""
-        return (self.rule, self.path, self.message)
 
     @property
     def sort_key(self) -> Tuple[str, int, str]:
@@ -91,30 +81,22 @@ class Finding:
 
 
 def finding_from_dict(entry: object) -> Finding:
-    """Rebuild a :class:`Finding` from a report/baseline mapping.
+    """Rebuild a :class:`Finding` from a report mapping.
 
     Fail-closed: a malformed entry raises
     :class:`~repro.exceptions.LintError` rather than producing a
     half-populated finding that would silently never match anything.
     """
-    if not isinstance(entry, dict):
-        raise LintError(
-            f"finding entry must be an object, got {type(entry).__name__}"
-        )
-    missing = [
-        k for k in ("rule", "path", "line", "message") if k not in entry
-    ]
-    if missing:
-        raise LintError(
-            f"finding entry is missing keys: {', '.join(missing)}"
-        )
-    try:
-        return Finding(
-            rule=str(entry["rule"]),
-            path=str(entry["path"]),
-            line=int(entry["line"]),
-            message=str(entry["message"]),
-            severity=str(entry.get("severity", "error")),
-        )
-    except (TypeError, ValueError) as error:
-        raise LintError(f"malformed finding entry: {error}") from None
+    entry = documents.require(
+        entry,
+        LintError,
+        "finding entry",
+        {"rule": str, "path": str, "line": int, "message": str},
+    )
+    return Finding(
+        rule=entry["rule"],
+        path=entry["path"],
+        line=entry["line"],
+        message=entry["message"],
+        severity=str(entry.get("severity", "error")),
+    )

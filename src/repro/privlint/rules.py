@@ -62,16 +62,7 @@ from typing import (
     Tuple,
 )
 
-from .callgraph import (
-    NOISE_SINK_NAMES,
-    NOISE_SINK_PREFIXES,
-    OUTPUT_SINKS,
-    SPEND_NAMES,
-    WEIGHT_READS,
-    CallGraph,
-    FunctionNode,
-    is_draw_name,
-)
+from .callgraph import SPEND_NAMES, CallGraph, FunctionNode, is_draw_name
 from .engine import FunctionInfo, ModuleUnit, ProjectContext
 from .findings import Finding
 from .suppressions import is_suppressed
@@ -88,14 +79,6 @@ __all__ = [
     "PL5_SERVING_GLOBS",
     "PL5_RELEASE_PRIMITIVES",
 ]
-
-# Backward-compatible aliases: the taint vocabulary moved to
-# repro.privlint.callgraph where the summary extractor lives.
-_WEIGHT_READS = WEIGHT_READS
-_NOISE_SINK_PREFIXES = NOISE_SINK_PREFIXES
-_NOISE_SINK_NAMES = NOISE_SINK_NAMES
-_OUTPUT_SINKS = OUTPUT_SINKS
-
 
 class Rule:
     """Base class for privlint rules (stateless; yields findings).

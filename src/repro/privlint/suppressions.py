@@ -14,8 +14,10 @@ enforces the syntax.
 
 Suppressions are deliberately line-scoped and rule-scoped: a file- or
 block-wide ignore would let new violations ride in under an old
-justification.  Grandfathered findings belong in the committed
-baseline instead (see :mod:`repro.privlint.report`).
+justification.  They are also the only way to accept a finding — the
+analyzer has no baseline of grandfathered findings — and an ignore
+that suppresses nothing is reported as dead (``lint
+--report-unused-ignores``; ``--strict-ignores`` fails the gate on it).
 """
 
 from __future__ import annotations

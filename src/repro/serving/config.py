@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 
+from .. import documents
 from ..dp.params import PrivacyParams
 from ..exceptions import GraphError, PrivacyError
 from ..graphs.graph import WeightedGraph
@@ -200,9 +201,9 @@ class ServingConfig:
 
     def to_json(self) -> str:
         """Serialize to a JSON config document."""
-        document = {"format": CONFIG_FORMAT, "version": _CONFIG_VERSION}
-        document.update(asdict(self))
-        return json.dumps(document)
+        return json.dumps(
+            documents.new(CONFIG_FORMAT, _CONFIG_VERSION, **asdict(self))
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "ServingConfig":
@@ -212,26 +213,12 @@ class ServingConfig:
         configs written before a knob existed); unknown fields are
         rejected (they are typos, not extensions).
         """
-        document = json.loads(text)
-        if document.get("format") != CONFIG_FORMAT:
-            raise GraphError("not a repro-serving-config JSON document")
-        if document.get("version") != _CONFIG_VERSION:
-            raise GraphError(
-                f"unsupported serving-config version "
-                f"{document.get('version')!r}"
-            )
-        fields = {
-            k: v
-            for k, v in document.items()
-            if k not in ("format", "version")
-        }
-        known = set(cls.__dataclass_fields__)
-        unknown = sorted(set(fields) - known)
-        if unknown:
-            raise GraphError(
-                f"unknown serving-config fields: {', '.join(unknown)}"
-            )
-        return cls(**fields)
+        document = documents.parse(
+            text, CONFIG_FORMAT, _CONFIG_VERSION, GraphError, "serving config"
+        )
+        return documents.construct(
+            cls, documents.body(document), GraphError, "serving config"
+        )
 
     def __str__(self) -> str:
         label = self.mechanism

@@ -16,6 +16,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from .. import documents
 from ..algorithms.traversal import is_connected
 from ..apsp.hubs import HubStructure
 from ..engine.csr import CSRGraph
@@ -192,47 +193,43 @@ class ShardPlan:
     def to_json(self) -> str:
         """Serialize the plan (all fields are public topology)."""
         return json.dumps(
-            {
-                "format": _PLAN_FORMAT,
-                "version": _PLAN_VERSION,
-                "num_shards": self._num_shards,
-                "seed": self.seed,
-                "assignment": [
+            documents.new(
+                _PLAN_FORMAT,
+                _PLAN_VERSION,
+                num_shards=self._num_shards,
+                seed=self.seed,
+                assignment=[
                     [_encode_vertex(v), shard]
                     for v, shard in self._assignment.items()
                 ],
-                "boundary": [_encode_vertex(v) for v in self._boundary],
-                "cut_edges": [
+                boundary=[_encode_vertex(v) for v in self._boundary],
+                cut_edges=[
                     [_encode_vertex(u), _encode_vertex(v)]
                     for u, v in self._cut_edges
                 ],
-            }
+            )
         )
 
     @classmethod
     def from_json(cls, text: str) -> "ShardPlan":
         """Restore a plan serialized by :meth:`to_json`."""
-        document = json.loads(text)
-        if document.get("format") != _PLAN_FORMAT:
-            raise GraphError("not a repro-shard-plan JSON document")
-        if document.get("version") != _PLAN_VERSION:
-            raise GraphError(
-                f"unsupported shard-plan version "
-                f"{document.get('version')!r}"
-            )
-        return cls(
-            int(document["num_shards"]),
-            {
-                _decode_vertex(v): int(shard)
-                for v, shard in document["assignment"]
-            },
-            [_decode_vertex(v) for v in document["boundary"]],
-            [
-                (_decode_vertex(u), _decode_vertex(v))
-                for u, v in document["cut_edges"]
-            ],
-            seed=document.get("seed"),
+        document = documents.parse(
+            text, _PLAN_FORMAT, _PLAN_VERSION, GraphError, "shard plan"
         )
+        with documents.decoding(GraphError, "shard plan"):
+            return cls(
+                int(document["num_shards"]),
+                {
+                    _decode_vertex(v): int(shard)
+                    for v, shard in document["assignment"]
+                },
+                [_decode_vertex(v) for v in document["boundary"]],
+                [
+                    (_decode_vertex(u), _decode_vertex(v))
+                    for u, v in document["cut_edges"]
+                ],
+                seed=document.get("seed"),
+            )
 
     def __repr__(self) -> str:
         return (

@@ -44,7 +44,7 @@ relay) within the epoch.
 from __future__ import annotations
 
 import time
-from typing import List, Mapping, MutableMapping, Sequence, Tuple
+from typing import Dict, List, Mapping, MutableMapping, Sequence, Tuple
 
 from ..apsp.hubs import HubStructure
 from ..dp.params import PrivacyParams
@@ -629,7 +629,8 @@ class DistanceService:
         tenant spend leaves the relay and the other shards untouched;
         a refused relay spend leaves every shard serving but
         cross-shard queries refusing until the next successful
-        refresh.
+        refresh.  The answer cache is cleared before either spend, so
+        a refused tenant's cached pairs refuse like its uncached ones.
         """
         if not 0 <= shard < self.num_shards:
             raise GraphError(
@@ -647,6 +648,10 @@ class DistanceService:
                     )
             else:
                 new_graph = self._graph
+            # Drop cached answers before the release they came from:
+            # a refused rebuild must refuse them too, not keep serving
+            # the old release for whichever pairs happen to be cached.
+            self._cache.clear()
             tenant = self._tenants[shard]
             tenant.graph = self._tenant_graph(shard, new_graph)
             # Fails closed on budget before any noise is drawn; on
@@ -656,7 +661,6 @@ class DistanceService:
             tenant.synopsis = None
             self._build_tenant(tenant)
             self._graph = new_graph
-            self._cache.clear()
             self._stats.record_shard_refresh()
             if self._shards is not None:
                 self._shards.relay = None

@@ -36,6 +36,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple, Type
 
 import numpy as np
 
+from .. import documents
 from ..algorithms.shortest_paths import all_pairs_dijkstra
 from ..algorithms.traversal import is_connected
 from ..apsp.hubs import HubStructure
@@ -71,7 +72,7 @@ __all__ = [
 ]
 
 SYNOPSIS_FORMAT = "repro-synopsis"
-_FORMAT_VERSION = 1
+_SYNOPSIS_VERSION = 1
 
 #: Registry of synopsis classes keyed by their ``kind`` string; this is
 #: what :func:`synopsis_from_json` dispatches on.
@@ -181,35 +182,36 @@ class DistanceSynopsis:
     def to_json(self) -> str:
         """Serialize to a JSON document (released values + public
         topology only — safe to publish under ``params``)."""
-        document = {
-            "format": SYNOPSIS_FORMAT,
-            "version": _FORMAT_VERSION,
-            "kind": self.kind,
-            "eps": self._params.eps,
-            "delta": self._params.delta,
-        }
-        document.update(self._payload())
-        return json.dumps(document)
+        return json.dumps(
+            documents.new(
+                SYNOPSIS_FORMAT,
+                _SYNOPSIS_VERSION,
+                kind=self.kind,
+                eps=self._params.eps,
+                delta=self._params.delta,
+                **self._payload(),
+            )
+        )
 
 
 def synopsis_from_json(text: str) -> DistanceSynopsis:
     """Restore any registered synopsis from :meth:`DistanceSynopsis.to_json`
     output, dispatching on the document's ``kind``."""
-    document = json.loads(text)
-    if document.get("format") != SYNOPSIS_FORMAT:
-        raise SynopsisError("not a repro-synopsis JSON document")
-    if document.get("version") != _FORMAT_VERSION:
-        raise SynopsisError(
-            f"unsupported synopsis version {document.get('version')!r}"
-        )
-    kind = document.get("kind")
+    document = documents.parse(
+        text, SYNOPSIS_FORMAT, _SYNOPSIS_VERSION, SynopsisError, "synopsis",
+        {"kind": str},
+    )
+    kind = document["kind"]
     if kind not in _REGISTRY:
         raise SynopsisError(
             f"unknown synopsis kind {kind!r}; registered kinds: "
             f"{', '.join(sorted(_REGISTRY))}"
         )
-    params = PrivacyParams(float(document["eps"]), float(document["delta"]))
-    return _REGISTRY[kind]._from_payload(document, params)
+    with documents.decoding(SynopsisError, f"{kind} synopsis"):
+        params = PrivacyParams(
+            float(document["eps"]), float(document["delta"])
+        )
+        return _REGISTRY[kind]._from_payload(document, params)
 
 
 class _PairTableSynopsis(DistanceSynopsis):
@@ -257,6 +259,22 @@ class _PairTableSynopsis(DistanceSynopsis):
             return 0.0
         return self._lookup(source, target)
 
+    def _payload(self) -> Dict[str, Any]:
+        return {
+            "vertices": [_encode_vertex(v) for v in self._vertices],
+            "pairs": _encode_pair_table(self._table),
+        }
+
+    @classmethod
+    def _from_payload(
+        cls, payload: Dict[str, Any], params: PrivacyParams
+    ) -> "_PairTableSynopsis":
+        return cls(
+            params,
+            _decode_pair_table(payload["pairs"]),
+            [_decode_vertex(v) for v in payload["vertices"]],
+        )
+
 
 @register_synopsis
 class SinglePairSynopsis(_PairTableSynopsis):
@@ -278,22 +296,6 @@ class SinglePairSynopsis(_PairTableSynopsis):
         recomputed from the table size, so it survives JSON round
         trips exactly."""
         return max(self.num_entries, 1) / self._params.eps
-
-    def _payload(self) -> Dict[str, Any]:
-        return {
-            "vertices": [_encode_vertex(v) for v in self._vertices],
-            "pairs": _encode_pair_table(self._table),
-        }
-
-    @classmethod
-    def _from_payload(
-        cls, payload: Dict[str, Any], params: PrivacyParams
-    ) -> "SinglePairSynopsis":
-        return cls(
-            params,
-            _decode_pair_table(payload["pairs"]),
-            [_decode_vertex(v) for v in payload["vertices"]],
-        )
 
 
 @register_synopsis
@@ -329,22 +331,6 @@ class AllPairsSynopsis(_PairTableSynopsis):
             # must still be answerable (distance to self is 0).
             vertices = set(release.graph.vertices())
         return cls(release.params, table, vertices)
-
-    def _payload(self) -> Dict[str, Any]:
-        return {
-            "vertices": [_encode_vertex(v) for v in self._vertices],
-            "pairs": _encode_pair_table(self._table),
-        }
-
-    @classmethod
-    def _from_payload(
-        cls, payload: Dict[str, Any], params: PrivacyParams
-    ) -> "AllPairsSynopsis":
-        return cls(
-            params,
-            _decode_pair_table(payload["pairs"]),
-            [_decode_vertex(v) for v in payload["vertices"]],
-        )
 
 
 @register_synopsis

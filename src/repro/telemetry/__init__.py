@@ -31,6 +31,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, List
 
+from .. import documents
 from .audit import (
     AUDIT_FORMAT,
     AUDIT_VERSION,
@@ -217,12 +218,12 @@ class Telemetry:
 
     def snapshot(self) -> Dict[str, object]:
         """The JSON-safe interchange document for this bundle."""
-        return {
-            "format": SNAPSHOT_FORMAT,
-            "version": SNAPSHOT_VERSION,
-            "metrics": self.registry.snapshot(),
-            "spans": self.tracer.snapshot(),
-        }
+        return documents.new(
+            SNAPSHOT_FORMAT,
+            SNAPSHOT_VERSION,
+            metrics=self.registry.snapshot(),
+            spans=self.tracer.snapshot(),
+        )
 
     def prometheus_text(self) -> str:
         """This bundle's metrics as Prometheus text exposition."""

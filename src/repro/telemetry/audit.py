@@ -43,11 +43,11 @@ with auditing enabled, disabled, or logging to disk.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from typing import Dict, List, Mapping, Sequence
 
+from .. import documents
 from ..exceptions import AuditError
 
 __all__ = [
@@ -68,37 +68,27 @@ __all__ = [
 AUDIT_FORMAT = "repro-audit"
 AUDIT_VERSION = 1
 
+_ODOMETER_FORMAT = "repro-audit-odometer"
+_ODOMETER_VERSION = 1
+
 #: The hash the first record chains from.
 GENESIS_HASH = "0" * 64
 
-_REQUIRED_KEYS = frozenset(
-    ("seq", "ts", "kind", "epoch", "tenant", "trace_id", "span_id",
-     "payload", "hash")
-)
-
-
-def _json_safe(value: object) -> object:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    return str(value)
-
-
-def _canonical(doc: Mapping[str, object]) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+_REQUIRED_KEYS = {
+    "seq": int, "ts": documents.NUMBER, "kind": str, "epoch": object,
+    "tenant": object, "trace_id": object, "span_id": object,
+    "payload": dict, "hash": str,
+}
 
 
 def _chain_hash(prev_hash: str, record: Mapping[str, object]) -> str:
     body = {k: v for k, v in record.items() if k != "hash"}
     return hashlib.sha256(
-        (prev_hash + _canonical(body)).encode("utf-8")
+        (prev_hash + documents.canonical(body)).encode("utf-8")
     ).hexdigest()
 
 
-class AuditLog:
+class AuditLog(documents.Journal):
     """An append-only, hash-chained event log.
 
     With ``path=None`` the log is in-memory only (still chained, still
@@ -108,52 +98,24 @@ class AuditLog:
     the chain continues from the last hash.
     """
 
-    enabled = True
-
     def __init__(self, path: str | os.PathLike | None = None) -> None:
-        self._path = os.fspath(path) if path is not None else None
-        self._records: List[Dict[str, object]] = []
-        self._file = None
-        self._seq = 0
-        self._prev_hash = GENESIS_HASH
-        self._tracer = None
-        resumed = False
-        if self._path is not None and os.path.exists(self._path) and (
-            os.path.getsize(self._path) > 0
+        existing: List[Dict[str, object]] = []
+        if path is not None and os.path.exists(path) and (
+            os.path.getsize(path) > 0
         ):
-            existing = read_audit_log(self._path)
-            self._records = existing
-            last = existing[-1]
-            self._seq = int(last["seq"]) + 1  # type: ignore[arg-type]
-            self._prev_hash = str(last["hash"])
-            resumed = True
-        if self._path is not None:
-            self._file = open(
-                self._path, "a" if resumed else "w", encoding="utf-8"
-            )
-        header = {"format": AUDIT_FORMAT, "version": AUDIT_VERSION}
-        if resumed:
-            header["resumed"] = True
-        self.record("audit.open", **header)
-
-    @property
-    def path(self) -> str | None:
-        """The backing JSONL file, if any."""
-        return self._path
-
-    @property
-    def seq(self) -> int:
-        """The sequence number the next record will get."""
-        return self._seq
+            existing = read_audit_log(path)
+        super().__init__(path, existing)
+        self._prev_hash = existing[-1]["hash"] if existing else GENESIS_HASH
+        header = {"resumed": True} if existing else {}
+        self.record(
+            "audit.open",
+            **documents.new(AUDIT_FORMAT, AUDIT_VERSION, **header),
+        )
 
     @property
     def head_hash(self) -> str:
         """The hash of the most recent record."""
         return self._prev_hash
-
-    def bind_tracer(self, tracer) -> None:
-        """Correlate future records with ``tracer``'s open spans."""
-        self._tracer = tracer
 
     def record(
         self,
@@ -164,9 +126,7 @@ class AuditLog:
         **payload: object,
     ) -> Dict[str, object]:
         """Append one event; returns the completed record."""
-        trace_id = span_id = None
-        if self._tracer is not None:
-            trace_id, span_id = self._tracer.current_ids()
+        trace_id, span_id = self._span_ids()
         rec: Dict[str, object] = {
             "seq": self._seq,
             "ts": time.time(),  # privlint: ignore[PL4] observational record timestamp
@@ -175,42 +135,11 @@ class AuditLog:
             "tenant": tenant,
             "trace_id": trace_id,
             "span_id": span_id,
-            "payload": {k: _json_safe(v) for k, v in payload.items()},
+            "payload": documents.json_safe(payload),
         }
         rec["hash"] = _chain_hash(self._prev_hash, rec)
         self._prev_hash = rec["hash"]
-        self._seq += 1
-        self._records.append(rec)
-        if self._file is not None:
-            self._file.write(_canonical(rec) + "\n")
-            self._file.flush()
-        return rec
-
-    def records(self) -> List[Dict[str, object]]:
-        """Every record appended so far (including any resumed from
-        disk), oldest first."""
-        return list(self._records)
-
-    def tail(self, n: int = 10) -> List[Dict[str, object]]:
-        """The most recent ``n`` records."""
-        if n <= 0:
-            return []
-        return list(self._records[-n:])
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def close(self) -> None:
-        """Flush and close the backing file (in-memory records stay)."""
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-
-    def __enter__(self) -> "AuditLog":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+        return self._append(rec)
 
 
 class NullAuditLog(AuditLog):
@@ -219,30 +148,15 @@ class NullAuditLog(AuditLog):
     enabled = False
 
     def __init__(self) -> None:  # noqa: D107 — no file, no chain
-        self._path = None
-        self._records = []
-        self._file = None
-        self._seq = 0
+        documents.Journal.__init__(self)
         self._prev_hash = GENESIS_HASH
-        self._tracer = None
 
     def record(self, kind, *, epoch=None, tenant=None, **payload):
         return {}
 
-    def bind_tracer(self, tracer) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
 
 #: The shared disabled audit log (the default on every bundle).
 NULL_AUDIT = NullAuditLog()
-
-
-def _fail(message: str, line: int | None = None) -> AuditError:
-    where = f" (line {line})" if line is not None else ""
-    return AuditError(f"audit log invalid{where}: {message}")
 
 
 def validate_records(
@@ -253,54 +167,19 @@ def validate_records(
     Checks the header, monotonic sequence numbers, required keys, and
     the full hash chain; returns the records as plain dicts.
     """
-    if not records:
-        raise _fail("empty log (no audit.open header)")
-    out: List[Dict[str, object]] = []
+    out = documents.check_journal(
+        records, ("kind", "audit.open", "payload"), AUDIT_FORMAT,
+        AUDIT_VERSION, AuditError, "audit log", _REQUIRED_KEYS,
+    )
     prev_hash = GENESIS_HASH
-    for i, rec in enumerate(records):
-        line = i + 1
-        if not isinstance(rec, Mapping):
-            raise _fail("record is not a JSON object", line)
-        missing = _REQUIRED_KEYS - set(rec)
-        if missing:
-            raise _fail(
-                f"record missing keys {sorted(missing)}", line
-            )
-        if rec["seq"] != i:
-            raise _fail(
-                f"sequence gap: expected seq {i}, got {rec['seq']!r}",
-                line,
-            )
-        expected = _chain_hash(prev_hash, rec)
-        if rec["hash"] != expected:
-            raise _fail(
-                f"hash chain broken at seq {i}: record was altered, "
-                "reordered, or an earlier record is missing",
-                line,
+    for i, rec in enumerate(out):
+        if rec["hash"] != _chain_hash(prev_hash, rec):
+            raise AuditError(
+                f"audit log invalid (line {i + 1}): hash chain broken "
+                f"at seq {i}: record was altered, reordered, or an "
+                "earlier record is missing"
             )
         prev_hash = str(rec["hash"])
-        out.append(dict(rec))
-    head = out[0]
-    if head["kind"] != "audit.open":
-        raise _fail(
-            f"first record must be 'audit.open', got {head['kind']!r}",
-            1,
-        )
-    payload = head["payload"]
-    if not isinstance(payload, Mapping):
-        raise _fail("audit.open payload is not an object", 1)
-    if payload.get("format") != AUDIT_FORMAT:
-        raise _fail(
-            f"not an audit log (format={payload.get('format')!r}, "
-            f"expected {AUDIT_FORMAT!r})",
-            1,
-        )
-    if payload.get("version") != AUDIT_VERSION:
-        raise _fail(
-            f"unsupported audit log version {payload.get('version')!r} "
-            f"(this build reads version {AUDIT_VERSION})",
-            1,
-        )
     return out
 
 
@@ -311,21 +190,9 @@ def read_audit_log(path: str | os.PathLike) -> List[Dict[str, object]]:
     (including a truncated final line), sequence gaps, a broken hash
     chain, or a missing/mismatched header.
     """
-    parsed: List[object] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                parsed.append(json.loads(stripped))
-            except json.JSONDecodeError as exc:
-                raise _fail(
-                    f"malformed JSON ({exc.msg}) — truncated or "
-                    "corrupted record",
-                    i + 1,
-                ) from exc
-    return validate_records(parsed)  # type: ignore[arg-type]
+    return validate_records(
+        documents.read_journal(path, AuditError, "audit log")
+    )
 
 
 def _fresh_tenant_state(epoch: object) -> Dict[str, object]:
@@ -404,12 +271,13 @@ def replay_odometer(
                     state["budget_delta"] = payload.get("budget_delta")
             if isinstance(new_epoch, int):
                 epoch = max(epoch, new_epoch)
-    return {
-        "format": "repro-audit-odometer",
-        "epoch": epoch,
-        "spend_records": spends,
-        "tenants": tenants,
-    }
+    return documents.new(
+        _ODOMETER_FORMAT,
+        _ODOMETER_VERSION,
+        epoch=epoch,
+        spend_records=spends,
+        tenants=tenants,
+    )
 
 
 def verify_audit_log(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Mapping
 
+from .. import documents
 from ..exceptions import TelemetryError
 
 __all__ = [
@@ -39,6 +40,15 @@ _LABEL_NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_]")
 #: Prometheus metric kind per snapshot kind (histograms become
 #: summaries: we export client-side quantiles, not server buckets).
 _PROM_TYPE = {"counter": "counter", "gauge": "gauge", "histogram": "summary"}
+
+#: What every snapshot metric entry carries, and what each kind adds
+#: (the fields the exporters and the ``metrics``/``report`` CLIs read).
+_ENTRY_KEYS = {"name": str, "kind": str, "labels": dict}
+_KIND_KEYS = {
+    "counter": {"value": documents.NUMBER},
+    "gauge": {"value": documents.NUMBER},
+    "histogram": {"count": int, "sum": documents.NUMBER, "quantiles": dict},
+}
 
 
 def prometheus_name(name: str) -> str:
@@ -90,26 +100,19 @@ def _format_value(value: object) -> str:
 
 def validate_snapshot(doc: object) -> Dict[str, object]:
     """Check a parsed snapshot document; returns it typed as a dict."""
-    if not isinstance(doc, dict):
-        raise TelemetryError(
-            "telemetry snapshot must be a JSON object, got "
-            f"{type(doc).__name__}"
-        )
-    fmt = doc.get("format")
-    if fmt != SNAPSHOT_FORMAT:
-        raise TelemetryError(
-            f"not a telemetry snapshot (format={fmt!r}, expected "
-            f"{SNAPSHOT_FORMAT!r})"
-        )
-    version = doc.get("version")
-    if version != SNAPSHOT_VERSION:
-        raise TelemetryError(
-            f"unsupported telemetry snapshot version {version!r} "
-            f"(this build reads version {SNAPSHOT_VERSION})"
-        )
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, list):
-        raise TelemetryError("telemetry snapshot has no 'metrics' list")
+    doc = documents.check(
+        doc, SNAPSHOT_FORMAT, SNAPSHOT_VERSION, TelemetryError,
+        "telemetry snapshot", {"metrics": list},
+    )
+    for i, entry in enumerate(doc["metrics"]):
+        what = f"telemetry snapshot metric #{i}"
+        entry = documents.require(entry, TelemetryError, what, _ENTRY_KEYS)
+        keys = _KIND_KEYS.get(entry["kind"])
+        if keys is None:
+            raise TelemetryError(
+                f"unknown metric kind {entry['kind']!r} in snapshot"
+            )
+        documents.require(entry, TelemetryError, what, keys)
     return doc
 
 
@@ -121,11 +124,7 @@ def snapshot_to_prometheus(doc: Mapping[str, object]) -> str:
     for entry in doc["metrics"]:  # type: ignore[index]
         name = prometheus_name(str(entry["name"]))
         kind = str(entry["kind"])
-        prom_type = _PROM_TYPE.get(kind)
-        if prom_type is None:
-            raise TelemetryError(
-                f"unknown metric kind {kind!r} in snapshot"
-            )
+        prom_type = _PROM_TYPE[kind]
         labels = entry.get("labels", {})
         if name not in seen_types:
             seen_types[name] = prom_type

@@ -29,11 +29,11 @@ logging on, off, or streaming to disk.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from typing import Dict, List, Mapping
+from typing import Dict, List
 
+from .. import documents
 from ..exceptions import TelemetryError
 
 __all__ = [
@@ -48,18 +48,13 @@ __all__ = [
 EVENT_LOG_FORMAT = "repro-events"
 EVENT_LOG_VERSION = 1
 
-
-def _json_safe(value: object) -> object:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    return str(value)
+_REQUIRED_KEYS = {
+    "seq": int, "ts": documents.NUMBER, "event": str, "tenant": object,
+    "epoch": object, "trace_id": object, "span_id": object, "fields": dict,
+}
 
 
-class EventLog:
+class EventLog(documents.Journal):
     """An append-only JSON-lines log of structured events.
 
     With ``path=None`` events accumulate in memory only; with a path,
@@ -72,30 +67,11 @@ class EventLog:
     inside.
     """
 
-    enabled = True
-
     def __init__(self, path: str | os.PathLike | None = None) -> None:
-        self._path = os.fspath(path) if path is not None else None
-        self._records: List[Dict[str, object]] = []
-        self._file = None
-        self._seq = 0
-        self._tracer = None
-        if self._path is not None:
-            self._file = open(self._path, "w", encoding="utf-8")
+        super().__init__(path)
         self.emit(
-            "log.open",
-            format=EVENT_LOG_FORMAT,
-            version=EVENT_LOG_VERSION,
+            "log.open", **documents.new(EVENT_LOG_FORMAT, EVENT_LOG_VERSION)
         )
-
-    @property
-    def path(self) -> str | None:
-        """The backing JSONL file, if any."""
-        return self._path
-
-    def bind_tracer(self, tracer) -> None:
-        """Correlate future events with ``tracer``'s open spans."""
-        self._tracer = tracer
 
     def emit(
         self,
@@ -106,53 +82,19 @@ class EventLog:
         **fields: object,
     ) -> Dict[str, object]:
         """Append one event; returns the completed record."""
-        trace_id = span_id = None
-        if self._tracer is not None:
-            trace_id, span_id = self._tracer.current_ids()
-        rec: Dict[str, object] = {
-            "seq": self._seq,
-            "ts": time.time(),  # privlint: ignore[PL4] observational record timestamp
-            "event": event,
-            "tenant": tenant,
-            "epoch": epoch,
-            "trace_id": trace_id,
-            "span_id": span_id,
-            "fields": {k: _json_safe(v) for k, v in fields.items()},
-        }
-        self._seq += 1
-        self._records.append(rec)
-        if self._file is not None:
-            self._file.write(
-                json.dumps(rec, sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
-            self._file.flush()
-        return rec
-
-    def records(self) -> List[Dict[str, object]]:
-        """Every event emitted so far, oldest first."""
-        return list(self._records)
-
-    def tail(self, n: int = 10) -> List[Dict[str, object]]:
-        """The most recent ``n`` events."""
-        if n <= 0:
-            return []
-        return list(self._records[-n:])
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def close(self) -> None:
-        """Flush and close the backing file (in-memory records stay)."""
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-
-    def __enter__(self) -> "EventLog":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+        trace_id, span_id = self._span_ids()
+        return self._append(
+            {
+                "seq": self._seq,
+                "ts": time.time(),  # privlint: ignore[PL4] observational record timestamp
+                "event": event,
+                "tenant": tenant,
+                "epoch": epoch,
+                "trace_id": trace_id,
+                "span_id": span_id,
+                "fields": documents.json_safe(fields),
+            }
+        )
 
 
 class NullEventLog(EventLog):
@@ -161,20 +103,10 @@ class NullEventLog(EventLog):
     enabled = False
 
     def __init__(self) -> None:  # noqa: D107 — no file, no header
-        self._path = None
-        self._records = []
-        self._file = None
-        self._seq = 0
-        self._tracer = None
+        documents.Journal.__init__(self)
 
     def emit(self, event, *, tenant=None, epoch=None, **fields):
         return {}
-
-    def bind_tracer(self, tracer) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
 
 #: The shared disabled event log (the default on every bundle).
@@ -189,57 +121,8 @@ def read_event_log(path: str | os.PathLike) -> List[Dict[str, object]]:
     record is the ``log.open`` header with a readable version.
     Raises :class:`~repro.exceptions.TelemetryError` otherwise.
     """
-    required = ("seq", "ts", "event", "tenant", "epoch", "trace_id",
-                "span_id", "fields")
-    records: List[Dict[str, object]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                rec = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise TelemetryError(
-                    f"event log invalid (line {i + 1}): malformed "
-                    f"JSON ({exc.msg}) — truncated or corrupted record"
-                ) from exc
-            if not isinstance(rec, Mapping):
-                raise TelemetryError(
-                    f"event log invalid (line {i + 1}): record is not "
-                    "a JSON object"
-                )
-            missing = [k for k in required if k not in rec]
-            if missing:
-                raise TelemetryError(
-                    f"event log invalid (line {i + 1}): record "
-                    f"missing keys {missing}"
-                )
-            if rec["seq"] != len(records):
-                raise TelemetryError(
-                    f"event log invalid (line {i + 1}): sequence gap "
-                    f"(expected seq {len(records)}, got {rec['seq']!r})"
-                )
-            records.append(dict(rec))
-    if not records:
-        raise TelemetryError(
-            "event log invalid: empty log (no log.open header)"
-        )
-    head = records[0]
-    fields = head.get("fields")
-    if head.get("event") != "log.open" or not isinstance(fields, Mapping):
-        raise TelemetryError(
-            "event log invalid (line 1): first record must be the "
-            "'log.open' header"
-        )
-    if fields.get("format") != EVENT_LOG_FORMAT:
-        raise TelemetryError(
-            f"not an event log (format={fields.get('format')!r}, "
-            f"expected {EVENT_LOG_FORMAT!r})"
-        )
-    if fields.get("version") != EVENT_LOG_VERSION:
-        raise TelemetryError(
-            f"unsupported event log version {fields.get('version')!r} "
-            f"(this build reads version {EVENT_LOG_VERSION})"
-        )
-    return records
+    return documents.check_journal(
+        documents.read_journal(path, TelemetryError, "event log"),
+        ("event", "log.open", "fields"), EVENT_LOG_FORMAT,
+        EVENT_LOG_VERSION, TelemetryError, "event log", _REQUIRED_KEYS,
+    )

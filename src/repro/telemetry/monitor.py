@@ -32,11 +32,11 @@ the public ``estimate()`` surface and consume no extra budget.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+from .. import documents
 from ..exceptions import TelemetryError
 from .export import validate_snapshot
 
@@ -52,6 +52,9 @@ __all__ = [
 
 ALERT_RULES_FORMAT = "repro-alert-rules"
 ALERT_RULES_VERSION = 1
+
+_CALIBRATION_FORMAT = "repro-calibration"
+_CALIBRATION_VERSION = 1
 
 _OPS = {
     ">": lambda a, b: a > b,
@@ -140,40 +143,14 @@ class Alert:
 
 def load_alert_rules(text: str) -> List[AlertRule]:
     """Parse a ``repro-alert-rules`` JSON document; fail-closed."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TelemetryError(
-            f"alert rules document is not valid JSON: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict) or doc.get("format") != (
-        ALERT_RULES_FORMAT
-    ):
-        raise TelemetryError(
-            "not an alert-rules document (expected format "
-            f"{ALERT_RULES_FORMAT!r})"
-        )
-    if doc.get("version") != ALERT_RULES_VERSION:
-        raise TelemetryError(
-            f"unsupported alert-rules version {doc.get('version')!r} "
-            f"(this build reads version {ALERT_RULES_VERSION})"
-        )
-    rules = doc.get("rules")
-    if not isinstance(rules, list):
-        raise TelemetryError("alert-rules document has no 'rules' list")
-    out: List[AlertRule] = []
-    for i, raw in enumerate(rules):
-        if not isinstance(raw, dict):
-            raise TelemetryError(f"alert rule #{i} is not an object")
-        unknown = sorted(
-            set(raw) - set(AlertRule.__dataclass_fields__)
-        )
-        if unknown:
-            raise TelemetryError(
-                f"alert rule #{i}: unknown fields {', '.join(unknown)}"
-            )
-        out.append(AlertRule(**raw))
-    return out
+    doc = documents.parse(
+        text, ALERT_RULES_FORMAT, ALERT_RULES_VERSION, TelemetryError,
+        "alert-rules document", {"rules": list},
+    )
+    return [
+        documents.construct(AlertRule, raw, TelemetryError, f"alert rule #{i}")
+        for i, raw in enumerate(doc["rules"])
+    ]
 
 
 def _entry_value(entry: Mapping[str, object], field: str):
@@ -401,8 +378,9 @@ class CalibrationWatchdog:
     def report(self) -> Dict[str, object]:
         """Judge every probe pair; publishes gauges when wired.
 
-        Returns ``{"format": "repro-calibration", "band": [lo, hi],
-        "pairs": [...], "drifting": [...]}`` where each pair entry
+        Returns ``{"format": "repro-calibration", "version": 1,
+        "band": [lo, hi], "min_epochs": n, "pairs": [...],
+        "drifting": [...]}`` where each pair entry
         carries the observation count, the mean advertised scale, the
         advertised and observed stds, their ratio, and a status of
         ``"ok"`` / ``"drift"`` / ``"pending"`` (not enough epochs) /
@@ -451,13 +429,14 @@ class CalibrationWatchdog:
                         "calibration.drift", pair=label
                     ).inc()
             entries.append(entry)
-        return {
-            "format": "repro-calibration",
-            "band": [low, high],
-            "min_epochs": self._min_epochs,
-            "pairs": entries,
-            "drifting": drifting,
-        }
+        return documents.new(
+            _CALIBRATION_FORMAT,
+            _CALIBRATION_VERSION,
+            band=[low, high],
+            min_epochs=self._min_epochs,
+            pairs=entries,
+            drifting=drifting,
+        )
 
     def alerts(self) -> List[Alert]:
         """Drifting pairs rendered as :class:`Alert` objects."""

@@ -44,6 +44,7 @@ import tracemalloc
 from collections import deque
 from typing import Deque, Dict, List, Mapping, Tuple
 
+from .. import documents
 from ..exceptions import TelemetryError
 from .sketch import QuantileSketch
 from .tracer import Span, Tracer
@@ -73,6 +74,18 @@ PROFILE_VERSION = 1
 
 FLIGHT_FORMAT = "repro-flight"
 FLIGHT_VERSION = 1
+
+#: What each profile phase row and each flight record carries for the
+#: ``profile`` and ``flight`` CLIs to read.
+_PHASE_KEYS = {
+    "phase": str, "count": int, "wall_seconds": documents.NUMBER,
+    "wall_self_seconds": documents.NUMBER, "cpu_seconds": documents.NUMBER,
+    "alloc_net_bytes": documents.NUMBER,
+}
+_RECORD_KEYS = {
+    "seq": int, "route": str, "latency_seconds": documents.NUMBER,
+    "threshold_seconds": documents.NUMBER, "phases": dict,
+}
 
 
 # ----------------------------------------------------------------------
@@ -426,12 +439,12 @@ def profile_document(
     and, when a sampling profiler ran too, its collapsed-stack text
     and sample count — one artifact holding both views of the run.
     """
-    doc: Dict[str, object] = {
-        "format": PROFILE_FORMAT,
-        "version": PROFILE_VERSION,
-        "total_wall_seconds": profiler.total_wall_seconds(),
-        "phases": profiler.phase_summary(),
-    }
+    doc = documents.new(
+        PROFILE_FORMAT,
+        PROFILE_VERSION,
+        total_wall_seconds=profiler.total_wall_seconds(),
+        phases=profiler.phase_summary(),
+    )
     if sampler is not None:
         doc["samples"] = sampler.sample_count
         doc["collapsed"] = sampler.collapsed()
@@ -440,23 +453,15 @@ def profile_document(
 
 def validate_profile(doc: object) -> Dict[str, object]:
     """Check a parsed profile document; returns it typed as a dict."""
-    if not isinstance(doc, dict):
-        raise TelemetryError(
-            "profile document must be a JSON object, got "
-            f"{type(doc).__name__}"
+    doc = documents.check(
+        doc, PROFILE_FORMAT, PROFILE_VERSION, TelemetryError,
+        "profile document",
+        {"total_wall_seconds": documents.NUMBER, "phases": list},
+    )
+    for i, row in enumerate(doc["phases"]):
+        documents.require(
+            row, TelemetryError, f"profile phase #{i}", _PHASE_KEYS
         )
-    if doc.get("format") != PROFILE_FORMAT:
-        raise TelemetryError(
-            f"not a profile document (format={doc.get('format')!r}, "
-            f"expected {PROFILE_FORMAT!r})"
-        )
-    if doc.get("version") != PROFILE_VERSION:
-        raise TelemetryError(
-            f"unsupported profile version {doc.get('version')!r} "
-            f"(this build reads version {PROFILE_VERSION})"
-        )
-    if not isinstance(doc.get("phases"), list):
-        raise TelemetryError("profile document has no 'phases' list")
     return doc
 
 
@@ -630,17 +635,17 @@ class FlightRecorder:
 
     def to_document(self) -> Dict[str, object]:
         """The versioned JSON flight-record document."""
-        return {
-            "format": FLIGHT_FORMAT,
-            "version": FLIGHT_VERSION,
-            "capacity": self.capacity,
-            "quantile": self.quantile,
-            "warmup": self.warmup,
-            "threshold_seconds": self.threshold_seconds,
-            "considered": self._considered,
-            "captured": self._captured,
-            "records": self.records(),
-        }
+        return documents.new(
+            FLIGHT_FORMAT,
+            FLIGHT_VERSION,
+            capacity=self.capacity,
+            quantile=self.quantile,
+            warmup=self.warmup,
+            threshold_seconds=self.threshold_seconds,
+            considered=self._considered,
+            captured=self._captured,
+            records=self.records(),
+        )
 
     def clear(self) -> None:
         """Drop retained records and live sketches (capacity kept)."""
@@ -669,21 +674,14 @@ NULL_FLIGHT = NullFlightRecorder()
 
 def validate_flight(doc: object) -> Dict[str, object]:
     """Check a parsed flight document; returns it typed as a dict."""
-    if not isinstance(doc, dict):
-        raise TelemetryError(
-            "flight document must be a JSON object, got "
-            f"{type(doc).__name__}"
+    doc = documents.check(
+        doc, FLIGHT_FORMAT, FLIGHT_VERSION, TelemetryError,
+        "flight-record document",
+        {"capacity": int, "considered": int, "captured": int,
+         "records": list},
+    )
+    for i, record in enumerate(doc["records"]):
+        documents.require(
+            record, TelemetryError, f"flight record #{i}", _RECORD_KEYS
         )
-    if doc.get("format") != FLIGHT_FORMAT:
-        raise TelemetryError(
-            f"not a flight-record document (format="
-            f"{doc.get('format')!r}, expected {FLIGHT_FORMAT!r})"
-        )
-    if doc.get("version") != FLIGHT_VERSION:
-        raise TelemetryError(
-            f"unsupported flight-record version {doc.get('version')!r} "
-            f"(this build reads version {FLIGHT_VERSION})"
-        )
-    if not isinstance(doc.get("records"), list):
-        raise TelemetryError("flight document has no 'records' list")
     return doc

@@ -1,5 +1,5 @@
 """Tests for the ``lint`` CLI subcommand (exit codes, formats,
-baseline workflow, report artifacts)."""
+report artifacts)."""
 
 from __future__ import annotations
 
@@ -39,13 +39,12 @@ class TestExitCodes:
         assert main(["lint"]) == 0
         out = capsys.readouterr().out
         assert "0 finding(s)" in out
-        assert "0 new" in out
 
     def test_new_findings_exit_one(self, dirty_tree, capsys):
         assert main(["lint", "--paths", str(dirty_tree)]) == 1
         captured = capsys.readouterr()
         assert "PL2" in captured.out
-        assert "new finding(s)" in captured.err
+        assert "privlint: 1 finding(s)" in captured.err
 
     def test_missing_path_is_a_usage_error(self, tmp_path, capsys):
         code = main(["lint", "--paths", str(tmp_path / "gone")])
@@ -60,9 +59,9 @@ class TestFormats:
         ) == 1
         document = json.loads(capsys.readouterr().out)
         validate_lint_report(document)
-        assert document["summary"]["new"] == 1
+        assert document["summary"]["total"] == 1
         assert document["findings"][0]["rule"] == "PL2"
-        assert document["findings"][0]["baselined"] is False
+        assert "baselined" not in document["findings"][0]
 
     def test_text_findings_carry_location_and_severity(
         self, capsys
@@ -184,88 +183,3 @@ class TestCallgraphArtifact:
         main(["lint", "--paths", str(dirty_tree)])
         err = capsys.readouterr().err
         assert "privlint: analyzed 1 files in" in err
-
-
-class TestBaselineWorkflow:
-    def test_update_then_rerun_is_clean(
-        self, dirty_tree, tmp_path, capsys
-    ):
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            [
-                "lint",
-                "--paths",
-                str(dirty_tree),
-                "--update-baseline",
-                "--baseline",
-                str(baseline),
-            ]
-        ) == 0
-        assert "1 grandfathered finding(s)" in capsys.readouterr().out
-        # The same scan against the fresh baseline now passes...
-        assert main(
-            [
-                "lint",
-                "--paths",
-                str(dirty_tree),
-                "--baseline",
-                str(baseline),
-                "--format",
-                "json",
-            ]
-        ) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["summary"]["new"] == 0
-        assert document["summary"]["baselined"] == 1
-        assert document["findings"][0]["baselined"] is True
-
-    def test_new_violation_still_fails_against_baseline(
-        self, dirty_tree, tmp_path, capsys
-    ):
-        baseline = tmp_path / "baseline.json"
-        main(
-            [
-                "lint",
-                "--paths",
-                str(dirty_tree),
-                "--update-baseline",
-                "--baseline",
-                str(baseline),
-            ]
-        )
-        (dirty_tree / "worse.py").write_text(
-            "import numpy as np\n\n\ndef d():\n"
-            "    return np.random.rand()\n"
-        )
-        capsys.readouterr()
-        assert main(
-            [
-                "lint",
-                "--paths",
-                str(dirty_tree),
-                "--baseline",
-                str(baseline),
-                "--format",
-                "json",
-            ]
-        ) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["summary"]["new"] == 1
-        assert document["summary"]["baselined"] == 1
-
-    def test_malformed_baseline_fails_closed(
-        self, dirty_tree, tmp_path, capsys
-    ):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text("{not json")
-        code = main(
-            [
-                "lint",
-                "--paths",
-                str(dirty_tree),
-                "--baseline",
-                str(baseline),
-            ]
-        )
-        assert code == 2
-        assert "error:" in capsys.readouterr().err

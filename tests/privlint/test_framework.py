@@ -1,5 +1,5 @@
-"""Framework tests: suppression parsing, baseline round-trips, the
-fail-closed ``repro-lint`` report reader, and the scan-set defaults."""
+"""Framework tests: suppression parsing, the fail-closed
+``repro-lint`` report reader, and the scan-set defaults."""
 
 from __future__ import annotations
 
@@ -11,18 +11,14 @@ import pytest
 import repro
 from repro.exceptions import LintError
 from repro.privlint import (
-    DEFAULT_BASELINE_PATH,
     Finding,
-    LintResult,
     default_package_root,
     finding_from_dict,
     iter_source_files,
     lint_document,
-    load_baseline,
     parse_suppressions,
     render_text,
     run_lint,
-    save_baseline,
     validate_lint_report,
 )
 
@@ -88,133 +84,6 @@ class TestFinding:
             finding_from_dict(entry)
 
 
-class TestBaseline:
-    def test_round_trip_silences_grandfathered(self, tmp_path):
-        result = run_lint([FIXTURES], package_root=FIXTURES)
-        assert result.findings
-        baseline_path = tmp_path / "baseline.json"
-        count = save_baseline(baseline_path, result.findings)
-        assert count == len(result.findings)
-        baseline = load_baseline(baseline_path)
-        document = lint_document(result, baseline)
-        assert document["summary"]["new"] == 0
-        assert document["summary"]["baselined"] == count
-        # Every finding is still listed, marked baselined.
-        assert all(e["baselined"] for e in document["findings"])
-
-    def test_missing_file_is_empty_baseline(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == {}
-
-    def test_baseline_matching_ignores_line_drift(self, tmp_path):
-        finding = Finding("PL1", "repro/x.py", 10, "message")
-        baseline_path = tmp_path / "baseline.json"
-        save_baseline(baseline_path, [finding])
-        moved = Finding("PL1", "repro/x.py", 99, "message")
-        assert moved.key in load_baseline(baseline_path)
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "not json{",
-            json.dumps({"format": "wrong", "version": 1, "entries": []}),
-            json.dumps(
-                {"format": "repro-lint-baseline", "version": 99,
-                 "entries": []}
-            ),
-            json.dumps(
-                {"format": "repro-lint-baseline", "version": 1}
-            ),
-            json.dumps(
-                {"format": "repro-lint-baseline", "version": 1,
-                 "entries": [{"rule": "PL1"}]}
-            ),
-        ],
-    )
-    def test_malformed_baselines_fail_closed(self, tmp_path, text):
-        path = tmp_path / "baseline.json"
-        path.write_text(text)
-        with pytest.raises(LintError):
-            load_baseline(path)
-
-    def test_duplicate_findings_each_get_a_slot(self, tmp_path):
-        # Two occurrences of the same (rule, path, message) no longer
-        # collapse into one baseline slot.
-        first = Finding("PL2", "repro/x.py", 3, "same message")
-        second = Finding("PL2", "repro/x.py", 9, "same message")
-        path = tmp_path / "baseline.json"
-        save_baseline(path, [first, second])
-        assert load_baseline(path) == {first.key: 2}
-
-    def test_count_growth_fails_the_gate(self):
-        # A baseline allowing one occurrence does not silence two.
-        first = Finding("PL2", "repro/x.py", 3, "same message")
-        moved = Finding("PL2", "repro/x.py", 43, "same message")
-        document = lint_document(
-            LintResult(
-                findings=(first, moved),
-                suppressed=0,
-                files=("repro/x.py",),
-            ),
-            {first.key: 1},
-        )
-        assert document["summary"]["baselined"] == 1
-        assert document["summary"]["new"] == 1
-        assert [e["baselined"] for e in document["findings"]] == [
-            True,
-            False,
-        ]
-
-    def test_version_one_baseline_reads_with_count_one(
-        self, tmp_path
-    ):
-        path = tmp_path / "baseline.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "format": "repro-lint-baseline",
-                    "version": 1,
-                    "entries": [
-                        {
-                            "rule": "PL2",
-                            "path": "repro/x.py",
-                            "message": "m",
-                        }
-                    ],
-                }
-            )
-        )
-        assert load_baseline(path) == {("PL2", "repro/x.py", "m"): 1}
-
-    @pytest.mark.parametrize("count", [0, -1, True, "2", 1.5])
-    def test_bad_counts_fail_closed(self, tmp_path, count):
-        path = tmp_path / "baseline.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "format": "repro-lint-baseline",
-                    "version": 2,
-                    "entries": [
-                        {
-                            "rule": "PL2",
-                            "path": "repro/x.py",
-                            "message": "m",
-                            "count": count,
-                        }
-                    ],
-                }
-            )
-        )
-        with pytest.raises(LintError):
-            load_baseline(path)
-
-    def test_committed_baseline_is_empty(self):
-        # The ISSUE's bar: every self-host finding was fixed or
-        # inline-justified, so the shipped baseline grandfathers
-        # nothing.  If this fails, a finding was baselined instead of
-        # fixed — look at the diff of baseline.json.
-        assert load_baseline(DEFAULT_BASELINE_PATH) == {}
-
-
 class TestLintReport:
     def _document(self):
         result = run_lint([FIXTURES], package_root=FIXTURES)
@@ -235,10 +104,9 @@ class TestLintReport:
             lambda d: d.__setitem__("format", "repro-profile"),
             lambda d: d.__setitem__("version", 99),
             lambda d: d.pop("findings"),
-            lambda d: d["findings"][0].pop("baselined"),
             lambda d: d["findings"][0].pop("rule"),
             lambda d: d.pop("summary"),
-            lambda d: d["summary"].__setitem__("new", 0xBAD),
+            lambda d: d["summary"].__setitem__("total", 0xBAD),
             lambda d: d["summary"].pop("suppressed"),
         ],
     )
@@ -257,8 +125,7 @@ class TestLintReport:
         text = render_text(document)
         assert "pl1_taint.py:5: PL1 [error]" in text
         assert text.rstrip().endswith(
-            "(s) (5 new, 0 baselined, 5 suppressed, "
-            "0 unused ignore(s))"
+            "5 finding(s) (5 suppressed, 0 unused ignore(s))"
         )
 
 

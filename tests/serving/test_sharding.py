@@ -302,6 +302,25 @@ class TestBudgetAccounting:
         with pytest.raises(PrivacyError):
             service.query(s0[0], s0[1])
 
+    def test_refused_shard_refuses_its_cached_pairs(self):
+        """A refused refresh_shard drops the shard's cached answers
+        with its release: cached and uncached pairs of the dead shard
+        both refuse, as they do on the one-shard service."""
+        grid = generators.grid_graph(8, 8)
+        service = ShardedDistanceService(
+            grid, 1e6, Rng(0), shards=2, mechanism="hub-set"
+        )
+        single = DistanceService(grid, 1e6, Rng(0), mechanism="hub-set")
+        a, b, c = service.plan.members(0)[:3]
+        service.refresh_shard(0)  # shard 0 and the relay at their caps
+        for server in (service, single):
+            server.query(a, b)  # now cached
+            with pytest.raises(BudgetExceededError):
+                server.refresh_shard(0)
+            for pair in ((a, b), (a, c)):
+                with pytest.raises(PrivacyError):
+                    server.query(*pair)
+
     def test_relay_failure_keeps_intra_serving(self, road):
         service = ShardedDistanceService(
             road, 1.0, Rng(37), shards=2, mechanism="hub-set"

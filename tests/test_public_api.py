@@ -9,10 +9,29 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import pkgutil
+import typing
 
 import pytest
 
 import repro
+
+
+def _defined_in(module):
+    """Every function, method and property getter ``module`` defines."""
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(value):
+            yield value
+        elif inspect.isclass(value):
+            for member in vars(value).values():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if inspect.isfunction(member):
+                    yield member
 
 
 class TestExports:
@@ -83,11 +102,26 @@ class TestExports:
             "repro.privlint.report",
             "repro.privlint.rules",
             "repro.privlint.suppressions",
+            "repro.documents",
         ],
     )
     def test_submodules_import_and_are_documented(self, module_name):
         module = importlib.import_module(module_name)
         assert module.__doc__, f"{module_name} lacks a module docstring"
+
+    def test_type_hints_resolve(self):
+        # Annotations are strings under ``from __future__ import
+        # annotations``: one naming something its module never
+        # imports only fails when a tool resolves it.
+        unresolved = []
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            module = importlib.import_module(info.name)
+            for obj in _defined_in(module):
+                try:
+                    typing.get_type_hints(obj)
+                except NameError as error:
+                    unresolved.append(f"{obj.__qualname__}: {error}")
+        assert not unresolved, unresolved
 
     def test_public_callables_documented(self):
         undocumented = []
