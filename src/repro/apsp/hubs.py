@@ -40,6 +40,12 @@ most ``_ROW_CHUNK`` sources:
 * **ball pairs** — a weight-limited sweep from each pair's lower-index
   site, its limit doubling until all its partners are settled.
 
+The balls and the sites' mutual reachability read no weight, so they
+are computed once per compiled topology and kept in its memo
+(:meth:`repro.engine.csr.CSRGraph.topology_memo`): every later epoch,
+tenant or relay over the same structure reuses them, and only the
+hub sample, the weighted sweeps and the noise are redone.
+
 A limited Dijkstra returns the unlimited value, bit for bit, for every
 target within the limit, so a seeded build releases exactly what one
 exact sweep from every site would have.  Each table's noise is one
@@ -280,7 +286,11 @@ def _build_hub_structure_inner(
     delta: float,
     rng: Rng,
 ) -> HubStructure:
-    if not _mutually_reachable(csr, site_idx):
+    sites = site_idx.tobytes()
+    if not csr.topology_memo(
+        ("reachable", sites),
+        lambda unit: _mutually_reachable(unit, site_idx),
+    ):
         raise DisconnectedGraphError(
             "hub-set release requires all sites mutually reachable"
         )
@@ -303,7 +313,10 @@ def _build_hub_structure_inner(
     ball_pairs = np.empty(0, dtype=np.int64)
     if ball_size > 0:
         with kernel_span("engine.hop_balls", sites=m, ball_size=ball_size):
-            rows, cols, hops = _hop_balls(csr, site_idx, ball_size)
+            rows, cols, hops = csr.topology_memo(
+                ("hop_balls", sites, ball_size),
+                lambda unit: _hop_balls(unit, site_idx, ball_size),
+            )
         is_hub = np.zeros(m, dtype=bool)
         is_hub[hubs] = True
         keep = ~(is_hub[rows] | is_hub[cols])
@@ -386,23 +399,23 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _hop_balls(
-    csr: CSRGraph, site_idx: np.ndarray, ball_size: int
+    unit: CSRGraph, site_idx: np.ndarray, ball_size: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each site's ``ball_size`` nearest other sites by hop count.
+    """Each site's ``ball_size`` nearest other sites by hop count, over
+    the unit-weight view ``unit`` of the topology.
 
-    Returns ``(rows, cols, hops)``: the site positions of each ball's
-    owner and member and the hop count between them.  A ball is the
-    first ``ball_size`` entries after self of its row in (hop count,
-    site position) order — what a stable argsort of the full hop
-    matrix gives.  Each chunk of sources is searched to a hop radius,
-    and rows that found fewer than ``ball_size + 1`` sites (self
-    included) rerun at double the radius: every site beyond the
+    Returns ``(rows, cols, hops)``, read-only: the site positions of
+    each ball's owner and member and the hop count between them.  A
+    ball is the first ``ball_size`` entries after self of its row in
+    (hop count, site position) order — what a stable argsort of the
+    full hop matrix gives.  Each chunk of sources is searched to a hop
+    radius, and rows that found fewer than ``ball_size + 1`` sites
+    (self included) rerun at double the radius: every site beyond the
     radius is farther than every site within it, so a row that found
     enough sites has found its ball.
     """
     m = len(site_idx)
-    unit = csr.with_weights(np.ones(csr.num_edges))
-    position = np.full(csr.n, -1, dtype=np.int64)
+    position = np.full(unit.n, -1, dtype=np.int64)
     position[site_idx] = np.arange(m)
     radius = 1
     found = []
@@ -435,8 +448,10 @@ def _hop_balls(
             radius *= 2
         # The next chunk starts at the largest radius this one needed.
         radius = int(np.concatenate(needed).max())
-    rows, cols, hops = (np.concatenate(part) for part in zip(*found))
-    return rows, cols, hops
+    balls = tuple(np.concatenate(part) for part in zip(*found))
+    for array in balls:
+        array.setflags(write=False)
+    return balls  # type: ignore[return-value]
 
 
 def _pair_distances(

@@ -22,29 +22,42 @@ the weight array.  That cheap path covers both in-place
 ``set_weight`` mutation and the per-epoch refresh pattern of
 :mod:`repro.serving` — ``WeightedGraph.with_weights`` hands the
 compiled structure of an already-compiled graph to its re-weighted
-clones.
+clones, and :func:`share_structure` hands it to a separately built
+graph of the same topology (an epoch refresh's new graph).
+
+In Sealfon's model the topology is public, so whatever is computed
+from it alone is the same in every epoch.  The structure therefore
+also keeps a memo of such values (:meth:`CSRGraph.topology_memo`:
+the hub build's hop-count balls and site reachability), computed over
+unit weights on first use and shared by every re-weighting.  The memo
+lives and dies with the structure; a changed topology compiles a new
+structure with an empty memo.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from ..exceptions import EngineError, VertexNotFoundError, WeightError
 from ..graphs.graph import Vertex, WeightedGraph
 
-__all__ = ["CSRGraph", "compile_csr"]
+__all__ = ["CSRGraph", "compile_csr", "share_structure"]
 
 #: Attribute under which the compiled CSR is cached on the source graph.
 _CACHE_ATTR = "_engine_csr_cache"
+
+T = TypeVar("T")
 
 
 class _CSRStructure:
     """The frozen topology half of a compiled graph.
 
     Shared (never copied) between all re-weightings of the same
-    topology; everything here is independent of the private weights.
+    topology; everything here is independent of the private weights,
+    the ``memo`` of topology-only values included
+    (:meth:`CSRGraph.topology_memo`).
     """
 
     __slots__ = (
@@ -54,6 +67,7 @@ class _CSRStructure:
         "arc_edge",
         "vertices",
         "index",
+        "memo",
         "_incoming",
     )
 
@@ -72,6 +86,7 @@ class _CSRStructure:
         self.arc_edge = arc_edge
         self.vertices = vertices
         self.index = index
+        self.memo: Dict[Hashable, object] = {}
         self._incoming: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def incoming(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -202,6 +217,25 @@ class CSRGraph:
             )
         return CSRGraph(self._structure, values.copy())
 
+    def topology_memo(
+        self, key: Hashable, compute: Callable[["CSRGraph"], T]
+    ) -> T:
+        """``compute(unit)`` for this topology, computed once per
+        compiled structure.
+
+        ``unit`` is the unit-weight view of the structure, so the value
+        is a function of the public topology alone, never of this
+        graph's weights.  It is kept on the structure that every
+        re-weighting of the topology shares, so each later epoch,
+        tenant or relay over the same structure gets the same object
+        back; callers must treat it as read-only.  ``key`` names the
+        computation and every input it takes besides the topology.
+        """
+        memo = self._structure.memo
+        if key not in memo:
+            memo[key] = compute(self.with_weights(np.ones(self.num_edges)))
+        return memo[key]  # type: ignore[return-value]
+
     # ------------------------------------------------------------------
     # Vertex <-> index mapping
     # ------------------------------------------------------------------
@@ -290,6 +324,30 @@ class CSRGraph:
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
         return f"CSRGraph({kind}, n={self.n}, arcs={self.num_arcs})"
+
+
+def share_structure(source: WeightedGraph, target: WeightedGraph) -> bool:
+    """Hand ``source``'s compiled structure, and with it its topology
+    memo, to ``target`` when both carry the same public topology: the
+    same directedness, :meth:`~repro.graphs.graph.WeightedGraph.
+    vertex_list` and :meth:`~repro.graphs.graph.WeightedGraph.
+    edge_list`, in content and order.  ``target`` then compiles by
+    regathering its own weights over it.  Returns whether the
+    structure was handed over; an uncompiled ``source`` or a differing
+    topology leaves ``target`` to compile afresh."""
+    cached = getattr(source, _CACHE_ATTR, None)
+    if (
+        cached is None
+        or cached[0] != source.topology_version
+        or target.directed != source.directed
+        or target.vertex_list() != source.vertex_list()
+        or target.edge_list() != source.edge_list()
+    ):
+        return False
+    # A deliberately stale weights version (-1): the next compile
+    # takes the cheap regather path, as for WeightedGraph.with_weights.
+    setattr(target, _CACHE_ATTR, (target.topology_version, -1, cached[2]))
+    return True
 
 
 def compile_csr(graph: WeightedGraph, cache: bool = True) -> CSRGraph:  # privlint: ignore[PL1] public compilation entry point for benches/tests; production callers reach CSRGraph.from_graph under a release mechanism

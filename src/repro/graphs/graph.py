@@ -267,9 +267,12 @@ class WeightedGraph:
         default order is canonical insertion order
         (:meth:`edge_list`).
         """
-        keys = list(order) if order is not None else self.edge_list()
+        if order is None:
+            return np.fromiter(
+                self._edges.values(), dtype=float, count=len(self._edges)
+            )
         values = []
-        for key in keys:
+        for key in order:
             canonical = self.edge_key(*key)
             assert canonical is not None
             values.append(self._edges[canonical])
@@ -283,24 +286,39 @@ class WeightedGraph:
         ``new_weights`` may be a mapping from edges (either orientation)
         to weights, or a sequence aligned with :meth:`edge_list`.  This
         is how mechanisms release synthetic graphs: same public
-        topology, freshly noised private weights.
+        topology, freshly noised private weights.  The clone is built
+        in one pass over the edges, exactly as :meth:`copy` inserts
+        them, so it equals ``copy()`` followed by :meth:`set_weight`
+        on every changed edge.
         """
-        clone = self.copy()
+        edges = self._edges
         if isinstance(new_weights, Mapping):
+            merged = dict(edges)
             for (u, v), weight in new_weights.items():
-                clone.set_weight(u, v, weight)
+                key = (u, v)
+                if key not in edges:
+                    key = (v, u)
+                    if self._directed or key not in edges:
+                        raise EdgeNotFoundError((u, v))
+                merged[key] = float(weight)
+            values = list(merged.values())
         else:
-            values = list(new_weights)
-            keys = clone.edge_list()
-            if len(values) != len(keys):
+            if isinstance(new_weights, np.ndarray):
+                if new_weights.ndim != 1:
+                    raise WeightError(
+                        f"expected {len(edges)} weights, got an array "
+                        f"of shape {new_weights.shape}"
+                    )
+                new_weights = new_weights.tolist()
+            values = list(map(float, new_weights))
+            if len(values) != len(edges):
                 raise WeightError(
-                    f"expected {len(keys)} weights, got {len(values)}"
+                    f"expected {len(edges)} weights, got {len(values)}"
                 )
-            for key, weight in zip(keys, values):
-                clone.set_weight(*key, float(weight))
-        # The clone carries the identical public topology (copy()
-        # preserves vertex and edge insertion order), so a compiled
-        # engine structure remains valid for it.  Hand it over with a
+        clone = self._rebuilt(values)
+        # The clone carries the identical public topology (the same
+        # vertex and edge insertion order), so a compiled engine
+        # structure remains valid for it.  Hand it over with a
         # deliberately stale weights version (-1) so the engine takes
         # its cheap regather path instead of a full rebuild — this is
         # what makes per-epoch re-weighting O(|E|) array work.
@@ -342,11 +360,25 @@ class WeightedGraph:
 
     def copy(self) -> "WeightedGraph":
         """An independent deep copy."""
-        clone = WeightedGraph(directed=self._directed)
-        for v in self._adj:
-            clone.add_vertex(v)
-        for (u, v), weight in self._edges.items():
-            clone.add_edge(u, v, weight)
+        return self._rebuilt(list(self._edges.values()))
+
+    def _rebuilt(self, values: list[float]) -> "WeightedGraph":
+        """This topology carrying ``values`` (aligned with
+        :meth:`edge_list`), built as :meth:`add_vertex` and
+        :meth:`add_edge` would build it: vertices in insertion order,
+        then edges in canonical order, so every neighbour dict has the
+        same order and the version counters the same values."""
+        directed = self._directed
+        clone = WeightedGraph(directed=directed)
+        adj: Dict[Vertex, Dict[Vertex, float]] = {v: {} for v in self._adj}
+        pred = {v: {} for v in self._adj} if directed else adj
+        edges = dict(zip(self._edges, values))
+        for (u, v), weight in edges.items():
+            adj[u][v] = weight
+            pred[v][u] = weight
+        clone._adj, clone._pred, clone._edges = adj, pred, edges
+        clone._topology_version = len(adj) + len(edges)
+        clone._weights_version = len(edges)
         return clone
 
     def subgraph(self, keep: Iterable[Vertex]) -> "WeightedGraph":

@@ -375,6 +375,13 @@ class _ShardRouter:
             su, sv = plan_of(u), plan_of(v)
             edge_shard[e] = su if su == sv else -1
         self._edge_shard = edge_shard
+        #: Per shard, the positions of its tenant subgraph's edges in
+        #: the full edge order: an induced subgraph keeps its parent's
+        #: edge order, so they are the shard's intra-shard edges.
+        self.tenant_edges = [
+            np.flatnonzero(edge_shard == shard)
+            for shard in range(plan.num_shards)
+        ]
 
         # Relay site bookkeeping (static across refreshes: the plan and
         # boundary are topology-only).
@@ -423,13 +430,22 @@ class _ShardRouter:
                 "shard plan's"
             )
 
+    def edge_weights(self, graph: WeightedGraph) -> np.ndarray:
+        """``graph``'s weight vector in the full edge order the plan
+        was built over (:attr:`tenant_edges` indexes into it); a graph
+        with the plan's edges in another order is gathered edge by
+        edge."""
+        if graph.edge_list() == self._edge_keys:
+            return graph.weight_vector()
+        return graph.weight_vector(self._edge_keys)
+
     def check_regional(
         self, shard: int, old: WeightedGraph, new: WeightedGraph
     ) -> None:
         """Reject an update of ``shard`` that changes weights outside
         its own edges and the cut edges — it would silently stale the
         untouched tenants."""
-        changed = old.weight_vector() != new.weight_vector()
+        changed = self.edge_weights(old) != self.edge_weights(new)
         allowed = (self._edge_shard == shard) | (self._edge_shard == -1)
         bad = changed & ~allowed
         if bad.any():

@@ -38,7 +38,11 @@ Epoch rotation (:meth:`DistanceService.refresh`) swaps in a fresh
 weight function — a new private database — rotates the ledger, clears
 the answer cache, and rebuilds every release;
 :meth:`DistanceService.refresh_shard` rebuilds one tenant (plus the
-relay) within the epoch.
+relay) within the epoch.  The topology is public and fixed across
+epochs, so both reuse the compiled CSR structure and its topology memo
+(:mod:`repro.engine.csr`): a refresh graph with the current graph's
+vertex and edge lists is handed the current structure instead of
+being recompiled, and only the work that reads weights is redone.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from typing import Dict, List, Mapping, MutableMapping, Sequence, Tuple
 
 from ..apsp.hubs import HubStructure
 from ..dp.params import PrivacyParams
+from ..engine.csr import share_structure
 from ..exceptions import GraphError, PrivacyError
 from ..graphs.graph import Edge, Vertex, WeightedGraph
 from ..mechanisms import (
@@ -555,7 +560,10 @@ class DistanceService:
         A sharded service only takes a graph with the plan's vertex
         and edge sets — anything else raises
         :class:`~repro.exceptions.GraphError` before the ledger
-        rotates or any budget is spent.
+        rotates or any budget is spent.  A graph whose directedness,
+        vertex list and edge list equal the current graph's (in
+        content and order) is handed the current compiled structure
+        and its topology memo; any other graph is compiled afresh.
 
         A privately owned ledger is rotated — the new weights are a
         new database, so the budget resets.  A *shared* ledger is NOT
@@ -575,6 +583,7 @@ class DistanceService:
             if self._owns_ledger:
                 self._ledger.rotate()
             if graph is not None:
+                share_structure(self._graph, graph)
                 self._graph = graph
             self._cache.clear()
             # Drop every release first: if a rebuild fails partway, the
@@ -684,14 +693,14 @@ class DistanceService:
     ) -> WeightedGraph:
         """The graph tenant ``shard`` serves, carrying ``graph``'s
         weights: ``graph`` itself when unsharded, else the tenant's
-        subgraph re-weighted from it — an O(edges) gather over the
-        frozen topology (the subgraph clone keeps the compiled CSR
-        structure)."""
+        subgraph re-weighted from it — one gather of ``graph``'s
+        weight vector through the tenant's edge-index map (the
+        subgraph clone keeps the compiled CSR structure)."""
         if self._shards is None:
             return graph
-        sub = self._tenants[shard].graph
-        return sub.with_weights(
-            [graph.weight(u, v) for u, v in sub.edge_list()]
+        weights = self._shards.edge_weights(graph)
+        return self._tenants[shard].graph.with_weights(
+            weights[self._shards.tenant_edges[shard]]
         )
 
     # ------------------------------------------------------------------

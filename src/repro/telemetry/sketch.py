@@ -185,25 +185,27 @@ class QuantileSketch:
         """
         if not (0.0 <= q <= 1.0):
             raise TelemetryError(f"quantile must be in [0, 1], got {q!r}")
+        # Snapshot under the lock, sort and walk outside it: a reader
+        # preempted mid-sort must not hold up the writers.
         with self._lock:
-            if self._count == 0:
-                return math.nan
-            rank = q * (self._count - 1)
-            seen = self._zero_count
+            count, seen = self._count, self._zero_count
+            lo, hi = self._min, self._max
+            buckets = list(self._buckets.items())
+        if count == 0:
+            return math.nan
+        rank = q * (count - 1)
+        if rank < seen:
+            return 0.0
+        buckets.sort()
+        for key, cnt in buckets:
+            seen += cnt
             if rank < seen:
-                return 0.0
-            for key in sorted(self._buckets):
-                seen += self._buckets[key]
-                if rank < seen:
-                    # Midpoint of the bucket (gamma**(key-1),
-                    # gamma**key], clamped to the exactly-tracked
-                    # observation range so the extreme quantiles never
-                    # stray outside the data.
-                    estimate = (
-                        2.0 * self._gamma ** key / (self._gamma + 1.0)
-                    )
-                    return min(max(estimate, self._min), self._max)
-            return self._max
+                # Midpoint of the bucket (gamma**(key-1), gamma**key],
+                # clamped to the exactly-tracked observation range so
+                # the extreme quantiles never stray outside the data.
+                estimate = 2.0 * self._gamma ** key / (self._gamma + 1.0)
+                return min(max(estimate, lo), hi)
+        return hi
 
     def quantiles(self, qs: Iterable[float]) -> List[float]:
         """Batch form of :meth:`quantile`."""

@@ -1,0 +1,138 @@
+"""Hub builds over a compiled topology whose memo is already filled.
+
+The hop-count balls and the sites' mutual reachability read no
+weight, so :func:`repro.apsp.hubs.build_hub_structure` keeps them in
+the compiled structure's topology memo, and every later build over
+the same structure (another epoch's weights, another tenant) reuses
+them.  A build that reuses them must release, bit for bit, what a
+build after a fresh compile releases under the same seed.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import Rng, WeightedGraph
+from repro.algorithms.covering import meir_moon_k_covering
+from repro.apsp import hubs as hubs_module
+from repro.apsp.hubs import (
+    build_hub_structure,
+    default_ball_size,
+    default_hub_count,
+)
+from repro.engine import CSRGraph
+from repro.graphs import generators
+from repro.serving.sharding import partition_graph
+
+SEED = 2204016
+ROWS, COLS = 12, 13
+
+SITE_SETS = {
+    "all": lambda graph: graph.vertex_list(),
+    "boundary": lambda graph: list(partition_graph(graph, 4, seed=1).boundary),
+    "covering": lambda graph: meir_moon_k_covering(graph, 2),
+}
+
+
+def _weights(seed: int, count: int) -> list:
+    rng = Rng(seed)
+    return [rng.uniform(0.5, 3.0) for _ in range(count)]
+
+
+def _grid(seed: int) -> WeightedGraph:
+    """A fresh, never compiled weighted grid."""
+    graph = generators.grid_graph(ROWS, COLS)
+    return graph.with_weights(_weights(seed, graph.num_edges))
+
+
+def _build(csr: CSRGraph, sites, seed: int, ball_size: int | None = None):
+    site_idx = csr.indices_of(sites)
+    m = len(site_idx)
+    b = default_ball_size(m) if ball_size is None else ball_size
+    return build_hub_structure(
+        csr, site_idx, default_hub_count(m), b, 1.0, 0.0, Rng(seed)
+    )
+
+
+def _assert_same_release(got, want) -> None:
+    assert np.array_equal(got.hub_positions, want.hub_positions)
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert got.ball == want.ball
+    assert got.noise_scale == want.noise_scale
+    assert got.pair_count == want.pair_count
+
+
+@pytest.mark.parametrize("site_set", sorted(SITE_SETS))
+def test_filled_memo_releases_what_a_fresh_compile_releases(site_set):
+    first = _grid(SEED)
+    csr = CSRGraph.from_graph(first)
+    # Fill the memo under the first weights with every site set and two
+    # ball sizes, so an entry keyed too loosely would be found again.
+    for sites in SITE_SETS.values():
+        for ball_size in (None, 2):
+            _build(csr, sites(first), SEED + 1, ball_size)
+    second = first.with_weights(_weights(SEED + 2, first.num_edges))
+    reused = CSRGraph.from_graph(second)
+    assert reused.indptr is csr.indptr
+    fresh = CSRGraph.from_graph(
+        generators.grid_graph(ROWS, COLS).with_weights(second.weight_vector())
+    )
+    assert fresh.indptr is not csr.indptr
+    sites = SITE_SETS[site_set](first)
+    for ball_size in (None, 2):
+        _assert_same_release(
+            _build(reused, sites, SEED + 3, ball_size),
+            _build(fresh, sites, SEED + 3, ball_size),
+        )
+
+
+def test_memo_holds_the_same_arrays_for_two_weightings(monkeypatch):
+    searches = []
+    search = hubs_module._hop_balls
+
+    def counting(unit, site_idx, ball_size):
+        searches.append(ball_size)
+        return search(unit, site_idx, ball_size)
+
+    monkeypatch.setattr(hubs_module, "_hop_balls", counting)
+    graph = _grid(SEED)
+    csr_a = CSRGraph.from_graph(graph)
+    csr_b = CSRGraph.from_graph(
+        graph.with_weights(_weights(SEED + 1, graph.num_edges))
+    )
+    sites = graph.vertex_list()
+    release_a = _build(csr_a, sites, SEED + 2)
+    release_b = _build(csr_b, sites, SEED + 2)
+    assert len(searches) == 1
+    # Different weights, the same ball pairs, different exact values.
+    assert release_a.ball.keys() == release_b.ball.keys()
+    assert release_a.ball != release_b.ball
+
+    site_idx = csr_a.indices_of(sites)
+    key = ("hop_balls", site_idx.tobytes(), default_ball_size(len(sites)))
+
+    def recompute(unit):
+        pytest.fail("a filled memo entry was computed again")
+
+    balls_a = csr_a.topology_memo(key, recompute)
+    balls_b = csr_b.topology_memo(key, recompute)
+    assert len(balls_a) == 3
+    assert all(x is y for x, y in zip(balls_a, balls_b))
+    assert not any(array.flags.writeable for array in balls_a)
+    assert csr_b.topology_memo(("reachable", site_idx.tobytes()), recompute)
+
+
+def test_memo_entries_match_a_unit_weight_search():
+    graph = _grid(SEED)
+    csr = CSRGraph.from_graph(graph)
+    _build(csr, graph.vertex_list(), SEED)
+    site_idx = csr.indices_of(graph.vertex_list())
+    b = default_ball_size(len(site_idx))
+    memo = csr.topology_memo(
+        ("hop_balls", site_idx.tobytes(), b),
+        lambda unit: pytest.fail("the build left no hop-ball entry"),
+    )
+    unit = CSRGraph.from_graph(generators.grid_graph(ROWS, COLS))
+    expected = hubs_module._hop_balls(unit, site_idx, b)
+    assert all(np.array_equal(x, y) for x, y in zip(memo, expected))

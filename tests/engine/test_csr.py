@@ -7,6 +7,7 @@ import pytest
 
 from repro import Rng, WeightedGraph
 from repro.engine import CSRGraph, compile_csr
+from repro.engine.csr import share_structure
 from repro.exceptions import EngineError, VertexNotFoundError, WeightError
 from repro.graphs import generators
 
@@ -171,3 +172,91 @@ class TestReweighting:
 
     def test_compile_csr_alias(self, triangle):
         assert compile_csr(triangle) is CSRGraph.from_graph(triangle)
+
+
+def _weighted(graph: WeightedGraph, seed: int) -> WeightedGraph:
+    return generators.assign_random_weights(
+        graph, Rng(seed), low=0.5, high=3.0
+    )
+
+
+class TestTopologyMemo:
+    def test_computed_once_over_unit_weights(self):
+        graph = _weighted(generators.grid_graph(4, 5), 1)
+        csr = CSRGraph.from_graph(graph)
+        seen = []
+
+        def compute(unit):
+            seen.append(unit)
+            return unit.edge_weights.copy()
+
+        value = csr.topology_memo("probe", compute)
+        assert np.array_equal(value, np.ones(csr.num_edges))
+        assert seen[0].indptr is csr.indptr
+        # Every re-weighting of the structure gets the same object.
+        clone = CSRGraph.from_graph(
+            graph.with_weights(np.full(graph.num_edges, 2.0))
+        )
+        assert clone.topology_memo("probe", compute) is value
+        assert csr.with_weights(np.ones(csr.num_edges)).topology_memo(
+            "probe", compute
+        ) is value
+        assert len(seen) == 1
+
+    def test_keys_are_separate(self, grid5):
+        csr = CSRGraph.from_graph(grid5)
+        assert csr.topology_memo(("a", 1), lambda unit: 1) == 1
+        assert csr.topology_memo(("a", 2), lambda unit: 2) == 2
+        assert csr.topology_memo(("a", 1), lambda unit: 3) == 1
+
+    def test_new_topology_starts_empty(self, grid5):
+        CSRGraph.from_graph(grid5).topology_memo("probe", lambda unit: 1)
+        grid5.add_edge((0, 0), (4, 4), 0.5)
+        csr = CSRGraph.from_graph(grid5)
+        assert csr.topology_memo("probe", lambda unit: 2) == 2
+
+
+class TestShareStructure:
+    def _source(self):
+        graph = _weighted(generators.grid_graph(4, 5), 1)
+        return graph, CSRGraph.from_graph(graph)
+
+    def test_same_topology_takes_the_structure(self):
+        source, compiled = self._source()
+        compiled.topology_memo("probe", lambda unit: "kept")
+        target = _weighted(generators.grid_graph(4, 5), 2)
+        assert share_structure(source, target)
+        csr = CSRGraph.from_graph(target)
+        assert csr.indptr is compiled.indptr
+        assert np.array_equal(csr.edge_weights, target.weight_vector())
+        assert csr.topology_memo("probe", lambda unit: "fresh") == "kept"
+
+    def test_uncompiled_source_shares_nothing(self):
+        source = generators.grid_graph(4, 5)
+        assert not share_structure(source, generators.grid_graph(4, 5))
+
+    @pytest.mark.parametrize(
+        "change", ["edge removed", "edge rewired", "edges reordered",
+                   "vertices reordered", "directed"]
+    )
+    def test_other_topology_compiles_afresh(self, change):
+        source, compiled = self._source()
+        edges = list(source.edges())
+        vertices = source.vertex_list()
+        if change == "edge removed":
+            edges = edges[1:]
+        elif change == "edge rewired":
+            edges = edges[1:] + [((0, 0), (3, 4), 1.0)]
+        elif change == "edges reordered":
+            edges = edges[::-1]
+        elif change == "vertices reordered":
+            vertices = vertices[::-1]
+        target = WeightedGraph(directed=change == "directed")
+        for v in vertices:
+            target.add_vertex(v)
+        for u, v, w in edges:
+            target.add_edge(u, v, w)
+        assert not share_structure(source, target)
+        csr = CSRGraph.from_graph(target)
+        assert csr.indptr is not compiled.indptr
+        assert np.array_equal(csr.edge_weights, target.weight_vector())

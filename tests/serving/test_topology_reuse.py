@@ -1,0 +1,201 @@
+"""Epoch refreshes over one compiled topology.
+
+A refresh graph with the current graph's topology takes over the
+current compiled structure and its topology memo, so the hub builds
+of every later epoch skip their hop-ball searches.  A graph with any
+other topology compiles afresh.  Either way each release is bit for
+bit what the service releases with no reuse at all.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro import BudgetLedger, PrivacyParams, Rng, WeightedGraph
+from repro.apsp import hubs as hubs_module
+from repro.apsp.hubs import HubSetRelease
+from repro.engine import CSRGraph
+from repro.graphs import generators
+from repro.serving import DistanceService
+from repro.serving import service as service_module
+from repro.telemetry import NULL_TELEMETRY
+
+SEED = 1616
+
+
+def _weights(seed: int, count: int) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(0.5, 2.0, count)
+
+
+def _grid(rows: int, seed: int) -> WeightedGraph:
+    """A fresh, never compiled weighted grid."""
+    graph = generators.grid_graph(rows, rows)
+    return graph.with_weights(_weights(seed, graph.num_edges))
+
+
+def _rebuilt(graph: WeightedGraph, edges) -> WeightedGraph:
+    """A new graph on ``graph``'s vertices, in order, with ``edges``."""
+    out = WeightedGraph(directed=graph.directed)
+    for v in graph.vertices():
+        out.add_vertex(v)
+    for u, v, w in edges:
+        out.add_edge(u, v, w)
+    return out
+
+
+def _counting_searches(monkeypatch) -> list:
+    searches = []
+    search = hubs_module._hop_balls
+
+    def counting(unit, site_idx, ball_size):
+        searches.append(len(site_idx))
+        return search(unit, site_idx, ball_size)
+
+    monkeypatch.setattr(hubs_module, "_hop_balls", counting)
+    return searches
+
+
+def _assert_same_release(got, want) -> None:
+    assert np.array_equal(got.hub_positions, want.hub_positions)
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert got.ball == want.ball
+
+
+class TestUnshardedRefresh:
+    def test_same_topology_takes_the_compiled_structure(self, monkeypatch):
+        searches = _counting_searches(monkeypatch)
+        first = _grid(10, 0)
+        service = DistanceService(
+            first, 1.0, Rng(SEED), mechanism="hub-set",
+            telemetry=NULL_TELEMETRY, ledger=BudgetLedger(PrivacyParams(9.0)),
+        )
+        for epoch in range(1, 4):
+            graph = _grid(10, epoch)
+            service.refresh(graph)
+            assert CSRGraph.from_graph(graph).indptr is (
+                CSRGraph.from_graph(first).indptr
+            )
+        service.refresh_shard(0, _weights(9, first.num_edges))
+        assert searches == [first.num_vertices]
+
+    @pytest.mark.parametrize("change", ["removed", "rewired", "reordered"])
+    def test_changed_topology_releases_a_fresh_compile(self, change):
+        first = _grid(8, 0)
+        edges = list(_grid(8, 1).edges())
+        # An interior edge: the grid stays connected without it.
+        drop = next(
+            i for i, (u, v, _) in enumerate(edges)
+            if u == (3, 3) and v == (3, 4)
+        )
+        if change == "removed":
+            edges = edges[:drop] + edges[drop + 1:]
+        elif change == "rewired":
+            edges = edges[:drop] + edges[drop + 1:] + [((0, 0), (7, 7), 1.0)]
+        else:
+            edges = edges[::-1]
+        second = _rebuilt(first, edges)
+        service = DistanceService(
+            first, 1e6, Rng(SEED), mechanism="hub-set",
+            telemetry=NULL_TELEMETRY,
+        )
+        service.refresh(second)
+        assert CSRGraph.from_graph(second).indptr is not (
+            CSRGraph.from_graph(first).indptr
+        )
+        # The same rng stream, the second epoch built on a fresh
+        # compile of an uncompiled copy of the new graph.
+        rng = Rng(SEED)
+        HubSetRelease(first.copy(), 1e6, rng)
+        want = HubSetRelease(second.copy(), 1e6, rng).structure
+        _assert_same_release(service.synopsis.structure, want)
+        if change != "reordered":
+            # The old balls differ, so a stale memo would have shown.
+            rng = Rng(SEED)
+            HubSetRelease(first.copy(), 1e6, rng)
+            stale = HubSetRelease(_grid(8, 1), 1e6, rng).structure
+            assert stale.ball.keys() != want.ball.keys()
+
+
+def _transcript(shards: int, mechanism: str) -> str:
+    """Three epochs of refresh, point answers, a regional update and
+    batch answers, hashed."""
+    first = _grid(8, 0)
+    vertices = first.vertex_list()
+    gen = np.random.default_rng(SEED)
+    pairs = [
+        (vertices[a], vertices[b])
+        for a, b in gen.integers(0, len(vertices), (120, 2))
+    ]
+    service = DistanceService(
+        first, 1e6, Rng(SEED), shards=shards, mechanism=mechanism,
+        weight_bound=3.0, telemetry=NULL_TELEMETRY,
+        ledger=BudgetLedger(PrivacyParams(1e8)),
+    )
+    digest = hashlib.sha256()
+    for epoch in range(1, 4):
+        graph = _grid(8, epoch)
+        service.refresh(graph)
+        digest.update(
+            np.asarray([service.query(s, t) for s, t in pairs[:60]]).tobytes()
+        )
+        weights = graph.weight_vector()
+        plan = service.plan
+        for e, (u, v) in enumerate(graph.edge_list()):
+            if plan is None or 0 in (plan.shard_of(u), plan.shard_of(v)):
+                weights[e] *= 1.25
+        service.refresh_shard(0, weights)
+        digest.update(
+            np.asarray(service.query_batch(pairs[60:]).answers).tobytes()
+        )
+        if service.relay is not None:
+            digest.update(service.relay.matrix.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("mechanism", ["hub-set", "hub-bounded"])
+@pytest.mark.parametrize("shards", [1, 4])
+def test_reuse_changes_no_release(monkeypatch, shards, mechanism):
+    reused = _transcript(shards, mechanism)
+    monkeypatch.setattr(
+        CSRGraph,
+        "topology_memo",
+        lambda self, key, compute: compute(
+            self.with_weights(np.ones(self.num_edges))
+        ),
+    )
+    monkeypatch.setattr(
+        service_module, "share_structure", lambda source, target: False
+    )
+    assert _transcript(shards, mechanism) == reused
+
+
+def test_sharded_refresh_takes_plan_edges_in_any_order():
+    """A refresh graph with the plan's edges reversed in order and
+    orientation serves what the plan-order graph serves, and a
+    regional update aligned with its own edge order passes the
+    regional check."""
+    first = _grid(8, 0)
+    canonical = _grid(8, 1)
+    flipped = _rebuilt(
+        canonical, [(v, u, w) for u, v, w in list(canonical.edges())[::-1]]
+    )
+    vertices = first.vertex_list()
+    pairs = [(vertices[i], vertices[-1 - i]) for i in range(32)]
+    answers = []
+    for graph in (canonical, flipped):
+        service = DistanceService(
+            first, 1e6, Rng(SEED), shards=4, mechanism="hub-set",
+            telemetry=NULL_TELEMETRY,
+        )
+        service.refresh(graph)
+        plan = service.plan
+        weights = graph.weight_vector()
+        for e, (u, v) in enumerate(graph.edge_list()):
+            if plan.shard_of(u) == plan.shard_of(v) == 2:
+                weights[e] *= 1.5
+        service.refresh_shard(2, weights)
+        answers.append(service.query_batch(pairs).answers)
+    assert answers[0] == answers[1]
