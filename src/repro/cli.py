@@ -50,7 +50,7 @@ or answers "how much budget does tenant X have left" directly with
 
 ``--audit-log`` on ``serve`` and ``simulate`` appends the run's
 privacy audit trail — every budget spend, epoch rotation, synopsis
-build, and mechanism selection — to a hash-chained JSONL file (see
+and relay build, and refresh — to a hash-chained JSONL file (see
 :mod:`repro.telemetry.audit`).  The ``audit`` subcommand inspects such
 a log: ``tail`` prints the last records, ``replay`` reconstructs the
 per-tenant privacy odometer, and ``verify`` fail-closed checks the
@@ -537,14 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
         "report as an artifact)",
     )
     p.add_argument(
-        "--callgraph-out",
-        default=None,
-        metavar="PATH",
-        help="write the project call graph the inter-procedural "
-        "rules ran over as a versioned repro-callgraph JSON "
-        "document (debugging aid; CI uploads it as an artifact)",
-    )
-    p.add_argument(
         "--report-unused-ignores",
         action="store_true",
         help="also list inline 'privlint: ignore' comments that "
@@ -592,7 +584,8 @@ def _add_observability(p: argparse.ArgumentParser) -> None:
         "--event-log",
         default=None,
         help="append the run's structured lifecycle events (service "
-        "start, builds, refreshes, batches) as JSON lines here",
+        "start, mechanism selections, spends, builds, rotations, "
+        "refreshes, batches) as JSON lines here",
     )
     p.add_argument(
         "--profile-out",
@@ -1269,12 +1262,7 @@ def _tenant_budget(document: dict, tenant: str) -> dict:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .privlint import (
-        callgraph_document,
-        lint_document,
-        render_text,
-        run_lint,
-    )
+    from .privlint import lint_document, render_text, run_lint
 
     paths = [Path(p) for p in args.paths] if args.paths else None
     start = time.perf_counter()
@@ -1287,13 +1275,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         f"{elapsed:.2f}s",
         file=sys.stderr,
     )
-    if args.callgraph_out is not None and result.context is not None:
-        Path(args.callgraph_out).write_text(
-            json.dumps(
-                callgraph_document(result.context.callgraph), indent=2
-            )
-            + "\n"
-        )
     document = lint_document(result)
     show_unused = args.report_unused_ignores or args.strict_ignores
     rendered = (

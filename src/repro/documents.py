@@ -170,9 +170,9 @@ class Journal:
     """An append-only JSON-lines log: records kept in memory and, with
     a ``path``, appended to the file one :func:`canonical` line each
     and flushed immediately.  Subclasses build each record (with the
-    next :attr:`seq` and the bound tracer's span ids) and hand it to
-    :meth:`_append`; ``records`` continues an existing, validated log,
-    appending to its file instead of truncating it."""
+    next :attr:`seq`) and hand it to :meth:`_append`; ``records``
+    continues an existing, validated log, appending to its file
+    instead of truncating it."""
 
     enabled = True
 
@@ -184,7 +184,6 @@ class Journal:
         self._path = os.fspath(path) if path is not None else None
         self._records: List[Dict[str, object]] = list(records)
         self._seq = len(self._records)
-        self._tracer = None
         self._file = None
         if self._path is not None:
             mode = "a" if self._records else "w"
@@ -199,17 +198,6 @@ class Journal:
     def seq(self) -> int:
         """The sequence number the next record will get."""
         return self._seq
-
-    def bind_tracer(self, tracer) -> None:
-        """Correlate future records with ``tracer``'s open spans (a
-        disabled journal, shared by every bundle, holds none)."""
-        if self.enabled:
-            self._tracer = tracer
-
-    def _span_ids(self) -> Tuple[object, object]:
-        if self._tracer is None:
-            return None, None
-        return self._tracer.current_ids()
 
     def _append(self, record: Dict[str, object]) -> Dict[str, object]:
         self._seq += 1

@@ -102,8 +102,8 @@ class EngineError(ReproError):
 
 class LintError(ReproError):
     """A problem inside the :mod:`repro.privlint` static analyzer: an
-    unparseable source file, a malformed ``repro-lint`` report or
-    ``repro-callgraph`` document, or a malformed suppression.
+    unparseable source file, a malformed ``repro-lint`` report, or a
+    malformed suppression.
 
     The analyzer is fail-closed like the rest of the tooling: a file it
     cannot parse or a document it cannot trust raises instead of being

@@ -315,7 +315,7 @@ def auto_select_mechanism(
         )
         span.set_attribute("winner", winner.name)
         span.set_attribute("candidates", len(candidates))
-        telemetry.audit.record(
+        telemetry.emit(
             "mechanism.select",
             winner=winner.name,
             candidates=[m.name for m in candidates],

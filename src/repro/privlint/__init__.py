@@ -16,8 +16,7 @@ document with a fail-closed reader.  Nothing grandfathers a finding:
 every one is fixed or carries an inline justification.
 
 PL1 and PL5 are inter-procedural: a project-wide call graph
-(:mod:`repro.privlint.callgraph`, serializable as the versioned
-``repro-callgraph`` document) carries per-function summaries — reads
+(:mod:`repro.privlint.callgraph`) carries per-function summaries — reads
 private weight state, returns a derived value, noises, spends budget
 — that the rules propagate to a bounded, cycle-safe fixpoint.  A
 helper that returns a raw weight-derived value is clean when every
@@ -30,7 +29,6 @@ Run it via the CLI (the CI lint gate)::
     python -m repro.cli lint --format json        # machine-readable
     python -m repro.cli lint --paths src/repro/serving   # pre-commit
     python -m repro.cli lint --strict-ignores     # dead ignores fail
-    python -m repro.cli lint --callgraph-out cg.json  # debug artifact
 
 or programmatically::
 
@@ -45,16 +43,7 @@ motivating examples and the suppression syntax.
 
 from __future__ import annotations
 
-from .callgraph import (
-    CALLGRAPH_FORMAT,
-    CALLGRAPH_VERSION,
-    CallGraph,
-    CallSite,
-    FunctionNode,
-    build_call_graph,
-    callgraph_document,
-    validate_callgraph,
-)
+from .callgraph import CallGraph, CallSite, FunctionNode, build_call_graph
 from .engine import (
     EXCLUDED_DIR_NAMES,
     FunctionInfo,
@@ -106,11 +95,7 @@ __all__ = [
     "CallGraph",
     "CallSite",
     "FunctionNode",
-    "CALLGRAPH_FORMAT",
-    "CALLGRAPH_VERSION",
     "build_call_graph",
-    "callgraph_document",
-    "validate_callgraph",
     "Rule",
     "DEFAULT_RULES",
     "PL1_ALLOWLIST",

@@ -26,11 +26,6 @@ fixpoint over the caller/callee edges; the fixpoints are bounded by
 the node count (each pass flips at least one monotone bit), so the
 pass is linear-ish in practice and can never diverge on recursive
 cycles.
-
-The graph serializes as a versioned ``repro-callgraph`` JSON document
-(``lint --callgraph-out``; CI uploads it as an artifact) with a
-fail-closed reader, :func:`validate_callgraph`, in the house style of
-``validate_profile``/``validate_lint_report``.
 """
 
 from __future__ import annotations
@@ -48,19 +43,13 @@ from typing import (
     Tuple,
 )
 
-from .. import documents
-from ..exceptions import LintError
 from .engine import FunctionInfo, ModuleUnit
 
 __all__ = [
-    "CALLGRAPH_FORMAT",
-    "CALLGRAPH_VERSION",
     "CallSite",
     "FunctionNode",
     "CallGraph",
     "build_call_graph",
-    "callgraph_document",
-    "validate_callgraph",
     "WEIGHT_READS",
     "NOISE_SINK_PREFIXES",
     "NOISE_SINK_NAMES",
@@ -69,18 +58,6 @@ __all__ = [
     "PURE_DRAW_NAMES",
     "SPEND_NAMES",
 ]
-
-CALLGRAPH_FORMAT = "repro-callgraph"
-CALLGRAPH_VERSION = 1
-
-#: What each function entry of a callgraph document carries.
-_FUNCTION_KEYS = {
-    **dict.fromkeys(("id", "path", "module", "qualname"), str),
-    "line": int, "reads": list, "calls": list,
-    **dict.fromkeys(
-        ("returns_value", "serializes", "noises", "draws", "spends"), bool
-    ),
-}
 
 # ----------------------------------------------------------------------
 # The taint vocabulary (shared with the rules in rules.py)
@@ -162,8 +139,8 @@ class CallSite:
     ``kind`` records *how* the resolution happened — ``local`` (same
     module), ``import`` (through the alias table, including re-export
     hops), ``self`` (enclosing class), ``join`` (name join over every
-    known method), or ``opaque`` (unresolved) — so the serialized
-    graph is debuggable.
+    known method), or ``opaque`` (unresolved) — so a resolution is
+    debuggable.
     """
 
     lineno: int
@@ -204,30 +181,6 @@ class FunctionNode:
     def escapes(self) -> bool:
         """The function moves a value out: returns or serializes."""
         return self.returns_value or self.serializes
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "id": self.node_id,
-            "path": self.path,
-            "module": self.module,
-            "qualname": self.qualname,
-            "line": self.lineno,
-            "reads": list(self.reads),
-            "returns_value": self.returns_value,
-            "serializes": self.serializes,
-            "noises": self.noises,
-            "draws": self.draws,
-            "spends": self.spends,
-            "calls": [
-                {
-                    "line": c.lineno,
-                    "name": c.name,
-                    "kind": c.kind,
-                    "targets": list(c.targets),
-                }
-                for c in self.calls
-            ],
-        }
 
 
 def _owned_walk(
@@ -474,16 +427,6 @@ class CallGraph:
     def callers_of(self, node_id: str) -> Tuple[str, ...]:
         return self.callers.get(node_id, ())
 
-    def sorted_nodes(self) -> List[FunctionNode]:
-        return [self.nodes[k] for k in sorted(self.nodes)]
-
-    @property
-    def num_edges(self) -> int:
-        return sum(
-            len(site.targets)
-            for node in self.nodes.values()
-            for site in node.calls
-        )
 
 
 def build_call_graph(units: Iterable[ModuleUnit]) -> CallGraph:
@@ -520,79 +463,3 @@ def build_call_graph(units: Iterable[ModuleUnit]) -> CallGraph:
                 spends=spends,
             )
     return CallGraph(nodes=nodes)
-
-
-# ----------------------------------------------------------------------
-# The versioned repro-callgraph document
-# ----------------------------------------------------------------------
-
-
-def callgraph_document(graph: CallGraph) -> Dict[str, object]:
-    """The versioned JSON document for one call graph (the
-    ``lint --callgraph-out`` artifact)."""
-    nodes = graph.sorted_nodes()
-    resolved = sum(
-        1
-        for node in nodes
-        for site in node.calls
-        if site.targets
-    )
-    total_sites = sum(len(node.calls) for node in nodes)
-    return documents.new(
-        CALLGRAPH_FORMAT,
-        CALLGRAPH_VERSION,
-        functions=[node.as_dict() for node in nodes],
-        stats={
-            "functions": len(nodes),
-            "call_sites": total_sites,
-            "resolved_call_sites": resolved,
-            "edges": graph.num_edges,
-            "modules": len({node.module for node in nodes}),
-        },
-    )
-
-
-def validate_callgraph(doc: object) -> Dict[str, object]:
-    """Check a parsed ``repro-callgraph`` document; returns it typed.
-
-    Fail-closed in the house style: wrong format marker, unsupported
-    version, missing sections, a function entry without its summary
-    bits, a call whose target id is not a known function, or stats
-    that disagree with the listed functions all raise
-    :class:`~repro.exceptions.LintError`.
-    """
-    doc = documents.check(
-        doc, CALLGRAPH_FORMAT, CALLGRAPH_VERSION, LintError, "callgraph",
-        {"functions": list, "stats": dict},
-    )
-    functions = doc["functions"]
-    ids = set()
-    for entry in functions:
-        documents.require(
-            entry, LintError, "callgraph function entry", _FUNCTION_KEYS
-        )
-        ids.add(entry["id"])
-    edges = 0
-    for entry in functions:
-        for call in entry["calls"]:
-            documents.require(
-                call, LintError, "callgraph call site", {"targets": list}
-            )
-            for target in call["targets"]:
-                if target not in ids:
-                    raise LintError(
-                        f"callgraph call targets unknown function "
-                        f"{target!r}"
-                    )
-                edges += 1
-    stats = doc["stats"]
-    if stats.get("functions") != len(functions) or (
-        stats.get("edges") != edges
-    ):
-        raise LintError(
-            "callgraph stats disagree with its functions "
-            f"(stats say functions={stats.get('functions')} "
-            f"edges={stats.get('edges')}, document has "
-            f"{len(functions)} and {edges})"
-        )
-    return doc

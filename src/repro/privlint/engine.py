@@ -379,7 +379,7 @@ class LintResult:
     package_root: Path = field(default_factory=default_package_root)
     #: Ignore comments that silenced nothing (dead suppressions).
     unused_ignores: Tuple[UnusedIgnore, ...] = ()
-    #: The project context of the run (callgraph access for the CLI).
+    #: The project context of the run (its units and call graph).
     context: Optional[ProjectContext] = None
 
 

@@ -206,18 +206,12 @@ class BatchPlanner:
             report.num_unique = len(resolved)
             span.set_attribute("unique", report.num_unique)
             span.set_attribute("cache_hits", report.cache_hits)
-            self._telemetry.audit.record(
+            self._telemetry.emit(
                 "batch.serve",
                 queries=report.num_queries,
                 unique=report.num_unique,
                 cache_hits=report.cache_hits,
                 labels=self._labels,
-            )
-            self._telemetry.log.emit(
-                "batch.serve",
-                queries=report.num_queries,
-                unique=report.num_unique,
-                cache_hits=report.cache_hits,
             )
         report.elapsed_seconds = time.perf_counter() - start
         self._latency.observe_many(durations)

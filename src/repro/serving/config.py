@@ -111,15 +111,18 @@ class ServingConfig:
         answers are bit-identical on or off.
     audit_log:
         Path of a JSONL :class:`~repro.telemetry.AuditLog` the server
-        appends budget spends, rotations, mechanism selections,
-        refreshes, and batch serves to (``None`` = no audit trail).
-        Independent of ``telemetry``: a deployment can audit with
-        metrics off.  Observational like the rest of the bundle —
-        answers are bit-identical with auditing on, off, or resumed.
+        hash-chains the :data:`~repro.telemetry.AUDITED_KINDS` to —
+        budget spends, ledger rotations, synopsis and relay builds,
+        epoch/shard refreshes (``None`` = no audit trail).  Batch
+        serves are post-processing and are not chained.  Independent
+        of ``telemetry``: a deployment can audit with metrics off.
+        Observational like the rest of the bundle — answers are
+        bit-identical with auditing on, off, or resumed.
     event_log:
         Path of a JSONL :class:`~repro.telemetry.EventLog` the server
-        emits structured lifecycle events to — service start, synopsis
-        builds, epoch/shard refreshes, batch serves — each carrying
+        emits every lifecycle event to — service start, mechanism
+        selections, budget spends, synopsis and relay builds, ledger
+        rotations, epoch/shard refreshes, batch serves — each carrying
         the enclosing span's ids (``None`` = no event log).
     profile:
         Attach a :class:`~repro.telemetry.PhaseProfiler` to the

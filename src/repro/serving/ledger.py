@@ -134,7 +134,7 @@ class BudgetLedger:
         remaining_eps = accountant.remaining_eps()
         remaining_delta = accountant.remaining_delta()
         spent = accountant.spent
-        telemetry.audit.record(
+        telemetry.emit(
             "budget.spend",
             epoch=self._epoch,
             tenant=tenant,
@@ -157,14 +157,6 @@ class BudgetLedger:
         )
         registry.gauge("budget.delta.remaining", tenant=tenant).set(
             remaining_delta
-        )
-        telemetry.tracer.event(
-            "budget.spend",
-            tenant=tenant,
-            label=label,
-            epoch=self._epoch,
-            eps=params.eps,
-            delta=params.delta,
         )
 
     def spent(self, tenant: str = DEFAULT_TENANT) -> PrivacyParams:
@@ -208,7 +200,7 @@ class BudgetLedger:
         closed_tenants = sorted(self._accountants)
         self._epoch += 1
         self._accountants = {}
-        telemetry.audit.record(
+        telemetry.emit(
             "ledger.rotate",
             epoch=self._epoch,
             closed_epoch=closed,

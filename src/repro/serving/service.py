@@ -399,7 +399,7 @@ class DistanceService:
         # router; None while an unsharded rebuild is pending or failed.
         self._router: DistanceSynopsis | _ShardRouter | None = None
         self._build_epoch()
-        self._telemetry.log.emit(
+        self._telemetry.emit(
             "service.start",
             tenant=self._tenant,
             epoch=self._ledger.epoch,
@@ -454,18 +454,12 @@ class DistanceService:
             tenant.synopsis = mech.build(
                 tenant.graph, params, self._rng, backend=self._backend
             )
-            self._telemetry.audit.record(
+            self._telemetry.emit(
                 "synopsis.build",
-                epoch=self._ledger.epoch,
                 tenant=tenant.name,
+                epoch=self._ledger.epoch,
                 mechanism=name,
                 forced=self._forced_mechanism is not None,
-            )
-            self._telemetry.log.emit(
-                "synopsis.build",
-                tenant=tenant.name,
-                epoch=self._ledger.epoch,
-                mechanism=name,
             )
         tenant.mechanism = name
         self._telemetry.registry.histogram(
@@ -508,7 +502,7 @@ class DistanceService:
             structure = relay_mechanism.build(
                 self._graph, relay_params, self._rng
             ).structure
-            self._telemetry.audit.record(
+            self._telemetry.emit(
                 "relay.build",
                 epoch=self._ledger.epoch,
                 tenant=f"{self._tenant}/relay",
@@ -597,15 +591,7 @@ class DistanceService:
                 tenant.synopsis = None
                 tenant.graph = self._tenant_graph(shard, self._graph)
             self._build_epoch()
-            self._telemetry.audit.record(
-                "epoch.refresh",
-                epoch=self._ledger.epoch,
-                tenant=self._tenant,
-                mechanism=self._mechanism,
-                shards=self.num_shards,
-                rotated=self._owns_ledger,
-            )
-            self._telemetry.log.emit(
+            self._telemetry.emit(
                 "epoch.refresh",
                 tenant=self._tenant,
                 epoch=self._ledger.epoch,
@@ -674,13 +660,7 @@ class DistanceService:
             if self._shards is not None:
                 self._shards.relay = None
                 self._build_relay()
-            self._telemetry.audit.record(
-                "shard.refresh",
-                epoch=self._ledger.epoch,
-                tenant=self._tenant,
-                shard=shard,
-            )
-            self._telemetry.log.emit(
+            self._telemetry.emit(
                 "shard.refresh",
                 tenant=self._tenant,
                 epoch=self._ledger.epoch,

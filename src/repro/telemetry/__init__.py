@@ -16,7 +16,11 @@ plus opt-in extras attached via ``with_*`` derivations: a
 tamper-evident audit trail (:mod:`~repro.telemetry.audit`), a
 JSON-line structured event log (:mod:`~repro.telemetry.logging`), a
 deterministic phase profiler and slow-query flight recorder
-(:mod:`~repro.telemetry.profile`).  The process has a default bundle
+(:mod:`~repro.telemetry.profile`).  :meth:`Telemetry.emit` is the one
+call that records a lifecycle event: the event log, the audit chain
+(for :data:`~repro.telemetry.audit.AUDITED_KINDS` only), and a trace
+point event each get it once, correlated with the bundle's own
+innermost open span.  The process has a default bundle
 (:func:`get_telemetry`), services accept an explicit ``telemetry=``
 override, and :func:`use_telemetry` scopes a bundle over a ``with``
 block so deep layers (mechanism selection, budget ledger, hub builds,
@@ -33,6 +37,7 @@ from typing import Dict, Iterator, List
 
 from .. import documents
 from .audit import (
+    AUDITED_KINDS,
     AUDIT_FORMAT,
     AUDIT_VERSION,
     AuditLog,
@@ -94,6 +99,7 @@ from .sketch import QuantileSketch
 from .tracer import NullTracer, Span, Tracer
 
 __all__ = [
+    "AUDITED_KINDS",
     "AUDIT_FORMAT",
     "AUDIT_VERSION",
     "Alert",
@@ -161,12 +167,12 @@ class Telemetry:
     (:data:`NULL_AUDIT` unless one is attached), a structured event
     log (:data:`NULL_LOG`), a phase profiler (:data:`NULL_PROFILER`),
     and a slow-query flight recorder (:data:`NULL_FLIGHT`), so layers
-    that emit to any of them need no separate plumbing.  The
-    ``with_*`` derivations (:meth:`with_audit`, :meth:`with_log`,
-    :meth:`with_profiler`, :meth:`with_flight`) each return a bundle
-    sharing this one's other instruments but carrying the given one —
-    every extra surface is opt-in and orthogonal to whether metrics
-    are enabled.
+    that emit to any of them need no separate plumbing; lifecycle
+    events go through :meth:`emit`.  The ``with_*`` derivations
+    (:meth:`with_audit`, :meth:`with_log`, :meth:`with_profiler`,
+    :meth:`with_flight`) each return a bundle sharing this one's other
+    instruments but carrying the given one — every extra surface is
+    opt-in and orthogonal to whether metrics are enabled.
     """
 
     __slots__ = (
@@ -204,8 +210,6 @@ class Telemetry:
         self.log = NULL_LOG
         self.profiler = NULL_PROFILER
         self.flight = NULL_FLIGHT
-        if self.audit.enabled:
-            self.audit.bind_tracer(self.tracer)
 
     @property
     def enabled(self) -> bool:
@@ -215,6 +219,35 @@ class Telemetry:
     def span(self, name: str, **attributes: object):
         """Shorthand for ``self.tracer.span(...)``."""
         return self.tracer.span(name, **attributes)
+
+    def emit(
+        self,
+        kind: str,
+        *,
+        tenant: str | None = None,
+        epoch: int | None = None,
+        **fields: object,
+    ) -> None:
+        """Record one lifecycle event in every sink, once.
+
+        The event log gets it, the audit chain gets it when ``kind``
+        is one of :data:`~repro.telemetry.audit.AUDITED_KINDS`, and
+        the trace gets it as a point event.  The journal records carry
+        the ``(trace_id, span_id)`` of this bundle's innermost open
+        span, so journals shared between bundles stay correlated with
+        the bundle that wrote each record.
+        """
+        trace_id, span_id = self.tracer.current_ids()
+        self.log.emit(
+            kind, tenant=tenant, epoch=epoch, trace_id=trace_id,
+            span_id=span_id, **fields,
+        )
+        if kind in AUDITED_KINDS:
+            self.audit.record(
+                kind, epoch=epoch, tenant=tenant, trace_id=trace_id,
+                span_id=span_id, **fields,
+            )
+        self.tracer.event(kind, tenant=tenant, epoch=epoch, **fields)
 
     def snapshot(self) -> Dict[str, object]:
         """The JSON-safe interchange document for this bundle."""
@@ -248,19 +281,13 @@ class Telemetry:
         """
         clone = self._clone()
         clone.audit = audit
-        if audit.enabled:
-            audit.bind_tracer(clone.tracer)
         return clone
 
     def with_log(self, log: EventLog) -> "Telemetry":
         """A bundle sharing this one's instruments, emitting to
-        ``log``.  The log is bound to this bundle's tracer so events
-        carry the enclosing span's ids (skipped on a disabled bundle,
-        whose tracer opens no spans)."""
+        ``log``."""
         clone = self._clone()
         clone.log = log
-        if log.enabled and self.tracer.enabled:
-            log.bind_tracer(clone.tracer)
         return clone
 
     def with_profiler(self, profiler: PhaseProfiler) -> "Telemetry":

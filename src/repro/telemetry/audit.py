@@ -5,13 +5,18 @@ BudgetLedger`) is in-process state: it vanishes on exit, and nothing
 off-box can check that the advertised guarantee was respected.  The
 audit log makes spending *durable and verifiable*:
 
-* :class:`AuditLog` records structured events — budget spends and
-  ledger rotations, mechanism selections, epoch/shard refreshes,
-  batch serves — as JSON-line records with monotonic sequence
-  numbers, the epoch and tenant they concern, the ``(trace_id,
-  span_id)`` of the enclosing tracer span, and a per-record SHA-256
-  hash chained to the previous record, so truncation, reordering, or
-  edits are detectable.
+* :class:`AuditLog` records structured events as JSON-line records
+  with monotonic sequence numbers, the epoch and tenant they concern,
+  the ``(trace_id, span_id)`` of the span they happened in, and a
+  per-record SHA-256 hash chained to the previous record, so
+  truncation, reordering, or edits are detectable.
+  :meth:`Telemetry.emit <repro.telemetry.Telemetry.emit>` chains
+  exactly the :data:`AUDITED_KINDS`: budget spends and ledger
+  rotations, the synopsis and relay releases they paid for, and the
+  epoch/shard refreshes that rebuilt them.  Answering from a release
+  is post-processing and spends nothing, so batch serves (like
+  mechanism selections, which read public facts only) go to the event
+  log and the trace, not the chain.
 * :func:`read_audit_log` replays a file fail-closed: any structural
   or chain defect raises :class:`~repro.exceptions.AuditError`.
 * :func:`replay_odometer` reconstructs a *privacy odometer* from the
@@ -51,6 +56,7 @@ from .. import documents
 from ..exceptions import AuditError
 
 __all__ = [
+    "AUDITED_KINDS",
     "AUDIT_FORMAT",
     "AUDIT_VERSION",
     "GENESIS_HASH",
@@ -73,6 +79,20 @@ _ODOMETER_VERSION = 1
 
 #: The hash the first record chains from.
 GENESIS_HASH = "0" * 64
+
+#: The lifecycle events :meth:`Telemetry.emit
+#: <repro.telemetry.Telemetry.emit>` hash-chains: the spends, the
+#: rotations, and the releases they bought.
+AUDITED_KINDS = frozenset(
+    {
+        "budget.spend",
+        "ledger.rotate",
+        "synopsis.build",
+        "relay.build",
+        "epoch.refresh",
+        "shard.refresh",
+    }
+)
 
 _REQUIRED_KEYS = {
     "seq": int, "ts": documents.NUMBER, "kind": str, "epoch": object,
@@ -123,10 +143,11 @@ class AuditLog(documents.Journal):
         *,
         epoch: int | None = None,
         tenant: str | None = None,
+        trace_id: int | None = None,
+        span_id: int | None = None,
         **payload: object,
     ) -> Dict[str, object]:
         """Append one event; returns the completed record."""
-        trace_id, span_id = self._span_ids()
         rec: Dict[str, object] = {
             "seq": self._seq,
             "ts": time.time(),  # privlint: ignore[PL4] observational record timestamp

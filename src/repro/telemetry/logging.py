@@ -3,14 +3,16 @@
 The audit trail (:mod:`repro.telemetry.audit`) is deliberately narrow:
 hash-chained, fail-closed, privacy-spending-only.  Operational
 visibility needs the opposite trade — a cheap, greppable stream of
-*everything the stack does*: service start, synopsis builds, epoch
-refreshes, batch serves, flight-recorder captures.  :class:`EventLog`
-writes one JSON object per line with the same correlation fields as
-the audit schema — ``tenant``, ``epoch``, and the ``(trace_id,
-span_id)`` of the enclosing tracer span via
-:meth:`~repro.telemetry.tracer.Tracer.current_ids` — so a slow span in
-a trace, a spend in the audit log, and a lifecycle event in the event
-log can all be joined on span ids.
+*every lifecycle event*: service start, mechanism selections, budget
+spends, synopsis and relay builds, ledger rotations, epoch/shard
+refreshes, batch serves.  :meth:`Telemetry.emit
+<repro.telemetry.Telemetry.emit>` writes each one here, and the
+audited subset to the chain too.  :class:`EventLog` writes one JSON
+object per line with the same correlation fields as the audit schema
+— ``tenant``, ``epoch``, and the ``(trace_id, span_id)`` of the span
+the event happened in — so a slow span in a trace, a spend in the
+audit log, and a lifecycle event in the event log can all be joined
+on span ids.
 
 Record schema (one JSON object per line)::
 
@@ -60,11 +62,7 @@ class EventLog(documents.Journal):
     With ``path=None`` events accumulate in memory only; with a path,
     each record is appended to the JSONL file and flushed immediately
     (tail -f friendly).  The first record is always a ``log.open``
-    header carrying the format marker and version.  Bind a tracer
-    (:meth:`bind_tracer`, or let
-    :meth:`Telemetry.with_log <repro.telemetry.Telemetry.with_log>` do
-    it) and every event carries the ids of the span it happened
-    inside.
+    header carrying the format marker and version.
     """
 
     def __init__(self, path: str | os.PathLike | None = None) -> None:
@@ -79,10 +77,11 @@ class EventLog(documents.Journal):
         *,
         tenant: str | None = None,
         epoch: int | None = None,
+        trace_id: int | None = None,
+        span_id: int | None = None,
         **fields: object,
     ) -> Dict[str, object]:
         """Append one event; returns the completed record."""
-        trace_id, span_id = self._span_ids()
         return self._append(
             {
                 "seq": self._seq,

@@ -1,20 +1,12 @@
 """Tests for the project call graph: resolution kinds, per-function
-summary bits, and the versioned ``repro-callgraph`` document."""
+summary bits, and the graph's shape (counts, known targets, the
+reverse caller index) on small trees and the self-hosted package."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.exceptions import LintError
-from repro.privlint import (
-    CALLGRAPH_FORMAT,
-    CALLGRAPH_VERSION,
-    callgraph_document,
-    run_lint,
-    validate_callgraph,
-)
+from repro.privlint import run_lint
 
 
 def _graph(lint_tree, files):
@@ -287,69 +279,75 @@ class TestSummaryBits:
         assert not _node(graph, "bail").returns_value
 
 
+@pytest.fixture(scope="module")
+def self_host_graph():
+    """The call graph of the real package."""
+    return run_lint().context.callgraph
+
+
+def _edges(graph):
+    """Every ``(caller id, target id)`` edge, once per call site."""
+    return [
+        (node.node_id, target)
+        for node in graph.nodes.values()
+        for site in node.calls
+        for target in site.targets
+    ]
+
+
 class TestDocument:
-    def _document(self, lint_tree):
+    def test_stats_agree_with_functions(self, lint_tree):
         graph = _graph(
             lint_tree,
             {
-                "mod.py": '''
+                "a.py": '''
                 def helper(x):
                     return x
 
                 def caller(x):
-                    return helper(x)
+                    return helper(len(x))
+                ''',
+                "b.py": '''
+                from .a import helper
+
+                def outer(x):
+                    return unknown(helper(x))
                 ''',
             },
         )
-        return callgraph_document(graph)
+        sites = [site for node in graph.nodes.values() for site in node.calls]
+        helper = _node(graph, "helper").node_id
+        assert len(graph.nodes) == 3
+        assert len({node.module for node in graph.nodes.values()}) == 2
+        # Calls the resolver cannot name stay as sites without edges.
+        assert len(sites) == 4
+        assert sorted(site.kind for site in sites) == [
+            "import",
+            "local",
+            "opaque",
+            "opaque",
+        ]
+        assert sorted(_edges(graph)) == [
+            (_node(graph, "caller").node_id, helper),
+            (_node(graph, "outer").node_id, helper),
+        ]
 
-    def test_document_validates_and_round_trips(self, lint_tree):
-        document = self._document(lint_tree)
-        assert document["format"] == CALLGRAPH_FORMAT
-        assert document["version"] == CALLGRAPH_VERSION
-        assert validate_callgraph(document) is document
-        validate_callgraph(json.loads(json.dumps(document)))
-
-    def test_stats_agree_with_functions(self, lint_tree):
-        document = self._document(lint_tree)
-        stats = document["stats"]
-        assert stats["functions"] == len(document["functions"]) == 2
-        assert stats["edges"] == 1
-        assert stats["call_sites"] == 1
-        assert stats["resolved_call_sites"] == 1
-        assert stats["modules"] == 1
-
-    def test_self_host_document_validates(self):
-        result = run_lint()
-        document = callgraph_document(result.context.callgraph)
-        validate_callgraph(document)
+    def test_self_host_document_validates(self, self_host_graph):
         # The real package is big enough that an empty graph would
         # mean the builder silently broke.
-        assert document["stats"]["functions"] > 500
-        assert document["stats"]["edges"] > 1000
+        assert len(self_host_graph.nodes) > 500
+        assert len(_edges(self_host_graph)) > 1000
 
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda d: d.__setitem__("format", "repro-lint"),
-            lambda d: d.__setitem__("version", 99),
-            lambda d: d.pop("functions"),
-            lambda d: d["functions"][0].pop("noises"),
-            lambda d: d["functions"][0].pop("qualname"),
-            lambda d: d["functions"][0].pop("calls"),
-            lambda d: d["functions"][0]["calls"][0]["targets"]
-            .__setitem__(0, "ghost.py::nope"),
-            lambda d: d["stats"].__setitem__("functions", 99),
-            lambda d: d["stats"].__setitem__("edges", 99),
-            lambda d: d.pop("stats"),
-        ],
-    )
-    def test_fail_closed(self, lint_tree, mutate):
-        document = self._document(lint_tree)
-        mutate(document)
-        with pytest.raises(LintError):
-            validate_callgraph(document)
+    def test_self_host_targets_are_known_functions(self, self_host_graph):
+        assert {
+            target for _, target in _edges(self_host_graph)
+        } <= set(self_host_graph.nodes)
 
-    def test_not_a_dict_fails(self):
-        with pytest.raises(LintError):
-            validate_callgraph(["nope"])
+    def test_self_host_callers_reverse_the_edges(self, self_host_graph):
+        reverse = {}
+        for caller, target in _edges(self_host_graph):
+            reverse.setdefault(target, set()).add(caller)
+        assert {
+            target: set(callers)
+            for target, callers in self_host_graph.callers.items()
+        } == reverse

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.privlint import validate_callgraph, validate_lint_report
+from repro.privlint import validate_lint_report
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -163,23 +163,25 @@ class TestUnusedIgnoreFlags:
 
 
 class TestCallgraphArtifact:
-    def test_artifact_validates(self, dirty_tree, tmp_path, capsys):
-        artifact = tmp_path / "callgraph.json"
-        main(
-            [
-                "lint",
-                "--paths",
-                str(dirty_tree),
-                "--callgraph-out",
-                str(artifact),
-            ]
-        )
-        capsys.readouterr()
-        document = json.loads(artifact.read_text())
-        validate_callgraph(document)
-        assert document["stats"]["functions"] == 1
-
     def test_timing_line_on_stderr(self, dirty_tree, capsys):
         main(["lint", "--paths", str(dirty_tree)])
         err = capsys.readouterr().err
         assert "privlint: analyzed 1 files in" in err
+
+    def test_callgraph_out_is_not_a_flag(self, dirty_tree, tmp_path, capsys):
+        # The call graph is an in-process analysis structure; lint
+        # writes no call-graph artifact.
+        artifact = tmp_path / "callgraph.json"
+        with pytest.raises(SystemExit) as exited:
+            main(
+                [
+                    "lint",
+                    "--paths",
+                    str(dirty_tree),
+                    "--callgraph-out",
+                    str(artifact),
+                ]
+            )
+        assert exited.value.code == 2
+        assert "--callgraph-out" in capsys.readouterr().err
+        assert not artifact.exists()

@@ -20,11 +20,76 @@ from repro import (
 )
 from repro.graphs import generators
 from repro.serving.service import ServiceStats
-from repro.telemetry import AuditLog, EventLog
+from repro.telemetry import (
+    AUDITED_KINDS,
+    AuditLog,
+    EventLog,
+    Span,
+    verify_against_ledger,
+)
 
 
 def _grid(rows=5, cols=5):
     return generators.grid_graph(rows, cols)
+
+
+def _point_event_spans(tracer) -> list:
+    """The zero-duration point events in the tracer's finished span
+    trees, in the order they were emitted."""
+    found = []
+    spans = list(reversed(tracer.finished_roots()))
+    while spans:
+        span = spans.pop()
+        spans.extend(reversed(span.children))
+        if span.duration_seconds == 0.0 and not span.children:
+            found.append(span)
+    return found
+
+
+def _point_events(tracer) -> Counter:
+    """How often each name occurs as a zero-duration point event in
+    the tracer's finished span trees."""
+    return Counter(span.name for span in _point_event_spans(tracer))
+
+
+#: The fields each lifecycle kind carries, the same in every sink that
+#: gets it.
+_KIND_FIELDS = {
+    "service.start": {"mechanism", "backend", "shards"},
+    "mechanism.select": {"winner", "candidates"},
+    "budget.spend": {
+        "label",
+        "eps",
+        "delta",
+        "spent_eps",
+        "spent_delta",
+        "remaining_eps",
+        "remaining_delta",
+        "budget_eps",
+        "budget_delta",
+    },
+    "synopsis.build": {"mechanism", "forced"},
+    "relay.build": {"sites"},
+    "batch.serve": {"queries", "unique", "cache_hits", "labels"},
+    "ledger.rotate": {
+        "closed_epoch", "tenants", "budget_eps", "budget_delta"
+    },
+    "epoch.refresh": {"mechanism", "shards", "rotated"},
+    "shard.refresh": {"shard"},
+}
+
+
+@pytest.fixture(scope="module")
+def lifecycle() -> Telemetry:
+    """The bundle of a 4-shard, auto-selecting server that started,
+    served a batch, refreshed, and refreshed shard 0."""
+    telemetry = Telemetry().with_audit(AuditLog()).with_log(EventLog())
+    config = ServingConfig(eps=1.0, shards=4, mechanism="auto")
+    service = serve(_grid(12, 12), config, Rng(seed=11), telemetry=telemetry)
+    service.query_batch([((0, 0), (11, 11)), ((3, 4), (8, 2))])
+    service.refresh()
+    service.refresh_shard(0)
+    return telemetry
 
 
 def _answers(telemetry, shards=1):
@@ -177,10 +242,12 @@ class TestMetricsAndSpans:
     def test_one_lifecycle_record_per_server_event(self):
         # Tenants hold no serving state: a 4-shard server starts,
         # refreshes and registers counters once, as one server, while
-        # every build and spend is still recorded per tenant.
+        # every build and spend is still recorded per tenant.  Every
+        # event reaches the event log and the trace once each; only
+        # the spends, rotations and releases reach the hash chain.
         log = EventLog()
         telemetry = Telemetry().with_audit(AuditLog()).with_log(log)
-        config = ServingConfig(eps=1.0, shards=4, mechanism="hub-set")
+        config = ServingConfig(eps=1.0, shards=4, mechanism="auto")
         service = serve(
             _grid(12, 12), config, Rng(seed=11), telemetry=telemetry
         )
@@ -189,13 +256,24 @@ class TestMetricsAndSpans:
         service.refresh_shard(0)
         audit = Counter(r["kind"] for r in telemetry.audit.records())
         events = Counter(r["event"] for r in log.records())
-        assert events["service.start"] == 1
-        assert audit["epoch.refresh"] == events["epoch.refresh"] == 1
-        assert audit["shard.refresh"] == events["shard.refresh"] == 1
-        assert audit["synopsis.build"] == events["synopsis.build"] == 9
+        assert events.pop("log.open") == 1
+        assert events == _point_events(telemetry.tracer)
+        assert events["service.start"] == events["batch.serve"] == 1
+        assert events["mechanism.select"] == 9
+        assert audit.pop("audit.open") == 1
+        assert set(audit) == AUDITED_KINDS
+        unaudited = {"batch.serve", "mechanism.select", "service.start"}
+        assert not unaudited & set(audit)
+        assert all(audit[kind] == events[kind] for kind in audit)
+        assert audit["epoch.refresh"] == 1
+        assert audit["shard.refresh"] == 1
+        assert audit["synopsis.build"] == 9
         assert audit["relay.build"] == 3
         assert audit["budget.spend"] == 12
         assert audit["ledger.rotate"] == 1
+        verify_against_ledger(
+            telemetry.audit.records(), service.ledger, telemetry.registry
+        )
         stats = [
             m
             for m in telemetry.registry.metrics()
@@ -295,6 +373,37 @@ class TestMetricsAndSpans:
             )
         finally:
             set_default_telemetry(previous)
+
+
+class TestOneFieldSetPerKind:
+    @pytest.mark.parametrize("kind", sorted(_KIND_FIELDS))
+    def test_every_sink_carries_the_same_fields(self, lifecycle, kind):
+        logged = [r for r in lifecycle.log.records() if r["event"] == kind]
+        points = [
+            span
+            for span in _point_event_spans(lifecycle.tracer)
+            if span.name == kind
+        ]
+        chained = [
+            r for r in lifecycle.audit.records() if r["kind"] == kind
+        ]
+        assert logged
+        assert all(set(r["fields"]) == _KIND_FIELDS[kind] for r in logged)
+        # The trace gets each event once, with the same tenant, epoch
+        # and fields (as span attributes hold them), in the same order.
+        assert [
+            Span(
+                kind,
+                {"tenant": r["tenant"], "epoch": r["epoch"], **r["fields"]},
+            ).attributes
+            for r in logged
+        ] == [span.attributes for span in points]
+        if kind in AUDITED_KINDS:
+            assert [
+                (r["tenant"], r["epoch"], r["payload"]) for r in chained
+            ] == [(r["tenant"], r["epoch"], r["fields"]) for r in logged]
+        else:
+            assert chained == []
 
 
 class TestReplayLatency:

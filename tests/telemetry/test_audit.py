@@ -8,8 +8,9 @@ import json
 import pytest
 
 from repro.exceptions import AuditError, ReproError, TelemetryError
-from repro.telemetry import Telemetry
+from repro.telemetry import EventLog, Telemetry
 from repro.telemetry.audit import (
+    AUDITED_KINDS,
     AUDIT_FORMAT,
     AUDIT_VERSION,
     GENESIS_HASH,
@@ -22,6 +23,12 @@ from repro.telemetry.audit import (
     validate_records,
     verify_against_snapshot,
     verify_audit_log,
+)
+
+#: Every kind a service emits: the audited ones, plus those that go to
+#: the event log and the trace only.
+_LIFECYCLE_KINDS = sorted(
+    AUDITED_KINDS | {"batch.serve", "mechanism.select", "service.start"}
 )
 
 
@@ -94,13 +101,16 @@ class TestAuditLog:
 
     def test_tracer_correlation(self):
         telemetry = Telemetry().with_audit(AuditLog())
-        outside = telemetry.audit.record("outside")
+        telemetry.emit("epoch.refresh", epoch=0)
+        with telemetry.span("root") as root:
+            with telemetry.span("inner") as inner:
+                telemetry.emit("epoch.refresh", epoch=1)
+        outside, inside = telemetry.audit.records()[1:]
         assert (outside["trace_id"], outside["span_id"]) == (None, None)
-        with telemetry.span("root"):
-            with telemetry.span("inner"):
-                inside = telemetry.audit.record("inside")
-        assert inside["trace_id"] is not None
-        assert inside["span_id"] is not None
+        assert (inside["trace_id"], inside["span_id"]) == (
+            root.span_id,
+            inner.span_id,
+        )
         assert inside["span_id"] != inside["trace_id"]
 
     def test_file_roundtrip(self, tmp_path):
@@ -140,6 +150,128 @@ class TestAuditLog:
     def test_audit_error_is_repro_and_telemetry_error(self):
         assert issubclass(AuditError, TelemetryError)
         assert issubclass(AuditError, ReproError)
+
+
+class TestEmit:
+    def test_only_audited_kinds_are_chained(self):
+        bundle = Telemetry().with_audit(AuditLog()).with_log(EventLog())
+        # The spends, the rotations and the releases they paid for.
+        audited = [
+            "budget.spend",
+            "epoch.refresh",
+            "ledger.rotate",
+            "relay.build",
+            "shard.refresh",
+            "synopsis.build",
+        ]
+        unaudited = ["batch.serve", "mechanism.select", "service.start"]
+        kinds = sorted(audited + unaudited)
+        for kind in kinds:
+            bundle.emit(kind, tenant="t", epoch=0, value=1)
+        chained = bundle.audit.records()[1:]
+        logged = bundle.log.records()[1:]
+        points = bundle.tracer.finished_roots()
+        assert AUDITED_KINDS == set(audited)
+        assert [r["kind"] for r in chained] == audited
+        assert [r["event"] for r in logged] == kinds
+        assert [span.name for span in points] == kinds
+        assert all(r["payload"] == {"value": 1} for r in chained)
+        assert all(r["fields"] == {"value": 1} for r in logged)
+        assert all(
+            span.attributes == {"tenant": "t", "epoch": 0, "value": 1}
+            for span in points
+        )
+
+    def test_shared_journals_take_each_bundles_span_ids(self):
+        # One audit trail and one event log aggregated over two
+        # servers' bundles, each with its own tracer: a record carries
+        # the ids of the bundle that emitted it, not those of
+        # whichever bundle attached the journals last.
+        audit, log = AuditLog(), EventLog()
+        first = Telemetry().with_audit(audit).with_log(log)
+        second = Telemetry().with_audit(audit).with_log(log)
+        with first.span("epoch.refresh") as outer:
+            with second.span("epoch.refresh") as root:
+                with second.span("synopsis.build") as inner:
+                    first.emit("epoch.refresh", tenant="a", epoch=1)
+                    second.emit("synopsis.build", tenant="b", epoch=0)
+        expected = [
+            (outer.span_id, outer.span_id),
+            (root.span_id, inner.span_id),
+        ]
+        for records in (audit.records(), log.records()):
+            assert [
+                (r["trace_id"], r["span_id"]) for r in records[1:]
+            ] == expected
+
+    @pytest.mark.parametrize("kind", _LIFECYCLE_KINDS)
+    def test_sinks_join_on_the_enclosing_span(self, kind):
+        # The journal records cite the innermost open span, and the
+        # trace's point event is that span's child, so the sinks join
+        # on span ids.
+        bundle = Telemetry().with_audit(AuditLog()).with_log(EventLog())
+        with bundle.span("root") as root:
+            with bundle.span("inner") as inner:
+                bundle.emit(kind, tenant="t", epoch=3, value=1)
+        ids = (root.span_id, inner.span_id)
+        (point,) = inner.children
+        assert point.name == kind
+        assert point.duration_seconds == 0.0
+        assert point.attributes == {"tenant": "t", "epoch": 3, "value": 1}
+        (logged,) = bundle.log.records()[1:]
+        assert (logged["event"], logged["tenant"], logged["epoch"]) == (
+            kind,
+            "t",
+            3,
+        )
+        assert (logged["trace_id"], logged["span_id"]) == ids
+        chained = validate_records(bundle.audit.records())[1:]
+        if kind in AUDITED_KINDS:
+            (record,) = chained
+            assert (record["kind"], record["tenant"], record["epoch"]) == (
+                kind,
+                "t",
+                3,
+            )
+            assert (record["trace_id"], record["span_id"]) == ids
+            assert record["payload"] == logged["fields"] == {"value": 1}
+        else:
+            assert chained == []
+
+    def test_bundle_without_journals_only_traces(self):
+        bundle = Telemetry()
+        bundle.emit("budget.spend", tenant="t", epoch=0, eps=0.5)
+        assert bundle.audit is NULL_AUDIT
+        assert bundle.audit.records() == []
+        assert bundle.log.records() == []
+        (point,) = bundle.tracer.finished_roots()
+        assert point.name == "budget.spend"
+        assert point.attributes == {"tenant": "t", "epoch": 0, "eps": 0.5}
+
+    def test_disabled_bundle_still_journals(self):
+        # Auditing is independent of metrics and tracing: a disabled
+        # bundle opens no spans, so its records carry no span ids, but
+        # both journals still get their events.
+        bundle = (
+            Telemetry(enabled=False)
+            .with_audit(AuditLog())
+            .with_log(EventLog())
+        )
+        with bundle.span("epoch.refresh"):
+            bundle.emit("epoch.refresh", tenant="t", epoch=1)
+            bundle.emit("batch.serve", queries=2)
+        chained = bundle.audit.records()[1:]
+        logged = bundle.log.records()[1:]
+        assert [r["kind"] for r in chained] == ["epoch.refresh"]
+        assert [r["event"] for r in logged] == [
+            "epoch.refresh",
+            "batch.serve",
+        ]
+        assert all(
+            (r["trace_id"], r["span_id"]) == (None, None)
+            for r in chained + logged
+        )
+        assert bundle.tracer.finished_roots() == []
 
 
 class TestValidation:
@@ -270,6 +402,51 @@ class TestOdometer:
         summary = verify_audit_log(log.records())
         assert summary["verified"] is True
         assert summary["spend_records"] == 2
+
+    def test_log_with_serve_and_select_records_still_replays(
+        self, tmp_path
+    ):
+        # Older logs also chain batch serves and mechanism selections.
+        # They still read and verify, and those records do not move
+        # the odometer.
+        select = {"winner": "hub-set", "candidates": ["hub-set"]}
+        serve = {"queries": 4, "unique": 3, "labels": {"service": "x"}}
+
+        def write(log, chain_unaudited):
+            def unaudited(kind, payload):
+                if chain_unaudited:
+                    log.record(kind, **payload)
+
+            unaudited("mechanism.select", select)
+            _spend(log, tenant="a")
+            log.record(
+                "synopsis.build", epoch=0, tenant="a", mechanism="hub-set"
+            )
+            unaudited("batch.serve", serve)
+            log.record(
+                "ledger.rotate",
+                epoch=1,
+                closed_epoch=0,
+                tenants=["a"],
+                budget_eps=1.0,
+                budget_delta=0.0,
+            )
+            unaudited("mechanism.select", select)
+            _spend(log, tenant="a", epoch=1, eps=0.5, spent_eps=0.5)
+            unaudited("batch.serve", serve)
+
+        path = tmp_path / "old.jsonl"
+        with AuditLog(path) as old:
+            write(old, chain_unaudited=True)
+        current = AuditLog()
+        write(current, chain_unaudited=False)
+        records = read_audit_log(path)
+        kinds = {r["kind"] for r in records}
+        assert {"batch.serve", "mechanism.select"} <= kinds
+        assert verify_audit_log(records)["spend_records"] == 2
+        assert replay_odometer(records) == replay_odometer(
+            current.records()
+        )
 
     def test_verify_catches_rechained_arithmetic_lie(self):
         # The chain is intact (the tamperer fixed every hash) but the

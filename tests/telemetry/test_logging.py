@@ -50,11 +50,14 @@ class TestEventLog:
         assert isinstance(record["fields"]["obj"], str)
 
     def test_span_ids_from_bound_tracer(self):
+        # The bundle's own tracer supplies the ids; the log holds none.
         telemetry = Telemetry()
         bundle = telemetry.with_log(EventLog())
         with bundle.span("outer"):
             with bundle.span("inner") as span:
-                record = bundle.log.emit("evt")
+                bundle.emit("evt")
+        record = bundle.log.records()[-1]
+        assert record["event"] == "evt"
         assert record["span_id"] == span.span_id
         assert record["trace_id"] != record["span_id"]
 

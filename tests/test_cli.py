@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -708,6 +709,53 @@ class TestAuditCli:
         assert summary["verified"] is True
         assert summary["gauges_checked"] >= 3
         assert "distance-service" in summary["tenants"]
+
+    def test_simulate_splits_events_between_sinks(self, tmp_path, capsys):
+        # Every lifecycle event reaches the event log; the audit chain
+        # gets the spends, rotations and releases, each once.
+        from repro.telemetry import (
+            AUDITED_KINDS,
+            read_audit_log,
+            read_event_log,
+        )
+
+        audit = tmp_path / "audit.jsonl"
+        events = tmp_path / "events.jsonl"
+        snap = tmp_path / "metrics.json"
+        code = main(
+            [
+                "simulate",
+                "--rows", "6",
+                "--cols", "6",
+                "--eps", "1.0",
+                "--epochs", "2",
+                "--queries", "30",
+                "--seed", "0",
+                "--audit-log", str(audit),
+                "--event-log", str(events),
+                "--metrics-out", str(snap),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        logged = Counter(r["event"] for r in read_event_log(events))
+        assert {
+            "service.start",
+            "mechanism.select",
+            "budget.spend",
+            "synopsis.build",
+            "batch.serve",
+            "ledger.rotate",
+            "epoch.refresh",
+        } <= set(logged)
+        chained = Counter(r["kind"] for r in read_audit_log(audit))
+        assert chained.pop("audit.open") == 1
+        assert chained == Counter(
+            {k: n for k, n in logged.items() if k in AUDITED_KINDS}
+        )
+        assert main(
+            ["audit", "verify", "--log", str(audit), "--metrics", str(snap)]
+        ) == 0
 
     def test_audit_tail_prints_json_records(self, tmp_path, capsys):
         log, _ = self._simulate_with_audit(tmp_path, capsys)

@@ -28,14 +28,7 @@ from repro.exceptions import (
 )
 from repro.graphs import generators
 from repro.graphs.io import graph_from_json, graph_to_json, save_graph
-from repro.privlint import (
-    LintResult,
-    callgraph_document,
-    lint_document,
-    run_lint,
-    validate_callgraph,
-    validate_lint_report,
-)
+from repro.privlint import LintResult, lint_document, validate_lint_report
 from repro.privlint.findings import Finding
 from repro.serving import DistanceService, ServingConfig, ShardPlan
 from repro.serving.routing import partition_graph
@@ -106,12 +99,6 @@ def _flight() -> dict:
     recorder = FlightRecorder(threshold_seconds=1e-9)
     recorder.consider(1e-3, pair=(0, 1), route="point")
     return recorder.to_document()
-
-
-def _callgraph() -> dict:
-    fixtures = Path(__file__).parent / "privlint" / "fixtures"
-    result = run_lint([fixtures], package_root=fixtures)
-    return callgraph_document(result.context.callgraph)
 
 
 def _journal(cls, tmp_path: Path) -> List[dict]:
@@ -255,14 +242,6 @@ READERS = [
         parses=False,
     ),
     Reader(
-        "callgraph",
-        LintError,
-        lambda tmp: _callgraph(),
-        _read_parsed(validate_callgraph),
-        ("functions", "stats"),
-        parses=False,
-    ),
-    Reader(
         "audit-log",
         AuditError,
         lambda tmp: _journal(AuditLog, tmp),
@@ -398,11 +377,6 @@ NESTED = [
         "lint-summary-without-total",
         "lint-report",
         lambda d: d["summary"].pop("total"),
-    ),
-    (
-        "callgraph-function-without-id",
-        "callgraph",
-        lambda d: _drop_first("id")(d["functions"]),
     ),
 ]
 
