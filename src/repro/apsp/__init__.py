@@ -14,10 +14,10 @@ released values — sampled hub relay tables plus hop-local balls — for
   bounded-weight trade-off.
 
 Both are engine-native: the exact values behind the released entries
-come from local :mod:`repro.engine` CSR searches (hub rows, hop-limited
-balls, weight-limited ball pairs), never from an all-pairs sweep, and
-the noise is drawn in vectorized Laplace blocks.  The
-serving layer wraps them as registered synopses
+come from local :mod:`repro.engine` CSR searches (hub rows, hop-search
+balls, one bounded sweep per ball-pair source), never from an
+all-pairs sweep, and the noise is drawn in vectorized Laplace blocks.
+The serving layer wraps them as registered synopses
 (:class:`repro.serving.synopsis.HubSetSynopsis` /
 :class:`repro.serving.synopsis.HubBoundedSynopsis`).
 """

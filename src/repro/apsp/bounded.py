@@ -28,9 +28,9 @@ from ..algorithms.covering import (
     meir_moon_k_covering,
     nearest_in_set,
 )
-from ..algorithms.traversal import is_connected
 from ..dp.params import PrivacyParams
 from ..engine.csr import CSRGraph
+from ..engine.frontier import is_weakly_connected
 from ..engine.kernels import multi_source_distances
 from ..exceptions import (
     DisconnectedGraphError,
@@ -124,7 +124,8 @@ class HubSetBoundedRelease:
                 f"weight bound M must be positive, got {weight_bound}"
             )
         graph.check_bounded(weight_bound)
-        if not is_connected(graph):
+        self._csr = CSRGraph.from_graph(graph)
+        if not is_weakly_connected(self._csr):
             raise DisconnectedGraphError(
                 "hub-bounded release requires a connected graph"
             )
@@ -157,7 +158,6 @@ class HubSetBoundedRelease:
             for vert, (origin, _) in nearest_in_set(graph, covering).items()
         }
 
-        self._csr = CSRGraph.from_graph(graph)
         site_idx = self._csr.indices_of(covering)
         m = len(covering)
         h = default_hub_count(m) if hub_count is None else hub_count

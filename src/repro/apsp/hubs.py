@@ -30,25 +30,39 @@ pure post-processing of the released tables: a vectorized min over
 Construction never builds a site-by-site matrix.  The topology is
 public, so the hub sample and the hop-count balls are chosen without
 reading a weight, and only the released entries need exact weighted
-distances.  Every sweep is a :func:`repro.engine.kernels.
-multi_source_distances` call over the CSR arrays, in row chunks of at
-most ``_ROW_CHUNK`` sources:
+distances.  Two hop searches read no weight; both run on
+:class:`repro.engine.frontier.FrontierSearch`, a level-synchronous
+search over the CSR arrays that touches only the vertices it reaches:
+
+* **balls** — a search from every site, each stopping at the hop
+  level where it has found ``ball_size`` other sites (ties in hop
+  count go to the lower site position);
+* **partner trees** — a search from the lower-index site of each
+  distinct ball pair that keeps one BFS tree (one parent per vertex),
+  grown until it reaches every partner of that site.
+
+Both are computed once per compiled topology and kept in its memo
+(:meth:`repro.engine.csr.CSRGraph.topology_memo`), with the sites'
+mutual reachability: every later epoch, tenant or relay over the same
+structure reuses them, and only the hub sample, the weighted sweeps
+and the noise are redone.  Every weighted sweep is a
+:func:`repro.engine.kernels.multi_source_distances` call, in row
+chunks of at most ``_ROW_CHUNK`` sources:
 
 * **hub rows** — one unlimited sweep from each hub;
-* **balls** — hop-limited unit-weight sweeps from every site, the
-  radius doubling until each site has found ``ball_size + 1`` sites;
-* **ball pairs** — a weight-limited sweep from each pair's lower-index
-  site, its limit doubling until all its partners are settled.
-
-The balls and the sites' mutual reachability read no weight, so they
-are computed once per compiled topology and kept in its memo
-(:meth:`repro.engine.csr.CSRGraph.topology_memo`): every later epoch,
-tenant or relay over the same structure reuses them, and only the
-hub sample, the weighted sweeps and the noise are redone.
+* **ball pairs** — one sweep from each pair source, limited to its
+  partners' largest tree-path weight.  One level-by-level pass over
+  the trees gives those weights each epoch.  A tree-path weight adds
+  the same left-associated floats a Dijkstra adds along one path, and
+  rounding is monotone, so it is at least the Dijkstra value bit for
+  bit.  Sources are swept in order of that limit, in chunks whose
+  limits lie within ``_BAND_FACTOR`` of each other, and each source is
+  swept exactly once.
 
 A limited Dijkstra returns the unlimited value, bit for bit, for every
 target within the limit, so a seeded build releases exactly what one
-exact sweep from every site would have.  Each table's noise is one
+exact sweep from every site would have; a partner left unsettled
+raises instead of being released.  Each table's noise is one
 vectorized Laplace draw.  The shipped structure carries only the
 ``~V^{3/2}`` released values, and the release objects keep no exact
 distances: ``exact_distance`` (error measurement, not private) sweeps
@@ -58,17 +72,23 @@ one source row on demand.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..algorithms.traversal import is_connected
 from ..dp.composition import composed_noise_scale
 from ..dp.params import PrivacyParams
 from ..engine.backends import kernel_span
 from ..engine.csr import CSRGraph
+from ..engine.frontier import (
+    FrontierSearch,
+    is_weakly_connected,
+    ranges,
+    reached,
+)
 from ..engine.kernels import multi_source_distances
-from ..exceptions import DisconnectedGraphError, GraphError
+from ..exceptions import DisconnectedGraphError, EngineError, GraphError
 from ..graphs.graph import Vertex, WeightedGraph
 from ..rng import Rng
 from ..telemetry import get_telemetry
@@ -84,8 +104,13 @@ __all__ = [
 ]
 
 #: Sources per engine sweep: a transient distance block holds at most
-#: ``_ROW_CHUNK x V`` floats (8.4 MB at V = 4096).
+#: ``_ROW_CHUNK x V`` floats (8.4 MB at V = 4096).  Also the sources
+#: per hop search, whose scratch holds ``_ROW_CHUNK x V`` int32s.
 _ROW_CHUNK = 256
+
+#: Ball-pair sources swept together have limits within this factor,
+#: so no source searches far beyond its own partners.
+_BAND_FACTOR = 2.0
 
 
 def default_hub_count(num_sites: int) -> int:
@@ -244,11 +269,12 @@ def build_hub_structure(
     """Build the released hub structure over the given site indices.
 
     ``site_idx`` holds the CSR indices of the ``m`` sites; the
-    structure addresses them by position.  The sites must all reach
-    each other, which is checked on the public topology before any
-    draw (:class:`~repro.exceptions.DisconnectedGraphError`).  The rng
-    then draws the hub sample, the hub-table noise and the ball noise,
-    in that order.
+    structure addresses them by position.  The sites must be distinct
+    vertex indices (:class:`~repro.exceptions.GraphError`) that all
+    reach each other, which is checked on the public topology before
+    any draw (:class:`~repro.exceptions.DisconnectedGraphError`).  The
+    rng then draws the hub sample, the hub-table noise and the ball
+    noise, in that order.
 
     The exact values behind the released entries come from local
     searches, in row chunks of at most :data:`_ROW_CHUNK` sources
@@ -265,6 +291,10 @@ def build_hub_structure(
     if not 0 <= ball_size <= max(m - 1, 0):
         raise GraphError(
             f"ball_size must be in [0, {max(m - 1, 0)}], got {ball_size}"
+        )
+    if site_idx.min() < 0 or site_idx.max() >= csr.n:
+        raise GraphError(
+            f"hub sites must be vertex indices in [0, {csr.n})"
         )
     if len(np.unique(site_idx)) != m:
         raise GraphError("hub sites must be distinct vertices")
@@ -309,21 +339,26 @@ def _build_hub_structure_inner(
             )
             exact_rows[lo : lo + _ROW_CHUNK] = block[:, site_idx]
 
-    # Ball membership: nearest sites by hop count (public topology).
+    # Ball pairs: nearest sites by hop count (public topology), less
+    # the pairs with a hub endpoint — the hub table covers those.
     ball_pairs = np.empty(0, dtype=np.int64)
     if ball_size > 0:
         with kernel_span("engine.hop_balls", sites=m, ball_size=ball_size):
-            rows, cols, hops = csr.topology_memo(
-                ("hop_balls", sites, ball_size),
-                lambda unit: _hop_balls(unit, site_idx, ball_size),
+            trees = csr.topology_memo(
+                ("ball_trees", sites, ball_size),
+                lambda unit: _ball_trees(unit, site_idx, ball_size),
             )
         is_hub = np.zeros(m, dtype=bool)
         is_hub[hubs] = True
-        keep = ~(is_hub[rows] | is_hub[cols])
-        lo = np.minimum(rows[keep], cols[keep])
-        hi = np.maximum(rows[keep], cols[keep])
-        ball_pairs, first = np.unique(lo * m + hi, return_index=True)
-        pair_hops = hops[keep][first]
+        keep = ~(is_hub[trees.lo] | is_hub[trees.hi])
+        pair_lo, pair_hi = trees.lo[keep], trees.hi[keep]
+        ball_pairs = pair_lo.astype(np.int64) * m + pair_hi
+        if len(ball_pairs):
+            with kernel_span("engine.ball_pairs", pairs=len(ball_pairs)):
+                bound = _tree_weights(csr, trees)[trees.entry[keep]]
+                exact_ball = _pair_distances(
+                    csr, site_idx, pair_lo, pair_hi, bound
+                )
 
     # Budget accounting over the distinct released pair queries.
     q_hub = hub_count * (m - hub_count) + hub_count * (hub_count - 1) // 2
@@ -343,13 +378,9 @@ def _build_hub_structure_inner(
     np.fill_diagonal(sub, 0.0)
     matrix[:, hubs] = sub
 
-    # Local-ball table: vectorized noise over the deduplicated pairs.
+    # Local-ball table: vectorized noise over the distinct pairs.
     ball: Dict[int, float] = {}
     if len(ball_pairs):
-        with kernel_span("engine.ball_pairs", pairs=len(ball_pairs)):
-            exact_ball = _pair_distances(
-                csr, site_idx, ball_pairs // m, ball_pairs % m, pair_hops
-            )
         values = exact_ball + rng.laplace_vector(scale, len(ball_pairs))
         ball = dict(zip(ball_pairs.tolist(), values.tolist()))
 
@@ -368,90 +399,177 @@ def _mutually_reachable(csr: CSRGraph, site_idx: np.ndarray) -> bool:
     all sites are reachable from the first one and, on a directed
     graph, the first one from all of them."""
     start = int(site_idx[0])
-    if not _reached(csr.indptr, csr.indices, start)[site_idx].all():
+    if not reached(csr.indptr, csr.indices, start)[site_idx].all():
         return False
     if not csr.directed:
         return True
     in_indptr, in_tails, _ = csr.incoming()
-    return bool(_reached(in_indptr, in_tails, start)[site_idx].all())
+    return bool(reached(in_indptr, in_tails, start)[site_idx].all())
 
 
-def _reached(
-    indptr: np.ndarray, heads: np.ndarray, start: int
-) -> np.ndarray:
-    """The vertices reachable from ``start`` along CSR adjacency, by a
-    breadth-first search one vectorized frontier at a time."""
-    seen = np.zeros(len(indptr) - 1, dtype=bool)
-    seen[start] = True
-    frontier = np.array([start], dtype=np.int64)
-    while frontier.size:
-        begin = indptr[frontier]
-        heads_out = heads[_ranges(begin, indptr[frontier + 1] - begin)]
-        frontier = np.unique(heads_out[~seen[heads_out]])
-        seen[frontier] = True
-    return seen
+@dataclass(frozen=True)
+class _BallTrees:
+    """The topology-only half of the local-ball table, kept in the
+    topology memo (every array read-only).
+
+    * ``lo``, ``hi`` — the site positions of each distinct pair
+      ``lo < hi`` where one site is in the other's ball, sorted;
+    * ``entry`` — per pair, the entry of ``hi`` in ``lo``'s tree;
+    * ``parent``, ``arc`` — per tree entry, its parent entry and the
+      CSR arc from the parent's vertex to its own (a root is its own
+      parent, with arc ``-1``);
+    * ``levels`` — where each BFS level starts: the entries of all
+      trees are stored level by level, roots first, one root per
+      distinct ``lo`` in increasing order.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    entry: np.ndarray
+    parent: np.ndarray
+    arc: np.ndarray
+    levels: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in vars(self).values():
+            array.setflags(write=False)
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The index ranges ``[start, start + count)``, concatenated."""
-    offsets = np.cumsum(counts) - counts
-    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+def _ball_trees(
+    unit: CSRGraph, site_idx: np.ndarray, ball_size: int
+) -> _BallTrees:
+    """The ball pairs and partner trees of ``ball_size``-site balls
+    over the unit-weight view ``unit`` of the topology."""
+    search = FrontierSearch(
+        unit.indptr, unit.indices, min(_ROW_CHUNK, len(site_idx))
+    )
+    lo, hi = np.divmod(
+        _hop_balls(unit, search, site_idx, ball_size), len(site_idx)
+    )
+    return _BallTrees(
+        lo.astype(np.int32),
+        hi.astype(np.int32),
+        *_partner_trees(search, site_idx, lo, hi),
+    )
 
 
 def _hop_balls(
-    unit: CSRGraph, site_idx: np.ndarray, ball_size: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each site's ``ball_size`` nearest other sites by hop count, over
-    the unit-weight view ``unit`` of the topology.
+    unit: CSRGraph,
+    search: FrontierSearch,
+    site_idx: np.ndarray,
+    ball_size: int,
+) -> np.ndarray:
+    """Each site's ``ball_size`` nearest other sites by hop count, as
+    the sorted keys ``lo * m + hi`` of the distinct pairs they form.
 
-    Returns ``(rows, cols, hops)``, read-only: the site positions of
-    each ball's owner and member and the hop count between them.  A
-    ball is the first ``ball_size`` entries after self of its row in
+    A ball is the first ``ball_size`` entries after self of its row in
     (hop count, site position) order — what a stable argsort of the
-    full hop matrix gives.  Each chunk of sources is searched to a hop
-    radius, and rows that found fewer than ``ball_size + 1`` sites
-    (self included) rerun at double the radius: every site beyond the
-    radius is farther than every site within it, so a row that found
-    enough sites has found its ball.
+    full hop matrix gives.  Each site's search stops at the level
+    where it has found ``ball_size`` other sites and takes that
+    level's sites in position order, as many as it still needs.
     """
     m = len(site_idx)
     position = np.full(unit.n, -1, dtype=np.int64)
     position[site_idx] = np.arange(m)
-    radius = 1
-    found = []
-    for start in range(0, m, _ROW_CHUNK):
-        pending = np.arange(start, min(start + _ROW_CHUNK, m))
-        needed = []
-        while pending.size:
-            block = multi_source_distances(
-                unit, site_idx[pending], limit=radius
-            )
-            row, vertex = np.nonzero(block <= radius)
-            col = position[vertex]
-            is_site = col >= 0
-            # One integer key per entry: row, then hops, then position.
-            span = radius + 1
-            key = (
-                row[is_site] * span
-                + block[row[is_site], vertex[is_site]].astype(np.int64)
-            ) * m + col[is_site]
+    keys = []
+    for begin in range(0, m, _ROW_CHUNK):
+        rows = np.arange(begin, min(begin + _ROW_CHUNK, m))
+        owner, vertex = search.start(site_idx[rows])
+        found = np.ones(rows.size, dtype=np.int64)
+        while owner.size:
+            owner, vertex, _, _ = search.expand(owner, vertex)
+            is_site = position[vertex] >= 0
+            key = owner[is_site] * m + position[vertex[is_site]]
             key.sort()
-            row, rest = np.divmod(key, span * m)
-            hop, col = np.divmod(rest, m)
-            counts = np.bincount(row, minlength=pending.size)
-            rank = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
-            full = counts > ball_size
-            take = full[row] & (rank >= 1) & (rank <= ball_size)
-            found.append((pending[row[take]], col[take], hop[take]))
-            needed.append(hop[take & (rank == ball_size)])
-            pending = pending[~full]
-            radius *= 2
-        # The next chunk starts at the largest radius this one needed.
-        radius = int(np.concatenate(needed).max())
-    balls = tuple(np.concatenate(part) for part in zip(*found))
-    for array in balls:
-        array.setflags(write=False)
-    return balls  # type: ignore[return-value]
+            row, col = np.divmod(key, m)
+            counts = np.bincount(row, minlength=rows.size)
+            rank = np.arange(key.size) - (np.cumsum(counts) - counts)[row]
+            take = rank <= ball_size - found[row]
+            row, col = rows[row[take]], col[take]
+            keys.append(np.minimum(row, col) * m + np.maximum(row, col))
+            found += counts
+            growing = found[owner] <= ball_size
+            owner, vertex = owner[growing], vertex[growing]
+        search.reset()
+    keys = np.concatenate(keys)
+    keys.sort()
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def _partner_trees(
+    search: FrontierSearch,
+    site_idx: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One BFS tree from each distinct ``lo`` site, grown until it
+    reaches every ``hi`` partner of that site; returns ``(entry,
+    parent, arc, levels)`` as :class:`_BallTrees` lays them out.
+    ``lo`` must be sorted."""
+    first = np.flatnonzero(np.diff(lo, prepend=-1))
+    bounds = np.append(first, len(lo))
+    entry = np.empty(len(lo), dtype=np.int64)
+    parents, arcs, depths = [], [], []
+    base = 0
+    for begin in range(0, len(first), _ROW_CHUNK):
+        end = min(begin + _ROW_CHUNK, len(first))
+        pairs = slice(bounds[begin], bounds[end])
+        pair_owner = np.repeat(
+            np.arange(end - begin), np.diff(bounds[begin : end + 1])
+        )
+        pair_vertex = site_idx[hi[pairs]]
+        owner, vertex = search.start(site_idx[lo[first[begin:end]]])
+        parent = [owner]
+        arc = [np.full(owner.size, -1, dtype=np.int64)]
+        open_pairs = np.arange(pair_owner.size)
+        while owner.size:
+            owner, vertex, level_parent, level_arc = search.expand(
+                owner, vertex
+            )
+            parent.append(level_parent)
+            arc.append(level_arc)
+            found = search.entries(
+                pair_owner[open_pairs], pair_vertex[open_pairs]
+            )
+            open_pairs = open_pairs[found < 0]
+            growing = np.zeros(end - begin, dtype=bool)
+            growing[pair_owner[open_pairs]] = True
+            keep = growing[owner]
+            owner, vertex = owner[keep], vertex[keep]
+        entry[pairs] = search.entries(pair_owner, pair_vertex) + base
+        search.reset()
+        sizes = [len(level) for level in parent]
+        parents.append(np.concatenate(parent) + base)
+        arcs.extend(arc)
+        depths.append(np.repeat(np.arange(len(sizes)), sizes))
+        base += sum(sizes)
+    # Lay the entries of all trees out level by level.
+    depth = np.concatenate(depths)
+    order = np.argsort(depth, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    levels = np.zeros(depth.max() + 2, dtype=np.int64)
+    np.cumsum(np.bincount(depth), out=levels[1:])
+    return (
+        rank[entry].astype(np.int32),
+        rank[np.concatenate(parents)[order]].astype(np.int32),
+        np.concatenate(arcs)[order].astype(np.int32),
+        levels,
+    )
+
+
+def _tree_weights(csr: CSRGraph, trees: _BallTrees) -> np.ndarray:
+    """Every tree entry's path weight from its root under ``csr``'s
+    weights, one level at a time, summed left to right from the root
+    as a Dijkstra sums: at least the entry's distance, bit for bit."""
+    weight = np.zeros(len(trees.parent))
+    levels = trees.levels
+    for begin, end in zip(levels[1:-1], levels[2:]):
+        weight[begin:end] = (
+            weight[trees.parent[begin:end]]
+            + csr.weights[trees.arc[begin:end]]
+        )
+    return weight
 
 
 def _pair_distances(
@@ -459,43 +577,46 @@ def _pair_distances(
     site_idx: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    hops: np.ndarray,
+    bound: np.ndarray,
 ) -> np.ndarray:
     """The exact distance from site ``lo[k]`` to site ``hi[k]`` for
     each pair, computed from the lower-index site as the full sweep's
     ``exact[lo, hi]`` was.
 
-    ``lo`` must be sorted.  Each source first sweeps to its farthest
-    partner's hop count times the mean arc weight; a source with a
-    partner still unsettled reruns at double its limit.  Every settled
-    value equals the unlimited one bit for bit.
+    ``lo`` must be sorted and ``bound[k]`` at least pair ``k``'s
+    distance.  Each source is swept once, limited to its partners'
+    largest bound: sources are taken in order of that limit, in chunks
+    of at most :data:`_ROW_CHUNK` whose limits lie within
+    :data:`_BAND_FACTOR` of the chunk's first.  Every target within a
+    limit is settled at its unlimited value bit for bit, so a partner
+    left unsettled means a wrong bound: it raises
+    :class:`~repro.exceptions.EngineError` rather than be released.
     """
     values = np.empty(len(lo))
-    sources, first, counts = np.unique(
-        lo, return_index=True, return_counts=True
-    )
-    mean_weight = float(csr.weights.mean())
-    limits = np.maximum.reduceat(hops, first) * mean_weight
-    pending = np.arange(len(sources))
-    while pending.size:
-        pending = pending[np.argsort(limits[pending], kind="stable")]
-        retry = []
-        for start in range(0, pending.size, _ROW_CHUNK):
-            chunk = pending[start : start + _ROW_CHUNK]
-            limit = float(limits[chunk].max())
-            block = multi_source_distances(
-                csr, site_idx[sources[chunk]], limit=limit
-            )
-            owner = np.repeat(np.arange(chunk.size), counts[chunk])
-            pair = _ranges(first[chunk], counts[chunk])
-            got = block[owner, site_idx[hi[pair]]]
-            values[pair] = got
-            if limit < np.inf:
-                retry.append(chunk[np.unique(owner[np.isinf(got)])])
-        pending = np.concatenate(retry) if retry else pending[:0]
-        limits[pending] = np.where(
-            limits[pending] > 0, 2.0 * limits[pending], np.inf
+    first = np.flatnonzero(np.diff(lo, prepend=-1))
+    counts = np.diff(np.append(first, len(lo)))
+    limits = np.maximum.reduceat(bound, first)
+    order = np.argsort(limits, kind="stable")
+    limits = limits[order]
+    start = 0
+    while start < order.size:
+        band_end = np.searchsorted(
+            limits, _BAND_FACTOR * limits[start], side="right"
         )
+        stop = min(start + _ROW_CHUNK, int(band_end))
+        chunk = order[start:stop]
+        block = multi_source_distances(
+            csr, site_idx[lo[first[chunk]]], limit=float(limits[stop - 1])
+        )
+        owner = np.repeat(np.arange(chunk.size), counts[chunk])
+        pair = ranges(first[chunk], counts[chunk])
+        got = block[owner, site_idx[hi[pair]]]
+        if np.isinf(got).any():
+            raise EngineError(
+                "a ball partner lies beyond its tree-path bound"
+            )
+        values[pair] = got
+        start = stop
     return values
 
 
@@ -524,13 +645,13 @@ class HubSetRelease:
         hub_count: int | None = None,
         ball_size: int | None = None,
     ) -> None:
-        if not is_connected(graph):
+        self._csr = CSRGraph.from_graph(graph)
+        if not is_weakly_connected(self._csr):
             raise DisconnectedGraphError(
                 "hub-set release requires a connected graph"
             )
         self._graph = graph
         self._params = PrivacyParams(eps, delta)
-        self._csr = CSRGraph.from_graph(graph)
         n = self._csr.n
         h = default_hub_count(n) if hub_count is None else hub_count
         b = default_ball_size(n) if ball_size is None else ball_size

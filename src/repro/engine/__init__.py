@@ -2,7 +2,7 @@
 
 A thin compute layer between the graph model (:mod:`repro.graphs`) and
 every mechanism that post-processes noisy weights with an *exact*
-shortest-path computation.  Three pieces:
+shortest-path computation.  Four pieces:
 
 * :mod:`repro.engine.csr` — :class:`CSRGraph`, a frozen
   integer-indexed compilation of a
@@ -11,6 +11,9 @@ shortest-path computation.  Three pieces:
 * :mod:`repro.engine.kernels` — index-based Dijkstra, vectorized
   multi-source relaxation, min-plus repeated-squaring APSP, vectorized
   Laplace perturbation, predecessor path reconstruction;
+* :mod:`repro.engine.frontier` — level-synchronous breadth-first
+  search from chunks of sources (hop balls, BFS trees, reachability,
+  weak connectivity), touching only the vertices it reaches;
 * :mod:`repro.engine.backends` — the ``"python"`` / ``"numpy"``
   backend registry with an (|V|, |E|) auto-selection heuristic,
   threaded through the public API as ``backend=`` parameters and the

@@ -28,10 +28,11 @@ graph of the same topology (an epoch refresh's new graph).
 In Sealfon's model the topology is public, so whatever is computed
 from it alone is the same in every epoch.  The structure therefore
 also keeps a memo of such values (:meth:`CSRGraph.topology_memo`:
-the hub build's hop-count balls and site reachability), computed over
-unit weights on first use and shared by every re-weighting.  The memo
-lives and dies with the structure; a changed topology compiles a new
-structure with an empty memo.
+the graph's weak connectivity, and for each hub build its sites'
+mutual reachability and its ball pairs with one BFS tree per pair
+source), computed over unit weights on first use and shared by every
+re-weighting.  The memo lives and dies with the structure; a changed
+topology compiles a new structure with an empty memo.
 """
 
 from __future__ import annotations

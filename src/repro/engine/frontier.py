@@ -1,0 +1,153 @@
+"""Level-synchronous breadth-first search over CSR arrays.
+
+Hop counts, reachability and connectivity read the public topology
+only.  :class:`FrontierSearch` answers them one vectorized level at a
+time, from a chunk of sources at once, and touches only the vertices
+each source reaches: no dense ``sources x V`` block is built or
+scanned.  The hub build's ball search and partner trees
+(:mod:`repro.apsp.hubs`), the sites' mutual reachability
+(:func:`reached`) and the services' connectivity checks
+(:func:`is_weakly_connected`) all run on it.
+"""
+
+from __future__ import annotations
+
+from typing import List, Sequence, Tuple
+
+import numpy as np
+
+from .csr import CSRGraph
+
+__all__ = ["FrontierSearch", "ranges", "reached", "is_weakly_connected"]
+
+
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The index ranges ``[start, start + count)``, concatenated."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+
+
+class FrontierSearch:
+    """Breadth-first searches from up to ``capacity`` sources at once.
+
+    A search is a sequence of levels.  :meth:`start` opens level 0 —
+    the sources themselves — and each :meth:`expand` returns the next
+    level: every ``(owner, vertex)`` pair first reached from the
+    frontier it is given, once each.  ``owner`` is the source's
+    position in the :meth:`start` call.  Every reached pair gets an
+    *entry* id, in the order the pairs were reached (the sources are
+    entries ``0 .. k-1``), so a caller can keep each vertex's parent
+    entry and turn the levels into one BFS tree per source.  A caller
+    stops growing a source by leaving its pairs out of the frontier
+    it passes on.
+
+    Reached pairs are marked in one flat ``capacity x V`` scratch
+    array that every search of this object shares; :meth:`reset`
+    clears only the entries the last search wrote.
+    """
+
+    def __init__(
+        self, indptr: np.ndarray, heads: np.ndarray, capacity: int
+    ) -> None:
+        self._indptr = indptr
+        self._heads = heads
+        self._n = len(indptr) - 1
+        self._entry = np.full(capacity * self._n, -1, dtype=np.int32)
+        self._touched: List[np.ndarray] = []
+        self._count = 0
+
+    def start(
+        self, sources: Sequence[int] | np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Open a search from ``sources``; returns level 0 as
+        ``(owner, vertex)``."""
+        vertex = np.asarray(sources, dtype=np.int64)
+        owner = np.arange(vertex.size, dtype=np.int64)
+        self._mark(owner * self._n + vertex)
+        return owner, vertex
+
+    def expand(
+        self, owner: np.ndarray, vertex: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The level after the frontier ``(owner, vertex)``.
+
+        Returns ``(owner, vertex, parent, arc)``: each newly reached
+        pair, the entry id of the frontier vertex it was first reached
+        from and the CSR arc it came along.
+        """
+        n = self._n
+        begin = self._indptr[vertex]
+        counts = self._indptr[vertex + 1] - begin
+        arc = ranges(begin, counts)
+        src = np.repeat(np.arange(vertex.size), counts)
+        key = (owner * n)[src] + self._heads[arc]
+        # Keep the arcs to unreached pairs, one per pair: of a pair's
+        # duplicates, the last to write its slot into the scratch.
+        fresh = np.flatnonzero(self._entry[key] < 0)
+        key = key[fresh]
+        slot = np.arange(key.size, dtype=np.int32)
+        self._entry[key] = slot
+        first = self._entry[key] == slot
+        key, fresh = key[first], fresh[first]
+        src, arc = src[fresh], arc[fresh]
+        parent = self._entry[(owner * n + vertex)[src]]
+        self._mark(key)
+        return owner[src], self._heads[arc], parent, arc
+
+    def entries(self, owner: np.ndarray, vertex: np.ndarray) -> np.ndarray:
+        """The entry id of each ``(owner, vertex)`` pair in the current
+        search, ``-1`` where it was not reached."""
+        return self._entry[owner * self._n + vertex]
+
+    def reset(self) -> None:
+        """Forget the current search, clearing only what it marked."""
+        for key in self._touched:
+            self._entry[key] = -1
+        self._touched = []
+        self._count = 0
+
+    def _mark(self, key: np.ndarray) -> None:
+        self._entry[key] = np.arange(
+            self._count, self._count + key.size, dtype=np.int32
+        )
+        self._count += key.size
+        self._touched.append(key)
+
+
+def reached(
+    indptr: np.ndarray, heads: np.ndarray, start: int
+) -> np.ndarray:
+    """The vertices reachable from ``start`` along CSR adjacency, as a
+    boolean mask."""
+    seen = np.zeros(len(indptr) - 1, dtype=bool)
+    search = FrontierSearch(indptr, heads, 1)
+    owner, vertex = search.start([start])
+    while vertex.size:
+        seen[vertex] = True
+        owner, vertex, _, _ = search.expand(owner, vertex)
+    return seen
+
+
+def is_weakly_connected(csr: CSRGraph) -> bool:
+    """Whether the compiled topology is weakly connected, as
+    :func:`repro.algorithms.traversal.is_connected` defines it (no
+    vertices counts as connected).  Computed once per compiled
+    structure and kept in its topology memo."""
+    return csr.topology_memo("weakly_connected", _weakly_connected)
+
+
+def _weakly_connected(unit: CSRGraph) -> bool:
+    n = unit.n
+    if n == 0:
+        return True
+    indptr, heads = unit.indptr, unit.indices
+    if unit.directed:
+        # Search every arc in both directions.
+        tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        ends = np.concatenate([tails, heads])
+        heads = np.concatenate([heads, tails])[
+            np.argsort(ends, kind="stable")
+        ]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+    return bool(reached(indptr, heads, 0).all())

@@ -51,6 +51,8 @@ from .core.distance_oracle import all_pairs_noise_scale
 from .core.tree_distances import TreeAllPairsRelease
 from .dp.composition import composed_noise_scale
 from .dp.params import PrivacyParams
+from .engine.csr import CSRGraph
+from .engine.frontier import is_weakly_connected
 from .exceptions import (
     DisconnectedGraphError,
     GraphError,
@@ -140,7 +142,7 @@ def _is_tree_topology(graph: WeightedGraph) -> bool:
 
 
 def _require_connected(graph: WeightedGraph, mechanism: str) -> None:
-    if not is_connected(graph):
+    if not is_weakly_connected(CSRGraph.from_graph(graph)):
         raise DisconnectedGraphError(
             f"{mechanism} release requires a connected graph"
         )

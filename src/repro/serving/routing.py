@@ -17,9 +17,9 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .. import documents
-from ..algorithms.traversal import is_connected
 from ..apsp.hubs import HubStructure
 from ..engine.csr import CSRGraph
+from ..engine.frontier import is_weakly_connected
 from ..exceptions import (
     DisconnectedGraphError,
     GraphError,
@@ -261,11 +261,11 @@ def partition_graph(
             f"cannot split {graph.num_vertices} vertices into "
             f"{shards} shards"
         )
-    if not is_connected(graph):
+    csr = CSRGraph.from_graph(graph)
+    if not is_weakly_connected(csr):
         raise DisconnectedGraphError(
             "sharded serving requires a connected graph"
         )
-    csr = CSRGraph.from_graph(graph)
     n = csr.n
     indptr, indices = csr.indptr, csr.indices
     rng = Rng(seed)

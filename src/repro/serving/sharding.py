@@ -64,9 +64,10 @@ structure, rebuilds only that shard's synopsis plus the relay table,
 and leaves the other ``k - 1`` tenants serving untouched.  Every
 refresh reuses the compiled topology: each tenant subgraph and the
 full graph keep their CSR structures across epochs, with the
-topology memo of :mod:`repro.engine.csr` (the hop-count balls and site
-reachability of the tenant and relay hub builds), so only the sweeps
-that read weights and the noise are redone.
+topology memo of :mod:`repro.engine.csr` (the connectivity, and the
+ball pairs, partner trees and site reachability of the tenant and
+relay hub builds), so only the sweeps that read weights and the noise
+are redone.
 """
 
 from __future__ import annotations

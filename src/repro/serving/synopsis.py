@@ -38,13 +38,13 @@ import numpy as np
 
 from .. import documents
 from ..algorithms.shortest_paths import all_pairs_dijkstra
-from ..algorithms.traversal import is_connected
 from ..apsp.hubs import HubStructure
 from ..core.distance_oracle import all_pairs_noise_scale
 from ..dp.composition import composed_noise_scale
 from ..dp.params import PrivacyParams
 from ..engine.backends import kernel_span
 from ..engine.csr import CSRGraph
+from ..engine.frontier import is_weakly_connected
 from ..engine.kernels import multi_source_distances
 from ..exceptions import (
     DisconnectedGraphError,
@@ -921,11 +921,11 @@ def build_all_pairs_synopsis(
                     graph, eps, rng, backend=backend
                 )
             return AllPairsSynopsis.from_release(release)
-    if not is_connected(graph):
+    csr = CSRGraph.from_graph(graph)
+    if not is_weakly_connected(csr):
         raise DisconnectedGraphError(
             "all-pairs release requires a connected graph"
         )
-    csr = CSRGraph.from_graph(graph)
     n = csr.n
     # The engine-native fast path skips the backend wrapper, so it
     # carries the same profiler-gated kernel span itself.

@@ -5,12 +5,13 @@ used before it moved to local searches: one exact sweep from every
 site, a second unit-weight sweep for the hop counts, and a stable
 argsort of every row to pick the balls.  It allocates two ``m x m``
 matrices, so it only serves small graphs in tests, where it pins down
-what a seeded build must release.
+what a seeded build must release.  The directed test graph the hub
+tests share lives here too.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from repro.apsp.hubs import HubStructure, hub_noise_scale
 from repro.engine.csr import CSRGraph
 from repro.engine.kernels import multi_source_distances
 from repro.exceptions import DisconnectedGraphError
+from repro.graphs.graph import WeightedGraph
 from repro.rng import Rng
 
 
@@ -45,19 +47,11 @@ def reference_hub_structure(
 
     ball_pairs = np.empty(0, dtype=np.int64)
     if ball_size > 0:
-        unit = csr.with_weights(np.ones(csr.num_edges))
-        hops = multi_source_distances(unit, site_idx)[:, site_idx]
-        # Stable argsort: ties broken by site order, self (hop 0) first.
-        order = np.argsort(hops, axis=1, kind="stable")
-        members = order[:, 1 : ball_size + 1]
-        rows = np.repeat(np.arange(m, dtype=np.int64), members.shape[1])
-        cols = members.ravel()
+        lo, hi = reference_ball_pairs(csr, site_idx, ball_size)
         is_hub = np.zeros(m, dtype=bool)
         is_hub[hubs] = True
-        keep = ~(is_hub[rows] | is_hub[cols])
-        lo = np.minimum(rows[keep], cols[keep])
-        hi = np.maximum(rows[keep], cols[keep])
-        ball_pairs = np.unique(lo * m + hi)
+        keep = ~(is_hub[lo] | is_hub[hi])
+        ball_pairs = lo[keep] * m + hi[keep]
 
     q_hub = hub_count * (m - hub_count) + hub_count * (hub_count - 1) // 2
     pair_count = q_hub + len(ball_pairs)
@@ -89,3 +83,34 @@ def reference_hub_structure(
         noise_scale=scale,
         pair_count=pair_count,
     )
+
+
+def reference_ball_pairs(
+    csr: CSRGraph, site_idx: np.ndarray, ball_size: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct pairs ``lo < hi`` of site positions where one site
+    is among the other's ``ball_size`` nearest sites by hop count,
+    sorted: from a full unit-weight sweep and a stable argsort of every
+    row (ties broken by site order, self at hop 0 first)."""
+    site_idx = np.asarray(site_idx, dtype=np.int64)
+    m = len(site_idx)
+    unit = csr.with_weights(np.ones(csr.num_edges))
+    hops = multi_source_distances(unit, site_idx)[:, site_idx]
+    order = np.argsort(hops, axis=1, kind="stable")
+    members = order[:, 1 : ball_size + 1]
+    rows = np.repeat(np.arange(m, dtype=np.int64), members.shape[1])
+    cols = members.ravel()
+    keys = np.unique(np.minimum(rows, cols) * m + np.maximum(rows, cols))
+    return keys // m, keys % m
+
+
+def strongly_connected_digraph(n: int, rng: Rng) -> WeightedGraph:
+    """A directed cycle through all vertices plus random chords."""
+    graph = WeightedGraph(directed=True)
+    for i in range(n):
+        graph.add_edge(i, (i + 1) % n, rng.uniform(0.5, 3.0))
+    for _ in range(2 * n):
+        u, v = rng.integer(0, n), rng.integer(0, n)
+        if u != v and not graph.has_edge(u, v):
+            graph.add_edge(u, v, rng.uniform(0.5, 3.0))
+    return graph

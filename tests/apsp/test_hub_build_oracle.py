@@ -1,9 +1,10 @@
 """The local-search hub build against the full-sweep oracle.
 
 :func:`repro.apsp.hubs.build_hub_structure` finds its exact values by
-hub-row sweeps, hop-limited ball searches and weight-limited pair
-sweeps.  Under the same seed it must release exactly what the
-full-sweep construction of :mod:`hub_reference` releases: the same
+hub-row sweeps, a hop search for the balls and partner trees, and one
+weight-limited sweep per ball-pair source, limited by the partners'
+tree-path weights.  Under the same seed it must release exactly what
+the full-sweep construction of :mod:`hub_reference` releases: the same
 hubs, the same hub table and ball table bit for bit, the same noise
 scale and pair count — on the scipy path and on the relaxation
 fallback alike.
@@ -13,9 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hub_reference import reference_hub_structure
+from hub_reference import reference_hub_structure, strongly_connected_digraph
 
-from repro import DisconnectedGraphError, GraphError, Rng, WeightedGraph
+from repro import (
+    DisconnectedGraphError,
+    EngineError,
+    GraphError,
+    Rng,
+    WeightedGraph,
+)
 from repro.apsp import hubs as hubs_module
 from repro.apsp.hubs import (
     build_hub_structure,
@@ -70,18 +77,6 @@ def _congested_grid(rows: int, cols: int, rng: Rng) -> WeightedGraph:
     return graph.with_weights(weights)
 
 
-def _strongly_connected_digraph(n: int, rng: Rng) -> WeightedGraph:
-    """A directed cycle through all vertices plus random chords."""
-    graph = WeightedGraph(directed=True)
-    for i in range(n):
-        graph.add_edge(i, (i + 1) % n, rng.uniform(0.5, 3.0))
-    for _ in range(2 * n):
-        u, v = rng.integer(0, n), rng.integer(0, n)
-        if u != v and not graph.has_edge(u, v):
-            graph.add_edge(u, v, rng.uniform(0.5, 3.0))
-    return graph
-
-
 @pytest.mark.parametrize("seed", range(3))
 class TestBitIdentical:
     def test_unit_grid_hop_ties(self, engine, seed):
@@ -102,31 +97,141 @@ class TestBitIdentical:
         _assert_identical(graph, boundary, SEED + seed)
 
     def test_directed_graph(self, engine, seed):
-        graph = _strongly_connected_digraph(70, Rng(SEED + seed))
+        graph = strongly_connected_digraph(70, Rng(SEED + seed))
         _assert_identical(graph, graph.vertex_list(), SEED + seed)
 
 
-class TestLimitReruns:
-    def test_congestion_spread_forces_reruns(self, engine, monkeypatch):
-        # Ball pairs inside the heavy quarter lie beyond their first
-        # limit (hop count x mean weight), so their sources sweep again.
-        limits = {}
-        sweep = kernels.multi_source_distances
+def _sweeps(monkeypatch) -> list:
+    """Record ``(sources, limit)`` of every sweep the hub build makes."""
+    calls = []
+    sweep = kernels.multi_source_distances
 
-        def spy(csr, sources, allow_negative=False, limit=np.inf):
-            # Record weighted sweeps only; the ball search sweeps unit
-            # weights and every weight here exceeds 1.
-            if csr.weights.max() > 1.0:
-                for s in np.asarray(sources).tolist():
-                    limits.setdefault(s, []).append(limit)
-            return sweep(csr, sources, allow_negative, limit)
+    def spy(csr, sources, allow_negative=False, limit=np.inf):
+        calls.append((np.asarray(sources).tolist(), limit))
+        return sweep(csr, sources, allow_negative, limit)
 
-        monkeypatch.setattr(hubs_module, "multi_source_distances", spy)
-        graph = _congested_grid(12, 12, Rng(SEED))
-        _assert_identical(graph, graph.vertex_list(), SEED)
-        reruns = [v for v in limits.values() if len(v) > 1]
-        assert reruns
-        assert all(v[-1] > v[0] for v in reruns)
+    monkeypatch.setattr(hubs_module, "multi_source_distances", spy)
+    return calls
+
+
+def _zero_weight_grid(rows: int, cols: int, rng: Rng) -> WeightedGraph:
+    """Random weights, a third of them exactly zero."""
+    graph = generators.grid_graph(rows, cols)
+    return graph.with_weights(
+        [0.0 if rng.uniform(0.0, 1.0) < 1 / 3 else rng.uniform(0.5, 3.0)
+         for _ in range(graph.num_edges)]
+    )
+
+
+class TestOneSweepPerSource:
+    """Each ball-pair source is swept once per build, to a limit taken
+    from its partners' tree-path weights."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _congested_grid(12, 12, Rng(SEED)),
+            lambda: strongly_connected_digraph(70, Rng(SEED)),
+        ],
+        ids=["congested", "directed"],
+    )
+    def test_each_ball_source_swept_once(self, engine, monkeypatch, make):
+        graph = make()
+        calls = _sweeps(monkeypatch)
+        built = _assert_identical(graph, graph.vertex_list(), SEED)
+        m = graph.num_vertices
+        # Sites are all vertices, so site positions are CSR indices.
+        keys = np.array(sorted(built.ball))
+        sources = np.unique(keys // m)
+        ball_calls = [(s, limit) for s, limit in calls if limit < np.inf]
+        swept = [v for s, _ in ball_calls for v in s]
+        assert sorted(swept) == sources.tolist()
+        # Every source in a sweep has its limit within a factor of two.
+        csr = CSRGraph.from_graph(graph)
+        trees = csr.topology_memo(
+            ("ball_trees", csr.indices_of(graph.vertex_list()).tobytes(),
+             default_ball_size(m)),
+            lambda unit: pytest.fail("the build left no ball-tree entry"),
+        )
+        at = np.searchsorted(trees.lo.astype(np.int64) * m + trees.hi, keys)
+        bound = hubs_module._tree_weights(csr, trees)[trees.entry[at]]
+        source_bound = np.maximum.reduceat(
+            bound, np.flatnonzero(np.diff(keys // m, prepend=-1))
+        )
+        for s, limit in ball_calls:
+            own = source_bound[np.searchsorted(sources, s)]
+            assert own.max() == limit
+            assert (2.0 * own >= limit).all()
+
+
+class TestTreeBounds:
+    """Every partner's tree-path weight bounds its exact distance from
+    the pair's lower-index site, bit for bit."""
+
+    CASES = {
+        "random": lambda rng: _random_weights(
+            generators.grid_graph(11, 12), rng
+        ),
+        "zero-weights": lambda rng: _zero_weight_grid(11, 12, rng),
+        "congested": lambda rng: _congested_grid(12, 12, rng),
+        "directed": lambda rng: strongly_connected_digraph(80, rng),
+        "erdos-renyi": lambda rng: _random_weights(
+            generators.erdos_renyi_graph(90, 0.05, rng), rng
+        ),
+    }
+
+    @staticmethod
+    def _bounds(graph, sites):
+        csr = CSRGraph.from_graph(graph)
+        site_idx = csr.indices_of(sites)
+        m = len(site_idx)
+        unit = csr.with_weights(np.ones(csr.num_edges))
+        trees = hubs_module._ball_trees(unit, site_idx, default_ball_size(m))
+        bound = hubs_module._tree_weights(csr, trees)[trees.entry]
+        exact = kernels.multi_source_distances(csr, site_idx)[:, site_idx]
+        return bound, exact[trees.lo, trees.hi]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bound_covers_exact_value(self, engine, case, seed):
+        graph = self.CASES[case](Rng(SEED + seed))
+        bound, exact = self._bounds(graph, graph.vertex_list())
+        assert len(bound) and (bound >= exact).all()
+
+    def test_bound_covers_exact_value_at_boundary_sites(self, engine):
+        graph = _random_weights(generators.grid_graph(14, 14), Rng(SEED))
+        boundary = partition_graph(graph, 4, seed=0).boundary
+        bound, exact = self._bounds(graph, boundary)
+        assert len(bound) and (bound >= exact).all()
+
+    def test_bound_is_exact_on_a_tree(self, engine):
+        # One path per pair: the tree-path sum is the Dijkstra sum.
+        rng = Rng(SEED)
+        graph = _random_weights(generators.random_tree(120, rng), rng)
+        bound, exact = self._bounds(graph, graph.vertex_list())
+        assert bound.tobytes() == exact.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_weight_edges_build_bit_identical(self, engine, seed):
+        graph = _zero_weight_grid(10, 11, Rng(SEED + seed))
+        _assert_identical(graph, graph.vertex_list(), SEED + seed)
+
+
+def test_partner_beyond_its_bound_raises(engine, monkeypatch):
+    # Zero bounds settle no partner at a positive distance; the build
+    # must refuse rather than release an infinite distance.
+    monkeypatch.setattr(
+        hubs_module,
+        "_tree_weights",
+        lambda csr, trees: np.zeros(len(trees.parent)),
+    )
+    graph = _random_weights(generators.grid_graph(6, 7), Rng(SEED))
+    csr = CSRGraph.from_graph(graph)
+    with pytest.raises(EngineError, match="tree-path bound"):
+        build_hub_structure(
+            csr, csr.indices_of(graph.vertex_list()), 3, 4, 1.0, 0.0,
+            Rng(SEED),
+        )
 
 
 class TestEdgeSizes:
@@ -161,13 +266,30 @@ class TestEdgeSizes:
         _assert_identical(graph, sites, SEED)
 
 
-def test_duplicate_sites_rejected():
-    # Ball positions are keyed by vertex, so a repeated site is refused.
-    csr = CSRGraph.from_graph(generators.grid_graph(4, 4))
-    with pytest.raises(GraphError):
-        build_hub_structure(
-            csr, np.array([0, 1, 2, 1]), 1, 1, 1.0, 0.0, Rng(SEED)
+class TestSiteIndices:
+    def _rejects_before_drawing(self, sites, match):
+        csr = CSRGraph.from_graph(generators.grid_graph(4, 4))
+        rng = Rng(SEED)
+        with pytest.raises(GraphError, match=match) as raised:
+            build_hub_structure(
+                csr, np.array(sites), 2, 2, 1.0, 0.0, rng
+            )
+        assert type(raised.value) is GraphError
+        # The rejected build left the generator untouched.
+        assert np.array_equal(
+            rng.laplace_vector(1.0, 4), Rng(SEED).laplace_vector(1.0, 4)
         )
+
+    def test_duplicate_sites_rejected(self):
+        # Ball positions are keyed by vertex, so a repeated site is
+        # refused.
+        self._rejects_before_drawing([0, 1, 2, 1], "distinct")
+
+    def test_negative_index_rejected(self):
+        self._rejects_before_drawing([0, 1, 2, -1], "vertex indices")
+
+    def test_index_past_the_last_vertex_rejected(self):
+        self._rejects_before_drawing([0, 1, 2, 16], "vertex indices")
 
 
 class TestUnreachableSites:
@@ -199,7 +321,7 @@ class TestUnreachableSites:
         # A strongly connected core plus a sink the core reaches but
         # which reaches nothing: the core alone builds, with the sink
         # it fails.
-        graph = _strongly_connected_digraph(20, Rng(SEED))
+        graph = strongly_connected_digraph(20, Rng(SEED))
         graph.add_edge(0, "sink", 1.0)
         core = [v for v in graph.vertex_list() if v != "sink"]
         _assert_identical(graph, core, SEED)

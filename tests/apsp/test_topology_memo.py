@@ -1,17 +1,21 @@
 """Hub builds over a compiled topology whose memo is already filled.
 
-The hop-count balls and the sites' mutual reachability read no
-weight, so :func:`repro.apsp.hubs.build_hub_structure` keeps them in
-the compiled structure's topology memo, and every later build over
-the same structure (another epoch's weights, another tenant) reuses
-them.  A build that reuses them must release, bit for bit, what a
-build after a fresh compile releases under the same seed.
+The ball pairs, their partner trees and the sites' mutual
+reachability read no weight, so
+:func:`repro.apsp.hubs.build_hub_structure` keeps them in the compiled
+structure's topology memo, and every later build over the same
+structure (another epoch's weights, another tenant) reuses them.  A
+build that reuses them must release, bit for bit, what a build after
+a fresh compile releases under the same seed, and the memo entry must
+hold what an independent full search finds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+
+from hub_reference import reference_ball_pairs, strongly_connected_digraph
 
 from repro import Rng, WeightedGraph
 from repro.algorithms.covering import meir_moon_k_covering
@@ -22,6 +26,7 @@ from repro.apsp.hubs import (
     default_hub_count,
 )
 from repro.engine import CSRGraph
+from repro.engine.kernels import multi_source_distances
 from repro.graphs import generators
 from repro.serving.sharding import partition_graph
 
@@ -87,15 +92,19 @@ def test_filled_memo_releases_what_a_fresh_compile_releases(site_set):
         )
 
 
+def _key(site_idx: np.ndarray, ball_size: int) -> tuple:
+    return ("ball_trees", site_idx.tobytes(), ball_size)
+
+
 def test_memo_holds_the_same_arrays_for_two_weightings(monkeypatch):
     searches = []
-    search = hubs_module._hop_balls
+    search = hubs_module._ball_trees
 
     def counting(unit, site_idx, ball_size):
         searches.append(ball_size)
         return search(unit, site_idx, ball_size)
 
-    monkeypatch.setattr(hubs_module, "_hop_balls", counting)
+    monkeypatch.setattr(hubs_module, "_ball_trees", counting)
     graph = _grid(SEED)
     csr_a = CSRGraph.from_graph(graph)
     csr_b = CSRGraph.from_graph(
@@ -110,29 +119,90 @@ def test_memo_holds_the_same_arrays_for_two_weightings(monkeypatch):
     assert release_a.ball != release_b.ball
 
     site_idx = csr_a.indices_of(sites)
-    key = ("hop_balls", site_idx.tobytes(), default_ball_size(len(sites)))
+    key = _key(site_idx, default_ball_size(len(sites)))
 
     def recompute(unit):
         pytest.fail("a filled memo entry was computed again")
 
-    balls_a = csr_a.topology_memo(key, recompute)
-    balls_b = csr_b.topology_memo(key, recompute)
-    assert len(balls_a) == 3
-    assert all(x is y for x, y in zip(balls_a, balls_b))
-    assert not any(array.flags.writeable for array in balls_a)
+    trees_a = csr_a.topology_memo(key, recompute)
+    trees_b = csr_b.topology_memo(key, recompute)
+    assert trees_a is trees_b
+    arrays = vars(trees_a).values()
+    assert len(arrays) == 6
+    assert not any(array.flags.writeable for array in arrays)
     assert csr_b.topology_memo(("reachable", site_idx.tobytes()), recompute)
 
 
-def test_memo_entries_match_a_unit_weight_search():
-    graph = _grid(SEED)
+#: Per case, a graph maker and ``graph -> (sites, ball_size)``
+#: (``None`` for the default ball size).
+MEMO_CASES = {
+    # Unit weights: every ball closes on a level of hop ties.
+    "hop-ties": (
+        lambda: generators.grid_graph(9, 11),
+        lambda graph: (graph.vertex_list(), None),
+    ),
+    "boundary": (
+        lambda: _grid(SEED),
+        lambda graph: (list(partition_graph(graph, 4, seed=1).boundary), None),
+    ),
+    "directed": (
+        lambda: strongly_connected_digraph(70, Rng(SEED)),
+        lambda graph: (graph.vertex_list(), None),
+    ),
+    "whole-ball": (
+        lambda: generators.grid_graph(6, 7),
+        lambda graph: (graph.vertex_list(), graph.num_vertices - 1),
+    ),
+}
+
+
+def _tree_depths(csr: CSRGraph, site_idx: np.ndarray, trees) -> np.ndarray:
+    """Walk every pair's tree path from ``hi`` up to its root, checking
+    that each arc runs from the parent's vertex to the entry's and
+    that the root is ``lo``'s vertex; returns each path's hop count."""
+    tails = np.repeat(np.arange(csr.n), np.diff(csr.indptr))
+    roots = trees.levels[1]
+    entry = trees.entry.astype(np.int64)
+    vertex = site_idx[trees.hi]
+    depth = np.zeros(len(entry), dtype=np.int64)
+    while (entry >= roots).any():
+        walking = entry >= roots
+        arc = trees.arc[entry[walking]]
+        assert np.array_equal(csr.indices[arc], vertex[walking])
+        vertex[walking] = tails[arc]
+        entry[walking] = trees.parent[entry[walking]]
+        depth[walking] += 1
+    assert np.array_equal(vertex, site_idx[trees.lo])
+    return depth
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_memo_entries_match_a_unit_weight_search(case):
+    make_graph, make_sites = MEMO_CASES[case]
+    graph = make_graph()
+    sites, ball_size = make_sites(graph)
     csr = CSRGraph.from_graph(graph)
-    _build(csr, graph.vertex_list(), SEED)
-    site_idx = csr.indices_of(graph.vertex_list())
-    b = default_ball_size(len(site_idx))
-    memo = csr.topology_memo(
-        ("hop_balls", site_idx.tobytes(), b),
-        lambda unit: pytest.fail("the build left no hop-ball entry"),
+    _build(csr, sites, SEED, ball_size)
+    site_idx = csr.indices_of(sites)
+    b = default_ball_size(len(site_idx)) if ball_size is None else ball_size
+    trees = csr.topology_memo(
+        _key(site_idx, b),
+        lambda unit: pytest.fail("the build left no ball-tree entry"),
     )
-    unit = CSRGraph.from_graph(generators.grid_graph(ROWS, COLS))
-    expected = hubs_module._hop_balls(unit, site_idx, b)
-    assert all(np.array_equal(x, y) for x, y in zip(memo, expected))
+    # The pairs are what a dense unit-weight sweep and a stable argsort
+    # of every row pick.
+    lo, hi = reference_ball_pairs(
+        CSRGraph.from_graph(make_graph()), site_idx, b
+    )
+    assert np.array_equal(trees.lo, lo)
+    assert np.array_equal(trees.hi, hi)
+    # Each partner sits in its source's tree at its hop distance, on
+    # the level the entry is stored in.
+    unit = csr.with_weights(np.ones(csr.num_edges))
+    hops = multi_source_distances(unit, site_idx)[:, site_idx][lo, hi]
+    depth = _tree_depths(csr, site_idx, trees)
+    assert np.array_equal(depth, hops)
+    level = np.searchsorted(trees.levels, trees.entry, side="right") - 1
+    assert np.array_equal(level, depth)
+    if case == "whole-ball":
+        assert len(lo) == len(sites) * (len(sites) - 1) // 2

@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 from repro import BudgetLedger, PrivacyParams, Rng, WeightedGraph
+from repro.algorithms import traversal
 from repro.apsp import hubs as hubs_module
 from repro.apsp.hubs import HubSetRelease
 from repro.engine import CSRGraph
+from repro.engine import frontier as frontier_module
 from repro.graphs import generators
 from repro.serving import DistanceService
 from repro.serving import service as service_module
@@ -48,13 +50,13 @@ def _rebuilt(graph: WeightedGraph, edges) -> WeightedGraph:
 
 def _counting_searches(monkeypatch) -> list:
     searches = []
-    search = hubs_module._hop_balls
+    search = hubs_module._ball_trees
 
     def counting(unit, site_idx, ball_size):
         searches.append(len(site_idx))
         return search(unit, site_idx, ball_size)
 
-    monkeypatch.setattr(hubs_module, "_hop_balls", counting)
+    monkeypatch.setattr(hubs_module, "_ball_trees", counting)
     return searches
 
 
@@ -117,6 +119,35 @@ class TestUnshardedRefresh:
             HubSetRelease(first.copy(), 1e6, rng)
             stale = HubSetRelease(_grid(8, 1), 1e6, rng).structure
             assert stale.ball.keys() != want.ball.keys()
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_refreshes_search_connectivity_once_per_topology(monkeypatch, shards):
+    # One search per compiled topology: the full graph's when it is
+    # partitioned, and each tenant graph's; none by the dict-based BFS.
+    searches = []
+    search = frontier_module._weakly_connected
+
+    def counting(unit):
+        searches.append(unit.n)
+        return search(unit)
+
+    monkeypatch.setattr(frontier_module, "_weakly_connected", counting)
+    monkeypatch.setattr(
+        traversal,
+        "connected_components",
+        lambda graph: pytest.fail("a build ran the dict-based BFS"),
+    )
+    service = DistanceService(
+        _grid(8, 0), 1e6, Rng(SEED), shards=shards, mechanism="hub-set",
+        telemetry=NULL_TELEMETRY, ledger=BudgetLedger(PrivacyParams(1e8)),
+    )
+    assert len(searches) == (1 if shards == 1 else shards + 1)
+    setup = list(searches)
+    for epoch in range(1, 4):
+        service.refresh(_grid(8, epoch))
+        service.refresh_shard(0)
+    assert searches == setup
 
 
 def _transcript(shards: int, mechanism: str) -> str:
