@@ -1,21 +1,20 @@
-"""E17 — the engine: backend speedup and bit-level agreement.
+"""E17 — the engine: CSR speedup and bit-level agreement.
 
 Runs the library's hottest exact-recomputation path — all-pairs
 distances on a 16x16 grid (V=256, the Theorem 4.7 workload shape) —
-through every engine implementation and reports wall-clock seconds,
-speedup over the pure-Python reference, and whether the distances
-agree *bit for bit*:
+through each implementation and reports wall-clock seconds, speedup
+over the dict-based reference, and whether the distances agree *bit
+for bit*:
 
-* ``python`` — the dict-of-dicts reference backend;
-* ``numpy`` — the CSR backend (scipy's C Dijkstra when available,
-  vectorized relaxation otherwise);
-* ``relaxation kernel`` — the scipy-free fallback, timed explicitly;
-* ``min-plus kernel`` — dense repeated squaring (exact here because
-  the weights are integer-valued, so no re-association error).
+* ``dict reference`` — ``_dijkstra_reference`` from every source;
+* ``CSR sweep`` — ``all_pairs_dijkstra``, which takes the CSR kernels
+  from |V| = 32 (scipy's C Dijkstra when available, vectorized
+  relaxation otherwise);
+* ``relaxation kernel`` — the scipy-free fallback, timed explicitly.
 
-Weights are random *integers* in [1, 10]: every path sum is exactly
-representable, which is what lets the table assert bit-level equality
-across all four implementations instead of a tolerance.
+Weights are random *integers* in [1, 10], so every path sum is exactly
+representable; bit-level equality would hold for arbitrary weights
+too, since all three compute minima over left-associated sums.
 
 ``python benchmarks/bench_engine.py --quick`` runs a reduced 8x8
 instance — the CI smoke configuration.
@@ -30,7 +29,10 @@ from typing import Callable, Tuple
 sys.path.insert(0, ".")  # allow `python benchmarks/bench_engine.py`
 
 from benchmarks.common import fresh_rng, print_experiment
-from repro.algorithms.shortest_paths import all_pairs_dijkstra
+from repro.algorithms.shortest_paths import (
+    _dijkstra_reference,
+    all_pairs_dijkstra,
+)
 from repro.analysis import render_table
 from repro.engine import CSRGraph, kernels
 from repro.graphs import generators
@@ -40,8 +42,8 @@ GRID = 16
 QUICK_GRID = 8
 TRIALS = 3
 
-#: The numpy backend must beat the reference by at least this factor on
-#: the full-size instance (the ISSUE-2 acceptance bar).
+#: The CSR sweep must beat the reference by at least this factor on the
+#: full-size instance.
 REQUIRED_SPEEDUP = 5.0
 
 
@@ -70,18 +72,16 @@ def run_experiment(quick: bool = False) -> str:
     graph = integer_grid(size, fresh_rng(180))
     csr = CSRGraph.from_graph(graph)  # warm the compile cache
 
-    t_python, reference = _best_of(
-        lambda: all_pairs_dijkstra(graph, backend="python"), trials
+    t_reference, reference = _best_of(
+        lambda: {
+            s: _dijkstra_reference(graph, s)[0]
+            for s in graph.vertex_list()
+        },
+        trials,
     )
-    t_numpy, via_numpy = _best_of(
-        lambda: all_pairs_dijkstra(graph, backend="numpy"), trials
-    )
+    t_csr, via_csr = _best_of(lambda: all_pairs_dijkstra(graph), trials)
     t_relax, relax_matrix = _best_of(
         lambda: kernels.relaxation_distances(csr, range(csr.n)), trials
-    )
-    t_minplus, minplus_matrix = _best_of(
-        lambda: kernels.min_plus_apsp(kernels.dense_distance_matrix(csr)),
-        trials,
     )
 
     def matrix_matches(matrix) -> bool:
@@ -93,30 +93,24 @@ def run_experiment(quick: bool = False) -> str:
         )
 
     rows = [
-        ["python (reference)", t_python, 1.0, True],
-        ["numpy backend", t_numpy, t_python / t_numpy, via_numpy == reference],
+        ["dict reference", t_reference, 1.0, True],
+        ["CSR sweep", t_csr, t_reference / t_csr, via_csr == reference],
         [
             "relaxation kernel",
             t_relax,
-            t_python / t_relax,
+            t_reference / t_relax,
             matrix_matches(relax_matrix),
-        ],
-        [
-            "min-plus kernel",
-            t_minplus,
-            t_python / t_minplus,
-            matrix_matches(minplus_matrix),
         ],
     ]
     return render_table(
         ["implementation", "seconds", "speedup", "exact match"],
         rows,
         title=(
-            f"E17  Engine backends: exact all-pairs distances on a "
+            f"E17  Engine: exact all-pairs distances on a "
             f"{size}x{size} integer-weight grid (V={size * size}), "
             f"best of {trials}.\n"
-            "Expected shape: numpy backend >= "
-            f"{REQUIRED_SPEEDUP:.0f}x over the python reference with "
+            "Expected shape: CSR sweep >= "
+            f"{REQUIRED_SPEEDUP:.0f}x over the dict reference with "
             "bit-identical distances."
         ),
         precision=4,
@@ -139,7 +133,7 @@ def test_table_e17(capsys):
         import scipy  # noqa: F401
     except ImportError:
         return
-    assert float(by_name["numpy backend"][2]) >= REQUIRED_SPEEDUP
+    assert float(by_name["CSR sweep"][2]) >= REQUIRED_SPEEDUP
 
 
 def test_quick_mode_runs():
@@ -154,9 +148,8 @@ def test_laplace_perturb_reweights_cheaply():
     rng = fresh_rng(181)
     graph = integer_grid(QUICK_GRID, rng)
     csr = CSRGraph.from_graph(graph)
-    noisy = kernels.laplace_perturb(
-        csr.edge_weights, scale=1.0, rng=rng, clamp_at_zero=True
-    )
+    weights = csr.edge_weights
+    noisy = (weights + rng.laplace_vector(1.0, weights.size)).clip(min=0.0)
     epoch = csr.with_weights(noisy)
     assert epoch.indptr is csr.indptr and epoch.indices is csr.indices
     assert (epoch.edge_weights >= 0).all()
@@ -164,10 +157,10 @@ def test_laplace_perturb_reweights_cheaply():
     assert d.shape == (1, csr.n)
 
 
-def test_benchmark_numpy_all_pairs(benchmark):
+def test_benchmark_csr_all_pairs(benchmark):
     graph = integer_grid(GRID, fresh_rng(182))
-    all_pairs_dijkstra(graph, backend="numpy")  # warm the CSR cache
-    benchmark(lambda: all_pairs_dijkstra(graph, backend="numpy"))
+    all_pairs_dijkstra(graph)  # warm the CSR cache
+    benchmark(lambda: all_pairs_dijkstra(graph))
 
 
 if __name__ == "__main__":

@@ -20,8 +20,8 @@ Package map:
 * :mod:`repro.graphs` — graph/tree/multigraph substrates + generators.
 * :mod:`repro.algorithms` — exact shortest paths, MST, matching,
   k-coverings.
-* :mod:`repro.engine` — the vectorized CSR graph-kernel backend every
-  exact-recomputation hot path dispatches through.
+* :mod:`repro.engine` — the vectorized CSR graph kernels that run the
+  exact shortest-path sweeps on all but tiny inputs.
 * :mod:`repro.dp` — Laplace mechanism, composition, budget accounting,
   and every closed-form bound from the paper.
 * :mod:`repro.core` — the paper's mechanisms (Algorithms 1–3, the
@@ -64,13 +64,7 @@ from .exceptions import (
     WeightError,
 )
 from .rng import Rng
-from .engine import (
-    CSRGraph,
-    available_backends,
-    compile_csr,
-    get_backend,
-    register_backend,
-)
+from .engine import CSRGraph, compile_csr
 from .graphs import (
     RootedTree,
     WeightedGraph,
@@ -181,9 +175,6 @@ __all__ = [
     # engine
     "CSRGraph",
     "compile_csr",
-    "available_backends",
-    "get_backend",
-    "register_backend",
     # dp
     "PrivacyParams",
     "LaplaceMechanism",

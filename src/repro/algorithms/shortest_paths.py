@@ -7,12 +7,15 @@ synthetic-graph baseline of Section 4, Algorithm 2's distances between
 covering vertices).  Bellman–Ford handles the negative weights that the
 Appendix-B problems permit.
 
-:func:`dijkstra` and :func:`all_pairs_dijkstra` dispatch through the
-:mod:`repro.engine` backend registry: by default an (|V|, |E|)
-heuristic picks between this module's pure-Python reference
-implementation and the vectorized CSR kernels, and ``backend=`` forces
-a specific one.  All backends return bit-identical distances, so the
-choice is purely a performance knob.
+:func:`dijkstra` and :func:`all_pairs_dijkstra` run one of two
+implementations of the same computation: this module's dict-based
+search (``_dijkstra_reference``, also the tests' reference) or the CSR
+kernels of :mod:`repro.engine.kernels`.  Both return bit-identical
+distances (minima over left-associated floating-point path sums), so
+which one runs is a speed detail, decided from the public sizes alone:
+one source moves to the CSR kernel at |E| = 2048 and an all-pairs
+sweep at |V| = 32.  Below that the kernels' per-call setup (compiling,
+index mapping, converting back to dicts) costs more than the search.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterable, List, Tuple
 
+import numpy as np
+
+from ..engine.csr import CSRGraph
+from ..engine.kernels import kernel_span, multi_source_distances, sssp_dijkstra
 from ..exceptions import (
     DisconnectedGraphError,
     GraphError,
@@ -37,32 +44,53 @@ __all__ = [
     "reconstruct_path",
 ]
 
+#: Single-source searches run the CSR kernel from this many edges.
+_SSSP_CSR_MIN_EDGES = 2048
+
+#: All-pairs sweeps run the CSR kernels from this many vertices.
+_APSP_CSR_MIN_VERTICES = 32
+
 
 def dijkstra(
     graph: WeightedGraph,
     source: Vertex,
     target: Vertex | None = None,
-    backend: str | None = None,
 ) -> Tuple[Dict[Vertex, float], Dict[Vertex, Vertex]]:
     """Single-source shortest paths with nonnegative weights.
 
     Returns ``(distances, parents)`` where ``parents`` maps each reached
     vertex (except the source) to its predecessor on a shortest path.
     With ``target`` given, the search stops once the target is settled.
-    ``backend`` selects an engine backend (``"python"``, ``"numpy"``;
-    default auto — see :mod:`repro.engine.backends`).
+    Graphs with at least ``_SSSP_CSR_MIN_EDGES`` edges run the CSR
+    kernel, smaller ones the dict-based search; the distances are the
+    same bits either way.
 
     Raises :class:`~repro.exceptions.WeightError` on a negative edge
     weight — use :func:`bellman_ford` for those.
     """
-    from ..engine.backends import resolve_backend
-
     if not graph.has_vertex(source):
         raise VertexNotFoundError(source)
     if target is not None and not graph.has_vertex(target):
         raise VertexNotFoundError(target)
-    engine = resolve_backend(backend, graph, all_pairs=False)
-    return engine.sssp(graph, source, target)
+    if graph.num_edges < _SSSP_CSR_MIN_EDGES:
+        with kernel_span("engine.sssp"):
+            return _dijkstra_reference(graph, source, target)
+    csr = CSRGraph.from_graph(graph)
+    t = csr.index_of(target) if target is not None else None
+    with kernel_span("engine.sssp"):
+        dist, pred = sssp_dijkstra(csr, csr.index_of(source), t)
+    vertices = csr.vertices
+    distances = {
+        vertices[i]: d
+        for i, d in enumerate(dist.tolist())
+        if d != float("inf")
+    }
+    parents = {
+        vertices[i]: vertices[p]
+        for i, p in enumerate(pred.tolist())
+        if p >= 0
+    }
+    return distances, parents
 
 
 def _dijkstra_reference(
@@ -70,9 +98,9 @@ def _dijkstra_reference(
     source: Vertex,
     target: Vertex | None = None,
 ) -> Tuple[Dict[Vertex, float], Dict[Vertex, Vertex]]:
-    """The dict-based binary-heap implementation (the ``"python"``
-    backend).  Kept as the semantic reference the vectorized kernels
-    are tested against."""
+    """The dict-based binary-heap implementation: what :func:`dijkstra`
+    runs on small graphs, and the reference the CSR kernels are tested
+    against."""
     if not graph.has_vertex(source):
         raise VertexNotFoundError(source)
     distances: Dict[Vertex, float] = {}
@@ -139,30 +167,47 @@ def dijkstra_path(
 def all_pairs_dijkstra(
     graph: WeightedGraph,
     sources: Iterable[Vertex] | None = None,
-    backend: str | None = None,
 ) -> Dict[Vertex, Dict[Vertex, float]]:
     """Exact distances from every source (default: all vertices).
 
     Returns ``result[s][t] = d_w(s, t)`` for reachable pairs only.
-    This is the library's hottest exact-recomputation path; ``backend``
-    selects an engine backend (default auto, which vectorizes any
-    non-trivial sweep — see :mod:`repro.engine.backends`).
+    This is the library's hottest exact-recomputation path: graphs
+    with at least ``_APSP_CSR_MIN_VERTICES`` vertices run one CSR
+    multi-source sweep, smaller ones the dict-based search per source.
 
     Nonnegativity is validated up front over *all* edges (not just
-    scanned ones), so the outcome is identical for every backend and
-    independent of the auto-selection heuristic; use
-    :func:`bellman_ford` for negative weights.
+    scanned ones), so the outcome does not depend on which
+    implementation runs; use :func:`bellman_ford` for negative weights.
     """
-    from ..engine.backends import resolve_backend
-
     graph.check_nonnegative()
-    if sources is not None:
-        sources = list(sources)
-        for s in sources:
+    if sources is None:
+        chosen = graph.vertex_list()
+    else:
+        chosen = list(sources)
+        for s in chosen:
             if not graph.has_vertex(s):
                 raise VertexNotFoundError(s)
-    engine = resolve_backend(backend, graph, all_pairs=True)
-    return engine.all_pairs(graph, sources)
+    if graph.num_vertices < _APSP_CSR_MIN_VERTICES:
+        with kernel_span("engine.all_pairs", sources=len(chosen)):
+            return {s: _dijkstra_reference(graph, s)[0] for s in chosen}
+    csr = CSRGraph.from_graph(graph)
+    with kernel_span("engine.all_pairs", sources=len(chosen)):
+        matrix = multi_source_distances(csr, csr.indices_of(chosen))
+    vertices = csr.vertices
+    inf = float("inf")
+    # One C-level pass each for the values and the reachability
+    # mask; rows without unreachable targets take the zip fast path.
+    rows = matrix.tolist()
+    unreachable = np.isinf(matrix).any(axis=1).tolist()
+    result: Dict[Vertex, Dict[Vertex, float]] = {}
+    for s, values, has_inf in zip(chosen, rows, unreachable):
+        if has_inf:
+            result[s] = {
+                vertices[i]: d for i, d in enumerate(values) if d != inf
+            }
+        else:
+            result[s] = dict(zip(vertices, values))
+    return result
 
 
 def bellman_ford(

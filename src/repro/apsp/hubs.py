@@ -79,7 +79,6 @@ import numpy as np
 
 from ..dp.composition import composed_noise_scale
 from ..dp.params import PrivacyParams
-from ..engine.backends import kernel_span
 from ..engine.csr import CSRGraph
 from ..engine.frontier import (
     FrontierSearch,
@@ -87,7 +86,7 @@ from ..engine.frontier import (
     ranges,
     reached,
 )
-from ..engine.kernels import multi_source_distances
+from ..engine.kernels import kernel_span, multi_source_distances
 from ..exceptions import DisconnectedGraphError, EngineError, GraphError
 from ..graphs.graph import Vertex, WeightedGraph
 from ..rng import Rng

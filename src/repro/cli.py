@@ -14,7 +14,7 @@ Usage (after installing the package)::
     python -m repro.cli serve --graph city.json --config serving.json \
         --pairs 0:14 --estimate --level 0.9
     python -m repro.cli simulate --rows 12 --cols 12 --eps 1.0 \
-        --epochs 2 --queries 500 --seed 0 --backend numpy
+        --epochs 2 --queries 500 --seed 0
     python -m repro.cli simulate --rows 8 --cols 8 --eps 1.0 --seed 0 \
         --metrics-out metrics.json
     python -m repro.cli metrics --in metrics.json --format prom
@@ -191,12 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument(
-        "--backend",
-        choices=["auto", "python", "numpy"],
-        default="auto",
-        help="engine backend for the exact Dijkstra half of the query",
-    )
 
     p = sub.add_parser(
         "paths",
@@ -281,13 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="queries to serve, e.g. 3:17 0,0:4,4",
     )
     p.add_argument(
-        "--backend",
-        choices=["auto", "python", "numpy"],
-        default=None,
-        help="engine backend for the exact-recomputation sweeps "
-        "(default: auto-select on graph size)",
-    )
-    p.add_argument(
         "--shards",
         type=int,
         default=None,
@@ -350,13 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(standalone_mechanisms()),
         default=None,
         help="force a mechanism instead of auto-selecting",
-    )
-    p.add_argument(
-        "--backend",
-        choices=["auto", "python", "numpy"],
-        default=None,
-        help="engine backend for releases and ground-truth sweeps "
-        "(default: auto-select on graph size)",
     )
     p.add_argument(
         "--shards",
@@ -708,7 +688,6 @@ def _cmd_distance(args: argparse.Namespace) -> int:
         _parse_vertex(args.target),
         eps=args.eps,
         rng=rng,
-        backend=args.backend,
     )
     print(f"{value:.6f}")
     return 0
@@ -803,11 +782,6 @@ def _serving_config(args: argparse.Namespace):
         overrides["weight_bound"] = args.weight_bound
     if args.mechanism is not None:
         overrides["mechanism"] = args.mechanism
-    if args.backend is not None:
-        # The CLI's "auto" spelling is the config's None.
-        overrides["backend"] = (
-            None if args.backend == "auto" else args.backend
-        )
     if args.shards is not None:
         overrides["shards"] = args.shards
     if args.audit_log is not None:
@@ -901,7 +875,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:  # privlint: ignore[PL1] pri
                 ("--delta", args.delta),
                 ("--weight-bound", args.weight_bound),
                 ("--mechanism", args.mechanism),
-                ("--backend", args.backend),
                 ("--shards", args.shards),
             )
             if value is not None
@@ -919,51 +892,36 @@ def _cmd_simulate(args: argparse.Namespace) -> int:  # privlint: ignore[PL1] pri
                 "simulate needs --eps (or a --config document "
                 "providing it)"
             )
-        report = _run_observed(
-            telemetry,
-            profiler,
-            sampler,
-            "simulate.run",
-            lambda: replay_rush_hour(
-                rng,
-                rows=args.rows,
-                cols=args.cols,
-                epochs=args.epochs,
-                queries_per_epoch=args.queries,
-                config=config,
-                telemetry=telemetry,
-                audit_log=args.audit_log,
-                event_log=args.event_log,
-            ),
-        )
     else:
         if args.eps is None:
             raise GraphError(
                 "simulate needs --eps (or a --config document "
                 "providing it)"
             )
-        report = _run_observed(
-            telemetry,
-            profiler,
-            sampler,
-            "simulate.run",
-            lambda: replay_rush_hour(
-                rng,
-                rows=args.rows,
-                cols=args.cols,
-                eps=args.eps,
-                delta=args.delta if args.delta is not None else 0.0,
-                epochs=args.epochs,
-                queries_per_epoch=args.queries,
-                weight_bound=args.weight_bound,
-                backend=args.backend,
-                mechanism=args.mechanism,
-                shards=args.shards,
-                telemetry=telemetry,
-                audit_log=args.audit_log,
-                event_log=args.event_log,
-            ),
+        config = ServingConfig(
+            mechanism=args.mechanism or "auto",
+            eps=args.eps,
+            delta=args.delta if args.delta is not None else 0.0,
+            weight_bound=args.weight_bound,
+            shards=args.shards if args.shards is not None else 1,
         )
+    report = _run_observed(
+        telemetry,
+        profiler,
+        sampler,
+        "simulate.run",
+        lambda: replay_rush_hour(
+            rng,
+            rows=args.rows,
+            cols=args.cols,
+            epochs=args.epochs,
+            queries_per_epoch=args.queries,
+            config=config,
+            telemetry=telemetry,
+            audit_log=args.audit_log,
+            event_log=args.event_log,
+        ),
+    )
     if args.metrics_out:
         _write_metrics(telemetry, args.metrics_out, args.metrics_format)
     _write_observability(args, profiler, sampler, flight)

@@ -76,9 +76,6 @@ class BoundedWeightRelease:
     covering:
         An explicit k-covering ``Z`` to use (validated).  Defaults to
         the Lemma 4.4 construction.
-    backend:
-        The :mod:`repro.engine` backend running the exact
-        covering-pair distance sweep (default auto-selection).
     """
 
     def __init__(
@@ -90,7 +87,6 @@ class BoundedWeightRelease:
         delta: float = 0.0,
         k: int | None = None,
         covering: List[Vertex] | None = None,
-        backend: str | None = None,
     ) -> None:
         if weight_bound <= 0:
             raise PrivacyError(
@@ -146,7 +142,7 @@ class BoundedWeightRelease:
             # sensitivity num_queries (the paper's Z^2, unordered).
             self._scale = num_queries / eps
 
-        exact = all_pairs_dijkstra(graph, sources=covering, backend=backend)
+        exact = all_pairs_dijkstra(graph, sources=covering)
         self._released: Dict[Tuple[Vertex, Vertex], float] = {}
         for i, y in enumerate(covering):
             for zv in covering[i + 1 :]:
@@ -233,7 +229,6 @@ def release_bounded_weight(
     delta: float = 0.0,
     k: int | None = None,
     covering: List[Vertex] | None = None,
-    backend: str | None = None,
 ) -> BoundedWeightRelease:
     """Run Algorithm 2 (Theorems 4.3/4.5/4.6) on a bounded-weight
     graph."""
@@ -245,7 +240,6 @@ def release_bounded_weight(
         delta=delta,
         k=k,
         covering=covering,
-        backend=backend,
     )
 
 

@@ -66,17 +66,13 @@ def private_distance(
     target: Vertex,
     eps: float,
     rng: Rng,
-    backend: str | None = None,
 ) -> float:
     """Release a single distance with ``Lap(1/eps)`` noise.
 
     This is the straightforward application of the Laplace mechanism
-    mentioned in Section 1.2: one sensitivity-1 query, eps-DP.  The
-    exact Dijkstra half dispatches through the :mod:`repro.engine`
-    backend registry like every other hot path (``backend`` forces a
-    kernel; default auto-selection on graph size).
+    mentioned in Section 1.2: one sensitivity-1 query, eps-DP.
     """
-    distances, _ = dijkstra(graph, source, target=target, backend=backend)
+    distances, _ = dijkstra(graph, source, target=target)
     if target not in distances:
         raise DisconnectedGraphError(
             f"no path from {source!r} to {target!r}"
@@ -96,21 +92,17 @@ def _ordered_pairs(vertices: List[Vertex]) -> Iterator[Tuple[Vertex, Vertex]]:
 class _AllPairsReleaseBase:
     """Shared machinery: exact all-pairs distances plus noisy answers.
 
-    The exact sweep — the release's entire computational cost — runs
-    on the :mod:`repro.engine` backend named by ``backend`` (default
-    auto-selection).
+    The exact sweep is the release's entire computational cost.
     """
 
-    def __init__(
-        self, graph: WeightedGraph, backend: str | None = None
-    ) -> None:
+    def __init__(self, graph: WeightedGraph) -> None:
         if not is_connected(graph):
             raise DisconnectedGraphError(
                 "all-pairs release requires a connected graph"
             )
         self._graph = graph
         self._vertices = graph.vertex_list()
-        self._exact = all_pairs_dijkstra(graph, backend=backend)
+        self._exact = all_pairs_dijkstra(graph)
         self._noisy: Dict[Tuple[Vertex, Vertex], float] = {}
         self._scale = 0.0  # set by _populate
 
@@ -170,9 +162,8 @@ class AllPairsBasicRelease(_AllPairsReleaseBase):
         graph: WeightedGraph,
         eps: float,
         rng: Rng,
-        backend: str | None = None,
     ) -> None:
-        super().__init__(graph, backend=backend)
+        super().__init__(graph)
         self._params = PrivacyParams(eps)
         self._scale = all_pairs_noise_scale(len(self._vertices), eps)
         self._populate(self._scale, rng)
@@ -199,9 +190,8 @@ class AllPairsAdvancedRelease(_AllPairsReleaseBase):
         eps: float,
         delta: float,
         rng: Rng,
-        backend: str | None = None,
     ) -> None:
-        super().__init__(graph, backend=backend)
+        super().__init__(graph)
         if delta <= 0:
             raise PrivacyError(
                 f"advanced composition requires delta > 0, got {delta}"

@@ -1,6 +1,10 @@
 """Index-based graph kernels over :class:`~repro.engine.csr.CSRGraph`.
 
-These are the compute primitives behind the ``"numpy"`` backend:
+The exact-distance engine behind
+:func:`repro.algorithms.shortest_paths.dijkstra` and
+:func:`~repro.algorithms.shortest_paths.all_pairs_dijkstra` on
+anything but tiny inputs, and behind every engine-native build (the
+hub releases, the all-pairs synopsis):
 
 * :func:`sssp_dijkstra` — single-source Dijkstra over the CSR arrays
   with an integer binary heap; bit-identical distances to the
@@ -14,44 +18,29 @@ These are the compute primitives behind the ``"numpy"`` backend:
   in a block simultaneously.  Either way every entry equals the
   reference Dijkstra value exactly: all three computations are minima
   over left-associated floating-point path sums, and floating-point
-  ``min`` is exact, so the numpy backend agrees with the pure-Python
-  one bit for bit.
-* :func:`min_plus_apsp` — min-plus matrix repeated squaring for small
-  dense graphs.  Doubling re-associates path sums, so this kernel is
-  exact on integer-valued weights and ulp-close otherwise; it is
-  exposed for dense workloads rather than wired into the default
-  dispatch.
-* :func:`laplace_perturb` — vectorized Laplace perturbation of a
-  weight array (the release-side hot loop).
-* :func:`path_from_predecessors` — predecessor-array path
-  reconstruction.
+  ``min`` is exact.
+* :func:`kernel_span` — the profiler-gated tracer span every kernel
+  call site opens (``engine.sssp``, ``engine.all_pairs``,
+  ``engine.hub_rows``, ...).
 """
 
 from __future__ import annotations
 
 import heapq
+from contextlib import nullcontext
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..exceptions import (
-    DisconnectedGraphError,
-    EngineError,
-    GraphError,
-    WeightError,
-)
-from ..rng import Rng
+from ..exceptions import EngineError, GraphError, WeightError
+from ..telemetry import get_telemetry
 from .csr import CSRGraph
 
 __all__ = [
     "sssp_dijkstra",
     "multi_source_distances",
     "relaxation_distances",
-    "bellman_ford_distances",
-    "min_plus_apsp",
-    "dense_distance_matrix",
-    "laplace_perturb",
-    "path_from_predecessors",
+    "kernel_span",
 ]
 
 #: Target element count per relaxation block — bounds the (sources x
@@ -64,6 +53,18 @@ try:  # Optional accelerator: scipy's C Dijkstra over the same arrays.
 except ImportError:  # pragma: no cover - exercised on scipy-free installs
     _scipy_csr_matrix = None
     _scipy_dijkstra = None
+
+
+def kernel_span(name: str, **attributes: object):
+    """A tracer span over one kernel call — but only when the current
+    bundle carries a live phase profiler.  Kernel calls are the exact
+    sweeps' innermost hot path, so they are never traced by default;
+    with a profiler attached they become ``engine.*`` phases in the
+    attribution table."""
+    telemetry = get_telemetry()
+    if telemetry.profiler.enabled:
+        return telemetry.span(name, **attributes)
+    return nullcontext()
 
 
 def sssp_dijkstra(
@@ -214,100 +215,3 @@ def relaxation_distances(
             raise GraphError("graph contains a negative cycle")
     dist[dist > limit] = np.inf
     return dist
-
-
-def bellman_ford_distances(csr: CSRGraph, source: int) -> np.ndarray:  # privlint: ignore[PL1] negative-weight reference kernel exercised by parity tests/benches; in-tree releases dispatch via multi_source_distances
-    """Single-source distances permitting negative weights.
-
-    The vectorized counterpart of
-    :func:`repro.algorithms.shortest_paths.bellman_ford` (distances
-    only; raises on a negative cycle).
-    """
-    if not csr.directed and csr.num_arcs and float(csr.weights.min()) < 0:
-        raise GraphError(
-            "negative undirected edge forms a negative cycle"
-        )
-    return relaxation_distances(csr, [source], allow_negative=True)[0]
-
-
-def dense_distance_matrix(csr: CSRGraph) -> np.ndarray:  # privlint: ignore[PL1] min-plus seed matrix for the bench-only APSP kernel; exercised by parity tests/benches
-    """The one-hop min-plus matrix: ``D[i, j]`` is the arc weight
-    (``inf`` if absent), with a zero diagonal."""
-    n = csr.n
-    dense = np.full((n, n), np.inf)
-    np.fill_diagonal(dense, 0.0)
-    if csr.num_arcs:
-        tails = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(csr.indptr)
-        )
-        dense[tails, csr.indices] = csr.weights
-    return dense
-
-
-def min_plus_apsp(
-    dense: np.ndarray, row_block: int = 32
-) -> np.ndarray:
-    """All-pairs distances by min-plus repeated squaring.
-
-    ``dense`` is the one-hop matrix from :func:`dense_distance_matrix`.
-    ``ceil(log2(n-1))`` squarings suffice; each squaring is computed in
-    row blocks to bound the broadcast scratch at ``row_block * n^2``
-    floats.  O(n^3 log n) work but fully vectorized — intended for
-    small dense graphs (hundreds of vertices).
-    """
-    d = np.array(dense, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise EngineError(
-            f"min-plus kernel needs a square matrix, got {d.shape}"
-        )
-    n = d.shape[0]
-    if n <= 1:
-        return d
-    squarings = max(int(np.ceil(np.log2(n - 1))), 1) if n > 2 else 1
-    result = np.empty_like(d)
-    for _ in range(squarings):
-        for lo in range(0, n, row_block):
-            hi = min(lo + row_block, n)
-            result[lo:hi] = np.min(
-                d[lo:hi, :, None] + d[None, :, :], axis=1
-            )
-        if np.array_equal(result, d):
-            break
-        d, result = result, d
-    return d
-
-
-def laplace_perturb(
-    weights: np.ndarray,
-    scale: float,
-    rng: Rng,
-    clamp_at_zero: bool = False,
-) -> np.ndarray:
-    """Add i.i.d. ``Lap(scale)`` noise to a weight array in one
-    vectorized draw, optionally clamping at zero (post-processing; see
-    :mod:`repro.core.synthetic_graph` for why clamping preserves the
-    error bound)."""
-    values = np.asarray(weights, dtype=float)
-    noisy = values + rng.laplace_vector(scale, values.size).reshape(
-        values.shape
-    )
-    if clamp_at_zero:
-        noisy = noisy.clip(min=0.0)
-    return noisy
-
-
-def path_from_predecessors(
-    pred: np.ndarray, source: int, target: int
-) -> List[int]:
-    """Rebuild the index path from a :func:`sssp_dijkstra` predecessor
-    array."""
-    path = [target]
-    while path[-1] != source:
-        p = int(pred[path[-1]])
-        if p < 0:
-            raise DisconnectedGraphError(
-                f"no path from index {source} to index {target}"
-            )
-        path.append(p)
-    path.reverse()
-    return path

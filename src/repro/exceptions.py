@@ -58,7 +58,9 @@ class WeightError(ReproError):
 
 class SynopsisError(GraphError):
     """A problem with a serialized distance synopsis (unknown ``kind``,
-    wrong format marker, unsupported version).
+    wrong format marker, unsupported version, or a structure that
+    could not answer right: tree parent links that do not climb to the
+    root, hub indices outside the sites, non-finite released values).
 
     Subclasses :class:`GraphError` (synopsis documents are public
     topology + released values, i.e. graph artifacts) and therefore
@@ -96,8 +98,9 @@ class MatchingError(ReproError):
 
 
 class EngineError(ReproError):
-    """A problem with the graph-kernel engine (unknown backend name,
-    kernel precondition violation, ...)."""
+    """A kernel precondition violated in :mod:`repro.engine` (a vertex
+    or source index outside the compiled graph), or an exact sweep
+    that left a required target unsettled."""
 
 
 class LintError(ReproError):

@@ -4,16 +4,14 @@ The paper's value proposition is a *menu* of release mechanisms —
 Algorithm 1 for trees, Algorithm 2's covering for bounded weights, the
 Section 4 all-pairs baselines — and the follow-up hub-set work grew
 that menu further.  Before this module the menu lived as a hard-coded
-``if/elif`` ladder inside the serving façade; now it is a registry,
-mirroring the engine's backend registry
-(:mod:`repro.engine.backends`): each mechanism is an object with a
-``name``, data-independent applicability and noise-scale predictions,
-and a ``build`` hook producing a
-:class:`~repro.serving.synopsis.DistanceSynopsis`.  New mechanisms
-(the ROADMAP's shortcut-graph recursion, debiased hub estimators, ...)
-plug in with :func:`register_mechanism` and immediately become
-available to :func:`~repro.serving.config.serve`, the CLI, and
-auto-selection — no consumer surgery.
+``if/elif`` ladder inside the serving façade; now it is a registry:
+each mechanism is an object with a ``name``, data-independent
+applicability and noise-scale predictions, and a ``build`` hook
+producing a :class:`~repro.serving.synopsis.DistanceSynopsis`.  New
+mechanisms (the ROADMAP's shortcut-graph recursion, debiased hub
+estimators, ...) plug in with :func:`register_mechanism` and
+immediately become available to :func:`~repro.serving.config.serve`,
+the CLI, and auto-selection — no consumer surgery.
 
 Auto-selection (:func:`auto_select_mechanism`) is a registry-wide
 contest: every auto-eligible mechanism predicts its per-entry noise
@@ -223,11 +221,7 @@ class Mechanism:
         raise NotImplementedError
 
     def build(
-        self,
-        graph: WeightedGraph,
-        params: MechanismParams,
-        rng: Rng,
-        backend: str | None = None,
+        self, graph: WeightedGraph, params: MechanismParams, rng: Rng
     ) -> Any:
         """Run the release and return its
         :class:`~repro.serving.synopsis.DistanceSynopsis`."""
@@ -358,7 +352,7 @@ class TreeMechanism(Mechanism):
         # Topology-only validation (raises NotATreeError early).
         RootedTree(graph, next(iter(graph.vertices())))
 
-    def build(self, graph, params, rng, backend=None):
+    def build(self, graph, params, rng):
         from .serving.synopsis import TreeSynopsis
 
         rooted = RootedTree(graph, next(iter(graph.vertices())))
@@ -413,7 +407,7 @@ class BoundedWeightMechanism(_BoundedFamily):
         z = max(v // (k + 1), 1)
         return composed_noise_scale(z * (z - 1) // 2, eps, delta)
 
-    def build(self, graph, params, rng, backend=None):
+    def build(self, graph, params, rng):
         from .serving.synopsis import BoundedWeightSynopsis
 
         release = BoundedWeightRelease(
@@ -422,7 +416,6 @@ class BoundedWeightMechanism(_BoundedFamily):
             params.eps,
             rng,
             delta=params.delta,
-            backend=backend,
         )
         return BoundedWeightSynopsis.from_release(release)
 
@@ -451,7 +444,7 @@ class HubBoundedMechanism(_BoundedFamily):
         z = max(v // (k + 1), 1)
         return predicted_hub_scale(z, eps, delta)
 
-    def build(self, graph, params, rng, backend=None):
+    def build(self, graph, params, rng):
         from .serving.synopsis import HubBoundedSynopsis
 
         release = HubSetBoundedRelease(
@@ -495,12 +488,10 @@ class AllPairsBasicMechanism(_AllPairsFamily):
     def predicted_noise_scale(self, graph, params):
         return all_pairs_noise_scale(graph.num_vertices, params.eps)
 
-    def build(self, graph, params, rng, backend=None):
+    def build(self, graph, params, rng):
         from .serving.synopsis import build_all_pairs_synopsis
 
-        return build_all_pairs_synopsis(
-            graph, params.eps, rng, backend=backend
-        )
+        return build_all_pairs_synopsis(graph, params.eps, rng)
 
 
 class AllPairsAdvancedMechanism(_AllPairsFamily):
@@ -531,15 +522,11 @@ class AllPairsAdvancedMechanism(_AllPairsFamily):
             )
         _require_connected(graph, self.name)
 
-    def build(self, graph, params, rng, backend=None):
+    def build(self, graph, params, rng):
         from .serving.synopsis import build_all_pairs_synopsis
 
         return build_all_pairs_synopsis(
-            graph,
-            params.eps,
-            rng,
-            delta=params.delta,
-            backend=backend,
+            graph, params.eps, rng, delta=params.delta
         )
 
 
@@ -562,7 +549,7 @@ class HubSetMechanism(_AllPairsFamily):
             graph.num_vertices, params.eps, params.delta
         )
 
-    def build(self, graph, params, rng, backend=None):
+    def build(self, graph, params, rng):
         from .serving.synopsis import HubSetSynopsis
 
         release = HubSetRelease(
@@ -602,11 +589,11 @@ class SinglePairMechanism(Mechanism):
                 "workload"
             )
 
-    def build(self, graph, params, rng, backend=None):
+    def build(self, graph, params, rng):
         from .serving.synopsis import build_single_pair_synopsis
 
         return build_single_pair_synopsis(
-            graph, params.pairs, params.eps, rng, backend=backend
+            graph, params.pairs, params.eps, rng
         )
 
 
@@ -638,7 +625,7 @@ class BoundaryRelayMechanism(Mechanism):
                 "subset"
             )
 
-    def build(self, graph, params, rng, backend=None):
+    def build(self, graph, params, rng):
         from .apsp.hubs import (
             build_hub_structure,
             default_ball_size,

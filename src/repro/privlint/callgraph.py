@@ -13,9 +13,9 @@ scanned tree, each carrying
   same-module definitions (bare-name calls, local class
   constructors), one-hop re-exports through package ``__init__``
   modules, and — for attribute calls whose receiver the AST cannot
-  name (``backend.sssp(...)``, ``mech.build(...)``,
-  ``self._ledger.spend(...)``) — a class-hierarchy-style *name join*
-  over every known method with that name; and
+  name (``mech.build(...)``, ``self._ledger.spend(...)``) — a
+  class-hierarchy-style *name join* over every known method with
+  that name; and
 * its **direct summary bits**: reads private weight state, returns a
   value, serializes/logs, contains a recognized noising sink,
   contains a raw ``laplace_*``/``perturb_*`` noise draw, contains a

@@ -1,7 +1,7 @@
 """Declarative serving configuration: one document, one factory.
 
 A :class:`ServingConfig` captures a whole deployment — mechanism,
-budget split, epoch policy, backend, shard plan knobs, cache bound —
+budget split, epoch policy, shard plan knobs, cache bound —
 as an immutable, JSON-round-trippable document, and :func:`serve`
 turns ``(graph, config, rng)`` into a running
 :class:`~repro.serving.service.DistanceService`.
@@ -55,7 +55,10 @@ __all__ = [
 ]
 
 CONFIG_FORMAT = "repro-serving-config"
-_CONFIG_VERSION = 1
+#: Version 2 has no ``backend`` field.  Every version-1 document
+#: carries one, so version 1 is refused rather than read with a field
+#: that would select nothing.
+_CONFIG_VERSION = 2
 
 #: How a server's budget behaves across :meth:`DistanceService.refresh`:
 #: ``"rotate"`` treats every refresh as a new data epoch (the private
@@ -90,9 +93,6 @@ class ServingConfig:
     epoch_policy:
         ``"rotate"`` (default) or ``"fixed"`` — see
         :data:`EPOCH_POLICIES`.
-    backend:
-        :mod:`repro.engine` backend for exact sweeps (``None`` =
-        auto).
     shards:
         Regional tenants to partition into (1 = unsharded).
     relay_fraction:
@@ -145,7 +145,6 @@ class ServingConfig:
     delta: float = 0.0
     weight_bound: float | None = None
     epoch_policy: str = "rotate"
-    backend: str | None = None
     shards: int = 1
     relay_fraction: float = DEFAULT_RELAY_FRACTION
     partition_seed: int = 0
@@ -308,7 +307,6 @@ def serve(
         weight_bound=config.weight_bound,
         mechanism=mechanism,
         ledger=ledger,
-        backend=config.backend,
         cache_size=config.cache_size,
         telemetry=telemetry,
         # With an explicit plan a multi-shard config still passes its

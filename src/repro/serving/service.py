@@ -261,13 +261,6 @@ class DistanceService:
         or more shards, shard ``i`` spends under ``{tenant}/shard-{i}``
         and the relay under ``{tenant}/relay``, each failing closed
         independently.
-    backend:
-        The :mod:`repro.engine` backend for the exact-recomputation
-        half of the paper's releases (``"python"``, ``"numpy"``, or
-        ``None``/``"auto"`` for the size heuristic).  The hub
-        mechanisms of :mod:`repro.apsp` are engine-native — built
-        directly on the CSR multi-source kernels — so they do not
-        consult this knob.
     cache_size:
         Bound the cross-batch answer cache to this many pairs (LRU
         eviction); ``None`` (the default) keeps every answered pair.
@@ -306,7 +299,6 @@ class DistanceService:
         mechanism: str | None = None,
         ledger: BudgetLedger | None = None,
         tenant: str = "distance-service",
-        backend: str | None = None,
         cache_size: int | None = None,
         telemetry: Telemetry | None = None,
         shards: int | None = None,
@@ -347,7 +339,6 @@ class DistanceService:
             epoch_budget
         )
         self._tenant = tenant
-        self._backend = backend
         self._telemetry = (
             telemetry if telemetry is not None else get_telemetry()
         )
@@ -404,7 +395,6 @@ class DistanceService:
             tenant=self._tenant,
             epoch=self._ledger.epoch,
             mechanism=self._mechanism,
-            backend=self._backend,
             shards=self.num_shards,
         )
 
@@ -451,9 +441,7 @@ class DistanceService:
                 tenant=tenant.name,
                 label=f"epoch {self._ledger.epoch} {name} synopsis",
             )
-            tenant.synopsis = mech.build(
-                tenant.graph, params, self._rng, backend=self._backend
-            )
+            tenant.synopsis = mech.build(tenant.graph, params, self._rng)
             self._telemetry.emit(
                 "synopsis.build",
                 tenant=tenant.name,
@@ -836,12 +824,6 @@ class DistanceService:
         registry name when unsharded, ``sharded(KxMECH+relay)``
         otherwise."""
         return self._mechanism
-
-    @property
-    def backend(self) -> str | None:
-        """The engine backend spec the service builds releases with
-        (``None`` means auto-selection)."""
-        return self._backend
 
     @property
     def synopsis(self) -> DistanceSynopsis:

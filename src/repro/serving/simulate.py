@@ -132,14 +132,12 @@ class SimulationReport:
 
 
 def _exact_distances(
-    graph: WeightedGraph,
-    pairs: List[Tuple[Vertex, Vertex]],
-    backend: str | None = None,
+    graph: WeightedGraph, pairs: List[Tuple[Vertex, Vertex]]
 ) -> List[float]:
-    """True distances for the pairs: one engine multi-source sweep
-    over the distinct sources."""
+    """True distances for the pairs: one multi-source sweep over the
+    distinct sources."""
     distinct = list(dict.fromkeys(s for s, _ in pairs))
-    sweep = all_pairs_dijkstra(graph, sources=distinct, backend=backend)
+    sweep = all_pairs_dijkstra(graph, sources=distinct)
     return [sweep[s][t] for s, t in pairs]
 
 
@@ -154,7 +152,6 @@ def replay_rush_hour(
     weight_bound: float | None = None,
     slowdown: float = 3.0,
     block_minutes: float = 2.0,
-    backend: str | None = None,
     mechanism: str | None = None,
     shards: int | None = None,
     config: ServingConfig | None = None,
@@ -172,9 +169,9 @@ def replay_rush_hour(
     The server is stood up through the one
     :func:`~repro.serving.config.serve` path: either from an explicit
     declarative ``config`` (in which case ``eps`` / ``delta`` /
-    ``weight_bound`` / ``backend`` / ``mechanism`` / ``shards`` must
-    be left at their defaults — the config is the single source of
-    truth) or from those flag-style parameters assembled into one.
+    ``weight_bound`` / ``mechanism`` / ``shards`` must be left at
+    their defaults — the config is the single source of truth) or
+    from those flag-style parameters assembled into one.
     With ``weight_bound`` set, epoch weights are additionally capped
     (:func:`~repro.workloads.traffic.congestion_weights` semantics) so
     the Section 4.2 covering mechanism can auto-select.  With 2+
@@ -205,7 +202,6 @@ def replay_rush_hour(
             "weight_bound": weight_bound is not None,
             "mechanism": mechanism is not None,
             "shards": shards is not None,
-            "backend": backend is not None,
         }
         clashes = sorted(k for k, v in overridden.items() if v)
         if clashes:
@@ -216,14 +212,12 @@ def replay_rush_hour(
             )
         eps, delta = config.eps, config.delta
         weight_bound = config.weight_bound
-        backend = config.backend
     else:
         config = ServingConfig(
             mechanism=mechanism if mechanism is not None else "auto",
             eps=eps,
             delta=delta,
             weight_bound=weight_bound,
-            backend=backend,
             shards=shards if shards is not None else 1,
         )
     if audit_log is not None:
@@ -279,7 +273,7 @@ def replay_rush_hour(
         with use_telemetry(telemetry), telemetry.span(
             "replay.ground_truth", epoch=epoch, pairs=len(pairs)
         ):
-            exact = _exact_distances(graph, pairs, backend=backend)
+            exact = _exact_distances(graph, pairs)
         errors = [
             abs(answer - truth)
             for answer, truth in zip(batch.answers, exact)

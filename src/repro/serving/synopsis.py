@@ -42,10 +42,9 @@ from ..apsp.hubs import HubStructure
 from ..core.distance_oracle import all_pairs_noise_scale
 from ..dp.composition import composed_noise_scale
 from ..dp.params import PrivacyParams
-from ..engine.backends import kernel_span
 from ..engine.csr import CSRGraph
 from ..engine.frontier import is_weakly_connected
-from ..engine.kernels import multi_source_distances
+from ..engine.kernels import kernel_span, multi_source_distances
 from ..exceptions import (
     DisconnectedGraphError,
     GraphError,
@@ -456,15 +455,50 @@ class TreeSynopsis(DistanceSynopsis):
             estimates[v] = float(row[1])
             depth[v] = int(row[2])
             parent[v] = None if row[3] is None else _decode_vertex(row[3])
+        root = _decode_vertex(payload["root"])
+        _check_tree(root, estimates, parent, depth)
         scale = payload.get("noise_scale")
         return cls(
             params,
-            _decode_vertex(payload["root"]),
+            root,
             estimates,
             parent,
             depth,
             noise_scale=None if scale is None else float(scale),
         )
+
+
+def _check_tree(
+    root: Vertex,
+    estimates: Mapping[Vertex, float],
+    parent: Mapping[Vertex, Vertex | None],
+    depth: Mapping[Vertex, int],
+) -> None:
+    """Refuse a decoded tree whose answers would be wrong or never
+    come: the one parentless vertex must be ``root`` at depth 0, and
+    every other vertex's parent a known vertex one level up — so every
+    parent chain strictly climbs to the root and the LCA walk ends.
+    Every released estimate must be finite."""
+    roots = [v for v, p in parent.items() if p is None]
+    if roots != [root] or depth[root] != 0:
+        raise SynopsisError(
+            f"tree synopsis must have exactly one root, {root!r} at "
+            f"depth 0; found roots {roots!r}"
+        )
+    for v, p in parent.items():
+        if p is None:
+            continue
+        if p not in depth:
+            raise SynopsisError(
+                f"tree synopsis parent {p!r} of {v!r} is not a vertex"
+            )
+        if depth[v] != depth[p] + 1:
+            raise SynopsisError(
+                f"tree synopsis vertex {v!r} at depth {depth[v]} is not "
+                f"one level below its parent {p!r} at depth {depth[p]}"
+            )
+    if not all(math.isfinite(x) for x in estimates.values()):
+        raise SynopsisError("tree synopsis holds a non-finite estimate")
 
 
 @register_synopsis
@@ -627,17 +661,35 @@ def _encode_hub_structure(structure: HubStructure) -> Dict[str, Any]:
 
 
 def _decode_hub_structure(payload: Dict[str, Any]) -> HubStructure:
+    """Rebuild a hub structure from its JSON fields, refusing any that
+    would index outside the sites or answer a non-finite value: hub
+    positions distinct and in ``[0, m)``, ball rows ``lo < hi < m``."""
     m = int(payload["num_sites"])
+    hubs = np.asarray(payload["hubs"], dtype=np.int64)
+    if hubs.size and not (0 <= hubs.min() and hubs.max() < m):
+        raise SynopsisError(f"hub positions must lie in [0, {m})")
+    if np.unique(hubs).size != hubs.size:
+        raise SynopsisError("hub positions repeat")
+    ball: Dict[int, float] = {}
+    for lo, hi, value in payload["ball"]:
+        lo, hi, value = int(lo), int(hi), float(value)
+        if not 0 <= lo < hi < m:
+            raise SynopsisError(
+                f"ball row ({lo}, {hi}) is not a site pair lo < hi < {m}"
+            )
+        if not math.isfinite(value):
+            raise SynopsisError(f"ball row ({lo}, {hi}) is {value}")
+        ball[lo * m + hi] = value
+    matrix = np.asarray(payload["matrix"], dtype=float).reshape(
+        len(hubs), m
+    )
+    if not np.isfinite(matrix).all():
+        raise SynopsisError("hub table holds a non-finite entry")
     return HubStructure(
         num_sites=m,
-        hub_positions=np.asarray(payload["hubs"], dtype=np.int64),
-        matrix=np.asarray(payload["matrix"], dtype=float).reshape(
-            len(payload["hubs"]), m
-        ),
-        ball={
-            int(lo) * m + int(hi): float(value)
-            for lo, hi, value in payload["ball"]
-        },
+        hub_positions=hubs,
+        matrix=matrix,
+        ball=ball,
         noise_scale=float(payload["noise_scale"]),
         pair_count=int(payload["pair_count"]),
     )
@@ -874,15 +926,13 @@ def build_all_pairs_synopsis(
     eps: float,
     rng: Rng,
     delta: float = 0.0,
-    backend: str | None = None,
 ) -> AllPairsSynopsis:
     """Build an :class:`AllPairsSynopsis` straight from the engine.
 
     The exact distances come as one CSR multi-source matrix and the
     noise is a single vectorized Laplace draw over the upper triangle
-    — no intermediate dict-of-dicts or release object (the ROADMAP's
-    "engine-native synopsis builds" path).  ``delta = 0`` applies the
-    basic-composition accounting of
+    — no intermediate dict-of-dicts or release object.  ``delta = 0``
+    applies the basic-composition accounting of
     :class:`~repro.core.distance_oracle.AllPairsBasicRelease`
     (``Lap(P/eps)`` over the ``P = V(V-1)/2`` unordered pairs);
     ``delta > 0`` the advanced-composition accounting of
@@ -890,46 +940,19 @@ def build_all_pairs_synopsis(
 
     Pair order and noise-draw order match the release classes exactly,
     so with the same seed this builder releases bit-identical values
-    (every ``distance`` answer equals the release-wrapping path's) —
-    only faster.  Note the claim covers the released values, not the
-    serialized bytes: the JSON's public ``vertices`` list may be
-    ordered differently between the two paths.  A forced
-    ``backend`` is validated against the engine registry; any backend
-    other than ``"numpy"`` (the reference ``"python"``, a third-party
-    accelerator) runs the release-wrapping path so the forced kernel
-    really is the one doing the exact sweep.
+    to ``AllPairsSynopsis.from_release`` over either release — only
+    faster.  The claim covers the released values, not the serialized
+    bytes: the JSON's public ``vertices`` list may be ordered
+    differently between the two.
     """
     params = PrivacyParams(eps, delta)
-    if backend is not None and backend != "auto":
-        # Raises EngineError on unknown names, exactly like the
-        # release path used to.
-        from ..engine.backends import get_backend
-
-        forced = get_backend(backend).name
-        if forced != "numpy":
-            from ..core.distance_oracle import (
-                AllPairsAdvancedRelease,
-                AllPairsBasicRelease,
-            )
-
-            if delta > 0:
-                release: Any = AllPairsAdvancedRelease(
-                    graph, eps, delta, rng, backend=backend
-                )
-            else:
-                release = AllPairsBasicRelease(
-                    graph, eps, rng, backend=backend
-                )
-            return AllPairsSynopsis.from_release(release)
     csr = CSRGraph.from_graph(graph)
     if not is_weakly_connected(csr):
         raise DisconnectedGraphError(
             "all-pairs release requires a connected graph"
         )
     n = csr.n
-    # The engine-native fast path skips the backend wrapper, so it
-    # carries the same profiler-gated kernel span itself.
-    with kernel_span("engine.all_pairs", backend="numpy", sources=n):
+    with kernel_span("engine.all_pairs", sources=n):
         matrix = multi_source_distances(
             csr, np.arange(n, dtype=np.int64)
         )
@@ -949,16 +972,15 @@ def build_single_pair_synopsis(
     pairs: Iterable[Tuple[Vertex, Vertex]],
     eps: float,
     rng: Rng,
-    backend: str | None = None,
 ) -> SinglePairSynopsis:
     """Release a fixed pair workload as a :class:`SinglePairSynopsis`.
 
     The distinct (unordered) pairs form a query vector of L1
     sensitivity ``Q`` (each distance query has sensitivity 1), so one
     vectorized ``Lap(Q/eps)`` draw over the whole vector is eps-DP.
-    Exact distances come from one :mod:`repro.engine` multi-source
-    sweep over the distinct sources (``backend`` selects the kernel;
-    default auto), not one search per pair.
+    Exact distances come from one
+    :func:`~repro.algorithms.shortest_paths.all_pairs_dijkstra` sweep
+    over the distinct sources, not one search per pair.
     """
     params = PrivacyParams(eps)  # validates eps before any work
     unique: List[Tuple[Vertex, Vertex]] = []
@@ -980,9 +1002,7 @@ def build_single_pair_synopsis(
     for s, t in unique:
         by_source.setdefault(s, []).append(t)
     exact: Dict[Tuple[Vertex, Vertex], float] = {}
-    sweep = all_pairs_dijkstra(
-        graph, sources=list(by_source), backend=backend
-    )
+    sweep = all_pairs_dijkstra(graph, sources=list(by_source))
     for s, targets in by_source.items():
         distances = sweep[s]
         for t in targets:

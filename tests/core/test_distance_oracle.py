@@ -45,30 +45,6 @@ class TestPrivateDistance:
         with pytest.raises(DisconnectedGraphError):
             private_distance(g, 0, 3, eps=1.0, rng=Rng(0))
 
-    def test_backend_registry_seeded_equivalence(self, rng):
-        """The query routes through the engine backend registry: all
-        backends compute bit-identical exact distances, so with the
-        same seed every backend releases the identical float."""
-        graph = generators.assign_random_weights(
-            generators.grid_graph(6, 6), rng, low=0.5, high=2.0
-        )
-        released = {
-            backend: private_distance(
-                graph, (0, 0), (5, 5), eps=1.0, rng=Rng(77),
-                backend=backend,
-            )
-            for backend in ("python", "numpy", "auto", None)
-        }
-        assert len(set(released.values())) == 1
-
-    def test_unknown_backend_rejected(self, triangle):
-        from repro.exceptions import EngineError
-
-        with pytest.raises(EngineError):
-            private_distance(
-                triangle, 0, 2, eps=1.0, rng=Rng(0), backend="quantum"
-            )
-
 
 class TestAllPairsBasic:
     def test_released_distances_present_for_all_pairs(self, grid5):

@@ -1,29 +1,35 @@
-"""Seeded randomized equivalence: CSR kernels vs the pure-Python
-reference, asserted *exactly*.
+"""Seeded randomized equivalence: the public shortest-path functions
+against the dict-based reference ``_dijkstra_reference``, asserted
+*exactly*.
 
-All random weights are integer-valued, so every path sum is exactly
-representable in float64 and bit-level equality is the right assertion
-(for the Dijkstra-shaped kernels it would hold for arbitrary floats
-too — both compute minima over left-associated sums — but integer
-weights also let the re-associating min-plus kernel be checked
-exactly).
+``dijkstra`` runs the CSR kernel from |E| = 2048 and
+``all_pairs_dijkstra`` from |V| = 32; below that both run the
+reference.  Either way the distances must be the reference's bits —
+both compute minima over left-associated floating-point path sums —
+so every check here is equality, never a tolerance.  The graph
+families are small, so their cases force the CSR path (the
+``csr_path`` fixture lowers both thresholds to 0); the size-rule
+cases build graphs on each side of each threshold and keep the rule
+as it is, with fractional weights.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro import Rng, WeightedGraph
+from repro.algorithms import shortest_paths
 from repro.algorithms.shortest_paths import (
+    _dijkstra_reference,
     all_pairs_dijkstra,
-    bellman_ford,
     dijkstra,
     dijkstra_path,
 )
 from repro.engine import CSRGraph, kernels
-from repro.engine.backends import get_backend
-from repro.exceptions import GraphError, WeightError
+from repro.exceptions import VertexNotFoundError, WeightError
 from repro.graphs import generators
 
 SEED = 999331
@@ -66,46 +72,98 @@ def _disconnected(rng: Rng) -> WeightedGraph:
 FAMILIES = [_random_sparse, _grid, _tree, _disconnected]
 
 
+def _reference_all_pairs(graph, sources=None):
+    chosen = graph.vertex_list() if sources is None else sources
+    return {s: _dijkstra_reference(graph, s)[0] for s in chosen}
+
+
+def _assert_parents(graph, source, distances, parents, complete=True):
+    """Every settled vertex but the source has a parent whose distance
+    plus the connecting weight is its own, bit for bit.  Without an
+    early exit every reached vertex is settled, so the parent map
+    covers exactly the settled vertices."""
+    assert distances[source] == 0.0
+    assert source not in parents
+    for v, d in distances.items():
+        if v != source:
+            p = parents[v]
+            assert distances[p] + graph.weight(p, v) == d
+    if complete:
+        assert set(parents) == set(distances) - {source}
+
+
+@pytest.fixture
+def csr_path(monkeypatch):
+    """Send every public call down the CSR path, whatever its size."""
+    monkeypatch.setattr(shortest_paths, "_SSSP_CSR_MIN_EDGES", 0)
+    monkeypatch.setattr(shortest_paths, "_APSP_CSR_MIN_VERTICES", 0)
+
+
+@pytest.fixture
+def ran(monkeypatch):
+    """How often each implementation ran: the dict-based search and
+    the two CSR kernels, counted as the public functions call them."""
+    calls = Counter()
+
+    def spy(name):
+        original = getattr(shortest_paths, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(shortest_paths, name, counted)
+
+    for name in (
+        "_dijkstra_reference",
+        "sssp_dijkstra",
+        "multi_source_distances",
+    ):
+        spy(name)
+    return calls
+
+
+@pytest.mark.usefixtures("csr_path")
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("trial", range(3))
-class TestBackendEquivalence:
+class TestCSRPathEquivalence:
     def _graph(self, family, trial):
         return family(Rng(SEED + 101 * trial))
 
     def test_all_pairs_exact(self, family, trial):
         graph = self._graph(family, trial)
-        assert all_pairs_dijkstra(graph, backend="python") == (
-            all_pairs_dijkstra(graph, backend="numpy")
-        )
+        assert all_pairs_dijkstra(graph) == _reference_all_pairs(graph)
 
     def test_sssp_exact(self, family, trial):
         graph = self._graph(family, trial)
         source = graph.vertex_list()[0]
-        d_py, _ = dijkstra(graph, source, backend="python")
-        d_np, p_np = dijkstra(graph, source, backend="numpy")
-        assert d_py == d_np
-        # The numpy parents reconstruct optimal-weight paths (the
-        # tree itself may differ under ties).
-        for t in list(d_np)[:10]:
-            if t == source:
-                continue
-            path = [t]
-            while path[-1] != source:
-                path.append(p_np[path[-1]])
-            path.reverse()
-            assert graph.path_weight(path) == d_py[t]
+        distances, parents = dijkstra(graph, source)
+        assert distances == _dijkstra_reference(graph, source)[0]
+        # The parents may differ from the reference's under ties, but
+        # each must lie on an optimal path.
+        _assert_parents(graph, source, distances, parents)
+
+    def test_sssp_early_exit_exact(self, family, trial):
+        graph = self._graph(family, trial)
+        source = graph.vertex_list()[0]
+        reached = list(_dijkstra_reference(graph, source)[0])
+        target = reached[len(reached) // 2]
+        distances, parents = dijkstra(graph, source, target=target)
+        # Identical settled sets, not just the target's distance.
+        assert distances == _dijkstra_reference(graph, source, target)[0]
+        _assert_parents(graph, source, distances, parents, complete=False)
 
     def test_sources_subset_exact(self, family, trial):
         graph = self._graph(family, trial)
         sources = graph.vertex_list()[::5]
-        assert all_pairs_dijkstra(
-            graph, sources=sources, backend="python"
-        ) == all_pairs_dijkstra(graph, sources=sources, backend="numpy")
+        assert all_pairs_dijkstra(graph, sources=sources) == (
+            _reference_all_pairs(graph, sources)
+        )
 
     def test_relaxation_fallback_exact(self, family, trial):
         # The scipy-free kernel must agree even when scipy is present.
         graph = self._graph(family, trial)
-        reference = all_pairs_dijkstra(graph, backend="python")
+        reference = _reference_all_pairs(graph)
         csr = CSRGraph.from_graph(graph)
         matrix = kernels.relaxation_distances(csr, range(csr.n))
         inf = float("inf")
@@ -138,130 +196,167 @@ class TestBackendEquivalence:
         assert np.array_equal(limited[within], full[within])
         assert np.isinf(limited[~within]).all()
 
-    def test_bellman_ford_distances_exact(self, family, trial):
-        graph = self._graph(family, trial)
-        source = graph.vertex_list()[-1]
-        reference, _ = bellman_ford(graph, source)
-        csr = CSRGraph.from_graph(graph)
-        dist = kernels.bellman_ford_distances(csr, csr.index_of(source))
-        inf = float("inf")
-        computed = {
-            csr.vertices[i]: d
-            for i, d in enumerate(dist.tolist())
-            if d != inf
-        }
-        assert computed == reference
+
+# ----------------------------------------------------------------------
+# The size rule, from both sides of each threshold
+# ----------------------------------------------------------------------
+
+#: ``(size, implementation the public function must run)``.
+SSSP_SIDES = [(2047, "_dijkstra_reference"), (2048, "sssp_dijkstra")]
+APSP_SIDES = [(31, "_dijkstra_reference"), (32, "multi_source_distances")]
+
+#: Vertices of the single-source graphs (|E| ~ 5 |V|).
+SSSP_VERTICES = 400
+
+#: The last vertices of a directed size-rule graph get no incoming
+#: arcs, so nothing else reaches them.
+UNREACHABLE = 3
 
 
-class TestMinPlus:
-    @pytest.mark.parametrize("trial", range(3))
-    def test_exact_on_integer_grids(self, trial):
-        graph = _grid(Rng(SEED + trial))
-        reference = all_pairs_dijkstra(graph, backend="python")
-        csr = CSRGraph.from_graph(graph)
-        dense = kernels.min_plus_apsp(kernels.dense_distance_matrix(csr))
-        for i, s in enumerate(csr.vertices):
-            for j, t in enumerate(csr.vertices):
-                assert dense[i, j] == reference[s][t]
+def _sized_graph(vertices, edges, seed, directed=False):
+    """A random graph with exactly ``vertices`` vertices and ``edges``
+    edges, fractional weights in [0.5, 3).  Directed graphs leave the
+    last :data:`UNREACHABLE` vertices without incoming arcs."""
+    rng = Rng(seed)
+    graph = WeightedGraph(directed=directed)
+    for v in range(vertices):
+        graph.add_vertex(v)
+    heads = vertices - UNREACHABLE if directed else vertices
+    while graph.num_edges < edges:
+        u, v = rng.integer(0, vertices), rng.integer(0, heads)
+        if u != v and not graph.has_edge(u, v):
+            graph.add_edge(u, v, rng.uniform(0.5, 3.0))
+    return graph
 
-    def test_disconnected_stays_infinite(self):
-        graph = _disconnected(Rng(SEED))
-        csr = CSRGraph.from_graph(graph)
-        dense = kernels.min_plus_apsp(kernels.dense_distance_matrix(csr))
-        iso = csr.index_of("isolated")
-        other = csr.index_of(0)
-        assert dense[iso, other] == float("inf")
-        assert dense[iso, iso] == 0.0
+
+def _unreachable(graph):
+    return set(graph.vertex_list()[-UNREACHABLE:])
+
+
+def test_thresholds_are_the_parents_defaults():
+    assert shortest_paths._SSSP_CSR_MIN_EDGES == 2048
+    assert shortest_paths._APSP_CSR_MIN_VERTICES == 32
+
+
+@pytest.mark.parametrize("edges, implementation", SSSP_SIDES)
+class TestSingleSourceSizeRule:
+    def _graph(self, edges, directed=False):
+        return _sized_graph(
+            SSSP_VERTICES, edges, SEED + edges, directed=directed
+        )
+
+    def test_runs_the_sized_implementation(self, edges, implementation, ran):
+        dijkstra(self._graph(edges), 0)
+        assert ran == {implementation: 1}
+
+    def test_distances_and_parents_exact(self, edges, implementation):
+        graph = self._graph(edges)
+        distances, parents = dijkstra(graph, 0)
+        assert distances == _dijkstra_reference(graph, 0)[0]
+        assert len(distances) == graph.num_vertices
+        _assert_parents(graph, 0, distances, parents)
+
+    def test_early_exit_target_exact(self, edges, implementation):
+        graph = self._graph(edges)
+        reached = list(_dijkstra_reference(graph, 0)[0])
+        target = reached[len(reached) // 2]
+        distances, parents = dijkstra(graph, 0, target=target)
+        assert distances == _dijkstra_reference(graph, 0, target)[0]
+        assert target in distances
+        assert len(distances) < graph.num_vertices
+        _assert_parents(graph, 0, distances, parents, complete=False)
+
+    def test_directed_unreachable_exact(self, edges, implementation):
+        graph = self._graph(edges, directed=True)
+        distances, parents = dijkstra(graph, 0)
+        assert distances == _dijkstra_reference(graph, 0)[0]
+        assert not _unreachable(graph) & (set(distances) | set(parents))
+        _assert_parents(graph, 0, distances, parents)
+
+    def test_negative_weight_raises(self, edges, implementation):
+        graph = self._graph(edges)
+        neighbor, _ = next(graph.neighbors(0))
+        graph.set_weight(0, neighbor, -1.0)
+        with pytest.raises(WeightError):
+            _dijkstra_reference(graph, 0)
+        with pytest.raises(WeightError):
+            dijkstra(graph, 0)
+
+
+@pytest.mark.parametrize("vertices, implementation", APSP_SIDES)
+class TestAllPairsSizeRule:
+    def _graph(self, vertices, directed=False):
+        return _sized_graph(
+            vertices, 3 * vertices, SEED + vertices, directed=directed
+        )
+
+    def test_runs_the_sized_implementation(
+        self, vertices, implementation, ran
+    ):
+        all_pairs_dijkstra(self._graph(vertices))
+        calls = vertices if implementation == "_dijkstra_reference" else 1
+        assert ran == {implementation: calls}
+
+    def test_distances_exact(self, vertices, implementation):
+        graph = self._graph(vertices)
+        assert all_pairs_dijkstra(graph) == _reference_all_pairs(graph)
+
+    def test_sources_subset_exact(self, vertices, implementation):
+        graph = self._graph(vertices)
+        sources = graph.vertex_list()[::4]
+        assert all_pairs_dijkstra(graph, sources=sources) == (
+            _reference_all_pairs(graph, sources)
+        )
+
+    def test_directed_unreachable_exact(self, vertices, implementation):
+        graph = self._graph(vertices, directed=True)
+        result = all_pairs_dijkstra(graph)
+        assert result == _reference_all_pairs(graph)
+        unreachable = _unreachable(graph)
+        for s, row in result.items():
+            assert not (unreachable - {s}) & set(row)
+
+    def test_negative_weight_raises(self, vertices, implementation):
+        # Checked over every edge before any search, so even an edge
+        # no search would scan is refused.
+        graph = self._graph(vertices)
+        u, v, _ = list(graph.edges())[-1]
+        graph.set_weight(u, v, -1.0)
+        with pytest.raises(WeightError):
+            all_pairs_dijkstra(graph)
 
 
 class TestSemanticsParity:
-    def test_early_exit_target_matches(self):
+    def test_early_exit_target_matches(self, csr_path):
         graph = _grid(Rng(SEED))
         source, target = (0, 0), (6, 8)
-        d_py, _ = dijkstra(graph, source, target=target, backend="python")
-        d_np, _ = dijkstra(graph, source, target=target, backend="numpy")
-        assert d_py == d_np  # identical settled sets, not just target
+        distances, _ = dijkstra(graph, source, target=target)
+        # Identical settled sets, not just the target.
+        assert distances == _dijkstra_reference(graph, source, target)[0]
 
-    def test_dijkstra_path_agrees_across_backends(self):
+    def test_dijkstra_path_agrees_with_csr_distances(self, csr_path):
         graph = _grid(Rng(SEED + 5))
-        path_py, w_py = dijkstra_path(graph, (0, 0), (6, 8))
-        d_np, _ = dijkstra(graph, (0, 0), backend="numpy")
-        assert graph.path_weight(path_py) == w_py
-        assert d_np[(6, 8)] == w_py
+        path, weight = dijkstra_path(graph, (0, 0), (6, 8))
+        assert graph.is_path(path)
+        assert graph.path_weight(path) == weight
+        assert weight == _dijkstra_reference(graph, (0, 0))[0][(6, 8)]
 
-    def test_negative_weight_raises_on_both_backends(self):
+    @pytest.mark.parametrize("forced", [False, True], ids=["sized", "csr"])
+    def test_negative_weight_raises_on_both_paths(
+        self, forced, monkeypatch
+    ):
+        if forced:
+            monkeypatch.setattr(shortest_paths, "_SSSP_CSR_MIN_EDGES", 0)
+            monkeypatch.setattr(shortest_paths, "_APSP_CSR_MIN_VERTICES", 0)
         graph = WeightedGraph.from_edges(
             [(0, 1, 1.0), (1, 2, -2.0), (0, 2, 1.0)]
         )
-        for name in ("python", "numpy"):
-            with pytest.raises(WeightError):
-                dijkstra(graph, 0, backend=name)
-            with pytest.raises(WeightError):
-                all_pairs_dijkstra(graph, backend=name)
+        with pytest.raises(WeightError):
+            dijkstra(graph, 0)
+        with pytest.raises(WeightError):
+            all_pairs_dijkstra(graph)
 
-    def test_negative_cycle_detected(self):
-        graph = WeightedGraph.from_edges(
-            [(0, 1, 1.0), (1, 2, -3.0), (2, 0, 1.0)], directed=True
-        )
-        csr = CSRGraph.from_graph(graph)
-        with pytest.raises(GraphError):
-            kernels.bellman_ford_distances(csr, 0)
-
-    def test_directed_negative_bellman_ford(self):
-        # Negative arcs, no negative cycle: the Appendix-B regime.
-        graph = WeightedGraph.from_edges(
-            [(0, 1, 4.0), (0, 2, 2.0), (2, 1, -1.0), (1, 3, 3.0)],
-            directed=True,
-        )
-        reference, _ = bellman_ford(graph, 0)
-        csr = CSRGraph.from_graph(graph)
-        dist = kernels.bellman_ford_distances(csr, 0)
-        for v, d in reference.items():
-            assert dist[csr.index_of(v)] == d
-
-
-class TestPathReconstruction:
-    def test_index_path_matches_vertex_path(self):
-        graph = _grid(Rng(SEED + 9))
-        csr = CSRGraph.from_graph(graph)
-        s, t = csr.index_of((0, 0)), csr.index_of((6, 8))
-        dist, pred = kernels.sssp_dijkstra(csr, s)
-        idx_path = kernels.path_from_predecessors(pred, s, t)
-        vertex_path = [csr.vertex_at(i) for i in idx_path]
-        assert graph.is_path(vertex_path)
-        assert graph.path_weight(vertex_path) == dist[t]
-
-    def test_unreachable_raises(self):
-        graph = _disconnected(Rng(SEED + 2))
-        csr = CSRGraph.from_graph(graph)
-        s = csr.index_of(0)
-        dist, pred = kernels.sssp_dijkstra(csr, s)
-        from repro.exceptions import DisconnectedGraphError
-
-        with pytest.raises(DisconnectedGraphError):
-            kernels.path_from_predecessors(
-                pred, s, csr.index_of("isolated")
-            )
-
-
-class TestLaplacePerturb:
-    def test_matches_scalar_draws(self):
-        weights = np.arange(5, dtype=float)
-        noisy = kernels.laplace_perturb(weights, 2.0, Rng(3))
-        expected = weights + Rng(3).laplace_vector(2.0, 5)
-        assert np.array_equal(noisy, expected)
-
-    def test_clamp(self):
-        noisy = kernels.laplace_perturb(
-            np.zeros(64), 5.0, Rng(4), clamp_at_zero=True
-        )
-        assert (noisy >= 0).all()
-
-
-def test_python_backend_rejects_unknown_vertex():
-    graph = generators.path_graph(3)
-    backend = get_backend("python")
-    from repro.exceptions import VertexNotFoundError
-
-    with pytest.raises(VertexNotFoundError):
-        backend.sssp(graph, "missing")
+    def test_reference_rejects_unknown_vertex(self):
+        graph = generators.path_graph(3)
+        with pytest.raises(VertexNotFoundError):
+            _dijkstra_reference(graph, "missing")

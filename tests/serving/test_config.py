@@ -34,7 +34,6 @@ class TestServingConfig:
             delta=1e-6,
             weight_bound=3.0,
             epoch_policy="fixed",
-            backend="numpy",
             shards=4,
             relay_fraction=0.25,
             partition_seed=7,
@@ -51,7 +50,7 @@ class TestServingConfig:
     def test_missing_fields_take_defaults(self):
         document = {
             "format": "repro-serving-config",
-            "version": 1,
+            "version": 2,
             "eps": 2.0,
         }
         config = ServingConfig.from_json(json.dumps(document))
@@ -62,7 +61,7 @@ class TestServingConfig:
     def test_unknown_fields_rejected(self):
         document = {
             "format": "repro-serving-config",
-            "version": 1,
+            "version": 2,
             "epsilon": 2.0,  # typo for eps
         }
         with pytest.raises(GraphError) as excinfo:

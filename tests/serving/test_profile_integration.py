@@ -198,9 +198,7 @@ class TestPhaseAttribution:
         with use_telemetry(profiled):
             serve(
                 _grid(),
-                ServingConfig(
-                    eps=1.0, backend="numpy", mechanism=mechanism
-                ),
+                ServingConfig(eps=1.0, mechanism=mechanism),
                 Rng(seed=1),
                 telemetry=profiled,
             )

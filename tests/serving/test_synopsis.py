@@ -7,9 +7,11 @@ import json
 import pytest
 
 from repro import (
+    AllPairsAdvancedRelease,
     AllPairsBasicRelease,
     GraphError,
     Rng,
+    SynopsisError,
     VertexNotFoundError,
     release_bounded_weight,
     release_tree_all_pairs,
@@ -316,16 +318,16 @@ class TestHubBoundedSynopsis:
 
 
 class TestEngineNativeAllPairsBuild:
-    """The ROADMAP's engine-native synopsis build: matrix + vectorized
-    triangle noise, seeded-identical to wrapping the release object."""
+    """The engine-native synopsis build: matrix + vectorized triangle
+    noise, seeded-identical to wrapping the release object."""
 
     def test_seeded_equivalence_with_release_path_pure(self):
         from repro.serving import build_all_pairs_synopsis
 
         graph = generators.grid_graph(4, 5)
         native = build_all_pairs_synopsis(graph, 1.0, Rng(11))
-        reference = build_all_pairs_synopsis(
-            graph, 1.0, Rng(11), backend="python"
+        reference = AllPairsSynopsis.from_release(
+            AllPairsBasicRelease(graph, 1.0, Rng(11))
         )
         for s in graph.vertices():
             for t in graph.vertices():
@@ -336,8 +338,8 @@ class TestEngineNativeAllPairsBuild:
 
         graph = generators.grid_graph(4, 4)
         native = build_all_pairs_synopsis(graph, 1.0, Rng(12), delta=1e-6)
-        reference = build_all_pairs_synopsis(
-            graph, 1.0, Rng(12), delta=1e-6, backend="python"
+        reference = AllPairsSynopsis.from_release(
+            AllPairsAdvancedRelease(graph, 1.0, 1e-6, Rng(12))
         )
         for s in graph.vertices():
             for t in graph.vertices():
@@ -363,16 +365,6 @@ class TestEngineNativeAllPairsBuild:
         with pytest.raises(DisconnectedGraphError):
             build_all_pairs_synopsis(graph, 1.0, rng)
 
-    def test_unknown_backend_rejected(self, rng):
-        # A typo'd backend must fail loudly, exactly like the release
-        # path — not silently fall through to the engine-native build.
-        from repro.exceptions import EngineError
-        from repro.serving import build_all_pairs_synopsis
-
-        graph = generators.grid_graph(3, 3)
-        with pytest.raises(EngineError):
-            build_all_pairs_synopsis(graph, 1.0, rng, backend="nmupy")
-
     def test_single_vertex_graph(self, rng):
         from repro import WeightedGraph
         from repro.serving import build_all_pairs_synopsis
@@ -381,3 +373,118 @@ class TestEngineNativeAllPairsBuild:
         graph.add_vertex("only")
         synopsis = build_all_pairs_synopsis(graph, 1.0, rng)
         assert synopsis.distance("only", "only") == 0.0
+
+
+def _set(*edits):
+    """An edit of a parsed document: each ``(path, value)`` sets the
+    entry that ``path`` (keys and list indices) leads to; a callable
+    value is first computed from the document."""
+
+    def edit(document):
+        for path, value in edits:
+            *parents, last = path
+            node = document
+            for key in parents:
+                node = node[key]
+            node[last] = value(document) if callable(value) else value
+
+    return edit
+
+
+def _tree_document():
+    """A valid tree synopsis: root 0; 1 and 2 under 0; 3 under 1.
+    Row ``i`` is vertex ``i`` as ``[label, estimate, depth, parent]``."""
+    return {
+        "format": "repro-synopsis",
+        "version": 1,
+        "kind": "tree",
+        "eps": 1.0,
+        "delta": 0.0,
+        "root": 0,
+        "noise_scale": 2.0,
+        "vertices": [
+            [0, 0.0, 0, None],
+            [1, 1.5, 1, 0],
+            [2, 2.5, 1, 0],
+            [3, 4.0, 2, 1],
+        ],
+    }
+
+
+def _hub_document(kind):
+    """A released hub-set or hub-bounded synopsis document with at
+    least two hubs and a non-empty ball table."""
+    from repro.apsp import HubSetBoundedRelease, HubSetRelease
+    from repro.serving import HubBoundedSynopsis, HubSetSynopsis
+
+    graph = generators.grid_graph(6, 6)
+    if kind == "hub-set":
+        synopsis = HubSetSynopsis.from_release(
+            HubSetRelease(graph, 1.0, Rng(5))
+        )
+    else:
+        synopsis = HubBoundedSynopsis.from_release(
+            HubSetBoundedRelease(graph, 1.0, 1.0, Rng(5), k=1)
+        )
+    document = json.loads(synopsis.to_json())
+    assert len(document["hubs"]) >= 2 and document["ball"]
+    return document
+
+
+_NAN = float("nan")
+
+#: One malformation of the tree document per case.
+_TREE_MALFORMED = {
+    # 1 and 2 name each other: the LCA walk from 1 never ends.
+    "parent-cycle": _set((("vertices", 1, 3), 2), (("vertices", 2, 3), 1)),
+    "unknown-parent": _set((("vertices", 3, 3), 99)),
+    "second-root": _set((("vertices", 3, 3), None)),
+    "root-has-parent": _set((("root",), 1)),
+    "root-below-depth-zero": _set((("vertices", 0, 2), 1)),
+    "depth-skips-level": _set((("vertices", 3, 2), 3)),
+    "nan-estimate": _set((("vertices", 3, 1), _NAN)),
+}
+
+#: One malformation of a hub structure's fields per case.
+_HUB_MALFORMED = {
+    "hub-past-last-site": _set((("hubs", 0), lambda d: d["num_sites"])),
+    "hub-negative": _set((("hubs", 0), -1)),
+    "hub-repeated": _set((("hubs", 1), lambda d: d["hubs"][0])),
+    "ball-lo-equals-hi": _set(
+        (("ball", 0, 1), lambda d: d["ball"][0][0]),
+    ),
+    "ball-lo-above-hi": _set(
+        (("ball", 0, 0), lambda d: d["ball"][0][1] + 1),
+    ),
+    "ball-hi-past-last-site": _set(
+        (("ball", 0, 1), lambda d: d["num_sites"]),
+    ),
+    "nan-hub-entry": _set((("matrix", 0, 1), _NAN)),
+    "nan-ball-entry": _set((("ball", 0, 2), _NAN)),
+}
+
+
+class TestMalformedDocuments:
+    """The ``repro-synopsis`` reader refuses tree and hub documents
+    that would loop, index outside the sites or answer NaN — checked
+    on load, so builds pay nothing."""
+
+    def test_valid_tree_document_loads(self):
+        synopsis = synopsis_from_json(json.dumps(_tree_document()))
+        assert synopsis.distance(3, 2) == 4.0 + 2.5 - 2.0 * 0.0
+        assert synopsis.distance(3, 1) == 4.0 - 1.5
+
+    @pytest.mark.parametrize("case", sorted(_TREE_MALFORMED))
+    def test_tree_refused(self, case):
+        document = _tree_document()
+        _TREE_MALFORMED[case](document)
+        with pytest.raises(SynopsisError):
+            synopsis_from_json(json.dumps(document))
+
+    @pytest.mark.parametrize("kind", ["hub-set", "hub-bounded"])
+    @pytest.mark.parametrize("case", sorted(_HUB_MALFORMED))
+    def test_hub_refused(self, case, kind):
+        document = _hub_document(kind)
+        _HUB_MALFORMED[case](document)
+        with pytest.raises(SynopsisError):
+            synopsis_from_json(json.dumps(document))

@@ -55,7 +55,7 @@ def _point_events(tracer) -> Counter:
 #: The fields each lifecycle kind carries, the same in every sink that
 #: gets it.
 _KIND_FIELDS = {
-    "service.start": {"mechanism", "backend", "shards"},
+    "service.start": {"mechanism", "shards"},
     "mechanism.select": {"winner", "candidates"},
     "budget.spend": {
         "label",

@@ -116,25 +116,6 @@ class TestDistance:
         )
         assert code == 2
 
-    def test_backend_flag_is_bit_reproducible(self, grid_file, capsys):
-        # Backends compute bit-identical exact distances, so a fixed
-        # seed must print the same released value on each of them.
-        outputs = []
-        for backend in ("python", "numpy"):
-            main(
-                [
-                    "distance",
-                    "--graph", str(grid_file),
-                    "--eps", "1.0",
-                    "--source", "0,0",
-                    "--target", "3,3",
-                    "--seed", "3",
-                    "--backend", backend,
-                ]
-            )
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-
 
 class TestPaths:
     def test_writes_released_graph(self, grid_file, tmp_path, capsys):
@@ -316,37 +297,6 @@ class TestServe:
             served, abs=1e-6
         )
 
-    def test_backend_flag_is_bit_reproducible(self, grid_file, capsys):
-        # Same seed, different engine backends: the exact sweeps agree
-        # bit for bit, so the served answers must be identical.
-        outputs = []
-        for backend in ("python", "numpy"):
-            code = main(
-                [
-                    "serve",
-                    "--graph", str(grid_file),
-                    "--eps", "1.0",
-                    "--seed", "0",
-                    "--pairs", "0,0:3,3",
-                    "--backend", backend,
-                ]
-            )
-            assert code == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-
-    def test_unknown_backend_rejected(self, grid_file, capsys):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "serve",
-                    "--graph", str(grid_file),
-                    "--eps", "1.0",
-                    "--pairs", "0,0:3,3",
-                    "--backend", "cuda",
-                ]
-            )
-
     def test_sharded_serving(self, grid_file, capsys):
         code = main(
             [
@@ -397,7 +347,7 @@ class TestServe:
         cfg = tmp_path / "serving.json"
         cfg.write_text(
             json.dumps(
-                {"format": "repro-serving-config", "version": 1}
+                {"format": "repro-serving-config", "version": 2}
             )
         )
         code = main(
@@ -410,6 +360,50 @@ class TestServe:
         )
         assert code == 2
         assert "--eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--eps", "1.0", "--pairs", "0,0:3,3"],
+        ["simulate", "--rows", "4", "--cols", "4", "--eps", "1.0"],
+        ["distance", "--eps", "1.0", "--source", "0,0", "--target", "3,3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_backend_flag_is_gone(argv, grid_file, capsys):
+    if argv[0] != "simulate":
+        argv = [argv[0], "--graph", str(grid_file), *argv[1:]]
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--backend", "numpy"])
+    assert excinfo.value.code == 2
+    assert "--backend" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["serve", "simulate"])
+def test_version_1_config_refused(command, grid_file, tmp_path, capsys):
+    # Every version-1 document carries the dropped "backend" field;
+    # the reader names the version instead of guessing at it.
+    cfg = tmp_path / "serving.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "format": "repro-serving-config",
+                "version": 1,
+                "eps": 1.0,
+                "backend": None,
+            }
+        )
+    )
+    argv = {
+        "serve": ["--graph", str(grid_file), "--pairs", "0,0:3,3"],
+        "simulate": ["--rows", "4", "--cols", "4", "--queries", "5"],
+    }[command]
+    code = main([command, "--config", str(cfg), *argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "version 1" in err
 
 
 class TestSimulate:
@@ -430,21 +424,6 @@ class TestSimulate:
         assert report["total_queries"] == 100
         assert report["ledger_spends"] == 2
         assert report["queries_per_second"] > 0
-
-    def test_backend_flag(self, capsys):
-        code = main(
-            [
-                "simulate",
-                "--rows", "5",
-                "--cols", "5",
-                "--eps", "1.0",
-                "--queries", "25",
-                "--seed", "1",
-                "--backend", "numpy",
-            ]
-        )
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["total_queries"] == 25
 
     def test_mechanism_override(self, capsys):
         code = main(
@@ -513,6 +492,38 @@ class TestSimulate:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["total_queries"] == 25
 
+    def test_flags_and_config_replay_identically(self, tmp_path, capsys):
+        # The flags build the same ServingConfig a document states, so
+        # a seeded replay answers bit for bit alike either way.
+        from repro import ServingConfig
+
+        flags = ["--eps", "0.5", "--weight-bound", "4.0", "--shards", "2"]
+        cfg = tmp_path / "serving.json"
+        cfg.write_text(
+            ServingConfig(eps=0.5, weight_bound=4.0, shards=2).to_json()
+        )
+        reports = []
+        for serving in (flags, ["--config", str(cfg)]):
+            code = main(
+                [
+                    "simulate",
+                    "--rows", "5",
+                    "--cols", "5",
+                    "--epochs", "2",
+                    "--queries", "30",
+                    "--seed", "6",
+                    *serving,
+                ]
+            )
+            assert code == 0
+            report = json.loads(capsys.readouterr().out)
+            # Wall-clock fields differ run to run.
+            del report["queries_per_second"], report["latency_seconds"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["eps"] == 0.5
+        assert reports[0]["mechanism"].startswith("sharded(2x")
+
     def test_config_clashes_with_serving_flags(self, tmp_path, capsys):
         """Regression: flags the config already decides are refused,
         not silently dropped."""
@@ -543,7 +554,7 @@ class TestSimulate:
             json.dumps(
                 {
                     "format": "repro-serving-config",
-                    "version": 1,
+                    "version": 2,
                     "mechanism": "hub-set",
                 }
             )
@@ -815,7 +826,7 @@ class TestAuditCli:
             json.dumps(
                 {
                     "format": "repro-serving-config",
-                    "version": 1,
+                    "version": 2,
                     "eps": 1.0,
                 }
             )

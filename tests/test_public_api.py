@@ -60,7 +60,6 @@ class TestExports:
             "repro.engine",
             "repro.engine.csr",
             "repro.engine.kernels",
-            "repro.engine.backends",
             "repro.dp",
             "repro.dp.params",
             "repro.dp.mechanisms",
