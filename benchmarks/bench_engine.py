@@ -7,9 +7,9 @@ over the dict-based reference, and whether the distances agree *bit
 for bit*:
 
 * ``dict reference`` — ``_dijkstra_reference`` from every source;
-* ``CSR sweep`` — ``all_pairs_dijkstra``, which takes the CSR kernels
-  from |V| = 32 (scipy's C Dijkstra when available, vectorized
-  relaxation otherwise);
+* ``CSR sweep`` — ``all_pairs_dijkstra``, one CSR multi-source sweep
+  (scipy's C Dijkstra when available, vectorized relaxation
+  otherwise);
 * ``relaxation kernel`` — the scipy-free fallback, timed explicitly.
 
 Weights are random *integers* in [1, 10], so every path sum is exactly

@@ -7,15 +7,13 @@ synthetic-graph baseline of Section 4, Algorithm 2's distances between
 covering vertices).  Bellman–Ford handles the negative weights that the
 Appendix-B problems permit.
 
-:func:`dijkstra` and :func:`all_pairs_dijkstra` run one of two
-implementations of the same computation: this module's dict-based
-search (``_dijkstra_reference``, also the tests' reference) or the CSR
-kernels of :mod:`repro.engine.kernels`.  Both return bit-identical
+:func:`all_pairs_dijkstra` is one multi-source sweep of the CSR
+kernels in :mod:`repro.engine.kernels`.  :func:`dijkstra` runs one of
+two implementations of the same computation: this module's dict-based
+search (``_dijkstra_reference``, also the tests' reference) below
+|E| = 2048, the CSR kernel from there.  Both return bit-identical
 distances (minima over left-associated floating-point path sums), so
-which one runs is a speed detail, decided from the public sizes alone:
-one source moves to the CSR kernel at |E| = 2048 and an all-pairs
-sweep at |V| = 32.  Below that the kernels' per-call setup (compiling,
-index mapping, converting back to dicts) costs more than the search.
+which one runs is a speed detail, decided from the public size alone.
 """
 
 from __future__ import annotations
@@ -46,9 +44,6 @@ __all__ = [
 
 #: Single-source searches run the CSR kernel from this many edges.
 _SSSP_CSR_MIN_EDGES = 2048
-
-#: All-pairs sweeps run the CSR kernels from this many vertices.
-_APSP_CSR_MIN_VERTICES = 32
 
 
 def dijkstra(
@@ -171,13 +166,11 @@ def all_pairs_dijkstra(
     """Exact distances from every source (default: all vertices).
 
     Returns ``result[s][t] = d_w(s, t)`` for reachable pairs only.
-    This is the library's hottest exact-recomputation path: graphs
-    with at least ``_APSP_CSR_MIN_VERTICES`` vertices run one CSR
-    multi-source sweep, smaller ones the dict-based search per source.
+    This is the library's hottest exact-recomputation path: one CSR
+    multi-source sweep over every chosen source.
 
     Nonnegativity is validated up front over *all* edges (not just
-    scanned ones), so the outcome does not depend on which
-    implementation runs; use :func:`bellman_ford` for negative weights.
+    scanned ones); use :func:`bellman_ford` for negative weights.
     """
     graph.check_nonnegative()
     if sources is None:
@@ -187,9 +180,6 @@ def all_pairs_dijkstra(
         for s in chosen:
             if not graph.has_vertex(s):
                 raise VertexNotFoundError(s)
-    if graph.num_vertices < _APSP_CSR_MIN_VERTICES:
-        with kernel_span("engine.all_pairs", sources=len(chosen)):
-            return {s: _dijkstra_reference(graph, s)[0] for s in chosen}
     csr = CSRGraph.from_graph(graph)
     with kernel_span("engine.all_pairs", sources=len(chosen)):
         matrix = multi_source_distances(csr, csr.indices_of(chosen))

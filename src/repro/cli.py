@@ -886,7 +886,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:  # privlint: ignore[PL1] pri
                 "other"
             )
         text = Path(args.config).read_text()
-        config = ServingConfig.from_json(text)
+        serving = {"config": ServingConfig.from_json(text)}
         if "eps" not in json.loads(text):
             raise GraphError(
                 "simulate needs --eps (or a --config document "
@@ -898,12 +898,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:  # privlint: ignore[PL1] pri
                 "simulate needs --eps (or a --config document "
                 "providing it)"
             )
-        config = ServingConfig(
-            mechanism=args.mechanism or "auto",
+        serving = dict(
             eps=args.eps,
-            delta=args.delta if args.delta is not None else 0.0,
+            delta=args.delta or 0.0,
             weight_bound=args.weight_bound,
-            shards=args.shards if args.shards is not None else 1,
+            mechanism=args.mechanism,
+            shards=args.shards,
         )
     report = _run_observed(
         telemetry,
@@ -916,7 +916,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:  # privlint: ignore[PL1] pri
             cols=args.cols,
             epochs=args.epochs,
             queries_per_epoch=args.queries,
-            config=config,
+            **serving,
             telemetry=telemetry,
             audit_log=args.audit_log,
             event_log=args.event_log,

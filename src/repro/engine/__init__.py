@@ -16,10 +16,11 @@ shortest-path computation.  Three pieces:
   search from chunks of sources (hop balls, BFS trees, reachability,
   weak connectivity), touching only the vertices it reaches.
 
-There is one exact-distance engine.  :func:`repro.algorithms.dijkstra`
-and :func:`repro.algorithms.all_pairs_dijkstra` decide from the public
-sizes |V| and |E| whether a call runs these kernels or the dict-based
-reference; both return bit-identical distances.
+There is one exact-distance engine.
+:func:`repro.algorithms.all_pairs_dijkstra` is one multi-source sweep
+of these kernels; :func:`repro.algorithms.dijkstra` decides from the
+public size |E| whether a call runs them or the dict-based reference.
+Both return bit-identical distances.
 """
 
 from . import kernels

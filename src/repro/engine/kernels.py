@@ -1,10 +1,10 @@
 """Index-based graph kernels over :class:`~repro.engine.csr.CSRGraph`.
 
 The exact-distance engine behind
-:func:`repro.algorithms.shortest_paths.dijkstra` and
-:func:`~repro.algorithms.shortest_paths.all_pairs_dijkstra` on
-anything but tiny inputs, and behind every engine-native build (the
-hub releases, the all-pairs synopsis):
+:func:`repro.algorithms.shortest_paths.all_pairs_dijkstra`, behind
+:func:`~repro.algorithms.shortest_paths.dijkstra` from |E| = 2048, and
+behind every engine-native build (the hub releases, the all-pairs
+synopsis):
 
 * :func:`sssp_dijkstra` — single-source Dijkstra over the CSR arrays
   with an integer binary heap; bit-identical distances to the
@@ -32,7 +32,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..exceptions import EngineError, GraphError, WeightError
+from ..exceptions import EngineError, WeightError
 from ..telemetry import get_telemetry
 from .csr import CSRGraph
 
@@ -123,7 +123,6 @@ def sssp_dijkstra(
 def multi_source_distances(
     csr: CSRGraph,
     sources: Sequence[int] | np.ndarray,
-    allow_negative: bool = False,
     limit: float = np.inf,
 ) -> np.ndarray:
     """Exact distances from every source index, vectorized.
@@ -140,52 +139,38 @@ def multi_source_distances(
     vertices in the same order up to the limit.  scipy prunes its
     search there; the relaxation fallback masks the full sweep.
 
-    Without ``allow_negative`` a negative weight raises
-    :class:`~repro.exceptions.WeightError` (matching
-    ``all_pairs_dijkstra``); with it, the relaxation kernel is used
-    and non-convergence after ``n`` rounds raises
-    :class:`~repro.exceptions.GraphError` (negative cycle).
+    A negative weight raises :class:`~repro.exceptions.WeightError`
+    (matching ``all_pairs_dijkstra``).
     """
     n = csr.n
     src = np.asarray(sources, dtype=np.int64)
     if src.size and (src.min() < 0 or src.max() >= n):
         raise EngineError(f"source index out of range [0, {n})")
-    if not allow_negative and csr.num_arcs and float(csr.weights.min()) < 0:
-        raise WeightError(
-            "multi-source kernel requires nonnegative weights; pass "
-            "allow_negative=True for Bellman-Ford semantics"
-        )
-    if (
-        not allow_negative
-        and _scipy_dijkstra is not None
-        and src.size
-        and csr.num_arcs
-    ):
+    if csr.num_arcs and float(csr.weights.min()) < 0:
+        raise WeightError("multi-source kernel requires nonnegative weights")
+    if _scipy_dijkstra is not None and src.size and csr.num_arcs:
         matrix = _scipy_csr_matrix(
             (csr.weights, csr.indices, csr.indptr), shape=(n, n)
         )
         return _scipy_dijkstra(
             matrix, directed=True, indices=src, limit=limit
         )
-    return relaxation_distances(
-        csr, src, allow_negative=allow_negative, limit=limit
-    )
+    return relaxation_distances(csr, src, limit=limit)
 
 
 def relaxation_distances(
     csr: CSRGraph,
     sources: Sequence[int] | np.ndarray,
-    allow_negative: bool = False,
     limit: float = np.inf,
 ) -> np.ndarray:
     """Pure-numpy multi-source distances (the scipy-free fallback).
 
     Runs pull-style Bellman–Ford rounds — for every vertex with
     incoming arcs, one ``np.minimum.reduceat`` over the gathered tail
-    distances — until a round changes nothing.  With nonnegative
-    weights the fixpoint matches Dijkstra bit for bit; with
-    ``allow_negative``, non-convergence after ``n`` rounds raises
-    :class:`~repro.exceptions.GraphError` (negative cycle).  Entries
+    distances — until a round changes nothing.  Weights must be
+    nonnegative; the fixpoint then matches Dijkstra bit for bit, and
+    is reached within ``n`` rounds (a round that is still improving
+    after that raises :class:`~repro.exceptions.EngineError`).  Entries
     above ``limit`` are masked to ``inf`` afterwards, matching the
     scipy path of :func:`multi_source_distances`.
     """
@@ -212,6 +197,8 @@ def relaxation_distances(
                 break
             d[:, nz] = np.where(improved, mins, d[:, nz])
         else:
-            raise GraphError("graph contains a negative cycle")
+            raise EngineError(
+                f"relaxation did not settle within {n + 1} rounds"
+            )
     dist[dist > limit] = np.inf
     return dist

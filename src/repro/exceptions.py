@@ -99,8 +99,9 @@ class MatchingError(ReproError):
 
 class EngineError(ReproError):
     """A kernel precondition violated in :mod:`repro.engine` (a vertex
-    or source index outside the compiled graph), or an exact sweep
-    that left a required target unsettled."""
+    or source index outside the compiled graph, or weights on which a
+    relaxation sweep never settles), or an exact sweep that left a
+    required target unsettled."""
 
 
 class LintError(ReproError):

@@ -55,9 +55,10 @@ __all__ = [
 ]
 
 CONFIG_FORMAT = "repro-serving-config"
-#: Version 2 has no ``backend`` field.  Every version-1 document
-#: carries one, so version 1 is refused rather than read with a field
-#: that would select nothing.
+#: Version 2 has no ``backend`` field.  Every version-1 document that
+#: ``to_json`` wrote carries one, so version 1 is refused as a whole —
+#: hand-written version-1 documents without it included — rather than
+#: read with a field that would select nothing.
 _CONFIG_VERSION = 2
 
 #: How a server's budget behaves across :meth:`DistanceService.refresh`:

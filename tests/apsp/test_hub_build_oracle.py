@@ -106,9 +106,9 @@ def _sweeps(monkeypatch) -> list:
     calls = []
     sweep = kernels.multi_source_distances
 
-    def spy(csr, sources, allow_negative=False, limit=np.inf):
+    def spy(csr, sources, limit=np.inf):
         calls.append((np.asarray(sources).tolist(), limit))
-        return sweep(csr, sources, allow_negative, limit)
+        return sweep(csr, sources, limit)
 
     monkeypatch.setattr(hubs_module, "multi_source_distances", spy)
     return calls

@@ -2,14 +2,14 @@
 against the dict-based reference ``_dijkstra_reference``, asserted
 *exactly*.
 
-``dijkstra`` runs the CSR kernel from |E| = 2048 and
-``all_pairs_dijkstra`` from |V| = 32; below that both run the
-reference.  Either way the distances must be the reference's bits —
+``all_pairs_dijkstra`` is always one CSR multi-source sweep;
+``dijkstra`` runs the CSR kernel from |E| = 2048 and the reference
+below that.  Either way the distances must be the reference's bits —
 both compute minima over left-associated floating-point path sums —
 so every check here is equality, never a tolerance.  The graph
-families are small, so their cases force the CSR path (the
-``csr_path`` fixture lowers both thresholds to 0); the size-rule
-cases build graphs on each side of each threshold and keep the rule
+families are small, so their single-source cases force the CSR path
+(the ``csr_path`` fixture lowers the threshold to 0); the size-rule
+cases build graphs on each side of the threshold and keep the rule
 as it is, with fractional weights.
 """
 
@@ -29,7 +29,7 @@ from repro.algorithms.shortest_paths import (
     dijkstra_path,
 )
 from repro.engine import CSRGraph, kernels
-from repro.exceptions import VertexNotFoundError, WeightError
+from repro.exceptions import EngineError, VertexNotFoundError, WeightError
 from repro.graphs import generators
 
 SEED = 999331
@@ -94,15 +94,15 @@ def _assert_parents(graph, source, distances, parents, complete=True):
 
 @pytest.fixture
 def csr_path(monkeypatch):
-    """Send every public call down the CSR path, whatever its size."""
+    """Send every single-source call down the CSR path, whatever its
+    size."""
     monkeypatch.setattr(shortest_paths, "_SSSP_CSR_MIN_EDGES", 0)
-    monkeypatch.setattr(shortest_paths, "_APSP_CSR_MIN_VERTICES", 0)
 
 
 @pytest.fixture
 def ran(monkeypatch):
-    """How often each implementation ran: the dict-based search and
-    the two CSR kernels, counted as the public functions call them."""
+    """How often each single-source implementation ran: the dict-based
+    search and the CSR kernel, counted as ``dijkstra`` calls them."""
     calls = Counter()
 
     def spy(name):
@@ -114,11 +114,7 @@ def ran(monkeypatch):
 
         monkeypatch.setattr(shortest_paths, name, counted)
 
-    for name in (
-        "_dijkstra_reference",
-        "sssp_dijkstra",
-        "multi_source_distances",
-    ):
+    for name in ("_dijkstra_reference", "sssp_dijkstra"):
         spy(name)
     return calls
 
@@ -198,12 +194,16 @@ class TestCSRPathEquivalence:
 
 
 # ----------------------------------------------------------------------
-# The size rule, from both sides of each threshold
+# The single-source size rule, from both sides of the threshold, and
+# the all-pairs sweep on small and large graphs
 # ----------------------------------------------------------------------
 
-#: ``(size, implementation the public function must run)``.
+#: ``(|E|, implementation dijkstra must run)``.
 SSSP_SIDES = [(2047, "_dijkstra_reference"), (2048, "sssp_dijkstra")]
-APSP_SIDES = [(31, "_dijkstra_reference"), (32, "multi_source_distances")]
+
+#: |V| of the all-pairs graphs: small enough that the sweep's setup
+#: outweighs the search, and large enough that it does not.
+APSP_SIZES = [9, 32]
 
 #: Vertices of the single-source graphs (|E| ~ 5 |V|).
 SSSP_VERTICES = 400
@@ -233,9 +233,8 @@ def _unreachable(graph):
     return set(graph.vertex_list()[-UNREACHABLE:])
 
 
-def test_thresholds_are_the_parents_defaults():
+def test_threshold_is_the_parents_default():
     assert shortest_paths._SSSP_CSR_MIN_EDGES == 2048
-    assert shortest_paths._APSP_CSR_MIN_VERTICES == 32
 
 
 @pytest.mark.parametrize("edges, implementation", SSSP_SIDES)
@@ -283,32 +282,25 @@ class TestSingleSourceSizeRule:
             dijkstra(graph, 0)
 
 
-@pytest.mark.parametrize("vertices, implementation", APSP_SIDES)
-class TestAllPairsSizeRule:
+@pytest.mark.parametrize("vertices", APSP_SIZES)
+class TestAllPairsSweep:
     def _graph(self, vertices, directed=False):
         return _sized_graph(
             vertices, 3 * vertices, SEED + vertices, directed=directed
         )
 
-    def test_runs_the_sized_implementation(
-        self, vertices, implementation, ran
-    ):
-        all_pairs_dijkstra(self._graph(vertices))
-        calls = vertices if implementation == "_dijkstra_reference" else 1
-        assert ran == {implementation: calls}
-
-    def test_distances_exact(self, vertices, implementation):
+    def test_distances_exact(self, vertices):
         graph = self._graph(vertices)
         assert all_pairs_dijkstra(graph) == _reference_all_pairs(graph)
 
-    def test_sources_subset_exact(self, vertices, implementation):
+    def test_sources_subset_exact(self, vertices):
         graph = self._graph(vertices)
         sources = graph.vertex_list()[::4]
         assert all_pairs_dijkstra(graph, sources=sources) == (
             _reference_all_pairs(graph, sources)
         )
 
-    def test_directed_unreachable_exact(self, vertices, implementation):
+    def test_directed_unreachable_exact(self, vertices):
         graph = self._graph(vertices, directed=True)
         result = all_pairs_dijkstra(graph)
         assert result == _reference_all_pairs(graph)
@@ -316,7 +308,7 @@ class TestAllPairsSizeRule:
         for s, row in result.items():
             assert not (unreachable - {s}) & set(row)
 
-    def test_negative_weight_raises(self, vertices, implementation):
+    def test_negative_weight_raises(self, vertices):
         # Checked over every edge before any search, so even an edge
         # no search would scan is refused.
         graph = self._graph(vertices)
@@ -324,6 +316,28 @@ class TestAllPairsSizeRule:
         graph.set_weight(u, v, -1.0)
         with pytest.raises(WeightError):
             all_pairs_dijkstra(graph)
+
+
+def _edgeless(*vertices):
+    graph = WeightedGraph()
+    for v in vertices:
+        graph.add_vertex(v)
+    return graph
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        _edgeless(),
+        _edgeless("a"),
+        _edgeless("a", "b", "c"),
+        WeightedGraph.from_edges([(0, 1, 2.5)], directed=True),
+    ],
+    ids=["empty", "one-vertex", "edgeless", "one-arc"],
+)
+def test_all_pairs_degenerate_graphs(graph):
+    assert all_pairs_dijkstra(graph) == _reference_all_pairs(graph)
+    assert all_pairs_dijkstra(graph, sources=[]) == {}
 
 
 class TestSemanticsParity:
@@ -347,7 +361,6 @@ class TestSemanticsParity:
     ):
         if forced:
             monkeypatch.setattr(shortest_paths, "_SSSP_CSR_MIN_EDGES", 0)
-            monkeypatch.setattr(shortest_paths, "_APSP_CSR_MIN_VERTICES", 0)
         graph = WeightedGraph.from_edges(
             [(0, 1, 1.0), (1, 2, -2.0), (0, 2, 1.0)]
         )
@@ -355,6 +368,15 @@ class TestSemanticsParity:
             dijkstra(graph, 0)
         with pytest.raises(WeightError):
             all_pairs_dijkstra(graph)
+
+    def test_relaxation_stops_on_a_negative_cycle(self):
+        # Weights must be nonnegative; a negative cycle never settles,
+        # and the round bound turns that into an error, not a hang.
+        graph = WeightedGraph.from_edges(
+            [(0, 1, 1.0), (1, 0, -2.0)], directed=True
+        )
+        with pytest.raises(EngineError):
+            kernels.relaxation_distances(CSRGraph.from_graph(graph), [0])
 
     def test_reference_rejects_unknown_vertex(self):
         graph = generators.path_graph(3)
