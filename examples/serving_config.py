@@ -13,7 +13,7 @@ Walks the redesigned serving API end to end:
    config field (the consumer code does not change: there is one
    ``DistanceService`` front, ``shards`` only sets how many regional
    tenants sit behind it),
-5. inspect the mechanism registry the config names come from.
+5. inspect the mechanism catalog the config names come from.
 
 Run with:  python examples/serving_config.py
 """
@@ -90,9 +90,9 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # 5. The registry behind the config's mechanism names.
+    # 5. The catalog behind the config's mechanism names.
     # ------------------------------------------------------------------
-    print(f"registered mechanisms: {', '.join(available_mechanisms())}")
+    print(f"catalog mechanisms: {', '.join(available_mechanisms())}")
     hub = get_mechanism("hub-set")
     from repro.mechanisms import MechanismParams
 

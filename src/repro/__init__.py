@@ -28,10 +28,10 @@ Package map:
   bounded-weight and Appendix-B releases, the lower-bound gadgets).
 * :mod:`repro.apsp` — the improved all-pairs mechanisms from follow-up
   work (hub-set relays + local balls, plain and over coverings).
-* :mod:`repro.mechanisms` — the release-mechanism registry: every
-  mechanism as a named, swappable entry with data-independent
-  applicability and noise-scale predictions; auto-selection is a
-  registry-wide contest.
+* :mod:`repro.mechanisms` — the closed catalog of the six release
+  mechanisms a serving tenant can use, each a named entry with
+  data-independent eligibility and noise-scale predictions;
+  auto-selection is a catalog-wide contest.
 * :mod:`repro.telemetry` — zero-dependency observability: the metrics
   registry (counters, gauges, streaming quantile histograms), the span
   tracer, and JSON / Prometheus exporters the serving stack records
@@ -64,7 +64,7 @@ from .exceptions import (
     WeightError,
 )
 from .rng import Rng
-from .engine import CSRGraph, compile_csr
+from .engine import CSRGraph
 from .graphs import (
     RootedTree,
     WeightedGraph,
@@ -116,7 +116,6 @@ from .mechanisms import (
     auto_select_mechanism,
     available_mechanisms,
     get_mechanism,
-    register_mechanism,
 )
 from .telemetry import (
     NULL_TELEMETRY,
@@ -174,7 +173,6 @@ __all__ = [
     "generators",
     # engine
     "CSRGraph",
-    "compile_csr",
     # dp
     "PrivacyParams",
     "LaplaceMechanism",
@@ -211,10 +209,9 @@ __all__ = [
     # improved all-pairs mechanisms
     "HubSetRelease",
     "HubSetBoundedRelease",
-    # mechanism registry
+    # mechanism catalog
     "Mechanism",
     "MechanismParams",
-    "register_mechanism",
     "get_mechanism",
     "available_mechanisms",
     "auto_select_mechanism",

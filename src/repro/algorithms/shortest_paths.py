@@ -53,9 +53,10 @@ def dijkstra(
 ) -> Tuple[Dict[Vertex, float], Dict[Vertex, Vertex]]:
     """Single-source shortest paths with nonnegative weights.
 
-    Returns ``(distances, parents)`` where ``parents`` maps each reached
+    Returns ``(distances, parents)`` where ``parents`` maps each settled
     vertex (except the source) to its predecessor on a shortest path.
-    With ``target`` given, the search stops once the target is settled.
+    With ``target`` given, the search stops once the target is settled,
+    and both maps hold only the vertices settled by then.
     Graphs with at least ``_SSSP_CSR_MIN_EDGES`` edges run the CSR
     kernel, smaller ones the dict-based search; the distances are the
     same bits either way.
@@ -109,6 +110,8 @@ def _dijkstra_reference(
             continue
         distances[v] = dist
         if v == target:
+            # Drop the tentative parents of vertices left unsettled.
+            parents = {u: p for u, p in parents.items() if u in distances}
             break
         for u, weight in graph.neighbors(v):
             if weight < 0:

@@ -17,9 +17,11 @@ Both are engine-native: the exact values behind the released entries
 come from local :mod:`repro.engine` CSR searches (hub rows, hop-search
 balls, one bounded sweep per ball-pair source), never from an
 all-pairs sweep, and the noise is drawn in vectorized Laplace blocks.
-The serving layer wraps them as registered synopses
+The serving layer wraps them as synopses
 (:class:`repro.serving.synopsis.HubSetSynopsis` /
-:class:`repro.serving.synopsis.HubBoundedSynopsis`).
+:class:`repro.serving.synopsis.HubBoundedSynopsis`), and the sharded
+service builds its boundary relay with
+:func:`~repro.apsp.hubs.build_hub_structure` over the cut vertices.
 """
 
 from .bounded import HubSetBoundedRelease, hub_bounded_optimal_k

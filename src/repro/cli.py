@@ -121,7 +121,7 @@ from . import (
 from .exceptions import ReproError
 from .graphs.graph import WeightedGraph
 from .graphs.io import graph_to_json, load_graph, read_edge_list
-from .mechanisms import standalone_mechanisms
+from .mechanisms import registered_mechanisms
 
 __all__ = ["main", "build_parser"]
 
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--mechanism",
-        choices=list(standalone_mechanisms()),
+        choices=[m.name for m in registered_mechanisms()],
         default=None,
         help="force a mechanism instead of auto-selecting",
     )
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--mechanism",
-        choices=list(standalone_mechanisms()),
+        choices=[m.name for m in registered_mechanisms()],
         default=None,
         help="force a mechanism instead of auto-selecting",
     )

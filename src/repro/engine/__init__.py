@@ -24,12 +24,11 @@ Both return bit-identical distances.
 """
 
 from . import kernels
-from .csr import CSRGraph, compile_csr
+from .csr import CSRGraph
 from .kernels import kernel_span
 
 __all__ = [
     "CSRGraph",
-    "compile_csr",
     "kernels",
     "kernel_span",
 ]

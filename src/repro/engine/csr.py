@@ -44,7 +44,7 @@ import numpy as np
 from ..exceptions import EngineError, VertexNotFoundError, WeightError
 from ..graphs.graph import Vertex, WeightedGraph
 
-__all__ = ["CSRGraph", "compile_csr", "share_structure"]
+__all__ = ["CSRGraph", "share_structure"]
 
 #: Attribute under which the compiled CSR is cached on the source graph.
 _CACHE_ATTR = "_engine_csr_cache"
@@ -172,11 +172,11 @@ class CSRGraph:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_graph(cls, graph: WeightedGraph, cache: bool = True) -> "CSRGraph":
+    def from_graph(cls, graph: WeightedGraph) -> "CSRGraph":
         """Compile a :class:`~repro.graphs.graph.WeightedGraph`.
 
-        With ``cache`` (the default) the compiled instance is memoized
-        on the graph object and invalidated by its
+        The compiled instance is memoized on the graph object and
+        invalidated by its
         :attr:`~repro.graphs.graph.WeightedGraph.topology_version` /
         :attr:`~repro.graphs.graph.WeightedGraph.weights_version`
         counters: an unchanged graph returns the same object, a
@@ -185,19 +185,15 @@ class CSRGraph:
         """
         cached = getattr(graph, _CACHE_ATTR, None)
         topo, wver = graph.topology_version, graph.weights_version
-        if cached is not None:
-            cached_topo, cached_wver, csr = cached
-            if cached_topo == topo:
-                if cached_wver == wver:
-                    return csr
-                # Cheap path: same structure, fresh weights.
-                csr = cls(csr._structure, graph.weight_vector())
-                if cache:
-                    setattr(graph, _CACHE_ATTR, (topo, wver, csr))
-                return csr
-        csr = cls(_build_structure(graph), graph.weight_vector())
-        if cache:
-            setattr(graph, _CACHE_ATTR, (topo, wver, csr))
+        if cached is not None and cached[0] == topo:
+            if cached[1] == wver:
+                return cached[2]
+            # Cheap path: same structure, fresh weights.
+            structure = cached[2]._structure
+        else:
+            structure = _build_structure(graph)
+        csr = cls(structure, graph.weight_vector())
+        setattr(graph, _CACHE_ATTR, (topo, wver, csr))
         return csr
 
     def with_weights(
@@ -350,7 +346,3 @@ def share_structure(source: WeightedGraph, target: WeightedGraph) -> bool:
     setattr(target, _CACHE_ATTR, (target.topology_version, -1, cached[2]))
     return True
 
-
-def compile_csr(graph: WeightedGraph, cache: bool = True) -> CSRGraph:  # privlint: ignore[PL1] public compilation entry point for benches/tests; production callers reach CSRGraph.from_graph under a release mechanism
-    """Module-level alias for :meth:`CSRGraph.from_graph`."""
-    return CSRGraph.from_graph(graph, cache=cache)

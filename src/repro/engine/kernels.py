@@ -74,9 +74,9 @@ def sssp_dijkstra(
 
     Returns ``(dist, pred)``: ``dist[v]`` is the distance of every
     *settled* vertex (``inf`` otherwise), ``pred[v]`` the predecessor
-    index on a shortest path (``-1`` for the source and unreached
-    vertices).  With ``target`` given the search stops once the target
-    settles.  Raises :class:`~repro.exceptions.WeightError` when a
+    index on a shortest path (``-1`` for the source and every vertex
+    not settled).  With ``target`` given the search stops once the
+    target settles.  Raises :class:`~repro.exceptions.WeightError` when a
     negative arc is scanned, mirroring the reference implementation.
     """
     n = csr.n
@@ -101,6 +101,8 @@ def sssp_dijkstra(
         settled[v] = 1
         dist[v] = d
         if v == target:
+            # Drop the tentative parents of vertices left unsettled.
+            pred[np.frombuffer(settled, dtype=np.uint8) == 0] = -1
             break
         for a in range(indptr[v], indptr[v + 1]):
             w = weights[a]

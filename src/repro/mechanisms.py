@@ -1,19 +1,22 @@
-"""The release-mechanism registry: one catalog, every mechanism.
+"""The release-mechanism catalog: the six mechanisms a tenant can serve.
 
 The paper's value proposition is a *menu* of release mechanisms —
 Algorithm 1 for trees, Algorithm 2's covering for bounded weights, the
 Section 4 all-pairs baselines — and the follow-up hub-set work grew
-that menu further.  Before this module the menu lived as a hard-coded
-``if/elif`` ladder inside the serving façade; now it is a registry:
-each mechanism is an object with a ``name``, data-independent
-applicability and noise-scale predictions, and a ``build`` hook
-producing a :class:`~repro.serving.synopsis.DistanceSynopsis`.  New
-mechanisms (the ROADMAP's shortcut-graph recursion, debiased hub
-estimators, ...) plug in with :func:`register_mechanism` and
-immediately become available to :func:`~repro.serving.config.serve`,
-the CLI, and auto-selection — no consumer surgery.
+that menu further.  Each mechanism is an object with a ``name``,
+data-independent eligibility and noise-scale predictions, and a
+``build`` hook producing a
+:class:`~repro.serving.synopsis.DistanceSynopsis` from a graph and a
+budget.  The catalog is closed: its names are what
+:class:`~repro.serving.config.ServingConfig`, the CLI's
+``--mechanism`` and the ledger labels use.  Releases that need more
+than a graph and a budget are built outside it: an explicit pair
+workload by :func:`~repro.serving.synopsis.build_single_pair_synopsis`
+(or :func:`~repro.serving.batching.fresh_batch`), and the sharded
+service's boundary relay by
+:func:`~repro.apsp.hubs.build_hub_structure` over the cut vertices.
 
-Auto-selection (:func:`auto_select_mechanism`) is a registry-wide
+Auto-selection (:func:`auto_select_mechanism`) is a catalog-wide
 contest: every auto-eligible mechanism predicts its per-entry noise
 scale from *public* facts (topology, vertex count, declared bound,
 budget shape), the prediction is adjusted by the mechanism's
@@ -24,7 +27,7 @@ gates encode the paper's structural dominance rules — Algorithm 1
 dominates everything on trees, the covering families own the declared
 weight-bound regime, the hub variants enter above their documented
 crossover sizes — so the contest reproduces the retired ladder's
-choices bit for bit while staying open to new entries.
+choices bit for bit.
 
 Everything here depends only on public quantities, so mechanism choice
 itself leaks nothing (the same argument the paper makes for its
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Tuple
 
 from .algorithms.traversal import is_connected
 from .apsp.bounded import HubSetBoundedRelease, hub_bounded_optimal_k
@@ -57,23 +60,21 @@ from .exceptions import (
     MechanismError,
     PrivacyError,
 )
-from .graphs.graph import Vertex, WeightedGraph
+from .graphs.graph import WeightedGraph
 from .graphs.tree import RootedTree
 from .rng import Rng
 from .telemetry import get_telemetry
 
 # NOTE: repro.serving.* is imported lazily inside build() methods —
-# repro.serving.service consumes this registry, so a module-scope
+# repro.serving.service consumes this catalog, so a module-scope
 # import here would be circular.
 
 __all__ = [
     "Mechanism",
     "MechanismParams",
-    "register_mechanism",
     "get_mechanism",
     "available_mechanisms",
     "registered_mechanisms",
-    "standalone_mechanisms",
     "auto_select_mechanism",
     "HUB_MIN_VERTICES",
     "HUB_SELECTION_MARGIN",
@@ -100,23 +101,16 @@ HUB_BOUNDED_MIN_VERTICES = 4096
 class MechanismParams:
     """The public inputs a mechanism builds from.
 
-    Everything here is data-independent — the budget, a declared
-    public weight bound, an explicit pair workload (the pairs are the
-    *queries*, not the answers), a site subset for the relay builder —
-    so passing the same params object to ``applicable`` /
-    ``predicted_noise_scale`` / ``build`` leaks nothing about the
-    private weights.
+    Everything here is data-independent — the budget and a declared
+    public weight bound — so passing the same params object to
+    ``auto_eligible`` / ``predicted_noise_scale`` / ``build`` leaks
+    nothing about the private weights.
     """
 
     #: The ``(eps, delta)`` budget the release will spend.
     budget: PrivacyParams
     #: Public bound ``M`` on edge weights, if declared.
     weight_bound: float | None = None
-    #: Explicit pair workload (``single-pair`` only).
-    pairs: Tuple[Tuple[Vertex, Vertex], ...] | None = None
-    #: Site subset to build over (``boundary-relay`` only; defaults to
-    #: all vertices elsewhere).
-    sites: Tuple[Vertex, ...] | None = None
 
     @property
     def eps(self) -> float:
@@ -147,7 +141,7 @@ def _require_connected(graph: WeightedGraph, mechanism: str) -> None:
 
 
 class Mechanism:
-    """One release mechanism: a named entry in the registry.
+    """One release mechanism: a named entry in the catalog.
 
     Subclasses set ``name`` and implement the four hooks.  All hooks
     except :meth:`build` are pure functions of public facts; ``build``
@@ -156,13 +150,8 @@ class Mechanism:
     Attributes
     ----------
     name:
-        The registry key (also the CLI's ``--mechanism`` value and the
+        The catalog key (also the CLI's ``--mechanism`` value and the
         label recorded in ledger entries).
-    standalone:
-        Whether a :class:`~repro.serving.service.DistanceService` can
-        build this mechanism from a graph + budget alone.  ``False``
-        for mechanisms needing extra inputs (an explicit pair workload,
-        a site subset).
     selection_margin:
         Multiplier applied to :meth:`predicted_noise_scale` in the
         auto-selection contest; > 1 for mechanisms whose answers
@@ -171,27 +160,18 @@ class Mechanism:
     """
 
     name: str = ""
-    standalone: bool = True
     selection_margin: float = 1.0
-
-    def applicable(
-        self, graph: WeightedGraph, params: MechanismParams
-    ) -> bool:
-        """Whether the mechanism's hard preconditions hold (topology
-        shape, declared bound, budget shape).  Public facts only."""
-        raise NotImplementedError
 
     def auto_eligible(
         self, graph: WeightedGraph, params: MechanismParams
     ) -> bool:
-        """Whether auto-selection may consider this mechanism.
-
-        Stricter than :meth:`applicable`: also encodes the documented
-        dominance gates (trees defer to Algorithm 1, the declared-bound
-        regime belongs to the covering families, hub variants enter
-        above their crossover sizes).  Default: same as applicability.
-        """
-        return self.applicable(graph, params)
+        """Whether auto-selection may consider this mechanism: its
+        preconditions (topology shape, declared bound, budget shape)
+        plus the documented dominance gates (trees defer to Algorithm
+        1, the declared-bound regime belongs to the covering families,
+        hub variants enter above their crossover sizes).  Public facts
+        only."""
+        raise NotImplementedError
 
     def predicted_noise_scale(
         self, graph: WeightedGraph, params: MechanismParams
@@ -206,7 +186,7 @@ class Mechanism:
         self, graph: WeightedGraph, params: MechanismParams
     ) -> float:
         """The margin-adjusted scale the auto-selection contest ranks
-        by (lower wins; ties go to earlier registration)."""
+        by (lower wins; ties go to the earlier catalog entry)."""
         return self.selection_margin * self.predicted_noise_scale(
             graph, params
         )
@@ -231,55 +211,25 @@ class Mechanism:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-_REGISTRY: Dict[str, Mechanism] = {}
-#: Registration order — the contest's deterministic tie-break.
-_ORDER: list[Mechanism] = []
-
-
-def register_mechanism(mechanism: Mechanism) -> Mechanism:
-    """Register a mechanism instance under its ``name``.
-
-    Follow-up mechanisms (shortcut-graph recursion, debiased hub
-    estimators, ...) plug in here; registration order is the
-    auto-selection contest's tie-break, so later entries must strictly
-    undercut earlier ones to win.
-    """
-    if not mechanism.name:
-        raise MechanismError("mechanism must define a non-empty name")
-    if mechanism.name in _REGISTRY:
-        raise MechanismError(
-            f"mechanism {mechanism.name!r} is already registered"
-        )
-    _REGISTRY[mechanism.name] = mechanism
-    _ORDER.append(mechanism)
-    return mechanism
-
-
 def get_mechanism(name: str) -> Mechanism:
-    """Look up a registered mechanism by name."""
+    """Look up a catalog mechanism by name."""
     try:
-        return _REGISTRY[name]
+        return _CATALOG[name]
     except KeyError:
         raise MechanismError(
             f"unknown mechanism {name!r}; available: "
-            f"{', '.join(sorted(_REGISTRY))}"
+            f"{', '.join(available_mechanisms())}"
         ) from None
 
 
 def available_mechanisms() -> Tuple[str, ...]:
-    """Names of all registered mechanisms, sorted."""
-    return tuple(sorted(_REGISTRY))
+    """Names of all catalog mechanisms, sorted."""
+    return tuple(sorted(_CATALOG))
 
 
 def registered_mechanisms() -> Tuple[Mechanism, ...]:
-    """All registered mechanism instances, in registration order."""
-    return tuple(_ORDER)
-
-
-def standalone_mechanisms() -> Tuple[str, ...]:
-    """Names a :class:`~repro.serving.service.DistanceService` can be
-    forced to (graph + budget suffice), in registration order."""
-    return tuple(m.name for m in _ORDER if m.standalone)
+    """All catalog mechanism instances, in contest order."""
+    return tuple(_CATALOG.values())
 
 
 def auto_select_mechanism(
@@ -289,9 +239,9 @@ def auto_select_mechanism(
 ) -> str:
     """Pick the strongest release mechanism the graph admits.
 
-    A registry-wide predicted-noise-scale contest: every auto-eligible
+    A catalog-wide predicted-noise-scale contest: every auto-eligible
     mechanism's margin-adjusted scale competes and the smallest wins
-    (ties break by registration order, so a challenger must strictly
+    (ties break by catalog order, so a challenger must strictly
     undercut an incumbent).  Eligibility and prediction depend only on
     public facts, so the choice is itself data-independent.
     """
@@ -299,11 +249,11 @@ def auto_select_mechanism(
     with telemetry.span("mechanism.select") as span:
         params = MechanismParams(budget=budget, weight_bound=weight_bound)
         candidates = [
-            m for m in _ORDER if m.auto_eligible(graph, params)
+            m for m in _CATALOG.values() if m.auto_eligible(graph, params)
         ]
         if not candidates:
             raise MechanismError(
-                "no registered mechanism is auto-eligible for this graph "
+                "no catalog mechanism is auto-eligible for this graph "
                 "and budget"
             )
         winner = min(
@@ -337,7 +287,7 @@ class TreeMechanism(Mechanism):
 
     name = "tree"
 
-    def applicable(self, graph, params):
+    def auto_eligible(self, graph, params):
         return _is_tree_topology(graph)
 
     def predicted_noise_scale(self, graph, params):
@@ -361,10 +311,14 @@ class TreeMechanism(Mechanism):
 
 
 class _BoundedFamily(Mechanism):
-    """Shared gates of the declared-weight-bound family."""
+    """Shared gates of the declared-weight-bound family: a declared
+    bound, a non-tree topology (trees defer to Algorithm 1), and a
+    side of the hub-bounded crossover."""
 
-    def applicable(self, graph, params):
-        return params.weight_bound is not None
+    def _family_eligible(self, graph, params):
+        return params.weight_bound is not None and not _is_tree_topology(
+            graph
+        )
 
     def validate(self, graph, params):
         if params.weight_bound is None:
@@ -383,10 +337,9 @@ class BoundedWeightMechanism(_BoundedFamily):
     name = "bounded-weight"
 
     def auto_eligible(self, graph, params):
-        # Trees defer to Algorithm 1; road scale defers to hub-bounded.
+        # Road scale defers to hub-bounded.
         return (
-            self.applicable(graph, params)
-            and not _is_tree_topology(graph)
+            self._family_eligible(graph, params)
             and graph.num_vertices < HUB_BOUNDED_MIN_VERTICES
         )
 
@@ -428,8 +381,7 @@ class HubBoundedMechanism(_BoundedFamily):
 
     def auto_eligible(self, graph, params):
         return (
-            self.applicable(graph, params)
-            and not _is_tree_topology(graph)
+            self._family_eligible(graph, params)
             and graph.num_vertices >= HUB_BOUNDED_MIN_VERTICES
         )
 
@@ -461,9 +413,6 @@ class _AllPairsFamily(Mechanism):
     """Shared gates of the unbounded all-pairs family: non-tree
     topology (trees defer to Algorithm 1) and no declared bound (that
     regime belongs to the covering families)."""
-
-    def applicable(self, graph, params):
-        return True
 
     def _family_eligible(self, graph, params):
         return params.weight_bound is None and not _is_tree_topology(
@@ -499,9 +448,6 @@ class AllPairsAdvancedMechanism(_AllPairsFamily):
     (Lemma 3.4 inverse); requires ``delta > 0``."""
 
     name = "all-pairs-advanced"
-
-    def applicable(self, graph, params):
-        return params.delta > 0
 
     def auto_eligible(self, graph, params):
         return self._family_eligible(graph, params) and params.delta > 0
@@ -561,103 +507,18 @@ class HubSetMechanism(_AllPairsFamily):
         return HubSetSynopsis.from_release(release)
 
 
-class SinglePairMechanism(Mechanism):
-    """A fixed pair workload released as one vectorized ``Lap(Q/eps)``
-    draw (Section 1.2's opener, batched).  Needs an explicit workload,
-    so it never enters auto-selection and cannot back a standalone
-    service."""
-
-    name = "single-pair"
-    standalone = False
-
-    def applicable(self, graph, params):
-        return params.pairs is not None
-
-    def auto_eligible(self, graph, params):
-        return False
-
-    def predicted_noise_scale(self, graph, params):
-        # Duplicate pairs are deduplicated at build time, so this is an
-        # upper bound on the actual scale.
-        q = len(params.pairs) if params.pairs else 1
-        return max(q, 1) / params.eps
-
-    def validate(self, graph, params):
-        if params.pairs is None:
-            raise GraphError(
-                "single-pair mechanism requires an explicit pairs "
-                "workload"
-            )
-
-    def build(self, graph, params, rng):
-        from .serving.synopsis import build_single_pair_synopsis
-
-        return build_single_pair_synopsis(
-            graph, params.pairs, params.eps, rng
-        )
-
-
-class BoundaryRelayMechanism(Mechanism):
-    """The sharded-serving relay builder: a hub structure over an
-    explicit site subset (the shard boundary), wrapped as a
-    :class:`~repro.serving.synopsis.HubSetSynopsis` answering
-    site-to-site distances.  Distances may traverse the whole graph
-    (the relay reads every edge), which is why the sharded budget
-    split charges it separately."""
-
-    name = "boundary-relay"
-    standalone = False
-
-    def applicable(self, graph, params):
-        return bool(params.sites)
-
-    def auto_eligible(self, graph, params):
-        return False
-
-    def predicted_noise_scale(self, graph, params):
-        m = len(params.sites) if params.sites else graph.num_vertices
-        return predicted_hub_scale(m, params.eps, params.delta)
-
-    def validate(self, graph, params):
-        if not params.sites:
-            raise GraphError(
-                "boundary-relay mechanism requires a non-empty sites "
-                "subset"
-            )
-
-    def build(self, graph, params, rng):
-        from .apsp.hubs import (
-            build_hub_structure,
-            default_ball_size,
-            default_hub_count,
-        )
-        from .engine.csr import CSRGraph
-        from .serving.synopsis import HubSetSynopsis
-
-        sites = tuple(params.sites)
-        m = len(sites)
-        csr = CSRGraph.from_graph(graph)
-        structure = build_hub_structure(
-            csr,
-            csr.indices_of(sites),
-            default_hub_count(m),
-            default_ball_size(m),
-            params.eps,
-            params.delta,
-            rng,
-        )
-        return HubSetSynopsis(params.budget, sites, structure)
-
-# The canonical registration order (also the contest's tie-break):
-# tree first (it dominates when applicable), then the bounded family,
-# then the all-pairs families with the baselines ahead of hub-set (a
-# challenger must strictly undercut the incumbent), then the
-# workload/site mechanisms that never auto-select.
-register_mechanism(TreeMechanism())
-register_mechanism(BoundedWeightMechanism())
-register_mechanism(HubBoundedMechanism())
-register_mechanism(AllPairsBasicMechanism())
-register_mechanism(AllPairsAdvancedMechanism())
-register_mechanism(HubSetMechanism())
-register_mechanism(SinglePairMechanism())
-register_mechanism(BoundaryRelayMechanism())
+#: The catalog in contest order (also the tie-break): tree first (it
+#: dominates where it is eligible), then the bounded family, then the
+#: all-pairs families with the baselines ahead of hub-set (a
+#: challenger must strictly undercut the incumbent).
+_CATALOG = {
+    m.name: m
+    for m in (
+        TreeMechanism(),
+        BoundedWeightMechanism(),
+        HubBoundedMechanism(),
+        AllPairsBasicMechanism(),
+        AllPairsAdvancedMechanism(),
+        HubSetMechanism(),
+    )
+}

@@ -9,14 +9,14 @@ one front:
   it owns the answer cache, the counters, the ledger and epoch, and
   telemetry over ``k >= 1`` regional tenants (``k = 1`` is the
   unsharded service), picks each tenant's mechanism from the
-  :mod:`repro.mechanisms` registry, and serves point/batch queries;
+  :mod:`repro.mechanisms` catalog, and serves point/batch queries;
 * :mod:`repro.serving.routing` / :mod:`repro.serving.sharding` — the
   topology-only partitioner, the tenants, the shard router and its
   noisy boundary-hub relay, the sharded accounting, and
   :class:`ShardedDistanceService` (the front's sharded name);
 * :mod:`repro.serving.synopsis` — immutable, serializable synopsis
-  objects wrapping each release family, with a registry keyed by kind
-  and per-pair noise-scale introspection;
+  objects wrapping each release family, one document reader that
+  dispatches on their kind, and per-pair noise-scale introspection;
 * :mod:`repro.serving.ledger` — a multi-tenant, epoch-rotating budget
   ledger that fails closed;
 * :mod:`repro.serving.estimates` — :class:`Estimate`, the rich query
@@ -51,7 +51,6 @@ from .synopsis import (
     TreeSynopsis,
     build_all_pairs_synopsis,
     build_single_pair_synopsis,
-    register_synopsis,
     synopsis_from_json,
 )
 
@@ -80,7 +79,6 @@ __all__ = [
     "HubBoundedSynopsis",
     "build_all_pairs_synopsis",
     "build_single_pair_synopsis",
-    "register_synopsis",
     "synopsis_from_json",
     "EpochResult",
     "SimulationReport",

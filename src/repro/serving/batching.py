@@ -249,7 +249,7 @@ def fresh_batch(
 
     Spend first, release second: the whole-batch ``eps`` is recorded
     against ``ledger`` *before* any noise is drawn (a fresh
-    single-epoch ledger when none is passed), so even a standalone
+    single-epoch ledger when none is passed), so even a one-off
     batch release is budget-accounted — the fail-closed
     :class:`~repro.serving.ledger.BudgetLedger` refuses the spend, and
     therefore the draw, when a shared ledger cannot cover it.

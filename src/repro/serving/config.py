@@ -82,7 +82,7 @@ class ServingConfig:
     Attributes
     ----------
     mechanism:
-        A registered mechanism name, or ``"auto"`` for the registry's
+        A catalog mechanism name, or ``"auto"`` for the catalog's
         predicted-noise-scale contest.
     eps, delta:
         The per-epoch ``(eps, delta)`` budget.  With ``shards >= 2``

@@ -47,7 +47,7 @@ class Estimate:
         for the pair); 0 for deterministic answers such as
         ``distance(v, v)``.
     mechanism:
-        The registry name of the mechanism that released the synopsis.
+        The catalog name of the mechanism that released the synopsis.
     epoch:
         The ledger epoch the backing synopsis was built in.
     """

@@ -13,7 +13,7 @@ tenant on the caller's graph and full budget, whose synopsis answers
 cache misses.  With ``shards=k`` a miss goes through the shard router
 and its boundary-hub relay (:mod:`repro.serving.sharding`).
 
-Each tenant's mechanism is the registry's predicted-noise-scale
+Each tenant's mechanism is the catalog's predicted-noise-scale
 contest (:func:`repro.mechanisms.auto_select_mechanism`), which
 mirrors the paper's structure:
 
@@ -50,9 +50,14 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Mapping, MutableMapping, Sequence, Tuple
 
-from ..apsp.hubs import HubStructure
+from ..apsp.hubs import (
+    HubStructure,
+    build_hub_structure,
+    default_ball_size,
+    default_hub_count,
+)
 from ..dp.params import PrivacyParams
-from ..engine.csr import share_structure
+from ..engine.csr import CSRGraph, share_structure
 from ..exceptions import GraphError, PrivacyError
 from ..graphs.graph import Edge, Vertex, WeightedGraph
 from ..mechanisms import (
@@ -246,10 +251,9 @@ class DistanceService:
         (e.g. capped travel times); enables the Section 4.2 mechanism
         on non-tree graphs.
     mechanism:
-        Force a registered mechanism by name (see
-        :func:`repro.mechanisms.available_mechanisms`; only standalone
-        mechanisms qualify) instead of auto-selecting, for every
-        tenant.
+        Force a catalog mechanism by name (see
+        :func:`repro.mechanisms.available_mechanisms`) instead of
+        auto-selecting, for every tenant.
     ledger:
         Share a :class:`~repro.serving.ledger.BudgetLedger` with other
         products; defaults to a private ledger with ``epoch_budget``
@@ -310,12 +314,7 @@ class DistanceService:
             epoch_budget = PrivacyParams(float(epoch_budget))
         if mechanism is not None:
             # Raises MechanismError (a PrivacyError) on unknown names.
-            if not get_mechanism(mechanism).standalone:
-                raise PrivacyError(
-                    f"mechanism {mechanism!r} needs extra inputs (an "
-                    "explicit workload or site subset) and cannot back "
-                    "a standalone service"
-                )
+            get_mechanism(mechanism)
         if plan is None:
             if shards is not None and shards != 1:
                 plan = partition_graph(graph, shards, seed=partition_seed)
@@ -458,10 +457,10 @@ class DistanceService:
         """Release the boundary-hub relay table for the current epoch.
 
         Spends the relay tenant's budget first (fail closed — a
-        refused spend draws no noise), then asks the registry's
-        ``boundary-relay`` mechanism for a hub structure over the
-        boundary sites on the *full* graph's CSR, so relay distances
-        may traverse any shard.
+        refused spend draws no noise), then builds a hub structure
+        over the boundary sites, with the default hub count and ball
+        size for that many sites, on the *full* graph's CSR, so relay
+        distances may traverse any shard.
         """
         assert self._shards is not None and self._relay_params is not None
         boundary = self._shards.plan.boundary
@@ -474,11 +473,6 @@ class DistanceService:
         with use_telemetry(self._telemetry), self._telemetry.span(
             "relay.build", sites=m, tenant=self._tenant
         ):
-            relay_mechanism = get_mechanism("boundary-relay")
-            relay_params = MechanismParams(
-                budget=self._relay_params, sites=boundary
-            )
-            relay_mechanism.validate(self._graph, relay_params)
             self._ledger.spend(
                 self._relay_params,
                 tenant=f"{self._tenant}/relay",
@@ -487,9 +481,16 @@ class DistanceService:
                     f"({m} sites)"
                 ),
             )
-            structure = relay_mechanism.build(
-                self._graph, relay_params, self._rng
-            ).structure
+            csr = CSRGraph.from_graph(self._graph)
+            structure = build_hub_structure(
+                csr,
+                csr.indices_of(boundary),
+                default_hub_count(m),
+                default_ball_size(m),
+                self._relay_params.eps,
+                self._relay_params.delta,
+                self._rng,
+            )
             self._telemetry.emit(
                 "relay.build",
                 epoch=self._ledger.epoch,
@@ -821,7 +822,7 @@ class DistanceService:
     @property
     def mechanism(self) -> str:
         """The mechanism backing the current releases: the tenant's
-        registry name when unsharded, ``sharded(KxMECH+relay)``
+        catalog name when unsharded, ``sharded(KxMECH+relay)``
         otherwise."""
         return self._mechanism
 

@@ -24,15 +24,15 @@ Every synopsis exposes the same surface — ``distance(s, t)``,
 ``params``, ``kind`` — and serializes to a JSON document containing
 *only released values and public topology* (never raw private
 weights), so a synopsis file can be shipped to untrusted serving
-frontends.  :func:`synopsis_from_json` restores any synopsis via the
-registry keyed by ``kind``.
+frontends.  :func:`synopsis_from_json` restores any of them,
+dispatching on the document's ``kind``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple, Type
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -65,27 +65,12 @@ __all__ = [
     "HubBoundedSynopsis",
     "build_single_pair_synopsis",
     "build_all_pairs_synopsis",
-    "register_synopsis",
     "synopsis_from_json",
     "SYNOPSIS_FORMAT",
 ]
 
 SYNOPSIS_FORMAT = "repro-synopsis"
 _SYNOPSIS_VERSION = 1
-
-#: Registry of synopsis classes keyed by their ``kind`` string; this is
-#: what :func:`synopsis_from_json` dispatches on.
-_REGISTRY: Dict[str, Type["DistanceSynopsis"]] = {}
-
-
-def register_synopsis(cls: Type["DistanceSynopsis"]) -> Type["DistanceSynopsis"]:
-    """Class decorator: register a synopsis class under its ``kind``."""
-    if not cls.kind:
-        raise ValueError(f"{cls.__name__} must define a non-empty kind")
-    if cls.kind in _REGISTRY:
-        raise ValueError(f"synopsis kind {cls.kind!r} already registered")
-    _REGISTRY[cls.kind] = cls
-    return cls
 
 
 def canonical_pair(s: Vertex, t: Vertex) -> Tuple[Vertex, Vertex]:
@@ -108,18 +93,44 @@ def _encode_pair_table(
 
 
 def _decode_pair_table(
-    rows: Iterable[Iterable[Any]],
+    rows: Iterable[Iterable[Any]], vertices: frozenset
 ) -> Dict[Tuple[Vertex, Vertex], float]:
-    return {
-        (_decode_vertex(s), _decode_vertex(t)): float(value)
-        for s, t, value in rows
-    }
+    """Decode a released pair table, refusing any row that would
+    answer wrongly: one that is not two distinct members of
+    ``vertices``, a pair given twice (in either orientation), or a
+    non-finite value."""
+    table: Dict[Tuple[Vertex, Vertex], float] = {}
+    for s, t, value in rows:
+        s, t, value = _decode_vertex(s), _decode_vertex(t), float(value)
+        if s == t or s not in vertices or t not in vertices:
+            raise SynopsisError(
+                f"pair ({s!r}, {t!r}) is not two distinct vertices of "
+                "the synopsis"
+            )
+        key = canonical_pair(s, t)
+        if key in table:
+            raise SynopsisError(f"pair ({s!r}, {t!r}) repeats")
+        if not math.isfinite(value):
+            raise SynopsisError(f"pair ({s!r}, {t!r}) is {value}")
+        table[key] = value
+    return table
+
+
+def _require_every_pair(what: str, entries: int, n: int) -> None:
+    """Refuse a decoded table of ``entries`` distinct pairs of ``n``
+    vertices that misses one of their pairs, whose query would fail."""
+    expected = n * (n - 1) // 2
+    if entries != expected:
+        raise SynopsisError(
+            f"{what} holds {entries} of the {expected} pairs of its "
+            f"{n} vertices"
+        )
 
 
 class DistanceSynopsis:
     """Base class for all distance synopses.
 
-    Subclasses set the class attribute ``kind`` (the registry key),
+    Subclasses set the class attribute ``kind`` (the document key),
     implement :meth:`distance` and the ``_payload`` /
     ``_from_payload`` serialization hooks, and treat all state as
     immutable after construction — a synopsis is a released artifact,
@@ -194,23 +205,23 @@ class DistanceSynopsis:
 
 
 def synopsis_from_json(text: str) -> DistanceSynopsis:
-    """Restore any registered synopsis from :meth:`DistanceSynopsis.to_json`
+    """Restore any synopsis from :meth:`DistanceSynopsis.to_json`
     output, dispatching on the document's ``kind``."""
     document = documents.parse(
         text, SYNOPSIS_FORMAT, _SYNOPSIS_VERSION, SynopsisError, "synopsis",
         {"kind": str},
     )
     kind = document["kind"]
-    if kind not in _REGISTRY:
+    if kind not in _KINDS:
         raise SynopsisError(
-            f"unknown synopsis kind {kind!r}; registered kinds: "
-            f"{', '.join(sorted(_REGISTRY))}"
+            f"unknown synopsis kind {kind!r}; known kinds: "
+            f"{', '.join(sorted(_KINDS))}"
         )
     with documents.decoding(SynopsisError, f"{kind} synopsis"):
         params = PrivacyParams(
             float(document["eps"]), float(document["delta"])
         )
-        return _REGISTRY[kind]._from_payload(document, params)
+        return _KINDS[kind]._from_payload(document, params)
 
 
 class _PairTableSynopsis(DistanceSynopsis):
@@ -268,14 +279,12 @@ class _PairTableSynopsis(DistanceSynopsis):
     def _from_payload(
         cls, payload: Dict[str, Any], params: PrivacyParams
     ) -> "_PairTableSynopsis":
+        vertices = frozenset(_decode_vertex(v) for v in payload["vertices"])
         return cls(
-            params,
-            _decode_pair_table(payload["pairs"]),
-            [_decode_vertex(v) for v in payload["vertices"]],
+            params, _decode_pair_table(payload["pairs"], vertices), vertices
         )
 
 
-@register_synopsis
 class SinglePairSynopsis(_PairTableSynopsis):
     """A synopsis for an explicit pair workload.
 
@@ -297,7 +306,6 @@ class SinglePairSynopsis(_PairTableSynopsis):
         return max(self.num_entries, 1) / self._params.eps
 
 
-@register_synopsis
 class AllPairsSynopsis(_PairTableSynopsis):
     """A synopsis wrapping the Section 4 intro all-pairs baselines.
 
@@ -331,8 +339,17 @@ class AllPairsSynopsis(_PairTableSynopsis):
             vertices = set(release.graph.vertices())
         return cls(release.params, table, vertices)
 
+    @classmethod
+    def _from_payload(
+        cls, payload: Dict[str, Any], params: PrivacyParams
+    ) -> "AllPairsSynopsis":
+        synopsis = super()._from_payload(payload, params)
+        _require_every_pair(
+            "all-pairs synopsis", synopsis.num_entries, len(synopsis.vertices)
+        )
+        return synopsis
 
-@register_synopsis
+
 class TreeSynopsis(DistanceSynopsis):
     """A synopsis of Algorithm 1's tree release (Theorems 4.1/4.2).
 
@@ -501,7 +518,6 @@ def _check_tree(
         raise SynopsisError("tree synopsis holds a non-finite estimate")
 
 
-@register_synopsis
 class BoundedWeightSynopsis(DistanceSynopsis):
     """A synopsis of Algorithm 2's covering release (Section 4.2).
 
@@ -630,11 +646,16 @@ class BoundedWeightSynopsis(DistanceSynopsis):
             _decode_vertex(v): _decode_vertex(z)
             for v, z in payload["assignment"]
         }
+        # Every vertex the assignment names is a covering vertex, so
+        # the table must hold exactly the pairs among them.
+        covering = frozenset(assignment.values())
+        table = _decode_pair_table(payload["covering_pairs"], covering)
+        _require_every_pair("covering table", len(table), len(covering))
         scale = payload.get("noise_scale")
         return cls(
             params,
             assignment,
-            _decode_pair_table(payload["covering_pairs"]),
+            table,
             float(payload["weight_bound"]),
             int(payload["k"]),
             noise_scale=None if scale is None else float(scale),
@@ -695,7 +716,6 @@ def _decode_hub_structure(payload: Dict[str, Any]) -> HubStructure:
     )
 
 
-@register_synopsis
 class HubSetSynopsis(DistanceSynopsis):
     """A synopsis of the improved hub-set release
     (:class:`repro.apsp.hubs.HubSetRelease`).
@@ -789,7 +809,6 @@ class HubSetSynopsis(DistanceSynopsis):
         )
 
 
-@register_synopsis
 class HubBoundedSynopsis(DistanceSynopsis):
     """A synopsis of the hub-over-covering release
     (:class:`repro.apsp.bounded.HubSetBoundedRelease`).
@@ -919,6 +938,21 @@ class HubBoundedSynopsis(DistanceSynopsis):
             float(payload["weight_bound"]),
             int(payload["k"]),
         )
+
+
+#: The synopsis class of each document ``kind``: what
+#: :func:`synopsis_from_json` dispatches on.
+_KINDS = {
+    cls.kind: cls
+    for cls in (
+        SinglePairSynopsis,
+        AllPairsSynopsis,
+        TreeSynopsis,
+        BoundedWeightSynopsis,
+        HubSetSynopsis,
+        HubBoundedSynopsis,
+    )
+}
 
 
 def build_all_pairs_synopsis(

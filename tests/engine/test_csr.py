@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import Rng, WeightedGraph
-from repro.engine import CSRGraph, compile_csr
+from repro.engine import CSRGraph
 from repro.engine.csr import share_structure
 from repro.exceptions import EngineError, VertexNotFoundError, WeightError
 from repro.graphs import generators
@@ -117,11 +117,6 @@ class TestCache:
         csr = CSRGraph.from_graph(epoch)
         assert (csr.edge_weights == 3.0).all()
 
-    def test_cache_opt_out(self, triangle):
-        a = CSRGraph.from_graph(triangle, cache=False)
-        b = CSRGraph.from_graph(triangle, cache=False)
-        assert a is not b
-
     def test_version_counters_drive_invalidation(self, triangle):
         topo, wver = triangle.topology_version, triangle.weights_version
         triangle.set_weight(0, 1, 9.0)
@@ -169,9 +164,6 @@ class TestReweighting:
         assert np.array_equal(
             csr.weights, csr.edge_weights[csr.arc_edge]
         )
-
-    def test_compile_csr_alias(self, triangle):
-        assert compile_csr(triangle) is CSRGraph.from_graph(triangle)
 
 
 def _weighted(graph: WeightedGraph, seed: int) -> WeightedGraph:

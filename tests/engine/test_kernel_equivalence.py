@@ -77,19 +77,16 @@ def _reference_all_pairs(graph, sources=None):
     return {s: _dijkstra_reference(graph, s)[0] for s in chosen}
 
 
-def _assert_parents(graph, source, distances, parents, complete=True):
-    """Every settled vertex but the source has a parent whose distance
-    plus the connecting weight is its own, bit for bit.  Without an
-    early exit every reached vertex is settled, so the parent map
-    covers exactly the settled vertices."""
+def _assert_parents(graph, source, distances, parents):
+    """The parent map covers exactly the settled vertices but the
+    source, and each parent's distance plus the connecting weight is
+    the vertex's own, bit for bit."""
     assert distances[source] == 0.0
-    assert source not in parents
+    assert set(parents) == set(distances) - {source}
     for v, d in distances.items():
         if v != source:
             p = parents[v]
             assert distances[p] + graph.weight(p, v) == d
-    if complete:
-        assert set(parents) == set(distances) - {source}
 
 
 @pytest.fixture
@@ -147,7 +144,7 @@ class TestCSRPathEquivalence:
         distances, parents = dijkstra(graph, source, target=target)
         # Identical settled sets, not just the target's distance.
         assert distances == _dijkstra_reference(graph, source, target)[0]
-        _assert_parents(graph, source, distances, parents, complete=False)
+        _assert_parents(graph, source, distances, parents)
 
     def test_sources_subset_exact(self, family, trial):
         graph = self._graph(family, trial)
@@ -263,7 +260,7 @@ class TestSingleSourceSizeRule:
         assert distances == _dijkstra_reference(graph, 0, target)[0]
         assert target in distances
         assert len(distances) < graph.num_vertices
-        _assert_parents(graph, 0, distances, parents, complete=False)
+        _assert_parents(graph, 0, distances, parents)
 
     def test_directed_unreachable_exact(self, edges, implementation):
         graph = self._graph(edges, directed=True)
@@ -341,6 +338,20 @@ def test_all_pairs_degenerate_graphs(graph):
 
 
 class TestSemanticsParity:
+    @pytest.mark.parametrize("forced", [False, True], ids=["sized", "csr"])
+    def test_early_exit_keeps_only_settled_parents(self, forced, monkeypatch):
+        # a is reached from s (10) before b settles, but its shortest
+        # path runs through b (1 + 1) and it is not settled by then.
+        if forced:
+            monkeypatch.setattr(shortest_paths, "_SSSP_CSR_MIN_EDGES", 0)
+        graph = WeightedGraph.from_edges(
+            [("s", "a", 10.0), ("s", "b", 1.0), ("b", "a", 1.0)]
+        )
+        assert dijkstra(graph, "s", target="b") == (
+            {"s": 0.0, "b": 1.0},
+            {"b": "s"},
+        )
+
     def test_early_exit_target_matches(self, csr_path):
         graph = _grid(Rng(SEED))
         source, target = (0, 0), (6, 8)

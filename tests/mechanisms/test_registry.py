@@ -1,5 +1,5 @@
-"""Unit tests for :mod:`repro.mechanisms` — the release-mechanism
-registry and its auto-selection contest."""
+"""Unit tests for :mod:`repro.mechanisms` — the closed mechanism
+catalog and its auto-selection contest."""
 
 from __future__ import annotations
 
@@ -9,10 +9,10 @@ from repro import (
     MechanismError,
     PrivacyParams,
     Rng,
+    ServingConfig,
     auto_select_mechanism,
     available_mechanisms,
     get_mechanism,
-    register_mechanism,
 )
 from repro.algorithms.traversal import is_connected
 from repro.apsp import predicted_hub_scale
@@ -22,11 +22,23 @@ from repro.mechanisms import (
     HUB_BOUNDED_MIN_VERTICES,
     HUB_MIN_VERTICES,
     HUB_SELECTION_MARGIN,
-    Mechanism,
     MechanismParams,
     registered_mechanisms,
-    standalone_mechanisms,
 )
+
+#: The catalog in contest order.
+CATALOG = (
+    "tree",
+    "bounded-weight",
+    "hub-bounded",
+    "all-pairs-basic",
+    "all-pairs-advanced",
+    "hub-set",
+)
+
+#: Releases built outside the catalog: an explicit pair workload and
+#: the sharded service's boundary relay.
+OUTSIDE_CATALOG = ("single-pair", "boundary-relay")
 
 
 def legacy_select_mechanism(graph, budget, weight_bound=None):
@@ -58,53 +70,21 @@ def legacy_select_mechanism(graph, budget, weight_bound=None):
 
 
 class TestRegistry:
-    def test_all_eight_mechanisms_registered(self):
-        assert available_mechanisms() == (
-            "all-pairs-advanced",
-            "all-pairs-basic",
-            "boundary-relay",
-            "bounded-weight",
-            "hub-bounded",
-            "hub-set",
-            "single-pair",
-            "tree",
-        )
+    def test_catalog_is_the_six_tenant_mechanisms(self):
+        assert available_mechanisms() == tuple(sorted(CATALOG))
+        for name in CATALOG:
+            assert get_mechanism(name).name == name
 
-    def test_standalone_excludes_workload_mechanisms(self):
-        names = standalone_mechanisms()
-        assert "single-pair" not in names
-        assert "boundary-relay" not in names
-        assert set(names) == {
-            "tree",
-            "bounded-weight",
-            "hub-bounded",
-            "all-pairs-basic",
-            "all-pairs-advanced",
-            "hub-set",
-        }
-
-    def test_get_mechanism_unknown_name(self):
+    @pytest.mark.parametrize("name", ("quantum",) + OUTSIDE_CATALOG)
+    def test_get_mechanism_unknown_name(self, name):
         with pytest.raises(MechanismError) as excinfo:
-            get_mechanism("quantum")
-        assert "quantum" in str(excinfo.value)
-
-    def test_duplicate_registration_rejected(self):
-        class Dup(Mechanism):
-            name = "tree"  # collides with the registered tree entry
-
-        with pytest.raises(MechanismError):
-            register_mechanism(Dup())
-
-    def test_unnamed_registration_rejected(self):
-        with pytest.raises(MechanismError):
-            register_mechanism(Mechanism())
+            get_mechanism(name)
+        assert name in str(excinfo.value)
 
     def test_registration_order_is_stable(self):
-        names = [m.name for m in registered_mechanisms()]
         # Tie-break order: tree first, baselines before hub-set.
-        assert names.index("tree") == 0
-        assert names.index("all-pairs-basic") < names.index("hub-set")
-        assert names.index("all-pairs-advanced") < names.index("hub-set")
+        names = tuple(m.name for m in registered_mechanisms())
+        assert names == CATALOG
 
 
 class TestPredictions:
@@ -113,10 +93,7 @@ class TestPredictions:
     def test_predicted_scales_positive(self, rng):
         graph = generators.grid_graph(6, 6)
         params = MechanismParams(
-            budget=PrivacyParams(1.0, 1e-6),
-            weight_bound=2.0,
-            pairs=(((0, 0), (5, 5)),),
-            sites=tuple(graph.vertices())[:6],
+            budget=PrivacyParams(1.0, 1e-6), weight_bound=2.0
         )
         tree = generators.random_tree(12, rng)
         for mechanism in registered_mechanisms():
@@ -124,19 +101,30 @@ class TestPredictions:
             scale = mechanism.predicted_noise_scale(target, params)
             assert scale > 0.0, mechanism.name
 
-    def test_workload_mechanisms_never_auto_eligible(self):
-        graph = generators.grid_graph(6, 6)
-        params = MechanismParams(
-            budget=PrivacyParams(1.0),
-            pairs=(((0, 0), (5, 5)),),
-            sites=tuple(graph.vertices()),
+    def test_eligibility_requires_each_precondition(self, rng):
+        grid = generators.grid_graph(16, 16)
+        tree = generators.random_tree(256, rng)
+        pure = MechanismParams(budget=PrivacyParams(1.0))
+        approx = MechanismParams(budget=PrivacyParams(1.0, 1e-6))
+        bounded = MechanismParams(
+            budget=PrivacyParams(1.0), weight_bound=2.0
         )
-        assert not get_mechanism("single-pair").auto_eligible(
-            graph, params
-        )
-        assert not get_mechanism("boundary-relay").auto_eligible(
-            graph, params
-        )
+
+        def eligible(graph, params):
+            return {
+                m.name
+                for m in registered_mechanisms()
+                if m.auto_eligible(graph, params)
+            }
+
+        # A tree topology admits Algorithm 1 and nothing else; a
+        # declared bound hands the regime to the covering families;
+        # the advanced baseline needs delta > 0, the basic one none.
+        assert eligible(tree, pure) == {"tree"}
+        assert eligible(tree, bounded) == {"tree"}
+        assert eligible(grid, bounded) == {"bounded-weight"}
+        assert eligible(grid, pure) == {"all-pairs-basic", "hub-set"}
+        assert eligible(grid, approx) == {"all-pairs-advanced", "hub-set"}
 
     def test_selection_score_applies_margin(self):
         graph = generators.grid_graph(16, 16)
@@ -219,13 +207,16 @@ class TestAutoSelectionEquivalence:
 
 
 class TestServiceIntegration:
-    def test_workload_mechanism_cannot_back_a_service(self, rng):
-        from repro import DistanceService, PrivacyError
+    @pytest.mark.parametrize("name", OUTSIDE_CATALOG)
+    def test_workload_mechanism_cannot_back_a_service(self, rng, name):
+        from repro import DistanceService
 
         grid = generators.grid_graph(3, 3)
-        for name in ("single-pair", "boundary-relay"):
-            with pytest.raises(PrivacyError):
-                DistanceService(grid, 1.0, rng, mechanism=name)
+        with pytest.raises(MechanismError):
+            DistanceService(grid, 1.0, rng, mechanism=name)
+        # The config refuses the name itself, before any service.
+        with pytest.raises(MechanismError):
+            ServingConfig(mechanism=name)
 
     def test_forced_build_matches_direct_mechanism_build(self, rng):
         """Forcing a mechanism through the service draws the same

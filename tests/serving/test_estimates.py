@@ -24,7 +24,6 @@ from repro import (
 from repro.algorithms.shortest_paths import all_pairs_dijkstra
 from repro.exceptions import GraphError, PrivacyError
 from repro.graphs import generators
-from repro.mechanisms import MechanismParams, get_mechanism
 from repro.serving import build_single_pair_synopsis
 from repro.workloads import grid_road_network
 
@@ -139,15 +138,11 @@ class TestNoiseScalePerMechanism:
         assert synopsis.noise_scale_for(*pairs[0]) == synopsis.noise_scale
 
     def test_boundary_relay_scale(self, rng):
-        grid = generators.grid_graph(4, 4)
-        sites = tuple(grid.vertices())[:6]
-        synopsis = get_mechanism("boundary-relay").build(
-            grid,
-            MechanismParams(budget=PrivacyParams(1.0), sites=sites),
-            rng,
+        service = DistanceService(
+            generators.grid_graph(4, 4), 1.0, rng, shards=2
         )
-        assert synopsis.noise_scale > 0.0
-        assert synopsis.noise_scale_for(sites[0], sites[1]) > 0.0
+        assert service.relay.noise_scale > 0.0
+        assert service.relay.scale_for(0, 1) > 0.0
 
     def test_identical_pair_reports_zero_scale(self, rng):
         """Regression: ``distance(v, v)`` is a deterministic 0 for

@@ -17,17 +17,18 @@ from repro import (
     release_tree_all_pairs,
 )
 from repro.graphs import RootedTree, generators
+from repro.graphs.io import _decode_vertex, _encode_vertex
 from repro.serving import (
     AllPairsSynopsis,
     BoundedWeightSynopsis,
     DistanceSynopsis,
     SinglePairSynopsis,
     TreeSynopsis,
+    build_all_pairs_synopsis,
     build_single_pair_synopsis,
-    register_synopsis,
     synopsis_from_json,
 )
-from repro.serving.synopsis import canonical_pair
+from repro.serving.synopsis import _KINDS, canonical_pair
 
 
 class TestCanonicalPair:
@@ -207,12 +208,16 @@ class TestRegistry:
                 )
             )
 
-    def test_duplicate_kind_rejected(self):
-        with pytest.raises(ValueError):
+    def test_every_synopsis_kind_is_readable(self):
+        # The reader's kind table is literal: a synopsis class left out
+        # of it would write documents nothing reads back.
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
 
-            @register_synopsis
-            class Clash(DistanceSynopsis):  # pragma: no cover
-                kind = "all-pairs"
+        kinds = {c.kind: c for c in subclasses(DistanceSynopsis) if c.kind}
+        assert kinds == _KINDS
 
 
 class TestHubSetSynopsis:
@@ -464,10 +469,78 @@ _HUB_MALFORMED = {
 }
 
 
+#: The released pair table of each pair-table kind.
+_TABLE = {
+    "all-pairs": "pairs",
+    "single-pair": "pairs",
+    "bounded-weight": "covering_pairs",
+}
+
+
+def _pair_document(kind):
+    """A released all-pairs, single-pair or bounded-weight synopsis
+    document with at least three table rows; the bounded-weight
+    covering has at least three vertices."""
+    graph = generators.grid_graph(6, 6)
+    if kind == "all-pairs":
+        synopsis = build_all_pairs_synopsis(
+            generators.grid_graph(3, 3), 1.0, Rng(5)
+        )
+    elif kind == "single-pair":
+        synopsis = build_single_pair_synopsis(
+            graph,
+            [((0, 0), (5, 5)), ((0, 1), (4, 4)), ((2, 3), (1, 0))],
+            1.0,
+            Rng(5),
+        )
+    else:
+        synopsis = BoundedWeightSynopsis.from_release(
+            release_bounded_weight(graph, 1.0, 1.0, Rng(5), k=1)
+        )
+    document = json.loads(synopsis.to_json())
+    assert len(document[_TABLE[kind]]) >= 3
+    return document
+
+
+def _cell(column, value):
+    """Set one cell of the first table row; a callable value is first
+    computed from that row."""
+
+    def edit(document, table):
+        row = document[table][0]
+        row[column] = value(row) if callable(value) else value
+
+    return edit
+
+
+def _repeat(reverse):
+    """Append a second row, with another value, for the first pair."""
+
+    def edit(document, table):
+        s, t, value = document[table][0]
+        document[table].append(
+            [t, s, value + 1.0] if reverse else [s, t, value + 1.0]
+        )
+
+    return edit
+
+
+#: One malformation of a released pair table per case.
+_PAIR_MALFORMED = {
+    "nan-value": _cell(2, _NAN),
+    "inf-value": _cell(2, float("inf")),
+    "nan-string": _cell(2, "nan"),
+    "pair-repeated": _repeat(reverse=False),
+    "pair-repeated-reversed": _repeat(reverse=True),
+    "self-pair": _cell(1, lambda row: row[0]),
+    "endpoint-outside-vertices": _cell(1, _encode_vertex((99, 99))),
+}
+
+
 class TestMalformedDocuments:
-    """The ``repro-synopsis`` reader refuses tree and hub documents
-    that would loop, index outside the sites or answer NaN — checked
-    on load, so builds pay nothing."""
+    """The ``repro-synopsis`` reader refuses documents that would
+    loop, index outside the sites, answer NaN or fail a query it
+    should answer — checked on load, so builds pay nothing."""
 
     def test_valid_tree_document_loads(self):
         synopsis = synopsis_from_json(json.dumps(_tree_document()))
@@ -486,5 +559,39 @@ class TestMalformedDocuments:
     def test_hub_refused(self, case, kind):
         document = _hub_document(kind)
         _HUB_MALFORMED[case](document)
+        with pytest.raises(SynopsisError):
+            synopsis_from_json(json.dumps(document))
+
+    @pytest.mark.parametrize("kind", sorted(_TABLE))
+    def test_valid_pair_document_loads(self, kind):
+        document = _pair_document(kind)
+        synopsis = synopsis_from_json(json.dumps(document))
+        s, t, value = document[_TABLE[kind]][0]
+        assert synopsis.distance(_decode_vertex(s), _decode_vertex(t)) == value
+
+    @pytest.mark.parametrize("kind", sorted(_TABLE))
+    @pytest.mark.parametrize("case", sorted(_PAIR_MALFORMED))
+    def test_pair_table_refused(self, case, kind):
+        document = _pair_document(kind)
+        _PAIR_MALFORMED[case](document, _TABLE[kind])
+        with pytest.raises(SynopsisError):
+            synopsis_from_json(json.dumps(document))
+
+    @pytest.mark.parametrize("kind", ["all-pairs", "bounded-weight"])
+    def test_missing_pair_refused(self, kind):
+        # A workload table answers only its own pairs; these two must
+        # answer every pair of their vertices.
+        document = _pair_document(kind)
+        del document[_TABLE[kind]][-1]
+        with pytest.raises(SynopsisError):
+            synopsis_from_json(json.dumps(document))
+
+    def test_assignment_outside_covering_refused(self):
+        document = _pair_document("bounded-weight")
+        covering = [z for _, z in document["assignment"]]
+        outside = next(
+            v for v, _ in document["assignment"] if v not in covering
+        )
+        document["assignment"][0][1] = outside
         with pytest.raises(SynopsisError):
             synopsis_from_json(json.dumps(document))
