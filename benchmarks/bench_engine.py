@@ -6,7 +6,7 @@ through each implementation and reports wall-clock seconds, speedup
 over the dict-based reference, and whether the distances agree *bit
 for bit*:
 
-* ``dict reference`` — ``_dijkstra_reference`` from every source;
+* ``dict reference`` — ``dijkstra`` from every source;
 * ``CSR sweep`` — ``all_pairs_dijkstra``, one CSR multi-source sweep
   (scipy's C Dijkstra when available, vectorized relaxation
   otherwise);
@@ -29,10 +29,7 @@ from typing import Callable, Tuple
 sys.path.insert(0, ".")  # allow `python benchmarks/bench_engine.py`
 
 from benchmarks.common import fresh_rng, print_experiment
-from repro.algorithms.shortest_paths import (
-    _dijkstra_reference,
-    all_pairs_dijkstra,
-)
+from repro.algorithms.shortest_paths import all_pairs_dijkstra, dijkstra
 from repro.analysis import render_table
 from repro.engine import CSRGraph, kernels
 from repro.graphs import generators
@@ -74,7 +71,7 @@ def run_experiment(quick: bool = False) -> str:
 
     t_reference, reference = _best_of(
         lambda: {
-            s: _dijkstra_reference(graph, s)[0]
+            s: dijkstra(graph, s)[0]
             for s in graph.vertex_list()
         },
         trials,

@@ -62,9 +62,9 @@ def run_experiment() -> str:
     for i, eps in enumerate(EPS_VALUES):
         report = replay_rush_hour(
             fresh_rng(160 + i),
+            ServingConfig(eps=eps),
             rows=ROWS,
             cols=COLS,
-            eps=eps,
             epochs=1,
             queries_per_epoch=QUERIES,
             telemetry=_TELEMETRY,

@@ -5,7 +5,7 @@ Walks the redesigned serving API end to end:
 
 1. describe a deployment as a ``ServingConfig`` and round-trip it
    through JSON (it is a public manifest — mechanism names, budgets,
-   seeds — never private data),
+   size knobs — never private data),
 2. stand the server up with ``serve(graph, config, rng)``,
 3. ask for rich ``Estimate`` answers — value, effective noise scale,
    Laplace confidence interval — instead of bare floats,

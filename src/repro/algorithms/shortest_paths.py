@@ -8,12 +8,10 @@ covering vertices).  Bellman–Ford handles the negative weights that the
 Appendix-B problems permit.
 
 :func:`all_pairs_dijkstra` is one multi-source sweep of the CSR
-kernels in :mod:`repro.engine.kernels`.  :func:`dijkstra` runs one of
-two implementations of the same computation: this module's dict-based
-search (``_dijkstra_reference``, also the tests' reference) below
-|E| = 2048, the CSR kernel from there.  Both return bit-identical
-distances (minima over left-associated floating-point path sums), so
-which one runs is a speed detail, decided from the public size alone.
+kernels in :mod:`repro.engine.kernels`; :func:`dijkstra` is one
+binary-heap search over the graph's own adjacency, which needs no
+compiled graph.  Both return the same distance bits (minima over
+left-associated floating-point path sums).
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from typing import Dict, Iterable, List, Tuple
 import numpy as np
 
 from ..engine.csr import CSRGraph
-from ..engine.kernels import kernel_span, multi_source_distances, sssp_dijkstra
+from ..engine.kernels import kernel_span, multi_source_distances
 from ..exceptions import (
     DisconnectedGraphError,
     GraphError,
@@ -42,10 +40,6 @@ __all__ = [
     "reconstruct_path",
 ]
 
-#: Single-source searches run the CSR kernel from this many edges.
-_SSSP_CSR_MIN_EDGES = 2048
-
-
 def dijkstra(
     graph: WeightedGraph,
     source: Vertex,
@@ -57,9 +51,6 @@ def dijkstra(
     vertex (except the source) to its predecessor on a shortest path.
     With ``target`` given, the search stops once the target is settled,
     and both maps hold only the vertices settled by then.
-    Graphs with at least ``_SSSP_CSR_MIN_EDGES`` edges run the CSR
-    kernel, smaller ones the dict-based search; the distances are the
-    same bits either way.
 
     Raises :class:`~repro.exceptions.WeightError` on a negative edge
     weight — use :func:`bellman_ford` for those.
@@ -68,65 +59,35 @@ def dijkstra(
         raise VertexNotFoundError(source)
     if target is not None and not graph.has_vertex(target):
         raise VertexNotFoundError(target)
-    if graph.num_edges < _SSSP_CSR_MIN_EDGES:
-        with kernel_span("engine.sssp"):
-            return _dijkstra_reference(graph, source, target)
-    csr = CSRGraph.from_graph(graph)
-    t = csr.index_of(target) if target is not None else None
-    with kernel_span("engine.sssp"):
-        dist, pred = sssp_dijkstra(csr, csr.index_of(source), t)
-    vertices = csr.vertices
-    distances = {
-        vertices[i]: d
-        for i, d in enumerate(dist.tolist())
-        if d != float("inf")
-    }
-    parents = {
-        vertices[i]: vertices[p]
-        for i, p in enumerate(pred.tolist())
-        if p >= 0
-    }
-    return distances, parents
-
-
-def _dijkstra_reference(
-    graph: WeightedGraph,
-    source: Vertex,
-    target: Vertex | None = None,
-) -> Tuple[Dict[Vertex, float], Dict[Vertex, Vertex]]:
-    """The dict-based binary-heap implementation: what :func:`dijkstra`
-    runs on small graphs, and the reference the CSR kernels are tested
-    against."""
-    if not graph.has_vertex(source):
-        raise VertexNotFoundError(source)
     distances: Dict[Vertex, float] = {}
     parents: Dict[Vertex, Vertex] = {}
     counter = 0  # tiebreaker so heap never compares vertices
     heap: List[Tuple[float, int, Vertex]] = [(0.0, counter, source)]
     tentative: Dict[Vertex, float] = {source: 0.0}
-    while heap:
-        dist, _, v = heapq.heappop(heap)
-        if v in distances:
-            continue
-        distances[v] = dist
-        if v == target:
-            # Drop the tentative parents of vertices left unsettled.
-            parents = {u: p for u, p in parents.items() if u in distances}
-            break
-        for u, weight in graph.neighbors(v):
-            if weight < 0:
-                raise WeightError(
-                    f"Dijkstra requires nonnegative weights; edge "
-                    f"({v!r}, {u!r}) has weight {weight}"
-                )
-            candidate = dist + weight
-            if u not in distances and candidate < tentative.get(
-                u, float("inf")
-            ):
-                tentative[u] = candidate
-                parents[u] = v
-                counter += 1
-                heapq.heappush(heap, (candidate, counter, u))
+    with kernel_span("engine.sssp"):
+        while heap:
+            dist, _, v = heapq.heappop(heap)
+            if v in distances:
+                continue
+            distances[v] = dist
+            if v == target:
+                # Drop the tentative parents of vertices left unsettled.
+                parents = {u: p for u, p in parents.items() if u in distances}
+                break
+            for u, weight in graph.neighbors(v):
+                if weight < 0:
+                    raise WeightError(
+                        f"Dijkstra requires nonnegative weights; edge "
+                        f"({v!r}, {u!r}) has weight {weight}"
+                    )
+                candidate = dist + weight
+                if u not in distances and candidate < tentative.get(
+                    u, float("inf")
+                ):
+                    tentative[u] = candidate
+                    parents[u] = v
+                    counter += 1
+                    heapq.heappush(heap, (candidate, counter, u))
     return distances, parents
 
 

@@ -752,11 +752,15 @@ def _cmd_mst(args: argparse.Namespace) -> int:
 
 def _serving_config(args: argparse.Namespace):
     """Assemble the declarative :class:`~repro.serving.ServingConfig`
-    for the ``serve`` subcommand: the ``--config`` document (if any)
+    for ``serve`` and ``simulate``: the ``--config`` document (if any)
     as the base, explicit flags layered on top."""
     from .exceptions import GraphError
     from .serving import ServingConfig
 
+    missing_eps = (
+        f"{args.command} needs --eps (or a --config document "
+        "providing it)"
+    )
     if args.config:
         text = Path(args.config).read_text()
         config = ServingConfig.from_json(text)
@@ -764,14 +768,10 @@ def _serving_config(args: argparse.Namespace):
         # explicitly (ServingConfig's eps=1.0 dataclass default is for
         # library callers who wrote it in code, not config files).
         if args.eps is None and "eps" not in json.loads(text):
-            raise GraphError(
-                "serve needs --eps (or a --config document providing it)"
-            )
+            raise GraphError(missing_eps)
     else:
         if args.eps is None:
-            raise GraphError(
-                "serve needs --eps (or a --config document providing it)"
-            )
+            raise GraphError(missing_eps)
         config = ServingConfig()
     overrides: dict = {}
     if args.eps is not None:
@@ -819,7 +819,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args, telemetry
     )
 
-    def run():  # privlint: ignore[PL1] prints released estimates served from the budget-accounted noised synopsis
+    def run():
         service = serve(graph, config, rng, telemetry=telemetry)
         print(
             f"# mechanism: {service.mechanism}  "
@@ -855,7 +855,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:  # privlint: ignore[PL1] prints released estimates and analyst-side error metrics from the replay harness
     from .exceptions import GraphError
-    from .serving import ServingConfig, replay_rush_hour
+    from .serving import replay_rush_hour
     from .telemetry import Telemetry
 
     rng = Rng(args.seed)
@@ -867,7 +867,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:  # privlint: ignore[PL1] pri
         # The config document is the single source of truth here —
         # refuse explicit serving flags rather than silently dropping
         # them (serve's flags-override-config layering would be
-        # ambiguous for a whole replay's worth of parameters).
+        # ambiguous for a whole replay's worth of parameters).  The
+        # journal flags are operational and may ride along.
         clashes = sorted(
             name
             for name, value in (
@@ -885,26 +886,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:  # privlint: ignore[PL1] pri
                 f"parameters ({', '.join(clashes)}); pass one or the "
                 "other"
             )
-        text = Path(args.config).read_text()
-        serving = {"config": ServingConfig.from_json(text)}
-        if "eps" not in json.loads(text):
-            raise GraphError(
-                "simulate needs --eps (or a --config document "
-                "providing it)"
-            )
-    else:
-        if args.eps is None:
-            raise GraphError(
-                "simulate needs --eps (or a --config document "
-                "providing it)"
-            )
-        serving = dict(
-            eps=args.eps,
-            delta=args.delta or 0.0,
-            weight_bound=args.weight_bound,
-            mechanism=args.mechanism,
-            shards=args.shards,
-        )
+    config = _serving_config(args)
     report = _run_observed(
         telemetry,
         profiler,
@@ -912,14 +894,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:  # privlint: ignore[PL1] pri
         "simulate.run",
         lambda: replay_rush_hour(
             rng,
+            config,
             rows=args.rows,
             cols=args.cols,
             epochs=args.epochs,
             queries_per_epoch=args.queries,
-            **serving,
             telemetry=telemetry,
-            audit_log=args.audit_log,
-            event_log=args.event_log,
         ),
     )
     if args.metrics_out:

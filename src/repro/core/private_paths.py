@@ -114,7 +114,7 @@ class PrivatePathsRelease:
         path, _ = dijkstra_path(self._released, source, target)
         return path
 
-    def path_with_released_weight(  # privlint: ignore[PL1] exact Dijkstra over the already-noised released graph; post-processing is privacy-free
+    def path_with_released_weight(
         self, source: Vertex, target: Vertex
     ) -> Tuple[List[Vertex], float]:
         """The released path together with its ``w'`` weight."""
@@ -128,7 +128,7 @@ class PrivatePathsRelease:
             for target in distances
         }
 
-    def all_pairs_paths(  # privlint: ignore[PL1] exact sweeps over the already-noised released graph; post-processing is privacy-free
+    def all_pairs_paths(
         self,
     ) -> Dict[Vertex, Dict[Vertex, List[Vertex]]]:
         """Released paths between every pair — one privacy budget pays

@@ -73,7 +73,7 @@ class SyntheticGraphRelease:
         _, weight = dijkstra_path(self._released, source, target)
         return weight
 
-    def shortest_path(  # privlint: ignore[PL1] exact Dijkstra over the already-noised released graph; post-processing is privacy-free
+    def shortest_path(
         self, source: Vertex, target: Vertex
     ) -> Tuple[List[Vertex], float]:
         """A path that is shortest *in the released graph*, and its

@@ -8,19 +8,18 @@ shortest-path computation.  Three pieces:
   integer-indexed compilation of a
   :class:`~repro.graphs.graph.WeightedGraph` (cached, invalidated by
   the graph's version counters, cheaply re-weightable);
-* :mod:`repro.engine.kernels` — index-based single-source Dijkstra,
-  multi-source distances (scipy's C Dijkstra, or a vectorized
-  relaxation without scipy), and the profiler-gated ``engine.*``
-  kernel spans;
+* :mod:`repro.engine.kernels` — multi-source distances (scipy's C
+  Dijkstra, or a vectorized relaxation without scipy) and the
+  profiler-gated ``engine.*`` kernel spans;
 * :mod:`repro.engine.frontier` — level-synchronous breadth-first
   search from chunks of sources (hop balls, BFS trees, reachability,
   weak connectivity), touching only the vertices it reaches.
 
 There is one exact-distance engine.
 :func:`repro.algorithms.all_pairs_dijkstra` is one multi-source sweep
-of these kernels; :func:`repro.algorithms.dijkstra` decides from the
-public size |E| whether a call runs them or the dict-based reference.
-Both return bit-identical distances.
+of these kernels; :func:`repro.algorithms.dijkstra` is one heap
+search over the graph's own adjacency and compiles nothing.  Both
+return bit-identical distances.
 """
 
 from . import kernels

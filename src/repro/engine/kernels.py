@@ -1,24 +1,18 @@
 """Index-based graph kernels over :class:`~repro.engine.csr.CSRGraph`.
 
 The exact-distance engine behind
-:func:`repro.algorithms.shortest_paths.all_pairs_dijkstra`, behind
-:func:`~repro.algorithms.shortest_paths.dijkstra` from |E| = 2048, and
-behind every engine-native build (the hub releases, the all-pairs
-synopsis):
+:func:`repro.algorithms.shortest_paths.all_pairs_dijkstra` and behind
+every engine-native build (the hub releases, the all-pairs synopsis):
 
-* :func:`sssp_dijkstra` — single-source Dijkstra over the CSR arrays
-  with an integer binary heap; bit-identical distances to the
-  dict-based reference (both compute the minimum over left-associated
-  floating-point path sums).
 * :func:`multi_source_distances` — the all-pairs workhorse.  When
   scipy is importable it runs ``scipy.sparse.csgraph.dijkstra``
   directly over the CSR arrays (zero-copy); otherwise it falls back to
   :func:`relaxation_distances`, a pull-style vectorized Bellman–Ford —
   one ``minimum.reduceat`` sweep over every arc per round, all sources
-  in a block simultaneously.  Either way every entry equals the
-  reference Dijkstra value exactly: all three computations are minima
-  over left-associated floating-point path sums, and floating-point
-  ``min`` is exact.
+  in a block simultaneously.  Either way every entry equals
+  :func:`~repro.algorithms.shortest_paths.dijkstra`'s value exactly:
+  all three computations are minima over left-associated
+  floating-point path sums, and floating-point ``min`` is exact.
 * :func:`kernel_span` — the profiler-gated tracer span every kernel
   call site opens (``engine.sssp``, ``engine.all_pairs``,
   ``engine.hub_rows``, ...).
@@ -26,9 +20,8 @@ synopsis):
 
 from __future__ import annotations
 
-import heapq
 from contextlib import nullcontext
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +30,6 @@ from ..telemetry import get_telemetry
 from .csr import CSRGraph
 
 __all__ = [
-    "sssp_dijkstra",
     "multi_source_distances",
     "relaxation_distances",
     "kernel_span",
@@ -67,61 +59,6 @@ def kernel_span(name: str, **attributes: object):
     return nullcontext()
 
 
-def sssp_dijkstra(
-    csr: CSRGraph, source: int, target: int | None = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Single-source Dijkstra over CSR arrays.
-
-    Returns ``(dist, pred)``: ``dist[v]`` is the distance of every
-    *settled* vertex (``inf`` otherwise), ``pred[v]`` the predecessor
-    index on a shortest path (``-1`` for the source and every vertex
-    not settled).  With ``target`` given the search stops once the
-    target settles.  Raises :class:`~repro.exceptions.WeightError` when a
-    negative arc is scanned, mirroring the reference implementation.
-    """
-    n = csr.n
-    if not 0 <= source < n:
-        raise EngineError(f"source index {source} out of range [0, {n})")
-    # Plain-Python views: list indexing in the hot loop is several
-    # times faster than ndarray scalar indexing.
-    indptr = csr.indptr.tolist()
-    indices = csr.indices.tolist()
-    weights = csr.weights.tolist()
-    dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=np.int64)
-    settled = bytearray(n)
-    tentative = [float("inf")] * n
-    tentative[source] = 0.0
-    heap: List[Tuple[float, int, int]] = [(0.0, 0, source)]
-    counter = 0
-    while heap:
-        d, _, v = heapq.heappop(heap)
-        if settled[v]:
-            continue
-        settled[v] = 1
-        dist[v] = d
-        if v == target:
-            # Drop the tentative parents of vertices left unsettled.
-            pred[np.frombuffer(settled, dtype=np.uint8) == 0] = -1
-            break
-        for a in range(indptr[v], indptr[v + 1]):
-            w = weights[a]
-            if w < 0:
-                raise WeightError(
-                    f"Dijkstra requires nonnegative weights; edge "
-                    f"({csr.vertex_at(v)!r}, {csr.vertex_at(indices[a])!r}) "
-                    f"has weight {w}"
-                )
-            u = indices[a]
-            candidate = d + w
-            if not settled[u] and candidate < tentative[u]:
-                tentative[u] = candidate
-                pred[u] = v
-                counter += 1
-                heapq.heappush(heap, (candidate, counter, u))
-    return dist, pred
-
-
 def multi_source_distances(
     csr: CSRGraph,
     sources: Sequence[int] | np.ndarray,
@@ -132,8 +69,8 @@ def multi_source_distances(
     Returns a ``(len(sources), n)`` float matrix with ``inf`` for
     unreachable targets.  Dispatches to scipy's C Dijkstra when scipy
     is importable (zero-copy over the CSR arrays) and to
-    :func:`relaxation_distances` otherwise; both match the reference
-    Dijkstra bit for bit.
+    :func:`relaxation_distances` otherwise; both match
+    :func:`~repro.algorithms.shortest_paths.dijkstra` bit for bit.
 
     ``limit`` bounds the search: targets farther than it come back
     ``inf``, and every target within it (inclusive) keeps its

@@ -53,7 +53,6 @@ from fnmatch import fnmatch
 from typing import (
     Dict,
     FrozenSet,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -63,7 +62,7 @@ from typing import (
 )
 
 from .callgraph import SPEND_NAMES, CallGraph, FunctionNode, is_draw_name
-from .engine import FunctionInfo, ModuleUnit, ProjectContext
+from .engine import ModuleUnit, ProjectContext
 from .findings import Finding
 from .suppressions import is_suppressed
 
@@ -104,16 +103,6 @@ class Rule:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-def _call_target(node: ast.Call) -> Optional[str]:
-    """The called name: ``f(...)`` -> ``f``, ``x.m(...)`` -> ``m``."""
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
 
 
 #: Wall-clock reads (dotted import origins).  ``time.perf_counter`` /
@@ -399,20 +388,6 @@ class PL1WeightTaint(Rule):
             if nid in blind_candidates:
                 node = graph.nodes[nid]
                 context.mark_suppression_used(node.path, node.lineno)
-
-
-def _owned_walk(
-    info: FunctionInfo, node: ast.AST
-) -> Iterable[ast.AST]:
-    """Walk ``node`` without crossing into nested function bodies
-    (those are owned — and checked — separately)."""
-    yield node
-    if isinstance(
-        node, (ast.FunctionDef, ast.AsyncFunctionDef)
-    ) and node is not info.node:
-        return
-    for child in ast.iter_child_nodes(node):
-        yield from _owned_walk(info, child)
 
 
 # ----------------------------------------------------------------------

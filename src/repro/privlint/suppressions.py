@@ -25,7 +25,7 @@ from __future__ import annotations
 import io
 import re
 import tokenize
-from typing import Dict, FrozenSet, Iterable, List
+from typing import Dict, FrozenSet, List
 
 from ..exceptions import LintError
 
@@ -98,8 +98,3 @@ def is_suppressed(
     """True when ``rule`` is suppressed on ``line``."""
     rules = suppressions.get(line)
     return rules is not None and (rule in rules or "*" in rules)
-
-
-def known_rule_names(rules: Iterable[object]) -> FrozenSet[str]:
-    """The rule-id vocabulary of a rule pipeline (for validation)."""
-    return frozenset(getattr(rule, "name") for rule in rules)

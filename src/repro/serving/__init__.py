@@ -39,7 +39,7 @@ from .sharding import (
     ShardedDistanceService,
     partition_graph,
 )
-from .config import EPOCH_POLICIES, ServingConfig, serve
+from .config import ServingConfig, serve
 from .simulate import EpochResult, SimulationReport, replay_rush_hour
 from .synopsis import (
     AllPairsSynopsis,
@@ -58,7 +58,6 @@ __all__ = [
     "DistanceService",
     "ServingConfig",
     "serve",
-    "EPOCH_POLICIES",
     "Estimate",
     "ServiceStats",
     "ShardPlan",

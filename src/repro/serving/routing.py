@@ -34,13 +34,13 @@ from .synopsis import DistanceSynopsis
 __all__ = [
     "ShardPlan",
     "partition_graph",
-    "DEFAULT_RELAY_FRACTION",
+    "RELAY_FRACTION",
 ]
 
 #: Fraction of the epoch budget spent on the boundary-hub relay table
 #: when the plan has two or more shards; the rest goes to every shard
 #: tenant (parallel composition over disjoint intra-shard edge sets).
-DEFAULT_RELAY_FRACTION = 0.5
+RELAY_FRACTION = 0.5
 
 _PLAN_FORMAT = "repro-shard-plan"
 _PLAN_VERSION = 1
@@ -94,7 +94,6 @@ class ShardPlan:
                 raise GraphError(f"shard {shard} has no vertices")
         self._members = [tuple(m) for m in members]
         self._boundary = tuple(boundary)
-        self._boundary_set = frozenset(self._boundary)
         for vertex in self._boundary:
             if vertex not in self._assignment:
                 raise GraphError(
@@ -177,10 +176,6 @@ class ShardPlan:
     def shard_sizes(self) -> List[int]:
         """Vertex count per shard."""
         return [len(m) for m in self._members]
-
-    def is_boundary(self, vertex: Vertex) -> bool:
-        """Whether a vertex is an endpoint of a cut edge."""
-        return vertex in self._boundary_set
 
     def assignment(self) -> Dict[Vertex, int]:
         """The full vertex -> shard mapping (a copy)."""

@@ -58,7 +58,7 @@ from ..apsp.hubs import (
 )
 from ..dp.params import PrivacyParams
 from ..engine.csr import CSRGraph, share_structure
-from ..exceptions import GraphError, PrivacyError
+from ..exceptions import GraphError
 from ..graphs.graph import Edge, Vertex, WeightedGraph
 from ..mechanisms import (
     MechanismParams,
@@ -73,7 +73,7 @@ from .batching import BatchPlanner, BatchReport, BoundedCache
 from .estimates import Estimate
 from .ledger import BudgetLedger
 from .routing import (
-    DEFAULT_RELAY_FRACTION,
+    RELAY_FRACTION,
     ShardPlan,
     _ShardRouter,
     _Tenant,
@@ -240,9 +240,10 @@ class DistanceService:
         The ``(eps, delta)`` guarantee promised per epoch (a bare
         float is taken as pure eps).  Unsharded, the whole budget is
         spent on one synopsis per epoch.  With two or more shards it
-        splits ``(1 - relay_fraction)`` to every shard tenant
-        (parallel composition over disjoint intra-shard edge sets)
-        and ``relay_fraction`` to the boundary-hub relay.
+        splits ``1 - RELAY_FRACTION`` to every shard tenant (parallel
+        composition over disjoint intra-shard edge sets) and
+        :data:`~repro.serving.routing.RELAY_FRACTION` to the
+        boundary-hub relay.
     rng:
         Noise source for the releases, consumed tenant 0..k-1 then
         relay — a fixed, reproducible order.
@@ -280,18 +281,12 @@ class DistanceService:
         Instrumentation never touches the rng — answers are
         bit-identical whatever bundle is in force.
     shards:
-        How many regional tenants to partition into (``None`` means
-        the plan's count, or 1 without a plan).
+        How many regional tenants to partition into with
+        :func:`~repro.serving.routing.partition_graph` at seed 0
+        (``None`` means the plan's count, or 1 without a plan).
     plan:
         Use an existing :class:`~repro.serving.routing.ShardPlan`
-        instead of partitioning.
-    partition_seed:
-        Seed for :func:`~repro.serving.routing.partition_graph`
-        (topology-only).
-    relay_fraction:
-        Fraction of the epoch budget spent on the relay table when
-        there are two or more shards (default
-        :data:`~repro.serving.routing.DEFAULT_RELAY_FRACTION`).
+        instead of partitioning — the way to shard differently.
     """
 
     def __init__(
@@ -307,8 +302,6 @@ class DistanceService:
         telemetry: Telemetry | None = None,
         shards: int | None = None,
         plan: ShardPlan | None = None,
-        partition_seed: int = 0,
-        relay_fraction: float = DEFAULT_RELAY_FRACTION,
     ) -> None:
         if isinstance(epoch_budget, (int, float)):
             epoch_budget = PrivacyParams(float(epoch_budget))
@@ -317,7 +310,7 @@ class DistanceService:
             get_mechanism(mechanism)
         if plan is None:
             if shards is not None and shards != 1:
-                plan = partition_graph(graph, shards, seed=partition_seed)
+                plan = partition_graph(graph, shards)
         else:
             if shards is not None and shards != plan.num_shards:
                 raise GraphError(
@@ -364,18 +357,13 @@ class DistanceService:
             self._tenants = [_Tenant(tenant, graph)]
             self._shards: _ShardRouter | None = None
         else:
-            if not 0.0 < relay_fraction < 1.0:
-                raise PrivacyError(
-                    f"relay_fraction must be in (0, 1), got "
-                    f"{relay_fraction}"
-                )
             self._shard_params = PrivacyParams(
-                epoch_budget.eps * (1.0 - relay_fraction),
-                epoch_budget.delta * (1.0 - relay_fraction),
+                epoch_budget.eps * (1.0 - RELAY_FRACTION),
+                epoch_budget.delta * (1.0 - RELAY_FRACTION),
             )
             self._relay_params = PrivacyParams(
-                epoch_budget.eps * relay_fraction,
-                epoch_budget.delta * relay_fraction,
+                epoch_budget.eps * RELAY_FRACTION,
+                epoch_budget.delta * RELAY_FRACTION,
             )
             self._tenants = [
                 _Tenant(
@@ -794,7 +782,7 @@ class DistanceService:
             epoch=self._ledger.epoch,
         )
 
-    def estimate_batch(  # privlint: ignore[PL1] serves values post-processed from the budget-accounted noised synopses
+    def estimate_batch(
         self, pairs: Sequence[Tuple[Vertex, Vertex]]
     ) -> List[Estimate]:
         """A batch of rich estimates, aligned with the input order.

@@ -4,11 +4,12 @@ A city-scale road network should not pay one monolithic synopsis
 rebuild per epoch when congestion updates are regional.
 ``DistanceService(..., shards=k)`` — or :class:`ShardedDistanceService`,
 the same front under a sharded default tenant name — splits the
-public topology into ``k`` balanced, connected *shards* (seeded BFS
-region growing — :func:`partition_graph`), runs one synopsis + ledger
-tenant per shard, and stitches cross-shard queries back together
-through a noisy hub structure built over the *boundary* vertices (the
-endpoints of cut edges) with :func:`repro.apsp.hubs.build_hub_structure`:
+public topology into ``k`` balanced, connected *shards* (BFS region
+growing from seed 0 — :func:`partition_graph`; pass ``plan=`` to
+shard any other way), runs one synopsis + ledger tenant per shard,
+and stitches cross-shard queries back together through a noisy hub
+structure built over the *boundary* vertices (the endpoints of cut
+edges) with :func:`repro.apsp.hubs.build_hub_structure`:
 
 * an **intra-shard** query is routed to the owning shard's synopsis —
   the unsharded serving path on a ``V/k``-vertex graph — then capped
@@ -36,18 +37,18 @@ only its shard's intra-shard edges — is at most ``max_i eps_i``.  The
 relay table reads *all* edges (boundary-to-boundary distances traverse
 the whole graph), so its budget adds.  One full build therefore costs
 ``eps_shard + eps_relay`` — the epoch budget — which the service
-realizes by giving every shard tenant ``(1 - relay_fraction)`` of the
-epoch budget and the relay tenant the remaining ``relay_fraction``,
-each spending under its own fail-closed ledger tenant.  Regional
-refreshes *re-spend* within the epoch (the other shards are still
-serving it), and the ledger caps every tenant at the full per-tenant
-epoch budget — the standard multi-tenant contract of
-:class:`~repro.serving.ledger.BudgetLedger` — so with the default
-private ledger the worst-case per-epoch loss on any one edge's weight
-once regional refreshes occur is ``(shard tenant cap) + (relay tenant
-cap)``, i.e. 2x the epoch budget; size the epoch budget, the relay
-fraction, or a stricter shared ledger accordingly.  The relay noise
-itself is priced by the shared
+realizes by giving every shard tenant ``1 - RELAY_FRACTION`` of the
+epoch budget and the relay tenant the remaining :data:`RELAY_FRACTION`
+(a constant, one half), each spending under its own fail-closed
+ledger tenant.  Regional refreshes *re-spend* within the epoch (the
+other shards are still serving it), and the ledger caps every tenant
+at the full per-tenant epoch budget — the standard multi-tenant
+contract of :class:`~repro.serving.ledger.BudgetLedger` — so with the
+default private ledger the worst-case per-epoch loss on any one
+edge's weight once regional refreshes occur is ``(shard tenant cap) +
+(relay tenant cap)``, i.e. 2x the epoch budget; size the epoch budget
+or a stricter shared ledger accordingly.  The relay noise itself is
+priced by the shared
 :func:`~repro.dp.composition.composed_noise_scale` accounting over the
 distinct boundary pairs the hub structure releases.
 
@@ -81,7 +82,7 @@ from ..rng import Rng
 # _ShardRouter is imported for its qualified name: perfbench's traced
 # runs wrap repro.serving.sharding._ShardRouter.distance.
 from .routing import (  # noqa: F401
-    DEFAULT_RELAY_FRACTION,
+    RELAY_FRACTION,
     ShardPlan,
     _ShardRouter,
     partition_graph,
@@ -92,7 +93,7 @@ __all__ = [
     "ShardPlan",
     "ShardedDistanceService",
     "partition_graph",
-    "DEFAULT_RELAY_FRACTION",
+    "RELAY_FRACTION",
 ]
 
 

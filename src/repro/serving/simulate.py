@@ -3,13 +3,13 @@
 This module closes the loop on the paper's motivating example.  It
 builds a synthetic city (:func:`repro.workloads.traffic.grid_road_network`),
 overlays a moving rush-hour hot-spot per epoch
-(:func:`repro.workloads.traffic.rush_hour_scenario`), stands up a
-server through the declarative
-:func:`~repro.serving.config.serve` path (sharded or not — the replay
-never branches on it), and replays batches of rider queries against
-it — measuring what a provider actually cares about: throughput
-(queries/second), empirical error versus the true congested
-distances, and the audited budget spend per epoch.
+(:func:`repro.workloads.traffic.rush_hour_scenario`), stands up the
+server a :class:`~repro.serving.config.ServingConfig` describes
+through the one :func:`~repro.serving.config.serve` path (sharded or
+not — the replay never branches on it), and replays batches of rider
+queries against it — measuring what a provider actually cares about:
+throughput (queries/second), empirical error versus the true
+congested distances, and the audited budget spend per epoch.
 
 The replay is fully deterministic given the :class:`~repro.rng.Rng`,
 so simulation results are regenerable bit-for-bit.
@@ -24,7 +24,7 @@ from ..algorithms.shortest_paths import all_pairs_dijkstra
 from ..exceptions import GraphError
 from ..graphs.graph import Vertex, WeightedGraph
 from ..rng import Rng
-from ..telemetry import NULL_TELEMETRY, Telemetry, use_telemetry
+from ..telemetry import Telemetry, use_telemetry
 from ..workloads.queries import uniform_pairs
 from ..workloads.traffic import (
     RoadNetwork,
@@ -143,21 +143,14 @@ def _exact_distances(
 
 def replay_rush_hour(
     rng: Rng,
+    config: ServingConfig = ServingConfig(),
     rows: int = 20,
     cols: int = 20,
-    eps: float = 1.0,
-    delta: float = 0.0,
     epochs: int = 1,
     queries_per_epoch: int = 1000,
-    weight_bound: float | None = None,
     slowdown: float = 3.0,
     block_minutes: float = 2.0,
-    mechanism: str | None = None,
-    shards: int | None = None,
-    config: ServingConfig | None = None,
     telemetry: Telemetry | None = None,
-    audit_log: str | None = None,
-    event_log: str | None = None,
 ) -> SimulationReport:
     """Replay rush-hour traffic through the serving engine.
 
@@ -166,66 +159,26 @@ def replay_rush_hour(
     batch of ``queries_per_epoch`` uniform rider queries, comparing
     the served answers against the true congested distances.
 
-    The server is stood up through the one
-    :func:`~repro.serving.config.serve` path: either from an explicit
-    declarative ``config`` (in which case ``eps`` / ``delta`` /
-    ``weight_bound`` / ``mechanism`` / ``shards`` must be left at
-    their defaults — the config is the single source of truth) or
-    from those flag-style parameters assembled into one.
-    With ``weight_bound`` set, epoch weights are additionally capped
-    (:func:`~repro.workloads.traffic.congestion_weights` semantics) so
-    the Section 4.2 covering mechanism can auto-select.  With 2+
-    shards each epoch is a full sharded rebuild (regional tenants +
-    boundary-hub relay); the replay itself never branches on sharding
-    — there is one :class:`~repro.serving.service.DistanceService`
-    front.
+    The server is stood up from ``config`` through the one
+    :func:`~repro.serving.config.serve` path, journals included.
+    With ``config.weight_bound`` set, epoch weights are additionally
+    capped (:func:`~repro.workloads.traffic.congestion_weights`
+    semantics) so the Section 4.2 covering mechanism can auto-select.
+    With 2+ shards each epoch is a full sharded rebuild (regional
+    tenants + boundary-hub relay); the replay itself never branches
+    on sharding — there is one
+    :class:`~repro.serving.service.DistanceService` front.
 
     ``telemetry`` is the bundle the replayed server records into; the
-    default is a *fresh private* bundle per replay (or the null
-    bundle when ``config.telemetry`` is off), so the report's latency
-    quantiles measure this replay alone rather than whatever else the
-    process-global registry has seen.  Pass a bundle explicitly to
-    aggregate across replays or to export the full snapshot
-    afterwards.
-
-    ``audit_log`` and ``event_log`` are *operational* overrides,
-    deliberately allowed alongside ``config=``: they rewrite
-    ``config.audit_log`` / ``config.event_log`` so the replayed
-    server appends its privacy audit trail and structured lifecycle
-    events to those JSONL paths (see :mod:`repro.telemetry.audit` and
-    :mod:`repro.telemetry.logging`).
+    default is a *fresh private* bundle per replay, so the report's
+    latency quantiles measure this replay alone rather than whatever
+    else the process-global registry has seen.  Pass a bundle
+    explicitly to aggregate across replays or to export the full
+    snapshot afterwards, or :data:`~repro.telemetry.NULL_TELEMETRY`
+    to record nothing (the report's latency is then empty).
     """
-    if config is not None:
-        overridden = {
-            "eps": eps != 1.0,
-            "delta": delta != 0.0,
-            "weight_bound": weight_bound is not None,
-            "mechanism": mechanism is not None,
-            "shards": shards is not None,
-        }
-        clashes = sorted(k for k, v in overridden.items() if v)
-        if clashes:
-            raise GraphError(
-                "replay_rush_hour got both config= and flag-style "
-                f"parameters ({', '.join(clashes)}); pass one or the "
-                "other"
-            )
-        eps, delta = config.eps, config.delta
-        weight_bound = config.weight_bound
-    else:
-        config = ServingConfig(
-            mechanism=mechanism if mechanism is not None else "auto",
-            eps=eps,
-            delta=delta,
-            weight_bound=weight_bound,
-            shards=shards if shards is not None else 1,
-        )
-    if audit_log is not None:
-        config = config.with_overrides(audit_log=audit_log)
-    if event_log is not None:
-        config = config.with_overrides(event_log=event_log)
     if telemetry is None:
-        telemetry = Telemetry() if config.telemetry else NULL_TELEMETRY
+        telemetry = Telemetry()
     if epochs < 1:
         raise GraphError(f"need at least 1 epoch, got {epochs}")
     if queries_per_epoch < 1:
@@ -246,14 +199,14 @@ def replay_rush_hour(
             network, rng, center=center, hot_radius=hot_radius,
             slowdown=slowdown,
         )
-        if weight_bound is not None:
+        if config.weight_bound is not None:
             # Cap the congested times at the public bound M so the
             # Section 4.2 mechanism's precondition holds.
             return congestion_weights(
                 RoadNetwork(graph=congested, positions=network.positions),
                 rng,
                 congestion_level=0.0,
-                cap=weight_bound,
+                cap=config.weight_bound,
             )
         return congested
 
@@ -292,8 +245,8 @@ def replay_rush_hour(
     assert service is not None
     return SimulationReport(
         mechanism=service.mechanism,
-        eps=eps,
-        delta=delta,
+        eps=config.eps,
+        delta=config.delta,
         num_epochs=epochs,
         epochs=results,
         ledger_spends=len(service.ledger.records()),

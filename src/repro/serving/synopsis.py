@@ -270,8 +270,12 @@ class _PairTableSynopsis(DistanceSynopsis):
         return self._lookup(source, target)
 
     def _payload(self) -> Dict[str, Any]:
+        # Sorted like canonical_pair orients pairs, so the bytes do not
+        # depend on the process's hash seed.
         return {
-            "vertices": [_encode_vertex(v) for v in self._vertices],
+            "vertices": [
+                _encode_vertex(v) for v in sorted(self._vertices, key=repr)
+            ],
             "pairs": _encode_pair_table(self._table),
         }
 
@@ -976,8 +980,7 @@ def build_all_pairs_synopsis(
     so with the same seed this builder releases bit-identical values
     to ``AllPairsSynopsis.from_release`` over either release — only
     faster.  The claim covers the released values, not the serialized
-    bytes: the JSON's public ``vertices`` list may be ordered
-    differently between the two.
+    bytes.
     """
     params = PrivacyParams(eps, delta)
     csr = CSRGraph.from_graph(graph)

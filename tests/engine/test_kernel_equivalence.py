@@ -1,29 +1,18 @@
-"""Seeded randomized equivalence: the public shortest-path functions
-against the dict-based reference ``_dijkstra_reference``, asserted
-*exactly*.
+"""Seeded randomized equivalence: the CSR kernels behind
+``all_pairs_dijkstra`` against ``dijkstra``, the dict-based heap
+search, asserted *exactly*.
 
-``all_pairs_dijkstra`` is always one CSR multi-source sweep;
-``dijkstra`` runs the CSR kernel from |E| = 2048 and the reference
-below that.  Either way the distances must be the reference's bits —
-both compute minima over left-associated floating-point path sums —
-so every check here is equality, never a tolerance.  The graph
-families are small, so their single-source cases force the CSR path
-(the ``csr_path`` fixture lowers the threshold to 0); the size-rule
-cases build graphs on each side of the threshold and keep the rule
-as it is, with fractional weights.
+Both compute minima over left-associated floating-point path sums, so
+every check here is equality, never a tolerance.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro import Rng, WeightedGraph
-from repro.algorithms import shortest_paths
 from repro.algorithms.shortest_paths import (
-    _dijkstra_reference,
     all_pairs_dijkstra,
     dijkstra,
     dijkstra_path,
@@ -31,6 +20,7 @@ from repro.algorithms.shortest_paths import (
 from repro.engine import CSRGraph, kernels
 from repro.exceptions import EngineError, VertexNotFoundError, WeightError
 from repro.graphs import generators
+from repro.telemetry import PhaseProfiler, Telemetry, use_telemetry
 
 SEED = 999331
 
@@ -74,7 +64,7 @@ FAMILIES = [_random_sparse, _grid, _tree, _disconnected]
 
 def _reference_all_pairs(graph, sources=None):
     chosen = graph.vertex_list() if sources is None else sources
-    return {s: _dijkstra_reference(graph, s)[0] for s in chosen}
+    return {s: dijkstra(graph, s)[0] for s in chosen}
 
 
 def _assert_parents(graph, source, distances, parents):
@@ -89,34 +79,20 @@ def _assert_parents(graph, source, distances, parents):
             assert distances[p] + graph.weight(p, v) == d
 
 
-@pytest.fixture
-def csr_path(monkeypatch):
-    """Send every single-source call down the CSR path, whatever its
-    size."""
-    monkeypatch.setattr(shortest_paths, "_SSSP_CSR_MIN_EDGES", 0)
+def _assert_early_exit(graph, source):
+    """``dijkstra`` stopped at the middle target of the sweep's row
+    settles every vertex closer than the target and none farther, each
+    at the sweep's distance bit for bit.  Returns what it settled."""
+    row = all_pairs_dijkstra(graph, sources=[source])[source]
+    target = sorted(row, key=row.get)[len(row) // 2]
+    distances, parents = dijkstra(graph, source, target=target)
+    assert distances[target] == row[target]
+    assert all(row[v] == d <= row[target] for v, d in distances.items())
+    assert {v for v, d in row.items() if d < row[target]} <= set(distances)
+    _assert_parents(graph, source, distances, parents)
+    return distances
 
 
-@pytest.fixture
-def ran(monkeypatch):
-    """How often each single-source implementation ran: the dict-based
-    search and the CSR kernel, counted as ``dijkstra`` calls them."""
-    calls = Counter()
-
-    def spy(name):
-        original = getattr(shortest_paths, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(shortest_paths, name, counted)
-
-    for name in ("_dijkstra_reference", "sssp_dijkstra"):
-        spy(name)
-    return calls
-
-
-@pytest.mark.usefixtures("csr_path")
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("trial", range(3))
 class TestCSRPathEquivalence:
@@ -131,20 +107,15 @@ class TestCSRPathEquivalence:
         graph = self._graph(family, trial)
         source = graph.vertex_list()[0]
         distances, parents = dijkstra(graph, source)
-        assert distances == _dijkstra_reference(graph, source)[0]
-        # The parents may differ from the reference's under ties, but
+        sweep = all_pairs_dijkstra(graph, sources=[source])
+        assert distances == sweep[source]
+        # Integer weights tie often: any optimal parent will do, but
         # each must lie on an optimal path.
         _assert_parents(graph, source, distances, parents)
 
     def test_sssp_early_exit_exact(self, family, trial):
         graph = self._graph(family, trial)
-        source = graph.vertex_list()[0]
-        reached = list(_dijkstra_reference(graph, source)[0])
-        target = reached[len(reached) // 2]
-        distances, parents = dijkstra(graph, source, target=target)
-        # Identical settled sets, not just the target's distance.
-        assert distances == _dijkstra_reference(graph, source, target)[0]
-        _assert_parents(graph, source, distances, parents)
+        _assert_early_exit(graph, graph.vertex_list()[0])
 
     def test_sources_subset_exact(self, family, trial):
         graph = self._graph(family, trial)
@@ -191,22 +162,24 @@ class TestCSRPathEquivalence:
 
 
 # ----------------------------------------------------------------------
-# The single-source size rule, from both sides of the threshold, and
-# the all-pairs sweep on small and large graphs
+# The single-source search and the all-pairs sweep on small and large
+# graphs
 # ----------------------------------------------------------------------
 
-#: ``(|E|, implementation dijkstra must run)``.
-SSSP_SIDES = [(2047, "_dijkstra_reference"), (2048, "sssp_dijkstra")]
+#: |E| of the single-source graphs: either side of 2048, where
+#: ``dijkstra`` once switched to a CSR search, and the edge counts of
+#: the 45x45 and 64x64 grids.
+SSSP_EDGES = [2047, 2048, 3960, 8064]
+
+#: Vertices of the single-source graphs (|E| ~ 5 to 20 |V|).
+SSSP_VERTICES = 400
 
 #: |V| of the all-pairs graphs: small enough that the sweep's setup
 #: outweighs the search, and large enough that it does not.
 APSP_SIZES = [9, 32]
 
-#: Vertices of the single-source graphs (|E| ~ 5 |V|).
-SSSP_VERTICES = 400
-
-#: The last vertices of a directed size-rule graph get no incoming
-#: arcs, so nothing else reaches them.
+#: The last vertices of a directed graph get no incoming arcs, so
+#: nothing else reaches them.
 UNREACHABLE = 3
 
 
@@ -230,53 +203,63 @@ def _unreachable(graph):
     return set(graph.vertex_list()[-UNREACHABLE:])
 
 
-def test_threshold_is_the_parents_default():
-    assert shortest_paths._SSSP_CSR_MIN_EDGES == 2048
-
-
-@pytest.mark.parametrize("edges, implementation", SSSP_SIDES)
-class TestSingleSourceSizeRule:
+@pytest.mark.parametrize("edges", SSSP_EDGES)
+class TestSingleSourceSizes:
     def _graph(self, edges, directed=False):
         return _sized_graph(
             SSSP_VERTICES, edges, SEED + edges, directed=directed
         )
 
-    def test_runs_the_sized_implementation(self, edges, implementation, ran):
-        dijkstra(self._graph(edges), 0)
-        assert ran == {implementation: 1}
+    def test_runs_one_traced_search(self, edges):
+        # One heap search per call at every size, booked to a single
+        # engine.sssp phase when a profiler is attached.
+        profiler = PhaseProfiler(trace_allocations=False)
+        with use_telemetry(Telemetry().with_profiler(profiler)):
+            dijkstra(self._graph(edges), 0)
+        counts = {name: s.count for name, s in profiler.phases().items()}
+        assert counts == {"engine.sssp": 1}
 
-    def test_distances_and_parents_exact(self, edges, implementation):
+    def test_distances_and_parents_exact(self, edges):
         graph = self._graph(edges)
         distances, parents = dijkstra(graph, 0)
-        assert distances == _dijkstra_reference(graph, 0)[0]
+        assert distances == all_pairs_dijkstra(graph, sources=[0])[0]
         assert len(distances) == graph.num_vertices
         _assert_parents(graph, 0, distances, parents)
 
-    def test_early_exit_target_exact(self, edges, implementation):
+    def test_early_exit_target_exact(self, edges):
         graph = self._graph(edges)
-        reached = list(_dijkstra_reference(graph, 0)[0])
-        target = reached[len(reached) // 2]
-        distances, parents = dijkstra(graph, 0, target=target)
-        assert distances == _dijkstra_reference(graph, 0, target)[0]
-        assert target in distances
+        distances = _assert_early_exit(graph, 0)
         assert len(distances) < graph.num_vertices
-        _assert_parents(graph, 0, distances, parents)
 
-    def test_directed_unreachable_exact(self, edges, implementation):
+    def test_directed_unreachable_exact(self, edges):
         graph = self._graph(edges, directed=True)
         distances, parents = dijkstra(graph, 0)
-        assert distances == _dijkstra_reference(graph, 0)[0]
+        assert distances == all_pairs_dijkstra(graph, sources=[0])[0]
         assert not _unreachable(graph) & (set(distances) | set(parents))
         _assert_parents(graph, 0, distances, parents)
 
-    def test_negative_weight_raises(self, edges, implementation):
+    def test_negative_weight_raises(self, edges):
         graph = self._graph(edges)
         neighbor, _ = next(graph.neighbors(0))
         graph.set_weight(0, neighbor, -1.0)
         with pytest.raises(WeightError):
-            _dijkstra_reference(graph, 0)
-        with pytest.raises(WeightError):
             dijkstra(graph, 0)
+
+
+@pytest.mark.parametrize("weights", ["unit", "integer"])
+@pytest.mark.parametrize("side", [45, 64])
+def test_grid_ties_exact(side, weights):
+    # Unit and small integer weights on a grid tie at almost every
+    # vertex: the distances are still the sweep's bits, and whichever
+    # parent the search keeps lies on an optimal path.
+    graph = generators.grid_graph(side)
+    if weights == "integer":
+        graph = _integer_weights(graph, Rng(SEED + side))
+    source = (0, 0)
+    distances, parents = dijkstra(graph, source)
+    assert distances == all_pairs_dijkstra(graph, sources=[source])[source]
+    assert len(distances) == side * side
+    _assert_parents(graph, source, distances, parents)
 
 
 @pytest.mark.parametrize("vertices", APSP_SIZES)
@@ -338,12 +321,9 @@ def test_all_pairs_degenerate_graphs(graph):
 
 
 class TestSemanticsParity:
-    @pytest.mark.parametrize("forced", [False, True], ids=["sized", "csr"])
-    def test_early_exit_keeps_only_settled_parents(self, forced, monkeypatch):
+    def test_early_exit_keeps_only_settled_parents(self):
         # a is reached from s (10) before b settles, but its shortest
         # path runs through b (1 + 1) and it is not settled by then.
-        if forced:
-            monkeypatch.setattr(shortest_paths, "_SSSP_CSR_MIN_EDGES", 0)
         graph = WeightedGraph.from_edges(
             [("s", "a", 10.0), ("s", "b", 1.0), ("b", "a", 1.0)]
         )
@@ -352,26 +332,15 @@ class TestSemanticsParity:
             {"b": "s"},
         )
 
-    def test_early_exit_target_matches(self, csr_path):
-        graph = _grid(Rng(SEED))
-        source, target = (0, 0), (6, 8)
-        distances, _ = dijkstra(graph, source, target=target)
-        # Identical settled sets, not just the target.
-        assert distances == _dijkstra_reference(graph, source, target)[0]
-
-    def test_dijkstra_path_agrees_with_csr_distances(self, csr_path):
+    def test_dijkstra_path_agrees_with_csr_distances(self):
         graph = _grid(Rng(SEED + 5))
         path, weight = dijkstra_path(graph, (0, 0), (6, 8))
         assert graph.is_path(path)
         assert graph.path_weight(path) == weight
-        assert weight == _dijkstra_reference(graph, (0, 0))[0][(6, 8)]
+        sweep = all_pairs_dijkstra(graph, sources=[(0, 0)])
+        assert weight == sweep[(0, 0)][(6, 8)]
 
-    @pytest.mark.parametrize("forced", [False, True], ids=["sized", "csr"])
-    def test_negative_weight_raises_on_both_paths(
-        self, forced, monkeypatch
-    ):
-        if forced:
-            monkeypatch.setattr(shortest_paths, "_SSSP_CSR_MIN_EDGES", 0)
+    def test_negative_weight_raises_on_both_paths(self):
         graph = WeightedGraph.from_edges(
             [(0, 1, 1.0), (1, 2, -2.0), (0, 2, 1.0)]
         )
@@ -392,4 +361,4 @@ class TestSemanticsParity:
     def test_reference_rejects_unknown_vertex(self):
         graph = generators.path_graph(3)
         with pytest.raises(VertexNotFoundError):
-            _dijkstra_reference(graph, "missing")
+            dijkstra(graph, "missing")

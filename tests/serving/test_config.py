@@ -4,6 +4,7 @@ serving config, the ``serve()`` factory, and the one
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -21,8 +22,8 @@ from repro import (
 )
 from repro.exceptions import PrivacyError
 from repro.graphs import generators
+from repro.serving import BudgetLedger, replay_rush_hour
 from repro.serving.batching import BoundedCache
-from repro.serving.config import EPOCH_POLICIES
 from repro.workloads import grid_road_network, uniform_pairs
 
 
@@ -33,15 +34,22 @@ class TestServingConfig:
             eps=0.5,
             delta=1e-6,
             weight_bound=3.0,
-            epoch_policy="fixed",
             shards=4,
-            relay_fraction=0.25,
-            partition_seed=7,
             cache_size=128,
             tenant="navigation",
+            audit_log="audit.jsonl",
+            event_log="events.jsonl",
+            profile=True,
         )
         restored = ServingConfig.from_json(config.to_json())
         assert restored == config
+        # Every field is set above: the config holds these ten, and
+        # the document is version 3.
+        assert [f.name for f in dataclasses.fields(ServingConfig)] == [
+            "mechanism", "eps", "delta", "weight_bound", "shards",
+            "cache_size", "tenant", "audit_log", "event_log", "profile",
+        ]
+        assert json.loads(config.to_json())["version"] == 3
 
     def test_defaults_round_trip(self):
         config = ServingConfig()
@@ -50,7 +58,7 @@ class TestServingConfig:
     def test_missing_fields_take_defaults(self):
         document = {
             "format": "repro-serving-config",
-            "version": 2,
+            "version": 3,
             "eps": 2.0,
         }
         config = ServingConfig.from_json(json.dumps(document))
@@ -61,7 +69,7 @@ class TestServingConfig:
     def test_unknown_fields_rejected(self):
         document = {
             "format": "repro-serving-config",
-            "version": 2,
+            "version": 3,
             "epsilon": 2.0,  # typo for eps
         }
         with pytest.raises(GraphError) as excinfo:
@@ -84,14 +92,9 @@ class TestServingConfig:
         with pytest.raises(MechanismError):
             ServingConfig(mechanism="quantum")
         with pytest.raises(GraphError):
-            ServingConfig(epoch_policy="sometimes")
-        with pytest.raises(GraphError):
             ServingConfig(shards=0)
-        with pytest.raises(PrivacyError):
-            ServingConfig(shards=2, relay_fraction=1.5)
         with pytest.raises(GraphError):
             ServingConfig(cache_size=0)
-        assert set(EPOCH_POLICIES) == {"rotate", "fixed"}
 
     def test_with_overrides_revalidates(self):
         config = ServingConfig(eps=1.0)
@@ -201,11 +204,12 @@ class TestServeFactory:
 
 
 class TestEpochPolicy:
+    """The server rotates the ledger it owns on every refresh; a
+    ledger it is handed is never rotated, which pins the epoch."""
+
     def test_rotate_policy_resets_budget_each_refresh(self, rng):
         grid = generators.grid_graph(3, 3)
-        service = serve(
-            grid, ServingConfig(eps=1.0, epoch_policy="rotate"), rng
-        )
+        service = serve(grid, ServingConfig(eps=1.0), rng)
         service.refresh()
         service.refresh()
         assert service.epoch == 2
@@ -213,8 +217,9 @@ class TestEpochPolicy:
 
     def test_fixed_policy_fails_closed_when_exhausted(self, rng):
         grid = generators.grid_graph(3, 3)
+        config = ServingConfig(eps=1.0)
         service = serve(
-            grid, ServingConfig(eps=1.0, epoch_policy="fixed"), rng
+            grid, config, rng, ledger=BudgetLedger(config.budget)
         )
         # The epoch never turns: a second full-budget rebuild busts
         # the per-epoch cap and is refused before drawing noise.
@@ -223,13 +228,11 @@ class TestEpochPolicy:
         assert service.epoch == 0
 
     def test_shared_ledger_wins_over_policy(self, rng):
-        from repro.serving import BudgetLedger
-
         ledger = BudgetLedger(PrivacyParams(2.0))
         grid = generators.grid_graph(3, 3)
         service = serve(
             grid,
-            ServingConfig(eps=1.0, epoch_policy="rotate"),
+            ServingConfig(eps=1.0),
             rng,
             ledger=ledger,
         )
@@ -274,24 +277,19 @@ class TestServingSurface:
             assert snapshot["cache_hits"] == 1
 
     def test_simulate_consumes_shared_stats(self):
-        from repro.serving import replay_rush_hour
-
         for shards in (1, 2):
             report = replay_rush_hour(
                 Rng(55),
+                ServingConfig(eps=1.0, shards=shards),
                 rows=5,
                 cols=5,
                 epochs=1,
                 queries_per_epoch=30,
-                eps=1.0,
-                shards=shards,
             )
             assert report.server_stats["num_queries"] == 30
             assert "cache_hits" in report.server_stats
 
     def test_simulate_accepts_a_config(self):
-        from repro.serving import replay_rush_hour
-
         report = replay_rush_hour(
             Rng(56),
             rows=5,
@@ -304,15 +302,38 @@ class TestServingSurface:
         assert report.eps == 2.0
         assert report.mechanism.startswith("sharded(2x")
 
-    def test_simulate_rejects_config_flag_clash(self):
-        from repro.serving import replay_rush_hour
-
-        with pytest.raises(GraphError):
-            replay_rush_hour(
-                Rng(57),
-                eps=2.0,
-                config=ServingConfig(eps=1.0),
-            )
+    def test_dropped_knobs_are_unknown_keywords(self, rng):
+        # Each stays reachable another way: a pinned epoch through
+        # ledger=, a flight recorder or no telemetry through
+        # telemetry=, another partition through plan=, and the
+        # replay's budget and shape through its config.
+        grid = generators.grid_graph(3, 3)
+        dropped = [
+            (
+                ServingConfig,
+                ("epoch_policy", "relay_fraction", "partition_seed",
+                 "telemetry", "flight_recorder", "flight_threshold_seconds"),
+            ),
+            (
+                lambda **kw: DistanceService(grid, 1.0, rng, **kw),
+                ("relay_fraction", "partition_seed"),
+            ),
+            (
+                lambda **kw: ShardedDistanceService(
+                    grid, 1.0, rng, shards=2, **kw
+                ),
+                ("relay_fraction", "partition_seed"),
+            ),
+            (
+                lambda **kw: replay_rush_hour(rng, **kw),
+                ("eps", "delta", "weight_bound", "mechanism", "shards",
+                 "audit_log", "event_log"),
+            ),
+        ]
+        for build, names in dropped:
+            for name in names:
+                with pytest.raises(TypeError, match=name):
+                    build(**{name: None})
 
 
 class TestBoundedCache:

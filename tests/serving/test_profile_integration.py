@@ -15,7 +15,7 @@ from repro import (
     replay_rush_hour,
     serve,
 )
-from repro.exceptions import GraphError
+from repro.exceptions import TelemetryError
 from repro.graphs import generators
 from repro.telemetry import (
     EventLog,
@@ -64,20 +64,21 @@ class TestObservationalPurity:
     @pytest.mark.parametrize("shards", [1, 2])
     def test_replay_identical_with_observability(self, shards, tmp_path):
         plain = replay_rush_hour(
-            Rng(seed=7), rows=5, cols=5, epochs=2,
-            queries_per_epoch=30, shards=shards,
+            Rng(seed=7), ServingConfig(shards=shards), rows=5, cols=5,
+            epochs=2, queries_per_epoch=30,
         )
         config = ServingConfig(
             eps=1.0,
             shards=shards,
             profile=True,
-            flight_recorder=True,
-            flight_threshold_seconds=0.5,
             event_log=str(tmp_path / "events.jsonl"),
         )
+        bundle = Telemetry().with_flight(
+            FlightRecorder(threshold_seconds=0.5)
+        )
         observed = replay_rush_hour(
-            Rng(seed=7), rows=5, cols=5, epochs=2,
-            queries_per_epoch=30, config=config,
+            Rng(seed=7), config, rows=5, cols=5, epochs=2,
+            queries_per_epoch=30, telemetry=bundle,
         )
         assert observed.mean_abs_error == plain.mean_abs_error
         assert observed.max_abs_error == plain.max_abs_error
@@ -88,10 +89,10 @@ class TestServeConfigWiring:
         config = ServingConfig(
             eps=1.0,
             profile=True,
-            flight_recorder=True,
             event_log=str(tmp_path / "events.jsonl"),
         )
-        service = serve(_grid(), config, Rng(seed=0))
+        bundle = Telemetry().with_flight(FlightRecorder())
+        service = serve(_grid(), config, Rng(seed=0), telemetry=bundle)
         assert service.telemetry.profiler.enabled
         assert service.telemetry.flight.enabled
         assert service.telemetry.log.enabled
@@ -102,20 +103,22 @@ class TestServeConfigWiring:
         profiler = PhaseProfiler(trace_allocations=False)
         flight = FlightRecorder(threshold_seconds=0.5)
         bundle = Telemetry().with_profiler(profiler).with_flight(flight)
-        config = ServingConfig(
-            eps=1.0, profile=True, flight_recorder=True
-        )
+        config = ServingConfig(eps=1.0, profile=True)
         service = serve(_grid(), config, Rng(seed=0), telemetry=bundle)
         assert service.telemetry.profiler is profiler
         assert service.telemetry.flight is flight
 
     def test_flight_threshold_validation(self):
-        with pytest.raises(GraphError, match="flight threshold"):
-            ServingConfig(eps=1.0, flight_threshold_seconds=0.0)
+        with pytest.raises(TelemetryError, match="flight threshold"):
+            FlightRecorder(threshold_seconds=0.0)
 
     def test_flight_threshold_alone_arms_recorder(self):
-        config = ServingConfig(eps=1.0, flight_threshold_seconds=1e-9)
-        service = serve(_grid(), config, Rng(seed=0))
+        bundle = Telemetry().with_flight(
+            FlightRecorder(threshold_seconds=1e-9)
+        )
+        service = serve(
+            _grid(), ServingConfig(eps=1.0), Rng(seed=0), telemetry=bundle
+        )
         assert service.telemetry.flight.enabled
         service.query((0, 0), (4, 4))
         assert service.telemetry.flight.captured >= 1
@@ -124,14 +127,10 @@ class TestServeConfigWiring:
         config = ServingConfig(
             eps=1.0,
             profile=True,
-            flight_recorder=True,
-            flight_threshold_seconds=0.25,
             event_log="events.jsonl",
         )
         again = ServingConfig.from_json(config.to_json())
         assert again.profile is True
-        assert again.flight_recorder is True
-        assert again.flight_threshold_seconds == 0.25
         assert again.event_log == "events.jsonl"
 
 
@@ -143,8 +142,8 @@ class TestPhaseAttribution:
         start = time.perf_counter()
         with use_telemetry(bundle), bundle.span("replay.run"):
             replay_rush_hour(
-                Rng(seed=3), rows=6, cols=6, epochs=2,
-                queries_per_epoch=50, shards=shards,
+                Rng(seed=3), ServingConfig(shards=shards), rows=6,
+                cols=6, epochs=2, queries_per_epoch=50,
                 telemetry=bundle,
             )
         measured = time.perf_counter() - start

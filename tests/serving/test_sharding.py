@@ -28,6 +28,7 @@ from repro.serving import (
     ShardedDistanceService,
     partition_graph,
 )
+from repro.serving.sharding import RELAY_FRACTION
 from repro.workloads import grid_road_network, uniform_pairs
 
 
@@ -274,8 +275,12 @@ class TestBudgetAccounting:
         service = ShardedDistanceService(
             road, PrivacyParams(1.0, 1e-6), Rng(33), shards=3
         )
-        assert service.shard_params == PrivacyParams(0.5, 5e-7)
-        assert service.relay_params == PrivacyParams(0.5, 5e-7)
+        assert service.shard_params == PrivacyParams(
+            1.0 - RELAY_FRACTION, 1e-6 * (1.0 - RELAY_FRACTION)
+        )
+        assert service.relay_params == PrivacyParams(
+            RELAY_FRACTION, 1e-6 * RELAY_FRACTION
+        )
         tenants = set(service.ledger.tenants)
         assert tenants == {
             "sharded-distance-service/shard-0",
@@ -337,12 +342,6 @@ class TestBudgetAccounting:
         # A full refresh (epoch rotation) restores cross-shard serving.
         service.refresh()
         assert isinstance(service.query(s0[0], s1[0]), float)
-
-    def test_invalid_relay_fraction(self, road):
-        with pytest.raises(PrivacyError):
-            ShardedDistanceService(
-                road, 1.0, Rng(39), shards=2, relay_fraction=1.0
-            )
 
 
 class TestFullRefreshFailsClosed:
@@ -475,11 +474,11 @@ class TestConstruction:
         assert service.mechanism == "sharded(2xhub-set+relay)"
 
     def test_simulate_accepts_shards(self):
-        from repro.serving import replay_rush_hour
+        from repro.serving import ServingConfig, replay_rush_hour
 
         report = replay_rush_hour(
-            Rng(57), rows=6, cols=6, eps=1.0, epochs=2,
-            queries_per_epoch=40, shards=2,
+            Rng(57), ServingConfig(eps=1.0, shards=2), rows=6, cols=6,
+            epochs=2, queries_per_epoch=40,
         )
         assert report.total_queries == 80
         assert report.mechanism.startswith("sharded(2x")

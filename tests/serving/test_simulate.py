@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import GraphError, Rng
-from repro.serving import replay_rush_hour
+from repro.serving import ServingConfig, replay_rush_hour
 
 
 class TestReplay:
@@ -32,11 +32,11 @@ class TestReplay:
     def test_weight_bound_uses_covering_mechanism(self):
         report = replay_rush_hour(
             Rng(2),
+            ServingConfig(weight_bound=4.0),
             rows=5,
             cols=5,
             epochs=1,
             queries_per_epoch=20,
-            weight_bound=4.0,
         )
         assert report.mechanism == "bounded-weight"
 

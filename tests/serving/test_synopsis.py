@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import (
     AllPairsAdvancedRelease,
     AllPairsBasicRelease,
@@ -187,6 +192,43 @@ class TestSinglePairSynopsis:
 
         with pytest.raises(PrivacyError):
             build_single_pair_synopsis(triangle, [(0, 1)], 0.0, rng)
+
+
+class TestReproducibleBytes:
+    """A seeded synopsis serializes to the same bytes in every
+    process, whatever the interpreter's string hash seed."""
+
+    _SCRIPT = """
+from repro import Rng, WeightedGraph
+from repro.serving import build_all_pairs_synopsis, build_single_pair_synopsis
+
+graph = WeightedGraph.from_edges(
+    [("a", "b", 1.0), ("b", "c", 2.0), ("c", "d", 1.5), ("d", "a", 3.0)]
+)
+print(build_all_pairs_synopsis(graph, 1.0, Rng(0)).to_json())
+print(
+    build_single_pair_synopsis(
+        graph, [("a", "c"), ("d", "b")], 1.0, Rng(1)
+    ).to_json()
+)
+"""
+
+    def test_pair_tables_independent_of_hash_seed(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", self._SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+        kinds = [json.loads(line)["kind"] for line in outputs[0].splitlines()]
+        assert kinds == ["all-pairs", "single-pair"]
 
 
 class TestRegistry:

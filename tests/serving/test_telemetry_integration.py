@@ -116,8 +116,10 @@ class TestObservationalPurity:
     @pytest.mark.parametrize("shards", [1, 2])
     def test_config_disabled_also_identical(self, shards):
         baseline = _answers(None, shards=shards)
-        config = ServingConfig(eps=1.0, shards=shards, telemetry=False)
-        service = serve(_grid(), config, Rng(seed=42))
+        config = ServingConfig(eps=1.0, shards=shards)
+        service = serve(
+            _grid(), config, Rng(seed=42), telemetry=NULL_TELEMETRY
+        )
         assert not service.telemetry.enabled
         pairs = [((0, 0), (4, 4)), ((1, 2), (3, 0)), ((0, 0), (4, 4))]
         point = service.query((0, 1), (4, 3))
@@ -129,14 +131,6 @@ class TestObservationalPurity:
             estimate.value,
             estimate.noise_scale,
         ) == baseline
-
-    def test_config_disabled_wins_over_injected_bundle(self):
-        bundle = Telemetry()
-        config = ServingConfig(eps=1.0, telemetry=False)
-        service = serve(_grid(), config, Rng(seed=0), telemetry=bundle)
-        service.query((0, 0), (1, 1))
-        assert not service.telemetry.enabled
-        assert bundle.registry.metrics() == []
 
 
 class TestServiceStatsView:
@@ -421,10 +415,9 @@ class TestReplayLatency:
         assert report.as_dict()["latency_seconds"] == report.latency
 
     def test_disabled_config_reports_no_latency(self, rng):
-        config = ServingConfig(eps=1.0, telemetry=False)
         report = replay_rush_hour(
-            rng, epochs=1, queries_per_epoch=20, config=config,
-            rows=5, cols=5,
+            rng, ServingConfig(eps=1.0), epochs=1, queries_per_epoch=20,
+            rows=5, cols=5, telemetry=NULL_TELEMETRY,
         )
         assert report.latency == {}
 

@@ -347,7 +347,7 @@ class TestServe:
         cfg = tmp_path / "serving.json"
         cfg.write_text(
             json.dumps(
-                {"format": "repro-serving-config", "version": 2}
+                {"format": "repro-serving-config", "version": 3}
             )
         )
         code = main(
@@ -380,30 +380,47 @@ def test_backend_flag_is_gone(argv, grid_file, capsys):
     assert "--backend" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["serve", "simulate"])
-def test_version_1_config_refused(command, grid_file, tmp_path, capsys):
-    # Every version-1 document carries the dropped "backend" field;
-    # the reader names the version instead of guessing at it.
-    cfg = tmp_path / "serving.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "format": "repro-serving-config",
-                "version": 1,
-                "eps": 1.0,
-                "backend": None,
-            }
-        )
+_V1_FIELDS = {"eps": 1.0, "backend": None}
+_V2_FIELDS = {"eps": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, version, fields",
+    [
+        pytest.param("serve", 1, _V1_FIELDS, id="serve"),
+        pytest.param("simulate", 1, _V1_FIELDS, id="simulate"),
+        pytest.param("serve", 2, _V2_FIELDS, id="v2-serve"),
+        pytest.param("simulate", 2, _V2_FIELDS, id="v2-simulate"),
+    ],
+)
+def test_version_1_config_refused(
+    command, version, fields, grid_file, tmp_path, capsys
+):
+    # Every version-1 document carries the dropped "backend" field, and
+    # version 2 had six knobs version 3 dropped; the reader names the
+    # version instead of guessing at either.  A version-2 document
+    # that sets none of the dropped knobs is refused all the same.
+    from repro import GraphError, ServingConfig
+
+    text = json.dumps(
+        {"format": "repro-serving-config", "version": version, **fields}
     )
+    refusal = (
+        f"unsupported serving config version {version} "
+        "(this build reads version 3)"
+    )
+    with pytest.raises(GraphError) as excinfo:
+        ServingConfig.from_json(text)
+    assert str(excinfo.value) == refusal
+    cfg = tmp_path / "serving.json"
+    cfg.write_text(text)
     argv = {
         "serve": ["--graph", str(grid_file), "--pairs", "0,0:3,3"],
         "simulate": ["--rows", "4", "--cols", "4", "--queries", "5"],
     }[command]
     code = main([command, "--config", str(cfg), *argv])
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "version 1" in err
+    assert capsys.readouterr().err == f"error: {refusal}\n"
 
 
 class TestSimulate:
@@ -554,7 +571,7 @@ class TestSimulate:
             json.dumps(
                 {
                     "format": "repro-serving-config",
-                    "version": 2,
+                    "version": 3,
                     "mechanism": "hub-set",
                 }
             )
@@ -826,7 +843,7 @@ class TestAuditCli:
             json.dumps(
                 {
                     "format": "repro-serving-config",
-                    "version": 2,
+                    "version": 3,
                     "eps": 1.0,
                 }
             )
