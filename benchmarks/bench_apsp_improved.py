@@ -38,17 +38,15 @@ import time
 
 sys.path.insert(0, ".")  # allow `python benchmarks/bench_apsp_improved.py`
 
-from benchmarks.common import fresh_rng, latency_summary, print_experiment
+from benchmarks.common import fresh_rng, parse_rows, print_experiment
 from repro import (
     AllPairsBasicRelease,
     Rng,
     ServingConfig,
-    Telemetry,
     serve,
 )
 from repro.algorithms.shortest_paths import all_pairs_dijkstra
 from repro.analysis import render_table
-from repro.apsp import HubSetRelease
 from repro.graphs import generators
 from repro.serving.synopsis import (
     AllPairsSynopsis,
@@ -120,24 +118,7 @@ def _synopsis_build_note(graph, rng: Rng) -> str:
     )
 
 
-#: Records every contender's served queries; ``run_all.py`` reads the
-#: merged quantiles through :func:`latency_metrics`.
-_TELEMETRY = Telemetry()
-
-
-def latency_metrics() -> dict | None:
-    """Per-query latency quantiles of the last :func:`run_experiment`."""
-    return latency_summary(_TELEMETRY)
-
-
-def telemetry_bundle() -> Telemetry:
-    """The experiment's bundle — ``run_all.py --profile`` attaches a
-    phase profiler to its tracer for the run's attribution table."""
-    return _TELEMETRY
-
-
 def run_experiment(quick: bool = False) -> str:
-    _TELEMETRY.clear()
     v = QUICK_V if quick else V
     rows = []
     note = ""
@@ -152,9 +133,7 @@ def run_experiment(quick: bool = False) -> str:
         service_rng = fresh_rng(195 + g_index)
         for label, config in CONTENDERS:
             start = time.perf_counter()
-            service = serve(
-                graph, config, service_rng, telemetry=_TELEMETRY
-            )
+            service = serve(graph, config, service_rng)
             build_seconds = time.perf_counter() - start
             errors = [
                 abs(service.query(s, t) - truth)
@@ -198,12 +177,7 @@ def run_experiment(quick: bool = False) -> str:
     )
 
 
-def test_table_e18(capsys):
-    table = run_experiment()
-    with capsys.disabled():
-        print_experiment(table)
-    from benchmarks.common import parse_rows
-
+def check(table: str) -> None:
     rows = parse_rows(table)
     by_key = {(r[0], r[1]): r for r in rows}
     graphs = {r[0] for r in rows}
@@ -220,19 +194,6 @@ def test_table_e18(capsys):
         assert int(hub_pure[3]) < int(basic[3])
         # Advanced composition beats the pure hub accounting at V=1024.
         assert float(hub_approx[4]) < float(hub_pure[4])
-
-
-def test_quick_mode_runs():
-    table = run_experiment(quick=True)
-    assert "V=256" in table
-
-
-def test_benchmark_hub_build(benchmark):
-    rng = fresh_rng(198)
-    graph = generators.assign_random_weights(
-        generators.grid_graph(16, 16), rng, low=0.5, high=1.5
-    )
-    benchmark(lambda: HubSetRelease(graph, EPS, rng.spawn()))
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ import sys
 
 sys.path.insert(0, ".")
 
-from benchmarks.common import TRIALS, fresh_rng, print_experiment
+from benchmarks.common import TRIALS, fresh_rng, parse_rows, print_experiment
 from repro import release_bounded_weight, release_synthetic_graph
 from repro.algorithms import all_pairs_dijkstra
 from repro.analysis import render_table, summarize_errors
@@ -132,12 +132,7 @@ def run_experiment() -> str:
     )
 
 
-def test_table_e5(capsys):
-    table = run_experiment()
-    with capsys.disabled():
-        print_experiment(table)
-    from benchmarks.common import parse_rows
-
+def check(table: str) -> None:
     lines = parse_rows(table)
     assert len(lines) == len(SETTINGS)
     for row in lines:
@@ -152,26 +147,6 @@ def test_table_e5(capsys):
     # Approx noise beats pure noise once |Z| is large enough
     # (advanced vs basic composition) — check at the largest V.
     assert float(at_m1[256.0][4]) < float(at_m1[256.0][5])
-
-
-def test_benchmark_bounded_weight_approx(benchmark):
-    rng = fresh_rng(41)
-    graph = generators.grid_graph(12, 12)
-    graph = generators.assign_random_weights(graph, rng, 0.0, 1.0)
-    benchmark(
-        lambda: release_bounded_weight(
-            graph, 1.0, eps=EPS, rng=rng.spawn(), delta=DELTA
-        )
-    )
-
-
-def test_benchmark_bounded_weight_pure(benchmark):
-    rng = fresh_rng(42)
-    graph = generators.grid_graph(12, 12)
-    graph = generators.assign_random_weights(graph, rng, 0.0, 1.0)
-    benchmark(
-        lambda: release_bounded_weight(graph, 1.0, eps=EPS, rng=rng.spawn())
-    )
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import sys
 
 sys.path.insert(0, ".")
 
-from benchmarks.common import fresh_rng, print_experiment
+from benchmarks.common import fresh_rng, parse_rows, print_experiment
 from repro import release_bounded_weight
 from repro.algorithms import is_k_covering, meir_moon_k_covering
 from repro.algorithms.covering import greedy_k_covering
@@ -82,12 +82,7 @@ def run_experiment() -> str:
     )
 
 
-def test_table_e15(capsys):
-    table = run_experiment()
-    with capsys.disabled():
-        print_experiment(table)
-    from benchmarks.common import parse_rows
-
+def check(table: str) -> None:
     lines = parse_rows(table)
     assert len(lines) == 4
     for row in lines:
@@ -100,18 +95,6 @@ def test_table_e15(capsys):
             assert scale_greedy <= scale_mm
         elif mm < greedy:
             assert scale_mm <= scale_greedy
-
-
-def test_benchmark_meir_moon(benchmark):
-    rng = fresh_rng(151)
-    graph = generators.grid_graph(12, 12)
-    benchmark(lambda: meir_moon_k_covering(graph, K))
-
-
-def test_benchmark_greedy_covering(benchmark):
-    rng = fresh_rng(152)
-    graph = generators.grid_graph(12, 12)
-    benchmark(lambda: greedy_k_covering(graph, K))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import sys
 
 sys.path.insert(0, ".")
 
-from benchmarks.common import TRIALS, fresh_rng, print_experiment
+from benchmarks.common import TRIALS, fresh_rng, parse_rows, print_experiment
 from repro import release_cycle_distances, release_synthetic_graph
 from repro.algorithms import dijkstra_path
 from repro.analysis import render_table, summarize_errors
@@ -72,12 +72,7 @@ def run_experiment() -> str:
     )
 
 
-def test_table_e13(capsys):
-    table = run_experiment()
-    with capsys.disabled():
-        print_experiment(table)
-    from benchmarks.common import parse_rows
-
+def check(table: str) -> None:
     lines = parse_rows(table)
     assert len(lines) == len(SIZES)
     # Polylog: 64x more vertices -> < 6x more error.
@@ -87,12 +82,6 @@ def test_table_e13(capsys):
     # Within (a doubled) tree-style bound at every size.
     for row in lines:
         assert float(row[1]) <= float(row[3])
-
-
-def test_benchmark_cycle_release(benchmark):
-    rng = fresh_rng(131)
-    graph = generators.cycle_graph(1024)
-    benchmark(lambda: release_cycle_distances(graph, eps=EPS, rng=rng.spawn()))
 
 
 if __name__ == "__main__":

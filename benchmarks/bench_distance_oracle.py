@@ -14,7 +14,7 @@ import sys
 
 sys.path.insert(0, ".")  # allow `python benchmarks/bench_*.py`
 
-from benchmarks.common import TRIALS, fresh_rng, print_experiment
+from benchmarks.common import TRIALS, fresh_rng, parse_rows, print_experiment
 from repro import (
     AllPairsAdvancedRelease,
     AllPairsBasicRelease,
@@ -85,28 +85,11 @@ def run_experiment() -> str:
     )
 
 
-def test_table_e1(capsys):
-    table = run_experiment()
-    with capsys.disabled():
-        print_experiment(table)
-    from benchmarks.common import parse_rows
-
+def check(table: str) -> None:
     rows = parse_rows(table)
     first = [float(x) for x in rows[0]]
     last = [float(x) for x in rows[-1]]
     assert last[2] / first[2] > last[3] / first[3]  # basic grows faster
-
-
-def test_benchmark_all_pairs_advanced(benchmark):
-    rng = fresh_rng(2)
-    graph = _workload(30, rng)
-    benchmark(lambda: AllPairsAdvancedRelease(graph, EPS, DELTA, rng.spawn()))
-
-
-def test_benchmark_single_query(benchmark):
-    rng = fresh_rng(3)
-    graph = _workload(30, rng)
-    benchmark(lambda: private_distance(graph, 0, 29, EPS, rng))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import sys
 
 sys.path.insert(0, ".")
 
-from benchmarks.common import TRIALS, fresh_rng, print_experiment
+from benchmarks.common import TRIALS, fresh_rng, parse_rows, print_experiment
 from repro import release_bounded_weight, release_grid_bounded_weight
 from repro.algorithms import all_pairs_dijkstra
 from repro.analysis import render_table, summarize_errors
@@ -92,12 +92,7 @@ def run_experiment() -> str:
     )
 
 
-def test_table_e6(capsys):
-    table = run_experiment()
-    with capsys.disabled():
-        print_experiment(table)
-    from benchmarks.common import parse_rows
-
+def check(table: str) -> None:
     lines = parse_rows(table)
     assert len(lines) == len(SIDES)
     for row in lines:
@@ -105,18 +100,6 @@ def test_table_e6(capsys):
         assert measured <= bound
     # Sublinear: V grows 5.4x from side 6 to 14; error grows < 3x.
     assert float(lines[-1][3]) < 3.0 * max(float(lines[0][3]), 0.5)
-
-
-def test_benchmark_grid_release(benchmark):
-    rng = fresh_rng(51)
-    side = 12
-    graph = generators.grid_graph(side, side)
-    graph = generators.assign_random_weights(graph, rng, 0.0, M)
-    benchmark(
-        lambda: release_grid_bounded_weight(
-            graph, side, side, M, eps=EPS, rng=rng.spawn(), delta=DELTA
-        )
-    )
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ sys.path.insert(0, ".")
 
 import time
 
-from benchmarks.common import TRIALS, fresh_rng, print_experiment
+from benchmarks.common import TRIALS, fresh_rng, parse_rows, print_experiment
 from repro import release_synthetic_graph
 from repro.algorithms import all_pairs_dijkstra
 from repro.analysis import render_table, summarize_errors
@@ -102,12 +102,7 @@ def run_experiment() -> str:
     )
 
 
-def test_table_e14(capsys):
-    table = run_experiment()
-    with capsys.disabled():
-        print_experiment(table)
-    from benchmarks.common import parse_rows
-
+def check(table: str) -> None:
     lines = parse_rows(table)
     assert len(lines) == len(SETTINGS)
     # Candidate count is exponential: 5 edges at 3 levels = 243 vs 81.
@@ -121,17 +116,6 @@ def test_table_e14(capsys):
     # Errors are finite and bounded by the trivial max distance.
     for row in lines:
         assert 0.0 <= float(row[4]) <= float(row[0]) * float(row[1])
-
-
-def test_benchmark_histogram_release(benchmark):
-    rng = fresh_rng(141)
-    graph = generators.cycle_graph(4)
-    graph = graph.with_weights([0.5, 1.0, 0.0, 0.5])
-    benchmark(
-        lambda: release_histogram_distances(
-            graph, 1.0, 0.5, eps=EPS, rng=rng.spawn()
-        )
-    )
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ sys.path.insert(0, ".")
 
 import numpy as np
 
-from benchmarks.common import fresh_rng, print_experiment
+from benchmarks.common import fresh_rng, parse_rows, print_experiment
 from repro.analysis import render_table
 from repro.core import lower_bounds as lb
 from repro.dp import bounds
@@ -81,12 +81,7 @@ def run_experiment() -> str:
     )
 
 
-def test_table_e8(capsys):
-    table = run_experiment()
-    with capsys.disabled():
-        print_experiment(table)
-    from benchmarks.common import parse_rows
-
+def check(table: str) -> None:
     parsed = parse_rows(table)
     assert len(parsed) == 1 + len(EPS_VALUES)
     exact_row = parsed[0]
@@ -98,21 +93,6 @@ def test_table_e8(capsys):
     assert float(smallest[1]) >= 0.9 * float(smallest[4])
     # Reconstruction improves (Hamming falls) as eps grows.
     assert float(parsed[-1][1]) < float(parsed[1][1])
-
-
-def test_benchmark_gadget_attack(benchmark):
-    rng = fresh_rng(71)
-    gadget = lb.parallel_path_gadget(N)
-
-    def attack():
-        bits = rng.bits(N)
-        weights = lb.path_weights_from_bits(bits)
-        keys, _ = lb.private_gadget_path(
-            gadget, weights, eps=0.5, gamma=0.1, rng=rng.spawn()
-        )
-        return lb.decode_path_bits(N, keys)
-
-    benchmark(attack)
 
 
 if __name__ == "__main__":

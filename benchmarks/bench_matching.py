@@ -14,7 +14,7 @@ sys.path.insert(0, ".")
 
 import numpy as np
 
-from benchmarks.common import TRIALS, fresh_rng, print_experiment
+from benchmarks.common import TRIALS, fresh_rng, parse_rows, print_experiment
 from repro import WeightedGraph, release_private_matching
 from repro.algorithms import (
     hungarian_min_cost_perfect_matching,
@@ -99,12 +99,7 @@ def run_experiment() -> str:
     )
 
 
-def test_table_e10(capsys):
-    table = run_experiment()
-    with capsys.disabled():
-        print_experiment(table)
-    from benchmarks.common import parse_rows
-
+def check(table: str) -> None:
     lines = parse_rows(table)
     upper = [r for r in lines if r[0].startswith("K(")]
     assert len(upper) == len(SIZES)
@@ -112,16 +107,6 @@ def test_table_e10(capsys):
         assert float(row[2]) <= float(row[3])
     gadget_row = [r for r in lines if r[0].startswith("hourglass")][0]
     assert float(gadget_row[1]) >= 0.8 * float(gadget_row[3])
-
-
-def test_benchmark_private_matching(benchmark):
-    rng = fresh_rng(91)
-    graph = _bipartite(16, rng)
-    benchmark(
-        lambda: release_private_matching(
-            graph, eps=EPS, rng=rng.spawn(), engine="hungarian"
-        )
-    )
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ sys.path.insert(0, ".")
 
 import numpy as np
 
-from benchmarks.common import TRIALS, fresh_rng, print_experiment
+from benchmarks.common import TRIALS, fresh_rng, parse_rows, print_experiment
 from repro import release_private_mst
 from repro.algorithms import kruskal_mst, spanning_tree_weight
 from repro.analysis import render_table, summarize_errors
@@ -83,12 +83,7 @@ def run_experiment() -> str:
     )
 
 
-def test_table_e9(capsys):
-    table = run_experiment()
-    with capsys.disabled():
-        print_experiment(table)
-    from benchmarks.common import parse_rows
-
+def check(table: str) -> None:
     lines = parse_rows(table)
     upper = [r for r in lines if r[0].startswith("G(")]
     assert len(upper) == len(SIZES)
@@ -96,13 +91,6 @@ def test_table_e9(capsys):
         assert float(row[2]) <= float(row[3])  # within Theorem B.3
     gadget_row = [r for r in lines if r[0].startswith("star")][0]
     assert float(gadget_row[1]) >= 0.8 * float(gadget_row[3])  # >= ~alpha
-
-
-def test_benchmark_private_mst(benchmark):
-    rng = fresh_rng(81)
-    graph = generators.erdos_renyi_graph(100, 0.05, rng)
-    graph = generators.assign_random_weights(graph, rng, 0.0, 10.0)
-    benchmark(lambda: release_private_mst(graph, eps=EPS, rng=rng.spawn()))
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import sys
 
 sys.path.insert(0, ".")
 
-from benchmarks.common import TRIALS, fresh_rng, print_experiment
+from benchmarks.common import TRIALS, fresh_rng, parse_rows, print_experiment
 from repro import release_path_hierarchy, release_tree_single_source
 from repro.analysis import render_table, summarize_errors
 from repro.dp import bounds
@@ -58,12 +58,7 @@ def run_experiment() -> str:
     )
 
 
-def test_table_e4(capsys):
-    table = run_experiment()
-    with capsys.disabled():
-        print_experiment(table)
-    from benchmarks.common import parse_rows
-
+def check(table: str) -> None:
     lines = parse_rows(table)
     assert len(lines) == len(SIZES)
     for row in lines:
@@ -72,12 +67,6 @@ def test_table_e4(capsys):
         assert 0.1 < hub / alg1 < 10.0
     # Polylog: 64x more vertices < 6x more error.
     assert float(lines[-1][1]) < 6 * float(lines[0][1])
-
-
-def test_benchmark_path_hierarchy(benchmark):
-    rng = fresh_rng(31)
-    graph = generators.path_graph(4096)
-    benchmark(lambda: release_path_hierarchy(graph, eps=EPS, rng=rng.spawn()))
 
 
 if __name__ == "__main__":

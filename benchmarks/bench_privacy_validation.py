@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from benchmarks.common import fresh_rng, print_experiment
+from benchmarks.common import fresh_rng, parse_rows, print_experiment
 from repro import (
     Rng,
     private_distance,
@@ -147,23 +147,12 @@ def run_experiment() -> str:
     )
 
 
-def test_table_e11(capsys):
-    table = run_experiment()
-    with capsys.disabled():
-        print_experiment(table)
-    from benchmarks.common import parse_rows
-
+def check(table: str) -> None:
     lines = parse_rows(table)
     assert len(lines) == 4
     for row in lines:
         measured, cap = float(row[2]), float(row[3])
         assert measured <= cap * 1.08  # 8% sampling slack
-
-
-def test_benchmark_privacy_probe(benchmark):
-    rng = fresh_rng(114)
-    g = generators.path_graph(3)
-    benchmark(lambda: private_distance(g, 0, 2, 0.5, rng))
 
 
 if __name__ == "__main__":

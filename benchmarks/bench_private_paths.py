@@ -16,7 +16,7 @@ import sys
 
 sys.path.insert(0, ".")
 
-from benchmarks.common import TRIALS, fresh_rng, print_experiment
+from benchmarks.common import TRIALS, fresh_rng, parse_rows, print_experiment
 from repro import release_private_paths
 from repro.algorithms import dijkstra_path, path_hops
 from repro.analysis import path_error, render_table, summarize_errors
@@ -90,12 +90,7 @@ def run_experiment() -> str:
     )
 
 
-def test_table_e7(capsys):
-    table = run_experiment()
-    with capsys.disabled():
-        print_experiment(table)
-    from benchmarks.common import parse_rows
-
+def check(table: str) -> None:
     lines = parse_rows(table)
     assert len(lines) >= 4
     # Error grows with hops: last bucket mean > first bucket mean.
@@ -103,21 +98,6 @@ def test_table_e7(capsys):
     # Always below the per-bucket Theorem 5.5 bound.
     for row in lines:
         assert float(row[3]) <= float(row[5])
-
-
-def test_benchmark_private_paths_release(benchmark):
-    rng = fresh_rng(61)
-    network = grid_road_network(SIDE, SIDE, rng)
-    benchmark(
-        lambda: release_private_paths(network.graph, EPS, GAMMA, rng.spawn())
-    )
-
-
-def test_benchmark_all_pairs_paths_query(benchmark):
-    rng = fresh_rng(62)
-    network = grid_road_network(8, 8, rng)
-    release = release_private_paths(network.graph, EPS, GAMMA, rng)
-    benchmark(lambda: release.paths_from((0, 0)))
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import sys
 
 sys.path.insert(0, ".")
 
-from benchmarks.common import TRIALS, fresh_rng, print_experiment
+from benchmarks.common import TRIALS, fresh_rng, parse_rows, print_experiment
 from repro import release_private_paths
 from repro.analysis import path_error, render_table, summarize_errors
 from repro.dp import bounds
@@ -61,12 +61,7 @@ def run_experiment() -> str:
     )
 
 
-def test_table_e12(capsys):
-    table = run_experiment()
-    with capsys.disabled():
-        print_experiment(table)
-    from benchmarks.common import parse_rows
-
+def check(table: str) -> None:
     lines = parse_rows(table)
     assert len(lines) == len(UNITS)
     # Rows are in UNITS order: [1.0, 0.1, 1/V].
@@ -78,16 +73,6 @@ def test_table_e12(capsys):
     assert 2.0 < ratio < 60.0
     for row in lines:
         assert float(row[2]) <= float(row[3])  # within the scaled bound
-
-
-def test_benchmark_scaled_release(benchmark):
-    rng = fresh_rng(121)
-    graph = generators.grid_graph(SIDE, SIDE)
-    benchmark(
-        lambda: release_private_paths(
-            graph, EPS, GAMMA, rng.spawn(), sensitivity_unit=1.0 / (SIDE * SIDE)
-        )
-    )
 
 
 if __name__ == "__main__":

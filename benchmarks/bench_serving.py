@@ -19,8 +19,8 @@ import sys
 
 sys.path.insert(0, ".")  # allow `python benchmarks/bench_*.py`
 
-from benchmarks.common import fresh_rng, latency_summary, print_experiment
-from repro import ServingConfig, Telemetry, serve
+from benchmarks.common import fresh_rng, parse_rows, print_experiment
+from repro import ServingConfig, serve
 from repro.analysis import render_table
 from repro.serving import replay_rush_hour
 from repro.workloads import grid_road_network
@@ -28,22 +28,6 @@ from repro.workloads import grid_road_network
 EPS_VALUES = [0.25, 1.0, 4.0]
 ROWS = COLS = 8
 QUERIES = 2000
-
-#: The bundle the experiment's replays record into; ``run_all.py``
-#: reads the resulting latency quantiles through :func:`latency_metrics`.
-_TELEMETRY = Telemetry()
-
-
-def latency_metrics() -> dict | None:
-    """Per-query latency quantiles of the last :func:`run_experiment`."""
-    return latency_summary(_TELEMETRY)
-
-
-def telemetry_bundle() -> Telemetry:
-    """The experiment's bundle — ``run_all.py --profile`` attaches a
-    phase profiler to its tracer for the run's attribution table."""
-    return _TELEMETRY
-
 
 def _ci90_half_width(eps: float) -> float:
     """The advertised 90% interval half-width of one estimate served
@@ -57,7 +41,6 @@ def _ci90_half_width(eps: float) -> float:
 
 
 def run_experiment() -> str:
-    _TELEMETRY.clear()
     rows = []
     for i, eps in enumerate(EPS_VALUES):
         report = replay_rush_hour(
@@ -67,7 +50,6 @@ def run_experiment() -> str:
             cols=COLS,
             epochs=1,
             queries_per_epoch=QUERIES,
-            telemetry=_TELEMETRY,
         )
         rows.append(
             [
@@ -103,12 +85,7 @@ def run_experiment() -> str:
     )
 
 
-def test_table_e16(capsys):
-    table = run_experiment()
-    with capsys.disabled():
-        print_experiment(table)
-    from benchmarks.common import parse_rows
-
+def check(table: str) -> None:
     rows = parse_rows(table)
     # One ledger spend per epoch regardless of batch size.
     assert all(int(r[4]) == 1 for r in rows)
@@ -122,28 +99,6 @@ def test_table_e16(capsys):
     # the scale).
     assert all(float(r[7]) > 0 for r in rows)
     assert float(rows[0][7]) > float(rows[-1][7])
-
-
-def test_benchmark_batch_serving(benchmark):
-    from repro.serving import DistanceService
-    from repro.workloads import grid_road_network, uniform_pairs
-
-    rng = fresh_rng(170)
-    network = grid_road_network(ROWS, COLS, rng)
-    service = DistanceService(network.graph, 1.0, rng)
-    pairs = uniform_pairs(network.graph, QUERIES, rng)
-    benchmark(lambda: service.query_batch(pairs))
-
-
-def test_benchmark_synopsis_build(benchmark):
-    from repro.serving import DistanceService
-    from repro.workloads import grid_road_network
-
-    rng = fresh_rng(171)
-    network = grid_road_network(ROWS, COLS, rng)
-    benchmark(
-        lambda: DistanceService(network.graph, 1.0, rng.spawn())
-    )
 
 
 if __name__ == "__main__":

@@ -33,8 +33,8 @@ import time
 
 sys.path.insert(0, ".")  # allow `python benchmarks/bench_sharding.py`
 
-from benchmarks.common import fresh_rng, latency_summary, print_experiment
-from repro import Rng, ServingConfig, Telemetry, serve
+from benchmarks.common import fresh_rng, parse_rows, print_experiment
+from repro import ServingConfig, serve
 from repro.algorithms.shortest_paths import all_pairs_dijkstra
 from repro.analysis import render_table
 from repro.workloads import grid_road_network, uniform_pairs
@@ -60,24 +60,7 @@ def _mean_abs_errors(service, pairs, exact):
     )
 
 
-#: Records both configurations' served queries; ``run_all.py`` reads
-#: the merged quantiles through :func:`latency_metrics`.
-_TELEMETRY = Telemetry()
-
-
-def latency_metrics() -> dict | None:
-    """Per-query latency quantiles of the last :func:`run_experiment`."""
-    return latency_summary(_TELEMETRY)
-
-
-def telemetry_bundle() -> Telemetry:
-    """The experiment's bundle — ``run_all.py --profile`` attaches a
-    phase profiler to its tracer for the run's attribution table."""
-    return _TELEMETRY
-
-
 def run_experiment(quick: bool = False) -> str:
-    _TELEMETRY.clear()
     side = QUICK_SIDE if quick else SIDE
     network = grid_road_network(side, side, fresh_rng(210))
     graph = network.graph
@@ -89,7 +72,6 @@ def run_experiment(quick: bool = False) -> str:
         graph,
         ServingConfig(mechanism="hub-set", eps=EPS),
         fresh_rng(211),
-        telemetry=_TELEMETRY,
     )
     t_build_unsharded = time.perf_counter() - start
 
@@ -98,7 +80,6 @@ def run_experiment(quick: bool = False) -> str:
         graph,
         ServingConfig(mechanism="hub-set", eps=EPS, shards=SHARDS),
         fresh_rng(212),
-        telemetry=_TELEMETRY,
     )
     t_build_sharded = time.perf_counter() - start
     plan = sharded.plan
@@ -185,12 +166,7 @@ def run_experiment(quick: bool = False) -> str:
     )
 
 
-def test_table_e19(capsys):
-    table = run_experiment()
-    with capsys.disabled():
-        print_experiment(table)
-    from benchmarks.common import parse_rows
-
+def check(table: str) -> None:
     rows = parse_rows(table)
     assert len(rows) == 2
     by_config = {r[0]: r for r in rows}
@@ -202,11 +178,6 @@ def test_table_e19(capsys):
     # ...while the cross-shard error stays within a small constant
     # factor of the unsharded hub-set release on the same pairs.
     assert float(sharded[4]) <= 3.0 * float(unsharded[4])
-
-
-def test_quick_mode_runs():
-    table = run_experiment(quick=True)
-    assert "V=256" in table
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import sys
 
 sys.path.insert(0, ".")
 
-from benchmarks.common import TRIALS, fresh_rng, print_experiment
+from benchmarks.common import TRIALS, fresh_rng, parse_rows, print_experiment
 from repro import release_synthetic_graph, release_tree_all_pairs
 from repro.analysis import render_table, summarize_errors
 from repro.dp import bounds
@@ -101,12 +101,7 @@ def run_experiment() -> str:
     )
 
 
-def test_table_e3(capsys):
-    table = run_experiment()
-    with capsys.disabled():
-        print_experiment(table)
-    from benchmarks.common import parse_rows
-
+def check(table: str) -> None:
     lines = parse_rows(table)
     path_rows = [r for r in lines if r[0] == "path"]
     assert len(path_rows) == 3
@@ -120,13 +115,6 @@ def test_table_e3(capsys):
     for row in lines:
         assert float(row[4]) < float(row[5]) * 10  # sanity: same units
     assert float(path_rows[-1][4]) < float(path_rows[-1][5])
-
-
-def test_benchmark_tree_all_pairs(benchmark):
-    rng = fresh_rng(21)
-    tree = generators.random_tree(256, rng)
-    rooted = RootedTree(tree, 0)
-    benchmark(lambda: release_tree_all_pairs(rooted, eps=EPS, rng=rng.spawn()))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import sys
 
 sys.path.insert(0, ".")
 
-from benchmarks.common import TRIALS, fresh_rng, print_experiment
+from benchmarks.common import TRIALS, fresh_rng, parse_rows, print_experiment
 from repro import release_tree_single_source
 from repro.analysis import render_table, summarize_errors
 from repro.dp import bounds
@@ -75,12 +75,7 @@ def run_experiment() -> str:
     )
 
 
-def test_table_e2(capsys):
-    table = run_experiment()
-    with capsys.disabled():
-        print_experiment(table)
-    from benchmarks.common import parse_rows
-
+def check(table: str) -> None:
     rows = parse_rows(table)
     assert len(rows) == 12  # 3 families x 4 sizes
     for row in rows:
@@ -89,15 +84,6 @@ def test_table_e2(capsys):
     # Polylog growth: error at V=2048 is < 6x error at V=32 per family.
     random_rows = [r for r in rows if r[0] == "random"]
     assert float(random_rows[-1][3]) < 6 * float(random_rows[0][3])
-
-
-def test_benchmark_tree_single_source(benchmark):
-    rng = fresh_rng(11)
-    tree = _tree("random", 512, rng)
-    rooted = RootedTree(tree, 0)
-    benchmark(
-        lambda: release_tree_single_source(rooted, eps=EPS, rng=rng.spawn())
-    )
 
 
 if __name__ == "__main__":

@@ -1,14 +1,13 @@
 """Shared infrastructure for the benchmark harness.
 
-Each ``bench_*.py`` module reproduces one experiment from the index
-registered in ``run_all.py`` (currently E1-E18).  Every module
-exposes:
+Each ``bench_*.py`` module reproduces one experiment of the paper,
+registered by tag in ``run_all.py`` (E1-E19).  Every module exposes:
 
 * ``run_experiment(...) -> str`` — computes the paper-vs-measured table
-  and returns it rendered (this is what EXPERIMENTS.md embeds);
-* pytest-benchmark tests (``test_*``) timing the mechanism under test,
-  so ``pytest benchmarks/ --benchmark-only`` doubles as a performance
-  regression harness;
+  and returns it rendered;
+* ``check(table)`` — asserts the shape the paper predicts on that
+  table, raising ``AssertionError`` when it does not hold
+  (``run_all.py`` runs every check and exits 1 on a failure);
 * a ``__main__`` guard so ``python benchmarks/bench_xxx.py`` prints the
   table directly.
 
@@ -45,8 +44,8 @@ def parse_rows(table: str) -> list[list[str]]:
     Data rows follow the dashed separator line; cells are recovered by
     splitting on runs of two or more spaces, so multi-word labels
     ("star gadget eps=0.1") survive while right-justified numeric
-    columns split cleanly.  Table tests use this instead of ad-hoc
-    string slicing.
+    columns split cleanly.  The checks and the report use this instead
+    of ad-hoc string slicing.
     """
     import re
 
@@ -62,19 +61,3 @@ def parse_rows(table: str) -> list[list[str]]:
             continue
         rows.append(re.split(r"\s{2,}", line.strip()))
     return rows
-
-
-def latency_summary(telemetry) -> dict | None:
-    """p50/p95/p99 per-query serving latency (seconds) a benchmark's
-    telemetry bundle recorded, or ``None`` when nothing was observed.
-    This is what ``run_all.py`` folds into ``BENCH_runall.json`` so
-    the perf trajectory tracks tail latency, not just wall-clock."""
-    sketch = telemetry.registry.merged_histogram("serving.query.latency")
-    if sketch is None or sketch.count == 0:
-        return None
-    return {
-        "p50": sketch.quantile(0.50),
-        "p95": sketch.quantile(0.95),
-        "p99": sketch.quantile(0.99),
-        "count": sketch.count,
-    }

@@ -1,25 +1,20 @@
 #!/usr/bin/env python
-"""Regenerate every experiment table (E1-E19) in one run.
+"""Render and check every experiment table (E1-E19) in one run.
 
-Usage:  python benchmarks/run_all.py [E5 E19 ...] [--profile] [> tables.txt]
+Usage:  python benchmarks/run_all.py [E5 E19 ...] [> tables.txt]
 
-This is what EXPERIMENTS.md's tables are produced from; the run is
-fully deterministic (seed in benchmarks/common.py).
+Each ``benchmarks/bench_*.py`` module reproduces one experiment of the
+paper: ``run_experiment()`` renders its table, and ``check(table)``
+asserts the shape the paper predicts (measured error within a
+theorem's bound, a lower bound met, a baseline beaten).  This script
+renders each table once, prints it, and runs its check; it exits 1
+naming every tag whose check failed.  The run is deterministic (seed
+in benchmarks/common.py).
 
-Besides the printed tables, the run writes ``BENCH_runall.json`` to
-the working directory: per-experiment wall-clock seconds plus every
-data row of every table (numeric cells coerced to numbers), so the
-performance trajectory of the repo can be tracked machine-readably
-across commits instead of by diffing rendered text.
-
-``--profile`` additionally attaches a
-:class:`repro.telemetry.profile.PhaseProfiler` to each serving
-experiment's telemetry bundle (the modules exposing
-``telemetry_bundle()``) and folds the per-phase attribution rows into
-the report under ``phases`` — so a perf regression in the trajectory
-points at the phase that slowed down, not just the experiment.
-Allocation tracing stays off while profiling: tracemalloc would
-distort the very timings the report exists to track.
+A full run also writes ``BENCH_runall.json`` to the working directory,
+``{seed, experiments: {tag: {module, rows}}}``, holding every data row
+of every table with numeric cells as numbers.  A filtered run never
+rewrites it.  Timing the service is perfbench's job, not this one's.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
+import traceback
 from pathlib import Path
 
 sys.path.insert(0, ".")
@@ -91,21 +86,7 @@ def _coerce(cell: str) -> object:
     return cell
 
 
-def _profiler_for(module):
-    """A fresh phase profiler attached to the module's telemetry
-    bundle, or None when the module has no bundle to observe."""
-    bundle_of = getattr(module, "telemetry_bundle", None)
-    if bundle_of is None:
-        return None
-    bundle = bundle_of()
-    if not bundle.tracer.enabled:
-        return None
-    from repro.telemetry import PhaseProfiler
-
-    return PhaseProfiler(trace_allocations=False).attach(bundle.tracer)
-
-
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "only",
@@ -114,65 +95,50 @@ def main() -> None:
         help="experiment tags to run (default: all); a filtered run "
         "never rewrites the report",
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="attach a phase profiler to each serving experiment's "
-        "telemetry bundle and record per-phase attribution rows",
-    )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     only = set(args.only)
-    report: dict = {
-        "seed": SEED,
-        "generated_at_unix": time.time(),
-        "experiments": {},
-    }
+    unknown = only - {tag for tag, _ in EXPERIMENTS}
+    if unknown:
+        parser.error(f"unknown tags: {', '.join(sorted(unknown))}")
+    if not __debug__:
+        parser.error("the checks are assert statements; run without -O")
+    report: dict = {"seed": SEED, "experiments": {}}
+    failed = []
     for tag, module in EXPERIMENTS:
         if only and tag not in only:
             continue
         print(f"==== {tag} " + "=" * 60)
-        profiler = _profiler_for(module) if args.profile else None
-        start = time.perf_counter()
         table = module.run_experiment()
-        elapsed = time.perf_counter() - start
         print(table)
         print()
-        entry = {
+        try:
+            module.check(table)
+        except Exception:
+            # Keep going: one run reports every failed table.
+            print(f"{tag} check failed:", file=sys.stderr)
+            traceback.print_exc()
+            failed.append(tag)
+        report["experiments"][tag] = {
             "module": module.__name__,
-            "seconds": round(elapsed, 4),
             "rows": [[_coerce(c) for c in row] for row in parse_rows(table)],
         }
-        # Serving experiments record per-query latency quantiles into
-        # a telemetry bundle; fold them into the perf trajectory.
-        latency_metrics = getattr(module, "latency_metrics", None)
-        if latency_metrics is not None:
-            latency = latency_metrics()
-            if latency is not None:
-                entry["latency"] = latency
-        if profiler is not None:
-            profiler.detach()
-            entry["phases"] = profiler.phase_summary()
-        report["experiments"][tag] = entry
-    report["total_seconds"] = round(
-        sum(e["seconds"] for e in report["experiments"].values()), 4
-    )
     if only:
-        # A filtered run is a spot check, not a perf snapshot — never
-        # clobber the full-run report with a partial one.
         print(
             f"filtered run ({', '.join(sorted(only))}); "
             f"not rewriting {REPORT_PATH}",
             file=sys.stderr,
         )
-        return
-    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print(
-        f"wrote {REPORT_PATH} "
-        f"({len(report['experiments'])} experiments, "
-        f"{report['total_seconds']}s)",
-        file=sys.stderr,
-    )
+    else:
+        REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+        print(
+            f"wrote {REPORT_PATH} ({len(report['experiments'])} experiments)",
+            file=sys.stderr,
+        )
+    if failed:
+        print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

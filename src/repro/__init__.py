@@ -40,7 +40,7 @@ Package map:
 * :mod:`repro.serving` — the query-serving engine: synopses, budget
   ledger, batch planner, declarative serving configs + the ``serve()``
   factory, rich estimates, and the traffic-replay simulator.
-* :mod:`repro.analysis` — error metrics and the experiment harness.
+* :mod:`repro.analysis` — error metrics and table rendering.
 * :mod:`repro.privlint` — AST-based static analyzer enforcing the
   privacy/determinism invariants (weight taint, RNG discipline,
   observational purity, concurrency hygiene) behind the ``lint`` CLI

@@ -1,5 +1,5 @@
-"""Analysis utilities: error metrics, experiment running, and table
-rendering for the benchmark harness and EXPERIMENTS.md."""
+"""Analysis utilities: error metrics and table rendering for the
+benchmark harness's experiment tables."""
 
 from .errors import (
     ErrorSummary,
@@ -8,7 +8,6 @@ from .errors import (
     path_error,
 )
 from .tables import render_table
-from .experiments import ExperimentResult, run_trials, sweep
 
 __all__ = [
     "ErrorSummary",
@@ -16,7 +15,4 @@ __all__ = [
     "distance_errors",
     "path_error",
     "render_table",
-    "ExperimentResult",
-    "run_trials",
-    "sweep",
 ]

@@ -1,8 +1,8 @@
 """Plain-text table rendering.
 
-The benchmark harness prints paper-style result tables to stdout (and
-EXPERIMENTS.md embeds them); this renderer keeps the output dependency-
-free and deterministic.
+The benchmark harness prints paper-style result tables to stdout and
+checks them; this renderer keeps the output dependency-free and
+deterministic.
 """
 
 from __future__ import annotations

@@ -757,21 +757,15 @@ def _serving_config(args: argparse.Namespace):
     from .exceptions import GraphError
     from .serving import ServingConfig
 
-    missing_eps = (
-        f"{args.command} needs --eps (or a --config document "
-        "providing it)"
-    )
     if args.config:
-        text = Path(args.config).read_text()
-        config = ServingConfig.from_json(text)
-        # A DP budget is never defaulted: the document must state eps
-        # explicitly (ServingConfig's eps=1.0 dataclass default is for
-        # library callers who wrote it in code, not config files).
-        if args.eps is None and "eps" not in json.loads(text):
-            raise GraphError(missing_eps)
+        # The document must state eps itself; see ServingConfig.from_json.
+        config = ServingConfig.from_json(Path(args.config).read_text())
+    elif args.eps is None:
+        raise GraphError(
+            f"{args.command} needs --eps (or a --config document "
+            "providing it)"
+        )
     else:
-        if args.eps is None:
-            raise GraphError(missing_eps)
         config = ServingConfig()
     overrides: dict = {}
     if args.eps is not None:

@@ -136,14 +136,20 @@ def decoding(error: Error, noun: str) -> Iterator[None]:
 
 
 def construct(
-    cls: type, fields: Mapping[str, object], error: Error, what: str
+    cls: type,
+    fields: Mapping[str, object],
+    error: Error,
+    what: str,
+    keys: Keys = {},
 ) -> object:
     """``cls(**fields)`` for a dataclass, refusing keys that are not its
-    fields (typos, not extensions)."""
+    fields (typos, not extensions), then requiring ``keys`` as
+    :func:`require` does."""
     fields = require(fields, error, what)
     unknown = sorted(set(fields) - set(cls.__dataclass_fields__))
     if unknown:
         raise error(f"{what} has unknown fields: {', '.join(unknown)}")
+    require(fields, error, what, keys)
     with decoding(error, what):
         return cls(**fields)
 

@@ -3,8 +3,8 @@
 Every random choice in the library — Laplace noise for the mechanisms,
 random graph generation, random workloads — flows through :class:`Rng`,
 a thin wrapper around :class:`numpy.random.Generator`.  Constructing all
-experiments from an explicit seed makes every number in EXPERIMENTS.md
-regenerable bit-for-bit.
+experiments from an explicit seed makes every number in the benchmark
+tables regenerable bit-for-bit.
 
 The Laplace distribution (Definition 3.1 of the paper) is the noise
 distribution for all mechanisms in the paper: ``Lap(b)`` has density

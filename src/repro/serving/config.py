@@ -109,9 +109,9 @@ class ServingConfig:
     profile:
         Attach a :class:`~repro.telemetry.PhaseProfiler` to the
         server's tracer, attributing wall/CPU time and allocation
-        deltas to every span phase (a disabled bundle opens no spans
-        to attribute).  Observational: answers are bit-identical on
-        or off.
+        deltas to every span phase.  Ignored on a disabled bundle,
+        which opens no spans to attribute.  Observational: answers
+        are bit-identical on or off.
     """
 
     mechanism: str = "auto"
@@ -161,15 +161,21 @@ class ServingConfig:
     def from_json(cls, text: str) -> "ServingConfig":
         """Restore a config serialized by :meth:`to_json`.
 
-        Missing fields take their defaults (forward compatibility for
-        configs written before a knob existed); unknown fields are
-        rejected (they are typos, not extensions).
+        A DP budget is never defaulted: the document must state a
+        numeric ``eps`` (the dataclass default is for callers who
+        wrote the config in code).  Every other missing field takes
+        its default; unknown fields are rejected (they are typos, not
+        extensions).
         """
         document = documents.parse(
             text, CONFIG_FORMAT, _CONFIG_VERSION, GraphError, "serving config"
         )
         return documents.construct(
-            cls, documents.body(document), GraphError, "serving config"
+            cls,
+            documents.body(document),
+            GraphError,
+            "serving config",
+            keys={"eps": documents.NUMBER},
         )
 
     def __str__(self) -> str:
@@ -237,7 +243,9 @@ def serve(
     if config.event_log is not None and not telemetry.log.enabled:
         # Same aggregation rule as audit: an injected event log wins.
         telemetry = telemetry.with_log(EventLog(config.event_log))
-    if config.profile and not telemetry.profiler.enabled:
+    if config.profile and telemetry.enabled and not telemetry.profiler.enabled:
+        # A disabled bundle opens no spans: a profiler there would
+        # attribute nothing yet send every query down the span path.
         telemetry = telemetry.with_profiler(PhaseProfiler())
     options = dict(
         weight_bound=config.weight_bound,

@@ -66,6 +66,12 @@ class TestServingConfig:
         assert config.mechanism == "auto"
         assert config.shards == 1
 
+    def test_missing_eps_rejected(self):
+        # A DP budget is never defaulted from a document.
+        document = {"format": "repro-serving-config", "version": 3}
+        with pytest.raises(GraphError, match="missing keys: eps"):
+            ServingConfig.from_json(json.dumps(document))
+
     def test_unknown_fields_rejected(self):
         document = {
             "format": "repro-serving-config",

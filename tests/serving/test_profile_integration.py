@@ -18,6 +18,7 @@ from repro import (
 from repro.exceptions import TelemetryError
 from repro.graphs import generators
 from repro.telemetry import (
+    NULL_TELEMETRY,
     EventLog,
     FlightRecorder,
     PhaseProfiler,
@@ -107,6 +108,13 @@ class TestServeConfigWiring:
         service = serve(_grid(), config, Rng(seed=0), telemetry=bundle)
         assert service.telemetry.profiler is profiler
         assert service.telemetry.flight is flight
+
+    def test_profile_ignored_on_disabled_bundle(self):
+        config = ServingConfig(eps=1.0, profile=True)
+        service = serve(
+            _grid(), config, Rng(seed=0), telemetry=NULL_TELEMETRY
+        )
+        assert not service.telemetry.profiler.enabled
 
     def test_flight_threshold_validation(self):
         with pytest.raises(TelemetryError, match="flight threshold"):

@@ -359,7 +359,29 @@ class TestServe:
             ]
         )
         assert code == 2
-        assert "--eps" in capsys.readouterr().err
+        assert "missing keys: eps" in capsys.readouterr().err
+
+    def test_config_without_eps_rejected_despite_eps_flag(
+        self, grid_file, tmp_path, capsys
+    ):
+        # The document itself must carry the budget: --eps overrides a
+        # stated eps but never stands in for a missing one.
+        cfg = tmp_path / "serving.json"
+        cfg.write_text(
+            json.dumps({"format": "repro-serving-config", "version": 3})
+        )
+        code = main(
+            [
+                "serve",
+                "--graph", str(grid_file),
+                "--config", str(cfg),
+                "--eps", "0.5",
+                "--pairs", "0,0:3,3",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing keys: eps" in err
 
 
 @pytest.mark.parametrize(
@@ -586,7 +608,7 @@ class TestSimulate:
             ]
         )
         assert code == 2
-        assert "--eps" in capsys.readouterr().err
+        assert "missing keys: eps" in capsys.readouterr().err
 
 
 class TestMst:

@@ -93,7 +93,6 @@ class TestExports:
             "repro.serving.simulate",
             "repro.analysis",
             "repro.analysis.errors",
-            "repro.analysis.experiments",
             "repro.analysis.tables",
             "repro.privlint",
             "repro.privlint.engine",
