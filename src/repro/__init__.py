@@ -32,7 +32,7 @@ Package map:
   mechanisms a serving tenant can use, each a named entry with
   data-independent eligibility and noise-scale predictions;
   auto-selection is a catalog-wide contest.
-* :mod:`repro.telemetry` — zero-dependency observability: the metrics
+* :mod:`repro.telemetry` — observability: the metrics
   registry (counters, gauges, streaming quantile histograms), the span
   tracer, and JSON / Prometheus exporters the serving stack records
   into.

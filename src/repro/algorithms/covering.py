@@ -55,7 +55,7 @@ def nearest_in_set(
         origin, hops = result[v]
         if cutoff is not None and hops >= cutoff:
             continue
-        for u, _ in graph.neighbors(v):
+        for u in graph.adjacent(v):
             if u not in result:
                 result[u] = (origin, hops + 1)
                 queue.append(u)
@@ -83,7 +83,7 @@ def _bfs_tree_parents(
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        for u, _ in graph.neighbors(v):
+        for u in graph.adjacent(v):
             if u not in parents:
                 parents[u] = v
                 queue.append(u)

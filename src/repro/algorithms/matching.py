@@ -122,7 +122,7 @@ def bipartition(graph: WeightedGraph) -> Tuple[List[Vertex], List[Vertex]]:
         stack = [root]
         while stack:
             x = stack.pop()
-            for y, _ in graph.neighbors(x):
+            for y in graph.adjacent(x):
                 if y not in color:
                     color[y] = 1 - color[x]
                     stack.append(y)

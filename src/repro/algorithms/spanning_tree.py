@@ -91,7 +91,7 @@ def kruskal_mst(graph: WeightedGraph) -> List[Edge]:
     return tree
 
 
-def prim_mst(graph: WeightedGraph, start: Vertex | None = None) -> List[Edge]:
+def prim_mst(graph: WeightedGraph, start: Vertex | None = None) -> List[Edge]:  # privlint: ignore[PL1] exact algorithm over whatever graph the caller hands it; nothing in the library calls it, and the private MST release runs kruskal_mst on the noised graph
     """The minimum spanning tree by Prim's algorithm (heap-based)."""
     if graph.num_vertices == 0:
         return []

@@ -39,7 +39,7 @@ def bfs_hop_distances(
         d = distances[v]
         if cutoff is not None and d >= cutoff:
             continue
-        for u, _ in graph.neighbors(v):
+        for u in graph.adjacent(v):
             if u not in distances:
                 distances[u] = d + 1
                 queue.append(u)

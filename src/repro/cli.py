@@ -617,7 +617,9 @@ def _observability_bundle(args: argparse.Namespace, telemetry):
         if telemetry is None:
             telemetry = Telemetry()
         if args.profile_out:
-            profiler = PhaseProfiler()
+            # The profile's alloc column needs allocation tracing;
+            # _run_observed detaches the profiler, which stops it.
+            profiler = PhaseProfiler(trace_allocations=True)
             telemetry = telemetry.with_profiler(profiler)
             sampler = SamplingProfiler()
         if wants_flight:
@@ -631,7 +633,8 @@ def _observability_bundle(args: argparse.Namespace, telemetry):
 def _run_observed(telemetry, profiler, sampler, root: str, fn):
     """Run ``fn`` under the bundle's root span with the stack sampler
     going, so every phase of the run lands inside one root frame and
-    the attribution table's self times sum to the run's wall clock."""
+    the attribution table's self times sum to the run's wall clock;
+    then detach the profiler, keeping its phase stats."""
     if profiler is None:
         return fn()
     from .telemetry import use_telemetry
@@ -642,6 +645,7 @@ def _run_observed(telemetry, profiler, sampler, root: str, fn):
             return fn()
     finally:
         sampler.stop()
+        profiler.detach()
 
 
 def _write_observability(
@@ -934,48 +938,31 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .telemetry import validate_snapshot
+    from .telemetry import snapshot_budgets, validate_snapshot
     from .telemetry.monitor import evaluate_rules, load_alert_rules
 
     document = _load_snapshot(args.report_in)
     validate_snapshot(document)
-    budgets: dict = {}
-    latency: list = []
-    for entry in document["metrics"]:
-        labels = entry.get("labels", {})
-        if (
-            entry["kind"] == "gauge"
-            and entry["name"].startswith("budget.")
-            and "tenant" in labels
-        ):
-            budgets.setdefault(labels["tenant"], {})[entry["name"]] = (
-                entry["value"]
-            )
-        elif (
-            entry["kind"] == "histogram"
-            and entry["name"] == "serving.query.latency"
-        ):
-            latency.append(
-                {
-                    "labels": dict(labels),
-                    "count": entry.get("count", 0),
-                    **(entry.get("quantiles") or {}),
-                }
-            )
+    latency = [
+        {
+            "labels": dict(entry.get("labels", {})),
+            "count": entry.get("count", 0),
+            **(entry.get("quantiles") or {}),
+        }
+        for entry in document["metrics"]
+        if entry["kind"] == "histogram"
+        and entry["name"] == "serving.query.latency"
+    ]
     alerts = []
     if args.rules is not None:
         rules = load_alert_rules(Path(args.rules).read_text())
         alerts = evaluate_rules(rules, document)
     report = {
         "budgets": {
-            tenant: {
-                "eps_spent": gauges.get("budget.eps.spent", 0.0),
-                "eps_remaining": gauges.get("budget.eps.remaining", 0.0),
-                "delta_remaining": gauges.get(
-                    "budget.delta.remaining", 0.0
-                ),
-            }
-            for tenant, gauges in sorted(budgets.items())
+            tenant: _budget_position(gauges)
+            for tenant, gauges in snapshot_budgets(
+                document["metrics"]
+            ).items()
         },
         "latency": latency,
         "alerts": [alert.as_dict() for alert in alerts],
@@ -985,6 +972,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     else:
         _print_text_report(report, rules_given=args.rules is not None)
     return 1 if alerts else 0
+
+
+def _budget_position(gauges: dict) -> dict:
+    """A tenant's budget gauges as the report and ``metrics --tenant``
+    render them (0.0 for a gauge the snapshot lacks)."""
+    return {
+        "eps_spent": gauges.get("budget.eps.spent", 0.0),
+        "eps_remaining": gauges.get("budget.eps.remaining", 0.0),
+        "delta_remaining": gauges.get("budget.delta.remaining", 0.0),
+    }
 
 
 def _print_text_report(report: dict, rules_given: bool) -> None:
@@ -1164,33 +1161,15 @@ def _cmd_flight(args: argparse.Namespace) -> int:
 def _tenant_budget(document: dict, tenant: str) -> dict:
     """One tenant's budget position from a snapshot's gauges."""
     from .exceptions import TelemetryError
+    from .telemetry import snapshot_budgets
 
-    gauges = {
-        entry["name"]: entry["value"]
-        for entry in document["metrics"]
-        if entry["kind"] == "gauge"
-        and entry["name"].startswith("budget.")
-        and entry.get("labels", {}).get("tenant") == tenant
-    }
-    if not gauges:
-        known = sorted(
-            {
-                entry["labels"]["tenant"]
-                for entry in document["metrics"]
-                if entry["name"].startswith("budget.")
-                and "tenant" in entry.get("labels", {})
-            }
-        )
+    budgets = snapshot_budgets(document["metrics"])
+    if tenant not in budgets:
         raise TelemetryError(
             f"no budget gauges for tenant {tenant!r} in the snapshot"
-            + (f"; known tenants: {', '.join(known)}" if known else "")
+            + (f"; known tenants: {', '.join(budgets)}" if budgets else "")
         )
-    return {
-        "tenant": tenant,
-        "eps_spent": gauges.get("budget.eps.spent", 0.0),
-        "eps_remaining": gauges.get("budget.eps.remaining", 0.0),
-        "delta_remaining": gauges.get("budget.delta.remaining", 0.0),
-    }
+    return {"tenant": tenant, **_budget_position(budgets[tenant])}
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:

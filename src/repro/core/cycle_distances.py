@@ -62,7 +62,7 @@ def linearize_cycle(graph: WeightedGraph) -> List[Vertex]:
     seen = {start}
     while len(order) < n:
         tail = order[-1]
-        extensions = [u for u, _ in graph.neighbors(tail) if u not in seen]
+        extensions = [u for u in graph.adjacent(tail) if u not in seen]
         if not extensions:
             raise GraphError("graph is not a single cycle")
         order.append(extensions[0])

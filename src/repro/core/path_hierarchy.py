@@ -57,7 +57,7 @@ def linearize_path(graph: WeightedGraph) -> List[Vertex]:
     seen = {endpoints[0]}
     while len(order) < n:
         tail = order[-1]
-        extensions = [u for u, _ in graph.neighbors(tail) if u not in seen]
+        extensions = [u for u in graph.adjacent(tail) if u not in seen]
         if len(extensions) != 1:
             raise GraphError("graph is not a path (branch detected)")
         order.append(extensions[0])

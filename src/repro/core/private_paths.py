@@ -114,13 +114,13 @@ class PrivatePathsRelease:
         path, _ = dijkstra_path(self._released, source, target)
         return path
 
-    def path_with_released_weight(
+    def path_with_released_weight(  # privlint: ignore[PL1] exact Dijkstra over the already-noised released graph; post-processing is privacy-free
         self, source: Vertex, target: Vertex
     ) -> Tuple[List[Vertex], float]:
         """The released path together with its ``w'`` weight."""
         return dijkstra_path(self._released, source, target)
 
-    def paths_from(self, source: Vertex) -> Dict[Vertex, List[Vertex]]:
+    def paths_from(self, source: Vertex) -> Dict[Vertex, List[Vertex]]:  # privlint: ignore[PL1] exact Dijkstra over the already-noised released graph; post-processing is privacy-free
         """Released paths from one source to every reachable vertex."""
         distances, parents = dijkstra(self._released, source)
         return {

@@ -68,12 +68,12 @@ class SyntheticGraphRelease:
         """The released noisy graph — safe to publish as-is."""
         return self._released
 
-    def distance(self, source: Vertex, target: Vertex) -> float:
+    def distance(self, source: Vertex, target: Vertex) -> float:  # privlint: ignore[PL1] exact Dijkstra over the already-noised released graph; post-processing is privacy-free
         """Noisy distance estimate via exact Dijkstra on the release."""
         _, weight = dijkstra_path(self._released, source, target)
         return weight
 
-    def shortest_path(
+    def shortest_path(  # privlint: ignore[PL1] exact Dijkstra over the already-noised released graph; post-processing is privacy-free
         self, source: Vertex, target: Vertex
     ) -> Tuple[List[Vertex], float]:
         """A path that is shortest *in the released graph*, and its

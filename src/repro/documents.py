@@ -74,11 +74,15 @@ def require(
     if missing:
         raise error(f"{what} is missing keys: {', '.join(missing)}")
     for key, kind in keys.items():
-        if not isinstance(entry[key], kind):
+        value = entry[key]
+        # JSON true/false are not numbers, though Python's bool is an int.
+        if not isinstance(value, kind) or (
+            isinstance(value, bool) and kind in (int, NUMBER)
+        ):
             expected = "a number" if kind is NUMBER else kind.__name__
             raise error(
                 f"{what} key {key!r} must be {expected}, got "
-                f"{type(entry[key]).__name__}"
+                f"{type(value).__name__}"
             )
     return entry
 
@@ -100,9 +104,10 @@ def check(
             f"not {article} {noun} (format {document.get('format')!r}, "
             f"expected {format!r})"
         )
-    if document.get("version") != version:
+    found = document.get("version")
+    if found != version or isinstance(found, bool):
         raise error(
-            f"unsupported {noun} version {document.get('version')!r} "
+            f"unsupported {noun} version {found!r} "
             f"(this build reads version {version})"
         )
     return require(document, error, noun, keys)

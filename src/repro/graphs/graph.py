@@ -219,6 +219,17 @@ class WeightedGraph:
             raise VertexNotFoundError(v)
         return iter(self._adj[v].items())
 
+    def adjacent(self, v: Vertex) -> Iterator[Vertex]:
+        """Iterate the neighbours of ``v`` in :meth:`neighbors` order,
+        without their weights: the topology-only view, which reads no
+        private data.
+
+        For directed graphs this iterates successors.
+        """
+        if v not in self._adj:
+            raise VertexNotFoundError(v)
+        return iter(self._adj[v])
+
     def predecessors(self, v: Vertex) -> Iterator[Tuple[Vertex, float]]:
         """Iterate ``(predecessor, weight)`` pairs (directed graphs)."""
         if v not in self._pred:

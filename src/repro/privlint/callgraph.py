@@ -73,6 +73,8 @@ WEIGHT_READS: FrozenSet[str] = frozenset(
         "with_weights",
         "total_weight",
         "path_weight",
+        "neighbors",
+        "predecessors",
     }
 )
 

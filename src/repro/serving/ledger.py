@@ -26,7 +26,7 @@ from typing import Dict, List
 from ..dp.accountant import Accountant
 from ..dp.params import PrivacyParams
 from ..exceptions import PrivacyError
-from ..telemetry import get_telemetry
+from ..telemetry import budget_gauges, get_telemetry
 
 __all__ = ["BudgetLedger", "LedgerEntry"]
 
@@ -130,10 +130,11 @@ class BudgetLedger:
         publishes nothing, matching the no-trace contract.
         """
         telemetry = get_telemetry()
-        registry = telemetry.registry
-        remaining_eps = accountant.remaining_eps()
-        remaining_delta = accountant.remaining_delta()
         spent = accountant.spent
+        budget = self._epoch_budget
+        position = budget_gauges(
+            budget.eps, budget.delta, spent.eps, spent.delta
+        )
         telemetry.emit(
             "budget.spend",
             epoch=self._epoch,
@@ -141,23 +142,20 @@ class BudgetLedger:
             label=label,
             eps=params.eps,
             delta=params.delta,
-            spent_eps=spent.eps if spent is not None else 0.0,
-            spent_delta=spent.delta if spent is not None else 0.0,
-            remaining_eps=remaining_eps,
-            remaining_delta=remaining_delta,
-            budget_eps=self._epoch_budget.eps,
-            budget_delta=self._epoch_budget.delta,
+            spent_eps=spent.eps,
+            spent_delta=spent.delta,
+            remaining_eps=position["budget.eps.remaining"],
+            remaining_delta=position["budget.delta.remaining"],
+            budget_eps=budget.eps,
+            budget_delta=budget.delta,
         )
-        registry.counter("budget.spends", tenant=tenant).inc()
-        registry.gauge("budget.eps.spent", tenant=tenant).set(
-            self._epoch_budget.eps - remaining_eps
-        )
-        registry.gauge("budget.eps.remaining", tenant=tenant).set(
-            remaining_eps
-        )
-        registry.gauge("budget.delta.remaining", tenant=tenant).set(
-            remaining_delta
-        )
+        telemetry.registry.counter("budget.spends", tenant=tenant).inc()
+        self._publish(telemetry.registry, tenant, position)
+
+    @staticmethod
+    def _publish(registry, tenant: str, position: Dict[str, float]) -> None:
+        for name, value in position.items():
+            registry.gauge(name, tenant=tenant).set(value)
 
     def spent(self, tenant: str = DEFAULT_TENANT) -> PrivacyParams:
         """The tenant's cumulative spend this epoch (zero if none).
@@ -187,15 +185,10 @@ class BudgetLedger:
         Returns the new epoch index.
         """
         telemetry = get_telemetry()
-        registry = telemetry.registry
+        budget = self._epoch_budget
+        full = budget_gauges(budget.eps, budget.delta, 0.0, 0.0)
         for tenant in self._accountants:
-            registry.gauge("budget.eps.spent", tenant=tenant).set(0.0)
-            registry.gauge("budget.eps.remaining", tenant=tenant).set(
-                self._epoch_budget.eps
-            )
-            registry.gauge("budget.delta.remaining", tenant=tenant).set(
-                self._epoch_budget.delta
-            )
+            self._publish(telemetry.registry, tenant, full)
         closed = self._epoch
         closed_tenants = sorted(self._accountants)
         self._epoch += 1
@@ -205,8 +198,8 @@ class BudgetLedger:
             epoch=self._epoch,
             closed_epoch=closed,
             tenants=closed_tenants,
-            budget_eps=self._epoch_budget.eps,
-            budget_delta=self._epoch_budget.delta,
+            budget_eps=budget.eps,
+            budget_delta=budget.delta,
         )
         return self._epoch
 

@@ -40,7 +40,6 @@ from .. import documents
 from ..algorithms.shortest_paths import all_pairs_dijkstra
 from ..apsp.hubs import HubStructure
 from ..core.distance_oracle import all_pairs_noise_scale
-from ..dp.composition import composed_noise_scale
 from ..dp.params import PrivacyParams
 from ..engine.csr import CSRGraph
 from ..engine.frontier import is_weakly_connected
@@ -373,19 +372,13 @@ class TreeSynopsis(DistanceSynopsis):
         estimates: Mapping[Vertex, float],
         parent: Mapping[Vertex, Vertex | None],
         depth: Mapping[Vertex, int],
-        noise_scale: float | None = None,
+        noise_scale: float,
     ) -> None:
         super().__init__(params)
         self._root = root
         self._estimates = dict(estimates)
         self._parent = dict(parent)
         self._depth = dict(depth)
-        if noise_scale is None:
-            # Fallback for documents predating the stored scale: the
-            # release noises one value per centroid-recursion level,
-            # so ceil(log2 V)/eps upper-bounds the per-entry scale.
-            n = max(len(self._estimates), 2)
-            noise_scale = max(math.ceil(math.log2(n)), 1) / params.eps
         self._noise_scale = float(noise_scale)
 
     @classmethod
@@ -478,14 +471,13 @@ class TreeSynopsis(DistanceSynopsis):
             parent[v] = None if row[3] is None else _decode_vertex(row[3])
         root = _decode_vertex(payload["root"])
         _check_tree(root, estimates, parent, depth)
-        scale = payload.get("noise_scale")
         return cls(
             params,
             root,
             estimates,
             parent,
             depth,
-            noise_scale=None if scale is None else float(scale),
+            noise_scale=float(payload["noise_scale"]),
         )
 
 
@@ -540,7 +532,7 @@ class BoundedWeightSynopsis(DistanceSynopsis):
         covering_table: Mapping[Tuple[Vertex, Vertex], float],
         weight_bound: float,
         k: int,
-        noise_scale: float | None = None,
+        noise_scale: float,
     ) -> None:
         super().__init__(params)
         self._assignment = dict(assignment)
@@ -550,13 +542,6 @@ class BoundedWeightSynopsis(DistanceSynopsis):
         }
         self._weight_bound = float(weight_bound)
         self._k = int(k)
-        if noise_scale is None:
-            # Fallback for documents predating the stored scale: the
-            # release prices its |Z|(|Z|-1)/2 covering pairs through
-            # the shared composition accounting.
-            noise_scale = composed_noise_scale(
-                max(len(self._table), 1), params.eps, params.delta
-            )
         self._noise_scale = float(noise_scale)
 
     @classmethod
@@ -655,14 +640,13 @@ class BoundedWeightSynopsis(DistanceSynopsis):
         covering = frozenset(assignment.values())
         table = _decode_pair_table(payload["covering_pairs"], covering)
         _require_every_pair("covering table", len(table), len(covering))
-        scale = payload.get("noise_scale")
         return cls(
             params,
             assignment,
             table,
             float(payload["weight_bound"]),
             int(payload["k"]),
-            noise_scale=None if scale is None else float(scale),
+            noise_scale=float(payload["noise_scale"]),
         )
 
 

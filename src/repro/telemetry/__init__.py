@@ -5,11 +5,11 @@ The observability layer under the serving stack: a
 gauges, and streaming-quantile histograms
 (:class:`~repro.telemetry.sketch.QuantileSketch`), a nesting span
 :class:`~repro.telemetry.tracer.Tracer`, and exporters for a JSON
-snapshot document and Prometheus text exposition.  Everything is
-zero-dependency and deterministic to snapshot, and — critically for a
-privacy library — telemetry never touches an :class:`~repro.rng.Rng`:
-seeded query answers are bit-identical with instrumentation on, off,
-or redirected into a custom registry.
+snapshot document and Prometheus text exposition.  Everything needs
+only the standard library and numpy, is deterministic to snapshot,
+and — critically for a privacy library — never touches an
+:class:`~repro.rng.Rng`: seeded query answers are bit-identical with
+instrumentation on or off.
 
 A :class:`Telemetry` object bundles one registry with one tracer,
 plus opt-in extras attached via ``with_*`` derivations: a
@@ -52,6 +52,8 @@ from .audit import (
 from .export import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
+    budget_gauges,
+    snapshot_budgets,
     snapshot_to_prometheus,
     validate_snapshot,
 )
@@ -137,6 +139,7 @@ __all__ = [
     "Span",
     "Telemetry",
     "Tracer",
+    "budget_gauges",
     "evaluate_rules",
     "get_telemetry",
     "load_alert_rules",
@@ -146,6 +149,7 @@ __all__ = [
     "replay_odometer",
     "samples_to_collapsed",
     "set_default_telemetry",
+    "snapshot_budgets",
     "snapshot_to_prometheus",
     "span_phase_breakdown",
     "use_telemetry",
@@ -179,34 +183,21 @@ class Telemetry:
         "registry", "tracer", "audit", "log", "profiler", "flight"
     )
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        audit: AuditLog | None = None,
-    ) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         if not enabled:
             self.registry = _NULL_REGISTRY
             self.tracer = _NULL_TRACER
         else:
-            self.registry = (
-                registry if registry is not None else MetricsRegistry()
+            self.registry = MetricsRegistry()
+            # Surface bounded-history evictions as a counter.  The
+            # callback is only invoked on an actual drop, so the
+            # counter is not interned (and snapshots are unchanged)
+            # until spans are really being lost.
+            registry = self.registry
+            self.tracer = Tracer(
+                on_drop=lambda: registry.counter("trace.dropped").inc()
             )
-            if tracer is not None:
-                self.tracer = tracer
-            else:
-                # Surface bounded-history evictions as a counter.  The
-                # callback is only invoked on an actual drop, so the
-                # counter is not interned (and snapshots are unchanged)
-                # until spans are really being lost.
-                bundle_registry = self.registry
-                self.tracer = Tracer(
-                    on_drop=lambda: bundle_registry.counter(
-                        "trace.dropped"
-                    ).inc()
-                )
-        self.audit = audit if audit is not None else NULL_AUDIT
+        self.audit = NULL_AUDIT
         self.log = NULL_LOG
         self.profiler = NULL_PROFILER
         self.flight = NULL_FLIGHT

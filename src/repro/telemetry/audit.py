@@ -26,9 +26,11 @@ audit log makes spending *durable and verifiable*:
   ``+=`` accumulation bit for bit.
 * :func:`verify_audit_log` checks the log's internal accounting
   (each spend record's cumulative/remaining figures against the
-  replayed sums), and :func:`verify_against_ledger` checks a replay
-  against a *live* ledger and its published gauges — both bit-exact,
-  both fail-closed.
+  position that same replay reaches at the record), and
+  :func:`verify_against_ledger` / :func:`verify_against_snapshot`
+  check a replay against a *live* ledger and its gauges or a dumped
+  snapshot — all bit-exact against
+  :func:`~repro.telemetry.export.budget_gauges`, all fail-closed.
 
 Record schema (one JSON object per line)::
 
@@ -50,10 +52,11 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .. import documents
 from ..exceptions import AuditError
+from .export import budget_gauges, snapshot_budgets
 
 __all__ = [
     "AUDITED_KINDS",
@@ -99,6 +102,9 @@ _REQUIRED_KEYS = {
     "tenant": object, "trace_id": object, "span_id": object,
     "payload": dict, "hash": str,
 }
+
+#: What a spend's payload must carry for the odometer to sum it.
+_SPEND_KEYS = {"eps": documents.NUMBER, "delta": documents.NUMBER}
 
 
 def _chain_hash(prev_hash: str, record: Mapping[str, object]) -> str:
@@ -231,25 +237,27 @@ def _fresh_tenant_state(epoch: object) -> Dict[str, object]:
     }
 
 
-def replay_odometer(
-    records: Sequence[Mapping[str, object]]
-) -> Dict[str, object]:
-    """Reconstruct per-tenant privacy spending from audit records.
+#: A replayed spend: its record, and its tenant's cumulative
+#: ``(eps, delta)`` for the epoch once the spend is counted.
+_Spend = Tuple[Mapping[str, object], float, float]
 
-    The odometer sums each spend's ``eps``/``delta`` in record order —
-    the same left-to-right ``+=`` the live accountant performs — so the
-    reconstructed current-epoch totals are bit-exact against the
-    ledger.  ``ledger.rotate`` records (and a spend arriving with a
-    new epoch) reset a tenant's current-epoch accumulation while the
-    lifetime totals keep counting: the odometer only ever goes up.
-    """
+
+def _replay(
+    records: Sequence[Mapping[str, object]]
+) -> Tuple[Dict[str, object], List[_Spend]]:
+    """The one walk over the records: the odometer document, and every
+    spend as the walk reached it."""
     tenants: Dict[str, Dict[str, object]] = {}
     epoch: int = 0
-    spends = 0
+    spends: List[_Spend] = []
     for rec in records:
         kind = rec["kind"]
         payload = rec.get("payload", {})
         if kind == "budget.spend":
+            documents.require(
+                payload, AuditError, f"audit log spend at seq {rec['seq']}",
+                _SPEND_KEYS,
+            )
             tenant = str(rec["tenant"])
             rec_epoch = rec["epoch"]
             state = tenants.setdefault(
@@ -274,7 +282,7 @@ def replay_odometer(
             per["eps"] += payload["eps"]
             per["delta"] += payload["delta"]
             per["spends"] += 1
-            spends += 1
+            spends.append((rec, state["spent_eps"], state["spent_delta"]))
             if isinstance(rec_epoch, int):
                 epoch = max(epoch, rec_epoch)
         elif kind == "ledger.rotate":
@@ -292,13 +300,29 @@ def replay_odometer(
                     state["budget_delta"] = payload.get("budget_delta")
             if isinstance(new_epoch, int):
                 epoch = max(epoch, new_epoch)
-    return documents.new(
+    odometer = documents.new(
         _ODOMETER_FORMAT,
         _ODOMETER_VERSION,
         epoch=epoch,
-        spend_records=spends,
+        spend_records=len(spends),
         tenants=tenants,
     )
+    return odometer, spends
+
+
+def replay_odometer(
+    records: Sequence[Mapping[str, object]]
+) -> Dict[str, object]:
+    """Reconstruct per-tenant privacy spending from audit records.
+
+    The odometer sums each spend's ``eps``/``delta`` in record order —
+    the same left-to-right ``+=`` the live accountant performs — so the
+    reconstructed current-epoch totals are bit-exact against the
+    ledger.  ``ledger.rotate`` records (and a spend arriving with a
+    new epoch) reset a tenant's current-epoch accumulation while the
+    lifetime totals keep counting: the odometer only ever goes up.
+    """
+    return _replay(records)[0]
 
 
 def verify_audit_log(
@@ -309,53 +333,34 @@ def verify_audit_log(
     Every ``budget.spend`` record carries the cumulative
     ``spent_eps``/``spent_delta`` and ``remaining_eps``/
     ``remaining_delta`` the live accountant reported at spend time;
-    this replays the log and demands each figure match the
-    reconstruction bit-exactly.  Returns a summary (record counts and
-    the final odometer).
+    this demands each figure equal, bit for bit, the position the
+    odometer's replay reaches at that record.  Returns a summary
+    (record counts and the final odometer).
     """
-    running: Dict[str, Dict[str, object]] = {}
-    for rec in records:
-        if rec["kind"] == "ledger.rotate":
-            for tenant in rec.get("payload", {}).get("tenants", []):
-                running.pop(str(tenant), None)
-            continue
-        if rec["kind"] != "budget.spend":
-            continue
-        tenant = str(rec["tenant"])
+    odometer, spends = _replay(records)
+    for rec, spent_eps, spent_delta in spends:
         payload = rec["payload"]
-        state = running.setdefault(
-            tenant,
-            {"epoch": rec["epoch"], "eps": 0.0, "delta": 0.0},
-        )
-        if state["epoch"] != rec["epoch"]:
-            state.update(epoch=rec["epoch"], eps=0.0, delta=0.0)
-        state["eps"] += payload["eps"]
-        state["delta"] += payload["delta"]
-        checks = (
-            ("spent_eps", state["eps"]),
-            ("spent_delta", state["delta"]),
-        )
-        if payload.get("budget_eps") is not None:
-            checks += (
-                ("remaining_eps", payload["budget_eps"] - state["eps"]),
+        expected = {"spent_eps": spent_eps, "spent_delta": spent_delta}
+        budget_eps = payload.get("budget_eps")
+        budget_delta = payload.get("budget_delta")
+        if budget_eps is not None and budget_delta is not None:
+            position = budget_gauges(
+                budget_eps, budget_delta, spent_eps, spent_delta
             )
-        if payload.get("budget_delta") is not None:
-            checks += (
-                (
-                    "remaining_delta",
-                    payload["budget_delta"] - state["delta"],
-                ),
-            )
-        for field, expected in checks:
+            expected["remaining_eps"] = position["budget.eps.remaining"]
+            expected["remaining_delta"] = position[
+                "budget.delta.remaining"
+            ]
+        for field, value in expected.items():
             recorded = payload.get(field)
-            if recorded != expected:
+            if recorded != value:
                 raise AuditError(
                     f"audit replay mismatch at seq {rec['seq']} "
-                    f"(tenant {tenant!r}, epoch {rec['epoch']}): "
+                    f"(tenant {str(rec['tenant'])!r}, "
+                    f"epoch {rec['epoch']}): "
                     f"recorded {field}={recorded!r} but replay "
-                    f"reconstructs {expected!r}"
+                    f"reconstructs {value!r}"
                 )
-    odometer = replay_odometer(records)
     return {
         "records": len(records),
         "spend_records": odometer["spend_records"],
@@ -366,11 +371,22 @@ def verify_audit_log(
     }
 
 
-_BUDGET_GAUGES = (
-    "budget.eps.spent",
-    "budget.eps.remaining",
-    "budget.delta.remaining",
-)
+def _check_gauges(
+    tenant: str,
+    expected: Mapping[str, float],
+    published: Mapping[str, float],
+    source: str,
+) -> int:
+    """Compare a tenant's published budget gauges with the position
+    the replay predicts; returns the number compared."""
+    for name, value in sorted(published.items()):
+        if value != expected[name]:
+            raise AuditError(
+                f"audit replay disagrees with {source} {name!r} for "
+                f"tenant {tenant!r}: replayed {expected[name]!r} != "
+                f"published {value!r}"
+            )
+    return len(published)
 
 
 def verify_against_snapshot(
@@ -382,66 +398,29 @@ def verify_against_snapshot(
     The offline counterpart of :func:`verify_against_ledger` for the
     CLI, where the live ledger is gone but the run also wrote a
     ``--metrics-out`` telemetry snapshot: every ``budget.*`` gauge in
-    the snapshot must match the value the replayed odometer predicts
-    (using the ledger's own expressions, so bit-exact).  Returns the
-    number of gauge comparisons made; raises
+    the snapshot must equal the
+    :func:`~repro.telemetry.export.budget_gauges` figure of the
+    replayed position (a tenant whose epoch was rotated closed has
+    spent 0, so it expects the full budget).  Returns the number of
+    gauge comparisons made; raises
     :class:`~repro.exceptions.AuditError` on any mismatch, or on a
     gauge for a tenant the log never saw spend.
     """
-    odometer = replay_odometer(records)
-    tenants = odometer["tenants"]
-    gauges: Dict[str, Dict[str, float]] = {}
-    for entry in snapshot.get("metrics", []):  # type: ignore[union-attr]
-        if entry.get("kind") != "gauge":
-            continue
-        name = entry.get("name")
-        if name not in _BUDGET_GAUGES:
-            continue
-        tenant = entry.get("labels", {}).get("tenant")
-        if tenant is None:
-            continue
-        gauges.setdefault(tenant, {})[name] = entry.get("value")
+    tenants = replay_odometer(records)["tenants"]
     checked = 0
-    for tenant, values in sorted(gauges.items()):
+    for tenant, values in snapshot_budgets(snapshot.get("metrics", [])).items():
         state = tenants.get(tenant)
         if state is None:
             raise AuditError(
                 f"snapshot publishes budget gauges for tenant "
                 f"{tenant!r} but the audit log never saw it spend"
             )
-        budget_eps = state["budget_eps"]
-        budget_delta = state["budget_delta"]
-        if state["spends"] > 0:
-            remaining_eps = budget_eps - state["spent_eps"]
-            remaining_delta = budget_delta - state["spent_delta"]
-        else:
-            # The tenant's epoch was rotated closed: the ledger reset
-            # its gauges to the full epoch budget.
-            remaining_eps = budget_eps
-            remaining_delta = budget_delta
-        expected = {
-            "budget.eps.spent": budget_eps - remaining_eps,
-            "budget.eps.remaining": remaining_eps,
-            "budget.delta.remaining": remaining_delta,
-        }
-        for name, value in sorted(values.items()):
-            if value != expected[name]:
-                raise AuditError(
-                    f"audit replay disagrees with snapshot gauge "
-                    f"{name!r} for tenant {tenant!r}: replayed "
-                    f"{expected[name]!r} != published {value!r}"
-                )
-            checked += 1
+        expected = budget_gauges(
+            state["budget_eps"], state["budget_delta"],
+            state["spent_eps"], state["spent_delta"],
+        )
+        checked += _check_gauges(tenant, expected, values, "snapshot gauge")
     return checked
-
-
-def _registry_value(registry, name: str, tenant: str) -> float | None:
-    for metric in registry.metrics():
-        if metric.name == name and dict(metric.labels) == {
-            "tenant": tenant
-        }:
-            return metric.value
-    return None
 
 
 def verify_against_ledger(
@@ -476,6 +455,9 @@ def verify_against_ledger(
             f"reconstructs {sorted(replayed_active)}"
         )
     budget = ledger.epoch_budget
+    published = (
+        snapshot_budgets(registry.snapshot()) if registry is not None else {}
+    )
     for tenant in sorted(live):
         state = tenants[tenant]
         if state["budget_eps"] != budget.eps or (
@@ -487,18 +469,21 @@ def verify_against_ledger(
                 f"({state['budget_eps']!r}, {state['budget_delta']!r})"
                 f", ledger says ({budget.eps!r}, {budget.delta!r})"
             )
+        expected = budget_gauges(
+            budget.eps, budget.delta, state["spent_eps"], state["spent_delta"]
+        )
         spent = ledger.spent(tenant)
         replay_pairs = (
             ("spent eps", state["spent_eps"], spent.eps),
             ("spent delta", state["spent_delta"], spent.delta),
             (
                 "remaining eps",
-                budget.eps - state["spent_eps"],
+                expected["budget.eps.remaining"],
                 ledger.remaining_eps(tenant),
             ),
             (
                 "remaining delta",
-                budget.delta - state["spent_delta"],
+                expected["budget.delta.remaining"],
                 ledger.remaining_delta(tenant),
             ),
         )
@@ -509,31 +494,8 @@ def verify_against_ledger(
                     f"{tenant!r} (epoch {ledger.epoch}): replayed "
                     f"{what} {replayed!r} != live {live_value!r}"
                 )
-        if registry is not None:
-            gauge_pairs = (
-                (
-                    "budget.eps.remaining",
-                    budget.eps - state["spent_eps"],
-                ),
-                (
-                    "budget.eps.spent",
-                    budget.eps - (budget.eps - state["spent_eps"]),
-                ),
-                (
-                    "budget.delta.remaining",
-                    budget.delta - state["spent_delta"],
-                ),
-            )
-            for name, expected in gauge_pairs:
-                value = _registry_value(registry, name, tenant)
-                if value is None:
-                    continue  # gauges off (disabled metrics registry)
-                if value != expected:
-                    raise AuditError(
-                        f"audit replay disagrees with gauge {name!r} "
-                        f"for tenant {tenant!r}: replayed {expected!r}"
-                        f" != published {value!r}"
-                    )
+        # A disabled registry publishes nothing, so nothing is compared.
+        _check_gauges(tenant, expected, published.get(tenant, {}), "gauge")
     summary["ledger_epoch"] = ledger.epoch
     summary["verified_tenants"] = sorted(live)
     return summary

@@ -15,20 +15,69 @@ encoding for client-side quantiles.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, Sequence
 
 from .. import documents
 from ..exceptions import TelemetryError
 
 __all__ = [
+    "BUDGET_GAUGES",
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
+    "budget_gauges",
+    "snapshot_budgets",
     "snapshot_to_prometheus",
     "validate_snapshot",
 ]
 
 SNAPSHOT_FORMAT = "repro-telemetry"
 SNAPSHOT_VERSION = 1
+
+#: The gauges that publish a tenant's budget position.
+BUDGET_GAUGES = (
+    "budget.eps.spent",
+    "budget.eps.remaining",
+    "budget.delta.remaining",
+)
+
+
+def budget_gauges(
+    budget_eps: float,
+    budget_delta: float,
+    spent_eps: float,
+    spent_delta: float,
+) -> Dict[str, float]:
+    """A tenant's :data:`BUDGET_GAUGES` after spending ``(spent_eps,
+    spent_delta)`` of its epoch budget.
+
+    The one place these figures are computed: the ledger publishes
+    them and the audit verifiers compare against them, so a replay
+    that sums the same spends in the same order agrees bit for bit.
+    """
+    remaining_eps = budget_eps - spent_eps
+    return {
+        "budget.eps.spent": budget_eps - remaining_eps,
+        "budget.eps.remaining": remaining_eps,
+        "budget.delta.remaining": budget_delta - spent_delta,
+    }
+
+
+def snapshot_budgets(
+    metrics: Sequence[Mapping[str, object]]
+) -> Dict[str, Dict[str, float]]:
+    """Tenant -> its published :data:`BUDGET_GAUGES`, by name, from a
+    snapshot's ``metrics`` entries (tenants sorted)."""
+    budgets: Dict[str, Dict[str, float]] = {}
+    for entry in metrics:
+        tenant = entry.get("labels", {}).get("tenant")
+        if (
+            entry.get("kind") == "gauge"
+            and entry.get("name") in BUDGET_GAUGES
+            and tenant is not None
+        ):
+            budgets.setdefault(tenant, {})[entry["name"]] = entry["value"]
+    return dict(sorted(budgets.items()))
+
 
 _NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 

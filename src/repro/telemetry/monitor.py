@@ -38,7 +38,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .. import documents
 from ..exceptions import TelemetryError
-from .export import validate_snapshot
+from .export import snapshot_budgets, validate_snapshot
 
 __all__ = [
     "ALERT_RULES_FORMAT",
@@ -208,23 +208,17 @@ def _threshold_alerts(
 def _burn_rate_alerts(
     rule: AlertRule, metrics: Sequence[Mapping[str, object]]
 ) -> List[Alert]:
-    spent: Dict[str, float] = {}
-    remaining: Dict[str, float] = {}
-    for entry in metrics:
-        labels = entry.get("labels", {})
-        tenant = labels.get("tenant")
-        if tenant is None or not _labels_match(labels, rule.labels):
-            continue
-        if entry.get("name") == "budget.eps.spent":
-            spent[tenant] = float(entry.get("value", 0.0))
-        elif entry.get("name") == "budget.eps.remaining":
-            remaining[tenant] = float(entry.get("value", 0.0))
     alerts: List[Alert] = []
-    for tenant in sorted(set(spent) & set(remaining)):
-        total = spent[tenant] + remaining[tenant]
+    for tenant, gauges in snapshot_budgets(metrics).items():
+        if not _labels_match({"tenant": tenant}, rule.labels) or not (
+            {"budget.eps.spent", "budget.eps.remaining"} <= set(gauges)
+        ):
+            continue
+        spent = float(gauges["budget.eps.spent"])
+        total = spent + float(gauges["budget.eps.remaining"])
         if total <= 0.0:
             continue
-        rate = spent[tenant] / total
+        rate = spent / total
         if _OPS[rule.op](rate, rule.value):
             alerts.append(
                 Alert(

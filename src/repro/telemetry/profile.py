@@ -151,15 +151,16 @@ class PhaseProfiler:
     spans' total wall clock — the invariant ``repro.cli profile
     --check`` verifies.
 
-    ``trace_allocations=False`` skips tracemalloc entirely (it roughly
-    doubles allocation cost while tracing); the profiler starts
-    tracemalloc lazily on attach and stops it on detach only if it was
-    the one to start it.
+    Allocation tracing is opt-in: tracemalloc makes every allocation
+    in the process pay a hash-table update, builds included.  With
+    ``trace_allocations=True`` the profiler starts tracemalloc on
+    attach, and :meth:`detach` stops it if the profiler was the one
+    to start it; without it ``alloc_net_bytes`` stays 0.
     """
 
     enabled = True
 
-    def __init__(self, trace_allocations: bool = True) -> None:
+    def __init__(self, trace_allocations: bool = False) -> None:
         self._trace_allocations = trace_allocations
         self._stack: List[_Frame] = []
         self._phases: Dict[str, PhaseStat] = {}
@@ -278,9 +279,6 @@ class NullPhaseProfiler(PhaseProfiler):
 
     enabled = False
 
-    def __init__(self) -> None:
-        super().__init__(trace_allocations=False)
-
     def attach(self, tracer: Tracer) -> "NullPhaseProfiler":
         return self
 
@@ -319,26 +317,23 @@ class SamplingProfiler:
     """A thread-based stack sampler with collapsed-stack output.
 
     ``start()`` spawns a daemon thread that wakes every
-    ``interval_seconds``, snapshots the target thread's Python stack
-    (default: the thread that called ``start()``), and counts the
-    collapsed root-to-leaf stack.  ``stop()`` takes one final
-    synchronous sample — so even a sub-interval run yields a non-empty
-    profile — and joins the thread.  Overhead is one frame walk per
-    tick on a thread that is asleep the rest of the time; the sampled
-    thread itself is never interrupted.
+    :attr:`interval_seconds`, snapshots the Python stack of the thread
+    that called ``start()``, and counts the collapsed root-to-leaf
+    stack.  ``stop()`` takes one final synchronous sample — so even a
+    sub-interval run yields a non-empty profile — and joins the
+    thread.  Overhead is one frame walk per tick on a thread that is
+    asleep the rest of the time; the sampled thread itself is never
+    interrupted.
 
     This is the stack's first real second thread — the metrics
     registry and quantile sketch it might observe around are locked
     accordingly.
     """
 
-    def __init__(self, interval_seconds: float = 0.002) -> None:
-        if interval_seconds <= 0.0:
-            raise TelemetryError(
-                "sampling interval must be positive, got "
-                f"{interval_seconds!r}"
-            )
-        self.interval_seconds = float(interval_seconds)
+    #: Seconds between samples.
+    interval_seconds = 0.002
+
+    def __init__(self) -> None:
         self._counts: Dict[Tuple[str, ...], int] = {}
         self._stop_event = threading.Event()
         self._thread: threading.Thread | None = None
@@ -360,15 +355,11 @@ class SamplingProfiler:
         while not self._stop_event.wait(self.interval_seconds):
             self._sample_once()
 
-    def start(self, target_thread_id: int | None = None) -> None:
-        """Begin sampling (default target: the calling thread)."""
+    def start(self) -> None:
+        """Begin sampling the calling thread."""
         if self._thread is not None:
             raise TelemetryError("SamplingProfiler is already running")
-        self._target_id = (
-            target_thread_id
-            if target_thread_id is not None
-            else threading.get_ident()
-        )
+        self._target_id = threading.get_ident()
         self._stop_event.clear()
         self._thread = threading.Thread(
             target=self._run, name="repro-stack-sampler", daemon=True
@@ -504,13 +495,13 @@ class FlightRecorder:
     Every served query's latency is offered to :meth:`consider`.  The
     recorder keeps one live :class:`QuantileSketch` per ``route``
     (point, intra, cross, batch-query, ...); once a route's sketch has
-    ``warmup`` observations the capture threshold is its live p-
-    ``quantile`` latency, before that the fixed ``threshold_seconds``
-    fallback applies (``None`` = capture nothing until warmed).  A
-    latency above threshold captures an exemplar — pair, route,
-    mechanism, epoch, tenant, the finished span subtree, and the
-    per-phase breakdown derived from it — into a deque of
-    ``capacity`` records, evicting the oldest.
+    :attr:`warmup` observations the capture threshold is its live p-
+    :attr:`quantile` latency, before that the fixed
+    ``threshold_seconds`` fallback applies (``None`` = capture nothing
+    until warmed).  A latency above threshold captures an exemplar —
+    pair, route, mechanism, epoch, tenant, the finished span subtree,
+    and the per-phase breakdown derived from it — into a deque of
+    :attr:`capacity` records, evicting the oldest.
 
     Purely observational: the recorder never touches an rng, and the
     threshold adapts only to *observed latencies*, never to answers.
@@ -518,36 +509,24 @@ class FlightRecorder:
 
     enabled = True
 
-    def __init__(
-        self,
-        capacity: int = 64,
-        threshold_seconds: float | None = None,
-        quantile: float = 0.99,
-        warmup: int = 200,
-    ) -> None:
-        if capacity < 1:
-            raise TelemetryError(
-                f"flight recorder capacity must be >= 1, got {capacity}"
-            )
+    #: Exemplars retained; the oldest is evicted first.
+    capacity = 64
+    #: The latency quantile a warm route's threshold tracks.
+    quantile = 0.99
+    #: Observations a route needs before its threshold adapts.
+    warmup = 200
+
+    def __init__(self, threshold_seconds: float | None = None) -> None:
         if threshold_seconds is not None and threshold_seconds <= 0.0:
             raise TelemetryError(
                 "flight threshold must be positive, got "
                 f"{threshold_seconds!r}"
             )
-        if not 0.0 < quantile < 1.0:
-            raise TelemetryError(
-                f"flight quantile must be in (0, 1), got {quantile!r}"
-            )
-        if warmup < 1:
-            raise TelemetryError(
-                f"flight warmup must be >= 1, got {warmup}"
-            )
-        self.capacity = int(capacity)
         self.threshold_seconds = threshold_seconds
-        self.quantile = float(quantile)
-        self.warmup = int(warmup)
         self._sketches: Dict[str, QuantileSketch] = {}
-        self._records: Deque[Dict[str, object]] = deque(maxlen=capacity)
+        self._records: Deque[Dict[str, object]] = deque(
+            maxlen=self.capacity
+        )
         self._seq = 0
         self._captured = 0
         self._considered = 0
@@ -660,9 +639,6 @@ class NullFlightRecorder(FlightRecorder):
     """A flight recorder that captures nothing (disabled bundles)."""
 
     enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(capacity=1)
 
     def consider(self, latency_seconds, **kwargs) -> bool:
         return False

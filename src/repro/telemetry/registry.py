@@ -24,7 +24,7 @@ import threading
 from typing import Dict, List, Mapping, Tuple
 
 from ..exceptions import TelemetryError
-from .sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
+from .sketch import QuantileSketch
 
 __all__ = [
     "Counter",
@@ -106,15 +106,10 @@ class Histogram:
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        labels: LabelKey = (),
-        relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
-    ) -> None:
+    def __init__(self, name: str, labels: LabelKey = ()) -> None:
         self.name = name
         self.labels = labels
-        self._sketch = QuantileSketch(relative_accuracy)
+        self._sketch = QuantileSketch()
 
     @property
     def sketch(self) -> QuantileSketch:
@@ -227,7 +222,7 @@ class MetricsRegistry:
         parts = self.histograms(name)
         if not parts:
             return None
-        merged = QuantileSketch(parts[0].sketch.relative_accuracy)
+        merged = QuantileSketch()
         for part in parts:
             merged.merge(part.sketch)
         return merged

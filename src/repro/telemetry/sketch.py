@@ -18,10 +18,9 @@ the same sketch.  Lock ordering for two-sketch operations
 (:meth:`QuantileSketch.merge`) is by object id, so concurrent
 cross-merges cannot deadlock.
 
-Zero dependencies beyond :mod:`math` and :mod:`threading`;
-:meth:`QuantileSketch.observe_many` uses :mod:`numpy`
-opportunistically for bulk ingest (the library already depends on it)
-but the scalar path never imports it.
+The scalar path needs only :mod:`math` and :mod:`threading`;
+:meth:`QuantileSketch.observe_many` vectorizes bulk ingest with
+:mod:`numpy`.
 """
 
 from __future__ import annotations
@@ -30,14 +29,19 @@ import math
 import threading
 from typing import Dict, Iterable, List, Sequence
 
+import numpy as np
+
 from ..exceptions import TelemetryError
 
-__all__ = ["QuantileSketch", "DEFAULT_RELATIVE_ACCURACY"]
+__all__ = ["QuantileSketch", "RELATIVE_ACCURACY"]
 
-#: Default relative accuracy: 0.1% — far tighter than the ±1 rank
-#: percentile the test suite demands, at ~a few hundred buckets for
-#: realistic latency ranges.
-DEFAULT_RELATIVE_ACCURACY = 0.001
+#: Every sketch's relative accuracy: 0.1% — far tighter than the ±1
+#: rank percentile the test suite demands, at ~a few hundred buckets
+#: for realistic latency ranges.
+RELATIVE_ACCURACY = 0.001
+
+_GAMMA = (1.0 + RELATIVE_ACCURACY) / (1.0 - RELATIVE_ACCURACY)
+_LOG_GAMMA = math.log(_GAMMA)
 
 #: Observations at or below this magnitude collapse into the zero
 #: bucket (log-bucketing cannot represent 0).
@@ -45,19 +49,10 @@ _ZERO_THRESHOLD = 1e-12
 
 
 class QuantileSketch:
-    """A mergeable streaming quantile sketch with relative-error bounds.
-
-    Parameters
-    ----------
-    relative_accuracy:
-        The guaranteed relative error ``a`` of reported quantiles,
-        strictly between 0 and 1.
-    """
+    """A mergeable streaming quantile sketch whose quantiles are within
+    :data:`RELATIVE_ACCURACY` of an observed value."""
 
     __slots__ = (
-        "_accuracy",
-        "_gamma",
-        "_log_gamma",
         "_buckets",
         "_zero_count",
         "_count",
@@ -67,17 +62,7 @@ class QuantileSketch:
         "_lock",
     )
 
-    def __init__(
-        self, relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY
-    ) -> None:
-        if not (0.0 < relative_accuracy < 1.0):
-            raise TelemetryError(
-                "relative_accuracy must be in (0, 1), got "
-                f"{relative_accuracy!r}"
-            )
-        self._accuracy = float(relative_accuracy)
-        self._gamma = (1.0 + self._accuracy) / (1.0 - self._accuracy)
-        self._log_gamma = math.log(self._gamma)
+    def __init__(self) -> None:
         self._buckets: Dict[int, int] = {}
         self._zero_count = 0
         self._count = 0
@@ -85,11 +70,6 @@ class QuantileSketch:
         self._min = math.inf
         self._max = -math.inf
         self._lock = threading.Lock()
-
-    @property
-    def relative_accuracy(self) -> float:
-        """The sketch's guaranteed relative quantile error."""
-        return self._accuracy
 
     @property
     def count(self) -> int:
@@ -112,7 +92,7 @@ class QuantileSketch:
         return self._max
 
     def _key(self, value: float) -> int:
-        return math.ceil(math.log(value) / self._log_gamma)
+        return math.ceil(math.log(value) / _LOG_GAMMA)
 
     def observe(self, value: float) -> None:
         """Ingest one observation.
@@ -138,20 +118,14 @@ class QuantileSketch:
     def observe_many(self, values: Sequence[float]) -> None:
         """Bulk-ingest observations.
 
-        Vectorizes the log/bucket computation through numpy when
-        available and worthwhile; otherwise falls back to the scalar
+        Vectorizes the log/bucket computation through numpy when the
+        batch is large enough to pay for it; otherwise runs the scalar
         loop.  Either path produces identical buckets.
         """
         n = len(values)
         if n == 0:
             return
         if n < 64:
-            for v in values:
-                self.observe(v)
-            return
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is a core dep
             for v in values:
                 self.observe(v)
             return
@@ -169,7 +143,7 @@ class QuantileSketch:
             self._zero_count += n - positive.size
             if positive.size:
                 keys = np.ceil(
-                    np.log(positive) / self._log_gamma
+                    np.log(positive) / _LOG_GAMMA
                 ).astype(np.int64)
                 uniq, counts = np.unique(keys, return_counts=True)
                 buckets = self._buckets
@@ -203,7 +177,7 @@ class QuantileSketch:
                 # Midpoint of the bucket (gamma**(key-1), gamma**key],
                 # clamped to the exactly-tracked observation range so
                 # the extreme quantiles never stray outside the data.
-                estimate = 2.0 * self._gamma ** key / (self._gamma + 1.0)
+                estimate = 2.0 * _GAMMA ** key / (_GAMMA + 1.0)
                 return min(max(estimate, lo), hi)
         return hi
 
@@ -212,15 +186,10 @@ class QuantileSketch:
         return [self.quantile(q) for q in qs]
 
     def merge(self, other: "QuantileSketch") -> None:
-        """Fold another sketch into this one (exact for equal accuracy)."""
+        """Fold another sketch into this one (exact)."""
         if not isinstance(other, QuantileSketch):
             raise TelemetryError(
                 f"can only merge QuantileSketch, got {type(other).__name__}"
-            )
-        if other._accuracy != self._accuracy:
-            raise TelemetryError(
-                "cannot merge sketches with different relative accuracy "
-                f"({self._accuracy} vs {other._accuracy})"
             )
         if other is self:
             other = self.copy()
@@ -241,7 +210,7 @@ class QuantileSketch:
 
     def copy(self) -> "QuantileSketch":
         """A consistent point-in-time copy of this sketch."""
-        result = QuantileSketch(self._accuracy)
+        result = QuantileSketch()
         with self._lock:
             result._buckets = dict(self._buckets)
             result._zero_count = self._zero_count
@@ -253,7 +222,7 @@ class QuantileSketch:
 
     def merged(self, other: "QuantileSketch") -> "QuantileSketch":
         """A new sketch holding both inputs' observations."""
-        result = QuantileSketch(self._accuracy)
+        result = QuantileSketch()
         result.merge(self)
         result.merge(other)
         return result

@@ -7,9 +7,9 @@ becomes its child.  Spans carry JSON-safe attributes set at open time
 or mid-flight (:meth:`Span.set_attribute`); zero-duration
 :meth:`Tracer.event` marks point-in-time facts like budget spends.
 
-Finished root spans are kept in a bounded deque (oldest evicted), so a
-long-running service can trace every epoch without unbounded memory;
-evictions are counted (:attr:`Tracer.dropped`, and an optional
+The last :data:`MAX_FINISHED_ROOTS` finished root spans are kept in a
+bounded deque (oldest evicted), so a long-running service can trace
+every epoch without unbounded memory; evictions are counted (:attr:`Tracer.dropped`, and an optional
 ``on_drop`` callback lets a bundle surface the loss as a
 ``trace.dropped`` counter).  Every span gets a tracer-unique integer
 id; :meth:`Tracer.current_ids` reports the ``(trace_id, span_id)``
@@ -35,7 +35,10 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Callable, Deque, Dict, Iterator, List, Tuple
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_SPAN"]
+__all__ = ["MAX_FINISHED_ROOTS", "Span", "Tracer", "NullTracer", "NULL_SPAN"]
+
+#: Finished root spans a tracer keeps; older ones are evicted.
+MAX_FINISHED_ROOTS = 1000
 
 
 def _json_safe(value: object) -> object:
@@ -101,13 +104,9 @@ class Tracer:
 
     enabled = True
 
-    def __init__(
-        self,
-        max_finished_roots: int = 1000,
-        on_drop: Callable[[], None] | None = None,
-    ) -> None:
+    def __init__(self, on_drop: Callable[[], None] | None = None) -> None:
         self._stack: List[Span] = []
-        self._finished: Deque[Span] = deque(maxlen=max_finished_roots)
+        self._finished: Deque[Span] = deque(maxlen=MAX_FINISHED_ROOTS)
         self._seq = 0
         self._dropped = 0
         self._on_drop = on_drop
@@ -137,10 +136,7 @@ class Tracer:
     def _retire(self, span: Span) -> None:
         # The deque would evict silently; count the loss (and tell the
         # bundle, which surfaces it as the ``trace.dropped`` counter).
-        if (
-            self._finished.maxlen is not None
-            and len(self._finished) == self._finished.maxlen
-        ):
+        if len(self._finished) == MAX_FINISHED_ROOTS:
             self._dropped += 1
             if self._on_drop is not None:
                 self._on_drop()

@@ -89,6 +89,19 @@ class TestQueries:
         with pytest.raises(VertexNotFoundError):
             list(triangle.neighbors(99))
 
+    def test_adjacent_is_neighbors_without_weights(self, triangle):
+        directed = WeightedGraph(directed=True)
+        for u, v in ((0, 2), (0, 1), (2, 0), (0, 3)):
+            directed.add_edge(u, v, 1.0 + u + v)
+        for graph in (triangle, directed):
+            for v in graph.vertices():
+                assert list(graph.adjacent(v)) == [
+                    u for u, _ in graph.neighbors(v)
+                ]
+        assert list(directed.adjacent(0)) == [2, 1, 3]
+        with pytest.raises(VertexNotFoundError):
+            triangle.adjacent(99)
+
     def test_degree(self, triangle):
         assert triangle.degree(0) == 2
 

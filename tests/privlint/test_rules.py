@@ -113,6 +113,30 @@ class TestPL1:
         )
         assert not result.findings
 
+    def test_neighbor_iteration_is_a_weight_read(self, lint_tree):
+        # WeightedGraph.neighbors() and .predecessors() yield
+        # (vertex, weight) pairs; .adjacent() yields vertices only.
+        result = lint_tree(
+            {
+                "mod.py": '''
+                def heaviest_step(graph, v):
+                    return max(w for _, w in graph.neighbors(v))
+
+                def heaviest_back_step(graph, v):
+                    return max(w for _, w in graph.predecessors(v))
+
+                def out_vertices(graph, v):
+                    return list(graph.adjacent(v))
+                '''
+            }
+        )
+        assert [f.rule for f in result.findings] == ["PL1", "PL1"]
+        messages = [f.message for f in result.findings]
+        assert "'heaviest_step'" in messages[0]
+        assert "(neighbors)" in messages[0]
+        assert "'heaviest_back_step'" in messages[1]
+        assert "(predecessors)" in messages[1]
+
     def test_read_without_escape_passes(self, lint_tree):
         result = lint_tree(
             {

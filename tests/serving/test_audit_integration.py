@@ -105,6 +105,22 @@ class TestVerifyAgainstLiveLedger:
         assert odometer["tenants"]["west"]["lifetime_spends"] == 4
         assert odometer["tenants"]["east"]["lifetime_spends"] == 3
 
+    def test_nudged_gauge_disagrees_with_replay(self):
+        telemetry = _audited_bundle()
+        service = DistanceService(GRAPH, 0.5, Rng(0), telemetry=telemetry)
+        records = telemetry.audit.records()
+        verify_against_ledger(records, service.ledger, telemetry.registry)
+        gauge = telemetry.registry.gauge(
+            "budget.eps.remaining", tenant="distance-service"
+        )
+        gauge.set(gauge.value + 1e-9)
+        with pytest.raises(
+            AuditError, match="disagrees with gauge 'budget.eps.remaining'"
+        ):
+            verify_against_ledger(records, service.ledger, telemetry.registry)
+        # Without the registry only the ledger itself is compared.
+        verify_against_ledger(records, service.ledger)
+
     def test_replay_disagrees_with_foreign_ledger(self):
         telemetry = _audited_bundle()
         DistanceService(GRAPH, 0.5, Rng(0), telemetry=telemetry)

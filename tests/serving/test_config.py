@@ -72,6 +72,12 @@ class TestServingConfig:
         with pytest.raises(GraphError, match="missing keys: eps"):
             ServingConfig.from_json(json.dumps(document))
 
+    def test_boolean_eps_rejected(self):
+        # JSON true is not a budget, though Python's bool is an int.
+        document = {"format": "repro-serving-config", "version": 3, "eps": True}
+        with pytest.raises(GraphError, match="'eps' must be a number, got bool"):
+            ServingConfig.from_json(json.dumps(document))
+
     def test_unknown_fields_rejected(self):
         document = {
             "format": "repro-serving-config",

@@ -5,6 +5,7 @@ adds up, and slow-query exemplar capture."""
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -99,6 +100,17 @@ class TestServeConfigWiring:
         assert service.telemetry.log.enabled
         # The build itself was profiled.
         assert "synopsis.build" in service.telemetry.profiler.phases()
+
+    def test_profile_leaves_allocation_tracing_off(self):
+        # Allocation tracing is opt-in: tracemalloc would tax every
+        # later allocation in the process, builds included.
+        config = ServingConfig(eps=1.0, profile=True)
+        service = serve(_grid(), config, Rng(seed=0), telemetry=Telemetry())
+        service.query((0, 0), (4, 4))
+        assert service.telemetry.profiler.attached
+        assert not tracemalloc.is_tracing()
+        del service
+        assert not tracemalloc.is_tracing()
 
     def test_injected_instruments_win_over_config(self):
         profiler = PhaseProfiler(trace_allocations=False)

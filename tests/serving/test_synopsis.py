@@ -619,6 +619,19 @@ class TestMalformedDocuments:
         with pytest.raises(SynopsisError):
             synopsis_from_json(json.dumps(document))
 
+    @pytest.mark.parametrize(
+        "document",
+        [_tree_document, lambda: _pair_document("bounded-weight")],
+        ids=["tree", "bounded-weight"],
+    )
+    def test_missing_noise_scale_refused(self, document):
+        # Every writer stores the scale; a document without it is
+        # malformed, not an older format to guess a scale for.
+        document = document()
+        del document["noise_scale"]
+        with pytest.raises(SynopsisError, match="noise_scale"):
+            synopsis_from_json(json.dumps(document))
+
     @pytest.mark.parametrize("kind", ["all-pairs", "bounded-weight"])
     def test_missing_pair_refused(self, kind):
         # A workload table answers only its own pairs; these two must

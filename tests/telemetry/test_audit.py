@@ -463,6 +463,33 @@ class TestOdometer:
             verify_audit_log(doctored)
 
 
+    def test_verify_catches_rechained_remaining_lie(self):
+        log = AuditLog()
+        _spend(log, spent_eps=0.25)
+        records = [dict(r) for r in log.records()]
+        records[1]["payload"] = dict(
+            records[1]["payload"], remaining_eps=0.8
+        )
+        with pytest.raises(AuditError, match="recorded remaining_eps=0.8"):
+            verify_audit_log(_rechain(records))
+
+
+    @pytest.mark.parametrize("eps", [None, "0.25", True])
+    def test_spend_without_a_numeric_eps_refused(self, eps):
+        # A chained record the odometer cannot sum fails closed.
+        log = AuditLog()
+        _spend(log)
+        records = [dict(r) for r in log.records()]
+        payload = dict(records[1]["payload"], eps=eps)
+        if eps is None:
+            del payload["eps"]
+        records[1]["payload"] = payload
+        doctored = _rechain(records)
+        for read in (replay_odometer, verify_audit_log):
+            with pytest.raises(AuditError, match="spend at seq 1"):
+                read(doctored)
+
+
 class TestSnapshotVerify:
     def _snapshot(self, spent=0.25, remaining=0.75, tenant="t"):
         return {

@@ -121,6 +121,18 @@ class TestEventLog:
         with pytest.raises(TelemetryError, match="version"):
             read_event_log(path)
 
+    def test_boolean_seq_refused(self, tmp_path):
+        # JSON true equals 1 in Python, but it is not sequence number 1.
+        path = tmp_path / "events.jsonl"
+        with EventLog(path) as log:
+            log.emit("service.start")
+        lines = path.read_text().splitlines()
+        assert '"seq":1' in lines[1]
+        lines[1] = lines[1].replace('"seq":1', '"seq":true')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TelemetryError, match="'seq' must be int, got bool"):
+            read_event_log(path)
+
     def test_null_log_is_inert(self, tmp_path):
         assert not NULL_LOG.enabled
         assert NULL_LOG.emit("anything", tenant="t") == {}

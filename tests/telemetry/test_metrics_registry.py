@@ -10,14 +10,21 @@ import pytest
 
 from repro.exceptions import TelemetryError
 from repro.telemetry import (
+    FlightRecorder,
+    Histogram,
     MetricsRegistry,
     NullRegistry,
     QuantileSketch,
+    SamplingProfiler,
     Telemetry,
+    Tracer,
 )
 from repro.telemetry.export import (
+    BUDGET_GAUGES,
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
+    budget_gauges,
+    snapshot_budgets,
     prometheus_label_name,
     prometheus_name,
     snapshot_to_prometheus,
@@ -249,3 +256,69 @@ class TestTelemetryBundle:
         assert isinstance(h.sketch, QuantileSketch)
         assert h.quantile(0.0) == 1.0
         assert h.quantile(1.0) == 4.0
+
+    @pytest.mark.parametrize(
+        "build, keyword",
+        [
+            pytest.param(Telemetry, "registry", id="Telemetry-registry"),
+            pytest.param(Telemetry, "tracer", id="Telemetry-tracer"),
+            pytest.param(Telemetry, "audit", id="Telemetry-audit"),
+            pytest.param(
+                Tracer, "max_finished_roots", id="Tracer-max_finished_roots"
+            ),
+            pytest.param(
+                QuantileSketch, "relative_accuracy",
+                id="QuantileSketch-relative_accuracy",
+            ),
+            pytest.param(
+                lambda **kw: Histogram("h", **kw), "relative_accuracy",
+                id="Histogram-relative_accuracy",
+            ),
+            pytest.param(FlightRecorder, "capacity", id="Flight-capacity"),
+            pytest.param(FlightRecorder, "quantile", id="Flight-quantile"),
+            pytest.param(FlightRecorder, "warmup", id="Flight-warmup"),
+            pytest.param(
+                SamplingProfiler, "interval_seconds",
+                id="Sampler-interval_seconds",
+            ),
+            pytest.param(
+                lambda **kw: SamplingProfiler().start(**kw),
+                "target_thread_id", id="Sampler.start-target_thread_id",
+            ),
+        ],
+    )
+    def test_dropped_knobs_are_unknown_keywords(self, build, keyword):
+        # Each is a constant now: no caller ever set it.
+        with pytest.raises(TypeError, match=keyword):
+            build(**{keyword: None})
+
+
+class TestBudgetPosition:
+    def test_gauges_follow_the_spend(self):
+        assert budget_gauges(1.0, 1e-6, 0.25, 0.0) == {
+            "budget.eps.spent": 1.0 - (1.0 - 0.25),
+            "budget.eps.remaining": 0.75,
+            "budget.delta.remaining": 1e-6,
+        }
+        assert tuple(budget_gauges(1.0, 0.0, 0.1, 0.0)) == BUDGET_GAUGES
+
+    def test_nothing_spent_is_the_full_budget(self):
+        assert budget_gauges(0.3, 1e-5, 0.0, 0.0) == {
+            "budget.eps.spent": 0.0,
+            "budget.eps.remaining": 0.3,
+            "budget.delta.remaining": 1e-5,
+        }
+
+    def test_snapshot_reader_keeps_only_tenant_budget_gauges(self):
+        registry = MetricsRegistry()
+        for name, value in budget_gauges(1.0, 0.0, 0.5, 0.0).items():
+            registry.gauge(name, tenant="west").set(value)
+        registry.gauge("budget.eps.remaining", tenant="east").set(1.0)
+        registry.counter("budget.spends", tenant="west").inc()
+        registry.gauge("budget.eps.remaining").set(9.0)  # no tenant
+        registry.gauge("serving.cache.size", tenant="west").set(3.0)
+        budgets = snapshot_budgets(registry.snapshot())
+        assert list(budgets) == ["east", "west"]
+        assert budgets["east"] == {"budget.eps.remaining": 1.0}
+        assert budgets["west"] == budget_gauges(1.0, 0.0, 0.5, 0.0)
+        assert snapshot_budgets([]) == {}

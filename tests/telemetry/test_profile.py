@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -75,11 +76,23 @@ class TestPhaseProfiler:
 
     def test_allocation_delta_tracked(self):
         tracer = Tracer()
-        profiler = PhaseProfiler().attach(tracer)
+        profiler = PhaseProfiler(trace_allocations=True).attach(tracer)
         with tracer.span("alloc"):
             keep = [list(range(1000)) for _ in range(50)]
         profiler.detach()
         assert profiler.phases()["alloc"].alloc_net_bytes > 0
+        # The profiler started tracemalloc, so detaching stops it.
+        assert not tracemalloc.is_tracing()
+        del keep
+
+    def test_allocation_tracing_is_opt_in(self):
+        tracer = Tracer()
+        profiler = PhaseProfiler().attach(tracer)
+        assert not tracemalloc.is_tracing()
+        with tracer.span("alloc"):
+            keep = [list(range(1000)) for _ in range(50)]
+        profiler.detach()
+        assert profiler.phases()["alloc"].alloc_net_bytes == 0
         del keep
 
     def test_double_attach_other_tracer_rejected(self):
@@ -140,7 +153,7 @@ class TestPhaseProfiler:
 
 class TestSamplingProfiler:
     def test_final_sample_guarantees_output(self):
-        sampler = SamplingProfiler(interval_seconds=10.0)
+        sampler = SamplingProfiler()
         sampler.start()
         sampler.stop()
         assert sampler.sample_count >= 1
@@ -151,7 +164,7 @@ class TestSamplingProfiler:
         assert int(count) >= 1
 
     def test_samples_accumulate_while_running(self):
-        sampler = SamplingProfiler(interval_seconds=0.001)
+        sampler = SamplingProfiler()
         sampler.start()
         _spin(0.03)
         sampler.stop()
@@ -160,9 +173,7 @@ class TestSamplingProfiler:
         sampler.clear()
         assert sampler.sample_count == 0
 
-    def test_double_start_and_bad_interval_rejected(self):
-        with pytest.raises(TelemetryError, match="interval"):
-            SamplingProfiler(interval_seconds=0.0)
+    def test_double_start_rejected(self):
         sampler = SamplingProfiler()
         sampler.start()
         try:
@@ -188,7 +199,7 @@ class TestProfileDocument:
         with tracer.span("work"):
             _spin(0.002)
         profiler.detach()
-        sampler = SamplingProfiler(interval_seconds=5.0)
+        sampler = SamplingProfiler()
         sampler.start()
         sampler.stop()
         return profile_document(profiler, sampler)
@@ -256,15 +267,15 @@ class TestFlightRecorder:
         assert record["span"] is None
 
     def test_cold_without_fallback_captures_nothing(self):
-        recorder = FlightRecorder(warmup=5)
-        for _ in range(4):
+        recorder = FlightRecorder()
+        for _ in range(FlightRecorder.warmup - 1):
             assert not recorder.consider(100.0)
         assert recorder.current_threshold() is None
         assert recorder.captured == 0
 
     def test_adaptive_threshold_after_warmup(self):
-        recorder = FlightRecorder(warmup=50, quantile=0.99)
-        for _ in range(50):
+        recorder = FlightRecorder()
+        for _ in range(FlightRecorder.warmup):
             recorder.consider(0.001, route="point")
         threshold = recorder.current_threshold("point")
         assert threshold == pytest.approx(0.001, rel=0.01)
@@ -274,19 +285,22 @@ class TestFlightRecorder:
         assert recorder.current_threshold("batch") is None
 
     def test_slow_query_does_not_raise_its_own_bar(self):
-        recorder = FlightRecorder(warmup=1)
-        recorder.consider(0.001)
+        recorder = FlightRecorder()
+        for _ in range(FlightRecorder.warmup):
+            recorder.consider(0.001)
         # The sketch is warm; the next latency is judged against the
         # p99 *before* it is observed.
         assert recorder.consider(1.0)
 
     def test_ring_eviction(self):
-        recorder = FlightRecorder(capacity=2, threshold_seconds=0.001)
-        for i in range(5):
+        capacity = FlightRecorder.capacity
+        recorder = FlightRecorder(threshold_seconds=0.001)
+        for i in range(capacity + 3):
             recorder.consider(0.01, pair=(i, i))
-        assert len(recorder) == 2
-        assert recorder.captured == 5
-        assert [r["pair"][0] for r in recorder.records()] == ["3", "4"]
+        assert len(recorder) == capacity
+        assert recorder.captured == capacity + 3
+        pairs = [r["pair"][0] for r in recorder.records()]
+        assert pairs == [str(i) for i in range(3, capacity + 3)]
 
     def test_span_subtree_and_breakdown_recorded(self):
         tracer = Tracer()
@@ -308,23 +322,25 @@ class TestFlightRecorder:
         parsed = json.loads(json.dumps(document))
         assert validate_flight(parsed)["records"][0]["pair"] == ["s", "t"]
 
+    def test_document_keeps_the_recorder_constants(self):
+        document = FlightRecorder().to_document()
+        assert (
+            document["capacity"], document["quantile"], document["warmup"]
+        ) == (64, 0.99, 200)
+
     def test_validation_and_parameters_fail_closed(self):
-        with pytest.raises(TelemetryError, match="capacity"):
-            FlightRecorder(capacity=0)
         with pytest.raises(TelemetryError, match="threshold"):
             FlightRecorder(threshold_seconds=-1.0)
-        with pytest.raises(TelemetryError, match="quantile"):
-            FlightRecorder(quantile=1.0)
-        with pytest.raises(TelemetryError, match="warmup"):
-            FlightRecorder(warmup=0)
         with pytest.raises(TelemetryError, match="format"):
             validate_flight({"format": "nope"})
         with pytest.raises(TelemetryError, match="records"):
             validate_flight({"format": FLIGHT_FORMAT, "version": 1})
 
     def test_clear_resets_counts_and_sketches(self):
-        recorder = FlightRecorder(warmup=1, threshold_seconds=0.001)
-        recorder.consider(0.01)
+        recorder = FlightRecorder(threshold_seconds=0.001)
+        for _ in range(FlightRecorder.warmup):
+            recorder.consider(0.01)
+        assert recorder.current_threshold() == pytest.approx(0.01, rel=0.01)
         recorder.clear()
         assert recorder.captured == 0
         assert recorder.considered == 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.telemetry import NullTracer, Tracer
-from repro.telemetry.tracer import NULL_SPAN
+from repro.telemetry.tracer import MAX_FINISHED_ROOTS, NULL_SPAN
 
 
 class TestSpans:
@@ -72,27 +72,25 @@ class TestSpans:
         assert doc["duration_seconds"] >= 0.0
 
     def test_finished_roots_bounded(self):
-        tracer = Tracer(max_finished_roots=3)
-        for i in range(5):
+        tracer = Tracer()
+        for i in range(MAX_FINISHED_ROOTS + 2):
             with tracer.span(f"s{i}"):
                 pass
         names = [s.name for s in tracer.finished_roots()]
-        assert names == ["s2", "s3", "s4"]
+        assert names == [f"s{i}" for i in range(2, MAX_FINISHED_ROOTS + 2)]
 
     def test_evictions_counted_and_reported(self):
         dropped = []
-        tracer = Tracer(
-            max_finished_roots=3, on_drop=lambda: dropped.append(1)
-        )
-        for i in range(5):
+        tracer = Tracer(on_drop=lambda: dropped.append(1))
+        for i in range(MAX_FINISHED_ROOTS + 2):
             with tracer.span(f"s{i}"):
                 pass
         assert tracer.dropped == 2
         assert len(dropped) == 2
 
     def test_no_drops_below_capacity(self):
-        tracer = Tracer(max_finished_roots=3, on_drop=lambda: 1 / 0)
-        for i in range(3):
+        tracer = Tracer(on_drop=lambda: 1 / 0)
+        for i in range(MAX_FINISHED_ROOTS):
             with tracer.span(f"s{i}"):
                 pass
         assert tracer.dropped == 0  # callback never invoked
@@ -100,11 +98,10 @@ class TestSpans:
     def test_bundle_drop_counter_interned_lazily(self):
         from repro.telemetry import Telemetry
 
-        telemetry = Telemetry(tracer=None)
-        telemetry.tracer._finished.maxlen  # live tracer with history
+        telemetry = Telemetry()
         names = {m["name"] for m in telemetry.registry.snapshot()}
         assert "trace.dropped" not in names  # nothing dropped yet
-        for i in range(telemetry.tracer._finished.maxlen + 2):
+        for i in range(MAX_FINISHED_ROOTS + 2):
             with telemetry.span(f"s{i}"):
                 pass
         counters = {

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -360,6 +361,26 @@ class TestServe:
         )
         assert code == 2
         assert "missing keys: eps" in capsys.readouterr().err
+
+    def test_config_with_boolean_eps_rejected(
+        self, grid_file, tmp_path, capsys
+    ):
+        cfg = tmp_path / "serving.json"
+        cfg.write_text(
+            '{"format": "repro-serving-config", "version": 3, "eps": true}'
+        )
+        code = main(
+            [
+                "serve",
+                "--graph", str(grid_file),
+                "--config", str(cfg),
+                "--pairs", "0,0:3,3",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "'eps' must be a number, got bool" in err
 
     def test_config_without_eps_rejected_despite_eps_flag(
         self, grid_file, tmp_path, capsys
@@ -998,6 +1019,66 @@ class TestReportCli:
         assert code == 0
         assert "(none fired)" in capsys.readouterr().out
 
+    def test_budget_readers_agree_per_tenant(self, tmp_path, capsys):
+        # The report, metrics --tenant and the burn-rate rule read
+        # one snapshot reader, so they agree tenant for tenant.
+        snap = tmp_path / "metrics.json"
+        code = main(
+            [
+                "simulate",
+                "--rows", "5",
+                "--cols", "5",
+                "--eps", "1.0",
+                "--shards", "2",
+                "--epochs", "3",
+                "--queries", "30",
+                "--seed", "0",
+                "--metrics-out", str(snap),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        rules = tmp_path / "rules.json"
+        rules.write_text(
+            json.dumps(
+                {
+                    "format": "repro-alert-rules",
+                    "version": 1,
+                    "rules": [
+                        {"name": "burn", "kind": "burn-rate",
+                         "op": ">=", "value": 0.0}
+                    ],
+                }
+            )
+        )
+        code = main(
+            [
+                "report", "--in", str(snap), "--format", "json",
+                "--rules", str(rules),
+            ]
+        )
+        assert code == 1
+        report = json.loads(capsys.readouterr().out)
+        budgets = report["budgets"]
+        assert sorted(budgets) == [
+            "sharded-distance-service/relay",
+            "sharded-distance-service/shard-0",
+            "sharded-distance-service/shard-1",
+        ]
+        rates = {
+            alert["labels"]["tenant"]: alert["observed"]
+            for alert in report["alerts"]
+        }
+        assert sorted(rates) == sorted(budgets)
+        for tenant, position in budgets.items():
+            code = main(["metrics", "--in", str(snap), "--tenant", tenant])
+            assert code == 0
+            assert json.loads(capsys.readouterr().out) == {
+                "tenant": tenant, **position
+            }
+            spent = position["eps_spent"]
+            assert rates[tenant] == spent / (spent + position["eps_remaining"])
+
     def test_bad_rules_document_exits_2(self, tmp_path, capsys):
         snap = self._snapshot(tmp_path, capsys)
         rules = tmp_path / "rules.json"
@@ -1170,6 +1251,14 @@ class TestProfileCli:
         capsys.readouterr()
         return profile
 
+    def test_profile_out_traces_allocations_then_stops(
+        self, tmp_path, capsys
+    ):
+        profile = self._profile_file(tmp_path, capsys)
+        assert not tracemalloc.is_tracing()
+        rows = json.loads(profile.read_text())["phases"]
+        assert any(row["alloc_net_bytes"] != 0 for row in rows)
+
     def test_phases_table(self, tmp_path, capsys):
         profile = self._profile_file(tmp_path, capsys)
         assert main(["profile", "--in", str(profile)]) == 0
@@ -1249,7 +1338,9 @@ class TestFlightCli:
                 "--queries", "30",
                 "--seed", "0",
                 "--flight-out", str(flight),
-                "--flight-threshold", "0.00001",
+                # Any latency clears 1 ns, so every query is captured
+                # however fast the machine serves it.
+                "--flight-threshold", "1e-9",
             ]
         )
         assert code == 0

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Tuple
 
 import pytest
 
-from repro import Rng
+from repro import Rng, documents
 from repro.cli import main
 from repro.exceptions import (
     AuditError,
@@ -392,6 +392,22 @@ def test_malformed_entries_fail_closed(name, mutate, tmp_path):
     mutate(document)
     with pytest.raises(reader.error):
         reader.read(_dumps(document), tmp_path)
+
+
+@pytest.mark.parametrize("kind", [int, documents.NUMBER], ids=["int", "number"])
+@pytest.mark.parametrize("value", [True, False])
+def test_require_refuses_booleans_as_numbers(kind, value):
+    # Python's bool is an int, but JSON true/false are not numbers.
+    with pytest.raises(GraphError, match="must be .*, got bool"):
+        documents.require({"n": value}, GraphError, "doc", {"n": kind})
+    assert documents.require({"n": 1}, GraphError, "doc", {"n": kind})
+    assert documents.require({"n": value}, GraphError, "doc", {"n": object})
+
+
+def test_boolean_version_refused():
+    document = {"format": "repro-x", "version": True}
+    with pytest.raises(GraphError, match="unsupported doc version True"):
+        documents.check(document, "repro-x", 1, GraphError, "doc")
 
 
 # ----------------------------------------------------------------------
