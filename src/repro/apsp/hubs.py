@@ -394,9 +394,13 @@ def _build_hub_structure_inner(
 
 
 def _mutually_reachable(csr: CSRGraph, site_idx: np.ndarray) -> bool:
-    """Whether every site reaches every other, from topology alone:
-    all sites are reachable from the first one and, on a directed
-    graph, the first one from all of them."""
+    """Whether every site reaches every other, from topology alone.
+    On a connected undirected graph they all do, which the memoized
+    weak connectivity answers without a search; otherwise all sites
+    must be reachable from the first one and, on a directed graph,
+    the first one from all of them."""
+    if not csr.directed and is_weakly_connected(csr):
+        return True
     start = int(site_idx[0])
     if not reached(csr.indptr, csr.indices, start)[site_idx].all():
         return False

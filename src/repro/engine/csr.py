@@ -13,7 +13,11 @@ Undirected edges are stored as two directed arcs.  ``arc_edge`` maps
 every arc back to the index of its canonical edge (the
 :meth:`~repro.graphs.graph.WeightedGraph.edge_list` order), which is
 what makes re-weighting cheap: a new weight function is one fancy-index
-gather, no topology work (:meth:`CSRGraph.with_weights`).
+gather, no topology work (:meth:`CSRGraph.with_weights`).  The arcs
+are laid out from two edge-endpoint index arrays, which the structure
+keeps (:attr:`CSRGraph.edge_endpoints`): whatever else is derived from
+the topology edge by edge — a shard plan's cut edges, the shard
+router's edge classes — is array code over them.
 
 Compilation is cached on the source graph and invalidated by the
 graph's version counters: a topology bump forces a full rebuild, while
@@ -37,6 +41,7 @@ topology compiles a new structure with an empty memo.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Dict, Hashable, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -66,6 +71,8 @@ class _CSRStructure:
         "indptr",
         "indices",
         "arc_edge",
+        "edge_u",
+        "edge_v",
         "vertices",
         "index",
         "memo",
@@ -78,6 +85,8 @@ class _CSRStructure:
         indptr: np.ndarray,
         indices: np.ndarray,
         arc_edge: np.ndarray,
+        edge_u: np.ndarray,
+        edge_v: np.ndarray,
         vertices: Tuple[Vertex, ...],
         index: Dict[Vertex, int],
     ) -> None:
@@ -85,6 +94,8 @@ class _CSRStructure:
         self.indptr = indptr
         self.indices = indices
         self.arc_edge = arc_edge
+        self.edge_u = edge_u
+        self.edge_v = edge_v
         self.vertices = vertices
         self.index = index
         self.memo: Dict[Hashable, object] = {}
@@ -114,31 +125,43 @@ class _CSRStructure:
 
 
 def _build_structure(graph: WeightedGraph) -> _CSRStructure:
+    """Compile the topology from two edge-endpoint index arrays.
+
+    Edge ``e`` of :meth:`~repro.graphs.graph.WeightedGraph.edge_list`
+    runs from vertex ``edge_u[e]`` to ``edge_v[e]``.  It becomes arc
+    ``e`` of a directed graph, and arcs ``2e`` (``u -> v``) and
+    ``2e + 1`` (``v -> u``) of an undirected one; a stable sort by
+    tail then lays the arcs out in CSR order.
+    """
     vertices = tuple(graph.vertex_list())
     index = {v: i for i, v in enumerate(vertices)}
     n = len(vertices)
     m = graph.num_edges
-    arcs_per_edge = 1 if graph.directed else 2
-    num_arcs = m * arcs_per_edge
-    tails = np.empty(num_arcs, dtype=np.int64)
-    heads = np.empty(num_arcs, dtype=np.int64)
-    arc_edge = np.empty(num_arcs, dtype=np.int64)
-    for e, (u, v, _) in enumerate(graph.edges()):
-        ui, vi = index[u], index[v]
-        pos = e * arcs_per_edge
-        tails[pos], heads[pos], arc_edge[pos] = ui, vi, e
-        if not graph.directed:
-            tails[pos + 1], heads[pos + 1] = vi, ui
-            arc_edge[pos + 1] = e
+    ends = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(graph.edge_list())),
+        dtype=np.int64,
+        count=2 * m,
+    ).reshape(m, 2)
+    edge_u, edge_v = ends[:, 0].copy(), ends[:, 1].copy()
+    if graph.directed:
+        tails, heads = edge_u, edge_v
+        arc_edge = np.arange(m, dtype=np.int64)
+    else:
+        tails, heads = ends.ravel(), ends[:, ::-1].ravel()
+        arc_edge = np.repeat(np.arange(m, dtype=np.int64), 2)
     order = np.argsort(tails, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
-    if num_arcs:
+    if len(tails):
         np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    edge_u.setflags(write=False)
+    edge_v.setflags(write=False)
     return _CSRStructure(
         graph.directed,
         indptr,
         heads[order],
         arc_edge[order],
+        edge_u,
+        edge_v,
         vertices,
         index,
     )
@@ -312,6 +335,14 @@ class CSRGraph:
     def arc_edge(self) -> np.ndarray:
         """For each arc, the index of its canonical edge."""
         return self._structure.arc_edge
+
+    @property
+    def edge_endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(u, v)``: the vertex indices of every canonical edge's
+        endpoints, in ``edge_list`` order and orientation
+        (read-only)."""
+        structure = self._structure
+        return structure.edge_u, structure.edge_v
 
     def incoming(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Incoming-arc view for pull-style relaxation kernels; see

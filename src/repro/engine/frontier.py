@@ -1,13 +1,15 @@
 """Level-synchronous breadth-first search over CSR arrays.
 
 Hop counts, reachability and connectivity read the public topology
-only.  :class:`FrontierSearch` answers them one vectorized level at a
-time, from a chunk of sources at once, and touches only the vertices
-each source reaches: no dense ``sources x V`` block is built or
-scanned.  The hub build's ball search and partner trees
-(:mod:`repro.apsp.hubs`), the sites' mutual reachability
-(:func:`reached`) and the services' connectivity checks
-(:func:`is_weakly_connected`) all run on it.
+only.  :class:`FrontierSearch` answers the first two one vectorized
+level at a time, from a chunk of sources at once, and touches only the
+vertices each source reaches: no dense ``sources x V`` block is built
+or scanned.  The hub build's ball search and partner trees
+(:mod:`repro.apsp.hubs`) and the sites' reachability on a directed
+graph (:func:`reached`) run on it.  The services' connectivity check
+(:func:`is_weakly_connected`) needs no levels: it is a union-find over
+the compiled edge-endpoint arrays, a few array passes where a search
+would take one per level.
 """
 
 from __future__ import annotations
@@ -137,17 +139,30 @@ def is_weakly_connected(csr: CSRGraph) -> bool:
 
 
 def _weakly_connected(unit: CSRGraph) -> bool:
+    """Union-find over the edge-endpoint arrays, whatever the arcs'
+    directions: every tree root hooks under the smallest root it
+    shares an edge with, then every vertex jumps to its tree's root,
+    until no edge joins two trees.  Each round with such an edge hooks
+    at least one root, and a parent is never larger than its child, so
+    the rounds end, with one tree per component."""
     n = unit.n
     if n == 0:
         return True
-    indptr, heads = unit.indptr, unit.indices
-    if unit.directed:
-        # Search every arc in both directions.
-        tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        ends = np.concatenate([tails, heads])
-        heads = np.concatenate([heads, tails])[
-            np.argsort(ends, kind="stable")
-        ]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
-    return bool(reached(indptr, heads, 0).all())
+    edge_u, edge_v = unit.edge_endpoints
+    root = np.arange(n)
+    while True:
+        root_u, root_v = root[edge_u], root[edge_v]
+        cross = root_u != root_v
+        if not cross.any():
+            return bool((root == root[0]).all())
+        root_u, root_v = root_u[cross], root_v[cross]
+        np.minimum.at(
+            root,
+            np.maximum(root_u, root_v),
+            np.minimum(root_u, root_v),
+        )
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped

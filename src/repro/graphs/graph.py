@@ -348,12 +348,16 @@ class WeightedGraph:
 
     def check_nonnegative(self) -> None:
         """Raise :class:`~repro.exceptions.WeightError` if any weight is
-        negative (Definition 2.1 requires ``w : E -> R+``)."""
-        for (u, v), weight in self._edges.items():
-            if weight < 0:
-                raise WeightError(
-                    f"edge ({u!r}, {v!r}) has negative weight {weight}"
-                )
+        negative or not finite (Definition 2.1 requires
+        ``w : E -> R+``), naming the first such edge."""
+        weights = self.weight_vector()
+        bad = np.flatnonzero(~np.isfinite(weights) | (weights < 0))
+        if bad.size:
+            u, v = self.edge_list()[bad[0]]
+            raise WeightError(
+                f"edge ({u!r}, {v!r}) has weight {weights[bad[0]]}; "
+                f"weights must be finite and non-negative"
+            )
 
     def check_bounded(self, bound: float) -> None:
         """Raise :class:`~repro.exceptions.WeightError` unless all
@@ -375,15 +379,20 @@ class WeightedGraph:
 
     def _rebuilt(self, values: list[float]) -> "WeightedGraph":
         """This topology carrying ``values`` (aligned with
-        :meth:`edge_list`), built as :meth:`add_vertex` and
-        :meth:`add_edge` would build it: vertices in insertion order,
-        then edges in canonical order, so every neighbour dict has the
+        :meth:`edge_list`)."""
+        return self._assembled(self._adj, dict(zip(self._edges, values)))
+
+    def _assembled(
+        self, vertices: Iterable[Vertex], edges: Dict[Edge, float]
+    ) -> "WeightedGraph":
+        """A graph of this kind on ``vertices`` and ``edges`` (canonical
+        keys of this graph), built in one pass as :meth:`add_vertex` and
+        :meth:`add_edge` would build it: vertices in the given order,
+        then edges in the given order, so every neighbour dict has the
         same order and the version counters the same values."""
-        directed = self._directed
-        clone = WeightedGraph(directed=directed)
-        adj: Dict[Vertex, Dict[Vertex, float]] = {v: {} for v in self._adj}
-        pred = {v: {} for v in self._adj} if directed else adj
-        edges = dict(zip(self._edges, values))
+        clone = WeightedGraph(directed=self._directed)
+        adj: Dict[Vertex, Dict[Vertex, float]] = {v: {} for v in vertices}
+        pred = {v: {} for v in adj} if self._directed else adj
         for (u, v), weight in edges.items():
             adj[u][v] = weight
             pred[v][u] = weight
@@ -393,19 +402,20 @@ class WeightedGraph:
         return clone
 
     def subgraph(self, keep: Iterable[Vertex]) -> "WeightedGraph":
-        """The induced subgraph on the given vertex set."""
+        """The induced subgraph on the given vertex set, with this
+        graph's vertex and edge insertion orders."""
         keep_set = set(keep)
-        missing = keep_set - set(self._adj)
+        missing = keep_set.difference(self._adj)
         if missing:
             raise VertexNotFoundError(next(iter(missing)))
-        sub = WeightedGraph(directed=self._directed)
-        for v in self._adj:
-            if v in keep_set:
-                sub.add_vertex(v)
-        for (u, v), weight in self._edges.items():
-            if u in keep_set and v in keep_set:
-                sub.add_edge(u, v, weight)
-        return sub
+        edges = {
+            key: weight
+            for key, weight in self._edges.items()
+            if key[0] in keep_set and key[1] in keep_set
+        }
+        return self._assembled(
+            filter(keep_set.__contains__, self._adj), edges
+        )
 
     def path_weight(self, path: Iterable[Vertex]) -> float:
         """The weight ``w(P)`` of a path given as a vertex sequence.

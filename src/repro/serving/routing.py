@@ -6,12 +6,19 @@ topology into ``k`` connected shards (data-independent); a
 is the cache-miss path of a :class:`~repro.serving.service.DistanceService`
 with two or more tenants.  :mod:`repro.serving.sharding` explains the
 routing and the privacy accounting.
+
+None of this reads a weight.  A plan's cut edges and boundary, and
+the router's edge classes and site tables, are array code over the
+compiled edge-endpoint arrays
+(:attr:`~repro.engine.csr.CSRGraph.edge_endpoints`); only region
+growing walks vertices one at a time, over Python adjacency lists.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
+from itertools import repeat
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -111,28 +118,22 @@ class ShardPlan:
         seed: int | None = None,
     ) -> "ShardPlan":
         """Build a plan from an explicit assignment, deriving the
-        boundary and cut edges from the graph's topology."""
-        for vertex in graph.vertices():
-            if vertex not in assignment:
-                raise GraphError(
-                    f"assignment misses vertex {vertex!r}"
-                )
+        boundary and cut edges from the graph's topology: the cut
+        edges in edge order, the boundary in vertex insertion order
+        (the relay's site order)."""
+        csr = CSRGraph.from_graph(graph)
+        shard = _shard_vector(assignment, csr.vertices, "assignment")
         if num_shards is None:
             num_shards = max(assignment.values()) + 1 if assignment else 1
-        boundary_set = set()
-        boundary: List[Vertex] = []
-        cut_edges: List[Edge] = []
-        for u, v, _ in graph.edges():
-            if assignment[u] != assignment[v]:
-                cut_edges.append((u, v))
-                for endpoint in (u, v):
-                    if endpoint not in boundary_set:
-                        boundary_set.add(endpoint)
-                        boundary.append(endpoint)
-        # A stable, topology-derived site order: vertex insertion order.
-        order = {vert: i for i, vert in enumerate(graph.vertices())}
-        boundary.sort(key=lambda vert: order[vert])
-        return cls(num_shards, assignment, boundary, cut_edges, seed=seed)
+        cut, boundary = _cut(csr, shard)
+        vertices, edges = csr.vertices, graph.edge_list()
+        return cls(
+            num_shards,
+            assignment,
+            [vertices[i] for i in boundary.tolist()],
+            [edges[e] for e in cut.tolist()],
+            seed=seed,
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -235,6 +236,58 @@ class ShardPlan:
         )
 
 
+def _shard_vector(
+    assignment: Mapping[Vertex, int], vertices: Sequence[Vertex], what: str
+) -> np.ndarray:
+    """``assignment`` over ``vertices``, as an array aligned with
+    them; raises :class:`~repro.exceptions.GraphError` naming the
+    first vertex it misses."""
+    shard = np.fromiter(
+        map(assignment.get, vertices, repeat(-1)),
+        dtype=np.int64,
+        count=len(vertices),
+    )
+    for i in np.flatnonzero(shard < 0).tolist():
+        if vertices[i] not in assignment:
+            raise GraphError(f"{what} misses vertex {vertices[i]!r}")
+    return shard
+
+
+def _cut(csr: CSRGraph, shard: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The cut under a per-vertex shard array: the positions of the
+    cut edges in edge order, and the sorted vertex indices of their
+    endpoints (the boundary)."""
+    edge_u, edge_v = csr.edge_endpoints
+    cut = np.flatnonzero(shard[edge_u] != shard[edge_v])
+    return cut, np.unique(np.concatenate([edge_u[cut], edge_v[cut]]))
+
+
+def _check_cut(
+    plan: ShardPlan,
+    graph: WeightedGraph,
+    boundary: Sequence[Vertex],
+    cut_edges: Sequence[Edge],
+) -> None:
+    """Refuse a plan whose boundary or cut edges are not the ones its
+    assignment cuts in ``graph`` (given as ``boundary`` and
+    ``cut_edges``, each edge by its canonical key); either list may
+    come in any order."""
+    planned = set(plan.boundary)
+    if len(plan.boundary) != len(boundary) or planned != set(boundary):
+        raise GraphError(
+            "the shard plan's boundary differs from the endpoints of "
+            "the edges its assignment cuts in the graph"
+        )
+    planned = {
+        graph.edge_key(u, v, missing_ok=True) for u, v in plan.cut_edges
+    }
+    if len(plan.cut_edges) != len(cut_edges) or planned != set(cut_edges):
+        raise GraphError(
+            "the shard plan's cut edges differ from the edges its "
+            "assignment cuts in the graph"
+        )
+
+
 def partition_graph(
     graph: WeightedGraph, shards: int, seed: int = 0
 ) -> ShardPlan:
@@ -243,11 +296,14 @@ def partition_graph(
     Seeded BFS region growing: ``shards`` seed vertices are sampled
     uniformly (from ``Rng(seed)`` — never from a service rng, so the
     partition depends only on the public topology and the seed), then
-    regions grow one vertex at a time, always the currently smallest
-    region that still has an unassigned frontier vertex.  Each region
-    grows only through adjacent vertices, so every shard induces a
-    connected subgraph; the smallest-first rule keeps the sizes within
-    a vertex of balanced wherever the topology allows.
+    the open regions grow one vertex each in turn, in shard order; a
+    region closes when it has no unassigned neighbour left.  Taking
+    turns is the smallest-region-first rule with ties to the lower
+    shard id, because the open regions' sizes never differ by more
+    than one.  Each region grows only through adjacent vertices —
+    along arcs in both directions on a directed graph — so every
+    shard induces a (weakly) connected subgraph, and the sizes stay
+    within a vertex of balanced wherever the topology allows.
     """
     if shards < 1:
         raise GraphError(f"need at least 1 shard, got {shards}")
@@ -262,52 +318,56 @@ def partition_graph(
             "sharded serving requires a connected graph"
         )
     n = csr.n
-    indptr, indices = csr.indptr, csr.indices
-    rng = Rng(seed)
-    shard_of = np.full(n, -1, dtype=np.int64)
-    seeds = rng.sample(range(n), shards)
-    sizes = [1] * shards
-    frontiers: List[deque] = []
-    for shard, seed_vertex in enumerate(seeds):
-        shard_of[seed_vertex] = shard
-        frontiers.append(
-            deque(
-                int(x)
-                for x in indices[indptr[seed_vertex] : indptr[seed_vertex + 1]]
+    adjacency = _adjacency_lists(csr.indptr, csr.indices)
+    if csr.directed:
+        in_indptr, in_tails, _ = csr.incoming()
+        adjacency = [
+            out + into
+            for out, into in zip(
+                adjacency, _adjacency_lists(in_indptr, in_tails)
             )
-        )
-    open_shards = set(range(shards))
+        ]
+    rng = Rng(seed)
+    shard_of = [-1] * n
+    frontiers: List[deque] = []
+    for shard, seed_vertex in enumerate(rng.sample(range(n), shards)):
+        shard_of[seed_vertex] = shard
+        frontiers.append(deque(adjacency[seed_vertex]))
+    open_shards = list(range(shards))
     assigned = shards
     while assigned < n:
         if not open_shards:
             raise DisconnectedGraphError(
                 "region growing stranded unassigned vertices"
             )
-        shard = min(open_shards, key=lambda i: (sizes[i], i))
-        frontier = frontiers[shard]
-        grew = False
-        while frontier:
-            v = frontier.popleft()
-            if shard_of[v] != -1:
-                continue
-            shard_of[v] = shard
-            sizes[shard] += 1
-            assigned += 1
-            frontier.extend(
-                int(x) for x in indices[indptr[v] : indptr[v + 1]]
-            )
-            grew = True
-            break
-        if not grew:
-            open_shards.discard(shard)
-    vertices = csr.vertices
-    assignment = {
-        vertices[i]: int(shard_of[i]) for i in range(n)
-    }
+        still_open = []
+        for shard in open_shards:
+            frontier = frontiers[shard]
+            while frontier:
+                v = frontier.popleft()
+                if shard_of[v] == -1:
+                    shard_of[v] = shard
+                    assigned += 1
+                    frontier.extend(adjacency[v])
+                    still_open.append(shard)
+                    break
+            if assigned == n:
+                break
+        open_shards = still_open
     return ShardPlan.from_assignment(
-        graph, assignment, num_shards=shards, seed=seed
+        graph,
+        dict(zip(csr.vertices, shard_of)),
+        num_shards=shards,
+        seed=seed,
     )
 
+
+def _adjacency_lists(
+    indptr: np.ndarray, heads: np.ndarray
+) -> List[List[int]]:
+    """Per vertex, its CSR row as a Python list of vertex indices."""
+    flat, bounds = heads.tolist(), indptr.tolist()
+    return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 class _Tenant:
@@ -359,16 +419,28 @@ class _ShardRouter:
         #: The released boundary-hub relay structure (``None`` until
         #: built, or after a failed rebuild).
         self.relay: HubStructure | None = None
+        # The public tables below come from the compiled edge-endpoint
+        # arrays; a caller's plan must cut the graph where its
+        # assignment says.
+        csr = CSRGraph.from_graph(graph)
+        shard_of = _shard_vector(
+            plan.assignment(), csr.vertices, "shard plan"
+        )
+        cut, boundary = _cut(csr, shard_of)
+        self._vertex_keys = graph.vertex_list()
+        self._edge_keys = graph.edge_list()
+        _check_cut(
+            plan,
+            graph,
+            [csr.vertices[i] for i in boundary.tolist()],
+            [self._edge_keys[e] for e in cut.tolist()],
+        )
         # Edge classification over the full graph's canonical edge
         # order: owning shard for intra-shard edges, -1 for cut edges.
         # This is what lets refresh_shard verify an update really is
         # regional before committing it.
-        plan_of = plan.shard_of
-        self._edge_keys = graph.edge_list()
-        edge_shard = np.empty(len(self._edge_keys), dtype=np.int64)
-        for e, (u, v) in enumerate(self._edge_keys):
-            su, sv = plan_of(u), plan_of(v)
-            edge_shard[e] = su if su == sv else -1
+        edge_shard = shard_of[csr.edge_endpoints[0]]
+        edge_shard[cut] = -1
         self._edge_shard = edge_shard
         #: Per shard, the positions of its tenant subgraph's edges in
         #: the full edge order: an induced subgraph keeps its parent's
@@ -380,17 +452,15 @@ class _ShardRouter:
 
         # Relay site bookkeeping (static across refreshes: the plan and
         # boundary are topology-only).
-        self._shard_boundary: List[Tuple[Vertex, ...]] = []
-        self._site_pos: List[np.ndarray] = []
-        site_shard = np.asarray(
-            [plan_of(v) for v in plan.boundary], dtype=np.int64
-        )
-        for shard in range(plan.num_shards):
-            positions = np.flatnonzero(site_shard == shard)
-            self._site_pos.append(positions)
-            self._shard_boundary.append(
-                tuple(plan.boundary[int(p)] for p in positions)
-            )
+        site_shard = shard_of[csr.indices_of(plan.boundary)]
+        self._site_pos: List[np.ndarray] = [
+            np.flatnonzero(site_shard == shard)
+            for shard in range(plan.num_shards)
+        ]
+        self._shard_boundary: List[Tuple[Vertex, ...]] = [
+            tuple(plan.boundary[p] for p in positions.tolist())
+            for positions in self._site_pos
+        ]
         self._site_shard = site_shard
         # Local position of each site within its shard's boundary list.
         site_local = np.zeros(len(plan.boundary), dtype=np.int64)
@@ -408,16 +478,26 @@ class _ShardRouter:
     def check_topology(self, graph: WeightedGraph) -> None:
         """Reject a full-refresh graph whose vertex or edge set differs
         from the plan's: every tenant re-weights its subgraph from it,
-        and a mismatch would fail halfway through the rebuilds."""
-        plan = self.plan
+        and a mismatch would fail halfway through the rebuilds.
+
+        The plan's graph's own vertex and edge lists pass at once (the
+        lists :func:`~repro.engine.csr.share_structure` compares); any
+        other graph passes when it has the same vertex set and the
+        same edges in any order, each in either orientation on an
+        undirected graph."""
+        edges = graph.edge_list()
+        if (
+            edges == self._edge_keys
+            and graph.vertex_list() == self._vertex_keys
+        ):
+            return
         if not (
-            graph.num_vertices == plan.num_vertices
-            and graph.num_edges == len(self._edge_keys)
-            and all(graph.has_edge(u, v) for u, v in self._edge_keys)
+            graph.num_vertices == len(self._vertex_keys)
+            and len(edges) == len(self._edge_keys)
+            and set(self._vertex_keys).issubset(graph.vertices())
             and all(
-                graph.has_vertex(v)
-                for shard in range(plan.num_shards)
-                for v in plan.members(shard)
+                graph.has_edge(u, v)
+                for u, v in set(self._edge_keys).difference(edges)
             )
         ):
             raise GraphError(

@@ -235,7 +235,10 @@ class DistanceService:
     ----------
     graph:
         Public topology + the current epoch's private weights
-        (connected when sharded).
+        (connected when sharded).  A negative or non-finite weight
+        raises :class:`~repro.exceptions.WeightError` before anything
+        is spent, here and in :meth:`refresh` and
+        :meth:`refresh_shard`.
     epoch_budget:
         The ``(eps, delta)`` guarantee promised per epoch (a bare
         float is taken as pure eps).  Unsharded, the whole budget is
@@ -286,7 +289,11 @@ class DistanceService:
         (``None`` means the plan's count, or 1 without a plan).
     plan:
         Use an existing :class:`~repro.serving.routing.ShardPlan`
-        instead of partitioning — the way to shard differently.
+        instead of partitioning — the way to shard differently.  Its
+        boundary and cut edges must be the ones its assignment cuts
+        in ``graph`` (in any order); otherwise
+        :class:`~repro.exceptions.GraphError` is raised before
+        anything is spent.
     """
 
     def __init__(
@@ -308,6 +315,9 @@ class DistanceService:
         if mechanism is not None:
             # Raises MechanismError (a PrivacyError) on unknown names.
             get_mechanism(mechanism)
+        # Refused before anything is spent: Definition 2.1's weights
+        # are finite and non-negative, so no valid input is refused.
+        graph.check_nonnegative()
         if plan is None:
             if shards is not None and shards != 1:
                 plan = partition_graph(graph, shards)
@@ -531,7 +541,9 @@ class DistanceService:
         A sharded service only takes a graph with the plan's vertex
         and edge sets — anything else raises
         :class:`~repro.exceptions.GraphError` before the ledger
-        rotates or any budget is spent.  A graph whose directedness,
+        rotates or any budget is spent — and a negative or non-finite
+        weight raises :class:`~repro.exceptions.WeightError` just as
+        early, sharded or not.  A graph whose directedness,
         vertex list and edge list equal the current graph's (in
         content and order) is handed the current compiled structure
         and its topology memo; any other graph is compiled afresh.
@@ -551,6 +563,7 @@ class DistanceService:
         ):
             if graph is not None and self._shards is not None:
                 self._shards.check_topology(graph)
+            (self._graph if graph is None else graph).check_nonnegative()
             if self._owns_ledger:
                 self._ledger.rotate()
             if graph is not None:
@@ -590,8 +603,10 @@ class DistanceService:
         edges and on cut edges — anything else would silently stale
         the untouched tenants, so it raises
         :class:`~repro.exceptions.GraphError` before any budget is
-        spent.  ``None`` re-releases the shard on the current weights.
-        Unsharded, shard 0 is the whole graph.
+        spent, as a negative or non-finite weight raises
+        :class:`~repro.exceptions.WeightError`.  ``None`` re-releases
+        the shard on the current weights.  Unsharded, shard 0 is the
+        whole graph.
 
         The tenant and the relay each spend again from the remaining
         epoch budget (no rotation — the other shards are still serving
@@ -620,6 +635,7 @@ class DistanceService:
                     )
             else:
                 new_graph = self._graph
+            new_graph.check_nonnegative()
             # Drop cached answers before the release they came from:
             # a refused rebuild must refuse them too, not keep serving
             # the old release for whichever pairs happen to be cached.

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import PrivacyError, Rng, WeightedGraph, release_private_paths
+from repro.exceptions import WeightError
 from repro.analysis import path_error
 from repro.dp import bounds
 from repro.graphs import generators
@@ -40,6 +41,17 @@ class TestReleaseMechanics:
             release_private_paths(grid5, 1.0, 0.0, Rng(0))
         with pytest.raises(PrivacyError):
             release_private_paths(grid5, 1.0, 1.0, Rng(0))
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_weights_outside_r_plus_refused(self, grid5, bad):
+        """Algorithm 3 releases only on a weight function into R+:
+        a NaN or infinite weight is refused like a negative one."""
+        weights = grid5.weight_vector()
+        weights[0] = bad
+        with pytest.raises(WeightError):
+            release_private_paths(
+                grid5.with_weights(weights), 1.0, 0.1, Rng(0)
+            )
 
     def test_params(self, grid5):
         release = release_private_paths(grid5, 0.3, 0.1, Rng(0))

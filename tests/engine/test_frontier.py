@@ -134,6 +134,50 @@ def test_weak_connectivity_matches_is_connected(name):
     assert connected == is_connected(graph)
 
 
+def _relabelled(graph: WeightedGraph, rng: Rng) -> WeightedGraph:
+    """``graph`` with its vertices inserted in a shuffled order, so the
+    union-find's roots are not the traversal's visiting order."""
+    order = graph.vertex_list()
+    rng.shuffle(order)
+    clone = WeightedGraph(directed=graph.directed)
+    for v in order:
+        clone.add_vertex(v)
+    for u, v, w in graph.edges():
+        clone.add_edge(u, v, w)
+    return clone
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_weak_connectivity_of_random_graphs(seed):
+    """Sparse and dense, directed and undirected, one component or
+    several: the union-find agrees with the dict traversal."""
+    rng = Rng(seed)
+    n = 2 + seed * 5
+    for graph in (
+        generators.erdos_renyi_graph(n, min(1.0, 1.5 / n), rng),
+        generators.erdos_renyi_graph(n, min(1.0, 4.0 / n), rng),
+        _random_digraph(n, n, rng),
+        _random_digraph(n, 3 * n, rng),
+    ):
+        for candidate in (graph, _relabelled(graph, rng)):
+            connected = is_weakly_connected(CSRGraph.from_graph(candidate))
+            assert connected == is_connected(candidate)
+
+
+def test_weak_connectivity_of_long_paths():
+    """A path whose labels fall or zigzag along it hooks into one chain
+    of roots that the jumps must collapse."""
+    n = 3000
+    falling = WeightedGraph.from_edges([(i + 1, i) for i in range(n)])
+    zigzag = WeightedGraph.from_edges(
+        [((-1) ** i * i, (-1) ** (i + 1) * (i + 1)) for i in range(n)]
+    )
+    for graph in (falling, zigzag):
+        assert is_weakly_connected(CSRGraph.from_graph(graph))
+        graph.add_vertex("apart")
+        assert not is_weakly_connected(CSRGraph.from_graph(graph))
+
+
 def test_connectivity_is_searched_once_per_topology(monkeypatch):
     searches = []
     search = frontier_module._weakly_connected

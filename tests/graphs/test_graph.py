@@ -183,6 +183,16 @@ class TestWeights:
         with pytest.raises(WeightError):
             triangle.check_nonnegative()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_check_nonnegative_refuses_non_finite(self, triangle, bad):
+        """Definition 2.1's weights are finite: NaN and +inf are
+        refused like a negative weight, naming the edge."""
+        triangle.set_weight(1, 2, bad)
+        with pytest.raises(WeightError, match=r"edge \(1, 2\)"):
+            triangle.check_nonnegative()
+        with pytest.raises(WeightError):
+            triangle.check_bounded(10.0)
+
     def test_check_bounded(self, triangle):
         triangle.check_bounded(4.0)
         with pytest.raises(WeightError):

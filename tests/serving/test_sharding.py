@@ -4,6 +4,8 @@ relays."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,9 @@ from repro.exceptions import (
     GraphError,
     PrivacyError,
     VertexNotFoundError,
+    WeightError,
 )
-from repro.graphs import generators
+from repro.graphs import WeightedGraph, generators
 from repro.serving import (
     BudgetLedger,
     DistanceService,
@@ -484,3 +487,194 @@ class TestConstruction:
         assert report.mechanism.startswith("sharded(2x")
         # Two epochs x (2 shard tenants + relay) = 6 ledger spends.
         assert report.ledger_spends == 6
+
+
+def _served_state(service, pairs):
+    """What a refused write must leave alone: the ledger's records,
+    the epoch, the release objects and the answers they serve."""
+    return (
+        list(service.ledger.records()),
+        service.epoch,
+        service.shard_synopses,
+        service.relay,
+        [service.query(s, t) for s, t in pairs],
+    )
+
+
+class TestInvalidWeightsRefused:
+    """Negative and non-finite weights are refused with WeightError
+    before the ledger rotates or anything spends."""
+
+    BAD = [-1.0, float("nan"), float("inf")]
+
+    @pytest.fixture
+    def grid(self):
+        return grid_road_network(12, 12, Rng(71)).graph
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_refresh_shard_refuses(self, grid, bad):
+        service = ShardedDistanceService(
+            grid, 1.0, Rng(72), shards=2, mechanism="hub-set"
+        )
+        plan = service.plan
+        pairs = uniform_pairs(grid, 20, Rng(73))
+        before = _served_state(service, pairs)
+        assert len(before[0]) == 3
+        position = next(
+            e
+            for e, (u, v) in enumerate(grid.edge_list())
+            if plan.shard_of(u) == plan.shard_of(v) == 0
+        )
+        weights = grid.weight_vector()
+        weights[position] = bad
+        with pytest.raises(WeightError):
+            service.refresh_shard(0, weights)
+        with pytest.raises(WeightError):
+            service.refresh(grid.with_weights(weights))
+        assert _served_state(service, pairs) == before
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_unsharded_refresh_refuses(self, grid, bad):
+        service = DistanceService(grid, 1.0, Rng(74), mechanism="hub-set")
+        pairs = uniform_pairs(grid, 20, Rng(75))
+        before = _served_state(service, pairs)
+        weights = grid.weight_vector()
+        weights[7] = bad
+        with pytest.raises(WeightError):
+            service.refresh(grid.with_weights(weights))
+        with pytest.raises(WeightError):
+            service.refresh_shard(0, weights)
+        assert _served_state(service, pairs) == before
+
+    def test_weights_changed_in_place_are_refused(self, grid):
+        """A caller who mutates the served graph and then re-releases
+        it without a new graph is refused too."""
+        graph = grid.copy()
+        service = ShardedDistanceService(
+            graph, 1.0, Rng(76), shards=2, mechanism="hub-set"
+        )
+        pairs = uniform_pairs(grid, 20, Rng(77))
+        before = _served_state(service, pairs)
+        u, v = graph.edge_list()[0]
+        graph.set_weight(u, v, -0.5)
+        with pytest.raises(WeightError):
+            service.refresh()
+        with pytest.raises(WeightError):
+            service.refresh_shard(service.plan.shard_of(u))
+        assert _served_state(service, pairs) == before
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_construction_refuses_before_spending(self, grid, bad, shards):
+        weights = grid.weight_vector()
+        weights[3] = bad
+        ledger = BudgetLedger(PrivacyParams(1.0))
+        with pytest.raises(WeightError):
+            DistanceService(
+                grid.with_weights(weights), 1.0, Rng(78), shards=shards,
+                mechanism="hub-set", ledger=ledger,
+            )
+        assert ledger.records() == []
+
+
+class TestCallerPlanChecked:
+    """A caller's plan must cut the graph where its assignment says:
+    its boundary and cut edges are re-derived from the graph and
+    compared, before anything spends."""
+
+    @pytest.fixture
+    def setup(self):
+        graph = grid_road_network(10, 10, Rng(81)).graph
+        plan = partition_graph(graph, 3, seed=0)
+        return graph, plan, json.loads(plan.to_json())
+
+    def _refused(self, graph, plan, match):
+        ledger = BudgetLedger(PrivacyParams(1.0))
+        with pytest.raises(GraphError, match=match):
+            DistanceService(
+                graph, 1.0, Rng(82), plan=plan, ledger=ledger,
+                mechanism="hub-set",
+            )
+        assert ledger.records() == []
+
+    def test_plan_missing_a_boundary_vertex_is_refused(self, setup):
+        graph, _, document = setup
+        document["boundary"] = document["boundary"][1:]
+        plan = ShardPlan.from_json(json.dumps(document))
+        self._refused(graph, plan, "boundary")
+
+    def test_plan_missing_a_cut_edge_is_refused(self, setup):
+        graph, _, document = setup
+        document["cut_edges"] = document["cut_edges"][:-1]
+        plan = ShardPlan.from_json(json.dumps(document))
+        self._refused(graph, plan, "cut edges")
+
+    def test_plan_listing_an_intra_shard_edge_as_cut_is_refused(
+        self, setup
+    ):
+        graph, plan, _ = setup
+        intra = next(
+            (u, v)
+            for u, v in graph.edge_list()
+            if plan.shard_of(u) == plan.shard_of(v)
+        )
+        doctored = ShardPlan(
+            plan.num_shards,
+            plan.assignment(),
+            plan.boundary,
+            [intra, *plan.cut_edges[1:]],
+        )
+        self._refused(graph, doctored, "cut edges")
+
+    def test_plan_whose_assignment_moved_a_vertex_is_refused(self, setup):
+        graph, plan, _ = setup
+        assignment = plan.assignment()
+        vertex = plan.boundary[0]
+        assignment[vertex] = (assignment[vertex] + 1) % plan.num_shards
+        doctored = ShardPlan(
+            plan.num_shards, assignment, plan.boundary, plan.cut_edges
+        )
+        self._refused(graph, doctored, "boundary|cut edges")
+
+    def test_plan_lists_in_another_order_serve_the_same(self, setup):
+        """Cut edges in another order and orientation are the same
+        cut: the service builds and answers as with the original."""
+        graph, plan, document = setup
+        document["cut_edges"] = [
+            [v, u] for u, v in reversed(document["cut_edges"])
+        ]
+        shuffled = ShardPlan.from_json(json.dumps(document))
+        pairs = uniform_pairs(graph, 30, Rng(83))
+        a = DistanceService(graph, 1.0, Rng(84), plan=plan)
+        b = DistanceService(graph, 1.0, Rng(84), plan=shuffled)
+        assert [a.query(s, t) for s, t in pairs] == [
+            b.query(s, t) for s, t in pairs
+        ]
+
+
+class TestDirectedPartition:
+    """Regions grow along arcs in both directions on a directed graph,
+    as they do on its undirected twin."""
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(i, i + 1) for i in range(20)],
+            [(i, (i + 1) % 20) for i in range(20)],
+        ],
+        ids=["path", "cycle"],
+    )
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    def test_balanced_like_the_undirected_twin(self, edges, shards):
+        directed = WeightedGraph.from_edges(edges, directed=True)
+        twin = WeightedGraph.from_edges(edges)
+        for seed in range(5):
+            plan = partition_graph(directed, shards, seed=seed)
+            want = partition_graph(twin, shards, seed=seed)
+            got = plan.shard_sizes()
+            assert sum(got) == directed.num_vertices
+            assert all(
+                abs(a - b) <= 1 for a, b in zip(got, want.shard_sizes())
+            )
+            for shard in range(shards):
+                assert is_connected(twin.subgraph(plan.members(shard)))
