@@ -135,7 +135,7 @@ def run_experiment(quick: bool = False) -> str:
             t_shard_refresh,
             sh_intra,
             sh_cross,
-            len(plan.boundary),
+            sharded.relay.num_sites,
         ],
     ]
     speedup = t_full_rebuild / max(t_shard_refresh, 1e-9)

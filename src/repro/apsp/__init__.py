@@ -30,7 +30,6 @@ from .hubs import (
     HubStructure,
     default_ball_size,
     default_hub_count,
-    hub_noise_scale,
     hub_pair_count_bound,
     predicted_hub_scale,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "default_hub_count",
     "default_ball_size",
     "hub_pair_count_bound",
-    "hub_noise_scale",
     "predicted_hub_scale",
     "hub_bounded_optimal_k",
 ]

@@ -98,7 +98,6 @@ __all__ = [
     "default_hub_count",
     "default_ball_size",
     "hub_pair_count_bound",
-    "hub_noise_scale",
     "predicted_hub_scale",
 ]
 
@@ -147,18 +146,6 @@ def hub_pair_count_bound(
     return h * (m - h) + h * (h - 1) // 2 + m * b
 
 
-def hub_noise_scale(
-    pair_count: int, eps: float, delta: float = 0.0
-) -> float:
-    """The per-entry Laplace scale for a release of ``pair_count``
-    sensitivity-1 distance queries — the shared
-    :func:`~repro.dp.composition.composed_noise_scale` accounting
-    (vector-Laplace pure, Lemma 3.4 inverse approx), named for the hub
-    tables it prices here.
-    """
-    return composed_noise_scale(pair_count, eps, delta)
-
-
 def predicted_hub_scale(
     num_sites: int,
     eps: float,
@@ -168,7 +155,7 @@ def predicted_hub_scale(
 ) -> float:
     """The noise scale the hub mechanism would pay on ``num_sites``
     sites — a public quantity used by mechanism auto-selection."""
-    return hub_noise_scale(
+    return composed_noise_scale(
         hub_pair_count_bound(num_sites, hub_count, ball_size), eps, delta
     )
 
@@ -362,7 +349,7 @@ def _build_hub_structure_inner(
     # Budget accounting over the distinct released pair queries.
     q_hub = hub_count * (m - hub_count) + hub_count * (hub_count - 1) // 2
     pair_count = q_hub + len(ball_pairs)
-    scale = hub_noise_scale(pair_count, eps, delta)
+    scale = composed_noise_scale(pair_count, eps, delta)
 
     # Vertex<->hub table: one vectorized Laplace draw over the matrix,
     # then enforce the data-independent entries — hub self-distances

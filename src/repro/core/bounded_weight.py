@@ -40,7 +40,7 @@ from ..dp.bounds import (
     bounded_weight_optimal_k_approx,
     bounded_weight_optimal_k_pure,
 )
-from ..dp.composition import advanced_composition_epsilon_per_query
+from ..dp.composition import composed_noise_scale
 from ..dp.params import PrivacyParams
 from ..exceptions import (
     DisconnectedGraphError,
@@ -130,17 +130,9 @@ class BoundedWeightRelease:
             for vert, (origin, _) in nearest_in_set(graph, covering).items()
         }
 
-        # Noise scale per released covering-pair distance (step 1).
-        num_queries = max(z * (z - 1) // 2, 1)
-        if delta > 0:
-            eps_q = advanced_composition_epsilon_per_query(
-                total_eps=eps, k=num_queries, delta_prime=delta
-            )
-            self._scale = 1.0 / eps_q
-        else:
-            # Vector of num_queries sensitivity-1 entries -> L1
-            # sensitivity num_queries (the paper's Z^2, unordered).
-            self._scale = num_queries / eps
+        # Noise scale per released covering-pair distance (step 1):
+        # the paper's Z^2 queries, counted unordered.
+        self._scale = composed_noise_scale(z * (z - 1) // 2, eps, delta)
 
         exact = all_pairs_dijkstra(graph, sources=covering)
         self._released: Dict[Tuple[Vertex, Vertex], float] = {}

@@ -16,8 +16,8 @@ what makes re-weighting cheap: a new weight function is one fancy-index
 gather, no topology work (:meth:`CSRGraph.with_weights`).  The arcs
 are laid out from two edge-endpoint index arrays, which the structure
 keeps (:attr:`CSRGraph.edge_endpoints`): whatever else is derived from
-the topology edge by edge — a shard plan's cut edges, the shard
-router's edge classes — is array code over them.
+the topology edge by edge — the shard router's cut, boundary and edge
+classes — is array code over them.
 
 Compilation is cached on the source graph and invalidated by the
 graph's version counters: a topology bump forces a full rebuild, while

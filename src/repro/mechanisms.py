@@ -134,6 +134,13 @@ def _is_tree_topology(graph: WeightedGraph) -> bool:
 
 
 def _require_connected(graph: WeightedGraph, mechanism: str) -> None:
+    """Refuse a directed graph (every release answers unordered
+    pairs) or a disconnected one."""
+    if graph.directed:
+        raise GraphError(
+            f"{mechanism} release answers unordered pairs and refuses "
+            "a directed graph"
+        )
     if not is_weakly_connected(CSRGraph.from_graph(graph)):
         raise DisconnectedGraphError(
             f"{mechanism} release requires a connected graph"
@@ -316,8 +323,10 @@ class _BoundedFamily(Mechanism):
     side of the hub-bounded crossover."""
 
     def _family_eligible(self, graph, params):
-        return params.weight_bound is not None and not _is_tree_topology(
-            graph
+        return (
+            params.weight_bound is not None
+            and not graph.directed
+            and not _is_tree_topology(graph)
         )
 
     def validate(self, graph, params):
@@ -415,8 +424,10 @@ class _AllPairsFamily(Mechanism):
     regime belongs to the covering families)."""
 
     def _family_eligible(self, graph, params):
-        return params.weight_bound is None and not _is_tree_topology(
-            graph
+        return (
+            params.weight_bound is None
+            and not graph.directed
+            and not _is_tree_topology(graph)
         )
 
     def validate(self, graph, params):

@@ -35,6 +35,7 @@ from .ledger import BudgetLedger
 from .synopsis import (
     DistanceSynopsis,
     SinglePairSynopsis,
+    _require_undirected,
     build_single_pair_synopsis,
     canonical_pair,
 )
@@ -252,8 +253,10 @@ def fresh_batch(
     single-epoch ledger when none is passed), so even a one-off
     batch release is budget-accounted — the fail-closed
     :class:`~repro.serving.ledger.BudgetLedger` refuses the spend, and
-    therefore the draw, when a shared ledger cannot cover it.
+    therefore the draw, when a shared ledger cannot cover it.  A
+    directed graph is refused before the spend.
     """
+    _require_undirected(graph, "a fresh batch")
     telemetry = get_telemetry()
     if ledger is None:
         ledger = BudgetLedger(PrivacyParams(eps))

@@ -7,8 +7,11 @@ is the cache-miss path of a :class:`~repro.serving.service.DistanceService`
 with two or more tenants.  :mod:`repro.serving.sharding` explains the
 routing and the privacy accounting.
 
-None of this reads a weight.  A plan's cut edges and boundary, and
-the router's edge classes and site tables, are array code over the
+A plan is its assignment, vertex -> shard.  The router is the one
+place a plan meets the graph: it derives the cut edges and the
+boundary (the relay sites) once, and refuses a disconnected graph or
+shard before anything spends.  None of this reads a weight.  The
+router's cut, edge classes and site tables are array code over the
 compiled edge-endpoint arrays
 (:attr:`~repro.engine.csr.CSRGraph.edge_endpoints`); only region
 growing walks vertices one at a time, over Python adjacency lists.
@@ -33,7 +36,7 @@ from ..exceptions import (
     PrivacyError,
     VertexNotFoundError,
 )
-from ..graphs.graph import Edge, Vertex, WeightedGraph
+from ..graphs.graph import Vertex, WeightedGraph
 from ..graphs.io import _decode_vertex, _encode_vertex
 from ..rng import Rng
 from .synopsis import DistanceSynopsis
@@ -50,15 +53,17 @@ __all__ = [
 RELAY_FRACTION = 0.5
 
 _PLAN_FORMAT = "repro-shard-plan"
-_PLAN_VERSION = 1
+_PLAN_VERSION = 2
 
 
 class ShardPlan:
     """A topology-only sharding of a graph's vertex set.
 
-    Everything here — the assignment, the boundary, the cut edges — is
-    derived from the public topology by a seeded partitioner, so the
-    plan itself is data-independent and safe to publish or ship.
+    The plan is its assignment — the seeded partitioner's decision,
+    vertex -> shard — and nothing derived from it: the boundary and
+    cut edges are a function of the graph and the assignment, and the
+    shard router derives them where it serves the plan.  The plan is
+    data-independent and safe to publish or ship.
 
     Parameters
     ----------
@@ -67,11 +72,6 @@ class ShardPlan:
     assignment:
         Vertex -> shard id, covering every vertex; each shard must be
         non-empty.
-    boundary:
-        The boundary vertices — endpoints of cut edges — in a stable
-        order (this order is the relay structure's *site* order).
-    cut_edges:
-        The edges whose endpoints live in different shards.
     seed:
         The partitioner seed that produced the plan (provenance only).
     """
@@ -80,8 +80,6 @@ class ShardPlan:
         self,
         num_shards: int,
         assignment: Mapping[Vertex, int],
-        boundary: Sequence[Vertex],
-        cut_edges: Sequence[Edge],
         seed: int | None = None,
     ) -> None:
         if num_shards < 1:
@@ -100,40 +98,7 @@ class ShardPlan:
             if not shard_members:
                 raise GraphError(f"shard {shard} has no vertices")
         self._members = [tuple(m) for m in members]
-        self._boundary = tuple(boundary)
-        for vertex in self._boundary:
-            if vertex not in self._assignment:
-                raise GraphError(
-                    f"boundary vertex {vertex!r} is not assigned a shard"
-                )
-        self._cut_edges = tuple((u, v) for u, v in cut_edges)
         self.seed = seed
-
-    @classmethod
-    def from_assignment(
-        cls,
-        graph: WeightedGraph,
-        assignment: Mapping[Vertex, int],
-        num_shards: int | None = None,
-        seed: int | None = None,
-    ) -> "ShardPlan":
-        """Build a plan from an explicit assignment, deriving the
-        boundary and cut edges from the graph's topology: the cut
-        edges in edge order, the boundary in vertex insertion order
-        (the relay's site order)."""
-        csr = CSRGraph.from_graph(graph)
-        shard = _shard_vector(assignment, csr.vertices, "assignment")
-        if num_shards is None:
-            num_shards = max(assignment.values()) + 1 if assignment else 1
-        cut, boundary = _cut(csr, shard)
-        vertices, edges = csr.vertices, graph.edge_list()
-        return cls(
-            num_shards,
-            assignment,
-            [vertices[i] for i in boundary.tolist()],
-            [edges[e] for e in cut.tolist()],
-            seed=seed,
-        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -143,16 +108,6 @@ class ShardPlan:
     def num_shards(self) -> int:
         """How many shards the plan defines."""
         return self._num_shards
-
-    @property
-    def boundary(self) -> Tuple[Vertex, ...]:
-        """Boundary vertices in relay site order."""
-        return self._boundary
-
-    @property
-    def cut_edges(self) -> Tuple[Edge, ...]:
-        """Edges whose endpoints live in different shards."""
-        return self._cut_edges
 
     @property
     def num_vertices(self) -> int:
@@ -198,11 +153,6 @@ class ShardPlan:
                     [_encode_vertex(v), shard]
                     for v, shard in self._assignment.items()
                 ],
-                boundary=[_encode_vertex(v) for v in self._boundary],
-                cut_edges=[
-                    [_encode_vertex(u), _encode_vertex(v)]
-                    for u, v in self._cut_edges
-                ],
             )
         )
 
@@ -219,25 +169,18 @@ class ShardPlan:
                     _decode_vertex(v): int(shard)
                     for v, shard in document["assignment"]
                 },
-                [_decode_vertex(v) for v in document["boundary"]],
-                [
-                    (_decode_vertex(u), _decode_vertex(v))
-                    for u, v in document["cut_edges"]
-                ],
                 seed=document.get("seed"),
             )
 
     def __repr__(self) -> str:
         return (
             f"ShardPlan(shards={self._num_shards}, "
-            f"sizes={self.shard_sizes()}, "
-            f"boundary={len(self._boundary)}, "
-            f"cut_edges={len(self._cut_edges)})"
+            f"sizes={self.shard_sizes()})"
         )
 
 
 def _shard_vector(
-    assignment: Mapping[Vertex, int], vertices: Sequence[Vertex], what: str
+    assignment: Mapping[Vertex, int], vertices: Sequence[Vertex]
 ) -> np.ndarray:
     """``assignment`` over ``vertices``, as an array aligned with
     them; raises :class:`~repro.exceptions.GraphError` naming the
@@ -249,43 +192,8 @@ def _shard_vector(
     )
     for i in np.flatnonzero(shard < 0).tolist():
         if vertices[i] not in assignment:
-            raise GraphError(f"{what} misses vertex {vertices[i]!r}")
+            raise GraphError(f"shard plan misses vertex {vertices[i]!r}")
     return shard
-
-
-def _cut(csr: CSRGraph, shard: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The cut under a per-vertex shard array: the positions of the
-    cut edges in edge order, and the sorted vertex indices of their
-    endpoints (the boundary)."""
-    edge_u, edge_v = csr.edge_endpoints
-    cut = np.flatnonzero(shard[edge_u] != shard[edge_v])
-    return cut, np.unique(np.concatenate([edge_u[cut], edge_v[cut]]))
-
-
-def _check_cut(
-    plan: ShardPlan,
-    graph: WeightedGraph,
-    boundary: Sequence[Vertex],
-    cut_edges: Sequence[Edge],
-) -> None:
-    """Refuse a plan whose boundary or cut edges are not the ones its
-    assignment cuts in ``graph`` (given as ``boundary`` and
-    ``cut_edges``, each edge by its canonical key); either list may
-    come in any order."""
-    planned = set(plan.boundary)
-    if len(plan.boundary) != len(boundary) or planned != set(boundary):
-        raise GraphError(
-            "the shard plan's boundary differs from the endpoints of "
-            "the edges its assignment cuts in the graph"
-        )
-    planned = {
-        graph.edge_key(u, v, missing_ok=True) for u, v in plan.cut_edges
-    }
-    if len(plan.cut_edges) != len(cut_edges) or planned != set(cut_edges):
-        raise GraphError(
-            "the shard plan's cut edges differ from the edges its "
-            "assignment cuts in the graph"
-        )
 
 
 def partition_graph(
@@ -354,12 +262,7 @@ def partition_graph(
             if assigned == n:
                 break
         open_shards = still_open
-    return ShardPlan.from_assignment(
-        graph,
-        dict(zip(csr.vertices, shard_of)),
-        num_shards=shards,
-        seed=seed,
-    )
+    return ShardPlan(shards, dict(zip(csr.vertices, shard_of)), seed=seed)
 
 
 def _adjacency_lists(
@@ -403,9 +306,10 @@ class _ShardRouter:
     point queries and :class:`~repro.serving.batching.BatchPlanner`
     call on a miss, routed by shard ownership (intra-shard pairs to the
     owning synopsis capped by the relay, cross-shard pairs through the
-    relay).  Also holds what routing needs across epochs: the public
-    edge classification and relay site bookkeeping (fixed by the plan)
-    and the current relay release.
+    relay).  Also holds what routing needs across epochs: the cut and
+    boundary it derives from the plan and the graph, the public edge
+    classification and relay site bookkeeping, and the current relay
+    release.
     """
 
     def __init__(
@@ -419,29 +323,32 @@ class _ShardRouter:
         #: The released boundary-hub relay structure (``None`` until
         #: built, or after a failed rebuild).
         self.relay: HubStructure | None = None
-        # The public tables below come from the compiled edge-endpoint
-        # arrays; a caller's plan must cut the graph where its
-        # assignment says.
+        # The plan is checked against the graph here, before anything
+        # spends: the graph and every shard must be connected (a
+        # connected graph split into two or more shards then always
+        # cuts an edge, so the relay has sites).
         csr = CSRGraph.from_graph(graph)
-        shard_of = _shard_vector(
-            plan.assignment(), csr.vertices, "shard plan"
-        )
-        cut, boundary = _cut(csr, shard_of)
-        self._vertex_keys = graph.vertex_list()
-        self._edge_keys = graph.edge_list()
-        _check_cut(
-            plan,
-            graph,
-            [csr.vertices[i] for i in boundary.tolist()],
-            [self._edge_keys[e] for e in cut.tolist()],
-        )
+        if not is_weakly_connected(csr):
+            raise DisconnectedGraphError(
+                "sharded serving requires a connected graph"
+            )
+        for shard, tenant in enumerate(tenants):
+            if not is_weakly_connected(CSRGraph.from_graph(tenant.graph)):
+                raise DisconnectedGraphError(
+                    f"shard {shard} of the plan is not connected"
+                )
+        shard_of = _shard_vector(plan.assignment(), csr.vertices)
         # Edge classification over the full graph's canonical edge
         # order: owning shard for intra-shard edges, -1 for cut edges.
         # This is what lets refresh_shard verify an update really is
         # regional before committing it.
-        edge_shard = shard_of[csr.edge_endpoints[0]]
+        edge_u, edge_v = csr.edge_endpoints
+        cut = shard_of[edge_u] != shard_of[edge_v]
+        edge_shard = shard_of[edge_u]
         edge_shard[cut] = -1
         self._edge_shard = edge_shard
+        self._vertex_keys = graph.vertex_list()
+        self._edge_keys = graph.edge_list()
         #: Per shard, the positions of its tenant subgraph's edges in
         #: the full edge order: an induced subgraph keeps its parent's
         #: edge order, so they are the shard's intra-shard edges.
@@ -449,21 +356,27 @@ class _ShardRouter:
             np.flatnonzero(edge_shard == shard)
             for shard in range(plan.num_shards)
         ]
+        #: The relay sites: the endpoints of the cut edges, as sorted
+        #: vertex indices (vertex insertion order).
+        self.boundary = np.unique(
+            np.concatenate([edge_u[cut], edge_v[cut]])
+        )
 
         # Relay site bookkeeping (static across refreshes: the plan and
         # boundary are topology-only).
-        site_shard = shard_of[csr.indices_of(plan.boundary)]
+        site_shard = shard_of[self.boundary]
         self._site_pos: List[np.ndarray] = [
             np.flatnonzero(site_shard == shard)
             for shard in range(plan.num_shards)
         ]
+        vertices = csr.vertices
         self._shard_boundary: List[Tuple[Vertex, ...]] = [
-            tuple(plan.boundary[p] for p in positions.tolist())
+            tuple(vertices[i] for i in self.boundary[positions].tolist())
             for positions in self._site_pos
         ]
         self._site_shard = site_shard
         # Local position of each site within its shard's boundary list.
-        site_local = np.zeros(len(plan.boundary), dtype=np.int64)
+        site_local = np.zeros(len(self.boundary), dtype=np.int64)
         for positions in self._site_pos:
             site_local[positions] = np.arange(len(positions))
         self._site_local = site_local
@@ -539,30 +452,27 @@ class _ShardRouter:
         """Install the epoch's relay release, bucketing its ball table
         by shard pair (the hub sample is redrawn each epoch, so the
         exclusions change too).  Same-shard buckets ``(i, i)`` refine
-        the intra-shard relay cap."""
-        m = len(self.plan.boundary)
-        buckets: Dict[Tuple[int, int], List[List[float]]] = {}
-        for key, value in structure.ball.items():
-            lo, hi = divmod(key, m)
-            pair = (
-                int(self._site_shard[lo]),
-                int(self._site_shard[hi]),
-            )
-            if pair[0] > pair[1]:
-                pair = (pair[1], pair[0])
-                lo, hi = hi, lo
-            buckets.setdefault(pair, [[], [], []])
-            rows = buckets[pair]
-            rows[0].append(int(self._site_local[lo]))
-            rows[1].append(int(self._site_local[hi]))
-            rows[2].append(value)
+        the intra-shard relay cap.
+
+        Each entry is oriented from the lower shard id to the higher
+        one; a stable sort by shard pair keeps the ball's order within
+        each bucket."""
+        ball, k = structure.ball, self.plan.num_shards
+        keys = np.fromiter(ball, dtype=np.int64, count=len(ball))
+        values = np.fromiter(ball.values(), dtype=float, count=len(ball))
+        lo, hi = np.divmod(keys, len(self.boundary))
+        flip = self._site_shard[lo] > self._site_shard[hi]
+        lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
+        pair = self._site_shard[lo] * k + self._site_shard[hi]
+        order = np.argsort(pair, kind="stable")
+        pairs, starts = np.unique(pair[order], return_index=True)
+        stops = [*starts[1:].tolist(), len(order)]
+        lo_local = self._site_local[lo[order]]
+        hi_local = self._site_local[hi[order]]
+        values = values[order]
         self._relay_ball_cross = {
-            pair: (
-                np.asarray(rows[0], dtype=np.int64),
-                np.asarray(rows[1], dtype=np.int64),
-                np.asarray(rows[2], dtype=float),
-            )
-            for pair, rows in buckets.items()
+            divmod(p, k): (lo_local[a:b], hi_local[a:b], values[a:b])
+            for p, a, b in zip(pairs.tolist(), starts.tolist(), stops)
         }
         self.relay = structure
 

@@ -79,7 +79,7 @@ from .routing import (
     _Tenant,
     partition_graph,
 )
-from .synopsis import DistanceSynopsis, canonical_pair
+from .synopsis import DistanceSynopsis, _require_undirected, canonical_pair
 
 __all__ = ["DistanceService", "ServiceStats"]
 
@@ -225,6 +225,13 @@ class ServiceStats:
         return f"ServiceStats({inner})"
 
 
+def _check_servable(graph: WeightedGraph) -> None:
+    """Refuse, before the ledger rotates or anything spends, a graph
+    the service cannot answer for: a directed one (answers are cached
+    and released per unordered pair) or one with a weight outside
+    Definition 2.1's finite non-negative range."""
+    _require_undirected(graph, "the distance service")
+    graph.check_nonnegative()
 
 
 class DistanceService:
@@ -235,10 +242,11 @@ class DistanceService:
     ----------
     graph:
         Public topology + the current epoch's private weights
-        (connected when sharded).  A negative or non-finite weight
-        raises :class:`~repro.exceptions.WeightError` before anything
-        is spent, here and in :meth:`refresh` and
-        :meth:`refresh_shard`.
+        (connected when sharded).  A directed graph raises
+        :class:`~repro.exceptions.GraphError` and a negative or
+        non-finite weight :class:`~repro.exceptions.WeightError`
+        before anything is spent, here and in :meth:`refresh` (and
+        :meth:`refresh_shard`, for weights).
     epoch_budget:
         The ``(eps, delta)`` guarantee promised per epoch (a bare
         float is taken as pure eps).  Unsharded, the whole budget is
@@ -289,11 +297,14 @@ class DistanceService:
         (``None`` means the plan's count, or 1 without a plan).
     plan:
         Use an existing :class:`~repro.serving.routing.ShardPlan`
-        instead of partitioning — the way to shard differently.  Its
-        boundary and cut edges must be the ones its assignment cuts
-        in ``graph`` (in any order); otherwise
-        :class:`~repro.exceptions.GraphError` is raised before
-        anything is spent.
+        instead of partitioning — the way to shard differently.  The
+        plan is its assignment: the shard router derives the cut
+        edges and the boundary (the relay sites) from it and
+        ``graph``, and refuses a disconnected graph or shard with
+        :class:`~repro.exceptions.DisconnectedGraphError`, and an
+        assignment missing a vertex with
+        :class:`~repro.exceptions.GraphError`, before anything is
+        spent.
     """
 
     def __init__(
@@ -315,9 +326,7 @@ class DistanceService:
         if mechanism is not None:
             # Raises MechanismError (a PrivacyError) on unknown names.
             get_mechanism(mechanism)
-        # Refused before anything is spent: Definition 2.1's weights
-        # are finite and non-negative, so no valid input is refused.
-        graph.check_nonnegative()
+        _check_servable(graph)
         if plan is None:
             if shards is not None and shards != 1:
                 plan = partition_graph(graph, shards)
@@ -461,12 +470,8 @@ class DistanceService:
         distances may traverse any shard.
         """
         assert self._shards is not None and self._relay_params is not None
-        boundary = self._shards.plan.boundary
+        boundary = self._shards.boundary
         m = len(boundary)
-        if m == 0:
-            raise GraphError(
-                "multi-shard plan has no boundary vertices"
-            )
         start = time.perf_counter()
         with use_telemetry(self._telemetry), self._telemetry.span(
             "relay.build", sites=m, tenant=self._tenant
@@ -482,7 +487,7 @@ class DistanceService:
             csr = CSRGraph.from_graph(self._graph)
             structure = build_hub_structure(
                 csr,
-                csr.indices_of(boundary),
+                boundary,
                 default_hub_count(m),
                 default_ball_size(m),
                 self._relay_params.eps,
@@ -541,9 +546,10 @@ class DistanceService:
         A sharded service only takes a graph with the plan's vertex
         and edge sets — anything else raises
         :class:`~repro.exceptions.GraphError` before the ledger
-        rotates or any budget is spent — and a negative or non-finite
-        weight raises :class:`~repro.exceptions.WeightError` just as
-        early, sharded or not.  A graph whose directedness,
+        rotates or any budget is spent — and a directed graph raises
+        :class:`~repro.exceptions.GraphError`, a negative or
+        non-finite weight :class:`~repro.exceptions.WeightError`, just
+        as early, sharded or not.  A graph whose directedness,
         vertex list and edge list equal the current graph's (in
         content and order) is handed the current compiled structure
         and its topology memo; any other graph is compiled afresh.
@@ -563,7 +569,7 @@ class DistanceService:
         ):
             if graph is not None and self._shards is not None:
                 self._shards.check_topology(graph)
-            (self._graph if graph is None else graph).check_nonnegative()
+            _check_servable(self._graph if graph is None else graph)
             if self._owns_ledger:
                 self._ledger.rotate()
             if graph is not None:

@@ -27,6 +27,15 @@ edges) with :func:`repro.apsp.hubs.build_hub_structure`:
   inside ``shard(t)`` after it last enters, so in the noiseless limit
   the decomposition is consistent (up to the hub-relay detour).
 
+A :class:`ShardPlan` is its assignment, vertex -> shard, and nothing
+more: the shard router derives the cut edges and the boundary from it
+and the graph, once, and refuses a disconnected graph or shard with
+:class:`~repro.exceptions.DisconnectedGraphError` before anything
+spends (a connected graph split into two or more shards always cuts an
+edge, so the relay always has sites).  A directed graph is refused with
+:class:`~repro.exceptions.GraphError` just as early, sharded or not:
+answers are keyed per unordered pair.
+
 Privacy accounting.  Every Laplace release in this library has privacy
 loss proportional to the L1 perturbation of the edge weights it reads,
 so releases over *disjoint* edge sets compose like parallel

@@ -82,6 +82,16 @@ def canonical_pair(s: Vertex, t: Vertex) -> Tuple[Vertex, Vertex]:
     return (s, t) if repr(s) <= repr(t) else (t, s)
 
 
+def _require_undirected(graph: WeightedGraph, what: str) -> None:
+    """Refuse a directed graph, before anything spends: releases and
+    answers are keyed by :func:`canonical_pair`, so ``d(s, t)`` and
+    ``d(t, s)`` would be served one value."""
+    if graph.directed:
+        raise GraphError(
+            f"{what} answers unordered pairs and refuses a directed graph"
+        )
+
+
 def _encode_pair_table(
     table: Mapping[Tuple[Vertex, Vertex], float]
 ) -> List[List[Any]]:
@@ -113,6 +123,21 @@ def _decode_pair_table(
             raise SynopsisError(f"pair ({s!r}, {t!r}) is {value}")
         table[key] = value
     return table
+
+
+def _noise_scale(payload: Mapping[str, Any]) -> float:
+    """A document's ``noise_scale``, refused unless it is a finite
+    positive JSON number: every release adds noise at a positive
+    scale, and an estimate's interval is drawn from it."""
+    documents.require(
+        payload, SynopsisError, "synopsis", {"noise_scale": documents.NUMBER}
+    )
+    value = float(payload["noise_scale"])
+    if not (math.isfinite(value) and value > 0):
+        raise SynopsisError(
+            f"synopsis noise_scale must be finite and positive, got {value}"
+        )
+    return value
 
 
 def _require_every_pair(what: str, entries: int, n: int) -> None:
@@ -477,7 +502,7 @@ class TreeSynopsis(DistanceSynopsis):
             estimates,
             parent,
             depth,
-            noise_scale=float(payload["noise_scale"]),
+            noise_scale=_noise_scale(payload),
         )
 
 
@@ -646,7 +671,7 @@ class BoundedWeightSynopsis(DistanceSynopsis):
             table,
             float(payload["weight_bound"]),
             int(payload["k"]),
-            noise_scale=float(payload["noise_scale"]),
+            noise_scale=_noise_scale(payload),
         )
 
 
@@ -671,8 +696,10 @@ def _encode_hub_structure(structure: HubStructure) -> Dict[str, Any]:
 
 def _decode_hub_structure(payload: Dict[str, Any]) -> HubStructure:
     """Rebuild a hub structure from its JSON fields, refusing any that
-    would index outside the sites or answer a non-finite value: hub
-    positions distinct and in ``[0, m)``, ball rows ``lo < hi < m``."""
+    would index outside the sites, answer a non-finite value or
+    misstate the release: hub positions distinct and in ``[0, m)``,
+    ball rows distinct pairs ``lo < hi < m``, and ``pair_count`` the
+    hub table's ``h(m-h) + h(h-1)/2`` pairs plus the ball rows."""
     m = int(payload["num_sites"])
     hubs = np.asarray(payload["hubs"], dtype=np.int64)
     if hubs.size and not (0 <= hubs.min() and hubs.max() < m):
@@ -686,6 +713,8 @@ def _decode_hub_structure(payload: Dict[str, Any]) -> HubStructure:
             raise SynopsisError(
                 f"ball row ({lo}, {hi}) is not a site pair lo < hi < {m}"
             )
+        if lo * m + hi in ball:
+            raise SynopsisError(f"ball row ({lo}, {hi}) repeats")
         if not math.isfinite(value):
             raise SynopsisError(f"ball row ({lo}, {hi}) is {value}")
         ball[lo * m + hi] = value
@@ -694,13 +723,20 @@ def _decode_hub_structure(payload: Dict[str, Any]) -> HubStructure:
     )
     if not np.isfinite(matrix).all():
         raise SynopsisError("hub table holds a non-finite entry")
+    h = len(hubs)
+    pair_count = int(payload["pair_count"])
+    if pair_count != h * (m - h) + h * (h - 1) // 2 + len(ball):
+        raise SynopsisError(
+            f"pair_count {pair_count} is not the {h}-hub table's pairs "
+            f"plus {len(ball)} ball rows over {m} sites"
+        )
     return HubStructure(
         num_sites=m,
         hub_positions=hubs,
         matrix=matrix,
         ball=ball,
-        noise_scale=float(payload["noise_scale"]),
-        pair_count=int(payload["pair_count"]),
+        noise_scale=_noise_scale(payload),
+        pair_count=pair_count,
     )
 
 
@@ -1001,9 +1037,11 @@ def build_single_pair_synopsis(
     vectorized ``Lap(Q/eps)`` draw over the whole vector is eps-DP.
     Exact distances come from one
     :func:`~repro.algorithms.shortest_paths.all_pairs_dijkstra` sweep
-    over the distinct sources, not one search per pair.
+    over the distinct sources, not one search per pair.  A directed
+    graph is refused: the workload is keyed by unordered pair.
     """
     params = PrivacyParams(eps)  # validates eps before any work
+    _require_undirected(graph, "a pair workload release")
     unique: List[Tuple[Vertex, Vertex]] = []
     seen = set()
     for s, t in pairs:

@@ -5,22 +5,24 @@ used before it moved to local searches: one exact sweep from every
 site, a second unit-weight sweep for the hop counts, and a stable
 argsort of every row to pick the balls.  It allocates two ``m x m``
 matrices, so it only serves small graphs in tests, where it pins down
-what a seeded build must release.  The directed test graph the hub
-tests share lives here too.
+what a seeded build must release.  The directed test graph and the
+shard-boundary site sets the hub tests share live here too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.apsp.hubs import HubStructure, hub_noise_scale
+from repro.apsp.hubs import HubStructure
+from repro.dp.composition import composed_noise_scale
 from repro.engine.csr import CSRGraph
 from repro.engine.kernels import multi_source_distances
 from repro.exceptions import DisconnectedGraphError
-from repro.graphs.graph import WeightedGraph
+from repro.graphs.graph import Vertex, WeightedGraph
 from repro.rng import Rng
+from repro.serving.routing import partition_graph
 
 
 def reference_hub_structure(
@@ -55,7 +57,7 @@ def reference_hub_structure(
 
     q_hub = hub_count * (m - hub_count) + hub_count * (hub_count - 1) // 2
     pair_count = q_hub + len(ball_pairs)
-    scale = hub_noise_scale(pair_count, eps, delta)
+    scale = composed_noise_scale(pair_count, eps, delta)
 
     matrix = exact[hubs] + rng.laplace_vector(scale, hub_count * m).reshape(
         hub_count, m
@@ -114,3 +116,17 @@ def strongly_connected_digraph(n: int, rng: Rng) -> WeightedGraph:
         if u != v and not graph.has_edge(u, v):
             graph.add_edge(u, v, rng.uniform(0.5, 3.0))
     return graph
+
+
+def boundary_sites(
+    graph: WeightedGraph, shards: int, seed: int
+) -> List[Vertex]:
+    """The relay sites of a sharded service on ``graph``: the
+    endpoints of the edges ``partition_graph(graph, shards, seed)``
+    cuts, in vertex insertion order."""
+    shard_of = partition_graph(graph, shards, seed=seed).shard_of
+    cut = set()
+    for u, v in graph.edge_list():
+        if shard_of(u) != shard_of(v):
+            cut.update((u, v))
+    return [v for v in graph.vertices() if v in cut]

@@ -14,7 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hub_reference import reference_hub_structure, strongly_connected_digraph
+from hub_reference import (
+    boundary_sites,
+    reference_hub_structure,
+    strongly_connected_digraph,
+)
 
 from repro import (
     DisconnectedGraphError,
@@ -31,7 +35,6 @@ from repro.apsp.hubs import (
 )
 from repro.engine import CSRGraph, kernels
 from repro.graphs import generators
-from repro.serving.sharding import partition_graph
 
 SEED = 2204023
 
@@ -93,7 +96,7 @@ class TestBitIdentical:
     def test_shard_boundary_sites(self, engine, seed):
         rng = Rng(SEED + seed)
         graph = _random_weights(generators.grid_graph(14, 14), rng)
-        boundary = partition_graph(graph, 4, seed=seed).boundary
+        boundary = boundary_sites(graph, 4, seed)
         _assert_identical(graph, boundary, SEED + seed)
 
     def test_directed_graph(self, engine, seed):
@@ -200,7 +203,7 @@ class TestTreeBounds:
 
     def test_bound_covers_exact_value_at_boundary_sites(self, engine):
         graph = _random_weights(generators.grid_graph(14, 14), Rng(SEED))
-        boundary = partition_graph(graph, 4, seed=0).boundary
+        boundary = boundary_sites(graph, 4, 0)
         bound, exact = self._bounds(graph, boundary)
         assert len(bound) and (bound >= exact).all()
 

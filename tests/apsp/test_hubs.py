@@ -19,10 +19,10 @@ from repro.apsp import (
     HubSetRelease,
     default_ball_size,
     default_hub_count,
-    hub_noise_scale,
     hub_pair_count_bound,
     predicted_hub_scale,
 )
+from repro.dp.composition import composed_noise_scale
 from repro.graphs import generators
 
 
@@ -52,11 +52,13 @@ class TestDefaults:
 
 class TestAccounting:
     def test_pure_scale_is_pairs_over_eps(self):
-        assert hub_noise_scale(100, eps=0.5) == 200.0
+        assert composed_noise_scale(100, eps=0.5) == 200.0
 
     def test_advanced_scale_beats_pure_on_large_counts(self):
         q = 50_000
-        assert hub_noise_scale(q, 1.0, delta=1e-6) < hub_noise_scale(q, 1.0)
+        assert composed_noise_scale(q, 1.0, delta=1e-6) < (
+            composed_noise_scale(q, 1.0)
+        )
 
     def test_release_pair_count_within_bound(self, rng):
         graph = generators.grid_graph(8, 8)

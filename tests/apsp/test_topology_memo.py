@@ -15,7 +15,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hub_reference import reference_ball_pairs, strongly_connected_digraph
+from hub_reference import (
+    boundary_sites,
+    reference_ball_pairs,
+    strongly_connected_digraph,
+)
 
 from repro import Rng, WeightedGraph
 from repro.algorithms.covering import meir_moon_k_covering
@@ -28,14 +32,13 @@ from repro.apsp.hubs import (
 from repro.engine import CSRGraph
 from repro.engine.kernels import multi_source_distances
 from repro.graphs import generators
-from repro.serving.sharding import partition_graph
 
 SEED = 2204016
 ROWS, COLS = 12, 13
 
 SITE_SETS = {
     "all": lambda graph: graph.vertex_list(),
-    "boundary": lambda graph: list(partition_graph(graph, 4, seed=1).boundary),
+    "boundary": lambda graph: boundary_sites(graph, 4, 1),
     "covering": lambda graph: meir_moon_k_covering(graph, 2),
 }
 
@@ -143,7 +146,7 @@ MEMO_CASES = {
     ),
     "boundary": (
         lambda: _grid(SEED),
-        lambda graph: (list(partition_graph(graph, 4, seed=1).boundary), None),
+        lambda graph: (boundary_sites(graph, 4, 1), None),
     ),
     "directed": (
         lambda: strongly_connected_digraph(70, Rng(SEED)),

@@ -6,10 +6,12 @@ from __future__ import annotations
 import pytest
 
 from repro import (
+    GraphError,
     MechanismError,
     PrivacyParams,
     Rng,
     ServingConfig,
+    WeightedGraph,
     auto_select_mechanism,
     available_mechanisms,
     get_mechanism,
@@ -204,6 +206,42 @@ class TestAutoSelectionEquivalence:
             auto_select_mechanism(tree, PrivacyParams(1.0), 5.0)
             == "tree"
         )
+
+
+class TestDirectedGraphsRefused:
+    """Every release answers unordered pairs, so the catalog refuses a
+    directed graph: no mechanism is eligible, and each one's
+    pre-spend validation raises."""
+
+    @staticmethod
+    def _digraph():
+        graph = generators.grid_graph(4, 4)
+        directed = WeightedGraph(directed=True)
+        for u, v, w in graph.edges():
+            directed.add_edge(u, v, w)
+            directed.add_edge(v, u, 5.0 * w)
+        return directed
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_validate_and_eligibility_refuse(self, name):
+        graph = self._digraph()
+        params = MechanismParams(
+            budget=PrivacyParams(1.0, 1e-6), weight_bound=5.0
+        )
+        mechanism = get_mechanism(name)
+        assert not mechanism.auto_eligible(graph, params)
+        assert not mechanism.auto_eligible(
+            graph, MechanismParams(budget=PrivacyParams(1.0))
+        )
+        with pytest.raises(GraphError, match="directed"):
+            mechanism.validate(graph, params)
+
+    @pytest.mark.parametrize("weight_bound", [None, 5.0])
+    def test_auto_selection_refuses(self, weight_bound):
+        with pytest.raises(MechanismError):
+            auto_select_mechanism(
+                self._digraph(), PrivacyParams(1.0), weight_bound
+            )
 
 
 class TestServiceIntegration:

@@ -4,10 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro import AllPairsBasicRelease, Rng
+from repro import (
+    AllPairsBasicRelease,
+    GraphError,
+    PrivacyParams,
+    Rng,
+    WeightedGraph,
+)
 from repro.graphs import generators
-from repro.serving import AllPairsSynopsis, BatchPlanner, fresh_batch
-from repro.serving.synopsis import canonical_pair
+from repro.serving import (
+    AllPairsSynopsis,
+    BatchPlanner,
+    BudgetLedger,
+    fresh_batch,
+)
+from repro.serving.synopsis import build_single_pair_synopsis, canonical_pair
 
 
 @pytest.fixture
@@ -115,6 +126,20 @@ class TestFreshBatch:
             assert report.queries_per_second == pytest.approx(
                 report.num_queries / report.elapsed_seconds
             )
+
+    def test_directed_graph_refused_before_spending(self):
+        """Pairs are keyed unordered, so both directions of a directed
+        graph would get one released value."""
+        graph = WeightedGraph.from_edges(
+            [(0, 1, 1.0), (1, 0, 5.0), (1, 2, 1.0), (2, 1, 5.0)],
+            directed=True,
+        )
+        ledger = BudgetLedger(PrivacyParams(1.0))
+        with pytest.raises(GraphError, match="directed"):
+            fresh_batch(graph, [(0, 2), (2, 0)], 1.0, Rng(6), ledger=ledger)
+        assert ledger.records() == []
+        with pytest.raises(GraphError, match="directed"):
+            build_single_pair_synopsis(graph, [(0, 2)], 1.0, Rng(6))
 
     def test_standing_synopsis_batches_report_zero_build(self, synopsis):
         report = BatchPlanner(synopsis).run([((0, 0), (1, 1))])

@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 import pytest
+from topology_reference import reference_cut
 
 from repro import (
     BudgetExceededError,
@@ -24,6 +25,7 @@ from repro.exceptions import (
     WeightError,
 )
 from repro.graphs import WeightedGraph, generators
+from repro.mechanisms import available_mechanisms
 from repro.serving import (
     BudgetLedger,
     DistanceService,
@@ -31,6 +33,7 @@ from repro.serving import (
     ShardedDistanceService,
     partition_graph,
 )
+from repro.serving.routing import _ShardRouter
 from repro.serving.sharding import RELAY_FRACTION
 from repro.workloads import grid_road_network, uniform_pairs
 
@@ -53,21 +56,27 @@ class TestPartitionGraph:
         a = partition_graph(road, 3, seed=5)
         b = partition_graph(road, 3, seed=5)
         assert a.assignment() == b.assignment()
-        assert a.boundary == b.boundary
-        assert a.cut_edges == b.cut_edges
+        assert a.to_json() == b.to_json()
 
     def test_boundary_is_exactly_cut_endpoints(self, road):
+        """The router derives the relay sites from the plan: the
+        endpoints of the cut edges, as sorted vertex indices."""
         plan = partition_graph(road, 3, seed=1)
-        endpoints = set()
-        for u, v in plan.cut_edges:
-            assert plan.shard_of(u) != plan.shard_of(v)
-            endpoints.update((u, v))
-        assert set(plan.boundary) == endpoints
+        router = _ShardRouter(plan, road, [])
+        vertices, edges = road.vertex_list(), road.edge_list()
+        boundary, cut = reference_cut(road, plan.assignment())
+        assert tuple(vertices[i] for i in router.boundary.tolist()) == (
+            boundary
+        )
+        assert tuple(
+            edges[e] for e in np.flatnonzero(router._edge_shard == -1)
+        ) == cut
 
     def test_single_shard_has_no_cut(self, road):
         plan = partition_graph(road, 1, seed=0)
-        assert plan.boundary == ()
-        assert plan.cut_edges == ()
+        router = _ShardRouter(plan, road, [])
+        assert len(router.boundary) == 0
+        assert (router._edge_shard == 0).all()
         assert plan.shard_sizes() == [road.num_vertices]
 
     def test_invalid_args(self, road):
@@ -103,14 +112,30 @@ class TestShardPlan:
         restored = ShardPlan.from_json(plan.to_json())
         assert restored.num_shards == 3
         assert restored.assignment() == plan.assignment()
-        assert restored.boundary == plan.boundary
-        assert restored.cut_edges == plan.cut_edges
+        assert restored.to_json() == plan.to_json()
         assert restored.seed == 9
+
+    def test_plan_document_holds_only_the_assignment(self, road):
+        document = json.loads(partition_graph(road, 3, seed=9).to_json())
+        assert list(document) == [
+            "format", "version", "num_shards", "seed", "assignment",
+        ]
+        assert document["version"] == 2
+
+    def test_version_one_plan_document_refused(self, road):
+        """The old document stored a boundary and cut edges of its
+        own; it is refused by its version number."""
+        document = json.loads(partition_graph(road, 2, seed=0).to_json())
+        document.update(version=1, boundary=[], cut_edges=[])
+        with pytest.raises(
+            GraphError, match="unsupported shard plan version 1"
+        ):
+            ShardPlan.from_json(json.dumps(document))
 
     def test_empty_shard_rejected(self, road):
         assignment = {v: 0 for v in road.vertices()}
         with pytest.raises(GraphError):
-            ShardPlan.from_assignment(road, assignment, num_shards=2)
+            ShardPlan(2, assignment)
 
 
 class TestSingleShardEquivalence:
@@ -234,13 +259,15 @@ class TestCrossShardRouting:
         s = plan.members(0)[0]
         t = plan.members(1)[0]
         relay = service.relay
-        site_of = {v: p for p, v in enumerate(plan.boundary)}
+        boundary, _ = reference_cut(road, plan.assignment())
+        assert relay.num_sites == len(boundary)
+        site_of = {v: p for p, v in enumerate(boundary)}
         best = float("inf")
-        for a in plan.boundary:
+        for a in boundary:
             if plan.shard_of(a) != 0:
                 continue
             da = service.shard_synopses[0].distance(s, a)
-            for b in plan.boundary:
+            for b in boundary:
                 if plan.shard_of(b) != 1:
                     continue
                 db = service.shard_synopses[1].distance(t, b)
@@ -444,9 +471,14 @@ class TestRegionalRefresh:
         service = ShardedDistanceService(
             road, 1.0, Rng(45), shards=2, mechanism="hub-set"
         )
+        plan = service.plan
         weights = road.weights()
-        u, v = service.plan.cut_edges[0]
-        weights[service.plan.cut_edges[0]] = weights[(u, v)] + 0.5
+        cut = next(
+            (u, v)
+            for u, v in road.edge_list()
+            if plan.shard_of(u) != plan.shard_of(v)
+        )
+        weights[cut] += 0.5
         service.refresh_shard(0, weights)  # must not raise
         assert service.stats.shard_refreshes == 1
 
@@ -578,78 +610,119 @@ class TestInvalidWeightsRefused:
 
 
 class TestCallerPlanChecked:
-    """A caller's plan must cut the graph where its assignment says:
-    its boundary and cut edges are re-derived from the graph and
-    compared, before anything spends."""
+    """A caller's plan is its assignment: the router derives the cut
+    from the graph, and refuses a disconnected graph or shard before
+    anything spends."""
 
     @pytest.fixture
     def setup(self):
         graph = grid_road_network(10, 10, Rng(81)).graph
-        plan = partition_graph(graph, 3, seed=0)
-        return graph, plan, json.loads(plan.to_json())
+        return graph, partition_graph(graph, 3, seed=0)
 
-    def _refused(self, graph, plan, match):
+    def test_plan_whose_assignment_moved_a_vertex(self, setup):
+        """Moving a boundary vertex to the next shard serves what the
+        moved assignment cuts, or, where that leaves a shard
+        disconnected, is refused before anything spends."""
+        graph, plan = setup
+        outcomes = set()
+        boundary, _ = reference_cut(graph, plan.assignment())
+        for vertex in boundary[:6]:
+            assignment = plan.assignment()
+            assignment[vertex] = (assignment[vertex] + 1) % plan.num_shards
+            moved = ShardPlan(plan.num_shards, assignment)
+            ledger = BudgetLedger(PrivacyParams(1.0))
+            try:
+                service = DistanceService(
+                    graph, 1.0, Rng(82), plan=moved, ledger=ledger,
+                    mechanism="hub-set",
+                )
+            except DisconnectedGraphError:
+                assert ledger.records() == []
+                outcomes.add("refused")
+                continue
+            sites, _ = reference_cut(graph, assignment)
+            assert service.relay.num_sites == len(sites)
+            assert len(ledger.records()) == 4
+            outcomes.add("served")
+        assert outcomes == {"served", "refused"}
+
+    def test_plan_that_cuts_no_edge_is_refused_before_spending(self):
+        """Two disjoint grids, one per shard: no edge is cut, so the
+        relay would have no site.  The disconnected graph is refused
+        before either shard spends."""
+        graph = WeightedGraph()
+        for part in range(2):
+            for u, v, w in generators.grid_graph(4, 4).edges():
+                graph.add_edge((part, u), (part, v), w)
+        plan = ShardPlan(2, {v: v[0] for v in graph.vertices()})
         ledger = BudgetLedger(PrivacyParams(1.0))
-        with pytest.raises(GraphError, match=match):
+        with pytest.raises(DisconnectedGraphError):
             DistanceService(
-                graph, 1.0, Rng(82), plan=plan, ledger=ledger,
-                mechanism="hub-set",
+                graph, 1.0, Rng(84), plan=plan, ledger=ledger,
+                mechanism="all-pairs-basic",
             )
         assert ledger.records() == []
 
-    def test_plan_missing_a_boundary_vertex_is_refused(self, setup):
-        graph, _, document = setup
-        document["boundary"] = document["boundary"][1:]
-        plan = ShardPlan.from_json(json.dumps(document))
-        self._refused(graph, plan, "boundary")
-
-    def test_plan_missing_a_cut_edge_is_refused(self, setup):
-        graph, _, document = setup
-        document["cut_edges"] = document["cut_edges"][:-1]
-        plan = ShardPlan.from_json(json.dumps(document))
-        self._refused(graph, plan, "cut edges")
-
-    def test_plan_listing_an_intra_shard_edge_as_cut_is_refused(
+    def test_plan_naming_a_vertex_outside_the_graph_is_refused(
         self, setup
     ):
-        graph, plan, _ = setup
-        intra = next(
-            (u, v)
-            for u, v in graph.edge_list()
-            if plan.shard_of(u) == plan.shard_of(v)
-        )
-        doctored = ShardPlan(
-            plan.num_shards,
-            plan.assignment(),
-            plan.boundary,
-            [intra, *plan.cut_edges[1:]],
-        )
-        self._refused(graph, doctored, "cut edges")
-
-    def test_plan_whose_assignment_moved_a_vertex_is_refused(self, setup):
-        graph, plan, _ = setup
+        graph, plan = setup
         assignment = plan.assignment()
-        vertex = plan.boundary[0]
-        assignment[vertex] = (assignment[vertex] + 1) % plan.num_shards
-        doctored = ShardPlan(
-            plan.num_shards, assignment, plan.boundary, plan.cut_edges
-        )
-        self._refused(graph, doctored, "boundary|cut edges")
+        del assignment[graph.vertex_list()[-1]]
+        assignment["elsewhere"] = 0
+        ledger = BudgetLedger(PrivacyParams(1.0))
+        with pytest.raises(VertexNotFoundError):
+            DistanceService(
+                graph, 1.0, Rng(85), plan=ShardPlan(3, assignment),
+                ledger=ledger,
+            )
+        assert ledger.records() == []
 
-    def test_plan_lists_in_another_order_serve_the_same(self, setup):
-        """Cut edges in another order and orientation are the same
-        cut: the service builds and answers as with the original."""
-        graph, plan, document = setup
-        document["cut_edges"] = [
-            [v, u] for u, v in reversed(document["cut_edges"])
-        ]
-        shuffled = ShardPlan.from_json(json.dumps(document))
-        pairs = uniform_pairs(graph, 30, Rng(83))
-        a = DistanceService(graph, 1.0, Rng(84), plan=plan)
-        b = DistanceService(graph, 1.0, Rng(84), plan=shuffled)
-        assert [a.query(s, t) for s, t in pairs] == [
-            b.query(s, t) for s, t in pairs
-        ]
+
+def _digraph():
+    """A 12x12 grid digraph: arcs right and down weigh 1, arcs left
+    and up weigh 5, so the corner-to-corner distance is 22 one way and
+    110 the other."""
+    graph = WeightedGraph(directed=True)
+    for r in range(12):
+        for c in range(12):
+            for dr, dc in ((0, 1), (1, 0)):
+                if r + dr < 12 and c + dc < 12:
+                    graph.add_edge((r, c), (r + dr, c + dc), 1.0)
+                    graph.add_edge((r + dr, c + dc), (r, c), 5.0)
+    return graph
+
+
+class TestDirectedGraphRefused:
+    """Answers are cached and released per unordered pair, so a
+    directed graph would be served one value for both directions: it
+    is refused before the ledger rotates or anything spends."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("mechanism", [None, *available_mechanisms()])
+    def test_construction_refused_before_spending(self, mechanism, shards):
+        ledger = BudgetLedger(PrivacyParams(1e9))
+        bounded = mechanism in ("bounded-weight", "hub-bounded")
+        with pytest.raises(GraphError, match="refuses a directed graph"):
+            DistanceService(
+                _digraph(), 1e9, Rng(86), mechanism=mechanism,
+                shards=shards, ledger=ledger,
+                weight_bound=5.0 if bounded else None,
+            )
+        assert ledger.records() == []
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_refresh_refused_before_rotating(self, shards):
+        graph = grid_road_network(6, 6, Rng(87)).graph
+        service = DistanceService(graph, 1.0, Rng(88), shards=shards)
+        records = service.ledger.records()
+        directed = WeightedGraph.from_edges(
+            list(graph.edges()), directed=True
+        )
+        with pytest.raises(GraphError, match="refuses a directed graph"):
+            service.refresh(directed)
+        assert service.ledger.records() == records
+        assert service.epoch == 0
 
 
 class TestDirectedPartition:

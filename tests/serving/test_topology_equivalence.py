@@ -1,9 +1,11 @@
 """The sharded service's topology derivations against the per-edge
 Python oracle in :mod:`topology_reference`.
 
-The CSR arrays, the shard plans (as JSON bytes), the tenant subgraphs
+The CSR arrays, the shard plans (as JSON bytes), the boundary and cut
+edges the shard router derives from a plan, the tenant subgraphs
 (vertex, edge and neighbour orders, weights and version counters),
-the shard router's tables and the full-refresh topology check must
+the shard router's tables, its relay ball buckets and the
+full-refresh topology check must
 equal what the reference derives, on road grids, random connected
 graphs with shuffled string labels and tuple-labelled grids built in
 a shuffled order, at 1-8 shards and partition seeds 0-9.  Nothing here
@@ -18,6 +20,11 @@ import numpy as np
 import pytest
 
 from repro import Rng
+from repro.apsp.hubs import (
+    build_hub_structure,
+    default_ball_size,
+    default_hub_count,
+)
 from repro.engine.csr import CSRGraph
 from repro.exceptions import GraphError
 from repro.graphs.graph import WeightedGraph
@@ -26,8 +33,9 @@ from repro.workloads import grid_road_network
 
 from topology_reference import (
     reference_accepts,
+    reference_cut,
     reference_partition,
-    reference_plan,
+    reference_relay_buckets,
     reference_router_tables,
     reference_structure,
     reference_subgraph,
@@ -118,6 +126,19 @@ def _assert_same_arrays(a: np.ndarray, b: np.ndarray) -> None:
     np.testing.assert_array_equal(a, b)
 
 
+def _router_cut(plan: ShardPlan, graph: WeightedGraph):
+    """``(boundary, cut_edges)`` as the shard router derives them: the
+    relay sites as vertices, the cut edges as edge keys."""
+    router = _ShardRouter(plan, graph, [])
+    assert router.boundary.dtype == np.int64
+    vertices, edges = CSRGraph.from_graph(graph).vertices, graph.edge_list()
+    cut = np.flatnonzero(router._edge_shard == -1)
+    return (
+        tuple(vertices[i] for i in router.boundary.tolist()),
+        tuple(edges[e] for e in cut.tolist()),
+    )
+
+
 @pytest.mark.parametrize("name", [*GRAPHS, *DIRECTED])
 def test_csr_arrays_match_reference(name):
     graph = {**GRAPHS, **DIRECTED}[name]()
@@ -148,17 +169,24 @@ def test_csr_arrays_of_edgeless_graphs():
 
 @pytest.mark.parametrize("name", list(GRAPHS))
 def test_partition_plans_match_reference_bytes(name):
+    """The plans' bytes, and the relay sites and cut edges the router
+    derives from them: the sites are the boundary a plan used to
+    store, in the same order."""
     graph = GRAPHS[name]()
     for shards in SHARDS:
         for seed in SEEDS:
             plan = partition_graph(graph, shards, seed=seed)
-            want = reference_partition(graph, shards, seed=seed)
+            assignment = reference_partition(graph, shards, seed=seed)
+            want = ShardPlan(shards, assignment, seed=seed)
             assert plan.to_json() == want.to_json(), (shards, seed)
             assert plan.members(0) == want.members(0)
+            assert _router_cut(plan, graph) == reference_cut(
+                graph, assignment
+            ), (shards, seed)
 
 
 @pytest.mark.parametrize("name", [*GRAPHS, *DIRECTED])
-def test_plans_from_any_assignment_match_reference_bytes(name):
+def test_router_cut_of_any_assignment_matches_reference(name):
     graph = {**GRAPHS, **DIRECTED}[name]()
     gen = random.Random(11)
     for shards in SHARDS:
@@ -166,9 +194,8 @@ def test_plans_from_any_assignment_match_reference_bytes(name):
         # Every shard gets a vertex, so the plan is valid.
         for shard, v in zip(range(shards), graph.vertices()):
             assignment[v] = shard
-        got = ShardPlan.from_assignment(graph, assignment, seed=shards)
-        want = reference_plan(graph, assignment, seed=shards)
-        assert got.to_json() == want.to_json()
+        plan = ShardPlan(shards, assignment, seed=shards)
+        assert _router_cut(plan, graph) == reference_cut(graph, assignment)
 
 
 @pytest.mark.parametrize("name", [*GRAPHS, *DIRECTED])
@@ -203,7 +230,7 @@ def test_router_tables_match_reference(name):
             }
             for shard, v in zip(range(shards), graph.vertices()):
                 assignment[v] = shard
-            plan = ShardPlan.from_assignment(graph, assignment)
+            plan = ShardPlan(shards, assignment)
         else:
             plan = partition_graph(graph, shards, seed=shards)
         router = _ShardRouter(plan, graph, [])
@@ -217,6 +244,28 @@ def test_router_tables_match_reference(name):
                 assert len(got) == len(want)
                 for a, b in zip(got, want):
                     _assert_same_arrays(a, b)
+
+
+@pytest.mark.parametrize("name", list(GRAPHS))
+def test_relay_buckets_match_reference(name):
+    graph = GRAPHS[name]()
+    csr = CSRGraph.from_graph(graph)
+    for shards in range(2, 9):
+        plan = partition_graph(graph, shards, seed=shards)
+        router = _ShardRouter(plan, graph, [])
+        m = len(router.boundary)
+        structure = build_hub_structure(
+            csr, router.boundary, default_hub_count(m),
+            default_ball_size(m), 1.0, 0.0, Rng(shards),
+        )
+        router.set_relay(structure)
+        want = reference_relay_buckets(plan, graph, structure)
+        got = router._relay_ball_cross
+        assert got.keys() == want.keys()
+        for pair, arrays in want.items():
+            assert len(got[pair]) == len(arrays)
+            for a, b in zip(got[pair], arrays):
+                _assert_same_arrays(a, b)
 
 
 def _variants(graph: WeightedGraph, gen: random.Random):
@@ -267,9 +316,8 @@ def _variants(graph: WeightedGraph, gen: random.Random):
 def test_topology_check_refuses_what_the_reference_refuses(name):
     graph = {**GRAPHS, **DIRECTED}[name]()
     if graph.directed:
-        plan = ShardPlan.from_assignment(
-            graph,
-            {v: i % 3 for i, v in enumerate(graph.vertices())},
+        plan = ShardPlan(
+            3, {v: i % 3 for i, v in enumerate(graph.vertices())}
         )
     else:
         plan = partition_graph(graph, 3, seed=2)

@@ -3,16 +3,19 @@
 These are the constructions a sharded service used before they moved
 to array code over the compiled edge-endpoint arrays: the CSR arcs
 built edge by edge, region growing that picks the smallest open
-region before every step, plans whose cut edges and boundary come
-from a walk over ``graph.edges()``, induced subgraphs built with
-``add_vertex``/``add_edge``, the shard router's tables filled edge by
-edge and boundary vertex by boundary vertex, and the full-refresh
-topology check that asks ``has_edge`` once per edge.  They read
-nothing of the library but the unchanged :class:`WeightedGraph`
-surface, :class:`ShardPlan`'s constructor and :class:`Rng`, so the
-equivalence tests pin the array code against them.  They cover
-undirected graphs: a directed graph's regions now grow along arcs in
-both directions, which this partitioner does not.
+region before every step, the cut edges and boundary of an
+assignment from a walk over ``graph.edges()``, induced subgraphs
+built with ``add_vertex``/``add_edge``, the shard router's tables
+filled edge by edge and boundary vertex by boundary vertex, the relay
+ball table bucketed by shard pair one entry at a time, and the
+full-refresh topology check that asks ``has_edge`` once per edge.
+They return plain tuples and read nothing of the library but the
+unchanged :class:`WeightedGraph` surface, :class:`ShardPlan`'s
+accessors, a released :class:`HubStructure`'s ball table and
+:class:`Rng`, so the equivalence tests pin the array code against
+them.  The partitioner covers undirected
+graphs: a directed graph's regions now grow along arcs in both
+directions, which this one does not.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from repro.graphs.graph import Vertex, WeightedGraph
+from repro.apsp.hubs import HubStructure
+from repro.graphs.graph import Edge, Vertex, WeightedGraph
 from repro.rng import Rng
 from repro.serving.routing import ShardPlan
 
@@ -54,18 +58,14 @@ def reference_structure(
     return indptr, heads[order], arc_edge[order]
 
 
-def reference_plan(
-    graph: WeightedGraph,
-    assignment: Mapping[Vertex, int],
-    num_shards: int | None = None,
-    seed: int | None = None,
-) -> ShardPlan:
-    """``ShardPlan.from_assignment``: the cut edges and boundary from
-    one walk over the edges."""
+def reference_cut(
+    graph: WeightedGraph, assignment: Mapping[Vertex, int]
+) -> Tuple[Tuple[Vertex, ...], Tuple[Edge, ...]]:
+    """``(boundary, cut_edges)`` of an assignment, from one walk over
+    the edges: the cut edges in edge order, the boundary (the relay's
+    site order) in vertex insertion order."""
     for vertex in graph.vertices():
         assert vertex in assignment, vertex
-    if num_shards is None:
-        num_shards = max(assignment.values()) + 1 if assignment else 1
     boundary_set = set()
     boundary: List[Vertex] = []
     cut_edges = []
@@ -78,15 +78,15 @@ def reference_plan(
                     boundary.append(endpoint)
     order = {vert: i for i, vert in enumerate(graph.vertices())}
     boundary.sort(key=lambda vert: order[vert])
-    return ShardPlan(num_shards, assignment, boundary, cut_edges, seed=seed)
+    return tuple(boundary), tuple(cut_edges)
 
 
 def reference_partition(
     graph: WeightedGraph, shards: int, seed: int = 0
-) -> ShardPlan:
-    """``partition_graph`` on a connected undirected graph: before
-    every step, the smallest open region (ties to the lower id) grows
-    by one vertex."""
+) -> Dict[Vertex, int]:
+    """``partition_graph``'s assignment on a connected undirected
+    graph: before every step, the smallest open region (ties to the
+    lower id) grows by one vertex."""
     assert not graph.directed
     indptr, indices, _ = reference_structure(graph)
     n = len(indptr) - 1
@@ -125,8 +125,7 @@ def reference_partition(
         if not grew:
             open_shards.discard(shard)
     vertices = graph.vertex_list()
-    assignment = {vertices[i]: int(shard_of[i]) for i in range(n)}
-    return reference_plan(graph, assignment, num_shards=shards, seed=seed)
+    return {vertices[i]: int(shard_of[i]) for i in range(n)}
 
 
 def reference_subgraph(
@@ -151,6 +150,7 @@ def reference_router_tables(
     """The shard router's public tables, filled one edge and one
     boundary vertex at a time."""
     plan_of = plan.shard_of
+    boundary, _ = reference_cut(graph, plan.assignment())
     edge_keys = graph.edge_list()
     edge_shard = np.empty(len(edge_keys), dtype=np.int64)
     for e, (u, v) in enumerate(edge_keys):
@@ -163,15 +163,15 @@ def reference_router_tables(
     shard_boundary = []
     site_pos = []
     site_shard = np.asarray(
-        [plan_of(v) for v in plan.boundary], dtype=np.int64
+        [plan_of(v) for v in boundary], dtype=np.int64
     )
     for shard in range(plan.num_shards):
         positions = np.flatnonzero(site_shard == shard)
         site_pos.append(positions)
         shard_boundary.append(
-            tuple(plan.boundary[int(p)] for p in positions)
+            tuple(boundary[int(p)] for p in positions)
         )
-    site_local = np.zeros(len(plan.boundary), dtype=np.int64)
+    site_local = np.zeros(len(boundary), dtype=np.int64)
     for positions in site_pos:
         site_local[positions] = np.arange(len(positions))
     return {
@@ -181,6 +181,36 @@ def reference_router_tables(
         "_site_pos": site_pos,
         "_shard_boundary": shard_boundary,
         "_site_local": site_local,
+    }
+
+
+def reference_relay_buckets(
+    plan: ShardPlan, graph: WeightedGraph, structure: HubStructure
+) -> Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The relay ball table bucketed by shard pair, one entry at a
+    time: each entry oriented from the lower shard id to the higher,
+    as local positions in the two shards' boundary lists."""
+    tables = reference_router_tables(plan, graph)
+    site_shard, site_local = tables["_site_shard"], tables["_site_local"]
+    m = structure.num_sites
+    buckets: Dict[Tuple[int, int], List[List[float]]] = {}
+    for key, value in structure.ball.items():
+        lo, hi = divmod(key, m)
+        pair = (int(site_shard[lo]), int(site_shard[hi]))
+        if pair[0] > pair[1]:
+            pair = (pair[1], pair[0])
+            lo, hi = hi, lo
+        rows = buckets.setdefault(pair, [[], [], []])
+        rows[0].append(int(site_local[lo]))
+        rows[1].append(int(site_local[hi]))
+        rows[2].append(value)
+    return {
+        pair: (
+            np.asarray(rows[0], dtype=np.int64),
+            np.asarray(rows[1], dtype=np.int64),
+            np.asarray(rows[2], dtype=float),
+        )
+        for pair, rows in buckets.items()
     }
 
 

@@ -190,7 +190,7 @@ READERS = [
         GraphError,
         lambda tmp: json.loads(partition_graph(GRID, 2).to_json()),
         _read_text(ShardPlan.from_json),
-        ("num_shards", "assignment", "boundary", "cut_edges"),
+        ("num_shards", "assignment"),
     ),
     Reader(
         "telemetry-snapshot",
@@ -331,6 +331,17 @@ def _drop_first(key: str) -> Callable[[list], None]:
     return lambda rows: rows[0].pop(key)
 
 
+def _repeat_first_ball_row(document: dict) -> None:
+    """Append a copy of the first ball row with another value."""
+    lo, hi, value = document["ball"][0]
+    document["ball"].append([lo, hi, value + 100.0])
+
+
+#: Noise scales that misstate a release: with a negative one an
+#: estimate's interval has zero width.
+_BAD_SCALES = {"negative": -3.0, "nan": float("nan"), "string": "1"}
+
+
 #: Malformed entries inside a document with a valid envelope.
 NESTED = [
     ("graph-short-edge", "graph", lambda d: d["edges"][0].pop()),
@@ -340,6 +351,25 @@ NESTED = [
         "synopsis-short-pair",
         "synopsis-all-pairs",
         lambda d: d["pairs"][0].pop(),
+    ),
+    *(
+        (
+            f"synopsis-{kind}-noise-scale-{name}",
+            f"synopsis-{kind}",
+            lambda d, value=value: d.update(noise_scale=value),
+        )
+        for kind in ("tree", "bounded-weight", "hub-set", "hub-bounded")
+        for name, value in _BAD_SCALES.items()
+    ),
+    (
+        "synopsis-hub-set-repeated-ball-row",
+        "synopsis-hub-set",
+        _repeat_first_ball_row,
+    ),
+    (
+        "synopsis-hub-set-negative-pair-count",
+        "synopsis-hub-set",
+        lambda d: d.update(pair_count=-5),
     ),
     (
         "config-mistyped-field",
