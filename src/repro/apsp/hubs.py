@@ -67,13 +67,24 @@ vectorized Laplace draw.  The shipped structure carries only the
 ``~V^{3/2}`` released values, and the release objects keep no exact
 distances: ``exact_distance`` (error measurement, not private) sweeps
 one source row on demand.
+
+The ball table is two arrays, the sorted pair keys ``lo * m + hi`` and
+their noisy values, taken as they come out of the build: its pair
+keys and one noise vector, with no per-entry table in between.  A
+scalar lookup reads them in pure Python, with no numpy call: the
+structure derives once where each site's row of keys starts, the
+row's partner sites in ascending order and its largest partner.  A
+lookup whose partner lies above the lower site's largest one is a
+miss at once; any other bisects within that row.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -171,12 +182,18 @@ class HubStructure:
     * ``matrix`` — the ``(h, m)`` noisy site->hub distance table
       (hub self-distances exactly 0, hub-hub mirrors symmetrized to a
       single released value);
-    * ``ball`` — the noisy local-ball table keyed by
-      ``lo * m + hi`` over canonical site pairs (pairs with a hub
-      endpoint are excluded — the hub table already covers them).
+    * ``ball_keys``, ``ball_values`` — the noisy local-ball table:
+      the keys ``lo * m + hi`` of canonical site pairs ``lo < hi``,
+      strictly increasing, and each pair's released value (pairs with
+      a hub endpoint are excluded — the hub table already covers
+      them).
 
     Everything here is a released value or public topology, so the
-    structure is safe to serialize and ship.
+    structure is safe to serialize and ship.  For scalar lookups the
+    constructor also lays the ball out by row: where each site's keys
+    start, the partner site ``hi`` of every key, ascending within a
+    row, and each row's largest partner, so :meth:`estimate` bisects
+    at most one row, in pure Python.
     """
 
     def __init__(
@@ -184,7 +201,8 @@ class HubStructure:
         num_sites: int,
         hub_positions: np.ndarray,
         matrix: np.ndarray,
-        ball: Dict[int, float],
+        ball_keys: np.ndarray,
+        ball_values: np.ndarray,
         noise_scale: float,
         pair_count: int,
     ) -> None:
@@ -196,7 +214,27 @@ class HubStructure:
                 f"hub matrix shape {self.matrix.shape} does not match "
                 f"{len(self.hub_positions)} hubs x {self.num_sites} sites"
             )
-        self.ball = ball
+        self.ball_keys = np.asarray(ball_keys, dtype=np.int64)
+        self.ball_values = np.asarray(ball_values, dtype=float)
+        if self.ball_keys.shape != self.ball_values.shape:
+            raise GraphError(
+                f"{self.ball_keys.shape} ball keys do not match "
+                f"{self.ball_values.shape} ball values"
+            )
+        if (np.diff(self.ball_keys) <= 0).any():
+            raise GraphError("ball keys must be strictly increasing")
+        lo, partner = np.divmod(self.ball_keys, self.num_sites)
+        starts = np.searchsorted(lo, np.arange(self.num_sites + 1))
+        # Each row's largest partner (-1 for an empty row): a partner
+        # above it is no ball pair, which a lookup sees without a
+        # bisect.
+        last = np.full(self.num_sites, -1, dtype=np.int64)
+        filled = starts[1:] > starts[:-1]
+        last[filled] = partner[starts[1:][filled] - 1]
+        self._rows: List[int] = starts.tolist()
+        self._last: List[int] = last.tolist()
+        self._partners = array("i", partner.astype(np.intc).tobytes())
+        self._values = array("d", self.ball_values.tobytes())
         self.noise_scale = float(noise_scale)
         self.pair_count = int(pair_count)
 
@@ -216,9 +254,11 @@ class HubStructure:
             return 0.0
         best = float(np.min(self.matrix[:, i] + self.matrix[:, j]))
         lo, hi = (i, j) if i < j else (j, i)
-        direct = self.ball.get(lo * self.num_sites + hi)
-        if direct is not None and direct < best:
-            best = direct
+        if hi <= self._last[lo]:
+            partners, rows = self._partners, self._rows
+            k = bisect_left(partners, hi, rows[lo], rows[lo + 1])
+            if partners[k] == hi and self._values[k] < best:
+                best = self._values[k]
         return max(best, 0.0)
 
     def scale_for(self, i: int, j: int) -> float:
@@ -235,11 +275,13 @@ class HubStructure:
         if i == j:
             return 0.0
         lo, hi = (i, j) if i < j else (j, i)
-        direct = self.ball.get(lo * self.num_sites + hi)
-        if direct is not None and direct < float(
-            np.min(self.matrix[:, i] + self.matrix[:, j])
-        ):
-            return self.noise_scale
+        if hi <= self._last[lo]:
+            partners, rows = self._partners, self._rows
+            k = bisect_left(partners, hi, rows[lo], rows[lo + 1])
+            if partners[k] == hi and self._values[k] < float(
+                np.min(self.matrix[:, i] + self.matrix[:, j])
+            ):
+                return self.noise_scale
         return 2.0 * self.noise_scale
 
 
@@ -364,17 +406,18 @@ def _build_hub_structure_inner(
     np.fill_diagonal(sub, 0.0)
     matrix[:, hubs] = sub
 
-    # Local-ball table: vectorized noise over the distinct pairs.
-    ball: Dict[int, float] = {}
+    # Local-ball table: vectorized noise over the distinct pairs, whose
+    # keys are already sorted.
+    ball_values = np.empty(0)
     if len(ball_pairs):
-        values = exact_ball + rng.laplace_vector(scale, len(ball_pairs))
-        ball = dict(zip(ball_pairs.tolist(), values.tolist()))
+        ball_values = exact_ball + rng.laplace_vector(scale, len(ball_pairs))
 
     return HubStructure(
         num_sites=m,
         hub_positions=hubs,
         matrix=matrix,
-        ball=ball,
+        ball_keys=ball_pairs,
+        ball_values=ball_values,
         noise_scale=scale,
         pair_count=pair_count,
     )

@@ -417,6 +417,31 @@ class WeightedGraph:
             filter(keep_set.__contains__, self._adj), edges
         )
 
+    def edge_subgraph(
+        self, vertices: Iterable[Vertex], edges: Iterable[int]
+    ) -> "WeightedGraph":
+        """The subgraph on ``vertices`` with the edges at positions
+        ``edges`` of :meth:`edge_list`, each inserted in the order
+        given.  With ``vertices`` in this graph's order and ``edges``
+        the ascending positions of every edge among them, it is
+        :meth:`subgraph` of ``vertices``, built without a pass over
+        the other edges.  Refuses a vertex outside this graph and an
+        edge with an endpoint outside ``vertices``."""
+        keep = list(vertices)
+        missing = set(keep).difference(self._adj)
+        if missing:
+            raise VertexNotFoundError(next(iter(missing)))
+        keys, values = self.edge_list(), list(self._edges.values())
+        try:
+            return self._assembled(
+                keep, {keys[e]: values[e] for e in edges}
+            )
+        except KeyError as outside:
+            raise GraphError(
+                f"edge_subgraph keeps an edge at {outside.args[0]!r}, "
+                f"which is not among its vertices"
+            ) from None
+
     def path_weight(self, path: Iterable[Vertex]) -> float:
         """The weight ``w(P)`` of a path given as a vertex sequence.
 

@@ -35,8 +35,9 @@ from .ledger import BudgetLedger
 from .synopsis import (
     DistanceSynopsis,
     SinglePairSynopsis,
+    _exact_pairs,
+    _release_pairs,
     _require_undirected,
-    build_single_pair_synopsis,
     canonical_pair,
 )
 
@@ -254,21 +255,23 @@ def fresh_batch(
     batch release is budget-accounted — the fail-closed
     :class:`~repro.serving.ledger.BudgetLedger` refuses the spend, and
     therefore the draw, when a shared ledger cannot cover it.  A
-    directed graph is refused before the spend.
+    directed graph, a pair naming a vertex outside the graph and a
+    pair with no path are all refused before the spend.
     """
     _require_undirected(graph, "a fresh batch")
+    params = PrivacyParams(eps)
     telemetry = get_telemetry()
     if ledger is None:
-        ledger = BudgetLedger(PrivacyParams(eps))
+        ledger = BudgetLedger(params)
     start = time.perf_counter()
     with telemetry.span(
         "fresh_batch.release", queries=len(pairs), eps=eps
     ):
+        exact = _exact_pairs(graph, pairs)
         ledger.spend(
-            PrivacyParams(eps),
-            label=f"fresh batch ({len(pairs)} queries)",
+            params, label=f"fresh batch ({len(pairs)} queries)"
         )
-        synopsis = build_single_pair_synopsis(graph, pairs, eps, rng)
+        synopsis = _release_pairs(params, graph, exact, rng)
     build_seconds = time.perf_counter() - start
     telemetry.registry.histogram(
         "build.latency", phase="fresh-batch", mechanism="single-pair"

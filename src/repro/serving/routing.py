@@ -183,8 +183,11 @@ def _shard_vector(
     assignment: Mapping[Vertex, int], vertices: Sequence[Vertex]
 ) -> np.ndarray:
     """``assignment`` over ``vertices``, as an array aligned with
-    them; raises :class:`~repro.exceptions.GraphError` naming the
-    first vertex it misses."""
+    them.  When it misses one of them, raises
+    :class:`~repro.exceptions.VertexNotFoundError` naming a vertex it
+    assigns outside ``vertices`` if there is one, else
+    :class:`~repro.exceptions.GraphError` naming the first vertex it
+    misses."""
     shard = np.fromiter(
         map(assignment.get, vertices, repeat(-1)),
         dtype=np.int64,
@@ -192,6 +195,9 @@ def _shard_vector(
     )
     for i in np.flatnonzero(shard < 0).tolist():
         if vertices[i] not in assignment:
+            outside = set(assignment).difference(vertices)
+            if outside:
+                raise VertexNotFoundError(next(iter(outside)))
             raise GraphError(f"shard plan misses vertex {vertices[i]!r}")
     return shard
 
@@ -306,20 +312,23 @@ class _ShardRouter:
     point queries and :class:`~repro.serving.batching.BatchPlanner`
     call on a miss, routed by shard ownership (intra-shard pairs to the
     owning synopsis capped by the relay, cross-shard pairs through the
-    relay).  Also holds what routing needs across epochs: the cut and
-    boundary it derives from the plan and the graph, the public edge
-    classification and relay site bookkeeping, and the current relay
-    release.
+    relay).  Also holds what routing needs across epochs: the shard
+    tenants, the cut and boundary it derives from the plan and the
+    graph, the public edge classification and relay site bookkeeping,
+    and the current relay release.
+
+    ``names`` names the tenants of shards ``0, 1, ...`` in order; each
+    gets its shard's induced subgraph, built from the shard's slice of
+    the edge list.
     """
 
     def __init__(
         self,
         plan: ShardPlan,
         graph: WeightedGraph,
-        tenants: Sequence[_Tenant],
+        names: Sequence[str],
     ) -> None:
         self.plan = plan
-        self._tenants = tenants
         #: The released boundary-hub relay structure (``None`` until
         #: built, or after a failed rebuild).
         self.relay: HubStructure | None = None
@@ -332,11 +341,6 @@ class _ShardRouter:
             raise DisconnectedGraphError(
                 "sharded serving requires a connected graph"
             )
-        for shard, tenant in enumerate(tenants):
-            if not is_weakly_connected(CSRGraph.from_graph(tenant.graph)):
-                raise DisconnectedGraphError(
-                    f"shard {shard} of the plan is not connected"
-                )
         shard_of = _shard_vector(plan.assignment(), csr.vertices)
         # Edge classification over the full graph's canonical edge
         # order: owning shard for intra-shard edges, -1 for cut edges.
@@ -356,6 +360,25 @@ class _ShardRouter:
             np.flatnonzero(edge_shard == shard)
             for shard in range(plan.num_shards)
         ]
+        vertices = csr.vertices
+        self.tenants = [
+            _Tenant(
+                name,
+                graph.edge_subgraph(
+                    [
+                        vertices[v]
+                        for v in np.flatnonzero(shard_of == shard).tolist()
+                    ],
+                    self.tenant_edges[shard].tolist(),
+                ),
+            )
+            for shard, name in enumerate(names)
+        ]
+        for shard, tenant in enumerate(self.tenants):
+            if not is_weakly_connected(CSRGraph.from_graph(tenant.graph)):
+                raise DisconnectedGraphError(
+                    f"shard {shard} of the plan is not connected"
+                )
         #: The relay sites: the endpoints of the cut edges, as sorted
         #: vertex indices (vertex insertion order).
         self.boundary = np.unique(
@@ -369,7 +392,6 @@ class _ShardRouter:
             np.flatnonzero(site_shard == shard)
             for shard in range(plan.num_shards)
         ]
-        vertices = csr.vertices
         self._shard_boundary: List[Tuple[Vertex, ...]] = [
             tuple(vertices[i] for i in self.boundary[positions].tolist())
             for positions in self._site_pos
@@ -455,12 +477,10 @@ class _ShardRouter:
         the intra-shard relay cap.
 
         Each entry is oriented from the lower shard id to the higher
-        one; a stable sort by shard pair keeps the ball's order within
-        each bucket."""
-        ball, k = structure.ball, self.plan.num_shards
-        keys = np.fromiter(ball, dtype=np.int64, count=len(ball))
-        values = np.fromiter(ball.values(), dtype=float, count=len(ball))
-        lo, hi = np.divmod(keys, len(self.boundary))
+        one; a stable sort by shard pair keeps the ball's key order
+        within each bucket."""
+        k = self.plan.num_shards
+        lo, hi = np.divmod(structure.ball_keys, len(self.boundary))
         flip = self._site_shard[lo] > self._site_shard[hi]
         lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
         pair = self._site_shard[lo] * k + self._site_shard[hi]
@@ -469,7 +489,7 @@ class _ShardRouter:
         stops = [*starts[1:].tolist(), len(order)]
         lo_local = self._site_local[lo[order]]
         hi_local = self._site_local[hi[order]]
-        values = values[order]
+        values = structure.ball_values[order]
         self._relay_ball_cross = {
             divmod(p, k): (lo_local[a:b], hi_local[a:b], values[a:b])
             for p, a, b in zip(pairs.tolist(), starts.tolist(), stops)
@@ -507,7 +527,7 @@ class _ShardRouter:
 
     def _distance(self, s: Vertex, i: int, t: Vertex, j: int) -> float:
         if i == j:
-            direct = self._tenants[i].released().distance(s, t)
+            direct = self.tenants[i].released().distance(s, t)
             if s == t or self.relay is None:
                 # A failed relay rebuild: intra answers keep serving
                 # from the shard synopsis.
@@ -523,7 +543,7 @@ class _ShardRouter:
     def _boundary_distances(self, shard: int, v: Vertex) -> np.ndarray:
         """Released distances from ``v`` to its shard's boundary
         vertices (free post-processing of the shard synopsis)."""
-        synopsis = self._tenants[shard].released()
+        synopsis = self.tenants[shard].released()
         return np.asarray(
             [
                 synopsis.distance(v, b)

@@ -384,14 +384,15 @@ class DistanceService:
                 epoch_budget.eps * RELAY_FRACTION,
                 epoch_budget.delta * RELAY_FRACTION,
             )
-            self._tenants = [
-                _Tenant(
-                    f"{tenant}/shard-{shard}",
-                    graph.subgraph(plan.members(shard)),
-                )
-                for shard in range(plan.num_shards)
-            ]
-            self._shards = _ShardRouter(plan, graph, self._tenants)
+            self._shards = _ShardRouter(
+                plan,
+                graph,
+                [
+                    f"{tenant}/shard-{shard}"
+                    for shard in range(plan.num_shards)
+                ],
+            )
+            self._tenants = self._shards.tenants
         # What a cache miss calls: the lone synopsis, or the shard
         # router; None while an unsharded rebuild is pending or failed.
         self._router: DistanceSynopsis | _ShardRouter | None = None

@@ -678,16 +678,18 @@ class BoundedWeightSynopsis(DistanceSynopsis):
 def _encode_hub_structure(structure: HubStructure) -> Dict[str, Any]:
     """JSON-safe fields of a released hub structure (all entries are
     released values or public topology)."""
-    m = structure.num_sites
+    lo, hi = np.divmod(structure.ball_keys, structure.num_sites)
     return {
-        "num_sites": m,
+        "num_sites": structure.num_sites,
         "hubs": [int(p) for p in structure.hub_positions],
         "matrix": [
             [float(x) for x in row] for row in structure.matrix
         ],
         "ball": [
-            [int(key // m), int(key % m), value]
-            for key, value in sorted(structure.ball.items())
+            list(row)
+            for row in zip(
+                lo.tolist(), hi.tolist(), structure.ball_values.tolist()
+            )
         ],
         "noise_scale": structure.noise_scale,
         "pair_count": structure.pair_count,
@@ -699,25 +701,33 @@ def _decode_hub_structure(payload: Dict[str, Any]) -> HubStructure:
     would index outside the sites, answer a non-finite value or
     misstate the release: hub positions distinct and in ``[0, m)``,
     ball rows distinct pairs ``lo < hi < m``, and ``pair_count`` the
-    hub table's ``h(m-h) + h(h-1)/2`` pairs plus the ball rows."""
+    hub table's ``h(m-h) + h(h-1)/2`` pairs plus the ball rows.  The
+    rows may come in any order; the structure holds them sorted by
+    key."""
     m = int(payload["num_sites"])
     hubs = np.asarray(payload["hubs"], dtype=np.int64)
     if hubs.size and not (0 <= hubs.min() and hubs.max() < m):
         raise SynopsisError(f"hub positions must lie in [0, {m})")
     if np.unique(hubs).size != hubs.size:
         raise SynopsisError("hub positions repeat")
-    ball: Dict[int, float] = {}
+    keys: List[int] = []
+    values: List[float] = []
+    seen = set()
     for lo, hi, value in payload["ball"]:
         lo, hi, value = int(lo), int(hi), float(value)
         if not 0 <= lo < hi < m:
             raise SynopsisError(
                 f"ball row ({lo}, {hi}) is not a site pair lo < hi < {m}"
             )
-        if lo * m + hi in ball:
+        if lo * m + hi in seen:
             raise SynopsisError(f"ball row ({lo}, {hi}) repeats")
         if not math.isfinite(value):
             raise SynopsisError(f"ball row ({lo}, {hi}) is {value}")
-        ball[lo * m + hi] = value
+        seen.add(lo * m + hi)
+        keys.append(lo * m + hi)
+        values.append(value)
+    ball_keys = np.asarray(keys, dtype=np.int64)
+    order = np.argsort(ball_keys)
     matrix = np.asarray(payload["matrix"], dtype=float).reshape(
         len(hubs), m
     )
@@ -725,16 +735,17 @@ def _decode_hub_structure(payload: Dict[str, Any]) -> HubStructure:
         raise SynopsisError("hub table holds a non-finite entry")
     h = len(hubs)
     pair_count = int(payload["pair_count"])
-    if pair_count != h * (m - h) + h * (h - 1) // 2 + len(ball):
+    if pair_count != h * (m - h) + h * (h - 1) // 2 + len(keys):
         raise SynopsisError(
             f"pair_count {pair_count} is not the {h}-hub table's pairs "
-            f"plus {len(ball)} ball rows over {m} sites"
+            f"plus {len(keys)} ball rows over {m} sites"
         )
     return HubStructure(
         num_sites=m,
         hub_positions=hubs,
         matrix=matrix,
-        ball=ball,
+        ball_keys=ball_keys[order],
+        ball_values=np.asarray(values, dtype=float)[order],
         noise_scale=_noise_scale(payload),
         pair_count=pair_count,
     )
@@ -1041,6 +1052,16 @@ def build_single_pair_synopsis(
     graph is refused: the workload is keyed by unordered pair.
     """
     params = PrivacyParams(eps)  # validates eps before any work
+    return _release_pairs(params, graph, _exact_pairs(graph, pairs), rng)
+
+
+def _exact_pairs(  # privlint: ignore[PL1] the exact values only feed _release_pairs' noise draw
+    graph: WeightedGraph, pairs: Iterable[Tuple[Vertex, Vertex]]
+) -> Dict[Tuple[Vertex, Vertex], float]:
+    """The exact distance of each distinct unordered pair of a
+    workload, self pairs dropped, in first-seen order.  Makes every
+    check a pair workload release makes, and draws nothing: a directed
+    graph, a vertex outside the graph and a pair with no path raise."""
     _require_undirected(graph, "a pair workload release")
     unique: List[Tuple[Vertex, Vertex]] = []
     seen = set()
@@ -1070,10 +1091,21 @@ def build_single_pair_synopsis(
                     f"no path from {s!r} to {t!r}"
                 )
             exact[(s, t)] = distances[t]
+    return {pair: exact[pair] for pair in unique}
 
-    scale = max(len(unique), 1) / eps
-    noise = rng.laplace_vector(scale, len(unique))
+
+def _release_pairs(
+    params: PrivacyParams,
+    graph: WeightedGraph,
+    exact: Dict[Tuple[Vertex, Vertex], float],
+    rng: Rng,
+) -> SinglePairSynopsis:
+    """One ``Lap(Q/eps)`` draw over the ``Q`` pairs of ``exact``, in
+    its order."""
+    scale = max(len(exact), 1) / params.eps
+    noise = rng.laplace_vector(scale, len(exact))
     table = {
-        pair: exact[pair] + float(x) for pair, x in zip(unique, noise)
+        pair: value + float(x)
+        for (pair, value), x in zip(exact.items(), noise)
     }
     return SinglePairSynopsis(params, table, graph.vertices())

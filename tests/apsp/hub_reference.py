@@ -5,8 +5,10 @@ used before it moved to local searches: one exact sweep from every
 site, a second unit-weight sweep for the hop counts, and a stable
 argsort of every row to pick the balls.  It allocates two ``m x m``
 matrices, so it only serves small graphs in tests, where it pins down
-what a seeded build must release.  The directed test graph and the
-shard-boundary site sets the hub tests share live here too.
+what a seeded build must release.  The scalar lookups a structure
+answered with before its ball table became sorted arrays, through a
+dict keyed by pair, are kept here too, as are the directed test graph
+and the shard-boundary site sets the hub tests share.
 """
 
 from __future__ import annotations
@@ -68,23 +70,57 @@ def reference_hub_structure(
     np.fill_diagonal(sub, 0.0)
     matrix[:, hubs] = sub
 
-    ball: Dict[int, float] = {}
+    values = np.empty(0)
     if len(ball_pairs):
         lo = ball_pairs // m
         hi = ball_pairs % m
         values = exact[lo, hi] + rng.laplace_vector(scale, len(ball_pairs))
-        ball = {
-            int(key): float(v) for key, v in zip(ball_pairs, values)
-        }
 
     return HubStructure(
         num_sites=m,
         hub_positions=hubs,
         matrix=matrix,
-        ball=ball,
+        ball_keys=ball_pairs,
+        ball_values=values,
         noise_scale=scale,
         pair_count=pair_count,
     )
+
+
+def reference_ball(structure: HubStructure) -> Dict[int, float]:
+    """The structure's ball table as a dict keyed by ``lo * m + hi``."""
+    return dict(
+        zip(structure.ball_keys.tolist(), structure.ball_values.tolist())
+    )
+
+
+def reference_estimate(
+    structure: HubStructure, ball: Dict[int, float], i: int, j: int
+) -> float:
+    """:meth:`HubStructure.estimate` through the dict ``ball``."""
+    if i == j:
+        return 0.0
+    best = float(np.min(structure.matrix[:, i] + structure.matrix[:, j]))
+    lo, hi = (i, j) if i < j else (j, i)
+    direct = ball.get(lo * structure.num_sites + hi)
+    if direct is not None and direct < best:
+        best = direct
+    return max(best, 0.0)
+
+
+def reference_scale_for(
+    structure: HubStructure, ball: Dict[int, float], i: int, j: int
+) -> float:
+    """:meth:`HubStructure.scale_for` through the dict ``ball``."""
+    if i == j:
+        return 0.0
+    lo, hi = (i, j) if i < j else (j, i)
+    direct = ball.get(lo * structure.num_sites + hi)
+    if direct is not None and direct < float(
+        np.min(structure.matrix[:, i] + structure.matrix[:, j])
+    ):
+        return structure.noise_scale
+    return 2.0 * structure.noise_scale
 
 
 def reference_ball_pairs(

@@ -7,7 +7,8 @@ tree-path weights.  Under the same seed it must release exactly what
 the full-sweep construction of :mod:`hub_reference` releases: the same
 hubs, the same hub table and ball table bit for bit, the same noise
 scale and pair count — on the scipy path and on the relaxation
-fallback alike.
+fallback alike.  Its scalar lookups must answer what the dict-based
+lookups of :mod:`hub_reference` answer over the same released tables.
 """
 
 from __future__ import annotations
@@ -16,9 +17,14 @@ import numpy as np
 import pytest
 from hub_reference import (
     boundary_sites,
+    reference_ball,
+    reference_estimate,
     reference_hub_structure,
+    reference_scale_for,
     strongly_connected_digraph,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     DisconnectedGraphError,
@@ -60,7 +66,9 @@ def _assert_identical(graph, sites, seed, hub_count=None, ball_size=None):
     )
     assert np.array_equal(built.hub_positions, oracle.hub_positions)
     assert np.array_equal(built.matrix, oracle.matrix)
-    assert built.ball == oracle.ball
+    assert built.ball_keys.dtype == oracle.ball_keys.dtype == np.int64
+    assert built.ball_keys.tobytes() == oracle.ball_keys.tobytes()
+    assert built.ball_values.tobytes() == oracle.ball_values.tobytes()
     assert built.noise_scale == oracle.noise_scale
     assert built.pair_count == oracle.pair_count
     return built
@@ -144,7 +152,7 @@ class TestOneSweepPerSource:
         built = _assert_identical(graph, graph.vertex_list(), SEED)
         m = graph.num_vertices
         # Sites are all vertices, so site positions are CSR indices.
-        keys = np.array(sorted(built.ball))
+        keys = built.ball_keys
         sources = np.unique(keys // m)
         ball_calls = [(s, limit) for s, limit in calls if limit < np.inf]
         swept = [v for s, _ in ball_calls for v in s]
@@ -243,7 +251,7 @@ class TestEdgeSizes:
         built = _assert_identical(
             graph, graph.vertex_list(), SEED, ball_size=0
         )
-        assert built.ball == {}
+        assert built.ball_keys.size == built.ball_values.size == 0
 
     def test_every_site_a_hub(self, engine):
         graph = _random_weights(generators.grid_graph(7, 8), Rng(SEED))
@@ -252,7 +260,7 @@ class TestEdgeSizes:
             graph, graph.vertex_list(), SEED, hub_count=m
         )
         # Every ball pair has a hub endpoint, so none is released.
-        assert built.ball == {}
+        assert built.ball_keys.size == built.ball_values.size == 0
 
     def test_ball_spans_all_other_sites(self, engine):
         graph = _random_weights(generators.grid_graph(6, 7), Rng(SEED))
@@ -329,3 +337,72 @@ class TestUnreachableSites:
         core = [v for v in graph.vertex_list() if v != "sink"]
         _assert_identical(graph, core, SEED)
         self._rejects_before_drawing(graph, graph.vertex_list())
+
+
+def _lookup_kinds(structure) -> dict:
+    """Check every site pair's (and every site's own) scalar lookups
+    against the dict-based ones; count the pairs of each kind."""
+    m = structure.num_sites
+    ball = reference_ball(structure)
+    is_hub = np.zeros(m, dtype=bool)
+    is_hub[structure.hub_positions] = True
+    kinds = {"ball": 0, "hub": 0, "none": 0, "ball-won": 0}
+    for i in range(m):
+        for j in range(m):
+            got = structure.estimate(i, j), structure.scale_for(i, j)
+            want = (
+                reference_estimate(structure, ball, i, j),
+                reference_scale_for(structure, ball, i, j),
+            )
+            assert got == want, (i, j)
+            if i < j:
+                key = i * m + j
+                kind = (
+                    "ball" if key in ball
+                    else "hub" if is_hub[i] or is_hub[j]
+                    else "none"
+                )
+                kinds[kind] += 1
+                kinds["ball-won"] += got[1] == structure.noise_scale
+    return kinds
+
+
+class TestScalarLookup:
+    """``estimate`` and ``scale_for`` bisect the sorted ball arrays;
+    they must answer what a dict lookup of the same table answers."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rows=st.integers(2, 7),
+        cols=st.integers(2, 7),
+        seed=st.integers(0, 2**31),
+        ball_share=st.floats(0.0, 1.0),
+        eps=st.sampled_from([1.0, 1e6]),
+    )
+    def test_every_site_pair_matches_the_dict_lookup(
+        self, rows, cols, seed, ball_share, eps
+    ):
+        graph = _random_weights(generators.grid_graph(rows, cols), Rng(seed))
+        csr = CSRGraph.from_graph(graph)
+        m = graph.num_vertices
+        structure = build_hub_structure(
+            csr, csr.indices_of(graph.vertex_list()), default_hub_count(m),
+            round(ball_share * (m - 1)), eps, 0.0, Rng(seed),
+        )
+        _lookup_kinds(structure)
+
+    def test_every_kind_of_pair_is_looked_up(self):
+        # Ball pairs (won and lost), pairs with a hub endpoint and pairs
+        # in no ball, at boundary sites as well as all vertices.
+        graph = _random_weights(generators.grid_graph(9, 9), Rng(SEED))
+        csr = CSRGraph.from_graph(graph)
+        for sites in (graph.vertex_list(), boundary_sites(graph, 4, 0)):
+            site_idx = csr.indices_of(sites)
+            m = len(site_idx)
+            structure = build_hub_structure(
+                csr, site_idx, default_hub_count(m), default_ball_size(m),
+                1e6, 0.0, Rng(SEED),
+            )
+            kinds = _lookup_kinds(structure)
+            assert min(kinds.values()) > 0, kinds
+            assert kinds["ball-won"] < kinds["ball"], kinds

@@ -220,6 +220,27 @@ class TestDerived:
         with pytest.raises(VertexNotFoundError):
             triangle.subgraph([0, 42])
 
+    def test_edge_subgraph(self, triangle):
+        edges = triangle.edge_list()
+        sub = triangle.edge_subgraph([0, 1, 2], [2, 0])
+        assert sub.vertex_list() == [0, 1, 2]
+        assert sub.edge_list() == [edges[2], edges[0]]
+        assert sub.weight(*edges[2]) == triangle.weight(*edges[2])
+        # Every edge among the vertices, ascending: the induced subgraph.
+        within = [e for e, (u, v) in enumerate(edges) if {u, v} <= {0, 1}]
+        assert triangle.edge_subgraph([0, 1], within).edge_list() == (
+            triangle.subgraph([0, 1]).edge_list()
+        )
+
+    def test_edge_subgraph_refusals(self, triangle):
+        with pytest.raises(VertexNotFoundError):
+            triangle.edge_subgraph([0, 42], [])
+        edge = next(
+            e for e, (u, v) in enumerate(triangle.edge_list()) if 2 in (u, v)
+        )
+        with pytest.raises(GraphError, match="not among its vertices"):
+            triangle.edge_subgraph([0, 1], [edge])
+
     def test_path_weight(self, triangle):
         assert triangle.path_weight([0, 1, 2]) == 3.0
 

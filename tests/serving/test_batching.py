@@ -6,9 +6,11 @@ import pytest
 
 from repro import (
     AllPairsBasicRelease,
+    DisconnectedGraphError,
     GraphError,
     PrivacyParams,
     Rng,
+    VertexNotFoundError,
     WeightedGraph,
 )
 from repro.graphs import generators
@@ -140,6 +142,33 @@ class TestFreshBatch:
         assert ledger.records() == []
         with pytest.raises(GraphError, match="directed"):
             build_single_pair_synopsis(graph, [(0, 2)], 1.0, Rng(6))
+
+    def test_unknown_vertex_refused_before_spending(self):
+        graph = generators.grid_graph(3, 3)
+        ledger = BudgetLedger(PrivacyParams(1.0))
+        rng = Rng(6)
+        with pytest.raises(VertexNotFoundError):
+            fresh_batch(
+                graph, [((0, 0), (2, 2)), ((0, 0), (9, 9))], 0.5, rng,
+                ledger=ledger,
+            )
+        assert ledger.records() == []
+        # Nothing was drawn: the next batch releases what a fresh
+        # generator releases.
+        _, report = fresh_batch(graph, [((0, 0), (2, 2))], 0.5, rng, ledger)
+        _, want = fresh_batch(graph, [((0, 0), (2, 2))], 0.5, Rng(6))
+        assert report.answers == want.answers
+        assert len(ledger.records()) == 1
+
+    def test_pair_with_no_path_refused_before_spending(self):
+        # Two disjoint edges: 0-1 and 2-3.
+        graph = WeightedGraph.from_edges([(0, 1, 1.0), (2, 3, 1.0)])
+        ledger = BudgetLedger(PrivacyParams(1.0))
+        with pytest.raises(DisconnectedGraphError):
+            fresh_batch(graph, [(0, 1), (1, 2)], 0.5, Rng(6), ledger=ledger)
+        assert ledger.records() == []
+        fresh_batch(graph, [(0, 1), (2, 3)], 0.5, Rng(6), ledger=ledger)
+        assert len(ledger.records()) == 1
 
     def test_standing_synopsis_batches_report_zero_build(self, synopsis):
         report = BatchPlanner(synopsis).run([((0, 0), (1, 1))])

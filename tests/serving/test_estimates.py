@@ -210,9 +210,12 @@ class TestNoiseScalePerMechanism:
         order = sorted(
             synopsis.vertices, key=lambda v: synopsis._site(v)
         )
+        ball = dict(
+            zip(structure.ball_keys.tolist(), structure.ball_values.tolist())
+        )
         seen = set()
         for i, j in itertools.combinations(range(m), 2):
-            direct = structure.ball.get(i * m + j)
+            direct = ball.get(i * m + j)
             relay_min = float(
                 np.min(structure.matrix[:, i] + structure.matrix[:, j])
             )
@@ -241,9 +244,10 @@ class TestNoiseScalePerMechanism:
             num_sites=3,
             hub_positions=np.array([0]),
             matrix=matrix,
-            # Ball covers (1, 2) with a value above the relay min (2.0)
-            # and (0, 1) with one below its relay min (1.0).
-            ball={1 * 3 + 2: 5.0, 0 * 3 + 1: 0.25},
+            # Ball covers (0, 1) with a value below its relay min (1.0)
+            # and (1, 2) with one above the relay min (2.0).
+            ball_keys=np.array([0 * 3 + 1, 1 * 3 + 2]),
+            ball_values=np.array([0.25, 5.0]),
             noise_scale=1.0,
             pair_count=3,
         )

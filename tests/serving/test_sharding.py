@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 import pytest
-from topology_reference import reference_cut
+from topology_reference import reference_cut, reference_subgraph
 
 from repro import (
     BudgetExceededError,
@@ -88,6 +88,37 @@ class TestPartitionGraph:
         island.add_vertex("island")
         with pytest.raises(DisconnectedGraphError):
             partition_graph(island, 2)
+
+
+def _graph_state(graph: WeightedGraph):
+    """Everything insertion order decides, and the version counters."""
+    return (
+        graph.vertex_list(),
+        list(graph.weights().items()),
+        [list(graph.neighbors(v)) for v in graph.vertices()],
+        graph.topology_version,
+        graph.weights_version,
+    )
+
+
+class TestTenantSubgraphs:
+    """Each tenant's graph is built from its shard's slice of the edge
+    list; it must be the induced subgraph on the shard's members."""
+
+    @pytest.mark.parametrize("shards", range(2, 9))
+    def test_tenant_graphs_are_the_induced_subgraphs(self, road, shards):
+        plan = partition_graph(road, shards, seed=shards)
+        service = DistanceService(
+            road, 1.0, Rng(3), plan=plan, mechanism="all-pairs-basic"
+        )
+        for shard, graph in enumerate(
+            tenant.graph for tenant in service._tenants
+        ):
+            want = reference_subgraph(road, plan.members(shard))
+            assert _graph_state(graph) == _graph_state(want)
+            assert _graph_state(graph) == _graph_state(
+                road.subgraph(plan.members(shard))
+            )
 
 
 class TestShardPlan:

@@ -194,7 +194,8 @@ def reference_relay_buckets(
     site_shard, site_local = tables["_site_shard"], tables["_site_local"]
     m = structure.num_sites
     buckets: Dict[Tuple[int, int], List[List[float]]] = {}
-    for key, value in structure.ball.items():
+    ball = zip(structure.ball_keys.tolist(), structure.ball_values.tolist())
+    for key, value in ball:
         lo, hi = divmod(key, m)
         pair = (int(site_shard[lo]), int(site_shard[hi]))
         if pair[0] > pair[1]:
