@@ -119,7 +119,7 @@ _ROW_CHUNK = 256
 
 #: Ball-pair sources swept together have limits within this factor,
 #: so no source searches far beyond its own partners.
-_BAND_FACTOR = 2.0
+_BAND_FACTOR = 1.5
 
 
 def default_hub_count(num_sites: int) -> int:

@@ -26,8 +26,14 @@ the weight array.  That cheap path covers both in-place
 ``set_weight`` mutation and the per-epoch refresh pattern of
 :mod:`repro.serving` — ``WeightedGraph.with_weights`` hands the
 compiled structure of an already-compiled graph to its re-weighted
-clones, and :func:`share_structure` hands it to a separately built
-graph of the same topology (an epoch refresh's new graph).
+clones (compiled over it at once when the new weights come as a
+float64 vector), and :func:`share_structure` hands it to a separately
+built graph of the same topology (an epoch refresh's new graph).  Compiling
+reads only a graph's vertex order, edge list and weight vector.  A
+derived graph (``with_weights``, ``copy``, ``subgraph``,
+``edge_subgraph``) shares its parent's vertex order, or keeps its own,
+and builds its per-vertex adjacency dicts only on its first walk, so
+a re-weighting that is only compiled never builds them.
 
 In Sealfon's model the topology is public, so whatever is computed
 from it alone is the same in every epoch.  The structure therefore

@@ -12,6 +12,13 @@ Vertices may be any hashable value (ints, strings, ``(row, col)``
 tuples for grids).  Edges of an undirected graph are identified by an
 unordered pair; the canonical orientation is the one used at insertion
 time, and all lookup methods accept either orientation.
+
+A graph is its vertex order and its edge dict.  The per-vertex
+adjacency dicts that neighbour walks read are derived from those two:
+a graph built edge by edge keeps them up to date as it goes, and a
+derived graph (:meth:`WeightedGraph.with_weights`, ``copy``,
+``subgraph``, ``edge_subgraph``) builds them on its first walk or
+mutation, so re-weighting a topology is one pass over its edges.
 """
 
 from __future__ import annotations
@@ -36,6 +43,17 @@ __all__ = ["Vertex", "Edge", "WeightedGraph"]
 class WeightedGraph:
     """A simple weighted graph.
 
+    Derived graphs -- :meth:`with_weights`, :meth:`copy`,
+    :meth:`subgraph` and :meth:`edge_subgraph` -- keep only their
+    vertex order and edge dict.  A re-weighted clone or a copy shares
+    its parent's vertex order (a copy of it, if the parent has built
+    adjacency and so may still add vertices).  Each builds its
+    adjacency dicts the first time a method walks neighbours
+    (:meth:`neighbors`, :meth:`adjacent`, :meth:`predecessors`,
+    :meth:`degree`) or mutates it, in the order an edge-by-edge build
+    would give them.  Methods that need only vertices or edges never
+    build them.
+
     Parameters
     ----------
     directed:
@@ -49,11 +67,17 @@ class WeightedGraph:
         self._directed = bool(directed)
         # Adjacency: vertex -> neighbor -> weight.  For directed graphs
         # ``_adj`` holds successors and ``_pred`` holds predecessors; for
-        # undirected graphs ``_pred`` aliases ``_adj``.
+        # undirected graphs ``_pred`` aliases ``_adj``.  A derived graph
+        # has neither until _build_adjacency runs (see __getattr__).
         self._adj: Dict[Vertex, Dict[Vertex, float]] = {}
         self._pred: Dict[Vertex, Dict[Vertex, float]] = (
             {} if directed else self._adj
         )
+        # Vertex order: its keys are the vertices, in insertion order.
+        # Once adjacency exists it is ``_adj`` itself, so add_vertex
+        # extends both.  Before that it is a dict no graph mutates,
+        # which graphs of the same topology share (_shared_vertices).
+        self._vertices: Dict[Vertex, object] = self._adj
         # Canonical edge orientations, in insertion order.
         self._edges: Dict[Edge, float] = {}
         # Monotone counters consumed by repro.engine's compiled-CSR
@@ -61,6 +85,32 @@ class WeightedGraph:
         # weights bump only the weight array (cheap re-weighting path).
         self._topology_version = 0
         self._weights_version = 0
+
+    def __getattr__(self, name: str):
+        # Reached only when ordinary lookup fails, which for the
+        # adjacency means a derived graph that has not built it yet:
+        # every walk and mutation reads ``_adj`` or ``_pred`` first.
+        if name in ("_adj", "_pred"):
+            self._build_adjacency()
+            return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def _build_adjacency(self) -> None:
+        """Build ``_adj`` and ``_pred`` from the vertex order and the
+        edge dict, as :meth:`add_vertex` and :meth:`add_edge` would
+        have built them: each vertex's neighbours in the order of its
+        edges in the edge dict.  The new ``_adj`` becomes this graph's
+        own vertex order."""
+        adj: Dict[Vertex, Dict[Vertex, float]] = {
+            v: {} for v in self._vertices
+        }
+        pred = {v: {} for v in adj} if self._directed else adj
+        for (u, v), weight in self._edges.items():
+            adj[u][v] = weight
+            pred[v][u] = weight
+        self._adj, self._pred, self._vertices = adj, pred, adj
 
     # ------------------------------------------------------------------
     # Construction
@@ -113,22 +163,20 @@ class WeightedGraph:
             self._topology_version += 1
         self._weights_version += 1
         self._edges[key] = weight
+        # ``_pred`` aliases ``_adj`` on an undirected graph, so this is
+        # the reverse entry there.
         self._adj[u][v] = weight
-        if self._directed:
-            self._pred[v][u] = weight
-        else:
-            self._adj[v][u] = weight
+        self._pred[v][u] = weight
         return key
 
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
         """Remove the edge between ``u`` and ``v``."""
         key = self.edge_key(u, v)
+        # Adjacency is built, if it is not yet, before the edge goes.
+        adj, pred = self._adj, self._pred
         del self._edges[key]
-        del self._adj[u][v]
-        if self._directed:
-            del self._pred[v][u]
-        else:
-            del self._adj[v][u]
+        del adj[u][v]
+        del pred[v][u]
         self._topology_version += 1
         self._weights_version += 1
 
@@ -159,7 +207,7 @@ class WeightedGraph:
     @property
     def num_vertices(self) -> int:
         """``|V|`` — the paper's ``V``."""
-        return len(self._adj)
+        return len(self._vertices)
 
     @property
     def num_edges(self) -> int:
@@ -168,11 +216,11 @@ class WeightedGraph:
 
     def vertices(self) -> Iterator[Vertex]:
         """Iterate over vertices in insertion order."""
-        return iter(self._adj)
+        return iter(self._vertices)
 
     def vertex_list(self) -> list[Vertex]:
         """Vertices as a list, in insertion order."""
-        return list(self._adj)
+        return list(self._vertices)
 
     def edges(self) -> Iterator[Tuple[Vertex, Vertex, float]]:
         """Iterate over ``(u, v, weight)`` in canonical orientation."""
@@ -185,12 +233,13 @@ class WeightedGraph:
 
     def has_vertex(self, v: Vertex) -> bool:
         """Whether ``v`` is a vertex of the graph."""
-        return v in self._adj
+        return v in self._vertices
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         """Whether an edge joins ``u`` and ``v`` (either orientation if
         undirected)."""
-        return u in self._adj and v in self._adj[u]
+        edges = self._edges
+        return (u, v) in edges or (not self._directed and (v, u) in edges)
 
     def edge_key(
         self, u: Vertex, v: Vertex, missing_ok: bool = False
@@ -256,15 +305,13 @@ class WeightedGraph:
         """Overwrite the weight of an existing edge."""
         key = self.edge_key(u, v)
         assert key is not None
+        adj, pred = self._adj, self._pred
         weight = float(weight)
         self._weights_version += 1
         self._edges[key] = weight
         a, b = key
-        self._adj[a][b] = weight
-        if self._directed:
-            self._pred[b][a] = weight
-        else:
-            self._adj[b][a] = weight
+        adj[a][b] = weight
+        pred[b][a] = weight
 
     def weights(self) -> Dict[Edge, float]:
         """The weight function as a dict keyed by canonical edge."""
@@ -297,22 +344,23 @@ class WeightedGraph:
         ``new_weights`` may be a mapping from edges (either orientation)
         to weights, or a sequence aligned with :meth:`edge_list`.  This
         is how mechanisms release synthetic graphs: same public
-        topology, freshly noised private weights.  The clone is built
-        in one pass over the edges, exactly as :meth:`copy` inserts
-        them, so it equals ``copy()`` followed by :meth:`set_weight`
-        on every changed edge.
+        topology, freshly noised private weights.  The clone is one
+        pass over the edges: it keeps a new edge dict and shares this
+        graph's vertex order, and builds its adjacency dicts on its
+        first walk or mutation, in the order :meth:`copy` followed by
+        :meth:`set_weight` on every changed edge gives them.
         """
         edges = self._edges
+        vector = None
         if isinstance(new_weights, Mapping):
-            merged = dict(edges)
+            new_edges = dict(edges)
             for (u, v), weight in new_weights.items():
                 key = (u, v)
                 if key not in edges:
                     key = (v, u)
                     if self._directed or key not in edges:
                         raise EdgeNotFoundError((u, v))
-                merged[key] = float(weight)
-            values = list(merged.values())
+                new_edges[key] = float(weight)
         else:
             if isinstance(new_weights, np.ndarray):
                 if new_weights.ndim != 1:
@@ -320,25 +368,38 @@ class WeightedGraph:
                         f"expected {len(edges)} weights, got an array "
                         f"of shape {new_weights.shape}"
                     )
-                new_weights = new_weights.tolist()
-            values = list(map(float, new_weights))
+                values = new_weights.tolist()
+                # A float64 array lists its values as floats already,
+                # and is the clone's weight vector as it stands.
+                if new_weights.dtype == np.float64:
+                    vector = new_weights
+                else:
+                    values = list(map(float, values))
+            else:
+                values = list(map(float, new_weights))
             if len(values) != len(edges):
                 raise WeightError(
                     f"expected {len(edges)} weights, got {len(values)}"
                 )
-        clone = self._rebuilt(values)
+            new_edges = dict(zip(edges, values))
+        clone = self._assembled(self._shared_vertices(), new_edges)
         # The clone carries the identical public topology (the same
         # vertex and edge insertion order), so a compiled engine
         # structure remains valid for it.  Hand it over with a
         # deliberately stale weights version (-1) so the engine takes
         # its cheap regather path instead of a full rebuild — this is
-        # what makes per-epoch re-weighting O(|E|) array work.
+        # what makes per-epoch re-weighting O(|E|) array work.  Given
+        # the weight vector itself, compile the clone from it at once.
         cached = getattr(self, "_engine_csr_cache", None)
         if cached is not None and cached[0] == self._topology_version:
             clone._engine_csr_cache = (  # type: ignore[attr-defined]
-                clone._topology_version,
-                -1,
-                cached[2],
+                (clone._topology_version, -1, cached[2])
+                if vector is None
+                else (
+                    clone._topology_version,
+                    clone._weights_version,
+                    cached[2].with_weights(vector),
+                )
             )
         return clone
 
@@ -375,29 +436,29 @@ class WeightedGraph:
 
     def copy(self) -> "WeightedGraph":
         """An independent deep copy."""
-        return self._rebuilt(list(self._edges.values()))
+        return self._assembled(self._shared_vertices(), dict(self._edges))
 
-    def _rebuilt(self, values: list[float]) -> "WeightedGraph":
-        """This topology carrying ``values`` (aligned with
-        :meth:`edge_list`)."""
-        return self._assembled(self._adj, dict(zip(self._edges, values)))
+    def _shared_vertices(self) -> Dict[Vertex, object]:
+        """This graph's vertex order, for a graph of the same topology
+        to share: the dict itself until this graph builds adjacency
+        (no graph mutates it before then), a copy once it has."""
+        if "_adj" in self.__dict__:
+            return dict.fromkeys(self._vertices)
+        return self._vertices
 
     def _assembled(
-        self, vertices: Iterable[Vertex], edges: Dict[Edge, float]
+        self, vertices: Dict[Vertex, object], edges: Dict[Edge, float]
     ) -> "WeightedGraph":
-        """A graph of this kind on ``vertices`` and ``edges`` (canonical
-        keys of this graph), built in one pass as :meth:`add_vertex` and
-        :meth:`add_edge` would build it: vertices in the given order,
-        then edges in the given order, so every neighbour dict has the
-        same order and the version counters the same values."""
-        clone = WeightedGraph(directed=self._directed)
-        adj: Dict[Vertex, Dict[Vertex, float]] = {v: {} for v in vertices}
-        pred = {v: {} for v in adj} if self._directed else adj
-        for (u, v), weight in edges.items():
-            adj[u][v] = weight
-            pred[v][u] = weight
-        clone._adj, clone._pred, clone._edges = adj, pred, edges
-        clone._topology_version = len(adj) + len(edges)
+        """A graph of this kind on ``vertices`` (keys in order, a dict
+        no graph mutates) and ``edges`` (canonical keys of this graph
+        with both endpoints among ``vertices``): what :meth:`add_vertex`
+        and :meth:`add_edge` build from the vertices in order, then the
+        edges in order, with the same version counters.  It builds its
+        adjacency when first walked or mutated."""
+        clone = WeightedGraph.__new__(WeightedGraph)
+        clone._directed = self._directed
+        clone._vertices, clone._edges = vertices, edges
+        clone._topology_version = len(vertices) + len(edges)
         clone._weights_version = len(edges)
         return clone
 
@@ -405,7 +466,7 @@ class WeightedGraph:
         """The induced subgraph on the given vertex set, with this
         graph's vertex and edge insertion orders."""
         keep_set = set(keep)
-        missing = keep_set.difference(self._adj)
+        missing = keep_set.difference(self._vertices)
         if missing:
             raise VertexNotFoundError(next(iter(missing)))
         edges = {
@@ -414,7 +475,8 @@ class WeightedGraph:
             if key[0] in keep_set and key[1] in keep_set
         }
         return self._assembled(
-            filter(keep_set.__contains__, self._adj), edges
+            dict.fromkeys(filter(keep_set.__contains__, self._vertices)),
+            edges,
         )
 
     def edge_subgraph(
@@ -427,20 +489,20 @@ class WeightedGraph:
         :meth:`subgraph` of ``vertices``, built without a pass over
         the other edges.  Refuses a vertex outside this graph and an
         edge with an endpoint outside ``vertices``."""
-        keep = list(vertices)
-        missing = set(keep).difference(self._adj)
+        keep = dict.fromkeys(vertices)
+        missing = set(keep).difference(self._vertices)
         if missing:
             raise VertexNotFoundError(next(iter(missing)))
         keys, values = self.edge_list(), list(self._edges.values())
-        try:
-            return self._assembled(
-                keep, {keys[e]: values[e] for e in edges}
-            )
-        except KeyError as outside:
-            raise GraphError(
-                f"edge_subgraph keeps an edge at {outside.args[0]!r}, "
-                f"which is not among its vertices"
-            ) from None
+        kept = {keys[e]: values[e] for e in edges}
+        for key in kept:
+            for end in key:
+                if end not in keep:
+                    raise GraphError(
+                        f"edge_subgraph keeps an edge at {end!r}, "
+                        f"which is not among its vertices"
+                    )
+        return self._assembled(keep, kept)
 
     def path_weight(self, path: Iterable[Vertex]) -> float:
         """The weight ``w(P)`` of a path given as a vertex sequence.
@@ -459,17 +521,17 @@ class WeightedGraph:
         vertices = list(path)
         if not vertices:
             return False
-        if any(v not in self._adj for v in vertices):
+        if any(v not in self._vertices for v in vertices):
             return False
         return all(
             self.has_edge(u, v) for u, v in zip(vertices, vertices[1:])
         )
 
     def __contains__(self, v: Vertex) -> bool:
-        return v in self._adj
+        return v in self._vertices
 
     def __len__(self) -> int:
-        return len(self._adj)
+        return len(self._vertices)
 
     def __repr__(self) -> str:
         kind = "directed" if self._directed else "undirected"

@@ -442,20 +442,23 @@ class _ShardRouter:
 
     def edge_weights(self, graph: WeightedGraph) -> np.ndarray:
         """``graph``'s weight vector in the full edge order the plan
-        was built over (:attr:`tenant_edges` indexes into it); a graph
+        was built over (:attr:`tenant_edges` indexes into it),
+        read-only.  For a graph in that order it is the compiled
+        graph's edge weights, the vector the relay sweeps; a graph
         with the plan's edges in another order is gathered edge by
         edge."""
         if graph.edge_list() == self._edge_keys:
-            return graph.weight_vector()
+            return CSRGraph.from_graph(graph).edge_weights
         return graph.weight_vector(self._edge_keys)
 
     def check_regional(
-        self, shard: int, old: WeightedGraph, new: WeightedGraph
+        self, shard: int, old: np.ndarray, new: np.ndarray
     ) -> None:
-        """Reject an update of ``shard`` that changes weights outside
-        its own edges and the cut edges — it would silently stale the
+        """Reject an update of ``shard`` whose weights ``new`` differ
+        from ``old`` (both in the plan's edge order) outside its own
+        edges and the cut edges — it would silently stale the
         untouched tenants."""
-        changed = self.edge_weights(old) != self.edge_weights(new)
+        changed = old != new
         allowed = (self._edge_shard == shard) | (self._edge_shard == -1)
         bad = changed & ~allowed
         if bad.any():

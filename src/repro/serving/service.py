@@ -50,6 +50,8 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Mapping, MutableMapping, Sequence, Tuple
 
+import numpy as np
+
 from ..apsp.hubs import (
     HubStructure,
     build_hub_structure,
@@ -584,9 +586,14 @@ class DistanceService:
             self._router = self._shards
             if self._shards is not None:
                 self._shards.relay = None
+            weights = (
+                None
+                if self._shards is None
+                else self._shards.edge_weights(self._graph)
+            )
             for shard, tenant in enumerate(self._tenants):
                 tenant.synopsis = None
-                tenant.graph = self._tenant_graph(shard, self._graph)
+                tenant.graph = self._tenant_graph(shard, self._graph, weights)
             self._build_epoch()
             self._telemetry.emit(
                 "epoch.refresh",
@@ -634,21 +641,26 @@ class DistanceService:
         with use_telemetry(self._telemetry), self._telemetry.span(
             "shard.refresh", shard=shard, tenant=self._tenant
         ):
-            if weights is not None:
-                new_graph = self._graph.with_weights(weights)
-                if self._shards is not None:
-                    self._shards.check_regional(
-                        shard, self._graph, new_graph
-                    )
-            else:
-                new_graph = self._graph
-            new_graph.check_nonnegative()
+            new_graph = (
+                self._graph
+                if weights is None
+                else self._graph.with_weights(weights)
+            )
+            # Every check and build below reads this one vector.
+            vector = self._edge_vector(new_graph)
+            if weights is not None and self._shards is not None:
+                self._shards.check_regional(
+                    shard, self._edge_vector(self._graph), vector
+                )
+            if not (np.isfinite(vector) & (vector >= 0)).all():
+                # Raises, naming the first offending edge.
+                new_graph.check_nonnegative()
             # Drop cached answers before the release they came from:
             # a refused rebuild must refuse them too, not keep serving
             # the old release for whichever pairs happen to be cached.
             self._cache.clear()
             tenant = self._tenants[shard]
-            tenant.graph = self._tenant_graph(shard, new_graph)
+            tenant.graph = self._tenant_graph(shard, new_graph, vector)
             # Fails closed on budget before any noise is drawn; on
             # failure the tenant refuses to serve but nothing else
             # moved.
@@ -668,17 +680,30 @@ class DistanceService:
             )
         self._bind_metrics()
 
+    def _edge_vector(self, graph: WeightedGraph) -> np.ndarray:
+        """``graph``'s weights as one float64 vector in the plan's
+        edge order (unsharded: its own).  Sharded, whenever the two
+        orders agree, it is the compiled graph's edge-weight array,
+        so the relay's sweeps read the vector the checks and the
+        tenants' gathers read."""
+        if self._shards is None:
+            return graph.weight_vector()
+        return self._shards.edge_weights(graph)
+
     def _tenant_graph(  # privlint: ignore[PL1] feeds the tenant's budgeted synopsis build
-        self, shard: int, graph: WeightedGraph
+        self,
+        shard: int,
+        graph: WeightedGraph,
+        weights: np.ndarray | None,
     ) -> WeightedGraph:
         """The graph tenant ``shard`` serves, carrying ``graph``'s
         weights: ``graph`` itself when unsharded, else the tenant's
-        subgraph re-weighted from it — one gather of ``graph``'s
-        weight vector through the tenant's edge-index map (the
-        subgraph clone keeps the compiled CSR structure)."""
+        subgraph re-weighted by one gather of ``weights``, ``graph``'s
+        weights in the plan's edge order (:meth:`_edge_vector`),
+        through the tenant's edge positions (the clone keeps the
+        compiled CSR structure)."""
         if self._shards is None:
             return graph
-        weights = self._shards.edge_weights(graph)
         return self._tenants[shard].graph.with_weights(
             weights[self._shards.tenant_edges[shard]]
         )

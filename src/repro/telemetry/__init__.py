@@ -68,7 +68,6 @@ from .logging import (
 from .monitor import (
     Alert,
     AlertRule,
-    CalibrationWatchdog,
     evaluate_rules,
     load_alert_rules,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "Alert",
     "AlertRule",
     "AuditLog",
-    "CalibrationWatchdog",
     "Counter",
     "EVENT_LOG_FORMAT",
     "EVENT_LOG_VERSION",

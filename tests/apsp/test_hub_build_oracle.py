@@ -157,7 +157,7 @@ class TestOneSweepPerSource:
         ball_calls = [(s, limit) for s, limit in calls if limit < np.inf]
         swept = [v for s, _ in ball_calls for v in s]
         assert sorted(swept) == sources.tolist()
-        # Every source in a sweep has its limit within a factor of two.
+        # Every source in a sweep has its limit within _BAND_FACTOR.
         csr = CSRGraph.from_graph(graph)
         trees = csr.topology_memo(
             ("ball_trees", csr.indices_of(graph.vertex_list()).tobytes(),
@@ -172,7 +172,7 @@ class TestOneSweepPerSource:
         for s, limit in ball_calls:
             own = source_bound[np.searchsorted(sources, s)]
             assert own.max() == limit
-            assert (2.0 * own >= limit).all()
+            assert (hubs_module._BAND_FACTOR * own >= limit).all()
 
 
 class TestTreeBounds:

@@ -6,6 +6,11 @@ in one pass over the edges.  Each must equal what one ``add_vertex``
 per new weight, builds: the same edge order and values, the same
 neighbour order in ``_adj`` and ``_pred``, the same errors, and a
 clone that compiles by taking over its parent's CSR structure.
+
+Every derived graph (``with_weights``, ``copy``, ``subgraph``,
+``edge_subgraph``) keeps only its vertex order and edge dict until it
+is walked or mutated: what it answers before then, and the adjacency
+it builds then, must both equal the per-edge construction's.
 """
 
 from __future__ import annotations
@@ -170,3 +175,211 @@ class TestCompiledHandover:
     def test_uncompiled_parent_hands_nothing_over(self, graph):
         clone = graph.with_weights(_vector(graph))
         assert getattr(clone, "_engine_csr_cache", None) is None
+
+    def test_float64_vector_clone_comes_compiled(self, graph, monkeypatch):
+        parent = CSRGraph.from_graph(graph)
+        fresh = CSRGraph.from_graph(_reweighted(graph, _vector(graph)))
+        values = _vector(graph)
+        clone = graph.with_weights(values)
+        values[0] = -1.0  # the clone keeps the weights it was given
+        monkeypatch.setattr(
+            WeightedGraph,
+            "weight_vector",
+            lambda self, order=None: pytest.fail("regathered"),
+        )
+        csr = CSRGraph.from_graph(clone)
+        assert csr.indptr is parent.indptr
+        assert np.array_equal(csr.edge_weights, fresh.edge_weights)
+        assert np.array_equal(csr.weights, fresh.weights)
+
+    @pytest.mark.parametrize("kind", ["int array", "list", "mapping"])
+    def test_other_weights_regather(self, graph, kind):
+        parent = CSRGraph.from_graph(graph)
+        values = np.arange(1, graph.num_edges + 1)
+        given = {
+            "int array": values,
+            "list": values.tolist(),
+            "mapping": dict(zip(graph.edge_list(), values.tolist())),
+        }[kind]
+        clone = graph.with_weights(given)
+        assert clone._engine_csr_cache[1] == -1
+        csr = CSRGraph.from_graph(clone)
+        assert csr.indptr is parent.indptr
+        assert np.array_equal(csr.edge_weights, values.astype(float))
+
+
+def _built(directed: bool, vertices, edges) -> WeightedGraph:
+    """One ``add_vertex`` per vertex, then one ``add_edge`` per
+    ``(u, v, weight)``, in order."""
+    graph = WeightedGraph(directed=directed)
+    for v in vertices:
+        graph.add_vertex(v)
+    for u, v, weight in edges:
+        graph.add_edge(u, v, weight)
+    return graph
+
+
+def _reweighted(graph: WeightedGraph, values) -> WeightedGraph:
+    return _built(
+        graph.directed,
+        graph.vertices(),
+        [(u, v, w) for (u, v), w in zip(graph.edge_list(), values)],
+    )
+
+
+def _derive(kind: str, graph: WeightedGraph):
+    """``(derived, reference)``: a graph derived from ``graph`` by
+    ``kind``, and the same graph built edge by edge."""
+    values = _vector(graph)
+    if kind in ("array", "list", "generator"):
+        given = {
+            "array": values,
+            "list": values.tolist(),
+            "generator": (float(x) for x in values),
+        }[kind]
+        return graph.with_weights(given), _reweighted(graph, values)
+    if kind == "mapping":
+        mapping = {(3, 2): 7.0, (0, 2): 8.0, (1, 3): 6.5}
+        if not graph.directed:
+            mapping = {(2, 3): 7.0, (2, 0): 8.0, (1, 3): 6.5}
+        merged = graph.weights()
+        for (u, v), weight in mapping.items():
+            merged[graph.edge_key(u, v)] = weight
+        return graph.with_weights(mapping), _reweighted(
+            graph, merged.values()
+        )
+    if kind == "chain":
+        # Re-weighted twice: the first clone has not built adjacency,
+        # so the second shares its vertex order.
+        clone = graph.with_weights(values).with_weights(2.0 * values)
+        return clone, _reweighted(graph, 2.0 * values)
+    if kind == "copy":
+        return graph.copy(), _reweighted(graph, graph.weight_vector())
+    keep = {0, 2, 3, 4, "iso"}
+    if kind == "subgraph":
+        return graph.subgraph(keep), _built(
+            graph.directed,
+            [v for v in graph.vertices() if v in keep],
+            [(u, v, w) for u, v, w in graph.edges() if {u, v} <= keep],
+        )
+    assert kind == "edge_subgraph"
+    vertices = [3, "iso", 4, 0, 2]
+    edges = graph.edge_list()
+    positions = [
+        e for e, (u, v) in enumerate(edges) if {u, v} <= keep
+    ][::-1]
+    weights = graph.weight_vector()
+    return graph.edge_subgraph(vertices, positions), _built(
+        graph.directed,
+        vertices,
+        [(*edges[e], weights[e]) for e in positions],
+    )
+
+
+#: Each mutation on its own, as the first thing done to a derived
+#: graph whose adjacency is not built yet.
+MUTATIONS = {
+    "set_weight": lambda graph, u, v: graph.set_weight(u, v, 99.0),
+    "remove_edge": lambda graph, u, v: graph.remove_edge(u, v),
+    "add_vertex": lambda graph, u, v: graph.add_vertex("new"),
+    "add_edge": lambda graph, u, v: graph.add_edge("new", u, 1.0),
+}
+
+DERIVED = [
+    "array", "list", "generator", "mapping", "chain",
+    "copy", "subgraph", "edge_subgraph",
+]
+REWEIGHTED = {"array", "list", "generator", "mapping", "chain"}
+
+
+def _adjacency_built(graph: WeightedGraph) -> bool:
+    return "_adj" in vars(graph) or "_pred" in vars(graph)
+
+
+def _unwalked_view(graph: WeightedGraph, probes):
+    """Everything a graph answers from its vertices and edges alone."""
+    keys = graph.edge_list()
+    return (
+        graph.directed,
+        graph.vertex_list(),
+        list(graph.vertices()),
+        graph.num_vertices,
+        len(graph),
+        graph.num_edges,
+        [graph.has_vertex(v) for v in probes],
+        [v in graph for v in probes],
+        [
+            (graph.has_edge(u, v), graph.has_edge(v, u))
+            for u in probes
+            for v in probes
+        ],
+        keys,
+        list(graph.weights().items()),
+        list(graph.edges()),
+        graph.weight_vector().tolist(),
+        graph.weight_vector(keys[::-1]).tolist(),
+        graph.topology_version,
+        graph.weights_version,
+    )
+
+
+@pytest.mark.parametrize("kind", DERIVED)
+class TestDerivedGraphs:
+    def test_unwalked_answers_equal_per_edge(self, graph, kind):
+        derived, reference = _derive(kind, graph)
+        probes = graph.vertex_list() + ["absent"]
+        assert _unwalked_view(derived, probes) == _unwalked_view(
+            reference, probes
+        )
+        assert not _adjacency_built(derived)
+
+    def test_compiles_without_adjacency(self, graph, kind):
+        parent = CSRGraph.from_graph(graph)
+        derived, reference = _derive(kind, graph)
+        csr = CSRGraph.from_graph(derived)
+        fresh = CSRGraph.from_graph(reference)
+        assert not _adjacency_built(derived)
+        # A re-weighted clone takes over its parent's structure; a
+        # copy or a subgraph compiles its own.
+        assert (csr.indptr is parent.indptr) == (kind in REWEIGHTED)
+        assert csr.vertices == fresh.vertices
+        for name in ("indptr", "indices", "weights", "edge_weights"):
+            assert np.array_equal(getattr(csr, name), getattr(fresh, name))
+
+    def test_walk_builds_per_edge_layout(self, graph, kind):
+        derived, reference = _derive(kind, graph)
+        start = next(iter(derived.vertices()))
+        assert list(derived.neighbors(start)) == list(
+            reference.neighbors(start)
+        )
+        assert _adjacency_built(derived)
+        assert _layout(derived) == _layout(reference)
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_mutation_builds_per_edge_layout(self, graph, kind, mutation):
+        derived, reference = _derive(kind, graph)
+        u, v = derived.edge_list()[0]
+        for target in (derived, reference):
+            MUTATIONS[mutation](target, u, v)
+        assert _layout(derived) == _layout(reference)
+
+    def test_mutation_leaves_parent(self, graph, kind):
+        parent = graph.with_weights(_vector(graph))
+        before = _layout(_reweighted(graph, _vector(graph)))
+        parent_vertices = parent.vertex_list()
+        derived, _ = _derive(kind, parent)
+        u, v = derived.edge_list()[0]
+        for mutate in MUTATIONS.values():
+            mutate(derived, u, v)
+        assert "new" in derived
+        assert parent.vertex_list() == parent_vertices
+        assert not _adjacency_built(parent)
+        assert _layout(parent) == before
+        # ... and the other way round: a mutated parent, built edge by
+        # edge or derived, leaves the graph derived from it.
+        for source in (graph, graph.with_weights(_vector(graph))):
+            derived, reference = _derive(kind, source)
+            source.add_vertex("other")
+            source.remove_edge(*source.edge_list()[-1])
+            assert "other" not in derived
+            assert _layout(derived) == _layout(reference)

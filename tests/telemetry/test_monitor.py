@@ -1,23 +1,18 @@
 """Unit tests for :mod:`repro.telemetry.monitor` — declarative alert
-rules and the noise-calibration watchdog."""
+rules."""
 
 from __future__ import annotations
 
 import json
-import math
 
 import pytest
 
 from repro.exceptions import TelemetryError
-from repro.graphs.generators import grid_graph
-from repro.rng import Rng
-from repro.serving.service import DistanceService
 from repro.telemetry import Telemetry
 from repro.telemetry.monitor import (
     ALERT_RULES_FORMAT,
     ALERT_RULES_VERSION,
     AlertRule,
-    CalibrationWatchdog,
     evaluate_rules,
     load_alert_rules,
 )
@@ -217,104 +212,3 @@ class TestBurnRateRules:
             AlertRule(name="burn", kind="burn-rate", op=">=", value=0.0)
         ]
         assert evaluate_rules(rules, telemetry.snapshot()) == []
-
-
-class TestCalibrationWatchdog:
-    def test_band_validation(self):
-        with pytest.raises(TelemetryError, match="band"):
-            CalibrationWatchdog([(0, 1)], band=(2.0, 1.0))
-        with pytest.raises(TelemetryError, match="min_epochs"):
-            CalibrationWatchdog([(0, 1)], min_epochs=1)
-
-    def test_unknown_pair_rejected(self):
-        watchdog = CalibrationWatchdog([(0, 1)])
-        with pytest.raises(TelemetryError, match="not one of"):
-            watchdog.observe_value((7, 8), 1.0, 1.0)
-
-    def test_pending_before_min_epochs(self):
-        watchdog = CalibrationWatchdog([(0, 1)], min_epochs=3)
-        watchdog.observe_value((0, 1), 5.0, 1.0)
-        report = watchdog.report()
-        assert report["pairs"][0]["status"] == "pending"
-        assert report["drifting"] == []
-
-    def test_ok_within_band(self):
-        # Two observations with sample std exactly sqrt(2) against an
-        # advertised scale of 1.0 (advertised std sqrt(2)): ratio 1.
-        watchdog = CalibrationWatchdog([(0, 1)])
-        watchdog.observe_value((0, 1), 0.0, 1.0, epoch=0)
-        watchdog.observe_value((0, 1), 2.0, 1.0, epoch=1)
-        report = watchdog.report()
-        entry = report["pairs"][0]
-        assert entry["status"] == "ok"
-        assert entry["ratio"] == pytest.approx(
-            math.sqrt(2.0) / math.sqrt(2.0)
-        )
-
-    def test_overdispersed_answers_drift(self):
-        watchdog = CalibrationWatchdog([(0, 1)], band=(0.5, 2.0))
-        watchdog.observe_value((0, 1), 0.0, 1.0, epoch=0)
-        watchdog.observe_value((0, 1), 100.0, 1.0, epoch=1)
-        report = watchdog.report()
-        assert report["pairs"][0]["status"] == "drift"
-        assert report["drifting"] == ["0->1"]
-
-    def test_suspiciously_quiet_answers_drift(self):
-        # Identical answers under a nonzero advertised scale mean the
-        # noise is NOT being applied: also a calibration failure.
-        watchdog = CalibrationWatchdog([(0, 1)], band=(0.5, 2.0))
-        watchdog.observe_value((0, 1), 5.0, 1.0, epoch=0)
-        watchdog.observe_value((0, 1), 5.0, 1.0, epoch=1)
-        assert watchdog.report()["pairs"][0]["status"] == "drift"
-
-    def test_deterministic_pairs(self):
-        watchdog = CalibrationWatchdog([(0, 0)])
-        watchdog.observe_value((0, 0), 0.0, 0.0, epoch=0)
-        watchdog.observe_value((0, 0), 0.0, 0.0, epoch=1)
-        assert watchdog.report()["pairs"][0]["status"] == "deterministic"
-        watchdog.observe_value((0, 0), 1.0, 0.0, epoch=2)
-        assert watchdog.report()["pairs"][0]["status"] == "drift"
-
-    def test_publishes_metrics_when_wired(self):
-        telemetry = Telemetry()
-        watchdog = CalibrationWatchdog([(0, 1)], telemetry=telemetry)
-        watchdog.observe_value((0, 1), 0.0, 1.0, epoch=0)
-        watchdog.observe_value((0, 1), 100.0, 1.0, epoch=1)
-        watchdog.report()
-        names = {
-            (m["name"], m["labels"].get("pair"))
-            for m in telemetry.registry.snapshot()
-        }
-        assert ("calibration.ratio", "0->1") in names
-        assert ("calibration.drift", "0->1") in names
-
-    def test_alerts_render_drift_as_critical(self):
-        watchdog = CalibrationWatchdog([(0, 1)])
-        watchdog.observe_value((0, 1), 0.0, 1.0, epoch=0)
-        watchdog.observe_value((0, 1), 100.0, 1.0, epoch=1)
-        (alert,) = watchdog.alerts()
-        assert alert.rule == "calibration-watchdog"
-        assert alert.severity == "critical"
-        assert alert.labels == {"pair": "0->1"}
-
-    def test_seeded_service_is_calibrated(self):
-        # End to end: refresh a live service with IDENTICAL weights
-        # each epoch so probe dispersion is pure Laplace noise, and
-        # check the observed/advertised std ratio lands in a generous
-        # band.  Deterministic via the seed.
-        graph = grid_graph(4, 4)
-        service = DistanceService(graph, 1.0, Rng(7))
-        pair = ((0, 0), (3, 3))
-        watchdog = CalibrationWatchdog(
-            [pair], band=(0.3, 3.0), min_epochs=2
-        )
-        watchdog.observe_epoch(service)
-        for _ in range(19):
-            service.refresh(graph)
-            watchdog.observe_epoch(service)
-        report = watchdog.report()
-        entry = report["pairs"][0]
-        assert entry["samples"] == 20
-        assert entry["status"] == "ok", entry
-        assert report["drifting"] == []
-        assert watchdog.alerts() == []
