@@ -44,9 +44,10 @@ __all__ = [
 NUMBER = (int, float)
 
 Error = Type[ReproError]
-#: Required keys of an object, each with the type its value must have
-#: (``object`` for any value).
-Keys = Mapping[str, Union[type, Tuple[type, ...]]]
+#: Required keys of an object, each with the type its value must have:
+#: a type (``object`` for any value) or a tuple of them, which may
+#: nest (``(NUMBER, type(None))`` is a number or null).
+Keys = Mapping[str, Union[type, Tuple[object, ...]]]
 
 
 def new(format: str, version: int, **body: object) -> Dict[str, object]:
@@ -77,14 +78,29 @@ def require(
         value = entry[key]
         # JSON true/false are not numbers, though Python's bool is an int.
         if not isinstance(value, kind) or (
-            isinstance(value, bool) and kind in (int, NUMBER)
+            isinstance(value, bool) and not _admits_bool(kind)
         ):
-            expected = "a number" if kind is NUMBER else kind.__name__
             raise error(
-                f"{what} key {key!r} must be {expected}, got "
+                f"{what} key {key!r} must be {_kind_name(kind)}, got "
                 f"{type(value).__name__}"
             )
     return entry
+
+
+def _admits_bool(kind: object) -> bool:
+    """Whether a key spec names ``bool`` or ``object``."""
+    if isinstance(kind, tuple):
+        return any(map(_admits_bool, kind))
+    return kind is bool or kind is object
+
+
+def _kind_name(kind: object) -> str:
+    """A key spec as an error message names it."""
+    if kind is NUMBER:
+        return "a number"
+    if isinstance(kind, tuple):
+        return " or ".join(map(_kind_name, kind))
+    return "null" if kind is type(None) else kind.__name__
 
 
 def check(

@@ -24,16 +24,17 @@ graph's version counters: a topology bump forces a full rebuild, while
 a weights-only change reuses the frozen structure and only regathers
 the weight array.  That cheap path covers both in-place
 ``set_weight`` mutation and the per-epoch refresh pattern of
-:mod:`repro.serving` — ``WeightedGraph.with_weights`` hands the
+:mod:`repro.serving`: ``WeightedGraph.with_weights`` hands the
 compiled structure of an already-compiled graph to its re-weighted
 clones (compiled over it at once when the new weights come as a
-float64 vector), and :func:`share_structure` hands it to a separately
-built graph of the same topology (an epoch refresh's new graph).  Compiling
-reads only a graph's vertex order, edge list and weight vector.  A
-derived graph (``with_weights``, ``copy``, ``subgraph``,
-``edge_subgraph``) shares its parent's vertex order, or keeps its own,
-and builds its per-vertex adjacency dicts only on its first walk, so
-a re-weighting that is only compiled never builds them.
+float64 vector), and a distance service re-weights its own graph
+with it on every refresh, whatever graph object the new weights came
+in.  Compiling reads only a graph's vertex order, edge list and
+weight vector.  A derived graph (``with_weights``, ``copy``,
+``subgraph``, ``edge_subgraph``) shares its parent's vertex order, or
+keeps its own, and builds its per-vertex adjacency dicts only on its
+first walk, so a re-weighting that is only compiled never builds
+them.
 
 In Sealfon's model the topology is public, so whatever is computed
 from it alone is the same in every epoch.  The structure therefore
@@ -55,7 +56,7 @@ import numpy as np
 from ..exceptions import EngineError, VertexNotFoundError, WeightError
 from ..graphs.graph import Vertex, WeightedGraph
 
-__all__ = ["CSRGraph", "share_structure"]
+__all__ = ["CSRGraph"]
 
 #: Attribute under which the compiled CSR is cached on the source graph.
 _CACHE_ATTR = "_engine_csr_cache"
@@ -358,28 +359,3 @@ class CSRGraph:
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
         return f"CSRGraph({kind}, n={self.n}, arcs={self.num_arcs})"
-
-
-def share_structure(source: WeightedGraph, target: WeightedGraph) -> bool:
-    """Hand ``source``'s compiled structure, and with it its topology
-    memo, to ``target`` when both carry the same public topology: the
-    same directedness, :meth:`~repro.graphs.graph.WeightedGraph.
-    vertex_list` and :meth:`~repro.graphs.graph.WeightedGraph.
-    edge_list`, in content and order.  ``target`` then compiles by
-    regathering its own weights over it.  Returns whether the
-    structure was handed over; an uncompiled ``source`` or a differing
-    topology leaves ``target`` to compile afresh."""
-    cached = getattr(source, _CACHE_ATTR, None)
-    if (
-        cached is None
-        or cached[0] != source.topology_version
-        or target.directed != source.directed
-        or target.vertex_list() != source.vertex_list()
-        or target.edge_list() != source.edge_list()
-    ):
-        return False
-    # A deliberately stale weights version (-1): the next compile
-    # takes the cheap regather path, as for WeightedGraph.with_weights.
-    setattr(target, _CACHE_ATTR, (target.topology_version, -1, cached[2]))
-    return True
-

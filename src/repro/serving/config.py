@@ -61,6 +61,20 @@ CONFIG_FORMAT = "repro-serving-config"
 #: engine backend; both are refused by version as a whole rather than
 #: read with fields that would select nothing.
 _CONFIG_VERSION = 3
+#: Every field's type, checked whether a config comes from code or
+#: from a document; a boolean is never read as a number.
+_FIELD_TYPES: documents.Keys = {
+    "mechanism": str,
+    "eps": documents.NUMBER,
+    "delta": documents.NUMBER,
+    "weight_bound": (documents.NUMBER, type(None)),
+    "shards": int,
+    "cache_size": (int, type(None)),
+    "tenant": (str, type(None)),
+    "audit_log": (str, type(None)),
+    "event_log": (str, type(None)),
+    "profile": bool,
+}
 
 
 @dataclass(frozen=True)
@@ -126,6 +140,9 @@ class ServingConfig:
     profile: bool = False
 
     def __post_init__(self) -> None:
+        documents.require(
+            vars(self), GraphError, "serving config", _FIELD_TYPES
+        )
         PrivacyParams(self.eps, self.delta)  # validates the budget
         if self.mechanism != "auto":
             get_mechanism(self.mechanism)  # raises on unknown names

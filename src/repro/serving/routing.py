@@ -8,7 +8,8 @@ with two or more tenants.  :mod:`repro.serving.sharding` explains the
 routing and the privacy accounting.
 
 A plan is its assignment, vertex -> shard.  The router is the one
-place a plan meets the graph: it derives the cut edges and the
+place a plan meets the graph (the service's own copy, whose vertex
+and edge order never changes): it derives the cut edges and the
 boundary (the relay sites) once, and refuses a disconnected graph or
 shard before anything spends.  None of this reads a weight.  The
 router's cut, edge classes and site tables are array code over the
@@ -351,7 +352,6 @@ class _ShardRouter:
         edge_shard = shard_of[edge_u]
         edge_shard[cut] = -1
         self._edge_shard = edge_shard
-        self._vertex_keys = graph.vertex_list()
         self._edge_keys = graph.edge_list()
         #: Per shard, the positions of its tenant subgraph's edges in
         #: the full edge order: an induced subgraph keeps its parent's
@@ -410,54 +410,13 @@ class _ShardRouter:
     # Public-topology checks (before any budget is spent)
     # ------------------------------------------------------------------
 
-    def check_topology(self, graph: WeightedGraph) -> None:
-        """Reject a full-refresh graph whose vertex or edge set differs
-        from the plan's: every tenant re-weights its subgraph from it,
-        and a mismatch would fail halfway through the rebuilds.
-
-        The plan's graph's own vertex and edge lists pass at once (the
-        lists :func:`~repro.engine.csr.share_structure` compares); any
-        other graph passes when it has the same vertex set and the
-        same edges in any order, each in either orientation on an
-        undirected graph."""
-        edges = graph.edge_list()
-        if (
-            edges == self._edge_keys
-            and graph.vertex_list() == self._vertex_keys
-        ):
-            return
-        if not (
-            graph.num_vertices == len(self._vertex_keys)
-            and len(edges) == len(self._edge_keys)
-            and set(self._vertex_keys).issubset(graph.vertices())
-            and all(
-                graph.has_edge(u, v)
-                for u, v in set(self._edge_keys).difference(edges)
-            )
-        ):
-            raise GraphError(
-                "refresh graph's vertex or edge set differs from the "
-                "shard plan's"
-            )
-
-    def edge_weights(self, graph: WeightedGraph) -> np.ndarray:
-        """``graph``'s weight vector in the full edge order the plan
-        was built over (:attr:`tenant_edges` indexes into it),
-        read-only.  For a graph in that order it is the compiled
-        graph's edge weights, the vector the relay sweeps; a graph
-        with the plan's edges in another order is gathered edge by
-        edge."""
-        if graph.edge_list() == self._edge_keys:
-            return CSRGraph.from_graph(graph).edge_weights
-        return graph.weight_vector(self._edge_keys)
-
     def check_regional(
         self, shard: int, old: np.ndarray, new: np.ndarray
     ) -> None:
         """Reject an update of ``shard`` whose weights ``new`` differ
-        from ``old`` (both in the plan's edge order) outside its own
-        edges and the cut edges — it would silently stale the
-        untouched tenants."""
+        from ``old`` (both in the edge order of the graph the router
+        was built over) outside its own edges and the cut edges — it
+        would silently stale the untouched tenants."""
         changed = old != new
         allowed = (self._edge_shard == shard) | (self._edge_shard == -1)
         bad = changed & ~allowed

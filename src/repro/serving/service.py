@@ -9,7 +9,7 @@ queries from it — pure post-processing, zero further privacy cost.
 The front owns the answer cache, :class:`ServiceStats`, the latency
 histograms, the ledger and epoch, and telemetry over ``k >= 1``
 regional tenants.  The unsharded service is the ``k = 1`` case: one
-tenant on the caller's graph and full budget, whose synopsis answers
+tenant on the service's graph and full budget, whose synopsis answers
 cache misses.  With ``shards=k`` a miss goes through the shard router
 and its boundary-hub relay (:mod:`repro.serving.sharding`).
 
@@ -39,10 +39,14 @@ weight function — a new private database — rotates the ledger, clears
 the answer cache, and rebuilds every release;
 :meth:`DistanceService.refresh_shard` rebuilds one tenant (plus the
 relay) within the epoch.  The topology is public and fixed across
-epochs, so both reuse the compiled CSR structure and its topology memo
-(:mod:`repro.engine.csr`): a refresh graph with the current graph's
-vertex and edge lists is handed the current structure instead of
-being recompiled, and only the work that reads weights is redone.
+epochs (Definition 2.1), so the service keeps its own copy of the
+graph it was built with, in that graph's vertex and edge order, for
+its lifetime.  A refresh graph is read into that order, and the
+service re-weights its own graph
+(:meth:`~repro.graphs.graph.WeightedGraph.with_weights`), which keeps
+the compiled CSR structure and its topology memo
+(:mod:`repro.engine.csr`), so only the work that reads weights is
+redone.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from ..apsp.hubs import (
     default_hub_count,
 )
 from ..dp.params import PrivacyParams
-from ..engine.csr import CSRGraph, share_structure
+from ..engine.csr import CSRGraph
 from ..exceptions import GraphError
 from ..graphs.graph import Edge, Vertex, WeightedGraph
 from ..mechanisms import (
@@ -236,6 +240,28 @@ def _check_servable(graph: WeightedGraph) -> None:
     graph.check_nonnegative()
 
 
+def _refresh_weights(own: WeightedGraph, graph: WeightedGraph) -> np.ndarray:
+    """``graph``'s weights as one float64 vector in ``own``'s edge
+    order: as they stand when ``graph`` has ``own``'s vertex and edge
+    lists, gathered edge by edge when it has the same vertex and edge
+    sets in another order (each edge in either orientation when
+    undirected).  Any other graph raises
+    :class:`~repro.exceptions.GraphError`."""
+    edges = own.edge_list()
+    if graph.edge_list() == edges and graph.vertex_list() == own.vertex_list():
+        return graph.weight_vector()
+    if not (
+        graph.num_vertices == own.num_vertices
+        and graph.num_edges == len(edges)
+        and all(map(graph.has_vertex, own.vertices()))
+        and all(graph.has_edge(u, v) for u, v in edges)
+    ):
+        raise GraphError(
+            "refresh graph's vertex or edge set differs from the service's"
+        )
+    return graph.weight_vector(edges)
+
+
 class DistanceService:
     """A private distance query-serving engine over ``k >= 1``
     regional tenants (``k = 1``, the default, is unsharded).
@@ -244,7 +270,10 @@ class DistanceService:
     ----------
     graph:
         Public topology + the current epoch's private weights
-        (connected when sharded).  A directed graph raises
+        (connected when sharded).  The service keeps its own copy and
+        never reads ``graph`` again, so later changes to it reach no
+        release; the copy's vertex and edge order is the service's
+        order for its lifetime.  A directed graph raises
         :class:`~repro.exceptions.GraphError` and a negative or
         non-finite weight :class:`~repro.exceptions.WeightError`
         before anything is spent, here and in :meth:`refresh` (and
@@ -329,6 +358,7 @@ class DistanceService:
             # Raises MechanismError (a PrivacyError) on unknown names.
             get_mechanism(mechanism)
         _check_servable(graph)
+        graph = graph.copy()
         if plan is None:
             if shards is not None and shards != 1:
                 plan = partition_graph(graph, shards)
@@ -372,7 +402,7 @@ class DistanceService:
         self._plan = plan
         if plan is None or plan.num_shards == 1:
             # No partition, no subgraph, no relay, no split: the lone
-            # tenant serves the caller's graph on the full budget.
+            # tenant serves the service's graph on the full budget.
             self._shard_params = epoch_budget
             self._relay_params: PrivacyParams | None = None
             self._tenants = [_Tenant(tenant, graph)]
@@ -542,20 +572,20 @@ class DistanceService:
         )
 
     def refresh(self, graph: WeightedGraph | None = None) -> None:
-        """Start a new epoch: swap in fresh weights (same public
-        topology unless a new graph is given), clear the answer cache,
-        and rebuild every tenant and the relay.
+        """Start a new epoch: swap in fresh weights (the current ones
+        unless a new graph is given), clear the answer cache, and
+        rebuild every tenant and the relay.
 
-        A sharded service only takes a graph with the plan's vertex
-        and edge sets — anything else raises
-        :class:`~repro.exceptions.GraphError` before the ledger
-        rotates or any budget is spent — and a directed graph raises
-        :class:`~repro.exceptions.GraphError`, a negative or
-        non-finite weight :class:`~repro.exceptions.WeightError`, just
-        as early, sharded or not.  A graph whose directedness,
-        vertex list and edge list equal the current graph's (in
-        content and order) is handed the current compiled structure
-        and its topology memo; any other graph is compiled afresh.
+        ``graph`` must carry the service's public topology: its
+        vertex and edge sets, in the service's order or any other
+        (each edge in either orientation).  Its weights are read into
+        the service's order and the service re-weights its own graph,
+        keeping the compiled structure and its topology memo; it never
+        reads ``graph`` again.  Another topology raises
+        :class:`~repro.exceptions.GraphError`, as does a directed
+        graph, and a negative or non-finite weight
+        :class:`~repro.exceptions.WeightError`, before the ledger
+        rotates or any budget is spent, sharded or not.
 
         A privately owned ledger is rotated — the new weights are a
         new database, so the budget resets.  A *shared* ledger is NOT
@@ -570,14 +600,13 @@ class DistanceService:
         with use_telemetry(self._telemetry), self._telemetry.span(
             "epoch.refresh", tenant=self._tenant, shards=self.num_shards
         ):
-            if graph is not None and self._shards is not None:
-                self._shards.check_topology(graph)
-            _check_servable(self._graph if graph is None else graph)
+            if graph is not None:
+                _check_servable(graph)
+                weights = _refresh_weights(self._graph, graph)
             if self._owns_ledger:
                 self._ledger.rotate()
             if graph is not None:
-                share_structure(self._graph, graph)
-                self._graph = graph
+                self._graph = self._graph.with_weights(weights)
             self._cache.clear()
             # Drop every release first: if a rebuild fails partway, the
             # tenants not yet rebuilt must refuse to serve rather than
@@ -586,14 +615,9 @@ class DistanceService:
             self._router = self._shards
             if self._shards is not None:
                 self._shards.relay = None
-            weights = (
-                None
-                if self._shards is None
-                else self._shards.edge_weights(self._graph)
-            )
             for shard, tenant in enumerate(self._tenants):
                 tenant.synopsis = None
-                tenant.graph = self._tenant_graph(shard, self._graph, weights)
+                tenant.graph = self._tenant_graph(shard, self._graph)
             self._build_epoch()
             self._telemetry.emit(
                 "epoch.refresh",
@@ -611,11 +635,12 @@ class DistanceService:
     ) -> None:
         """Regional epoch update: rebuild one tenant plus the relay.
 
-        ``weights`` (a mapping or a vector aligned with the full
-        graph's :meth:`~repro.graphs.graph.WeightedGraph.edge_list`)
-        may only differ from the current weights on the shard's own
-        edges and on cut edges — anything else would silently stale
-        the untouched tenants, so it raises
+        ``weights`` (a mapping, or a vector in the service's edge
+        order: the :meth:`~repro.graphs.graph.WeightedGraph.edge_list`
+        order of the graph it was built with, whatever order later
+        refresh graphs came in) may only differ from the current
+        weights on the shard's own edges and on cut edges — anything
+        else would silently stale the untouched tenants, so it raises
         :class:`~repro.exceptions.GraphError` before any budget is
         spent, as a negative or non-finite weight raises
         :class:`~repro.exceptions.WeightError`.  ``None`` re-releases
@@ -646,12 +671,12 @@ class DistanceService:
                 if weights is None
                 else self._graph.with_weights(weights)
             )
-            # Every check and build below reads this one vector.
-            vector = self._edge_vector(new_graph)
+            # Every check and build below reads this one vector, in the
+            # service's edge order.
+            vector = CSRGraph.from_graph(new_graph).edge_weights
             if weights is not None and self._shards is not None:
-                self._shards.check_regional(
-                    shard, self._edge_vector(self._graph), vector
-                )
+                current = CSRGraph.from_graph(self._graph).edge_weights
+                self._shards.check_regional(shard, current, vector)
             if not (np.isfinite(vector) & (vector >= 0)).all():
                 # Raises, naming the first offending edge.
                 new_graph.check_nonnegative()
@@ -660,7 +685,7 @@ class DistanceService:
             # the old release for whichever pairs happen to be cached.
             self._cache.clear()
             tenant = self._tenants[shard]
-            tenant.graph = self._tenant_graph(shard, new_graph, vector)
+            tenant.graph = self._tenant_graph(shard, new_graph)
             # Fails closed on budget before any noise is drawn; on
             # failure the tenant refuses to serve but nothing else
             # moved.
@@ -680,32 +705,21 @@ class DistanceService:
             )
         self._bind_metrics()
 
-    def _edge_vector(self, graph: WeightedGraph) -> np.ndarray:
-        """``graph``'s weights as one float64 vector in the plan's
-        edge order (unsharded: its own).  Sharded, whenever the two
-        orders agree, it is the compiled graph's edge-weight array,
-        so the relay's sweeps read the vector the checks and the
-        tenants' gathers read."""
-        if self._shards is None:
-            return graph.weight_vector()
-        return self._shards.edge_weights(graph)
-
     def _tenant_graph(  # privlint: ignore[PL1] feeds the tenant's budgeted synopsis build
-        self,
-        shard: int,
-        graph: WeightedGraph,
-        weights: np.ndarray | None,
+        self, shard: int, graph: WeightedGraph
     ) -> WeightedGraph:
         """The graph tenant ``shard`` serves, carrying ``graph``'s
-        weights: ``graph`` itself when unsharded, else the tenant's
-        subgraph re-weighted by one gather of ``weights``, ``graph``'s
-        weights in the plan's edge order (:meth:`_edge_vector`),
-        through the tenant's edge positions (the clone keeps the
-        compiled CSR structure)."""
+        weights (``graph`` is the service's graph or a re-weighting of
+        it): ``graph`` itself when unsharded, else the tenant's
+        subgraph re-weighted by one gather of ``graph``'s compiled
+        edge weights through the tenant's edge positions (the clone
+        keeps the compiled CSR structure)."""
         if self._shards is None:
             return graph
         return self._tenants[shard].graph.with_weights(
-            weights[self._shards.tenant_edges[shard]]
+            CSRGraph.from_graph(graph).edge_weights[
+                self._shards.tenant_edges[shard]
+            ]
         )
 
     # ------------------------------------------------------------------

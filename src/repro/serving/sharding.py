@@ -63,9 +63,19 @@ distinct boundary pairs the hub structure releases.
 
 With one shard there is no partition, no cut, no relay and no split:
 the service is the unsharded one, its lone tenant serving the
-caller's graph on the full epoch budget, so
+service's graph on the full epoch budget, so
 ``ShardedDistanceService(shards=1)`` answers match
 ``DistanceService`` bit for bit under the same seed.
+
+The service partitions, and the router indexes, the service's own
+copy of the graph it was built with, whose vertex and edge order is
+fixed for the service's lifetime: the tenants' edge positions, the
+edge classes and the relay's sites all index that order.  A
+``refresh(graph)`` reads the new weights into it (the same vertex and
+edge sets in any order, anything else refused before any spend), and
+a ``refresh_shard`` weight vector is in it, so every relay sweeps the
+plan-order graph and nothing a caller does to a graph it handed over
+reaches a build.
 
 Per-shard refresh (:meth:`~repro.serving.service.DistanceService.refresh_shard`)
 exploits the engine's cheap re-weighting: a regional congestion update

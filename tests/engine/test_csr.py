@@ -7,7 +7,6 @@ import pytest
 
 from repro import Rng, WeightedGraph
 from repro.engine import CSRGraph
-from repro.engine.csr import share_structure
 from repro.exceptions import EngineError, VertexNotFoundError, WeightError
 from repro.graphs import generators
 
@@ -206,49 +205,3 @@ class TestTopologyMemo:
         grid5.add_edge((0, 0), (4, 4), 0.5)
         csr = CSRGraph.from_graph(grid5)
         assert csr.topology_memo("probe", lambda unit: 2) == 2
-
-
-class TestShareStructure:
-    def _source(self):
-        graph = _weighted(generators.grid_graph(4, 5), 1)
-        return graph, CSRGraph.from_graph(graph)
-
-    def test_same_topology_takes_the_structure(self):
-        source, compiled = self._source()
-        compiled.topology_memo("probe", lambda unit: "kept")
-        target = _weighted(generators.grid_graph(4, 5), 2)
-        assert share_structure(source, target)
-        csr = CSRGraph.from_graph(target)
-        assert csr.indptr is compiled.indptr
-        assert np.array_equal(csr.edge_weights, target.weight_vector())
-        assert csr.topology_memo("probe", lambda unit: "fresh") == "kept"
-
-    def test_uncompiled_source_shares_nothing(self):
-        source = generators.grid_graph(4, 5)
-        assert not share_structure(source, generators.grid_graph(4, 5))
-
-    @pytest.mark.parametrize(
-        "change", ["edge removed", "edge rewired", "edges reordered",
-                   "vertices reordered", "directed"]
-    )
-    def test_other_topology_compiles_afresh(self, change):
-        source, compiled = self._source()
-        edges = list(source.edges())
-        vertices = source.vertex_list()
-        if change == "edge removed":
-            edges = edges[1:]
-        elif change == "edge rewired":
-            edges = edges[1:] + [((0, 0), (3, 4), 1.0)]
-        elif change == "edges reordered":
-            edges = edges[::-1]
-        elif change == "vertices reordered":
-            vertices = vertices[::-1]
-        target = WeightedGraph(directed=change == "directed")
-        for v in vertices:
-            target.add_vertex(v)
-        for u, v, w in edges:
-            target.add_edge(u, v, w)
-        assert not share_structure(source, target)
-        csr = CSRGraph.from_graph(target)
-        assert csr.indptr is not compiled.indptr
-        assert np.array_equal(csr.edge_weights, target.weight_vector())

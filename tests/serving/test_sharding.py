@@ -609,23 +609,6 @@ class TestInvalidWeightsRefused:
             service.refresh_shard(0, weights)
         assert _served_state(service, pairs) == before
 
-    def test_weights_changed_in_place_are_refused(self, grid):
-        """A caller who mutates the served graph and then re-releases
-        it without a new graph is refused too."""
-        graph = grid.copy()
-        service = ShardedDistanceService(
-            graph, 1.0, Rng(76), shards=2, mechanism="hub-set"
-        )
-        pairs = uniform_pairs(grid, 20, Rng(77))
-        before = _served_state(service, pairs)
-        u, v = graph.edge_list()[0]
-        graph.set_weight(u, v, -0.5)
-        with pytest.raises(WeightError):
-            service.refresh()
-        with pytest.raises(WeightError):
-            service.refresh_shard(service.plan.shard_of(u))
-        assert _served_state(service, pairs) == before
-
     @pytest.mark.parametrize("bad", BAD)
     @pytest.mark.parametrize("shards", [1, 2])
     def test_construction_refuses_before_spending(self, grid, bad, shards):

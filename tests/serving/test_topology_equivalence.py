@@ -19,7 +19,7 @@ import random
 import numpy as np
 import pytest
 
-from repro import Rng
+from repro import BudgetLedger, PrivacyParams, Rng
 from repro.apsp.hubs import (
     build_hub_structure,
     default_ball_size,
@@ -28,7 +28,10 @@ from repro.apsp.hubs import (
 from repro.engine.csr import CSRGraph
 from repro.exceptions import GraphError
 from repro.graphs.graph import WeightedGraph
+from repro.serving import DistanceService
 from repro.serving.routing import ShardPlan, _ShardRouter, partition_graph
+from repro.serving.service import _refresh_weights
+from repro.telemetry import NULL_TELEMETRY
 from repro.workloads import grid_road_network
 
 from topology_reference import (
@@ -312,26 +315,50 @@ def _variants(graph: WeightedGraph, gen: random.Random):
     )
 
 
+@pytest.mark.parametrize("shards", [1, 3])
 @pytest.mark.parametrize("name", [*GRAPHS, *DIRECTED])
-def test_topology_check_refuses_what_the_reference_refuses(name):
+def test_topology_check_refuses_what_the_reference_refuses(name, shards):
+    """The helper that reads every refresh graph, and (undirected) the
+    refresh of a service of either shape, accept exactly what the
+    reference accepts; an accepted graph's weights come out in the
+    service's edge order, and a refused one spends nothing."""
     graph = {**GRAPHS, **DIRECTED}[name]()
     if graph.directed:
         plan = ShardPlan(
-            3, {v: i % 3 for i, v in enumerate(graph.vertices())}
+            shards, {v: i % shards for i, v in enumerate(graph.vertices())}
         )
+        service = None
     else:
-        plan = partition_graph(graph, 3, seed=2)
-    router = _ShardRouter(plan, graph, [])
+        plan = partition_graph(graph, shards, seed=2)
+        service = DistanceService(
+            graph, 1e6, Rng(15), plan=plan, mechanism="all-pairs-basic",
+            ledger=BudgetLedger(PrivacyParams(1e9)),
+            telemetry=NULL_TELEMETRY,
+        )
     edge_keys = graph.edge_list()
     verdicts = []
     for variant in _variants(graph, random.Random(14)):
         want = reference_accepts(plan, edge_keys, variant)
         try:
-            router.check_topology(variant)
+            weights = _refresh_weights(graph, variant)
             got = True
         except GraphError:
             got = False
         assert got == want
+        if got:
+            _assert_same_arrays(
+                weights,
+                np.asarray([variant.weight(u, v) for u, v in edge_keys]),
+            )
+        if service is not None:
+            records = service.ledger.records()
+            try:
+                service.refresh(variant)
+                served = True
+            except GraphError:
+                served = False
+                assert service.ledger.records() == records
+            assert served == want
         verdicts.append(got)
     # Both outcomes are exercised: the same lists, the reordered edge
     # and vertex lists (and, undirected, the flipped edges) pass.

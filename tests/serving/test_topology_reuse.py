@@ -1,10 +1,12 @@
 """Epoch refreshes over one compiled topology.
 
-A refresh graph with the current graph's topology takes over the
-current compiled structure and its topology memo, so the hub builds
-of every later epoch skip their hop-ball searches.  A graph with any
-other topology compiles afresh.  Either way each release is bit for
-bit what the service releases with no reuse at all.
+A service keeps its own graph and re-weights it on every refresh, so
+the graph keeps its compiled structure and topology memo and the hub
+builds of every later epoch skip their hop-ball searches.  A refresh
+graph with the same vertex and edge sets in another order is read
+into the service's order; any other topology is refused.  Each
+release is bit for bit what the service releases with no reuse at
+all.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from repro.apsp import hubs as hubs_module
 from repro.apsp.hubs import HubSetRelease
 from repro.engine import CSRGraph
 from repro.engine import frontier as frontier_module
+from repro.exceptions import GraphError
 from repro.graphs import generators
 from repro.serving import DistanceService
-from repro.serving import service as service_module
 from repro.telemetry import NULL_TELEMETRY
 
 SEED = 1616
@@ -75,17 +77,36 @@ class TestUnshardedRefresh:
             first, 1.0, Rng(SEED), mechanism="hub-set",
             telemetry=NULL_TELEMETRY, ledger=BudgetLedger(PrivacyParams(9.0)),
         )
+        indptr = CSRGraph.from_graph(service._graph).indptr
         for epoch in range(1, 4):
             graph = _grid(10, epoch)
             service.refresh(graph)
-            assert CSRGraph.from_graph(graph).indptr is (
-                CSRGraph.from_graph(first).indptr
-            )
+            assert CSRGraph.from_graph(service._graph).indptr is indptr
+            # The caller's graph is read, never compiled.
+            assert getattr(graph, "_engine_csr_cache", None) is None
         service.refresh_shard(0, _weights(9, first.num_edges))
+        assert CSRGraph.from_graph(service._graph).indptr is indptr
         assert searches == [first.num_vertices]
 
-    @pytest.mark.parametrize("change", ["removed", "rewired", "reordered"])
-    def test_changed_topology_releases_a_fresh_compile(self, change):
+    def test_reordered_topology_is_read_into_the_service_order(self):
+        first, second = _grid(8, 0), _grid(8, 1)
+        reordered = _rebuilt(second, list(second.edges())[::-1])
+        service = DistanceService(
+            first, 1e6, Rng(SEED), mechanism="hub-set",
+            telemetry=NULL_TELEMETRY,
+        )
+        indptr = CSRGraph.from_graph(service._graph).indptr
+        service.refresh(reordered)
+        assert CSRGraph.from_graph(service._graph).indptr is indptr
+        # The same rng stream, the second epoch built on the same
+        # weights in the service's order.
+        rng = Rng(SEED)
+        HubSetRelease(first.copy(), 1e6, rng)
+        want = HubSetRelease(second.copy(), 1e6, rng).structure
+        _assert_same_release(service.synopsis.structure, want)
+
+    @pytest.mark.parametrize("change", ["removed", "rewired"])
+    def test_changed_topology_is_refused(self, change):
         first = _grid(8, 0)
         edges = list(_grid(8, 1).edges())
         # An interior edge: the grid stays connected without it.
@@ -93,33 +114,18 @@ class TestUnshardedRefresh:
             i for i, (u, v, _) in enumerate(edges)
             if u == (3, 3) and v == (3, 4)
         )
-        if change == "removed":
-            edges = edges[:drop] + edges[drop + 1:]
-        elif change == "rewired":
-            edges = edges[:drop] + edges[drop + 1:] + [((0, 0), (7, 7), 1.0)]
-        else:
-            edges = edges[::-1]
-        second = _rebuilt(first, edges)
+        edges = edges[:drop] + edges[drop + 1:]
+        if change == "rewired":
+            edges.append(((0, 0), (7, 7), 1.0))
         service = DistanceService(
             first, 1e6, Rng(SEED), mechanism="hub-set",
             telemetry=NULL_TELEMETRY,
         )
-        service.refresh(second)
-        assert CSRGraph.from_graph(second).indptr is not (
-            CSRGraph.from_graph(first).indptr
-        )
-        # The same rng stream, the second epoch built on a fresh
-        # compile of an uncompiled copy of the new graph.
-        rng = Rng(SEED)
-        HubSetRelease(first.copy(), 1e6, rng)
-        want = HubSetRelease(second.copy(), 1e6, rng).structure
-        _assert_same_release(service.synopsis.structure, want)
-        if change != "reordered":
-            # The old balls differ, so a stale memo would have shown.
-            rng = Rng(SEED)
-            HubSetRelease(first.copy(), 1e6, rng)
-            stale = HubSetRelease(_grid(8, 1), 1e6, rng).structure
-            assert not np.array_equal(stale.ball_keys, want.ball_keys)
+        released = service.synopsis
+        with pytest.raises(GraphError, match="differs from the service's"):
+            service.refresh(_rebuilt(first, edges))
+        assert service.epoch == 0
+        assert service.synopsis is released
 
 
 @pytest.mark.parametrize("shards", [1, 4])
@@ -198,17 +204,22 @@ def test_reuse_changes_no_release(monkeypatch, shards, mechanism):
             self.with_weights(np.ones(self.num_edges))
         ),
     )
-    monkeypatch.setattr(
-        service_module, "share_structure", lambda source, target: False
-    )
+    with_weights = WeightedGraph.with_weights
+
+    def without_handover(self, new_weights):
+        clone = with_weights(self, new_weights)
+        clone.__dict__.pop("_engine_csr_cache", None)
+        return clone
+
+    monkeypatch.setattr(WeightedGraph, "with_weights", without_handover)
     assert _transcript(shards, mechanism) == reused
 
 
 def test_sharded_refresh_takes_plan_edges_in_any_order():
     """A refresh graph with the plan's edges reversed in order and
     orientation serves what the plan-order graph serves, and a
-    regional update aligned with its own edge order passes the
-    regional check."""
+    regional update in the service's edge order passes the regional
+    check."""
     first = _grid(8, 0)
     canonical = _grid(8, 1)
     flipped = _rebuilt(
@@ -224,8 +235,8 @@ def test_sharded_refresh_takes_plan_edges_in_any_order():
         )
         service.refresh(graph)
         plan = service.plan
-        weights = graph.weight_vector()
-        for e, (u, v) in enumerate(graph.edge_list()):
+        weights = graph.weight_vector(first.edge_list())
+        for e, (u, v) in enumerate(first.edge_list()):
             if plan.shard_of(u) == plan.shard_of(v) == 2:
                 weights[e] *= 1.5
         service.refresh_shard(2, weights)

@@ -376,6 +376,29 @@ NESTED = [
         "serving-config",
         lambda d: d.update(shards="two"),
     ),
+    *(
+        (
+            f"config-{field}-{type(value).__name__}",
+            "serving-config",
+            lambda d, field=field, value=value: d.update({field: value}),
+        )
+        for field, value in (
+            ("shards", 2.5),
+            ("shards", True),
+            ("cache_size", 2.5),
+            ("cache_size", True),
+            ("eps", True),
+            ("delta", True),
+            ("weight_bound", "3"),
+            ("weight_bound", True),
+            ("mechanism", 5),
+            ("tenant", 5),
+            ("audit_log", 5),
+            ("event_log", 7),
+            ("profile", "yes"),
+            ("profile", 1),
+        )
+    ),
     (
         "snapshot-metric-without-kind",
         "telemetry-snapshot",
@@ -484,6 +507,39 @@ def test_cli_reader_fails_closed(command, text, tmp_path, capsys):
     code, err = _run_cli(_CLI[command](doc, _cli_inputs(tmp_path)), capsys)
     assert code == 2
     assert "error:" in err
+
+
+#: Serving config fields of the wrong type: before the reader checked
+#: every field's type, the first four ran into a traceback (exit 1)
+#: and the others were served (``cache_size`` 2.5 as an LRU bound of
+#: 2, ``weight_bound`` true as M = 1).
+_MISTYPED_CONFIG = [
+    ("shards", 2.5),
+    ("weight_bound", "3"),
+    ("audit_log", 5),
+    ("event_log", 7),
+    ("cache_size", 2.5),
+    ("weight_bound", True),
+    ("tenant", 5),
+    ("profile", "yes"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    _MISTYPED_CONFIG,
+    ids=[f"{f}-{type(v).__name__}" for f, v in _MISTYPED_CONFIG],
+)
+def test_cli_serve_refuses_a_mistyped_config_field(
+    field, value, tmp_path, capsys
+):
+    document = _BY_NAME["serving-config"].valid(tmp_path)
+    document[field] = value
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(document))
+    code, err = _run_cli(_CLI["serve"](doc, _cli_inputs(tmp_path)), capsys)
+    assert code == 2
+    assert f"error: serving config key {field!r} must be" in err
 
 
 #: (subcommand argv, reader name, breakage) for fields only a CLI reads.
