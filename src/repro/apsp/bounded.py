@@ -83,7 +83,8 @@ def hub_bounded_optimal_k(
         ) ** (4.0 / 7.0)
     else:
         k = (v ** 1.5 / (weight_bound * eps)) ** 0.4
-    return max(1, min(round(k), max(num_vertices - 1, 1)))
+    # Lemma 4.4 needs V >= k + 1, so a lone vertex gets radius 0.
+    return min(max(1, round(k)), num_vertices - 1)
 
 
 class HubSetBoundedRelease:
@@ -134,7 +135,8 @@ class HubSetBoundedRelease:
         self._params = PrivacyParams(eps, delta)
 
         if k is None:
-            # Already clamped to [1, V-1] (Lemma 4.4's hypothesis).
+            # Already clamped to [1, V-1] (Lemma 4.4's hypothesis),
+            # or 0 when V = 1.
             k = hub_bounded_optimal_k(
                 graph.num_vertices, weight_bound, eps, delta
             )

@@ -107,8 +107,9 @@ class BoundedWeightRelease:
                 k = bounded_weight_optimal_k_approx(v, weight_bound, eps)
             else:
                 k = bounded_weight_optimal_k_pure(v, weight_bound, eps)
-            # Lemma 4.4 needs V >= k + 1.
-            k = min(k, max(v - 1, 1))
+            # Lemma 4.4 needs V >= k + 1 (so a lone vertex covers
+            # itself at radius 0).
+            k = min(k, v - 1)
         if k < 0:
             raise GraphError(f"k must be nonnegative, got {k}")
         self._k = k

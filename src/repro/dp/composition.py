@@ -99,8 +99,13 @@ def advanced_composition_epsilon_per_query(
         )
 
     def composed(x: float) -> float:
+        try:
+            growth = math.exp(x) - 1.0
+        except OverflowError:
+            # Past e^709.78 the loss is far above any finite target.
+            return math.inf
         return math.sqrt(2.0 * k * math.log(1.0 / delta_prime)) * x + (
-            k * x * (math.exp(x) - 1.0)
+            k * x * growth
         )
 
     low, high = 0.0, total_eps  # composed(total_eps) >= total_eps always

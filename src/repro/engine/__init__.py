@@ -6,8 +6,8 @@ shortest-path computation.  Three pieces:
 
 * :mod:`repro.engine.csr` — :class:`CSRGraph`, a frozen
   integer-indexed compilation of a
-  :class:`~repro.graphs.graph.WeightedGraph` (cached, invalidated by
-  the graph's version counters, cheaply re-weightable);
+  :class:`~repro.graphs.graph.WeightedGraph` (kept on the graph until
+  it changes, one structure per topology, cheaply re-weightable);
 * :mod:`repro.engine.kernels` — multi-source distances (scipy's C
   Dijkstra, or a vectorized relaxation without scipy) and the
   profiler-gated ``engine.*`` kernel spans;

@@ -19,18 +19,19 @@ keeps (:attr:`CSRGraph.edge_endpoints`): whatever else is derived from
 the topology edge by edge — the shard router's cut, boundary and edge
 classes — is array code over them.
 
-Compilation is cached on the source graph and invalidated by the
-graph's version counters: a topology bump forces a full rebuild, while
+Compilation is kept on the source graph in two slots that only this
+module reads or fills: the structure, compiled once per topology, and
+the :class:`CSRGraph` of the graph's current weights.  The graph
+drops the second on a weight change and both on a topology change, so
 a weights-only change reuses the frozen structure and only regathers
 the weight array.  That cheap path covers both in-place
 ``set_weight`` mutation and the per-epoch refresh pattern of
-:mod:`repro.serving`: ``WeightedGraph.with_weights`` hands the
-compiled structure of an already-compiled graph to its re-weighted
-clones (compiled over it at once when the new weights come as a
-float64 vector), and a distance service re-weights its own graph
-with it on every refresh, whatever graph object the new weights came
-in.  Compiling reads only a graph's vertex order, edge list and
-weight vector.  A derived graph (``with_weights``, ``copy``,
+:mod:`repro.serving`: ``WeightedGraph.with_weights`` passes the
+structure on to its re-weighted clones and ``copy`` passes on both,
+and a distance service compiles the graph it is handed, copies it and
+re-weights its copy on every refresh, whatever graph object the new
+weights came in.  Compiling reads only a graph's vertex order, edge
+list and weight vector.  A derived graph (``with_weights``, ``copy``,
 ``subgraph``, ``edge_subgraph``) shares its parent's vertex order, or
 keeps its own, and builds its per-vertex adjacency dicts only on its
 first walk, so a re-weighting that is only compiled never builds
@@ -57,9 +58,6 @@ from ..exceptions import EngineError, VertexNotFoundError, WeightError
 from ..graphs.graph import Vertex, WeightedGraph
 
 __all__ = ["CSRGraph"]
-
-#: Attribute under which the compiled CSR is cached on the source graph.
-_CACHE_ATTR = "_engine_csr_cache"
 
 T = TypeVar("T")
 
@@ -205,26 +203,18 @@ class CSRGraph:
     def from_graph(cls, graph: WeightedGraph) -> "CSRGraph":
         """Compile a :class:`~repro.graphs.graph.WeightedGraph`.
 
-        The compiled instance is memoized on the graph object and
-        invalidated by its
-        :attr:`~repro.graphs.graph.WeightedGraph.topology_version` /
-        :attr:`~repro.graphs.graph.WeightedGraph.weights_version`
-        counters: an unchanged graph returns the same object, a
-        weights-only change reuses the frozen structure arrays and just
-        regathers the weight vector.
+        The compiled instance is kept on the graph, which drops it when
+        its weights or topology change: an unchanged graph (or a copy
+        of it) returns the same object.  Otherwise the graph's weight
+        vector is gathered over its kept structure, which only a
+        topology change drops and which a re-weighted clone or a copy
+        shares, or over a structure compiled now and kept.
         """
-        cached = getattr(graph, _CACHE_ATTR, None)
-        topo, wver = graph.topology_version, graph.weights_version
-        if cached is not None and cached[0] == topo:
-            if cached[1] == wver:
-                return cached[2]
-            # Cheap path: same structure, fresh weights.
-            structure = cached[2]._structure
-        else:
-            structure = _build_structure(graph)
-        csr = cls(structure, graph.weight_vector())
-        setattr(graph, _CACHE_ATTR, (topo, wver, csr))
-        return csr
+        if graph._compiled is None:
+            if graph._structure is None:
+                graph._structure = _build_structure(graph)
+            graph._compiled = cls(graph._structure, graph.weight_vector())
+        return graph._compiled  # type: ignore[return-value]
 
     def with_weights(
         self, edge_weights: np.ndarray | Sequence[float]

@@ -54,6 +54,11 @@ class WeightedGraph:
     would give them.  Methods that need only vertices or edges never
     build them.
 
+    A graph also keeps what :mod:`repro.engine.csr` compiled from it:
+    the compiled topology, which a re-weighted clone and a copy share,
+    and the compiled weights, which a copy shares.  A weight change
+    drops the compiled weights and a topology change both.
+
     Parameters
     ----------
     directed:
@@ -80,11 +85,10 @@ class WeightedGraph:
         self._vertices: Dict[Vertex, object] = self._adj
         # Canonical edge orientations, in insertion order.
         self._edges: Dict[Edge, float] = {}
-        # Monotone counters consumed by repro.engine's compiled-CSR
-        # cache: a topology bump invalidates the structure arrays, a
-        # weights bump only the weight array (cheap re-weighting path).
-        self._topology_version = 0
-        self._weights_version = 0
+        # What repro.engine.csr (and only it) compiled from this graph:
+        # the topology's structure and the CSRGraph of these weights.
+        self._structure: object = None
+        self._compiled: object = None
 
     def __getattr__(self, name: str):
         # Reached only when ordinary lookup fails, which for the
@@ -142,7 +146,7 @@ class WeightedGraph:
             self._adj[v] = {}
             if self._directed:
                 self._pred[v] = {}
-            self._topology_version += 1
+            self._structure = self._compiled = None
 
     def add_edge(self, u: Vertex, v: Vertex, weight: float = 1.0) -> Edge:
         """Add an edge with the given weight and return its canonical key.
@@ -160,8 +164,8 @@ class WeightedGraph:
         key = existing if existing is not None else (u, v)
         weight = float(weight)
         if existing is None:
-            self._topology_version += 1
-        self._weights_version += 1
+            self._structure = None
+        self._compiled = None
         self._edges[key] = weight
         # ``_pred`` aliases ``_adj`` on an undirected graph, so this is
         # the reverse entry there.
@@ -177,8 +181,7 @@ class WeightedGraph:
         del self._edges[key]
         del adj[u][v]
         del pred[v][u]
-        self._topology_version += 1
-        self._weights_version += 1
+        self._structure = self._compiled = None
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -188,21 +191,6 @@ class WeightedGraph:
     def directed(self) -> bool:
         """Whether the graph is directed."""
         return self._directed
-
-    @property
-    def topology_version(self) -> int:
-        """Monotone counter bumped by vertex/edge insertions and
-        removals.  :class:`repro.engine.CSRGraph` caches its compiled
-        structure arrays against this value."""
-        return self._topology_version
-
-    @property
-    def weights_version(self) -> int:
-        """Monotone counter bumped by every weight mutation (including
-        edge insertion/removal).  A matching topology version with a
-        stale weights version lets the engine reuse the compiled
-        structure and only refresh the weight array."""
-        return self._weights_version
 
     @property
     def num_vertices(self) -> int:
@@ -307,7 +295,7 @@ class WeightedGraph:
         assert key is not None
         adj, pred = self._adj, self._pred
         weight = float(weight)
-        self._weights_version += 1
+        self._compiled = None
         self._edges[key] = weight
         a, b = key
         adj[a][b] = weight
@@ -346,12 +334,12 @@ class WeightedGraph:
         is how mechanisms release synthetic graphs: same public
         topology, freshly noised private weights.  The clone is one
         pass over the edges: it keeps a new edge dict and shares this
-        graph's vertex order, and builds its adjacency dicts on its
-        first walk or mutation, in the order :meth:`copy` followed by
-        :meth:`set_weight` on every changed edge gives them.
+        graph's vertex order and compiled topology, and builds its
+        adjacency dicts on its first walk or mutation, in the order
+        :meth:`copy` followed by :meth:`set_weight` on every changed
+        edge gives them.
         """
         edges = self._edges
-        vector = None
         if isinstance(new_weights, Mapping):
             new_edges = dict(edges)
             for (u, v), weight in new_weights.items():
@@ -369,11 +357,8 @@ class WeightedGraph:
                         f"of shape {new_weights.shape}"
                     )
                 values = new_weights.tolist()
-                # A float64 array lists its values as floats already,
-                # and is the clone's weight vector as it stands.
-                if new_weights.dtype == np.float64:
-                    vector = new_weights
-                else:
+                # A float64 array lists its values as floats already.
+                if new_weights.dtype != np.float64:
                     values = list(map(float, values))
             else:
                 values = list(map(float, new_weights))
@@ -383,24 +368,7 @@ class WeightedGraph:
                 )
             new_edges = dict(zip(edges, values))
         clone = self._assembled(self._shared_vertices(), new_edges)
-        # The clone carries the identical public topology (the same
-        # vertex and edge insertion order), so a compiled engine
-        # structure remains valid for it.  Hand it over with a
-        # deliberately stale weights version (-1) so the engine takes
-        # its cheap regather path instead of a full rebuild — this is
-        # what makes per-epoch re-weighting O(|E|) array work.  Given
-        # the weight vector itself, compile the clone from it at once.
-        cached = getattr(self, "_engine_csr_cache", None)
-        if cached is not None and cached[0] == self._topology_version:
-            clone._engine_csr_cache = (  # type: ignore[attr-defined]
-                (clone._topology_version, -1, cached[2])
-                if vector is None
-                else (
-                    clone._topology_version,
-                    clone._weights_version,
-                    cached[2].with_weights(vector),
-                )
-            )
+        clone._structure = self._structure
         return clone
 
     def total_weight(self) -> float:
@@ -435,8 +403,11 @@ class WeightedGraph:
     # ------------------------------------------------------------------
 
     def copy(self) -> "WeightedGraph":
-        """An independent deep copy."""
-        return self._assembled(self._shared_vertices(), dict(self._edges))
+        """An independent deep copy, sharing this graph's compiled
+        form (which no mutation of either graph changes)."""
+        clone = self._assembled(self._shared_vertices(), dict(self._edges))
+        clone._structure, clone._compiled = self._structure, self._compiled
+        return clone
 
     def _shared_vertices(self) -> Dict[Vertex, object]:
         """This graph's vertex order, for a graph of the same topology
@@ -453,13 +424,12 @@ class WeightedGraph:
         no graph mutates) and ``edges`` (canonical keys of this graph
         with both endpoints among ``vertices``): what :meth:`add_vertex`
         and :meth:`add_edge` build from the vertices in order, then the
-        edges in order, with the same version counters.  It builds its
-        adjacency when first walked or mutated."""
+        edges in order, uncompiled.  It builds its adjacency when first
+        walked or mutated."""
         clone = WeightedGraph.__new__(WeightedGraph)
         clone._directed = self._directed
         clone._vertices, clone._edges = vertices, edges
-        clone._topology_version = len(vertices) + len(edges)
-        clone._weights_version = len(edges)
+        clone._structure = clone._compiled = None
         return clone
 
     def subgraph(self, keep: Iterable[Vertex]) -> "WeightedGraph":

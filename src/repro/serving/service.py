@@ -41,7 +41,9 @@ the answer cache, and rebuilds every release;
 relay) within the epoch.  The topology is public and fixed across
 epochs (Definition 2.1), so the service keeps its own copy of the
 graph it was built with, in that graph's vertex and edge order, for
-its lifetime.  A refresh graph is read into that order, and the
+its lifetime.  It compiles that graph before copying it, so the copy
+and any later service on the same graph object share one compiled
+topology.  A refresh graph is read into the service's order, and the
 service re-weights its own graph
 (:meth:`~repro.graphs.graph.WeightedGraph.with_weights`), which keeps
 the compiled CSR structure and its topology memo
@@ -270,10 +272,13 @@ class DistanceService:
     ----------
     graph:
         Public topology + the current epoch's private weights
-        (connected when sharded).  The service keeps its own copy and
-        never reads ``graph`` again, so later changes to it reach no
-        release; the copy's vertex and edge order is the service's
-        order for its lifetime.  A directed graph raises
+        (connected when sharded).  The service compiles ``graph`` once
+        (:meth:`~repro.engine.csr.CSRGraph.from_graph`, kept on the
+        graph, so a later service on it reuses the compiled topology
+        and its memo), keeps its own copy and never reads ``graph``
+        again, so later changes to it reach no release; the copy's
+        vertex and edge order is the service's order for its lifetime.
+        A directed graph raises
         :class:`~repro.exceptions.GraphError` and a negative or
         non-finite weight :class:`~repro.exceptions.WeightError`
         before anything is spent, here and in :meth:`refresh` (and
@@ -358,6 +363,8 @@ class DistanceService:
             # Raises MechanismError (a PrivacyError) on unknown names.
             get_mechanism(mechanism)
         _check_servable(graph)
+        # Before the copy, so later services on ``graph`` share it.
+        CSRGraph.from_graph(graph)
         graph = graph.copy()
         if plan is None:
             if shards is not None and shards != 1:

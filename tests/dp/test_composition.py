@@ -96,3 +96,12 @@ class TestInverseComposition:
         eps_small_k = advanced_composition_epsilon_per_query(1.0, 10, 1e-6)
         eps_large_k = advanced_composition_epsilon_per_query(1.0, 1000, 1e-6)
         assert eps_large_k < eps_small_k
+
+    @pytest.mark.parametrize("total_eps", [2000.0, 1e6])
+    @pytest.mark.parametrize("k", [1, 10, 1000])
+    def test_budgets_past_the_exp_overflow(self, total_eps, k):
+        # The bisection's first midpoints lie past e^709.78.
+        eps_q = advanced_composition_epsilon_per_query(total_eps, k, 1e-6)
+        assert math.isfinite(eps_q) and eps_q > 0
+        recomposed = advanced_composition(PrivacyParams(eps_q), k, 1e-6)
+        assert recomposed.eps <= total_eps

@@ -116,13 +116,41 @@ class TestCache:
         csr = CSRGraph.from_graph(epoch)
         assert (csr.edge_weights == 3.0).all()
 
-    def test_version_counters_drive_invalidation(self, triangle):
-        topo, wver = triangle.topology_version, triangle.weights_version
-        triangle.set_weight(0, 1, 9.0)
-        assert triangle.topology_version == topo
-        assert triangle.weights_version > wver
-        triangle.add_edge(0, "new", 1.0)
-        assert triangle.topology_version > topo
+    @pytest.mark.parametrize(
+        "mutation, drops",
+        [
+            (lambda g: g.add_vertex(0), None),  # already there
+            (lambda g: g.set_weight(0, 1, 9.0), "weights"),
+            (lambda g: g.add_edge(1, 0, 9.0), "weights"),  # an overwrite
+            (lambda g: g.add_vertex("new"), "topology"),
+            (lambda g: g.add_edge(0, "new", 1.0), "topology"),
+            (lambda g: g.remove_edge(0, 1), "topology"),
+        ],
+        ids=[
+            "old vertex", "set_weight", "overwrite",
+            "add_vertex", "add_edge", "remove_edge",
+        ],
+    )
+    def test_mutations_drop_what_they_make_stale(
+        self, triangle, mutation, drops
+    ):
+        before = CSRGraph.from_graph(triangle)
+        structure = triangle._structure
+        mutation(triangle)
+        assert (triangle._compiled is before) == (drops is None)
+        assert (triangle._structure is structure) == (drops != "topology")
+        # A weight change recompiles over the same structure, a
+        # topology change over a new one.
+        after = CSRGraph.from_graph(triangle)
+        assert (after.indptr is before.indptr) == (drops != "topology")
+        rebuilt = WeightedGraph()
+        for v in triangle.vertices():
+            rebuilt.add_vertex(v)
+        for u, v, weight in triangle.edges():
+            rebuilt.add_edge(u, v, weight)
+        fresh = CSRGraph.from_graph(rebuilt)
+        for name in ("indptr", "indices", "weights", "edge_weights"):
+            assert np.array_equal(getattr(after, name), getattr(fresh, name))
 
 
 class TestReweighting:

@@ -5,7 +5,8 @@ in one pass over the edges.  Each must equal what one ``add_vertex``
 / ``add_edge`` call per vertex and edge, then one ``set_weight`` call
 per new weight, builds: the same edge order and values, the same
 neighbour order in ``_adj`` and ``_pred``, the same errors, and a
-clone that compiles by taking over its parent's CSR structure.
+clone that compiles by taking over its parent's CSR structure (a copy
+also takes over its parent's compiled graph).
 
 Every derived graph (``with_weights``, ``copy``, ``subgraph``,
 ``edge_subgraph``) keeps only its vertex order and edge dict until it
@@ -174,23 +175,11 @@ class TestCompiledHandover:
 
     def test_uncompiled_parent_hands_nothing_over(self, graph):
         clone = graph.with_weights(_vector(graph))
-        assert getattr(clone, "_engine_csr_cache", None) is None
-
-    def test_float64_vector_clone_comes_compiled(self, graph, monkeypatch):
-        parent = CSRGraph.from_graph(graph)
-        fresh = CSRGraph.from_graph(_reweighted(graph, _vector(graph)))
-        values = _vector(graph)
-        clone = graph.with_weights(values)
-        values[0] = -1.0  # the clone keeps the weights it was given
-        monkeypatch.setattr(
-            WeightedGraph,
-            "weight_vector",
-            lambda self, order=None: pytest.fail("regathered"),
-        )
+        assert clone._structure is None and clone._compiled is None
         csr = CSRGraph.from_graph(clone)
-        assert csr.indptr is parent.indptr
-        assert np.array_equal(csr.edge_weights, fresh.edge_weights)
-        assert np.array_equal(csr.weights, fresh.weights)
+        # ... and the clone's own compile stays its own.
+        assert graph._structure is None and graph._compiled is None
+        assert CSRGraph.from_graph(graph).indptr is not csr.indptr
 
     @pytest.mark.parametrize("kind", ["int array", "list", "mapping"])
     def test_other_weights_regather(self, graph, kind):
@@ -202,10 +191,40 @@ class TestCompiledHandover:
             "mapping": dict(zip(graph.edge_list(), values.tolist())),
         }[kind]
         clone = graph.with_weights(given)
-        assert clone._engine_csr_cache[1] == -1
         csr = CSRGraph.from_graph(clone)
         assert csr.indptr is parent.indptr
         assert np.array_equal(csr.edge_weights, values.astype(float))
+
+    def test_copy_shares_the_compiled_graph(self, graph):
+        csr = CSRGraph.from_graph(graph)
+        assert CSRGraph.from_graph(graph.copy()) is csr
+
+    @pytest.mark.parametrize("mutated", ["copy", "parent"])
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            lambda graph, u, v: graph.set_weight(u, v, 99.0),
+            lambda graph, u, v: graph.add_edge("new", u, 1.0),
+        ],
+        ids=["set_weight", "add_edge"],
+    )
+    def test_copy_mutation_leaves_the_other_compiled(
+        self, graph, mutated, mutation
+    ):
+        csr = CSRGraph.from_graph(graph)
+        weights = csr.edge_weights.tolist()
+        clone = graph.copy()
+        target, other = (clone, graph) if mutated == "copy" else (graph, clone)
+        mutation(target, *graph.edge_list()[0])
+        assert CSRGraph.from_graph(other) is csr
+        assert csr.edge_weights.tolist() == weights
+        # The mutated graph compiles what a per-edge build of it does,
+        # over the shared structure only when its topology is unchanged.
+        changed = CSRGraph.from_graph(target)
+        fresh = CSRGraph.from_graph(_per_edge_copy(target))
+        assert (changed.indptr is csr.indptr) == ("new" not in target)
+        for name in ("indptr", "indices", "weights", "edge_weights"):
+            assert np.array_equal(getattr(changed, name), getattr(fresh, name))
 
 
 def _built(directed: bool, vertices, edges) -> WeightedGraph:
@@ -318,8 +337,6 @@ def _unwalked_view(graph: WeightedGraph, probes):
         list(graph.edges()),
         graph.weight_vector().tolist(),
         graph.weight_vector(keys[::-1]).tolist(),
-        graph.topology_version,
-        graph.weights_version,
     )
 
 
@@ -339,9 +356,11 @@ class TestDerivedGraphs:
         csr = CSRGraph.from_graph(derived)
         fresh = CSRGraph.from_graph(reference)
         assert not _adjacency_built(derived)
-        # A re-weighted clone takes over its parent's structure; a
-        # copy or a subgraph compiles its own.
-        assert (csr.indptr is parent.indptr) == (kind in REWEIGHTED)
+        # A re-weighted clone or a copy takes over its parent's
+        # structure; a subgraph compiles its own.
+        assert (csr.indptr is parent.indptr) == (
+            kind in REWEIGHTED or kind == "copy"
+        )
         assert csr.vertices == fresh.vertices
         for name in ("indptr", "indices", "weights", "edge_weights"):
             assert np.array_equal(getattr(csr, name), getattr(fresh, name))

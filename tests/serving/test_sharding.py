@@ -21,6 +21,7 @@ from repro.exceptions import (
     DisconnectedGraphError,
     GraphError,
     PrivacyError,
+    ReproError,
     VertexNotFoundError,
     WeightError,
 )
@@ -91,13 +92,11 @@ class TestPartitionGraph:
 
 
 def _graph_state(graph: WeightedGraph):
-    """Everything insertion order decides, and the version counters."""
+    """Everything insertion order decides."""
     return (
         graph.vertex_list(),
         list(graph.weights().items()),
         [list(graph.neighbors(v)) for v in graph.vertices()],
-        graph.topology_version,
-        graph.weights_version,
     )
 
 
@@ -765,3 +764,43 @@ class TestDirectedPartition:
             )
             for shard in range(shards):
                 assert is_connected(twin.subgraph(plan.members(shard)))
+
+
+class TestOneVertexTenant:
+    """A lone vertex covers itself at radius 0 (Lemma 4.4 needs
+    ``V >= k + 1``), so the bounded releases serve a one-vertex tenant
+    instead of spending and then refusing it; no catalog mechanism
+    spends before it refuses."""
+
+    @pytest.fixture(params=["4-shard tree", "one vertex"])
+    def case(self, request):
+        if request.param == "one vertex":
+            graph = WeightedGraph()
+            graph.add_vertex("a")
+            return graph, None, 1
+        # Shard 1 of this plan is one vertex.
+        tree = generators.random_tree(40, Rng(0))
+        assert partition_graph(tree, 4).shard_sizes() == [32, 1, 3, 4]
+        return tree, 4, 5
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-6])
+    @pytest.mark.parametrize("mechanism", available_mechanisms())
+    def test_served_or_refused_before_any_spend(self, case, mechanism, delta):
+        graph, shards, spends = case
+        ledger = BudgetLedger(PrivacyParams(1e7, 0.5))
+        try:
+            service = DistanceService(
+                graph, PrivacyParams(1e6, delta), Rng(1), shards=shards,
+                mechanism=mechanism, weight_bound=9.0, ledger=ledger,
+            )
+        except ReproError:
+            assert (mechanism, delta) == ("all-pairs-advanced", 0.0)
+            assert ledger.records() == []
+            return
+        assert len(ledger.records()) == spends
+        lone = (
+            "a" if shards is None else service.plan.members(1)[0]
+        )
+        assert service.query(lone, lone) == 0.0
+        for v in graph.vertices():
+            assert np.isfinite(service.query(lone, v))

@@ -3,7 +3,7 @@ Python oracle in :mod:`topology_reference`.
 
 The CSR arrays, the shard plans (as JSON bytes), the boundary and cut
 edges the shard router derives from a plan, the tenant subgraphs
-(vertex, edge and neighbour orders, weights and version counters),
+(vertex, edge and neighbour orders and weights),
 the shard router's tables, its relay ball buckets and the
 full-refresh topology check must
 equal what the reference derives, on road grids, random connected
@@ -111,7 +111,7 @@ DIRECTED = {
 
 
 def _graph_state(graph: WeightedGraph):
-    """Everything insertion order decides, and the version counters."""
+    """Everything insertion order decides."""
     return (
         graph.directed,
         graph.vertex_list(),
@@ -119,8 +119,6 @@ def _graph_state(graph: WeightedGraph):
         [list(graph.adjacent(v)) for v in graph.vertices()],
         [list(graph.neighbors(v)) for v in graph.vertices()],
         [list(graph.predecessors(v)) for v in graph.vertices()],
-        graph.topology_version,
-        graph.weights_version,
     )
 
 

@@ -2,11 +2,13 @@
 
 A service keeps its own graph and re-weights it on every refresh, so
 the graph keeps its compiled structure and topology memo and the hub
-builds of every later epoch skip their hop-ball searches.  A refresh
-graph with the same vertex and edge sets in another order is read
-into the service's order; any other topology is refused.  Each
-release is bit for bit what the service releases with no reuse at
-all.
+builds of every later epoch skip their hop-ball searches.  It compiles
+the graph it is handed before copying it, so a second service on the
+same graph object shares that compile, while services on distinct
+graph objects share nothing.  A refresh graph with the same vertex
+and edge sets in another order is read into the service's order; any
+other topology is refused.  Each release is bit for bit what the
+service releases with no reuse at all.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.algorithms import traversal
 from repro.apsp import hubs as hubs_module
 from repro.apsp.hubs import HubSetRelease
 from repro.engine import CSRGraph
+from repro.engine import csr as csr_module
 from repro.engine import frontier as frontier_module
 from repro.exceptions import GraphError
 from repro.graphs import generators
@@ -82,8 +85,8 @@ class TestUnshardedRefresh:
             graph = _grid(10, epoch)
             service.refresh(graph)
             assert CSRGraph.from_graph(service._graph).indptr is indptr
-            # The caller's graph is read, never compiled.
-            assert getattr(graph, "_engine_csr_cache", None) is None
+            # A refresh graph is read, never compiled.
+            assert graph._structure is None and graph._compiled is None
         service.refresh_shard(0, _weights(9, first.num_edges))
         assert CSRGraph.from_graph(service._graph).indptr is indptr
         assert searches == [first.num_vertices]
@@ -193,10 +196,76 @@ def _transcript(shards: int, mechanism: str) -> str:
     return digest.hexdigest()
 
 
+def _ball_trees(service: DistanceService):
+    """The service graph's compiled form and the ``("ball_trees", ...)``
+    memo entry of its hub build (the relay's, when sharded)."""
+    csr = CSRGraph.from_graph(service._graph)
+    (key,) = [k for k in csr._structure.memo if k[0] == "ball_trees"]
+    return csr, csr.topology_memo(key, lambda unit: pytest.fail(key))
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_second_service_on_one_graph_shares_the_compile(monkeypatch, shards):
+    searches = _counting_searches(monkeypatch)
+    graph = _grid(8, 0)
+    first, second = (
+        DistanceService(
+            graph, 1e6, Rng(SEED), shards=shards, mechanism="hub-set",
+            telemetry=NULL_TELEMETRY,
+        )
+        for _ in range(2)
+    )
+    (csr, trees), (again, shared) = _ball_trees(first), _ball_trees(second)
+    assert again.indptr is csr.indptr
+    assert shared is trees
+    # The second service searched only its own tenants' balls, and
+    # released what the first did.
+    assert len(searches) == (1 if shards == 1 else 2 * shards + 1)
+    pairs = list(zip(graph.vertex_list(), graph.vertex_list()[::-1]))
+    assert (
+        second.query_batch(pairs).answers == first.query_batch(pairs).answers
+    )
+
+
+def test_services_on_distinct_graphs_share_nothing():
+    # Re-weighted clones of an uncompiled graph, as every perfbench
+    # setup gets: each service compiles its own.
+    base = generators.grid_graph(8, 8)
+    first, second = (
+        _ball_trees(
+            DistanceService(
+                base.with_weights(_weights(seed, base.num_edges)),
+                1e6, Rng(SEED), mechanism="hub-set",
+                telemetry=NULL_TELEMETRY,
+            )
+        )
+        for seed in (0, 1)
+    )
+    assert first[0].indptr is not second[0].indptr
+    assert first[1] is not second[1]
+    assert base._structure is None and base._compiled is None
+
+
+def _counting_compiles(monkeypatch) -> list:
+    compiles = []
+    build = csr_module._build_structure
+
+    def counting(graph):
+        compiles.append(graph)
+        return build(graph)
+
+    monkeypatch.setattr(csr_module, "_build_structure", counting)
+    return compiles
+
+
 @pytest.mark.parametrize("mechanism", ["hub-set", "hub-bounded"])
 @pytest.mark.parametrize("shards", [1, 4])
 def test_reuse_changes_no_release(monkeypatch, shards, mechanism):
+    compiles = _counting_compiles(monkeypatch)
     reused = _transcript(shards, mechanism)
+    # One compile of the service's graph, and one per tenant subgraph.
+    setup = 1 if shards == 1 else shards + 1
+    assert len(compiles) == setup
     monkeypatch.setattr(
         CSRGraph,
         "topology_memo",
@@ -208,11 +277,16 @@ def test_reuse_changes_no_release(monkeypatch, shards, mechanism):
 
     def without_handover(self, new_weights):
         clone = with_weights(self, new_weights)
-        clone.__dict__.pop("_engine_csr_cache", None)
+        clone._structure = clone._compiled = None
         return clone
 
     monkeypatch.setattr(WeightedGraph, "with_weights", without_handover)
+    del compiles[:]
     assert _transcript(shards, mechanism) == reused
+    # Each of the three epochs compiled afresh: the refreshed graphs
+    # (the service's and every tenant's), then the regional update's.
+    per_epoch = 2 if shards == 1 else shards + 3
+    assert len(compiles) == setup + 3 * per_epoch
 
 
 def test_sharded_refresh_takes_plan_edges_in_any_order():
