@@ -14,9 +14,15 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from ..exceptions import PrivacyError
 
 __all__ = ["PrivacyParams", "l1_distance", "weights_are_neighboring"]
+
+#: Python's and numpy's booleans, which compare equal to 0 and 1 but
+#: are not a budget.
+_BOOLEANS = (bool, np.bool_)
 
 
 @dataclass(frozen=True)
@@ -32,6 +38,12 @@ class PrivacyParams:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
+        if isinstance(self.eps, _BOOLEANS) or isinstance(
+            self.delta, _BOOLEANS
+        ):
+            raise PrivacyError(
+                f"eps and delta must be numbers, not booleans: {self!r}"
+            )
         if not math.isfinite(self.eps) or self.eps <= 0:
             raise PrivacyError(f"eps must be positive and finite, got {self.eps}")
         if not 0.0 <= self.delta < 1.0:

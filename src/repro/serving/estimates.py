@@ -12,13 +12,18 @@ that produced it, and a Laplace-CDF confidence interval.
 bit for bit — so existing consumers and seeded reproductions are
 untouched.
 
+A scale comes from the object that composed the answer: the synopsis
+(:meth:`~repro.serving.synopsis.DistanceSynopsis.noise_scale_for`), or
+a sharded service's shard router, which knows which branch served.
+
 Calibration caveat (documented, tested): the interval is *exact* when
 the answer is a single Laplace draw (the single-pair and all-pairs
 families — empirical coverage matches the nominal level).  Mechanisms
 that compose several released entries per answer (tree path sums, hub
 relay minima, sharded relay chains) report a composed or per-entry
 scale, making the interval a structured error bar rather than an
-exact quantile.
+exact quantile.  A covering mechanism's scale leaves out the covering
+detour (up to ``2kM``), a deterministic error term.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ class Estimate:
     noise_scale:
         The effective Laplace scale behind the answer (the synopsis's
         :meth:`~repro.serving.synopsis.DistanceSynopsis.noise_scale_for`
-        for the pair); 0 for deterministic answers such as
-        ``distance(v, v)``.
+        for the pair, or a sharded service's routed scale); 0 for
+        deterministic answers such as ``distance(v, v)``.
     mechanism:
         The catalog name of the mechanism that released the synopsis.
     epoch:

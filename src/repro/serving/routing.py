@@ -7,6 +7,9 @@ is the cache-miss path of a :class:`~repro.serving.service.DistanceService`
 with two or more tenants.  :mod:`repro.serving.sharding` explains the
 routing and the privacy accounting.
 
+The router owns the routed answer (``distance``) and its scale
+(``noise_scale_for``): the owning synopsis's, or the relay chain's.
+
 A plan is its assignment, vertex -> shard.  The router is the one
 place a plan meets the graph (the service's own copy, whose vertex
 and edge order never changes): it derives the cut edges and the
@@ -313,10 +316,11 @@ class _ShardRouter:
     point queries and :class:`~repro.serving.batching.BatchPlanner`
     call on a miss, routed by shard ownership (intra-shard pairs to the
     owning synopsis capped by the relay, cross-shard pairs through the
-    relay).  Also holds what routing needs across epochs: the shard
-    tenants, the cut and boundary it derives from the plan and the
-    graph, the public edge classification and relay site bookkeeping,
-    and the current relay release.
+    relay), and the routed answer's noise scale
+    (:meth:`noise_scale_for`).  Also holds what routing needs across
+    epochs: the shard tenants, the cut and boundary it derives from the
+    plan and the graph, the public edge classification and relay site
+    bookkeeping, and the current relay release.
 
     ``names`` names the tenants of shards ``0, 1, ...`` in order; each
     gets its shard's induced subgraph, built from the shard's slice of
@@ -483,14 +487,10 @@ class _ShardRouter:
     def distance(self, source: Vertex, target: Vertex) -> float:
         """The routed answer for one pair."""
         shard_of = self.plan.shard_of
-        return self._distance(
-            source, shard_of(source), target, shard_of(target)
-        )
-
-    def _distance(self, s: Vertex, i: int, t: Vertex, j: int) -> float:
+        i, j = shard_of(source), shard_of(target)
         if i == j:
-            direct = self.tenants[i].released().distance(s, t)
-            if s == t or self.relay is None:
+            direct = self.tenants[i].released().distance(source, target)
+            if source == target or self.relay is None:
                 # A failed relay rebuild: intra answers keep serving
                 # from the shard synopsis.
                 return direct
@@ -498,9 +498,37 @@ class _ShardRouter:
             # shard, which the induced-subgraph synopsis cannot see;
             # cap the detour with the relay decomposition through the
             # shard's own boundary (free post-processing).
-            return min(direct, self._relay_candidate(s, i, t, j))
+            return min(direct, self._relay_candidate(source, i, target, j))
         self.require_relay()
-        return self._relay_candidate(s, i, t, j)
+        return self._relay_candidate(source, i, target, j)
+
+    def noise_scale_for(
+        self, source: Vertex, target: Vertex, value: float
+    ) -> float:
+        """The noise scale behind :meth:`distance`'s answer ``value``.
+
+        The owning synopsis's scale for an intra-shard answer the
+        relay cap did not win (or with no relay); otherwise the relay
+        chain ``sigma_i + 2 rho + sigma_j``, one boundary leg per
+        endpoint shard at its per-entry scale plus the two-entry relay
+        term.  The direct estimate won iff it equals ``value`` (one
+        synopsis lookup, no relay recomputation).
+        """
+        if source == target:
+            return 0.0
+        shard_of = self.plan.shard_of
+        i, j = shard_of(source), shard_of(target)
+        own = self.tenants[i].released()
+        if i == j and (
+            self.relay is None or own.distance(source, target) == value
+        ):
+            return own.noise_scale_for(source, target)
+        relay = self.require_relay()
+        return (
+            own.noise_scale
+            + 2.0 * relay.noise_scale
+            + self.tenants[j].released().noise_scale
+        )
 
     def _boundary_distances(self, shard: int, v: Vertex) -> np.ndarray:
         """Released distances from ``v`` to its shard's boundary

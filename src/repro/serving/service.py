@@ -53,6 +53,7 @@ redone.
 
 from __future__ import annotations
 
+import numbers
 import time
 from typing import Dict, List, Mapping, MutableMapping, Sequence, Tuple
 
@@ -66,7 +67,7 @@ from ..apsp.hubs import (
 )
 from ..dp.params import PrivacyParams
 from ..engine.csr import CSRGraph
-from ..exceptions import GraphError
+from ..exceptions import GraphError, PrivacyError
 from ..graphs.graph import Edge, Vertex, WeightedGraph
 from ..mechanisms import (
     MechanismParams,
@@ -285,7 +286,9 @@ class DistanceService:
         :meth:`refresh_shard`, for weights).
     epoch_budget:
         The ``(eps, delta)`` guarantee promised per epoch (a bare
-        float is taken as pure eps).  Unsharded, the whole budget is
+        real number, a bool excepted, is taken as pure eps; anything
+        else raises :class:`~repro.exceptions.PrivacyError` before
+        anything is spent).  Unsharded, the whole budget is
         spent on one synopsis per epoch.  With two or more shards it
         splits ``1 - RELAY_FRACTION`` to every shard tenant (parallel
         composition over disjoint intra-shard edge sets) and
@@ -357,7 +360,14 @@ class DistanceService:
         shards: int | None = None,
         plan: ShardPlan | None = None,
     ) -> None:
-        if isinstance(epoch_budget, (int, float)):
+        if not isinstance(epoch_budget, PrivacyParams):
+            if isinstance(epoch_budget, bool) or not isinstance(
+                epoch_budget, numbers.Real
+            ):
+                raise PrivacyError(
+                    "epoch_budget must be PrivacyParams or a real eps, "
+                    f"got {epoch_budget!r}"
+                )
             epoch_budget = PrivacyParams(float(epoch_budget))
         if mechanism is not None:
             # Raises MechanismError (a PrivacyError) on unknown names.
@@ -432,9 +442,6 @@ class DistanceService:
                 ],
             )
             self._tenants = self._shards.tenants
-        # What a cache miss calls: the lone synopsis, or the shard
-        # router; None while an unsharded rebuild is pending or failed.
-        self._router: DistanceSynopsis | _ShardRouter | None = None
         self._build_epoch()
         self._telemetry.emit(
             "service.start",
@@ -546,19 +553,17 @@ class DistanceService:
         self._shards.set_relay(structure)
 
     def _bind_metrics(self) -> None:
-        """Re-bind the hot path after every build: the router a cache
-        miss calls, the mechanism label, and the latency histograms,
-        so the ``mechanism`` label tracks the current epoch's
-        selection without a registry lookup per query.  Sharded point
-        queries are split by ``route`` (intra vs. cross-shard) — the
-        routes have very different cost profiles."""
+        """Re-bind the hot path after every build: the mechanism label
+        and the latency histograms, so the ``mechanism`` label tracks
+        the current epoch's selection without a registry lookup per
+        query.  Sharded point queries are split by ``route`` (intra
+        vs. cross-shard) — the routes have very different cost
+        profiles."""
         inner = sorted(set(self.shard_mechanisms))
         label = inner[0] if len(inner) == 1 else "mixed"
         if self._shards is None:
-            self._router = self._tenants[0].synopsis
             service, routes = "distance", {"point": {}}
         else:
-            self._router = self._shards
             label = f"sharded({self.num_shards}x{label}+relay)"
             service = "sharded"
             routes = {route: {"route": route} for route in ("intra", "cross")}
@@ -619,7 +624,6 @@ class DistanceService:
             # tenants not yet rebuilt must refuse to serve rather than
             # silently answer the new epoch from the previous epoch's
             # release.
-            self._router = self._shards
             if self._shards is not None:
                 self._shards.relay = None
             for shard, tenant in enumerate(self._tenants):
@@ -642,6 +646,11 @@ class DistanceService:
     ) -> None:
         """Regional epoch update: rebuild one tenant plus the relay.
 
+        ``shard`` is an integer id in ``[0, num_shards)``; anything
+        else, a bool or a float too, raises
+        :class:`~repro.exceptions.GraphError` before anything moves.
+        Unsharded, shard 0 is the whole graph.
+
         ``weights`` (a mapping, or a vector in the service's edge
         order: the :meth:`~repro.graphs.graph.WeightedGraph.edge_list`
         order of the graph it was built with, whatever order later
@@ -651,8 +660,7 @@ class DistanceService:
         :class:`~repro.exceptions.GraphError` before any budget is
         spent, as a negative or non-finite weight raises
         :class:`~repro.exceptions.WeightError`.  ``None`` re-releases
-        the shard on the current weights.  Unsharded, shard 0 is the
-        whole graph.
+        the shard on the current weights.
 
         The tenant and the relay each spend again from the remaining
         epoch budget (no rotation — the other shards are still serving
@@ -665,11 +673,11 @@ class DistanceService:
         refresh.  The answer cache is cleared before either spend, so
         a refused tenant's cached pairs refuse like its uncached ones.
         """
-        if not 0 <= shard < self.num_shards:
-            raise GraphError(
-                f"shard id {shard} out of range "
-                f"[0, {self.num_shards})"
-            )
+        n = self.num_shards
+        if isinstance(shard, bool) or not (
+            isinstance(shard, numbers.Integral) and 0 <= shard < n
+        ):
+            raise GraphError(f"shard id {shard} out of range [0, {n})")
         with use_telemetry(self._telemetry), self._telemetry.span(
             "shard.refresh", shard=shard, tenant=self._tenant
         ):
@@ -696,7 +704,6 @@ class DistanceService:
             # Fails closed on budget before any noise is drawn; on
             # failure the tenant refuses to serve but nothing else
             # moved.
-            self._router = self._shards
             tenant.synopsis = None
             self._build_tenant(tenant)
             self._graph = new_graph
@@ -733,21 +740,16 @@ class DistanceService:
     # Query serving (post-processing only)
     # ------------------------------------------------------------------
 
-    def _require_router(self) -> DistanceSynopsis | _ShardRouter:
-        if self._router is None:
-            # Unsharded, and the lone tenant's rebuild failed.
-            return self._tenants[0].released()
-        return self._router
-
     def query(self, source: Vertex, target: Vertex) -> float:
         """Answer one distance query from the current epoch's
         releases (routed by shard ownership when sharded)."""
-        router = self._require_router()
-        route = (
-            "point"
-            if self._shards is None
-            else self._shards.route(source, target)
-        )
+        # A miss asks the shard router, or the lone tenant's synopsis,
+        # which refuses after a failed rebuild.
+        shards = self._shards
+        if shards is None:
+            router, route = self._tenants[0].released(), "point"
+        else:
+            router, route = shards, shards.route(source, target)
         observed = self._observed
         start = time.perf_counter()
         with (
@@ -791,7 +793,7 @@ class DistanceService:
         cache; answers align with the input order.  See
         :class:`~repro.serving.batching.BatchPlanner`."""
         planner = BatchPlanner(
-            self._require_router(),
+            self._shards or self._tenants[0].released(),
             cache=self._cache,
             telemetry=self._telemetry,
             labels=self._batch_labels,
@@ -805,44 +807,20 @@ class DistanceService:
         self, source: Vertex, target: Vertex, value: float
     ) -> float:
         """The effective noise scale behind the served answer
-        ``value``.
-
-        With no relay (unsharded, or after a failed relay rebuild)
-        and for intra-shard answers the relay cap did not win, it is
-        the owning synopsis's per-pair scale.  Otherwise — like every
-        cross-shard answer — it is the composed relay chain
-        ``sigma_i + 2 rho + sigma_j`` (one released boundary leg per
-        endpoint shard at its synopsis's per-entry scale, plus the
-        two-entry relay term).  Which branch served an intra pair is
-        read off the value itself (``value == min(direct, cap)``, so
-        the direct estimate won iff it equals the value — one synopsis
-        lookup, no relay recomputation).  Deterministic
-        post-processing: no rng, no budget.
-        """
-        if source == target:
-            return 0.0
-        i = j = 0
+        ``value``: the shard router's routed scale, or the lone
+        synopsis's scale for the pair."""
         if self._shards is not None:
-            shard_of = self._shards.plan.shard_of
-            i, j = shard_of(source), shard_of(target)
-        own = self._tenants[i].released()
-        if i == j and (
-            self.relay is None or own.distance(source, target) == value
-        ):
-            return own.noise_scale_for(source, target)
-        relay = self._shards.require_relay()
-        return (
-            own.noise_scale
-            + 2.0 * relay.noise_scale
-            + self._tenants[j].released().noise_scale
-        )
+            return self._shards.noise_scale_for(source, target, value)
+        return self._tenants[0].released().noise_scale_for(source, target)
 
     def estimate(self, source: Vertex, target: Vertex) -> Estimate:
         """One distance query as a rich
         :class:`~repro.serving.estimates.Estimate` — the ``query()``
         value (bit-identical, shared cache and counters) plus the
         effective noise scale of the release that served it,
-        mechanism, and epoch."""
+        mechanism, and epoch.  The scale is stated where the answer
+        is composed: by the lone synopsis's ``noise_scale_for``, or
+        by the shard router for the branch that served the pair."""
         value = self.query(source, target)
         return Estimate(
             value=value,

@@ -20,12 +20,22 @@ One synopsis class wraps each release family of the paper:
 * :class:`HubSetSynopsis` / :class:`HubBoundedSynopsis` — the improved
   hub-relay releases of :mod:`repro.apsp` (follow-up work).
 
+Each answer and its scale (``noise_scale_for``) are composed once per
+table type.  A *pair table* (single-pair, all-pairs, bounded-weight)
+answers through a *site map*, each vertex to the table vertex that
+answers for it — itself, or its covering vertex ``z(v)`` — with the
+one released value of the sites' pair, at the per-entry scale, or 0
+when both share a site.  A *hub structure* (hub-set, hub-bounded) is
+read at each vertex's position or covering site.  The *tree* answers
+by the LCA identity, at the per-value scale.
+
 Every synopsis exposes the same surface — ``distance(s, t)``,
-``params``, ``kind`` — and serializes to a JSON document containing
-*only released values and public topology* (never raw private
-weights), so a synopsis file can be shipped to untrusted serving
-frontends.  :func:`synopsis_from_json` restores any of them,
-dispatching on the document's ``kind``.
+``noise_scale_for(s, t)``, ``params``, ``kind`` — refuses a vertex it
+does not hold with :class:`~repro.exceptions.VertexNotFoundError`, and
+serializes to a JSON document containing *only released values and
+public topology* (never raw private weights), so a synopsis file can
+be shipped to untrusted serving frontends.  :func:`synopsis_from_json`
+restores any of them, dispatching on the document's ``kind``.
 """
 
 from __future__ import annotations
@@ -155,11 +165,11 @@ class DistanceSynopsis:
     """Base class for all distance synopses.
 
     Subclasses set the class attribute ``kind`` (the document key),
-    implement :meth:`distance` and the ``_payload`` /
-    ``_from_payload`` serialization hooks, and treat all state as
-    immutable after construction — a synopsis is a released artifact,
-    so mutating it would break both reproducibility and the privacy
-    accounting attached to it.
+    implement :meth:`distance`, :meth:`noise_scale_for` and the
+    ``_payload`` / ``_from_payload`` serialization hooks, and treat
+    all state as immutable after construction — a synopsis is a
+    released artifact, so mutating it would break both
+    reproducibility and the privacy accounting attached to it.
     """
 
     kind: str = ""
@@ -184,19 +194,11 @@ class DistanceSynopsis:
         raise NotImplementedError
 
     def noise_scale_for(self, source: Vertex, target: Vertex) -> float:
-        """The effective noise scale behind ``distance(source, target)``.
-
-        Default: the per-entry :attr:`noise_scale` (exact for synopses
-        whose answers are single released entries), except for the
-        deterministic ``distance(v, v) == 0.0`` answer, which every
-        synopsis serves without noise.  Synopses that compose entries
-        per answer override this — the hub synopses report the
-        composed two-entry relay scale unless the pair hits a direct
-        local-ball entry.
-        """
-        if source == target:
-            return 0.0
-        return self.noise_scale
+        """The effective noise scale behind ``distance(source, target)``:
+        0 for a deterministic answer such as ``distance(v, v)``.  Like
+        :meth:`distance`, refuses a vertex the synopsis does not hold
+        with :class:`~repro.exceptions.VertexNotFoundError`."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Serialization
@@ -249,7 +251,9 @@ def synopsis_from_json(text: str) -> DistanceSynopsis:
 
 
 class _PairTableSynopsis(DistanceSynopsis):
-    """Shared machinery for synopses backed by an unordered pair table."""
+    """Shared machinery for synopses backed by an unordered pair table,
+    read through the site map ``_sites``: every vertex is its own site
+    unless a covering kind re-points it."""
 
     def __init__(
         self,
@@ -261,24 +265,29 @@ class _PairTableSynopsis(DistanceSynopsis):
         self._table = {
             canonical_pair(s, t): float(v) for (s, t), v in table.items()
         }
-        self._vertices = frozenset(vertices)
+        self._sites: Dict[Vertex, Vertex] = {v: v for v in vertices}
 
     @property
     def vertices(self) -> frozenset:
         """The vertex set this synopsis can answer about."""
-        return self._vertices
+        return frozenset(self._sites)
 
     @property
     def num_entries(self) -> int:
         """The number of released pair values held."""
         return len(self._table)
 
-    def _check_vertex(self, v: Vertex) -> None:
-        if v not in self._vertices:
-            raise VertexNotFoundError(v)
+    def _site(self, v: Vertex) -> Vertex:
+        try:
+            return self._sites[v]
+        except KeyError:
+            raise VertexNotFoundError(v) from None
 
-    def _lookup(self, source: Vertex, target: Vertex) -> float:
-        key = canonical_pair(source, target)
+    def distance(self, source: Vertex, target: Vertex) -> float:
+        zu, zv = self._site(source), self._site(target)
+        if zu == zv:
+            return 0.0
+        key = canonical_pair(zu, zv)
         if key not in self._table:
             raise GraphError(
                 f"pair ({source!r}, {target!r}) is not covered by this "
@@ -286,19 +295,19 @@ class _PairTableSynopsis(DistanceSynopsis):
             )
         return self._table[key]
 
-    def distance(self, source: Vertex, target: Vertex) -> float:
-        self._check_vertex(source)
-        self._check_vertex(target)
-        if source == target:
+    def noise_scale_for(self, source: Vertex, target: Vertex) -> float:
+        """The per-entry :attr:`noise_scale` (each answer reads one
+        table entry), or 0 when the pair shares a site."""
+        if self._site(source) == self._site(target):
             return 0.0
-        return self._lookup(source, target)
+        return self.noise_scale
 
     def _payload(self) -> Dict[str, Any]:
         # Sorted like canonical_pair orients pairs, so the bytes do not
         # depend on the process's hash seed.
         return {
             "vertices": [
-                _encode_vertex(v) for v in sorted(self._vertices, key=repr)
+                _encode_vertex(v) for v in sorted(self._sites, key=repr)
             ],
             "pairs": _encode_pair_table(self._table),
         }
@@ -350,7 +359,7 @@ class AllPairsSynopsis(_PairTableSynopsis):
         recomputed from the vertex set and budget, so it survives JSON
         round trips exactly."""
         return all_pairs_noise_scale(
-            len(self._vertices), self._params.eps, self._params.delta
+            len(self._sites), self._params.eps, self._params.delta
         )
 
     @classmethod
@@ -449,11 +458,13 @@ class TreeSynopsis(DistanceSynopsis):
             y = self._parent[y]
         return x
 
+    def _require(self, source: Vertex, target: Vertex) -> None:
+        for v in (source, target):
+            if v not in self._estimates:
+                raise VertexNotFoundError(v)
+
     def distance(self, source: Vertex, target: Vertex) -> float:
-        if source not in self._estimates:
-            raise VertexNotFoundError(source)
-        if target not in self._estimates:
-            raise VertexNotFoundError(target)
+        self._require(source, target)
         if source == target:
             return 0.0
         z = self._lca(source, target)
@@ -462,6 +473,12 @@ class TreeSynopsis(DistanceSynopsis):
             + self._estimates[target]
             - 2.0 * self._estimates[z]
         )
+
+    def noise_scale_for(self, source: Vertex, target: Vertex) -> float:
+        """The per-value :attr:`noise_scale`, or 0 for ``distance(v,
+        v)``."""
+        self._require(source, target)
+        return 0.0 if source == target else self._noise_scale
 
     def _payload(self) -> Dict[str, Any]:
         return {
@@ -539,13 +556,13 @@ def _check_tree(
         raise SynopsisError("tree synopsis holds a non-finite estimate")
 
 
-class BoundedWeightSynopsis(DistanceSynopsis):
+class BoundedWeightSynopsis(_PairTableSynopsis):
     """A synopsis of Algorithm 2's covering release (Section 4.2).
 
-    Stores the covering assignment ``z(v)`` (public — it depends only
-    on hop distances in the topology) and the released noisy distances
-    between covering pairs; any query ``(u, v)`` is answered as
-    ``a_{z(u), z(v)}``.
+    A pair table whose site map is the covering assignment ``z(v)``
+    (public — it depends only on hop distances in the topology), over
+    the released noisy distances between covering pairs; any query
+    ``(u, v)`` is answered as ``a_{z(u), z(v)}``.
     """
 
     kind = "bounded-weight"
@@ -559,12 +576,10 @@ class BoundedWeightSynopsis(DistanceSynopsis):
         k: int,
         noise_scale: float,
     ) -> None:
-        super().__init__(params)
-        self._assignment = dict(assignment)
-        self._table = {
-            canonical_pair(s, t): float(v)
-            for (s, t), v in covering_table.items()
-        }
+        # The assignment's keys are the vertices; each answers through
+        # its covering vertex.
+        super().__init__(params, covering_table, assignment)
+        self._sites.update(assignment)
         self._weight_bound = float(weight_bound)
         self._k = int(k)
         self._noise_scale = float(noise_scale)
@@ -594,11 +609,6 @@ class BoundedWeightSynopsis(DistanceSynopsis):
         return self._noise_scale
 
     @property
-    def vertices(self) -> frozenset:
-        """The vertex set this synopsis can answer about."""
-        return frozenset(self._assignment)
-
-    @property
     def weight_bound(self) -> float:
         """The public weight bound ``M`` the release assumed."""
         return self._weight_bound
@@ -608,38 +618,6 @@ class BoundedWeightSynopsis(DistanceSynopsis):
         """The covering radius in hops (error is ``<= 2kM`` + noise)."""
         return self._k
 
-    def distance(self, source: Vertex, target: Vertex) -> float:
-        if source not in self._assignment:
-            raise VertexNotFoundError(source)
-        if target not in self._assignment:
-            raise VertexNotFoundError(target)
-        if source == target:
-            return 0.0
-        zu = self._assignment[source]
-        zv = self._assignment[target]
-        if zu == zv:
-            return 0.0
-        key = canonical_pair(zu, zv)
-        if key not in self._table:
-            raise GraphError(
-                f"covering pair ({zu!r}, {zv!r}) missing from synopsis"
-            )
-        return self._table[key]
-
-    def noise_scale_for(self, source: Vertex, target: Vertex) -> float:
-        """0 for pairs sharing a covering site (their answer is a
-        deterministic 0); the per-entry table scale otherwise."""
-        if source not in self._assignment:
-            raise VertexNotFoundError(source)
-        if target not in self._assignment:
-            raise VertexNotFoundError(target)
-        if (
-            source == target
-            or self._assignment[source] == self._assignment[target]
-        ):
-            return 0.0
-        return self._noise_scale
-
     def _payload(self) -> Dict[str, Any]:
         return {
             "weight_bound": self._weight_bound,
@@ -647,7 +625,7 @@ class BoundedWeightSynopsis(DistanceSynopsis):
             "noise_scale": self._noise_scale,
             "assignment": [
                 [_encode_vertex(v), _encode_vertex(z)]
-                for v, z in self._assignment.items()
+                for v, z in self._sites.items()
             ],
             "covering_pairs": _encode_pair_table(self._table),
         }
@@ -751,17 +729,10 @@ def _decode_hub_structure(payload: Dict[str, Any]) -> HubStructure:
     )
 
 
-class HubSetSynopsis(DistanceSynopsis):
-    """A synopsis of the improved hub-set release
-    (:class:`repro.apsp.hubs.HubSetRelease`).
-
-    Stores the ordered vertex list (site order), the noisy
-    vertex<->hub matrix, and the local-ball table; answers any pair by
-    the noisy min over hub relays refined by the ball entry — pure
-    post-processing, ``~V^{3/2}`` released values instead of ``V^2``.
-    """
-
-    kind = "hub-set"
+class _HubSynopsis(DistanceSynopsis):
+    """Shared machinery for synopses answered by a released hub
+    structure, read at each vertex's :meth:`_site`: its position in
+    the vertex list unless a covering kind re-points it."""
 
     def __init__(
         self,
@@ -771,31 +742,13 @@ class HubSetSynopsis(DistanceSynopsis):
     ) -> None:
         super().__init__(params)
         self._order = tuple(vertices)
-        if len(self._order) != structure.num_sites:
-            raise GraphError(
-                f"{len(self._order)} vertices do not match "
-                f"{structure.num_sites} hub-structure sites"
-            )
         self._index = {v: i for i, v in enumerate(self._order)}
         self._structure = structure
-
-    @classmethod
-    def from_release(cls, release: Any) -> "HubSetSynopsis":
-        """Wrap a :class:`repro.apsp.hubs.HubSetRelease`."""
-        return cls(release.params, release.vertex_order, release.structure)
 
     @property
     def vertices(self) -> frozenset:
         """The vertex set this synopsis can answer about."""
         return frozenset(self._order)
-
-    @property
-    def hubs(self) -> List[Vertex]:
-        """The sampled hub vertices."""
-        return [
-            self._order[int(p)]
-            for p in self._structure.hub_positions
-        ]
 
     @property
     def structure(self) -> HubStructure:
@@ -821,10 +774,49 @@ class HubSetSynopsis(DistanceSynopsis):
     def noise_scale_for(self, source: Vertex, target: Vertex) -> float:
         """The composed relay scale (two summed entries), or the
         direct per-entry scale when the pair hits a local-ball
-        release."""
+        release; 0 when both endpoints share a site."""
         return self._structure.scale_for(
             self._site(source), self._site(target)
         )
+
+
+class HubSetSynopsis(_HubSynopsis):
+    """A synopsis of the improved hub-set release
+    (:class:`repro.apsp.hubs.HubSetRelease`).
+
+    Stores the ordered vertex list (site order), the noisy
+    vertex<->hub matrix, and the local-ball table; answers any pair by
+    the noisy min over hub relays refined by the ball entry — pure
+    post-processing, ``~V^{3/2}`` released values instead of ``V^2``.
+    """
+
+    kind = "hub-set"
+
+    def __init__(
+        self,
+        params: PrivacyParams,
+        vertices: Sequence[Vertex],
+        structure: HubStructure,
+    ) -> None:
+        super().__init__(params, vertices, structure)
+        if len(self._order) != structure.num_sites:
+            raise GraphError(
+                f"{len(self._order)} vertices do not match "
+                f"{structure.num_sites} hub-structure sites"
+            )
+
+    @classmethod
+    def from_release(cls, release: Any) -> "HubSetSynopsis":
+        """Wrap a :class:`repro.apsp.hubs.HubSetRelease`."""
+        return cls(release.params, release.vertex_order, release.structure)
+
+    @property
+    def hubs(self) -> List[Vertex]:
+        """The sampled hub vertices."""
+        return [
+            self._order[int(p)]
+            for p in self._structure.hub_positions
+        ]
 
     def _payload(self) -> Dict[str, Any]:
         payload = {
@@ -844,7 +836,7 @@ class HubSetSynopsis(DistanceSynopsis):
         )
 
 
-class HubBoundedSynopsis(DistanceSynopsis):
+class HubBoundedSynopsis(_HubSynopsis):
     """A synopsis of the hub-over-covering release
     (:class:`repro.apsp.bounded.HubSetBoundedRelease`).
 
@@ -864,8 +856,7 @@ class HubBoundedSynopsis(DistanceSynopsis):
         weight_bound: float,
         k: int,
     ) -> None:
-        super().__init__(params)
-        self._order = tuple(vertices)
+        super().__init__(params, vertices, structure)
         self._assignment = [int(s) for s in assignment]
         if len(self._assignment) != len(self._order):
             raise GraphError(
@@ -878,8 +869,6 @@ class HubBoundedSynopsis(DistanceSynopsis):
                     f"assignment site {s} out of range "
                     f"[0, {structure.num_sites})"
                 )
-        self._index = {v: i for i, v in enumerate(self._order)}
-        self._structure = structure
         self._weight_bound = float(weight_bound)
         self._k = int(k)
 
@@ -901,11 +890,6 @@ class HubBoundedSynopsis(DistanceSynopsis):
         )
 
     @property
-    def vertices(self) -> frozenset:
-        """The vertex set this synopsis can answer about."""
-        return frozenset(self._order)
-
-    @property
     def weight_bound(self) -> float:
         """The public weight bound ``M`` the release assumed."""
         return self._weight_bound
@@ -915,41 +899,9 @@ class HubBoundedSynopsis(DistanceSynopsis):
         """The covering radius in hops (detour error ``<= 2kM``)."""
         return self._k
 
-    @property
-    def structure(self) -> HubStructure:
-        """The released inner hub structure over the covering."""
-        return self._structure
-
-    @property
-    def noise_scale(self) -> float:
-        """The Laplace scale on each released inner-hub entry."""
-        return self._structure.noise_scale
-
-    def _sites(self, source: Vertex, target: Vertex) -> Tuple[int, int]:
-        try:
-            i = self._index[source]
-        except KeyError:
-            raise VertexNotFoundError(source) from None
-        try:
-            j = self._index[target]
-        except KeyError:
-            raise VertexNotFoundError(target) from None
-        return self._assignment[i], self._assignment[j]
-
-    def distance(self, source: Vertex, target: Vertex) -> float:
-        si, sj = self._sites(source, target)
-        if source == target or si == sj:
-            return 0.0
-        return self._structure.estimate(si, sj)
-
-    def noise_scale_for(self, source: Vertex, target: Vertex) -> float:
-        """The composed scale of the inner hub answer for the pair's
-        covering sites (0 for same-site pairs: their answer is a
-        deterministic 0)."""
-        si, sj = self._sites(source, target)
-        if source == target or si == sj:
-            return 0.0
-        return self._structure.scale_for(si, sj)
+    def _site(self, v: Vertex) -> int:
+        """``v``'s covering site."""
+        return self._assignment[super()._site(v)]
 
     def _payload(self) -> Dict[str, Any]:
         payload = {

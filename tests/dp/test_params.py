@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import PrivacyError, PrivacyParams
@@ -29,6 +30,14 @@ class TestPrivacyParams:
     def test_invalid_delta(self, delta):
         with pytest.raises(PrivacyError):
             PrivacyParams(1.0, delta)
+
+    @pytest.mark.parametrize(
+        "eps,delta", [(True, 0.0), (1.0, False), (np.True_, 0.0)]
+    )
+    def test_boolean_refused(self, eps, delta):
+        """A boolean is not a budget, although ``True == 1``."""
+        with pytest.raises(PrivacyError, match="not booleans"):
+            PrivacyParams(eps, delta)
 
     def test_frozen(self):
         p = PrivacyParams(1.0)

@@ -6,12 +6,16 @@ writing to disk)."""
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.dp.params import PrivacyParams
-from repro.exceptions import AuditError
+from repro.exceptions import AuditError, PrivacyError
 from repro.graphs.generators import grid_graph
 from repro.rng import Rng
+from repro.serving.batching import fresh_batch
 from repro.serving.ledger import BudgetLedger
 from repro.serving.service import DistanceService
 from repro.serving.sharding import ShardedDistanceService
@@ -204,3 +208,71 @@ class TestObservationalPurity:
         baseline = answers(None)
         assert answers(_audited_bundle()) == baseline
         assert answers(_audited_bundle(tmp_path / "a.jsonl")) == baseline
+
+
+class TestBudgetTypes:
+    """A budget is a number: a bool is refused before anything is
+    recorded (``True == 1`` would otherwise spend a unit budget, and
+    the audit log would hold ``"eps": true``, which its verifier
+    refuses), and any other real number is a pure eps."""
+
+    @staticmethod
+    def _spends(telemetry: Telemetry):
+        return [
+            r for r in telemetry.audit.records() if r["kind"] == "budget.spend"
+        ]
+
+    def test_boolean_service_budget_refused(self):
+        ledger = BudgetLedger(PrivacyParams(4.0))
+        telemetry = _audited_bundle()
+        with pytest.raises(PrivacyError):
+            DistanceService(
+                grid_graph(6, 6), True, Rng(0), mechanism="hub-set",
+                ledger=ledger, telemetry=telemetry,
+            )
+        assert ledger.records() == []
+        assert self._spends(telemetry) == []
+
+    def test_boolean_fresh_batch_budget_refused(self):
+        ledger = BudgetLedger(PrivacyParams(4.0))
+        telemetry = _audited_bundle()
+        with use_telemetry(telemetry), pytest.raises(PrivacyError):
+            fresh_batch(
+                grid_graph(6, 6), [((0, 0), (5, 5))], True, Rng(0),
+                ledger=ledger,
+            )
+        assert ledger.records() == []
+        assert self._spends(telemetry) == []
+
+    def test_numpy_integer_budget_served_and_log_verifies(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        telemetry = _audited_bundle(path)
+        service = DistanceService(
+            grid_graph(6, 6), np.int64(3), Rng(0), mechanism="hub-set",
+            telemetry=telemetry,
+        )
+        service.query((0, 0), (5, 5))
+        service.refresh()
+        telemetry.audit.close()
+        assert service.epoch_budget == PrivacyParams(3.0)
+        assert verify_audit_log(read_audit_log(path))["verified"] is True
+
+    def test_real_budgets_record_alike(self):
+        """An int, a float and numpy's of each are one pure budget:
+        the same answers, ledger records and audit payloads."""
+
+        def served(budget):
+            telemetry = _audited_bundle()
+            service = DistanceService(
+                GRAPH, budget, Rng(5), telemetry=telemetry
+            )
+            answers = service.query_batch(PAIRS).answers
+            payloads = [
+                json.dumps([r["kind"], r["payload"]])
+                for r in telemetry.audit.records()
+            ]
+            return answers, service.ledger.records(), payloads
+
+        baseline = served(3.0)
+        for budget in (3, np.int64(3), np.float64(3.0)):
+            assert served(budget) == baseline

@@ -5,6 +5,7 @@ per-synopsis noise scales, confidence-interval calibration, and the
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro import (
 from repro.algorithms.shortest_paths import all_pairs_dijkstra
 from repro.exceptions import GraphError, PrivacyError
 from repro.graphs import generators
+from repro.graphs.io import _decode_vertex
 from repro.serving import build_single_pair_synopsis
 from repro.workloads import grid_road_network
 
@@ -181,7 +183,12 @@ class TestNoiseScalePerMechanism:
             mechanism="bounded-weight",
         )
         synopsis = service.synopsis
-        assignment = synopsis._assignment
+        # The covering assignment is public: the shipped document
+        # carries it.
+        assignment = {
+            _decode_vertex(v): _decode_vertex(z)
+            for v, z in json.loads(synopsis.to_json())["assignment"]
+        }
         same_site = next(
             (u, v)
             for u, v in itertools.combinations(assignment, 2)

@@ -517,6 +517,34 @@ class TestRegionalRefresh:
         with pytest.raises(GraphError):
             service.refresh_shard(2)
 
+    @pytest.mark.parametrize(
+        "shard", [True, 1.5, "1", None], ids=["bool", "float", "str", "none"]
+    )
+    def test_non_integer_shard_id_refused_before_anything_moves(
+        self, shard
+    ):
+        """A bool is not shard 1 and a float is not an id: both are
+        refused as out of range before the cache clears or anything
+        spends, so a pair answered before stays a cache hit."""
+        grid = generators.grid_graph(8, 8)
+        service = ShardedDistanceService(
+            grid, 1e6, Rng(48), shards=4, mechanism="hub-set"
+        )
+        pair = ((0, 0), (7, 7))
+        value = service.query(*pair)
+        spends = len(service.ledger.records())
+        with pytest.raises(GraphError, match="out of range"):
+            service.refresh_shard(shard)
+        assert len(service.ledger.records()) == spends
+        assert service.stats.shard_refreshes == 0
+        assert service.query(*pair) == value
+        assert service.stats.cache_hits == 1
+
+    def test_numpy_integer_shard_id_served(self, road):
+        service = ShardedDistanceService(road, 1.0, Rng(47), shards=2)
+        service.refresh_shard(np.int64(1))
+        assert service.stats.shard_refreshes == 1
+
 
 class TestConstruction:
     def test_needs_shards_or_plan(self, road):
