@@ -30,16 +30,21 @@ pure post-processing of the released tables: a vectorized min over
 Construction never builds a site-by-site matrix.  The topology is
 public, so the hub sample and the hop-count balls are chosen without
 reading a weight, and only the released entries need exact weighted
-distances.  Two hop searches read no weight; both run on
-:class:`repro.engine.frontier.FrontierSearch`, a level-synchronous
-search over the CSR arrays that touches only the vertices it reaches:
+distances.  One hop search reads no weight and finds both halves of
+the ball table, on :class:`repro.engine.frontier.FrontierSearch`, a
+level-synchronous search over the CSR arrays that touches only the
+vertices it reaches.  It runs once per chunk of sites, the chunks in
+descending site order, and keeps every level's parents:
 
-* **balls** — a search from every site, each stopping at the hop
-  level where it has found ``ball_size`` other sites (ties in hop
-  count go to the lower site position);
-* **partner trees** — a search from the lower-index site of each
-  distinct ball pair that keeps one BFS tree (one parent per vertex),
-  grown until it reaches every partner of that site.
+* **balls** — each site grows until the hop level where it has found
+  ``ball_size`` other sites (ties in hop count go to the lower site
+  position), and pauses there;
+* **partner trees** — each distinct ball pair's lower-index site
+  keeps its search's BFS tree (one parent per vertex), cut at the
+  level of its deepest partner.  Every partner above a chunk's sites
+  is known once the chunk's balls are (the higher sites' balls were
+  searched first), so only a site whose ball missed a partner resumes
+  from its paused level, until it reaches them all.
 
 Both are computed once per compiled topology and kept in its memo
 (:meth:`repro.engine.csr.CSRGraph.topology_memo`), with the sites'
@@ -453,7 +458,12 @@ class _BallTrees:
       parent, with arc ``-1``);
     * ``levels`` — where each BFS level starts: the entries of all
       trees are stored level by level, roots first, one root per
-      distinct ``lo`` in increasing order.
+      distinct ``lo``.
+
+    ``lo``'s tree is its breadth-first search cut at its deepest
+    partner's level.  :func:`_ball_trees` builds both halves in one
+    search per chunk of sites, the chunks in descending order, resuming
+    a site's paused ball search only for a partner its ball missed.
     """
 
     lo: np.ndarray
@@ -472,123 +482,186 @@ def _ball_trees(
     unit: CSRGraph, site_idx: np.ndarray, ball_size: int
 ) -> _BallTrees:
     """The ball pairs and partner trees of ``ball_size``-site balls
-    over the unit-weight view ``unit`` of the topology."""
-    search = FrontierSearch(
-        unit.indptr, unit.indices, min(_ROW_CHUNK, len(site_idx))
-    )
-    lo, hi = np.divmod(
-        _hop_balls(unit, search, site_idx, ball_size), len(site_idx)
-    )
-    return _BallTrees(
-        lo.astype(np.int32),
-        hi.astype(np.int32),
-        *_partner_trees(search, site_idx, lo, hi),
-    )
+    over the unit-weight view ``unit`` of the topology, from one
+    :class:`~repro.engine.frontier.FrontierSearch` pass per chunk of
+    at most :data:`_ROW_CHUNK` sites.
 
-
-def _hop_balls(
-    unit: CSRGraph,
-    search: FrontierSearch,
-    site_idx: np.ndarray,
-    ball_size: int,
-) -> np.ndarray:
-    """Each site's ``ball_size`` nearest other sites by hop count, as
-    the sorted keys ``lo * m + hi`` of the distinct pairs they form.
-
-    A ball is the first ``ball_size`` entries after self of its row in
-    (hop count, site position) order — what a stable argsort of the
-    full hop matrix gives.  Each site's search stops at the level
-    where it has found ``ball_size`` other sites and takes that
-    level's sites in position order, as many as it still needs.
+    The chunks are searched in descending site order.  Once a chunk's
+    balls are complete (:func:`_grow_balls`), every partner ``hi > lo``
+    of its sites is known: a member of the site's own ball, or a
+    higher site, in this chunk or in one searched before, whose ball
+    holds it.  The sources with a partner their ball did not reach
+    resume from their paused level until they reach them all
+    (:func:`_resume_trees`), and each tree is cut at its deepest
+    partner's level.  A source's parents do not depend on the other
+    sources of its chunk, so each tree is the one a search from its
+    ``lo`` alone grows.
     """
     m = len(site_idx)
     position = np.full(unit.n, -1, dtype=np.int64)
     position[site_idx] = np.arange(m)
-    keys = []
-    for begin in range(0, m, _ROW_CHUNK):
-        rows = np.arange(begin, min(begin + _ROW_CHUNK, m))
-        owner, vertex = search.start(site_idx[rows])
-        found = np.ones(rows.size, dtype=np.int64)
-        while owner.size:
-            owner, vertex, _, _ = search.expand(owner, vertex)
-            is_site = position[vertex] >= 0
-            key = owner[is_site] * m + position[vertex[is_site]]
-            key.sort()
-            row, col = np.divmod(key, m)
-            counts = np.bincount(row, minlength=rows.size)
-            rank = np.arange(key.size) - (np.cumsum(counts) - counts)[row]
-            take = rank <= ball_size - found[row]
-            row, col = rows[row[take]], col[take]
-            keys.append(np.minimum(row, col) * m + np.maximum(row, col))
-            found += counts
-            growing = found[owner] <= ball_size
-            owner, vertex = owner[growing], vertex[growing]
-        search.reset()
-    keys = np.concatenate(keys)
-    keys.sort()
-    return keys[np.diff(keys, prepend=-1) != 0]
-
-
-def _partner_trees(
-    search: FrontierSearch,
-    site_idx: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One BFS tree from each distinct ``lo`` site, grown until it
-    reaches every ``hi`` partner of that site; returns ``(entry,
-    parent, arc, levels)`` as :class:`_BallTrees` lays them out.
-    ``lo`` must be sorted."""
-    first = np.flatnonzero(np.diff(lo, prepend=-1))
-    bounds = np.append(first, len(lo))
-    entry = np.empty(len(lo), dtype=np.int64)
-    parents, arcs, depths = [], [], []
+    search = FrontierSearch(unit.indptr, unit.indices, min(_ROW_CHUNK, m))
+    # Ball pair keys ``lo * m + hi`` whose ``lo``'s chunk is still to
+    # come: one sorted array per chunk searched.
+    below: List[np.ndarray] = []
+    pairs, trees = [], []
     base = 0
-    for begin in range(0, len(first), _ROW_CHUNK):
-        end = min(begin + _ROW_CHUNK, len(first))
-        pairs = slice(bounds[begin], bounds[end])
-        pair_owner = np.repeat(
-            np.arange(end - begin), np.diff(bounds[begin : end + 1])
+    for begin in reversed(range(0, m, _ROW_CHUNK)):
+        rows = np.arange(begin, min(begin + _ROW_CHUNK, m))
+        keys, levels, paused = _grow_balls(
+            search, site_idx, position, rows, ball_size
         )
-        pair_vertex = site_idx[hi[pairs]]
-        owner, vertex = search.start(site_idx[lo[first[begin:end]]])
-        parent = [owner]
-        arc = [np.full(owner.size, -1, dtype=np.int64)]
-        open_pairs = np.arange(pair_owner.size)
-        while owner.size:
-            owner, vertex, level_parent, level_arc = search.expand(
-                owner, vertex
-            )
-            parent.append(level_parent)
-            arc.append(level_arc)
-            found = search.entries(
-                pair_owner[open_pairs], pair_vertex[open_pairs]
-            )
-            open_pairs = open_pairs[found < 0]
-            growing = np.zeros(end - begin, dtype=bool)
-            growing[pair_owner[open_pairs]] = True
-            keep = growing[owner]
-            owner, vertex = owner[keep], vertex[keep]
-        entry[pairs] = search.entries(pair_owner, pair_vertex) + base
+        low = keys < begin * m
+        mine = [keys[~low]]
+        for i, pending in enumerate(below):
+            at = np.searchsorted(pending, begin * m)
+            mine.append(pending[at:])
+            below[i] = pending[:at]
+        below.append(np.sort(keys[low]))
+        key = np.sort(np.concatenate(mine))
+        key = key[np.diff(key, prepend=-1) != 0]
+        bounds = np.searchsorted(key, np.append(rows, rows[-1] + 1) * m)
+        owner = np.repeat(np.arange(rows.size), np.diff(bounds))
+        lo = rows[owner]
+        hi = key - lo * m
+        entry = _resume_trees(search, levels, paused, owner, site_idx[hi])
         search.reset()
-        sizes = [len(level) for level in parent]
-        parents.append(np.concatenate(parent) + base)
-        arcs.extend(arc)
-        depths.append(np.repeat(np.arange(len(sizes)), sizes))
-        base += sum(sizes)
-    # Lay the entries of all trees out level by level.
-    depth = np.concatenate(depths)
+        # Cut each tree at its deepest partner's level (a source with
+        # no partner keeps no tree): a cut entry's depth becomes -1.
+        tree_owner, parent, arc, depth = (
+            np.concatenate(level) for level in zip(*levels)
+        )
+        deepest = np.full(rows.size, -1, dtype=np.int32)
+        np.maximum.at(deepest, owner, depth[entry])
+        depth[depth > deepest[tree_owner]] = -1
+        pairs.append((lo, hi, entry + base))
+        trees.append((parent + base, arc, depth))
+        base += depth.size
+    lo, hi, entry = (np.concatenate(part[::-1]) for part in zip(*pairs))
+    parent, arc, depth = (np.concatenate(part) for part in zip(*trees))
+    # Lay the kept entries of all trees out level by level: a stable
+    # sort by depth, which puts the cut entries first.  A 16-bit key
+    # sorts by radix, whatever order the chunks left the depths in.
+    depth = depth.astype(np.int16 if depth.max() < 2**15 else np.int64)
     order = np.argsort(depth, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    levels = np.zeros(depth.max() + 2, dtype=np.int64)
-    np.cumsum(np.bincount(depth), out=levels[1:])
-    return (
-        rank[entry].astype(np.int32),
-        rank[np.concatenate(parents)[order]].astype(np.int32),
-        np.concatenate(arcs)[order].astype(np.int32),
+    depth = depth[order]
+    cut = np.searchsorted(depth, 0)
+    order, depth = order[cut:], depth[cut:]
+    rank = np.empty(len(parent), dtype=np.int32)
+    rank[order] = np.arange(order.size, dtype=np.int32)
+    levels = np.searchsorted(depth, np.arange(depth[-1] + 2))
+    return _BallTrees(
+        lo.astype(np.int32),
+        hi.astype(np.int32),
+        rank[entry],
+        rank[parent[order]],
+        arc[order].astype(np.int32),
         levels,
     )
+
+
+def _grow_balls(
+    search: FrontierSearch,
+    site_idx: np.ndarray,
+    position: np.ndarray,
+    rows: np.ndarray,
+    ball_size: int,
+) -> Tuple[np.ndarray, list, tuple]:
+    """Open a search from the sites ``rows`` and grow their balls.
+
+    A ball is the first ``ball_size`` entries after self of its row in
+    (hop count, site position) order — what a stable argsort of the
+    full hop matrix gives.  Each site grows until the level where it
+    has found ``ball_size`` other sites, takes that level's sites in
+    position order, as many as it still needs, and pauses there.
+    Returns the balls' pair keys ``lo * m + hi`` (with repeats), every
+    level as ``(owner, parent, arc, depth)`` per entry, roots first
+    (each its own parent, with arc ``-1``), and the paused levels as
+    ``(owner, vertex, depth)``, the depth per source.
+    """
+    m = len(site_idx)
+    owner, vertex = search.start(site_idx[rows])
+    levels = [(
+        owner,
+        owner.astype(np.int32),
+        np.full(rows.size, -1, dtype=np.int64),
+        np.zeros(rows.size, dtype=np.int32),
+    )]
+    paused_owner, paused_vertex = [], []
+    paused_depth = np.zeros(rows.size, dtype=np.int32)
+    found = np.ones(rows.size, dtype=np.int64)
+    keys = []
+    while owner.size:
+        owner, vertex, parent, arc = search.expand(owner, vertex)
+        depth = len(levels)
+        levels.append(
+            (owner, parent, arc, np.full(owner.size, depth, dtype=np.int32))
+        )
+        site = position[vertex]
+        is_site = site >= 0
+        row, col = owner[is_site], site[is_site]
+        counts = np.bincount(row, minlength=rows.size)
+        if (counts > ball_size + 1 - found).any():
+            # A ball fills on this level.  The level lists its owners in
+            # ascending order, as level 0 does, so sorting its keys
+            # orders each owner's sites by position.
+            key = row * m + col
+            key.sort()
+            col = key - row * m
+            rank = np.arange(key.size) - (np.cumsum(counts) - counts)[row]
+            take = rank <= ball_size - found[row]
+            row, col = row[take], col[take]
+        row = rows[row]
+        keys.append(np.minimum(row, col) * m + np.maximum(row, col))
+        found += counts
+        stop = found[owner] > ball_size
+        stopped = owner[stop]
+        paused_owner.append(stopped)
+        paused_vertex.append(vertex[stop])
+        paused_depth[stopped] = depth
+        owner, vertex = owner[~stop], vertex[~stop]
+    paused = (
+        np.concatenate(paused_owner),
+        np.concatenate(paused_vertex),
+        paused_depth,
+    )
+    return np.concatenate(keys), levels, paused
+
+
+def _resume_trees(
+    search: FrontierSearch,
+    levels: list,
+    paused: tuple,
+    owner: np.ndarray,
+    target: np.ndarray,
+) -> np.ndarray:
+    """Resume the sources of ``search`` that have not reached all their
+    partners (source ``owner[k]``, vertex ``target[k]``) from their
+    paused levels (:func:`_grow_balls`) until they have; appends each
+    level to ``levels`` and returns every partner's entry."""
+    entry = search.entries(owner, target)
+    unreached = np.flatnonzero(entry < 0)
+    waiting = unreached
+    frontier_owner, vertex, paused_depth = paused
+    step = 0
+    while True:
+        growing = np.zeros(len(paused_depth), dtype=bool)
+        growing[owner[waiting]] = True
+        keep = growing[frontier_owner]
+        frontier_owner, vertex = frontier_owner[keep], vertex[keep]
+        if not frontier_owner.size:
+            break
+        frontier_owner, vertex, parent, arc = search.expand(
+            frontier_owner, vertex
+        )
+        step += 1
+        levels.append(
+            (frontier_owner, parent, arc, paused_depth[frontier_owner] + step)
+        )
+        reached = search.entries(owner[waiting], target[waiting])
+        waiting = waiting[reached < 0]
+    entry[unreached] = search.entries(owner[unreached], target[unreached])
+    return entry
 
 
 def _tree_weights(csr: CSRGraph, trees: _BallTrees) -> np.ndarray:

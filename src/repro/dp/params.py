@@ -11,6 +11,7 @@ reason.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -31,19 +32,34 @@ class PrivacyParams:
 
     ``delta = 0`` (the default) is pure differential privacy.  The class
     is immutable so a guarantee attached to a release cannot be mutated
-    after the fact.
+    after the fact.  ``eps`` and ``delta`` take any real number but a
+    boolean, and keep an integer as a Python ``int`` and any other real
+    as a ``float`` (numpy's scalars and ``Fraction`` included); anything
+    else raises :class:`~repro.exceptions.PrivacyError`.
     """
 
     eps: float
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if isinstance(self.eps, _BOOLEANS) or isinstance(
-            self.delta, _BOOLEANS
-        ):
-            raise PrivacyError(
-                f"eps and delta must be numbers, not booleans: {self!r}"
-            )
+        # Every real number is kept as a Python int or float, so what
+        # records a budget (the ledger, the audit log) sees no numpy
+        # scalar or Fraction: an integer budget stays an int, 3 not 3.0.
+        for name in ("eps", "delta"):
+            value = getattr(self, name)
+            if isinstance(value, _BOOLEANS):
+                raise PrivacyError(
+                    f"eps and delta must be numbers, not booleans: {self!r}"
+                )
+            if isinstance(value, numbers.Integral):
+                value = int(value)
+            elif isinstance(value, numbers.Real):
+                value = float(value)
+            else:
+                raise PrivacyError(
+                    f"{name} must be a real number, got {value!r}"
+                )
+            object.__setattr__(self, name, value)
         if not math.isfinite(self.eps) or self.eps <= 0:
             raise PrivacyError(f"eps must be positive and finite, got {self.eps}")
         if not 0.0 <= self.delta < 1.0:

@@ -44,7 +44,10 @@ the graph's weak connectivity, and for each hub build its sites'
 mutual reachability and its ball pairs with one BFS tree per pair
 source), computed over unit weights on first use and shared by every
 re-weighting.  The memo lives and dies with the structure; a changed
-topology compiles a new structure with an empty memo.
+topology compiles a new structure with an empty memo.  What the
+kernels derive from one instance's weights (their nonnegativity and
+scipy's matrix over the arrays) is kept on that instance
+(:meth:`CSRGraph.weights_memo`), whose weights never change.
 """
 
 from __future__ import annotations
@@ -182,7 +185,7 @@ class CSRGraph:
     new instance sharing the structure arrays.
     """
 
-    __slots__ = ("_structure", "_weights", "_edge_weights")
+    __slots__ = ("_structure", "_weights", "_edge_weights", "_memo")
 
     def __init__(
         self,
@@ -194,6 +197,7 @@ class CSRGraph:
         self._weights = edge_weights[structure.arc_edge]
         self._weights.setflags(write=False)
         self._edge_weights.setflags(write=False)
+        self._memo: Dict[Hashable, object] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -251,6 +255,21 @@ class CSRGraph:
         memo = self._structure.memo
         if key not in memo:
             memo[key] = compute(self.with_weights(np.ones(self.num_edges)))
+        return memo[key]  # type: ignore[return-value]
+
+    def weights_memo(
+        self, key: Hashable, compute: Callable[["CSRGraph"], T]
+    ) -> T:
+        """``compute(self)``, computed once per instance.
+
+        An instance's weights never change, so whatever is derived from
+        its arrays holds for its whole life: the kernels keep the
+        nonnegativity verdict and scipy's matrix over these arrays
+        here, so each sweep over the same instance skips both.
+        """
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute(self)
         return memo[key]  # type: ignore[return-value]
 
     # ------------------------------------------------------------------

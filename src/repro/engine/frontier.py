@@ -4,12 +4,12 @@ Hop counts, reachability and connectivity read the public topology
 only.  :class:`FrontierSearch` answers the first two one vectorized
 level at a time, from a chunk of sources at once, and touches only the
 vertices each source reaches: no dense ``sources x V`` block is built
-or scanned.  The hub build's ball search and partner trees
-(:mod:`repro.apsp.hubs`) and the sites' reachability on a directed
-graph (:func:`reached`) run on it.  The services' connectivity check
-(:func:`is_weakly_connected`) needs no levels: it is a union-find over
-the compiled edge-endpoint arrays, a few array passes where a search
-would take one per level.
+or scanned.  The hub build's one search for its balls and partner
+trees (:mod:`repro.apsp.hubs`) and the sites' reachability on a
+directed graph (:func:`reached`) run on it.  The services'
+connectivity check (:func:`is_weakly_connected`) needs no levels: it
+is a union-find over the compiled edge-endpoint arrays, a few array
+passes where a search would take one per level.
 """
 
 from __future__ import annotations
@@ -75,7 +75,11 @@ class FrontierSearch:
 
         Returns ``(owner, vertex, parent, arc)``: each newly reached
         pair, the entry id of the frontier vertex it was first reached
-        from and the CSR arc it came along.
+        from and the CSR arc it came along.  The new pairs come in the
+        order of the frontier pairs that reached them, so a frontier
+        that lists its owners in ascending order gives a level that
+        does too, and a source's parents depend only on the order of
+        its own frontier pairs, not on the other sources'.
         """
         n = self._n
         begin = self._indptr[vertex]

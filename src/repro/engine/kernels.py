@@ -79,17 +79,24 @@ def multi_source_distances(
     search there; the relaxation fallback masks the full sweep.
 
     A negative weight raises :class:`~repro.exceptions.WeightError`
-    (matching ``all_pairs_dijkstra``).
+    (matching ``all_pairs_dijkstra``).  The weight check and scipy's
+    matrix over the arrays are made once per ``csr`` instance
+    (:meth:`~repro.engine.csr.CSRGraph.weights_memo`), not per call.
     """
     n = csr.n
     src = np.asarray(sources, dtype=np.int64)
     if src.size and (src.min() < 0 or src.max() >= n):
         raise EngineError(f"source index out of range [0, {n})")
-    if csr.num_arcs and float(csr.weights.min()) < 0:
+    if not csr.weights_memo(
+        "nonnegative", lambda c: not (c.num_arcs and c.weights.min() < 0)
+    ):
         raise WeightError("multi-source kernel requires nonnegative weights")
     if _scipy_dijkstra is not None and src.size and csr.num_arcs:
-        matrix = _scipy_csr_matrix(
-            (csr.weights, csr.indices, csr.indptr), shape=(n, n)
+        matrix = csr.weights_memo(
+            "scipy",
+            lambda c: _scipy_csr_matrix(
+                (c.weights, c.indices, c.indptr), shape=(n, n)
+            ),
         )
         return _scipy_dijkstra(
             matrix, directed=True, indices=src, limit=limit

@@ -45,7 +45,7 @@ from ..telemetry import (
     get_telemetry,
 )
 from .ledger import BudgetLedger
-from .service import DistanceService
+from .service import DistanceService, _check_deployment
 from .sharding import ShardPlan, ShardedDistanceService
 
 __all__ = [
@@ -98,9 +98,12 @@ class ServingConfig:
         the boundary relay (parallel composition over disjoint
         intra-shard edge sets).
     weight_bound:
-        Public bound ``M`` on edge weights, if declared.
+        Public bound ``M`` on edge weights, if declared: a positive
+        finite number.
     shards:
-        Regional tenants to partition into (1 = unsharded).
+        Regional tenants to partition into (1 = unsharded).  Both are
+        checked as :class:`~repro.serving.service.DistanceService`
+        checks them.
     cache_size:
         LRU bound on the answer cache (``None`` = unbounded).
     tenant:
@@ -146,10 +149,7 @@ class ServingConfig:
         PrivacyParams(self.eps, self.delta)  # validates the budget
         if self.mechanism != "auto":
             get_mechanism(self.mechanism)  # raises on unknown names
-        if self.shards < 1:
-            raise GraphError(
-                f"need at least 1 shard, got {self.shards}"
-            )
+        _check_deployment(self.weight_bound, self.shards)
         if self.cache_size is not None and self.cache_size < 1:
             raise GraphError(
                 f"cache size must be at least 1, got {self.cache_size}"

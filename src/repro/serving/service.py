@@ -53,6 +53,7 @@ redone.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from typing import Dict, List, Mapping, MutableMapping, Sequence, Tuple
@@ -243,6 +244,35 @@ def _check_servable(graph: WeightedGraph) -> None:
     graph.check_nonnegative()
 
 
+def _check_deployment(weight_bound: object, shards: object) -> None:
+    """Refuse a weight bound or a shard count that no deployment means,
+    before anything is spent: :class:`DistanceService` and
+    :class:`~repro.serving.config.ServingConfig` both check through
+    here.  A declared ``weight_bound`` must be a positive finite real
+    number, not a bool (:class:`~repro.exceptions.PrivacyError`: the
+    bound calibrates the covering release's noise); ``shards`` must be
+    an integer of at least 1, numpy's included, and not a bool
+    (:class:`~repro.exceptions.GraphError`).  ``None`` declares neither.
+    """
+    if weight_bound is not None and not (
+        isinstance(weight_bound, numbers.Real)
+        and not isinstance(weight_bound, bool)
+        and math.isfinite(weight_bound)
+        and weight_bound > 0
+    ):
+        raise PrivacyError(
+            "weight bound M must be a positive finite number, got "
+            f"{weight_bound!r}"
+        )
+    if shards is not None:
+        if isinstance(shards, bool) or not isinstance(
+            shards, numbers.Integral
+        ):
+            raise GraphError(f"shards must be an integer, got {shards!r}")
+        if shards < 1:
+            raise GraphError(f"need at least 1 shard, got {shards}")
+
+
 def _refresh_weights(own: WeightedGraph, graph: WeightedGraph) -> np.ndarray:
     """``graph``'s weights as one float64 vector in ``own``'s edge
     order: as they stand when ``graph`` has ``own``'s vertex and edge
@@ -300,7 +330,9 @@ class DistanceService:
     weight_bound:
         Public bound ``M`` on edge weights, if the provider has one
         (e.g. capped travel times); enables the Section 4.2 mechanism
-        on non-tree graphs.
+        on non-tree graphs.  A bool, NaN, infinite or non-positive
+        bound raises :class:`~repro.exceptions.PrivacyError` before
+        anything is spent.
     mechanism:
         Force a catalog mechanism by name (see
         :func:`repro.mechanisms.available_mechanisms`) instead of
@@ -333,7 +365,10 @@ class DistanceService:
     shards:
         How many regional tenants to partition into with
         :func:`~repro.serving.routing.partition_graph` at seed 0
-        (``None`` means the plan's count, or 1 without a plan).
+        (``None`` means the plan's count, or 1 without a plan).  A
+        bool or a non-integer raises
+        :class:`~repro.exceptions.GraphError` before anything is
+        spent; numpy integers are integers.
     plan:
         Use an existing :class:`~repro.serving.routing.ShardPlan`
         instead of partitioning — the way to shard differently.  The
@@ -369,6 +404,7 @@ class DistanceService:
                     f"got {epoch_budget!r}"
                 )
             epoch_budget = PrivacyParams(float(epoch_budget))
+        _check_deployment(weight_bound, shards)
         if mechanism is not None:
             # Raises MechanismError (a PrivacyError) on unknown names.
             get_mechanism(mechanism)

@@ -7,8 +7,10 @@ argsort of every row to pick the balls.  It allocates two ``m x m``
 matrices, so it only serves small graphs in tests, where it pins down
 what a seeded build must release.  The scalar lookups a structure
 answered with before its ball table became sorted arrays, through a
-dict keyed by pair, are kept here too, as are the directed test graph
-and the shard-boundary site sets the hub tests share.
+dict keyed by pair, are kept here too, as is the two-search ball-tree
+construction (a ball search from every site, then a second search
+from every pair source for its partner tree), and the directed test
+graph and the shard-boundary site sets the hub tests share.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.apsp.hubs import HubStructure
+from repro.apsp.hubs import HubStructure, _BallTrees
 from repro.dp.composition import composed_noise_scale
 from repro.engine.csr import CSRGraph
+from repro.engine.frontier import FrontierSearch
 from repro.engine.kernels import multi_source_distances
 from repro.exceptions import DisconnectedGraphError
 from repro.graphs.graph import Vertex, WeightedGraph
@@ -140,6 +143,131 @@ def reference_ball_pairs(
     cols = members.ravel()
     keys = np.unique(np.minimum(rows, cols) * m + np.maximum(rows, cols))
     return keys // m, keys % m
+
+
+#: Sources per search of the two-search construction.
+_CHUNK = 256
+
+
+def reference_ball_trees(
+    unit: CSRGraph, site_idx: np.ndarray, ball_size: int
+) -> _BallTrees:
+    """The ball pairs and partner trees over the unit-weight view
+    ``unit``, from two searches: one from every site for its ball,
+    then one from each distinct ``lo`` for its partner tree."""
+    site_idx = np.asarray(site_idx, dtype=np.int64)
+    search = FrontierSearch(
+        unit.indptr, unit.indices, min(_CHUNK, len(site_idx))
+    )
+    lo, hi = np.divmod(
+        _hop_balls(unit, search, site_idx, ball_size), len(site_idx)
+    )
+    return _BallTrees(
+        lo.astype(np.int32),
+        hi.astype(np.int32),
+        *_partner_trees(search, site_idx, lo, hi),
+    )
+
+
+def _hop_balls(
+    unit: CSRGraph,
+    search: FrontierSearch,
+    site_idx: np.ndarray,
+    ball_size: int,
+) -> np.ndarray:
+    """Each site's ``ball_size`` nearest other sites by hop count, as
+    the sorted keys ``lo * m + hi`` of the distinct pairs they form:
+    each site's search stops at the level where it has found
+    ``ball_size`` other sites and takes that level's sites in position
+    order, as many as it still needs."""
+    m = len(site_idx)
+    position = np.full(unit.n, -1, dtype=np.int64)
+    position[site_idx] = np.arange(m)
+    keys = []
+    for begin in range(0, m, _CHUNK):
+        rows = np.arange(begin, min(begin + _CHUNK, m))
+        owner, vertex = search.start(site_idx[rows])
+        found = np.ones(rows.size, dtype=np.int64)
+        while owner.size:
+            owner, vertex, _, _ = search.expand(owner, vertex)
+            is_site = position[vertex] >= 0
+            key = owner[is_site] * m + position[vertex[is_site]]
+            key.sort()
+            row, col = np.divmod(key, m)
+            counts = np.bincount(row, minlength=rows.size)
+            rank = np.arange(key.size) - (np.cumsum(counts) - counts)[row]
+            take = rank <= ball_size - found[row]
+            row, col = rows[row[take]], col[take]
+            keys.append(np.minimum(row, col) * m + np.maximum(row, col))
+            found += counts
+            growing = found[owner] <= ball_size
+            owner, vertex = owner[growing], vertex[growing]
+        search.reset()
+    keys = np.concatenate(keys)
+    keys.sort()
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def _partner_trees(
+    search: FrontierSearch,
+    site_idx: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One BFS tree from each distinct ``lo`` site, grown until it
+    reaches every ``hi`` partner of that site; returns ``(entry,
+    parent, arc, levels)`` as ``_BallTrees`` lays them out.  ``lo``
+    must be sorted."""
+    first = np.flatnonzero(np.diff(lo, prepend=-1))
+    bounds = np.append(first, len(lo))
+    entry = np.empty(len(lo), dtype=np.int64)
+    parents, arcs, depths = [], [], []
+    base = 0
+    for begin in range(0, len(first), _CHUNK):
+        end = min(begin + _CHUNK, len(first))
+        pairs = slice(bounds[begin], bounds[end])
+        pair_owner = np.repeat(
+            np.arange(end - begin), np.diff(bounds[begin : end + 1])
+        )
+        pair_vertex = site_idx[hi[pairs]]
+        owner, vertex = search.start(site_idx[lo[first[begin:end]]])
+        parent = [owner]
+        arc = [np.full(owner.size, -1, dtype=np.int64)]
+        open_pairs = np.arange(pair_owner.size)
+        while owner.size:
+            owner, vertex, level_parent, level_arc = search.expand(
+                owner, vertex
+            )
+            parent.append(level_parent)
+            arc.append(level_arc)
+            found = search.entries(
+                pair_owner[open_pairs], pair_vertex[open_pairs]
+            )
+            open_pairs = open_pairs[found < 0]
+            growing = np.zeros(end - begin, dtype=bool)
+            growing[pair_owner[open_pairs]] = True
+            keep = growing[owner]
+            owner, vertex = owner[keep], vertex[keep]
+        entry[pairs] = search.entries(pair_owner, pair_vertex) + base
+        search.reset()
+        sizes = [len(level) for level in parent]
+        parents.append(np.concatenate(parent) + base)
+        arcs.extend(arc)
+        depths.append(np.repeat(np.arange(len(sizes)), sizes))
+        base += sum(sizes)
+    # Lay the entries of all trees out level by level.
+    depth = np.concatenate(depths)
+    order = np.argsort(depth, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    levels = np.zeros(depth.max() + 2, dtype=np.int64)
+    np.cumsum(np.bincount(depth), out=levels[1:])
+    return (
+        rank[entry].astype(np.int32),
+        rank[np.concatenate(parents)[order]].astype(np.int32),
+        np.concatenate(arcs)[order].astype(np.int32),
+        levels,
+    )
 
 
 def strongly_connected_digraph(n: int, rng: Rng) -> WeightedGraph:

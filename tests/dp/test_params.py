@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,29 @@ class TestPrivacyParams:
         """A boolean is not a budget, although ``True == 1``."""
         with pytest.raises(PrivacyError, match="not booleans"):
             PrivacyParams(eps, delta)
+
+    @pytest.mark.parametrize(
+        "eps,delta,want",
+        [
+            (3, 0, (3, 0)),
+            (np.int64(3), np.int32(0), (3, 0)),
+            (np.uint8(2), 0.0, (2, 0.0)),
+            (Fraction(1, 2), Fraction(1, 10**6), (0.5, 1e-6)),
+            (np.float32(0.5), np.float64(1e-6), (0.5, 1e-6)),
+        ],
+    )
+    def test_real_numbers_kept_as_int_or_float(self, eps, delta, want):
+        """An integer budget stays an int (3, not 3.0) and any other
+        real becomes a float, so no numpy scalar or Fraction reaches
+        what records the budget."""
+        p = PrivacyParams(eps, delta)
+        assert (p.eps, p.delta) == want
+        assert (type(p.eps), type(p.delta)) == tuple(map(type, want))
+
+    @pytest.mark.parametrize("eps", ["1", None, 1 + 0j, Decimal("1")])
+    def test_non_real_refused(self, eps):
+        with pytest.raises(PrivacyError, match="real number"):
+            PrivacyParams(eps)
 
     def test_frozen(self):
         p = PrivacyParams(1.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import Rng, WeightedGraph
-from repro.engine import CSRGraph
+from repro.engine import CSRGraph, kernels
 from repro.exceptions import EngineError, VertexNotFoundError, WeightError
 from repro.graphs import generators
 
@@ -233,3 +233,47 @@ class TestTopologyMemo:
         grid5.add_edge((0, 0), (4, 4), 0.5)
         csr = CSRGraph.from_graph(grid5)
         assert csr.topology_memo("probe", lambda unit: 2) == 2
+
+
+class TestWeightsMemo:
+    def test_computed_once_per_instance(self, grid5):
+        csr = CSRGraph.from_graph(grid5)
+        seen = []
+
+        def compute(graph):
+            seen.append(graph)
+            return graph.weights.sum()
+
+        value = csr.weights_memo("probe", compute)
+        assert csr.weights_memo("probe", compute) == value
+        assert seen == [csr]
+        # A re-weighting is another instance, with its own value.
+        doubled = csr.with_weights(2.0 * csr.edge_weights)
+        assert doubled.weights_memo("probe", compute) == 2.0 * value
+        assert seen == [csr, doubled]
+
+    def test_kernel_checks_and_wraps_each_instance_once(self, monkeypatch):
+        # multi_source_distances used to rebuild scipy's matrix and
+        # rescan the weights for a negative one on every call.
+        pytest.importorskip("scipy")
+        built = []
+        wrap = kernels._scipy_csr_matrix
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return wrap(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_scipy_csr_matrix", counting)
+        csr = CSRGraph.from_graph(_weighted(generators.grid_graph(4, 5), 2))
+        first = kernels.multi_source_distances(csr, [0, 3])
+        again = kernels.multi_source_distances(csr, [0, 3], limit=2.0)
+        assert len(built) == 1
+        assert np.array_equal(first, kernels.relaxation_distances(csr, [0, 3]))
+        assert np.array_equal(
+            again, kernels.relaxation_distances(csr, [0, 3], limit=2.0)
+        )
+        negative = csr.with_weights(-csr.edge_weights)
+        for _ in range(2):
+            with pytest.raises(WeightError):
+                kernels.multi_source_distances(negative, [0])
+        assert len(built) == 1

@@ -81,6 +81,26 @@ def test_levels_are_hop_distances(name):
     assert np.array_equal(csr.indices[arc[child]], vertex[child])
 
 
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_a_source_grows_alike_in_any_company(name):
+    # The hub build's one-search ball trees rely on both: a level lists
+    # its owners in ascending order, and a source reaches the same
+    # vertices in the same order along the same arcs whichever other
+    # sources share its search.
+    csr = CSRGraph.from_graph(GRAPHS[name]())
+    search = FrontierSearch(csr.indptr, csr.indices, 8)
+    sources = [3, 0, csr.n - 1, 7, 0]
+    owner, vertex, depth, _, arc = _levels(search, csr, sources)
+    search.reset()
+    for level in np.unique(depth):
+        assert (np.diff(owner[depth == level]) >= 0).all()
+    for k, source in enumerate(sources):
+        _, alone, _, _, alone_arc = _levels(search, csr, [source])
+        search.reset()
+        assert np.array_equal(vertex[owner == k], alone)
+        assert np.array_equal(arc[owner == k], alone_arc)
+
+
 def test_a_dropped_source_stops_growing():
     csr = CSRGraph.from_graph(generators.path_graph(10))
     search = FrontierSearch(csr.indptr, csr.indices, 2)

@@ -7,6 +7,7 @@ writing to disk)."""
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -276,3 +277,51 @@ class TestBudgetTypes:
         baseline = served(3.0)
         for budget in (3, np.int64(3), np.float64(3.0)):
             assert served(budget) == baseline
+
+    @pytest.mark.parametrize(
+        "eps", [np.int64(3), Fraction(1, 2)], ids=["numpy-int", "fraction"]
+    )
+    def test_params_budget_served_and_log_verifies(self, tmp_path, eps):
+        # A numpy integer or a Fraction inside PrivacyParams used to
+        # reach the audit log as a string, which the verifier refused.
+        path = tmp_path / "audit.jsonl"
+        telemetry = _audited_bundle(path)
+        service = DistanceService(
+            grid_graph(6, 6), PrivacyParams(eps), Rng(0),
+            mechanism="hub-set", telemetry=telemetry,
+        )
+        service.query((0, 0), (5, 5))
+        service.refresh()
+        telemetry.audit.close()
+        assert verify_audit_log(read_audit_log(path))["verified"] is True
+
+    @pytest.mark.parametrize(
+        "budget,same",
+        [
+            (PrivacyParams(3), PrivacyParams(np.int64(3))),
+            (PrivacyParams(0.5), PrivacyParams(Fraction(1, 2))),
+            (PrivacyParams(0.5, 1e-6), PrivacyParams(np.float32(0.5), 1e-6)),
+        ],
+        ids=["int", "float", "approx"],
+    )
+    def test_params_budgets_record_as_int_or_float(self, budget, same):
+        """An int budget records ``3``, a float one ``0.5``, and a
+        numpy or Fraction budget records what its int or float does."""
+
+        def served(params):
+            telemetry = _audited_bundle()
+            service = DistanceService(
+                GRAPH, params, Rng(5), mechanism="hub-set",
+                telemetry=telemetry,
+            )
+            answers = service.query_batch(PAIRS).answers
+            spends = [
+                json.dumps(r["payload"], sort_keys=True)
+                for r in self._spends(telemetry)
+            ]
+            return answers, service.ledger.records(), spends
+
+        answers, records, spends = served(budget)
+        assert served(same) == (answers, records, spends)
+        assert f'"eps": {budget.eps!r}' in spends[0]
+        assert type(records[0].params.eps) is type(budget.eps)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -24,6 +25,7 @@ from repro.exceptions import PrivacyError
 from repro.graphs import generators
 from repro.serving import BudgetLedger, replay_rush_hour
 from repro.serving.batching import BoundedCache
+from repro.telemetry import AuditLog, Telemetry
 from repro.workloads import grid_road_network, uniform_pairs
 
 
@@ -117,6 +119,54 @@ class TestServingConfig:
     def test_budget_property(self):
         config = ServingConfig(eps=0.5, delta=1e-7)
         assert config.budget == PrivacyParams(0.5, 1e-7)
+
+
+class TestDeploymentArguments:
+    """``ServingConfig`` and ``DistanceService`` refuse a weight bound
+    or a shard count no deployment means through one check, with a
+    library error, before anything is spent."""
+
+    NON_FINITE_OR_NONPOSITIVE = [float("nan"), float("inf"), 0, -1.0]
+
+    @staticmethod
+    def _refused(error, match, **arguments):
+        ledger = BudgetLedger(PrivacyParams(4.0))
+        telemetry = Telemetry().with_audit(AuditLog())
+        with pytest.raises(error, match=match):
+            DistanceService(
+                generators.grid_graph(6, 6), 1.0, Rng(0), ledger=ledger,
+                telemetry=telemetry, **arguments,
+            )
+        assert ledger.records() == []
+        assert [r["kind"] for r in telemetry.audit.records()] == [
+            "audit.open"
+        ]
+
+    @pytest.mark.parametrize(
+        "bound", [True, np.True_, *NON_FINITE_OR_NONPOSITIVE], ids=repr
+    )
+    def test_service_refuses_weight_bound(self, bound):
+        # True used to serve as M = 1, NaN to raise a bare ValueError
+        # and inf to serve bounded-weight answers such as -112.7.
+        self._refused(PrivacyError, "weight bound", weight_bound=bound)
+
+    @pytest.mark.parametrize("shards", [True, np.True_, 2.0, 0, -2], ids=repr)
+    def test_service_refuses_shards(self, shards):
+        # True used to serve one shard and 2.0 to raise numpy's
+        # TypeError.
+        self._refused(GraphError, "shard", shards=shards)
+
+    @pytest.mark.parametrize("bound", NON_FINITE_OR_NONPOSITIVE, ids=repr)
+    def test_config_refuses_weight_bound(self, bound):
+        with pytest.raises(PrivacyError, match="weight bound"):
+            ServingConfig(weight_bound=bound)
+
+    def test_numpy_numbers_still_served(self, rng):
+        grid = generators.grid_graph(6, 6)
+        bounded = DistanceService(grid, 1.0, rng, weight_bound=np.int64(3))
+        assert bounded.mechanism == "bounded-weight"
+        sharded = DistanceService(grid, 1.0, rng, shards=np.int64(2))
+        assert sharded.num_shards == 2
 
 
 class TestServeFactory:

@@ -315,6 +315,21 @@ class TestServe:
         assert len(lines) == 3
         assert float(lines[1].split("\t")[1]) >= 0.0
 
+    @pytest.mark.parametrize("bound", ["nan", "inf"])
+    def test_non_finite_weight_bound_rejected(self, grid_file, capsys, bound):
+        # NaN used to end in a traceback and inf to be served.
+        code = main(
+            [
+                "serve",
+                "--graph", str(grid_file),
+                "--eps", "1.0",
+                "--weight-bound", bound,
+                "--pairs", "0,0:3,3",
+            ]
+        )
+        assert code == 2
+        assert "error: weight bound M" in capsys.readouterr().err
+
     def test_zero_shards_rejected(self, grid_file, capsys):
         code = main(
             [
