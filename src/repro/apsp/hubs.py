@@ -51,8 +51,9 @@ Both are computed once per compiled topology and kept in its memo
 mutual reachability: every later epoch, tenant or relay over the same
 structure reuses them, and only the hub sample, the weighted sweeps
 and the noise are redone.  Every weighted sweep is a
-:func:`repro.engine.kernels.multi_source_distances` call, in row
-chunks of at most ``_ROW_CHUNK`` sources:
+:func:`repro.engine.kernels.multi_source_distances` call over a block
+of at most :func:`~repro.engine.kernels.sweep_block_rows` sources
+(1 MiB of distances), of which the build reads only a few entries:
 
 * **hub rows** — one unlimited sweep from each hub;
 * **ball pairs** — one sweep from each pair source, limited to its
@@ -60,7 +61,7 @@ chunks of at most ``_ROW_CHUNK`` sources:
   the trees gives those weights each epoch.  A tree-path weight adds
   the same left-associated floats a Dijkstra adds along one path, and
   rounding is monotone, so it is at least the Dijkstra value bit for
-  bit.  Sources are swept in order of that limit, in chunks whose
+  bit.  Sources are swept in order of that limit, in blocks whose
   limits lie within ``_BAND_FACTOR`` of each other, and each source is
   swept exactly once.
 
@@ -102,7 +103,11 @@ from ..engine.frontier import (
     ranges,
     reached,
 )
-from ..engine.kernels import kernel_span, multi_source_distances
+from ..engine.kernels import (
+    kernel_span,
+    multi_source_distances,
+    sweep_block_rows,
+)
 from ..exceptions import DisconnectedGraphError, EngineError, GraphError
 from ..graphs.graph import Vertex, WeightedGraph
 from ..rng import Rng
@@ -117,9 +122,9 @@ __all__ = [
     "predicted_hub_scale",
 ]
 
-#: Sources per engine sweep: a transient distance block holds at most
-#: ``_ROW_CHUNK x V`` floats (8.4 MB at V = 4096).  Also the sources
-#: per hop search, whose scratch holds ``_ROW_CHUNK x V`` int32s.
+#: Sites per hop search (:func:`_ball_trees`), whose scratch holds
+#: ``_ROW_CHUNK x V`` int32s.  On the 64x64 grid chunks of 128 to 512
+#: sites measured alike and 64 about 40% slower.
 _ROW_CHUNK = 256
 
 #: Ball-pair sources swept together have limits within this factor,
@@ -310,10 +315,11 @@ def build_hub_structure(
     noise, in that order.
 
     The exact values behind the released entries come from local
-    searches, in row chunks of at most :data:`_ROW_CHUNK` sources
-    (see the module docstring), so no exact ``m x m`` matrix is built
-    and none is returned: a release that measures its own error
-    recomputes a source row on demand.
+    searches and from sweeps in blocks of at most
+    :func:`~repro.engine.kernels.sweep_block_rows` sources (see the
+    module docstring), so no exact ``m x m`` matrix is built and none
+    is returned: a release that measures its own error recomputes a
+    source row on demand.
     """
     site_idx = np.asarray(site_idx, dtype=np.int64)
     m = len(site_idx)
@@ -366,11 +372,12 @@ def _build_hub_structure_inner(
     # Exact hub rows: one Dijkstra per hub.
     with kernel_span("engine.hub_rows", hubs=hub_count):
         exact_rows = np.empty((hub_count, m))
-        for lo in range(0, hub_count, _ROW_CHUNK):
+        rows = sweep_block_rows(csr)
+        for lo in range(0, hub_count, rows):
             block = multi_source_distances(
-                csr, site_idx[hubs[lo : lo + _ROW_CHUNK]]
+                csr, site_idx[hubs[lo : lo + rows]]
             )
-            exact_rows[lo : lo + _ROW_CHUNK] = block[:, site_idx]
+            exact_rows[lo : lo + rows] = block[:, site_idx]
 
     # Ball pairs: nearest sites by hop count (public topology), less
     # the pairs with a hub endpoint — the hub table covers those.
@@ -691,38 +698,44 @@ def _pair_distances(
 
     ``lo`` must be sorted and ``bound[k]`` at least pair ``k``'s
     distance.  Each source is swept once, limited to its partners'
-    largest bound: sources are taken in order of that limit, in chunks
-    of at most :data:`_ROW_CHUNK` whose limits lie within
-    :data:`_BAND_FACTOR` of the chunk's first.  Every target within a
-    limit is settled at its unlimited value bit for bit, so a partner
-    left unsettled means a wrong bound: it raises
+    largest bound: sources are taken in order of that limit, in blocks
+    of at most :func:`~repro.engine.kernels.sweep_block_rows` whose
+    limits lie within :data:`_BAND_FACTOR` of the block's first.  The
+    pairs are laid out once in that order, so each block reads its
+    partners from one slice.  Every target within a limit is settled
+    at its unlimited value bit for bit, so a partner left unsettled
+    means a wrong bound: it raises
     :class:`~repro.exceptions.EngineError` rather than be released.
     """
-    values = np.empty(len(lo))
     first = np.flatnonzero(np.diff(lo, prepend=-1))
     counts = np.diff(np.append(first, len(lo)))
     limits = np.maximum.reduceat(bound, first)
     order = np.argsort(limits, kind="stable")
-    limits = limits[order]
+    first, counts, limits = first[order], counts[order], limits[order]
+    sources = site_idx[lo[first]]
+    band_end = np.searchsorted(limits, _BAND_FACTOR * limits, side="right")
+    # Every pair in sweep order: its source's place in that order, its
+    # target vertex, and where each source's pairs begin.
+    pair = ranges(first, counts)
+    row = np.repeat(np.arange(order.size), counts)
+    target = site_idx[hi[pair]]
+    begin = np.append(0, np.cumsum(counts)).tolist()
+    band_end, limits = band_end.tolist(), limits.tolist()
+    rows = sweep_block_rows(csr)
+    got = np.empty(len(lo))
     start = 0
     while start < order.size:
-        band_end = np.searchsorted(
-            limits, _BAND_FACTOR * limits[start], side="right"
-        )
-        stop = min(start + _ROW_CHUNK, int(band_end))
-        chunk = order[start:stop]
+        stop = min(start + rows, band_end[start])
         block = multi_source_distances(
-            csr, site_idx[lo[first[chunk]]], limit=float(limits[stop - 1])
+            csr, sources[start:stop], limit=limits[stop - 1]
         )
-        owner = np.repeat(np.arange(chunk.size), counts[chunk])
-        pair = ranges(first[chunk], counts[chunk])
-        got = block[owner, site_idx[hi[pair]]]
-        if np.isinf(got).any():
-            raise EngineError(
-                "a ball partner lies beyond its tree-path bound"
-            )
-        values[pair] = got
+        a, b = begin[start], begin[stop]
+        got[a:b] = block[row[a:b] - start, target[a:b]]
         start = stop
+    if np.isinf(got).any():
+        raise EngineError("a ball partner lies beyond its tree-path bound")
+    values = np.empty(len(lo))
+    values[pair] = got
     return values
 
 

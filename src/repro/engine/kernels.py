@@ -13,6 +13,15 @@ every engine-native build (the hub releases, the all-pairs synopsis):
   :func:`~repro.algorithms.shortest_paths.dijkstra`'s value exactly:
   all three computations are minima over left-associated
   floating-point path sums, and floating-point ``min`` is exact.
+* :func:`sweep_block_rows` — how many sources one sweep takes where a
+  caller reads only a few entries of each row (the hub build, the
+  replay's ground truth): as many ``V``-length float64 rows as fit in
+  :data:`SWEEP_BLOCK_BYTES`, never fewer than one.  The budget is
+  1 MiB, half of a 2 MiB per-core L2, so the block a sweep fills is
+  still cached when its few entries are gathered, with room left for
+  scipy's per-source scratch.  On the 64x64 grid's ball-pair sweeps,
+  2 MiB measured the same and 256-row blocks (8.4 MB each) took about
+  10% more CPU time.
 * :func:`kernel_span` — the profiler-gated tracer span every kernel
   call site opens (``engine.sssp``, ``engine.all_pairs``,
   ``engine.hub_rows``, ...).
@@ -32,12 +41,17 @@ from .csr import CSRGraph
 __all__ = [
     "multi_source_distances",
     "relaxation_distances",
+    "sweep_block_rows",
     "kernel_span",
 ]
 
 #: Target element count per relaxation block — bounds the (sources x
 #: arcs) scratch matrix to a few tens of MB.
 _BLOCK_ELEMENTS = 4_000_000
+
+#: Bytes of float64 distances one blocked sweep returns at most
+#: (:func:`sweep_block_rows`): 32 rows at ``V = 4096``.
+SWEEP_BLOCK_BYTES = 1 << 20
 
 try:  # Optional accelerator: scipy's C Dijkstra over the same arrays.
     from scipy.sparse import csr_matrix as _scipy_csr_matrix
@@ -57,6 +71,12 @@ def kernel_span(name: str, **attributes: object):
     if telemetry.profiler.enabled:
         return telemetry.span(name, **attributes)
     return nullcontext()
+
+
+def sweep_block_rows(csr: CSRGraph) -> int:
+    """Sources per blocked sweep over ``csr``: as many ``csr.n``-length
+    float64 rows as fit in :data:`SWEEP_BLOCK_BYTES`, at least one."""
+    return max(1, SWEEP_BLOCK_BYTES // (8 * max(csr.n, 1)))
 
 
 def multi_source_distances(

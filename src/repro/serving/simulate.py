@@ -20,7 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ..algorithms.shortest_paths import all_pairs_dijkstra
+import numpy as np
+
+from ..engine.csr import CSRGraph
+from ..engine.kernels import multi_source_distances, sweep_block_rows
 from ..exceptions import GraphError
 from ..graphs.graph import Vertex, WeightedGraph
 from ..rng import Rng
@@ -134,11 +137,21 @@ class SimulationReport:
 def _exact_distances(
     graph: WeightedGraph, pairs: List[Tuple[Vertex, Vertex]]
 ) -> List[float]:
-    """True distances for the pairs: one multi-source sweep over the
-    distinct sources."""
-    distinct = list(dict.fromkeys(s for s, _ in pairs))
-    sweep = all_pairs_dijkstra(graph, sources=distinct)
-    return [sweep[s][t] for s, t in pairs]
+    """True distances for the pairs, gathered from sweeps over the
+    distinct sources in blocks of
+    :func:`~repro.engine.kernels.sweep_block_rows` rows."""
+    csr = CSRGraph.from_graph(graph)
+    sources, row = np.unique(
+        csr.indices_of([s for s, _ in pairs]), return_inverse=True
+    )
+    target = csr.indices_of([t for _, t in pairs])
+    exact = np.empty(len(pairs))
+    rows = sweep_block_rows(csr)
+    for lo in range(0, sources.size, rows):
+        block = multi_source_distances(csr, sources[lo : lo + rows])
+        mine = (row >= lo) & (row < lo + rows)
+        exact[mine] = block[row[mine] - lo, target[mine]]
+    return exact.tolist()
 
 
 def replay_rush_hour(

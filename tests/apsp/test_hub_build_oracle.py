@@ -7,7 +7,8 @@ tree-path weights.  Under the same seed it must release exactly what
 the full-sweep construction of :mod:`hub_reference` releases: the same
 hubs, the same hub table and ball table bit for bit, the same noise
 scale and pair count — on the scipy path and on the relaxation
-fallback alike.  Its scalar lookups must answer what the dict-based
+fallback alike, and whatever number of sources one sweep block
+holds.  Its scalar lookups must answer what the dict-based
 lookups of :mod:`hub_reference` answer over the same released tables.
 """
 
@@ -64,14 +65,28 @@ def _assert_identical(graph, sites, seed, hub_count=None, ball_size=None):
     oracle = reference_hub_structure(
         csr, site_idx, h, b, 1.0, 0.0, Rng(seed)
     )
-    assert np.array_equal(built.hub_positions, oracle.hub_positions)
-    assert np.array_equal(built.matrix, oracle.matrix)
-    assert built.ball_keys.dtype == oracle.ball_keys.dtype == np.int64
-    assert built.ball_keys.tobytes() == oracle.ball_keys.tobytes()
-    assert built.ball_values.tobytes() == oracle.ball_values.tobytes()
-    assert built.noise_scale == oracle.noise_scale
-    assert built.pair_count == oracle.pair_count
+    _assert_same_release(built, oracle)
     return built
+
+
+def _assert_same_release(built, other):
+    assert np.array_equal(built.hub_positions, other.hub_positions)
+    assert np.array_equal(built.matrix, other.matrix)
+    assert built.ball_keys.dtype == other.ball_keys.dtype == np.int64
+    assert built.ball_keys.tobytes() == other.ball_keys.tobytes()
+    assert built.ball_values.tobytes() == other.ball_values.tobytes()
+    assert built.noise_scale == other.noise_scale
+    assert built.pair_count == other.pair_count
+
+
+def _block_rows(monkeypatch, rows: int, graph: WeightedGraph) -> None:
+    """Shrink the engine's sweep budget to ``rows`` sources per block
+    on ``graph``.  Every graph here fits one block at the default
+    budget, so only a shrunk one reaches the multi-block path."""
+    monkeypatch.setattr(
+        kernels, "SWEEP_BLOCK_BYTES", rows * 8 * graph.num_vertices
+    )
+    assert kernels.sweep_block_rows(CSRGraph.from_graph(graph)) == rows
 
 
 def _random_weights(graph: WeightedGraph, rng: Rng) -> WeightedGraph:
@@ -134,11 +149,56 @@ def _zero_weight_grid(rows: int, cols: int, rng: Rng) -> WeightedGraph:
     )
 
 
+class TestSweepBlocks:
+    """Sweeps of 1, 3 and 7 sources release, bit for bit, what the
+    default budget's single block per sweep releases."""
+
+    CASES = {
+        "grid": lambda rng: (
+            _random_weights(generators.grid_graph(9, 11), rng), None
+        ),
+        "erdos-renyi": lambda rng: (
+            _random_weights(generators.erdos_renyi_graph(90, 0.05, rng), rng),
+            None,
+        ),
+        "zero-weights": lambda rng: (_zero_weight_grid(10, 11, rng), None),
+        "boundary": lambda rng: (
+            _random_weights(generators.grid_graph(14, 14), rng), 4
+        ),
+        "directed": lambda rng: (strongly_connected_digraph(70, rng), None),
+    }
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_blocked_build_is_bit_identical(
+        self, engine, monkeypatch, case, rows
+    ):
+        graph, shards = self.CASES[case](Rng(SEED))
+        sites = (
+            graph.vertex_list() if shards is None
+            else boundary_sites(graph, shards, 0)
+        )
+        csr = CSRGraph.from_graph(graph)
+        site_idx = csr.indices_of(sites)
+        m = len(site_idx)
+
+        def build():
+            return build_hub_structure(
+                csr, site_idx, default_hub_count(m), default_ball_size(m),
+                1.0, 0.0, Rng(SEED),
+            )
+
+        whole = build()
+        _block_rows(monkeypatch, rows, graph)
+        _assert_same_release(build(), whole)
+
+
 class TestOneSweepPerSource:
     """Each ball-pair source is swept once per build, to a limit taken
-    from its partners' tree-path weights."""
+    from its partners' tree-path weights, and no sweep takes more
+    sources than a block holds."""
 
-    @pytest.mark.parametrize(
+    GRAPHS = pytest.mark.parametrize(
         "make",
         [
             lambda: _congested_grid(12, 12, Rng(SEED)),
@@ -146,10 +206,25 @@ class TestOneSweepPerSource:
         ],
         ids=["congested", "directed"],
     )
+
+    @GRAPHS
     def test_each_ball_source_swept_once(self, engine, monkeypatch, make):
+        self._swept_once(monkeypatch, make())
+
+    @GRAPHS
+    def test_each_ball_source_swept_once_in_3_row_blocks(
+        self, engine, monkeypatch, make
+    ):
         graph = make()
+        _block_rows(monkeypatch, 3, graph)
+        self._swept_once(monkeypatch, graph)
+
+    @staticmethod
+    def _swept_once(monkeypatch, graph):
+        block = kernels.sweep_block_rows(CSRGraph.from_graph(graph))
         calls = _sweeps(monkeypatch)
         built = _assert_identical(graph, graph.vertex_list(), SEED)
+        assert calls and all(len(s) <= block for s, _ in calls)
         m = graph.num_vertices
         # Sites are all vertices, so site positions are CSR indices.
         keys = built.ball_keys

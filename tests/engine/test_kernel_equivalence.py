@@ -362,3 +362,26 @@ class TestSemanticsParity:
         graph = generators.path_graph(3)
         with pytest.raises(VertexNotFoundError):
             dijkstra(graph, "missing")
+
+
+class TestSweepBlockRows:
+    """A blocked sweep takes as many source rows as fit in the engine's
+    byte budget, and never fewer than one."""
+
+    @pytest.mark.parametrize("vertices", [1, 2, 7, 144, 1000])
+    @pytest.mark.parametrize("budget", [0, 1, 8, 100, 8000, 12345, 1 << 20])
+    def test_rows_fill_the_budget(self, monkeypatch, vertices, budget):
+        monkeypatch.setattr(kernels, "SWEEP_BLOCK_BYTES", budget)
+        csr = CSRGraph.from_graph(generators.path_graph(vertices))
+        rows = kernels.sweep_block_rows(csr)
+        assert rows >= 1
+        if rows > 1:
+            assert rows * vertices * 8 <= budget
+        # No larger block fits.
+        assert (rows + 1) * vertices * 8 > budget
+
+    @pytest.mark.parametrize("side, rows", [(64, 32), (32, 128)])
+    def test_default_budget_is_one_mebibyte(self, side, rows):
+        csr = CSRGraph.from_graph(generators.grid_graph(side, side))
+        assert kernels.SWEEP_BLOCK_BYTES == 1 << 20
+        assert kernels.sweep_block_rows(csr) == rows
