@@ -22,11 +22,6 @@ estimator's clamp-at-zero post-processing then saturates its error at
 the mean true distance, which is why its pure and approx rows can
 coincide while the baselines' errors track their noise scales.
 
-The title also carries the ROADMAP's engine-native-synopsis timing
-note: building an ``AllPairsSynopsis`` straight from the engine's
-distance matrix (vectorized noise over the upper triangle) versus the
-dict-of-dicts release-wrapping path, measured on the grid instance.
-
 ``python benchmarks/bench_apsp_improved.py --quick`` runs a reduced
 256-vertex instance — the CI smoke configuration.
 """
@@ -39,19 +34,10 @@ import time
 sys.path.insert(0, ".")  # allow `python benchmarks/bench_apsp_improved.py`
 
 from benchmarks.common import fresh_rng, parse_rows, print_experiment
-from repro import (
-    AllPairsBasicRelease,
-    Rng,
-    ServingConfig,
-    serve,
-)
+from repro import Rng, ServingConfig, serve
 from repro.algorithms.shortest_paths import all_pairs_dijkstra
 from repro.analysis import render_table
 from repro.graphs import generators
-from repro.serving.synopsis import (
-    AllPairsSynopsis,
-    build_all_pairs_synopsis,
-)
 from repro.workloads import uniform_pairs
 
 V = 1024
@@ -100,28 +86,9 @@ def _released_pairs(synopsis) -> int:
     return synopsis.num_entries
 
 
-def _synopsis_build_note(graph, rng: Rng) -> str:
-    """The engine-native vs dict-of-dicts AllPairsSynopsis timing."""
-    start = time.perf_counter()
-    native = build_all_pairs_synopsis(graph, EPS, rng.spawn())
-    t_native = time.perf_counter() - start
-    start = time.perf_counter()
-    wrapped = AllPairsSynopsis.from_release(
-        AllPairsBasicRelease(graph, EPS, rng.spawn())
-    )
-    t_wrapped = time.perf_counter() - start
-    assert native.num_entries == wrapped.num_entries
-    return (
-        f"Engine-native AllPairsSynopsis build: {t_native:.3f}s vs "
-        f"{t_wrapped:.3f}s via the dict-of-dicts release path "
-        f"({t_wrapped / max(t_native, 1e-9):.1f}x)."
-    )
-
-
 def run_experiment(quick: bool = False) -> str:
     v = QUICK_V if quick else V
     rows = []
-    note = ""
     for g_index, (name, graph) in enumerate(
         graph_families(v, fresh_rng(190))
     ):
@@ -150,8 +117,6 @@ def run_experiment(quick: bool = False) -> str:
                     max(errors),
                 ]
             )
-        if not note:
-            note = _synopsis_build_note(graph, fresh_rng(189))
     return render_table(
         [
             "graph",
@@ -170,8 +135,7 @@ def run_experiment(quick: bool = False) -> str:
             f"serve(graph, ServingConfig(...)).\n"
             "Expected shape: hub-set releases ~V^1.5 values instead of "
             "V^2, so its noise scale and empirical error sit far below "
-            "the basic baseline's.\n"
-            + note
+            "the basic baseline's."
         ),
         precision=3,
     )

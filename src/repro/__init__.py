@@ -139,7 +139,6 @@ from .serving import (
     ServingConfig,
     ShardPlan,
     ShardedDistanceService,
-    build_all_pairs_synopsis,
     build_single_pair_synopsis,
     partition_graph,
     replay_rush_hour,
@@ -227,7 +226,6 @@ __all__ = [
     "BatchPlanner",
     "BatchReport",
     "DistanceSynopsis",
-    "build_all_pairs_synopsis",
     "build_single_pair_synopsis",
     "synopsis_from_json",
     "replay_rush_hour",

@@ -4,6 +4,8 @@ The paper distinguishes the weighted distance ``d_w(x, y)`` from the
 *hop* distance ``h(x, y)`` (Section 2).  Hop distances define
 k-coverings (Definition 4.1) and the hop-dependent accuracy of
 Theorem 5.5, so they get a dedicated, weight-blind implementation.
+:func:`is_connected` asks the engine's compiled topology instead of
+walking the graph.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List
 
+from ..engine.csr import CSRGraph
+from ..engine.frontier import is_weakly_connected
 from ..exceptions import VertexNotFoundError
 from ..graphs.graph import Vertex, WeightedGraph
 
@@ -92,9 +96,9 @@ def _undirected_adjacency(graph: WeightedGraph) -> Dict[Vertex, List[Vertex]]:
     return adjacency
 
 
-def is_connected(graph: WeightedGraph) -> bool:
+def is_connected(graph: WeightedGraph) -> bool:  # privlint: ignore[PL1] weak connectivity reads the compiled topology memo (unit weights), never the weights
     """Whether the graph is (weakly) connected.  Empty graphs count as
-    connected vacuously."""
-    if graph.num_vertices == 0:
-        return True
-    return len(connected_components(graph)) == 1
+    connected vacuously.  Answered by the engine's
+    :func:`~repro.engine.frontier.is_weakly_connected`, once per
+    compiled topology."""
+    return is_weakly_connected(CSRGraph.from_graph(graph))

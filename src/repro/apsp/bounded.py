@@ -23,21 +23,9 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from ..algorithms.covering import (
-    is_k_covering,
-    meir_moon_k_covering,
-    nearest_in_set,
-)
-from ..dp.params import PrivacyParams
-from ..engine.csr import CSRGraph
-from ..engine.frontier import is_weakly_connected
+from ..core.bounded_weight import _CoveringRelease
 from ..engine.kernels import multi_source_distances
-from ..exceptions import (
-    DisconnectedGraphError,
-    GraphError,
-    PrivacyError,
-    VertexNotFoundError,
-)
+from ..exceptions import GraphError, PrivacyError
 from ..graphs.graph import Vertex, WeightedGraph
 from ..rng import Rng
 from .hubs import (
@@ -87,7 +75,7 @@ def hub_bounded_optimal_k(
     return min(max(1, round(k)), num_vertices - 1)
 
 
-class HubSetBoundedRelease:
+class HubSetBoundedRelease(_CoveringRelease):
     """Algorithm 2's covering with the hub structure as inner release.
 
     Parameters
@@ -108,6 +96,9 @@ class HubSetBoundedRelease:
         Inner hub-structure overrides (defaults ``~sqrt(|Z|)``).
     """
 
+    _what = "hub-bounded"
+    default_radius = staticmethod(hub_bounded_optimal_k)
+
     def __init__(
         self,
         graph: WeightedGraph,
@@ -120,46 +111,8 @@ class HubSetBoundedRelease:
         hub_count: int | None = None,
         ball_size: int | None = None,
     ) -> None:
-        if weight_bound <= 0:
-            raise PrivacyError(
-                f"weight bound M must be positive, got {weight_bound}"
-            )
-        graph.check_bounded(weight_bound)
-        self._csr = CSRGraph.from_graph(graph)
-        if not is_weakly_connected(self._csr):
-            raise DisconnectedGraphError(
-                "hub-bounded release requires a connected graph"
-            )
-        self._graph = graph
-        self._weight_bound = float(weight_bound)
-        self._params = PrivacyParams(eps, delta)
-
-        if k is None:
-            # Already clamped to [1, V-1] (Lemma 4.4's hypothesis),
-            # or 0 when V = 1.
-            k = hub_bounded_optimal_k(
-                graph.num_vertices, weight_bound, eps, delta
-            )
-        if k < 0:
-            raise GraphError(f"k must be nonnegative, got {k}")
-        self._k = k
-
-        if covering is None:
-            covering = meir_moon_k_covering(graph, k)
-        else:
-            covering = list(covering)
-            if not is_k_covering(graph, covering, k):
-                raise GraphError(
-                    f"provided vertex set is not a {k}-covering"
-                )
-        self._covering = covering
-
-        # Assignment z(v): nearest covering vertex by hops (public).
-        self._assignment: Dict[Vertex, Vertex] = {
-            vert: origin
-            for vert, (origin, _) in nearest_in_set(graph, covering).items()
-        }
-
+        super().__init__(graph, weight_bound, eps, delta, k, covering)
+        covering = self._covering
         site_idx = self._csr.indices_of(covering)
         m = len(covering)
         h = default_hub_count(m) if hub_count is None else hub_count
@@ -170,40 +123,10 @@ class HubSetBoundedRelease:
         self._site_of = {v: i for i, v in enumerate(covering)}
 
     @property
-    def params(self) -> PrivacyParams:
-        """The privacy guarantee of the release."""
-        return self._params
-
-    @property
-    def graph(self) -> WeightedGraph:
-        """The (public-topology) graph the release was computed on."""
-        return self._graph
-
-    @property
-    def weight_bound(self) -> float:
-        """The public bound ``M`` on edge weights."""
-        return self._weight_bound
-
-    @property
-    def k(self) -> int:
-        """The covering radius in hops (detour error ``<= 2kM``)."""
-        return self._k
-
-    @property
     def vertex_order(self) -> tuple:
         """Vertices in CSR compilation order (what the synopsis keys
         its assignment table by)."""
         return self._csr.vertices
-
-    @property
-    def covering(self) -> List[Vertex]:
-        """The covering set ``Z`` in site order."""
-        return list(self._covering)
-
-    @property
-    def covering_size(self) -> int:
-        """``|Z|`` — at most ``V/(k+1)`` for the default construction."""
-        return len(self._covering)
 
     @property
     def structure(self) -> HubStructure:
@@ -227,12 +150,6 @@ class HubSetBoundedRelease:
     def released_pair_count(self) -> int:
         """Distinct covering-pair queries the release paid for."""
         return self._structure.pair_count
-
-    def assigned_covering_vertex(self, v: Vertex) -> Vertex:
-        """``z(v)``: the covering vertex assigned to ``v``."""
-        if v not in self._assignment:
-            raise VertexNotFoundError(v)
-        return self._assignment[v]
 
     def assignment(self) -> Dict[Vertex, Vertex]:
         """The full (public) covering assignment ``v -> z(v)``."""

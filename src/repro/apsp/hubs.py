@@ -745,7 +745,9 @@ class HubSetRelease:
     Parameters
     ----------
     graph:
-        Connected graph (public topology, private weights).
+        Connected graph (public topology, private weights); a negative
+        or non-finite weight raises
+        :class:`~repro.exceptions.WeightError` before any draw.
     eps, delta:
         The privacy budget.  ``delta = 0`` uses the pure vector-Laplace
         accounting (scale ``~V^{3/2}/eps``); ``delta > 0`` uses
@@ -769,6 +771,7 @@ class HubSetRelease:
             raise DisconnectedGraphError(
                 "hub-set release requires a connected graph"
             )
+        graph.check_nonnegative()
         self._graph = graph
         self._params = PrivacyParams(eps, delta)
         n = self._csr.n

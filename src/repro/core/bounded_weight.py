@@ -25,8 +25,7 @@ error.  Theorem 4.7 instantiates the square grid with its explicit
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 from ..algorithms.covering import (
     grid_covering,
@@ -34,14 +33,15 @@ from ..algorithms.covering import (
     meir_moon_k_covering,
     nearest_in_set,
 )
-from ..algorithms.shortest_paths import all_pairs_dijkstra
-from ..algorithms.traversal import is_connected
 from ..dp.bounds import (
     bounded_weight_optimal_k_approx,
     bounded_weight_optimal_k_pure,
 )
 from ..dp.composition import composed_noise_scale
 from ..dp.params import PrivacyParams
+from ..engine.csr import CSRGraph
+from ..engine.frontier import is_weakly_connected
+from ..engine.kernels import kernel_span, multi_source_distances
 from ..exceptions import (
     DisconnectedGraphError,
     GraphError,
@@ -53,29 +53,37 @@ from ..rng import Rng
 
 __all__ = [
     "BoundedWeightRelease",
+    "bounded_weight_radius",
     "release_bounded_weight",
     "release_grid_bounded_weight",
 ]
 
 
-class BoundedWeightRelease:
-    """The Algorithm 2 release object.
+def bounded_weight_radius(
+    num_vertices: int, weight_bound: float, eps: float, delta: float = 0.0
+) -> int:
+    """Theorem 4.3's covering radius for the budget's regime
+    (:func:`~repro.dp.bounds.bounded_weight_optimal_k_approx` when
+    ``delta > 0``, else the pure optimum), clamped to Lemma 4.4's
+    hypothesis ``V >= k + 1``, so a lone vertex covers itself at
+    radius 0."""
+    if delta > 0:
+        k = bounded_weight_optimal_k_approx(num_vertices, weight_bound, eps)
+    else:
+        k = bounded_weight_optimal_k_pure(num_vertices, weight_bound, eps)
+    return min(k, num_vertices - 1)
 
-    Parameters
-    ----------
-    graph:
-        Connected graph with weights in ``[0, weight_bound]``.
-    weight_bound:
-        The bound ``M`` on edge weights.
-    eps, delta:
-        The privacy budget.  ``delta = 0`` selects the pure regime of
-        Theorem 4.6; ``delta > 0`` the approx regime of Theorem 4.5.
-    k:
-        The covering radius.  Defaults to the Theorem 4.3 optimum for
-        the selected regime.
-    covering:
-        An explicit k-covering ``Z`` to use (validated).  Defaults to
-        the Lemma 4.4 construction.
+
+class _CoveringRelease:
+    """Algorithm 2's public half, shared by every release that answers
+    through a k-covering: the weight-bound and connectivity checks,
+    the radius ``k``, the covering ``Z`` and the assignment ``z(v)``.
+
+    Everything here depends only on the public topology and the
+    declared bound, so it spends nothing.  A subclass releases the
+    covering pairs' distances; it names its kind in refusals
+    (``_what``) and sets ``default_radius(V, M, eps, delta)``, the
+    radius it picks when ``k`` is not given.
     """
 
     def __init__(
@@ -83,33 +91,27 @@ class BoundedWeightRelease:
         graph: WeightedGraph,
         weight_bound: float,
         eps: float,
-        rng: Rng,
-        delta: float = 0.0,
-        k: int | None = None,
-        covering: List[Vertex] | None = None,
+        delta: float,
+        k: int | None,
+        covering: List[Vertex] | None,
     ) -> None:
         if weight_bound <= 0:
             raise PrivacyError(
                 f"weight bound M must be positive, got {weight_bound}"
             )
         graph.check_bounded(weight_bound)
-        if not is_connected(graph):
+        self._csr = CSRGraph.from_graph(graph)
+        if not is_weakly_connected(self._csr):
             raise DisconnectedGraphError(
-                "bounded-weight release requires a connected graph"
+                f"{self._what} release requires a connected graph"
             )
         self._graph = graph
         self._weight_bound = float(weight_bound)
         self._params = PrivacyParams(eps, delta)
-        v = graph.num_vertices
-
         if k is None:
-            if delta > 0:
-                k = bounded_weight_optimal_k_approx(v, weight_bound, eps)
-            else:
-                k = bounded_weight_optimal_k_pure(v, weight_bound, eps)
-            # Lemma 4.4 needs V >= k + 1 (so a lone vertex covers
-            # itself at radius 0).
-            k = min(k, v - 1)
+            k = self.default_radius(
+                graph.num_vertices, weight_bound, eps, delta
+            )
         if k < 0:
             raise GraphError(f"k must be nonnegative, got {k}")
         self._k = k
@@ -123,25 +125,12 @@ class BoundedWeightRelease:
                     f"provided vertex set is not a {k}-covering"
                 )
         self._covering = covering
-        z = len(covering)
 
         # Assignment z(v): nearest covering vertex by hops (step 2).
         self._assignment: Dict[Vertex, Vertex] = {
             vert: origin
             for vert, (origin, _) in nearest_in_set(graph, covering).items()
         }
-
-        # Noise scale per released covering-pair distance (step 1):
-        # the paper's Z^2 queries, counted unordered.
-        self._scale = composed_noise_scale(z * (z - 1) // 2, eps, delta)
-
-        exact = all_pairs_dijkstra(graph, sources=covering)
-        self._released: Dict[Tuple[Vertex, Vertex], float] = {}
-        for i, y in enumerate(covering):
-            for zv in covering[i + 1 :]:
-                self._released[(y, zv)] = exact[y][zv] + rng.laplace(
-                    self._scale
-                )
 
     @property
     def params(self) -> PrivacyParams:
@@ -160,7 +149,7 @@ class BoundedWeightRelease:
 
     @property
     def k(self) -> int:
-        """The covering radius in hops."""
+        """The covering radius in hops (detour error ``<= 2kM``)."""
         return self._k
 
     @property
@@ -174,16 +163,68 @@ class BoundedWeightRelease:
         construction."""
         return len(self._covering)
 
-    @property
-    def noise_scale(self) -> float:
-        """The Laplace scale added to each covering-pair distance."""
-        return self._scale
-
     def assigned_covering_vertex(self, v: Vertex) -> Vertex:
         """``z(v)``: the covering vertex assigned to ``v`` (step 2)."""
         if v not in self._assignment:
             raise VertexNotFoundError(v)
         return self._assignment[v]
+
+
+class BoundedWeightRelease(_CoveringRelease):
+    """The Algorithm 2 release object.
+
+    Parameters
+    ----------
+    graph:
+        Connected graph with weights in ``[0, weight_bound]``.
+    weight_bound:
+        The bound ``M`` on edge weights.
+    eps, delta:
+        The privacy budget.  ``delta = 0`` selects the pure regime of
+        Theorem 4.6; ``delta > 0`` the approx regime of Theorem 4.5.
+    k:
+        The covering radius.  Defaults to the Theorem 4.3 optimum for
+        the selected regime (:func:`bounded_weight_radius`).
+    covering:
+        An explicit k-covering ``Z`` to use (validated).  Defaults to
+        the Lemma 4.4 construction.
+    """
+
+    _what = "bounded-weight"
+    default_radius = staticmethod(bounded_weight_radius)
+
+    def __init__(
+        self,
+        graph: WeightedGraph,
+        weight_bound: float,
+        eps: float,
+        rng: Rng,
+        delta: float = 0.0,
+        k: int | None = None,
+        covering: List[Vertex] | None = None,
+    ) -> None:
+        super().__init__(graph, weight_bound, eps, delta, k, covering)
+        covering = self._covering
+        z = len(covering)
+
+        # Noise scale per released covering-pair distance (step 1):
+        # the paper's Z^2 queries, counted unordered.
+        self._scale = composed_noise_scale(z * (z - 1) // 2, eps, delta)
+
+        sites = self._csr.indices_of(covering)
+        with kernel_span("engine.all_pairs", sources=z):
+            exact = multi_source_distances(self._csr, sites)
+        exact = exact[:, sites].tolist()
+        self._released: Dict[Tuple[Vertex, Vertex], float] = {
+            (y, covering[j]): exact[i][j] + rng.laplace(self._scale)
+            for i, y in enumerate(covering)
+            for j in range(i + 1, z)
+        }
+
+    @property
+    def noise_scale(self) -> float:
+        """The Laplace scale added to each covering-pair distance."""
+        return self._scale
 
     def covering_distance(self, y: Vertex, z: Vertex) -> float:
         """The released noisy distance ``a_{y,z}`` between two covering

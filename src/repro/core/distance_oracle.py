@@ -21,18 +21,18 @@ beat for trees and bounded-weight graphs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Tuple
 
-from ..algorithms.shortest_paths import all_pairs_dijkstra, dijkstra
-from ..algorithms.traversal import is_connected
+import numpy as np
+
+from ..algorithms.shortest_paths import dijkstra
 from ..dp.composition import composed_noise_scale
 from ..dp.mechanisms import LaplaceMechanism
 from ..dp.params import PrivacyParams
-from ..exceptions import (
-    DisconnectedGraphError,
-    PrivacyError,
-    VertexNotFoundError,
-)
+from ..engine.csr import CSRGraph
+from ..engine.frontier import is_weakly_connected
+from ..engine.kernels import kernel_span, multi_source_distances
+from ..exceptions import DisconnectedGraphError, PrivacyError
 from ..graphs.graph import Vertex, WeightedGraph
 from ..rng import Rng
 
@@ -51,9 +51,9 @@ def all_pairs_noise_scale(
 
     The ``P = V(V-1)/2`` distinct unordered pair queries priced by the
     shared :func:`~repro.dp.composition.composed_noise_scale`
-    accounting — used by the release classes, the engine-native
-    synopsis builder, and mechanism auto-selection (which contests
-    this scale against the hub mechanisms').
+    accounting — used by the release classes, the all-pairs synopsis
+    and mechanism auto-selection (which contests this scale against
+    the hub mechanisms').
     """
     return composed_noise_scale(
         num_vertices * (num_vertices - 1) // 2, eps, delta
@@ -72,6 +72,7 @@ def private_distance(
     This is the straightforward application of the Laplace mechanism
     mentioned in Section 1.2: one sensitivity-1 query, eps-DP.
     """
+    graph.check_nonnegative()
     distances, _ = dijkstra(graph, source, target=target)
     if target not in distances:
         raise DisconnectedGraphError(
@@ -81,37 +82,46 @@ def private_distance(
     return mechanism.release_scalar(distances[target])
 
 
-def _ordered_pairs(vertices: List[Vertex]) -> Iterator[Tuple[Vertex, Vertex]]:
-    """Yield the unordered vertex pairs lazily — ``V^2/2`` tuples never
-    exist at once, only the noisy answer dict does."""
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
-            yield vertices[i], vertices[j]
-
-
 class _AllPairsReleaseBase:
     """Shared machinery: exact all-pairs distances plus noisy answers.
 
-    The exact sweep is the release's entire computational cost.
+    The exact distances are one engine sweep from every vertex (one
+    ``V x V`` matrix) and the noise is one vectorized Laplace draw over
+    its upper triangle, in the graph's vertex order.  The sweep is the
+    release's entire computational cost.
     """
 
-    def __init__(self, graph: WeightedGraph) -> None:
-        if not is_connected(graph):
+    def __init__(
+        self, graph: WeightedGraph, params: PrivacyParams, rng: Rng
+    ) -> None:
+        self._csr = CSRGraph.from_graph(graph)
+        if not is_weakly_connected(self._csr):
             raise DisconnectedGraphError(
                 "all-pairs release requires a connected graph"
             )
+        graph.check_nonnegative()
         self._graph = graph
-        self._vertices = graph.vertex_list()
-        self._exact = all_pairs_dijkstra(graph)
-        self._noisy: Dict[Tuple[Vertex, Vertex], float] = {}
-        self._scale = 0.0  # set by _populate
+        self._params = params
+        n = self._csr.n
+        self._scale = all_pairs_noise_scale(n, params.eps, params.delta)
+        with kernel_span("engine.all_pairs", sources=n):
+            self._exact = multi_source_distances(
+                self._csr, np.arange(n, dtype=np.int64)
+            )
+        iu, ju = np.triu_indices(n, k=1)
+        values = self._exact[iu, ju] + rng.laplace_vector(
+            self._scale, len(iu)
+        )
+        vertices = self._csr.vertices
+        self._noisy: Dict[Tuple[Vertex, Vertex], float] = {
+            (vertices[i], vertices[j]): v
+            for i, j, v in zip(iu.tolist(), ju.tolist(), values.tolist())
+        }
 
-    def _populate(self, noise_scale: float, rng: Rng) -> None:
-        self._scale = float(noise_scale)
-        n = len(self._vertices)
-        noise = rng.laplace_vector(noise_scale, n * (n - 1) // 2)
-        for (s, t), x in zip(_ordered_pairs(self._vertices), noise):
-            self._noisy[(s, t)] = self._exact[s][t] + float(x)
+    @property
+    def params(self) -> PrivacyParams:
+        """The privacy guarantee of the whole release."""
+        return self._params
 
     @property
     def graph(self) -> WeightedGraph:
@@ -129,19 +139,19 @@ class _AllPairsReleaseBase:
         Symmetric; a vertex's distance to itself is released as exactly
         0 (it is data-independent, so this leaks nothing).
         """
-        if source not in self._exact:
-            raise VertexNotFoundError(source)
-        if target not in self._exact:
-            raise VertexNotFoundError(target)
-        if source == target:
+        i, j = self._csr.index_of(source), self._csr.index_of(target)
+        if i == j:
             return 0.0
-        if (source, target) in self._noisy:
-            return self._noisy[(source, target)]
-        return self._noisy[(target, source)]
+        vertices = self._csr.vertices
+        return self._noisy[(vertices[min(i, j)], vertices[max(i, j)])]
 
     def exact_distance(self, source: Vertex, target: Vertex) -> float:
         """The true distance (for error measurement; not private)."""
-        return self._exact[source][target]
+        return float(
+            self._exact[
+                self._csr.index_of(source), self._csr.index_of(target)
+            ]
+        )
 
     def all_released(self) -> Dict[Tuple[Vertex, Vertex], float]:
         """All released pairwise distances keyed by vertex pair."""
@@ -163,15 +173,7 @@ class AllPairsBasicRelease(_AllPairsReleaseBase):
         eps: float,
         rng: Rng,
     ) -> None:
-        super().__init__(graph)
-        self._params = PrivacyParams(eps)
-        self._scale = all_pairs_noise_scale(len(self._vertices), eps)
-        self._populate(self._scale, rng)
-
-    @property
-    def params(self) -> PrivacyParams:
-        """The privacy guarantee of the whole release."""
-        return self._params
+        super().__init__(graph, PrivacyParams(eps), rng)
 
 
 class AllPairsAdvancedRelease(_AllPairsReleaseBase):
@@ -191,19 +193,9 @@ class AllPairsAdvancedRelease(_AllPairsReleaseBase):
         delta: float,
         rng: Rng,
     ) -> None:
-        super().__init__(graph)
         if delta <= 0:
             raise PrivacyError(
                 f"advanced composition requires delta > 0, got {delta}"
             )
-        self._params = PrivacyParams(eps, delta)
         # The whole delta is reserved for the composition slack delta'.
-        self._scale = all_pairs_noise_scale(
-            len(self._vertices), eps, delta
-        )
-        self._populate(self._scale, rng)
-
-    @property
-    def params(self) -> PrivacyParams:
-        """The privacy guarantee of the whole release."""
-        return self._params
+        super().__init__(graph, PrivacyParams(eps, delta), rng)

@@ -147,11 +147,13 @@ def _descendants_within(
 
 class TreeSingleSourceRelease:
     """Theorem 4.1's release: noisy distances from the root to every
-    vertex of a tree, via Algorithm 1."""
+    vertex of a tree, via Algorithm 1.  A negative or non-finite weight
+    raises :class:`~repro.exceptions.WeightError` before any draw."""
 
     def __init__(self, tree: RootedTree, eps: float, rng: Rng) -> None:
         if eps <= 0:
             raise PrivacyError(f"eps must be positive, got {eps}")
+        tree.graph.check_nonnegative()
         self._tree = tree
         self._params = PrivacyParams(eps)
         plan = _RecursionPlan(tree)

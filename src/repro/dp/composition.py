@@ -66,9 +66,9 @@ def composed_noise_scale(
     ``num_queries``, so ``Lap(num_queries/eps)`` per entry is eps-DP
     (equivalently, basic composition).  ``delta > 0``: ``Lap(1/eps_q)``
     with ``eps_q`` from the Lemma 3.4 inverse.  This is the one shared
-    accounting behind the all-pairs baselines, the engine-native
-    synopsis builder, the hub-set releases, and mechanism
-    auto-selection — change it here and every consumer moves together.
+    accounting behind the all-pairs baselines, Algorithm 2's covering
+    table, the hub-set releases, and mechanism auto-selection — change
+    it here and every consumer moves together.
     """
     q = max(num_queries, 1)
     if delta > 0:

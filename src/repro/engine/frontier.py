@@ -6,8 +6,9 @@ level at a time, from a chunk of sources at once, and touches only the
 vertices each source reaches: no dense ``sources x V`` block is built
 or scanned.  The hub build's one search for its balls and partner
 trees (:mod:`repro.apsp.hubs`) and the sites' reachability on a
-directed graph (:func:`reached`) run on it.  The services'
-connectivity check (:func:`is_weakly_connected`) needs no levels: it
+directed graph (:func:`reached`) run on it.  The connectivity check
+(:func:`is_weakly_connected`, behind every release's and
+:func:`repro.algorithms.traversal.is_connected`) needs no levels: it
 is a union-find over the compiled edge-endpoint arrays, a few array
 passes where a search would take one per level.
 """
@@ -135,10 +136,10 @@ def reached(
 
 
 def is_weakly_connected(csr: CSRGraph) -> bool:
-    """Whether the compiled topology is weakly connected, as
-    :func:`repro.algorithms.traversal.is_connected` defines it (no
-    vertices counts as connected).  Computed once per compiled
-    structure and kept in its topology memo."""
+    """Whether the compiled topology is weakly connected: every vertex
+    reaches every other when arcs are read both ways (no vertices
+    counts as connected).  Computed once per compiled structure and
+    kept in its topology memo."""
     return csr.topology_memo("weakly_connected", _weakly_connected)
 
 

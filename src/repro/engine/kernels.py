@@ -2,7 +2,9 @@
 
 The exact-distance engine behind
 :func:`repro.algorithms.shortest_paths.all_pairs_dijkstra` and behind
-every engine-native build (the hub releases, the all-pairs synopsis):
+the releases that read exact distances in bulk (the all-pairs
+baselines, Algorithm 2's covering pairs, the hub releases, a pair
+workload) and the traffic replay's ground truth:
 
 * :func:`multi_source_distances` — the all-pairs workhorse.  When
   scipy is importable it runs ``scipy.sparse.csgraph.dijkstra``
@@ -13,9 +15,15 @@ every engine-native build (the hub releases, the all-pairs synopsis):
   :func:`~repro.algorithms.shortest_paths.dijkstra`'s value exactly:
   all three computations are minima over left-associated
   floating-point path sums, and floating-point ``min`` is exact.
+* :func:`pair_distances` — the exact distance of each ``(source,
+  target)`` index pair, gathered from blocked sweeps over the distinct
+  sources: what a pair workload release
+  (:func:`~repro.serving.batching.fresh_batch`,
+  :func:`~repro.serving.synopsis.build_single_pair_synopsis`) noises
+  and what the traffic replay measures its answers against.
 * :func:`sweep_block_rows` — how many sources one sweep takes where a
-  caller reads only a few entries of each row (the hub build, the
-  replay's ground truth): as many ``V``-length float64 rows as fit in
+  caller reads only a few entries of each row (the hub build,
+  :func:`pair_distances`): as many ``V``-length float64 rows as fit in
   :data:`SWEEP_BLOCK_BYTES`, never fewer than one.  The budget is
   1 MiB, half of a 2 MiB per-core L2, so the block a sweep fills is
   still cached when its few entries are gathered, with room left for
@@ -24,7 +32,7 @@ every engine-native build (the hub releases, the all-pairs synopsis):
   10% more CPU time.
 * :func:`kernel_span` — the profiler-gated tracer span every kernel
   call site opens (``engine.sssp``, ``engine.all_pairs``,
-  ``engine.hub_rows``, ...).
+  ``engine.pairs``, ``engine.hub_rows``, ...).
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from .csr import CSRGraph
 
 __all__ = [
     "multi_source_distances",
+    "pair_distances",
     "relaxation_distances",
     "sweep_block_rows",
     "kernel_span",
@@ -122,6 +131,28 @@ def multi_source_distances(
             matrix, directed=True, indices=src, limit=limit
         )
     return relaxation_distances(csr, src, limit=limit)
+
+
+def pair_distances(
+    csr: CSRGraph, sources: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """Exact ``d(sources[i], targets[i])`` for each pair of vertex
+    indices, ``inf`` where the target is unreachable.
+
+    Each distinct source is swept once, in blocks of
+    :func:`sweep_block_rows` sources, and each block's entries are
+    gathered before the next block is swept.  A value is the sweep's
+    value from that pair's source, whatever the block size.
+    """
+    distinct, row = np.unique(sources, return_inverse=True)
+    exact = np.empty(row.size)
+    rows = sweep_block_rows(csr)
+    with kernel_span("engine.pairs", pairs=row.size, sources=distinct.size):
+        for lo in range(0, distinct.size, rows):
+            block = multi_source_distances(csr, distinct[lo : lo + rows])
+            mine = (row >= lo) & (row < lo + rows)
+            exact[mine] = block[row[mine] - lo, targets[mine]]
+    return exact
 
 
 def relaxation_distances(

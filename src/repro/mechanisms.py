@@ -41,14 +41,14 @@ from dataclasses import dataclass
 from typing import Any, Tuple
 
 from .algorithms.traversal import is_connected
-from .apsp.bounded import HubSetBoundedRelease, hub_bounded_optimal_k
+from .apsp.bounded import HubSetBoundedRelease
 from .apsp.hubs import HubSetRelease, predicted_hub_scale
-from .core.bounded_weight import (
-    BoundedWeightRelease,
-    bounded_weight_optimal_k_approx,
-    bounded_weight_optimal_k_pure,
+from .core.bounded_weight import BoundedWeightRelease
+from .core.distance_oracle import (
+    AllPairsAdvancedRelease,
+    AllPairsBasicRelease,
+    all_pairs_noise_scale,
 )
-from .core.distance_oracle import all_pairs_noise_scale
 from .core.tree_distances import TreeAllPairsRelease
 from .dp.composition import composed_noise_scale
 from .dp.params import PrivacyParams
@@ -320,7 +320,11 @@ class TreeMechanism(Mechanism):
 class _BoundedFamily(Mechanism):
     """Shared gates of the declared-weight-bound family: a declared
     bound, a non-tree topology (trees defer to Algorithm 1), and a
-    side of the hub-bounded crossover."""
+    side of the hub-bounded crossover.  A member's prediction prices
+    the covering its release class would pick (``release``'s
+    ``default_radius``) through its ``_covering_scale``."""
+
+    release: Any = None
 
     def _family_eligible(self, graph, params):
         return (
@@ -328,6 +332,19 @@ class _BoundedFamily(Mechanism):
             and not graph.directed
             and not _is_tree_topology(graph)
         )
+
+    def predicted_noise_scale(self, graph, params):
+        v = graph.num_vertices
+        m, eps, delta = params.weight_bound, params.eps, params.delta
+        if m is None:
+            raise MechanismError(
+                f"{self.name} prediction requires a weight_bound"
+            )
+        k = self.release.default_radius(v, m, eps, delta)
+        # Meir–Moon: a connected graph has a k-covering of size
+        # <= V/(k+1); the prediction prices that worst case.
+        z = max(v // (k + 1), 1)
+        return self._covering_scale(z, eps, delta)
 
     def validate(self, graph, params):
         if params.weight_bound is None:
@@ -344,6 +361,7 @@ class BoundedWeightMechanism(_BoundedFamily):
     """Algorithm 2's covering release (Section 4.2)."""
 
     name = "bounded-weight"
+    release = BoundedWeightRelease
 
     def auto_eligible(self, graph, params):
         # Road scale defers to hub-bounded.
@@ -352,21 +370,7 @@ class BoundedWeightMechanism(_BoundedFamily):
             and graph.num_vertices < HUB_BOUNDED_MIN_VERTICES
         )
 
-    def predicted_noise_scale(self, graph, params):
-        v = graph.num_vertices
-        m, eps, delta = params.weight_bound, params.eps, params.delta
-        if m is None:
-            raise MechanismError(
-                "bounded-weight prediction requires a weight_bound"
-            )
-        if delta > 0:
-            k = bounded_weight_optimal_k_approx(v, m, eps)
-        else:
-            k = bounded_weight_optimal_k_pure(v, m, eps)
-        k = min(k, max(v - 1, 1))
-        # Meir–Moon: a connected graph has a k-covering of size
-        # <= V/(k+1); the prediction prices that worst case.
-        z = max(v // (k + 1), 1)
+    def _covering_scale(self, z, eps, delta):
         return composed_noise_scale(z * (z - 1) // 2, eps, delta)
 
     def build(self, graph, params, rng):
@@ -387,6 +391,7 @@ class HubBoundedMechanism(_BoundedFamily):
     (:class:`repro.apsp.bounded.HubSetBoundedRelease`)."""
 
     name = "hub-bounded"
+    release = HubSetBoundedRelease
 
     def auto_eligible(self, graph, params):
         return (
@@ -394,15 +399,7 @@ class HubBoundedMechanism(_BoundedFamily):
             and graph.num_vertices >= HUB_BOUNDED_MIN_VERTICES
         )
 
-    def predicted_noise_scale(self, graph, params):
-        v = graph.num_vertices
-        m, eps, delta = params.weight_bound, params.eps, params.delta
-        if m is None:
-            raise MechanismError(
-                "hub-bounded prediction requires a weight_bound"
-            )
-        k = hub_bounded_optimal_k(v, m, eps, delta)
-        z = max(v // (k + 1), 1)
+    def _covering_scale(self, z, eps, delta):
         return predicted_hub_scale(z, eps, delta)
 
     def build(self, graph, params, rng):
@@ -449,9 +446,11 @@ class AllPairsBasicMechanism(_AllPairsFamily):
         return all_pairs_noise_scale(graph.num_vertices, params.eps)
 
     def build(self, graph, params, rng):
-        from .serving.synopsis import build_all_pairs_synopsis
+        from .serving.synopsis import AllPairsSynopsis
 
-        return build_all_pairs_synopsis(graph, params.eps, rng)
+        return AllPairsSynopsis.from_release(
+            AllPairsBasicRelease(graph, params.eps, rng)
+        )
 
 
 class AllPairsAdvancedMechanism(_AllPairsFamily):
@@ -480,10 +479,12 @@ class AllPairsAdvancedMechanism(_AllPairsFamily):
         _require_connected(graph, self.name)
 
     def build(self, graph, params, rng):
-        from .serving.synopsis import build_all_pairs_synopsis
+        from .serving.synopsis import AllPairsSynopsis
 
-        return build_all_pairs_synopsis(
-            graph, params.eps, rng, delta=params.delta
+        return AllPairsSynopsis.from_release(
+            AllPairsAdvancedRelease(
+                graph, params.eps, params.delta, rng
+            )
         )
 
 

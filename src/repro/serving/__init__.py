@@ -49,7 +49,6 @@ from .synopsis import (
     HubSetSynopsis,
     SinglePairSynopsis,
     TreeSynopsis,
-    build_all_pairs_synopsis,
     build_single_pair_synopsis,
     synopsis_from_json,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "BoundedWeightSynopsis",
     "HubSetSynopsis",
     "HubBoundedSynopsis",
-    "build_all_pairs_synopsis",
     "build_single_pair_synopsis",
     "synopsis_from_json",
     "EpochResult",

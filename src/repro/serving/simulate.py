@@ -18,14 +18,12 @@ so simulation results are regenerable bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import Dict, List
 
 from ..engine.csr import CSRGraph
-from ..engine.kernels import multi_source_distances, sweep_block_rows
+from ..engine.kernels import pair_distances
 from ..exceptions import GraphError
-from ..graphs.graph import Vertex, WeightedGraph
+from ..graphs.graph import WeightedGraph
 from ..rng import Rng
 from ..telemetry import Telemetry, use_telemetry
 from ..workloads.queries import uniform_pairs
@@ -134,26 +132,6 @@ class SimulationReport:
         }
 
 
-def _exact_distances(
-    graph: WeightedGraph, pairs: List[Tuple[Vertex, Vertex]]
-) -> List[float]:
-    """True distances for the pairs, gathered from sweeps over the
-    distinct sources in blocks of
-    :func:`~repro.engine.kernels.sweep_block_rows` rows."""
-    csr = CSRGraph.from_graph(graph)
-    sources, row = np.unique(
-        csr.indices_of([s for s, _ in pairs]), return_inverse=True
-    )
-    target = csr.indices_of([t for _, t in pairs])
-    exact = np.empty(len(pairs))
-    rows = sweep_block_rows(csr)
-    for lo in range(0, sources.size, rows):
-        block = multi_source_distances(csr, sources[lo : lo + rows])
-        mine = (row >= lo) & (row < lo + rows)
-        exact[mine] = block[row[mine] - lo, target[mine]]
-    return exact.tolist()
-
-
 def replay_rush_hour(
     rng: Rng,
     config: ServingConfig = ServingConfig(),
@@ -239,7 +217,12 @@ def replay_rush_hour(
         with use_telemetry(telemetry), telemetry.span(
             "replay.ground_truth", epoch=epoch, pairs=len(pairs)
         ):
-            exact = _exact_distances(graph, pairs)
+            csr = CSRGraph.from_graph(graph)
+            exact = pair_distances(
+                csr,
+                csr.indices_of([s for s, _ in pairs]),
+                csr.indices_of([t for _, t in pairs]),
+            ).tolist()
         errors = [
             abs(answer - truth)
             for answer, truth in zip(batch.answers, exact)

@@ -47,13 +47,11 @@ from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .. import documents
-from ..algorithms.shortest_paths import all_pairs_dijkstra
 from ..apsp.hubs import HubStructure
 from ..core.distance_oracle import all_pairs_noise_scale
 from ..dp.params import PrivacyParams
 from ..engine.csr import CSRGraph
-from ..engine.frontier import is_weakly_connected
-from ..engine.kernels import kernel_span, multi_source_distances
+from ..engine.kernels import pair_distances
 from ..exceptions import (
     DisconnectedGraphError,
     GraphError,
@@ -73,7 +71,6 @@ __all__ = [
     "HubSetSynopsis",
     "HubBoundedSynopsis",
     "build_single_pair_synopsis",
-    "build_all_pairs_synopsis",
     "synopsis_from_json",
     "SYNOPSIS_FORMAT",
 ]
@@ -364,17 +361,12 @@ class AllPairsSynopsis(_PairTableSynopsis):
 
     @classmethod
     def from_release(cls, release: Any) -> "AllPairsSynopsis":
-        """Wrap an all-pairs release object (basic or advanced)."""
-        table = release.all_released()
-        vertices = set()
-        for s, t in table:
-            vertices.add(s)
-            vertices.add(t)
-        if not vertices:
-            # Single-vertex graph: nothing released, but the vertex set
-            # must still be answerable (distance to self is 0).
-            vertices = set(release.graph.vertices())
-        return cls(release.params, table, vertices)
+        """Wrap an all-pairs release object (basic or advanced).  Its
+        graph is connected, so every vertex is answerable (a lone
+        vertex only about itself)."""
+        return cls(
+            release.params, release.all_released(), release.graph.vertices()
+        )
 
     @classmethod
     def _from_payload(
@@ -942,51 +934,6 @@ _KINDS = {
 }
 
 
-def build_all_pairs_synopsis(
-    graph: WeightedGraph,
-    eps: float,
-    rng: Rng,
-    delta: float = 0.0,
-) -> AllPairsSynopsis:
-    """Build an :class:`AllPairsSynopsis` straight from the engine.
-
-    The exact distances come as one CSR multi-source matrix and the
-    noise is a single vectorized Laplace draw over the upper triangle
-    — no intermediate dict-of-dicts or release object.  ``delta = 0``
-    applies the basic-composition accounting of
-    :class:`~repro.core.distance_oracle.AllPairsBasicRelease`
-    (``Lap(P/eps)`` over the ``P = V(V-1)/2`` unordered pairs);
-    ``delta > 0`` the advanced-composition accounting of
-    :class:`~repro.core.distance_oracle.AllPairsAdvancedRelease`.
-
-    Pair order and noise-draw order match the release classes exactly,
-    so with the same seed this builder releases bit-identical values
-    to ``AllPairsSynopsis.from_release`` over either release — only
-    faster.  The claim covers the released values, not the serialized
-    bytes.
-    """
-    params = PrivacyParams(eps, delta)
-    csr = CSRGraph.from_graph(graph)
-    if not is_weakly_connected(csr):
-        raise DisconnectedGraphError(
-            "all-pairs release requires a connected graph"
-        )
-    n = csr.n
-    with kernel_span("engine.all_pairs", sources=n):
-        matrix = multi_source_distances(
-            csr, np.arange(n, dtype=np.int64)
-        )
-    scale = all_pairs_noise_scale(n, eps, delta)
-    iu, ju = np.triu_indices(n, k=1)
-    values = matrix[iu, ju] + rng.laplace_vector(scale, len(iu))
-    vertices = csr.vertices
-    table = {
-        (vertices[i], vertices[j]): v
-        for i, j, v in zip(iu.tolist(), ju.tolist(), values.tolist())
-    }
-    return AllPairsSynopsis(params, table, vertices)
-
-
 def build_single_pair_synopsis(
     graph: WeightedGraph,
     pairs: Iterable[Tuple[Vertex, Vertex]],
@@ -998,10 +945,10 @@ def build_single_pair_synopsis(
     The distinct (unordered) pairs form a query vector of L1
     sensitivity ``Q`` (each distance query has sensitivity 1), so one
     vectorized ``Lap(Q/eps)`` draw over the whole vector is eps-DP.
-    Exact distances come from one
-    :func:`~repro.algorithms.shortest_paths.all_pairs_dijkstra` sweep
-    over the distinct sources, not one search per pair.  A directed
-    graph is refused: the workload is keyed by unordered pair.
+    Exact distances come from blocked sweeps over the distinct sources
+    (:func:`~repro.engine.kernels.pair_distances`), not one search per
+    pair.  A directed graph is refused: the workload is keyed by
+    unordered pair.
     """
     params = PrivacyParams(eps)  # validates eps before any work
     return _release_pairs(params, graph, _exact_pairs(graph, pairs), rng)
@@ -1011,39 +958,24 @@ def _exact_pairs(  # privlint: ignore[PL1] the exact values only feed _release_p
     graph: WeightedGraph, pairs: Iterable[Tuple[Vertex, Vertex]]
 ) -> Dict[Tuple[Vertex, Vertex], float]:
     """The exact distance of each distinct unordered pair of a
-    workload, self pairs dropped, in first-seen order.  Makes every
-    check a pair workload release makes, and draws nothing: a directed
-    graph, a vertex outside the graph and a pair with no path raise."""
+    workload, self pairs dropped, in first-seen order, swept from each
+    pair's :func:`canonical_pair` source.  Makes every check a pair
+    workload release makes, and draws nothing: a directed graph, a
+    vertex outside the graph, a negative or non-finite weight and a
+    pair with no path raise."""
     _require_undirected(graph, "a pair workload release")
-    unique: List[Tuple[Vertex, Vertex]] = []
-    seen = set()
-    for s, t in pairs:
-        if s == t:
-            continue
-        key = canonical_pair(s, t)
-        if key not in seen:
-            seen.add(key)
-            unique.append(key)
-    for s, t in unique:
-        if not graph.has_vertex(s):
-            raise VertexNotFoundError(s)
-        if not graph.has_vertex(t):
-            raise VertexNotFoundError(t)
-
-    by_source: Dict[Vertex, List[Vertex]] = {}
-    for s, t in unique:
-        by_source.setdefault(s, []).append(t)
-    exact: Dict[Tuple[Vertex, Vertex], float] = {}
-    sweep = all_pairs_dijkstra(graph, sources=list(by_source))
-    for s, targets in by_source.items():
-        distances = sweep[s]
-        for t in targets:
-            if t not in distances:
-                raise DisconnectedGraphError(
-                    f"no path from {s!r} to {t!r}"
-                )
-            exact[(s, t)] = distances[t]
-    return {pair: exact[pair] for pair in unique}
+    unique = list(
+        dict.fromkeys(canonical_pair(s, t) for s, t in pairs if s != t)
+    )
+    csr = CSRGraph.from_graph(graph)
+    ends = csr.indices_of([v for pair in unique for v in pair])
+    graph.check_nonnegative()
+    exact = pair_distances(csr, ends[0::2], ends[1::2])
+    unreachable = np.flatnonzero(np.isinf(exact))
+    if unreachable.size:
+        s, t = unique[unreachable[0]]
+        raise DisconnectedGraphError(f"no path from {s!r} to {t!r}")
+    return dict(zip(unique, exact.tolist()))
 
 
 def _release_pairs(

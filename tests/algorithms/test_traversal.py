@@ -7,6 +7,7 @@ import pytest
 from repro import VertexNotFoundError, WeightedGraph
 from repro.algorithms import bfs_hop_distances, connected_components, is_connected
 from repro.algorithms.traversal import bfs_hop_distance
+from repro.engine import frontier
 from repro.graphs import generators
 
 
@@ -81,3 +82,19 @@ class TestComponents:
         g.add_edge(0, 1, 1.0)
         g.add_edge(2, 1, 1.0)  # 1 unreachable to 2, but weakly connected
         assert is_connected(g)
+
+    def test_is_connected_reads_the_topology_memo(self, monkeypatch):
+        # One connectivity search per compiled topology, whatever the
+        # weights: is_connected runs no traversal of its own.
+        searches = []
+        search = frontier._weakly_connected
+
+        def counting(unit):
+            searches.append(unit.n)
+            return search(unit)
+
+        monkeypatch.setattr(frontier, "_weakly_connected", counting)
+        g = WeightedGraph.from_edges([(0, 1, 1.0), (1, 2, 2.0)])
+        assert is_connected(g)
+        assert is_connected(g.with_weights([3.0, 4.0]))
+        assert searches == [3]

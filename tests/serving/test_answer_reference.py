@@ -12,12 +12,12 @@ import itertools
 
 import pytest
 
-from repro import DistanceService, PrivacyParams, Rng
+from repro import AllPairsBasicRelease, DistanceService, PrivacyParams, Rng
 from repro.exceptions import GraphError, PrivacyError, VertexNotFoundError
 from repro.graphs import generators
 from repro.serving import (
+    AllPairsSynopsis,
     BoundedWeightSynopsis,
-    build_all_pairs_synopsis,
     build_single_pair_synopsis,
 )
 from repro.workloads import grid_road_network
@@ -155,7 +155,9 @@ def _synopsis_of(kind: str):
             grid, [((0, 0), (3, 3))], 1.0, Rng(10)
         )
     if kind == "all-pairs":
-        return build_all_pairs_synopsis(grid, 1.0, Rng(11))
+        return AllPairsSynopsis.from_release(
+            AllPairsBasicRelease(grid, 1.0, Rng(11))
+        )
     return DistanceService(
         tree if kind == "tree" else grid, 1e6, Rng(12),
         weight_bound=10.0, mechanism=kind,

@@ -6,10 +6,9 @@ import pytest
 
 from repro import GraphError, Rng, WeightedGraph
 from repro.algorithms import all_pairs_dijkstra
-from repro.engine import kernels
+from repro.engine import CSRGraph, kernels
 from repro.graphs import generators
 from repro.serving import ServingConfig, replay_rush_hour
-from repro.serving.simulate import _exact_distances
 from repro.workloads.queries import uniform_pairs
 
 
@@ -106,9 +105,13 @@ class TestGroundTruth:
         # Repeated sources and repeated pairs, in no order.
         pairs = uniform_pairs(graph, 150, rng)
         sweep = all_pairs_dijkstra(graph, sources={s for s, _ in pairs})
-        assert _exact_distances(graph, pairs) == [
-            sweep[s][t] for s, t in pairs
-        ]
+        csr = CSRGraph.from_graph(graph)
+        exact = kernels.pair_distances(
+            csr,
+            csr.indices_of([s for s, _ in pairs]),
+            csr.indices_of([t for _, t in pairs]),
+        )
+        assert exact.tolist() == [sweep[s][t] for s, t in pairs]
 
     @pytest.mark.parametrize(
         "config, mean, worst",

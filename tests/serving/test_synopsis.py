@@ -29,11 +29,12 @@ from repro.serving import (
     DistanceSynopsis,
     SinglePairSynopsis,
     TreeSynopsis,
-    build_all_pairs_synopsis,
     build_single_pair_synopsis,
     synopsis_from_json,
 )
 from repro.serving.synopsis import _KINDS, canonical_pair
+
+from all_pairs_reference import reference_all_pairs_synopsis
 
 
 class TestCanonicalPair:
@@ -199,13 +200,17 @@ class TestReproducibleBytes:
     process, whatever the interpreter's string hash seed."""
 
     _SCRIPT = """
-from repro import Rng, WeightedGraph
-from repro.serving import build_all_pairs_synopsis, build_single_pair_synopsis
+from repro import AllPairsBasicRelease, Rng, WeightedGraph
+from repro.serving import AllPairsSynopsis, build_single_pair_synopsis
 
 graph = WeightedGraph.from_edges(
     [("a", "b", 1.0), ("b", "c", 2.0), ("c", "d", 1.5), ("d", "a", 3.0)]
 )
-print(build_all_pairs_synopsis(graph, 1.0, Rng(0)).to_json())
+print(
+    AllPairsSynopsis.from_release(
+        AllPairsBasicRelease(graph, 1.0, Rng(0))
+    ).to_json()
+)
 print(
     build_single_pair_synopsis(
         graph, [("a", "c"), ("d", "b")], 1.0, Rng(1)
@@ -364,39 +369,58 @@ class TestHubBoundedSynopsis:
             )
 
 
+def _all_pairs(graph, eps, rng, delta=0.0):
+    """A seeded all-pairs synopsis, as the catalog builds one."""
+    release = (
+        AllPairsAdvancedRelease(graph, eps, delta, rng)
+        if delta
+        else AllPairsBasicRelease(graph, eps, rng)
+    )
+    return AllPairsSynopsis.from_release(release)
+
+
+def _weighted_grid(rows, cols, seed):
+    return generators.assign_random_weights(
+        generators.grid_graph(rows, cols), Rng(seed), low=0.5, high=3.0
+    )
+
+
 class TestEngineNativeAllPairsBuild:
-    """The engine-native synopsis build: matrix + vectorized triangle
-    noise, seeded-identical to wrapping the release object."""
+    """The all-pairs releases' engine build (one distance matrix and one
+    vectorized draw over its upper triangle): value for value and byte
+    for byte what the dict-of-dicts computation kept in
+    ``all_pairs_reference`` releases under the same seed."""
+
+    @staticmethod
+    def _assert_matches_reference(graph, seed, delta):
+        built = _all_pairs(graph, 1.0, Rng(seed), delta=delta)
+        reference = reference_all_pairs_synopsis(graph, 1.0, delta, Rng(seed))
+        for s in graph.vertices():
+            for t in graph.vertices():
+                assert built.distance(s, t) == reference.distance(s, t)
+        assert built.to_json() == reference.to_json()
 
     def test_seeded_equivalence_with_release_path_pure(self):
-        from repro.serving import build_all_pairs_synopsis
-
-        graph = generators.grid_graph(4, 5)
-        native = build_all_pairs_synopsis(graph, 1.0, Rng(11))
-        reference = AllPairsSynopsis.from_release(
-            AllPairsBasicRelease(graph, 1.0, Rng(11))
-        )
-        for s in graph.vertices():
-            for t in graph.vertices():
-                assert native.distance(s, t) == reference.distance(s, t)
+        for graph in (
+            generators.grid_graph(4, 5),
+            _weighted_grid(3, 3, 1),
+            _weighted_grid(4, 5, 2),
+            _weighted_grid(6, 6, 3),
+        ):
+            self._assert_matches_reference(graph, 11, 0.0)
 
     def test_seeded_equivalence_with_release_path_advanced(self):
-        from repro.serving import build_all_pairs_synopsis
-
-        graph = generators.grid_graph(4, 4)
-        native = build_all_pairs_synopsis(graph, 1.0, Rng(12), delta=1e-6)
-        reference = AllPairsSynopsis.from_release(
-            AllPairsAdvancedRelease(graph, 1.0, 1e-6, Rng(12))
-        )
-        for s in graph.vertices():
-            for t in graph.vertices():
-                assert native.distance(s, t) == reference.distance(s, t)
+        for graph in (
+            generators.grid_graph(4, 4),
+            _weighted_grid(3, 3, 1),
+            _weighted_grid(4, 5, 2),
+            _weighted_grid(6, 6, 3),
+        ):
+            self._assert_matches_reference(graph, 12, 1e-6)
 
     def test_returns_registered_all_pairs_kind(self, rng):
-        from repro.serving import build_all_pairs_synopsis
-
         graph = generators.grid_graph(3, 3)
-        synopsis = build_all_pairs_synopsis(graph, 1.0, rng)
+        synopsis = _all_pairs(graph, 1.0, rng)
         assert isinstance(synopsis, AllPairsSynopsis)
         restored = synopsis_from_json(synopsis.to_json())
         assert restored.distance((0, 0), (2, 2)) == synopsis.distance(
@@ -405,20 +429,18 @@ class TestEngineNativeAllPairsBuild:
 
     def test_disconnected_rejected(self, rng):
         from repro import DisconnectedGraphError
-        from repro.serving import build_all_pairs_synopsis
 
         graph = generators.grid_graph(2, 2)
         graph.add_vertex("island")
         with pytest.raises(DisconnectedGraphError):
-            build_all_pairs_synopsis(graph, 1.0, rng)
+            _all_pairs(graph, 1.0, rng)
 
     def test_single_vertex_graph(self, rng):
         from repro import WeightedGraph
-        from repro.serving import build_all_pairs_synopsis
 
         graph = WeightedGraph()
         graph.add_vertex("only")
-        synopsis = build_all_pairs_synopsis(graph, 1.0, rng)
+        synopsis = _all_pairs(graph, 1.0, rng)
         assert synopsis.distance("only", "only") == 0.0
 
 
@@ -525,9 +547,7 @@ def _pair_document(kind):
     covering has at least three vertices."""
     graph = generators.grid_graph(6, 6)
     if kind == "all-pairs":
-        synopsis = build_all_pairs_synopsis(
-            generators.grid_graph(3, 3), 1.0, Rng(5)
-        )
+        synopsis = _all_pairs(generators.grid_graph(3, 3), 1.0, Rng(5))
     elif kind == "single-pair":
         synopsis = build_single_pair_synopsis(
             graph,

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Tuple
 
 import pytest
 
-from repro import Rng, documents
+from repro import AllPairsBasicRelease, Rng, documents
 from repro.cli import main
 from repro.exceptions import (
     AuditError,
@@ -33,7 +33,7 @@ from repro.privlint.findings import Finding
 from repro.serving import DistanceService, ServingConfig, ShardPlan
 from repro.serving.routing import partition_graph
 from repro.serving.synopsis import (
-    build_all_pairs_synopsis,
+    AllPairsSynopsis,
     build_single_pair_synopsis,
     synopsis_from_json,
 )
@@ -60,7 +60,7 @@ def _synopses() -> Dict[str, object]:
     rng = Rng(0)
     built = [
         build_single_pair_synopsis(GRID, [((0, 0), (2, 2))], 1.0, rng),
-        build_all_pairs_synopsis(GRID, 1.0, rng),
+        AllPairsSynopsis.from_release(AllPairsBasicRelease(GRID, 1.0, rng)),
         DistanceService(
             generators.random_tree(6, Rng(1)), 1.0, rng, mechanism="tree"
         ).synopsis,
