@@ -74,6 +74,17 @@ def bounded_weight_radius(
     return min(k, num_vertices - 1)
 
 
+def _assign(
+    graph: WeightedGraph, covering: List[Vertex]
+) -> Dict[Vertex, Vertex]:
+    """Algorithm 2's step 2: each vertex's nearest covering vertex by
+    hops, ``z(v)``."""
+    return {
+        vert: origin
+        for vert, (origin, _) in nearest_in_set(graph, covering).items()
+    }
+
+
 class _CoveringRelease:
     """Algorithm 2's public half, shared by every release that answers
     through a k-covering: the weight-bound and connectivity checks,
@@ -117,20 +128,27 @@ class _CoveringRelease:
         self._k = k
 
         if covering is None:
-            covering = meir_moon_k_covering(graph, k)
+            # The default covering and its assignment read only the
+            # topology, in the vertex and neighbour order every graph
+            # sharing this compiled structure has: each structure
+            # builds them once, and every epoch over it shares them
+            # (read-only).
+            def build(unit: CSRGraph) -> Tuple[List[Vertex], Dict]:
+                default = meir_moon_k_covering(graph, k)
+                return default, _assign(graph, default)
+
+            covering, assignment = self._csr.topology_memo(
+                ("covering", k), build
+            )
         else:
             covering = list(covering)
             if not is_k_covering(graph, covering, k):
                 raise GraphError(
                     f"provided vertex set is not a {k}-covering"
                 )
-        self._covering = covering
-
-        # Assignment z(v): nearest covering vertex by hops (step 2).
-        self._assignment: Dict[Vertex, Vertex] = {
-            vert: origin
-            for vert, (origin, _) in nearest_in_set(graph, covering).items()
-        }
+            assignment = _assign(graph, covering)
+        self._covering: List[Vertex] = covering
+        self._assignment: Dict[Vertex, Vertex] = assignment
 
     @property
     def params(self) -> PrivacyParams:

@@ -23,7 +23,7 @@ mutation, so re-weighting a topology is one pass over its edges.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -38,6 +38,25 @@ Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
 
 __all__ = ["Vertex", "Edge", "WeightedGraph"]
+
+
+def _weight(value: object) -> float:
+    """``float(value)``; a value ``float()`` cannot read raises
+    :class:`~repro.exceptions.WeightError` naming it."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise WeightError(f"weight {value!r} is not a number") from None
+
+
+def _weights(values: List[object]) -> List[float]:
+    """``values`` as floats, read in one pass when ``float()`` reads
+    every one, else refused by :func:`_weight` at the first it cannot
+    read."""
+    try:
+        return list(map(float, values))
+    except (TypeError, ValueError):
+        return list(map(_weight, values))
 
 
 class WeightedGraph:
@@ -330,7 +349,9 @@ class WeightedGraph:
         """Return a copy of this topology carrying different weights.
 
         ``new_weights`` may be a mapping from edges (either orientation)
-        to weights, or a sequence aligned with :meth:`edge_list`.  This
+        to weights, or a sequence aligned with :meth:`edge_list`; a
+        value ``float()`` cannot read raises
+        :class:`~repro.exceptions.WeightError` naming it.  This
         is how mechanisms release synthetic graphs: same public
         topology, freshly noised private weights.  The clone is one
         pass over the edges: it keeps a new edge dict and shares this
@@ -348,7 +369,7 @@ class WeightedGraph:
                     key = (v, u)
                     if self._directed or key not in edges:
                         raise EdgeNotFoundError((u, v))
-                new_edges[key] = float(weight)
+                new_edges[key] = _weight(weight)
         else:
             if isinstance(new_weights, np.ndarray):
                 if new_weights.ndim != 1:
@@ -359,9 +380,9 @@ class WeightedGraph:
                 values = new_weights.tolist()
                 # A float64 array lists its values as floats already.
                 if new_weights.dtype != np.float64:
-                    values = list(map(float, values))
+                    values = _weights(values)
             else:
-                values = list(map(float, new_weights))
+                values = _weights(list(new_weights))
             if len(values) != len(edges):
                 raise WeightError(
                     f"expected {len(edges)} weights, got {len(values)}"

@@ -46,7 +46,7 @@ from ..telemetry import (
 )
 from .ledger import BudgetLedger
 from .service import DistanceService, _check_deployment
-from .sharding import ShardPlan, ShardedDistanceService
+from .sharding import ShardedDistanceService
 
 __all__ = [
     "ServingConfig",
@@ -101,11 +101,11 @@ class ServingConfig:
         Public bound ``M`` on edge weights, if declared: a positive
         finite number.
     shards:
-        Regional tenants to partition into (1 = unsharded).  Both are
-        checked as :class:`~repro.serving.service.DistanceService`
-        checks them.
+        Regional tenants to partition into (1 = unsharded).
     cache_size:
-        LRU bound on the answer cache (``None`` = unbounded).
+        LRU bound on the answer cache (``None`` = unbounded).  It,
+        ``shards`` and ``weight_bound`` are checked as
+        :class:`~repro.serving.service.DistanceService` checks them.
     tenant:
         Ledger tenant name (``None`` = each service's default).
     audit_log:
@@ -149,11 +149,7 @@ class ServingConfig:
         PrivacyParams(self.eps, self.delta)  # validates the budget
         if self.mechanism != "auto":
             get_mechanism(self.mechanism)  # raises on unknown names
-        _check_deployment(self.weight_bound, self.shards)
-        if self.cache_size is not None and self.cache_size < 1:
-            raise GraphError(
-                f"cache size must be at least 1, got {self.cache_size}"
-            )
+        _check_deployment(self.weight_bound, self.shards, self.cache_size)
 
     @property
     def budget(self) -> PrivacyParams:
@@ -207,7 +203,6 @@ def serve(
     config: ServingConfig,
     rng: Rng,
     ledger: BudgetLedger | None = None,
-    plan: ShardPlan | None = None,
     telemetry: Telemetry | None = None,
 ) -> DistanceService:
     """Stand up a distance server described by a :class:`ServingConfig`.
@@ -217,11 +212,10 @@ def serve(
     :class:`~repro.serving.service.DistanceService` for
     ``config.shards == 1`` and its
     :class:`~repro.serving.sharding.ShardedDistanceService` name
-    (the sharded default tenant) for more shards or an explicit
-    plan.  With the same graph, budget, and rng the returned server
-    answers bit-for-bit identically to constructing the class
-    directly, so configs are a pure convenience layer over the seeded
-    reproducibility story.
+    (the sharded default tenant) for more shards.  With the same
+    graph, budget, and rng the returned server answers bit-for-bit
+    identically to constructing the class directly, so configs are a
+    pure convenience layer over the seeded reproducibility story.
 
     Parameters
     ----------
@@ -238,9 +232,6 @@ def serve(
         refreshes re-spend the epoch budget and fail closed once it
         is spent).  Defaults to a private ledger that every refresh
         rotates.
-    plan:
-        Use an existing :class:`~repro.serving.sharding.ShardPlan`
-        instead of partitioning (multi-shard configs only).
     telemetry:
         Inject a :class:`~repro.telemetry.Telemetry` bundle for the
         server to record into; ``None`` captures the process's
@@ -270,15 +261,9 @@ def serve(
         ledger=ledger,
         cache_size=config.cache_size,
         telemetry=telemetry,
-        # With an explicit plan a multi-shard config still passes its
-        # count through, so a config/plan disagreement raises instead
-        # of silently trusting the plan; the default shards=1 means
-        # "whatever the plan says".
-        shards=config.shards if config.shards > 1 else None,
-        plan=plan,
+        shards=config.shards,
     )
     if config.tenant is not None:
         options["tenant"] = config.tenant
-    sharded = config.shards > 1 or plan is not None
-    server = ShardedDistanceService if sharded else DistanceService
+    server = ShardedDistanceService if config.shards > 1 else DistanceService
     return server(graph, config.budget, rng, **options)

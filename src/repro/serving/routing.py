@@ -1,11 +1,12 @@
 """Regional tenants and the shard router that stitches them together.
 
-:class:`ShardPlan` and :func:`partition_graph` split the public
-topology into ``k`` connected shards (data-independent); a
-:class:`_Tenant` is what one shard needs to serve; :class:`_ShardRouter`
-is the cache-miss path of a :class:`~repro.serving.service.DistanceService`
-with two or more tenants.  :mod:`repro.serving.sharding` explains the
-routing and the privacy accounting.
+:func:`partition_graph` splits the public topology into ``k``
+connected shards (data-independent) and returns the split as a
+:class:`ShardPlan`; a :class:`_Tenant` is what one shard needs to
+serve; :class:`_ShardRouter` is the cache-miss path of a
+:class:`~repro.serving.service.DistanceService` with two or more
+tenants.  :mod:`repro.serving.sharding` explains the routing and the
+privacy accounting.
 
 The router owns the routed answer (``distance``) and its scale
 (``noise_scale_for``): the owning synopsis's, or the relay chain's.
@@ -13,24 +14,24 @@ The router owns the routed answer (``distance``) and its scale
 A plan is its assignment, vertex -> shard.  The router is the one
 place a plan meets the graph (the service's own copy, whose vertex
 and edge order never changes): it derives the cut edges and the
-boundary (the relay sites) once, and refuses a disconnected graph or
-shard before anything spends.  None of this reads a weight.  The
-router's cut, edge classes and site tables are array code over the
-compiled edge-endpoint arrays
-(:attr:`~repro.engine.csr.CSRGraph.edge_endpoints`); only region
-growing walks vertices one at a time, over Python adjacency lists.
+boundary (the relay sites) once.  It checks nothing a partition
+already guarantees: :func:`partition_graph` refuses a disconnected
+graph, and region growing keeps every shard connected, so a connected
+graph split into two or more shards always cuts an edge and the relay
+always has sites.  None of this reads a weight.  The router's cut,
+edge classes and site tables are array code over the compiled
+edge-endpoint arrays (:attr:`~repro.engine.csr.CSRGraph.edge_endpoints`);
+only region growing walks vertices one at a time, over Python
+adjacency lists.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from itertools import repeat
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .. import documents
 from ..apsp.hubs import HubStructure
 from ..engine.csr import CSRGraph
 from ..engine.frontier import is_weakly_connected
@@ -41,7 +42,6 @@ from ..exceptions import (
     VertexNotFoundError,
 )
 from ..graphs.graph import Vertex, WeightedGraph
-from ..graphs.io import _decode_vertex, _encode_vertex
 from ..rng import Rng
 from .synopsis import DistanceSynopsis
 
@@ -56,9 +56,6 @@ __all__ = [
 #: tenant (parallel composition over disjoint intra-shard edge sets).
 RELAY_FRACTION = 0.5
 
-_PLAN_FORMAT = "repro-shard-plan"
-_PLAN_VERSION = 2
-
 
 class ShardPlan:
     """A topology-only sharding of a graph's vertex set.
@@ -67,7 +64,7 @@ class ShardPlan:
     vertex -> shard — and nothing derived from it: the boundary and
     cut edges are a function of the graph and the assignment, and the
     shard router derives them where it serves the plan.  The plan is
-    data-independent and safe to publish or ship.
+    data-independent and safe to publish.
 
     Parameters
     ----------
@@ -76,15 +73,10 @@ class ShardPlan:
     assignment:
         Vertex -> shard id, covering every vertex; each shard must be
         non-empty.
-    seed:
-        The partitioner seed that produced the plan (provenance only).
     """
 
     def __init__(
-        self,
-        num_shards: int,
-        assignment: Mapping[Vertex, int],
-        seed: int | None = None,
+        self, num_shards: int, assignment: Mapping[Vertex, int]
     ) -> None:
         if num_shards < 1:
             raise GraphError(f"need at least 1 shard, got {num_shards}")
@@ -102,21 +94,11 @@ class ShardPlan:
             if not shard_members:
                 raise GraphError(f"shard {shard} has no vertices")
         self._members = [tuple(m) for m in members]
-        self.seed = seed
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
 
     @property
     def num_shards(self) -> int:
         """How many shards the plan defines."""
         return self._num_shards
-
-    @property
-    def num_vertices(self) -> int:
-        """How many vertices the plan assigns."""
-        return len(self._assignment)
 
     def shard_of(self, vertex: Vertex) -> int:
         """The shard owning a vertex."""
@@ -141,69 +123,11 @@ class ShardPlan:
         """The full vertex -> shard mapping (a copy)."""
         return dict(self._assignment)
 
-    # ------------------------------------------------------------------
-    # Serialization (the plan is public topology — safe to ship)
-    # ------------------------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialize the plan (all fields are public topology)."""
-        return json.dumps(
-            documents.new(
-                _PLAN_FORMAT,
-                _PLAN_VERSION,
-                num_shards=self._num_shards,
-                seed=self.seed,
-                assignment=[
-                    [_encode_vertex(v), shard]
-                    for v, shard in self._assignment.items()
-                ],
-            )
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ShardPlan":
-        """Restore a plan serialized by :meth:`to_json`."""
-        document = documents.parse(
-            text, _PLAN_FORMAT, _PLAN_VERSION, GraphError, "shard plan"
-        )
-        with documents.decoding(GraphError, "shard plan"):
-            return cls(
-                int(document["num_shards"]),
-                {
-                    _decode_vertex(v): int(shard)
-                    for v, shard in document["assignment"]
-                },
-                seed=document.get("seed"),
-            )
-
     def __repr__(self) -> str:
         return (
             f"ShardPlan(shards={self._num_shards}, "
             f"sizes={self.shard_sizes()})"
         )
-
-
-def _shard_vector(
-    assignment: Mapping[Vertex, int], vertices: Sequence[Vertex]
-) -> np.ndarray:
-    """``assignment`` over ``vertices``, as an array aligned with
-    them.  When it misses one of them, raises
-    :class:`~repro.exceptions.VertexNotFoundError` naming a vertex it
-    assigns outside ``vertices`` if there is one, else
-    :class:`~repro.exceptions.GraphError` naming the first vertex it
-    misses."""
-    shard = np.fromiter(
-        map(assignment.get, vertices, repeat(-1)),
-        dtype=np.int64,
-        count=len(vertices),
-    )
-    for i in np.flatnonzero(shard < 0).tolist():
-        if vertices[i] not in assignment:
-            outside = set(assignment).difference(vertices)
-            if outside:
-                raise VertexNotFoundError(next(iter(outside)))
-            raise GraphError(f"shard plan misses vertex {vertices[i]!r}")
-    return shard
 
 
 def partition_graph(
@@ -272,7 +196,7 @@ def partition_graph(
             if assigned == n:
                 break
         open_shards = still_open
-    return ShardPlan(shards, dict(zip(csr.vertices, shard_of)), seed=seed)
+    return ShardPlan(shards, dict(zip(csr.vertices, shard_of)))
 
 
 def _adjacency_lists(
@@ -337,16 +261,10 @@ class _ShardRouter:
         #: The released boundary-hub relay structure (``None`` until
         #: built, or after a failed rebuild).
         self.relay: HubStructure | None = None
-        # The plan is checked against the graph here, before anything
-        # spends: the graph and every shard must be connected (a
-        # connected graph split into two or more shards then always
-        # cuts an edge, so the relay has sites).
         csr = CSRGraph.from_graph(graph)
-        if not is_weakly_connected(csr):
-            raise DisconnectedGraphError(
-                "sharded serving requires a connected graph"
-            )
-        shard_of = _shard_vector(plan.assignment(), csr.vertices)
+        shard_of = np.fromiter(
+            map(plan.shard_of, csr.vertices), dtype=np.int64, count=csr.n
+        )
         # Edge classification over the full graph's canonical edge
         # order: owning shard for intra-shard edges, -1 for cut edges.
         # This is what lets refresh_shard verify an update really is
@@ -378,11 +296,6 @@ class _ShardRouter:
             )
             for shard, name in enumerate(names)
         ]
-        for shard, tenant in enumerate(self.tenants):
-            if not is_weakly_connected(CSRGraph.from_graph(tenant.graph)):
-                raise DisconnectedGraphError(
-                    f"shard {shard} of the plan is not connected"
-                )
         #: The relay sites: the endpoints of the cut edges, as sorted
         #: vertex indices (vertex insertion order).
         self.boundary = np.unique(

@@ -244,15 +244,19 @@ def _check_servable(graph: WeightedGraph) -> None:
     graph.check_nonnegative()
 
 
-def _check_deployment(weight_bound: object, shards: object) -> None:
-    """Refuse a weight bound or a shard count that no deployment means,
-    before anything is spent: :class:`DistanceService` and
+def _check_deployment(
+    weight_bound: object, shards: object, cache_size: object
+) -> None:
+    """Refuse a weight bound, a shard count or a cache bound that no
+    deployment means, before anything is spent:
+    :class:`DistanceService` and
     :class:`~repro.serving.config.ServingConfig` both check through
     here.  A declared ``weight_bound`` must be a positive finite real
     number, not a bool (:class:`~repro.exceptions.PrivacyError`: the
-    bound calibrates the covering release's noise); ``shards`` must be
-    an integer of at least 1, numpy's included, and not a bool
-    (:class:`~repro.exceptions.GraphError`).  ``None`` declares neither.
+    bound calibrates the covering release's noise); ``shards`` and
+    ``cache_size`` must each be an integer of at least 1, numpy's
+    included, and not a bool (:class:`~repro.exceptions.GraphError`).
+    ``None`` declares none of them.
     """
     if weight_bound is not None and not (
         isinstance(weight_bound, numbers.Real)
@@ -264,13 +268,18 @@ def _check_deployment(weight_bound: object, shards: object) -> None:
             "weight bound M must be a positive finite number, got "
             f"{weight_bound!r}"
         )
-    if shards is not None:
-        if isinstance(shards, bool) or not isinstance(
-            shards, numbers.Integral
+    for name, unit, count in (
+        ("shards", "shard", shards),
+        ("cache_size", "cache entry", cache_size),
+    ):
+        if count is None:
+            continue
+        if isinstance(count, bool) or not isinstance(
+            count, numbers.Integral
         ):
-            raise GraphError(f"shards must be an integer, got {shards!r}")
-        if shards < 1:
-            raise GraphError(f"need at least 1 shard, got {shards}")
+            raise GraphError(f"{name} must be an integer, got {count!r}")
+        if count < 1:
+            raise GraphError(f"need at least 1 {unit}, got {count}")
 
 
 def _refresh_weights(own: WeightedGraph, graph: WeightedGraph) -> np.ndarray:
@@ -351,6 +360,9 @@ class DistanceService:
     cache_size:
         Bound the cross-batch answer cache to this many pairs (LRU
         eviction); ``None`` (the default) keeps every answered pair.
+        A bool, a non-integer or a bound below 1 raises
+        :class:`~repro.exceptions.GraphError` before anything is
+        spent; numpy integers are integers.
         Purely a memory knob: evicted answers are recomputed
         identically from the immutable releases.
     telemetry:
@@ -364,21 +376,13 @@ class DistanceService:
         bit-identical whatever bundle is in force.
     shards:
         How many regional tenants to partition into with
-        :func:`~repro.serving.routing.partition_graph` at seed 0
-        (``None`` means the plan's count, or 1 without a plan).  A
-        bool or a non-integer raises
+        :func:`~repro.serving.routing.partition_graph` at seed 0 (1,
+        the default, partitions nothing).  The partition is a public
+        function of the topology: it refuses a disconnected graph
+        with :class:`~repro.exceptions.DisconnectedGraphError`, and
+        keeps every shard connected.  A bool or a non-integer raises
         :class:`~repro.exceptions.GraphError` before anything is
         spent; numpy integers are integers.
-    plan:
-        Use an existing :class:`~repro.serving.routing.ShardPlan`
-        instead of partitioning — the way to shard differently.  The
-        plan is its assignment: the shard router derives the cut
-        edges and the boundary (the relay sites) from it and
-        ``graph``, and refuses a disconnected graph or shard with
-        :class:`~repro.exceptions.DisconnectedGraphError`, and an
-        assignment missing a vertex with
-        :class:`~repro.exceptions.GraphError`, before anything is
-        spent.
     """
 
     def __init__(
@@ -392,8 +396,7 @@ class DistanceService:
         tenant: str = "distance-service",
         cache_size: int | None = None,
         telemetry: Telemetry | None = None,
-        shards: int | None = None,
-        plan: ShardPlan | None = None,
+        shards: int = 1,
     ) -> None:
         if not isinstance(epoch_budget, PrivacyParams):
             if isinstance(epoch_budget, bool) or not isinstance(
@@ -404,7 +407,7 @@ class DistanceService:
                     f"got {epoch_budget!r}"
                 )
             epoch_budget = PrivacyParams(float(epoch_budget))
-        _check_deployment(weight_bound, shards)
+        _check_deployment(weight_bound, shards, cache_size)
         if mechanism is not None:
             # Raises MechanismError (a PrivacyError) on unknown names.
             get_mechanism(mechanism)
@@ -412,20 +415,9 @@ class DistanceService:
         # Before the copy, so later services on ``graph`` share it.
         CSRGraph.from_graph(graph)
         graph = graph.copy()
-        if plan is None:
-            if shards is not None and shards != 1:
-                plan = partition_graph(graph, shards)
-        else:
-            if shards is not None and shards != plan.num_shards:
-                raise GraphError(
-                    f"shards={shards} disagrees with the plan's "
-                    f"{plan.num_shards}"
-                )
-            if plan.num_vertices != graph.num_vertices:
-                raise GraphError(
-                    f"plan assigns {plan.num_vertices} vertices but "
-                    f"the graph has {graph.num_vertices}"
-                )
+        self._plan = (
+            None if shards in (None, 1) else partition_graph(graph, shards)
+        )
         self._budget = epoch_budget
         self._rng = rng
         self._weight_bound = weight_bound
@@ -452,8 +444,7 @@ class DistanceService:
             {} if cache_size is None else BoundedCache(cache_size)
         )
         self._graph = graph
-        self._plan = plan
-        if plan is None or plan.num_shards == 1:
+        if self._plan is None:
             # No partition, no subgraph, no relay, no split: the lone
             # tenant serves the service's graph on the full budget.
             self._shard_params = epoch_budget
@@ -470,12 +461,9 @@ class DistanceService:
                 epoch_budget.delta * RELAY_FRACTION,
             )
             self._shards = _ShardRouter(
-                plan,
+                self._plan,
                 graph,
-                [
-                    f"{tenant}/shard-{shard}"
-                    for shard in range(plan.num_shards)
-                ],
+                [f"{tenant}/shard-{shard}" for shard in range(shards)],
             )
             self._tenants = self._shards.tenants
         self._build_epoch()
@@ -911,8 +899,8 @@ class DistanceService:
 
     @property
     def plan(self) -> ShardPlan | None:
-        """The (public) shard plan the service routes by (``None``
-        for an unsharded service built without one)."""
+        """The (public) shard plan the service routes by:
+        ``partition_graph(graph, shards)``'s, or ``None`` unsharded."""
         return self._plan
 
     @property

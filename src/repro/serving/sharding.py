@@ -5,8 +5,9 @@ rebuild per epoch when congestion updates are regional.
 ``DistanceService(..., shards=k)`` — or :class:`ShardedDistanceService`,
 the same front under a sharded default tenant name — splits the
 public topology into ``k`` balanced, connected *shards* (BFS region
-growing from seed 0 — :func:`partition_graph`; pass ``plan=`` to
-shard any other way), runs one synopsis + ledger tenant per shard,
+growing from seed 0 — :func:`partition_graph`; the topology is public,
+so the split is a function of it that the service computes itself),
+runs one synopsis + ledger tenant per shard,
 and stitches cross-shard queries back together through a noisy hub
 structure built over the *boundary* vertices (the endpoints of cut
 edges) with :func:`repro.apsp.hubs.build_hub_structure`:
@@ -29,10 +30,11 @@ edges) with :func:`repro.apsp.hubs.build_hub_structure`:
 
 A :class:`ShardPlan` is its assignment, vertex -> shard, and nothing
 more: the shard router derives the cut edges and the boundary from it
-and the graph, once, and refuses a disconnected graph or shard with
-:class:`~repro.exceptions.DisconnectedGraphError` before anything
-spends (a connected graph split into two or more shards always cuts an
-edge, so the relay always has sites).  A directed graph is refused with
+and the graph, once.  :func:`partition_graph` refuses a disconnected
+graph with :class:`~repro.exceptions.DisconnectedGraphError` before
+anything spends, and region growing keeps every shard connected, so a
+connected graph split into two or more shards always cuts an edge and
+the relay always has sites.  A directed graph is refused with
 :class:`~repro.exceptions.GraphError` just as early, sharded or not:
 answers are keyed per unordered pair.
 
@@ -121,8 +123,7 @@ class ShardedDistanceService(DistanceService):
     sharded name: the ledger tenant defaults to
     ``sharded-distance-service`` (shards spend under
     ``{tenant}/shard-{i}``, the relay under ``{tenant}/relay``), and
-    ``shards=`` or ``plan=`` is required.  Every other keyword is the
-    front's.
+    ``shards=`` is required.  Every other keyword is the front's.
     """
 
     def __init__(
@@ -132,20 +133,16 @@ class ShardedDistanceService(DistanceService):
         rng: Rng,
         *,
         shards: int | None = None,
-        plan: ShardPlan | None = None,
         tenant: str = "sharded-distance-service",
         **options: Any,
     ) -> None:
-        if shards is None and plan is None:
-            raise GraphError(
-                "ShardedDistanceService needs either shards= or plan="
-            )
+        if shards is None:
+            raise GraphError("ShardedDistanceService needs shards=")
         super().__init__(
             graph,
             epoch_budget,
             rng,
             shards=shards,
-            plan=plan,
             tenant=tenant,
             **options,
         )

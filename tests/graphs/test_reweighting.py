@@ -16,6 +16,7 @@ it builds then, must both equal the per-edge construction's.
 
 from __future__ import annotations
 
+import re
 from typing import Mapping
 
 import numpy as np
@@ -150,6 +151,28 @@ class TestErrors:
         graph = _scrambled(True)
         with pytest.raises(EdgeNotFoundError):
             graph.with_weights({(2, 0): 1.0})
+
+    @pytest.mark.parametrize("bad", ["a", "1,5", None, 1j], ids=repr)
+    def test_value_float_cannot_read(self, graph, bad):
+        # These used to leak float()'s ValueError or TypeError.
+        m = graph.num_edges
+        edge = graph.edge_list()[m // 2]
+        for weights in (
+            [1.0] * (m - 1) + [bad],
+            np.asarray([bad] * m, dtype=object),
+            {edge: bad},
+        ):
+            with pytest.raises(WeightError, match=re.escape(repr(bad))):
+                graph.with_weights(weights)
+
+    def test_values_float_reads_are_read_as_before(self, graph):
+        m = graph.num_edges
+        clone = graph.with_weights(["2.5", True] + [np.int64(3)] * (m - 2))
+        assert clone.weight_vector().tolist() == [2.5, 1.0] + [3.0] * (m - 2)
+        assert np.array_equal(
+            graph.with_weights(np.asarray(["0.5"] * m)).weight_vector(),
+            np.full(m, 0.5),
+        )
 
 
 class TestCompiledHandover:

@@ -122,9 +122,9 @@ class TestServingConfig:
 
 
 class TestDeploymentArguments:
-    """``ServingConfig`` and ``DistanceService`` refuse a weight bound
-    or a shard count no deployment means through one check, with a
-    library error, before anything is spent."""
+    """``ServingConfig`` and ``DistanceService`` refuse a weight bound,
+    a shard count or a cache bound no deployment means through one
+    check, with a library error, before anything is spent."""
 
     NON_FINITE_OR_NONPOSITIVE = [float("nan"), float("inf"), 0, -1.0]
 
@@ -156,6 +156,14 @@ class TestDeploymentArguments:
         # TypeError.
         self._refused(GraphError, "shard", shards=shards)
 
+    @pytest.mark.parametrize(
+        "cache_size", [2.5, True, np.True_, "3", 0, -1], ids=repr
+    )
+    def test_service_refuses_cache_size(self, cache_size):
+        # 2.5 used to serve a 2-entry LRU cache, True a 1-entry one,
+        # and "3" to raise a bare TypeError from the bound's compare.
+        self._refused(GraphError, "cache", cache_size=cache_size)
+
     @pytest.mark.parametrize("bound", NON_FINITE_OR_NONPOSITIVE, ids=repr)
     def test_config_refuses_weight_bound(self, bound):
         with pytest.raises(PrivacyError, match="weight bound"):
@@ -167,6 +175,8 @@ class TestDeploymentArguments:
         assert bounded.mechanism == "bounded-weight"
         sharded = DistanceService(grid, 1.0, rng, shards=np.int64(2))
         assert sharded.num_shards == 2
+        cached = DistanceService(grid, 1.0, rng, cache_size=np.int64(2))
+        assert cached._cache.maxsize == 2
 
 
 class TestServeFactory:
@@ -235,34 +245,6 @@ class TestServeFactory:
             rng,
         )
         assert service.mechanism == "bounded-weight"
-
-    def test_explicit_plan_overrides_partitioning(self, rng):
-        from repro.serving import partition_graph
-
-        network = grid_road_network(6, 6, Rng(330))
-        plan = partition_graph(network.graph, 3, seed=5)
-        service = serve(
-            network.graph,
-            ServingConfig(eps=1.0, shards=3),
-            rng,
-            plan=plan,
-        )
-        assert service.plan is plan
-
-    def test_plan_disagreeing_with_config_shards_rejected(self, rng):
-        """Regression: a multi-shard config and an explicit plan that
-        disagree must raise, not silently trust the plan."""
-        from repro.serving import partition_graph
-
-        network = grid_road_network(6, 6, Rng(331))
-        plan = partition_graph(network.graph, 2, seed=5)
-        with pytest.raises(GraphError, match="disagrees"):
-            serve(
-                network.graph,
-                ServingConfig(eps=1.0, shards=4),
-                rng,
-                plan=plan,
-            )
 
 
 class TestEpochPolicy:
@@ -367,8 +349,8 @@ class TestServingSurface:
     def test_dropped_knobs_are_unknown_keywords(self, rng):
         # Each stays reachable another way: a pinned epoch through
         # ledger=, a flight recorder or no telemetry through
-        # telemetry=, another partition through plan=, and the
-        # replay's budget and shape through its config.
+        # telemetry=, and the replay's budget and shape through its
+        # config.  A partition is always the seed-0 one of shards=.
         grid = generators.grid_graph(3, 3)
         dropped = [
             (
@@ -378,13 +360,17 @@ class TestServingSurface:
             ),
             (
                 lambda **kw: DistanceService(grid, 1.0, rng, **kw),
-                ("relay_fraction", "partition_seed"),
+                ("relay_fraction", "partition_seed", "plan"),
             ),
             (
                 lambda **kw: ShardedDistanceService(
                     grid, 1.0, rng, shards=2, **kw
                 ),
-                ("relay_fraction", "partition_seed"),
+                ("relay_fraction", "partition_seed", "plan"),
+            ),
+            (
+                lambda **kw: serve(grid, ServingConfig(), rng, **kw),
+                ("plan",),
             ),
             (
                 lambda **kw: replay_rush_hour(rng, **kw),

@@ -1,10 +1,7 @@
 """Unit tests for :mod:`repro.serving.sharding` — the partitioner,
-the plan artifact, and the sharded service with its boundary-hub
-relays."""
+its plan, and the sharded service with its boundary-hub relays."""
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
@@ -56,8 +53,8 @@ class TestPartitionGraph:
     def test_deterministic_given_seed(self, road):
         a = partition_graph(road, 3, seed=5)
         b = partition_graph(road, 3, seed=5)
-        assert a.assignment() == b.assignment()
-        assert a.to_json() == b.to_json()
+        assert a.num_shards == b.num_shards == 3
+        assert list(a.assignment().items()) == list(b.assignment().items())
 
     def test_boundary_is_exactly_cut_endpoints(self, road):
         """The router derives the relay sites from the plan: the
@@ -106,10 +103,10 @@ class TestTenantSubgraphs:
 
     @pytest.mark.parametrize("shards", range(2, 9))
     def test_tenant_graphs_are_the_induced_subgraphs(self, road, shards):
-        plan = partition_graph(road, shards, seed=shards)
         service = DistanceService(
-            road, 1.0, Rng(3), plan=plan, mechanism="all-pairs-basic"
+            road, 1.0, Rng(3), shards=shards, mechanism="all-pairs-basic"
         )
+        plan = service.plan
         for shard, graph in enumerate(
             tenant.graph for tenant in service._tenants
         ):
@@ -136,31 +133,6 @@ class TestShardPlan:
         assert seen == set(road.vertices())
         with pytest.raises(GraphError):
             plan.members(3)
-
-    def test_json_round_trip(self, road):
-        plan = partition_graph(road, 3, seed=9)
-        restored = ShardPlan.from_json(plan.to_json())
-        assert restored.num_shards == 3
-        assert restored.assignment() == plan.assignment()
-        assert restored.to_json() == plan.to_json()
-        assert restored.seed == 9
-
-    def test_plan_document_holds_only_the_assignment(self, road):
-        document = json.loads(partition_graph(road, 3, seed=9).to_json())
-        assert list(document) == [
-            "format", "version", "num_shards", "seed", "assignment",
-        ]
-        assert document["version"] == 2
-
-    def test_version_one_plan_document_refused(self, road):
-        """The old document stored a boundary and cut edges of its
-        own; it is refused by its version number."""
-        document = json.loads(partition_graph(road, 2, seed=0).to_json())
-        document.update(version=1, boundary=[], cut_edges=[])
-        with pytest.raises(
-            GraphError, match="unsupported shard plan version 1"
-        ):
-            ShardPlan.from_json(json.dumps(document))
 
     def test_empty_shard_rejected(self, road):
         assignment = {v: 0 for v in road.vertices()}
@@ -547,18 +519,27 @@ class TestRegionalRefresh:
 
 
 class TestConstruction:
-    def test_needs_shards_or_plan(self, road):
-        with pytest.raises(GraphError):
+    def test_needs_shards(self, road):
+        with pytest.raises(GraphError, match="needs shards="):
             ShardedDistanceService(road, 1.0, Rng(49))
 
-    def test_explicit_plan(self, road):
-        plan = partition_graph(road, 2, seed=3)
-        service = ShardedDistanceService(road, 1.0, Rng(51), plan=plan)
-        assert service.plan is plan
-        with pytest.raises(GraphError):
-            ShardedDistanceService(
-                road, 1.0, Rng(53), shards=3, plan=plan
+    def test_disconnected_graph_refused_before_spending(self):
+        """Two disjoint grids: the partition refuses the graph before
+        any tenant spends."""
+        graph = WeightedGraph()
+        for part in range(2):
+            for u, v, w in generators.grid_graph(4, 4).edges():
+                graph.add_edge((part, u), (part, v), w)
+        ledger = BudgetLedger(PrivacyParams(1.0))
+        with pytest.raises(
+            DisconnectedGraphError,
+            match="sharded serving requires a connected graph",
+        ):
+            DistanceService(
+                graph, 1.0, Rng(84), shards=2, ledger=ledger,
+                mechanism="all-pairs-basic",
             )
+        assert ledger.records() == []
 
     def test_mechanism_label(self, road):
         service = ShardedDistanceService(
@@ -636,6 +617,34 @@ class TestInvalidWeightsRefused:
             service.refresh_shard(0, weights)
         assert _served_state(service, pairs) == before
 
+    @pytest.mark.parametrize(
+        "bad", ["string", "none", "mapping-none", "complex"]
+    )
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_refresh_shard_refuses_what_float_cannot_read(self, bad, shards):
+        """These used to leak float()'s ValueError or TypeError; like
+        every refused write they leave the cache and the ledger
+        alone."""
+        grid = generators.grid_graph(4, 4)
+        service = DistanceService(
+            grid, 1e6, Rng(79), shards=shards, mechanism="hub-set"
+        )
+        pair = ((0, 0), (3, 3))
+        value = service.query(*pair)
+        records = service.ledger.records()
+        m = grid.num_edges
+        weights = {
+            "string": ["a"] * m,
+            "none": [None] * m,
+            "mapping-none": {grid.edge_list()[0]: None},
+            "complex": [1j] * m,
+        }[bad]
+        with pytest.raises(WeightError, match="is not a number"):
+            service.refresh_shard(0, weights)
+        assert service.ledger.records() == records
+        assert service.query(*pair) == value
+        assert service.stats.cache_hits == 1
+
     @pytest.mark.parametrize("bad", BAD)
     @pytest.mark.parametrize("shards", [1, 2])
     def test_construction_refuses_before_spending(self, grid, bad, shards):
@@ -646,76 +655,6 @@ class TestInvalidWeightsRefused:
             DistanceService(
                 grid.with_weights(weights), 1.0, Rng(78), shards=shards,
                 mechanism="hub-set", ledger=ledger,
-            )
-        assert ledger.records() == []
-
-
-class TestCallerPlanChecked:
-    """A caller's plan is its assignment: the router derives the cut
-    from the graph, and refuses a disconnected graph or shard before
-    anything spends."""
-
-    @pytest.fixture
-    def setup(self):
-        graph = grid_road_network(10, 10, Rng(81)).graph
-        return graph, partition_graph(graph, 3, seed=0)
-
-    def test_plan_whose_assignment_moved_a_vertex(self, setup):
-        """Moving a boundary vertex to the next shard serves what the
-        moved assignment cuts, or, where that leaves a shard
-        disconnected, is refused before anything spends."""
-        graph, plan = setup
-        outcomes = set()
-        boundary, _ = reference_cut(graph, plan.assignment())
-        for vertex in boundary[:6]:
-            assignment = plan.assignment()
-            assignment[vertex] = (assignment[vertex] + 1) % plan.num_shards
-            moved = ShardPlan(plan.num_shards, assignment)
-            ledger = BudgetLedger(PrivacyParams(1.0))
-            try:
-                service = DistanceService(
-                    graph, 1.0, Rng(82), plan=moved, ledger=ledger,
-                    mechanism="hub-set",
-                )
-            except DisconnectedGraphError:
-                assert ledger.records() == []
-                outcomes.add("refused")
-                continue
-            sites, _ = reference_cut(graph, assignment)
-            assert service.relay.num_sites == len(sites)
-            assert len(ledger.records()) == 4
-            outcomes.add("served")
-        assert outcomes == {"served", "refused"}
-
-    def test_plan_that_cuts_no_edge_is_refused_before_spending(self):
-        """Two disjoint grids, one per shard: no edge is cut, so the
-        relay would have no site.  The disconnected graph is refused
-        before either shard spends."""
-        graph = WeightedGraph()
-        for part in range(2):
-            for u, v, w in generators.grid_graph(4, 4).edges():
-                graph.add_edge((part, u), (part, v), w)
-        plan = ShardPlan(2, {v: v[0] for v in graph.vertices()})
-        ledger = BudgetLedger(PrivacyParams(1.0))
-        with pytest.raises(DisconnectedGraphError):
-            DistanceService(
-                graph, 1.0, Rng(84), plan=plan, ledger=ledger,
-                mechanism="all-pairs-basic",
-            )
-        assert ledger.records() == []
-
-    def test_plan_naming_a_vertex_outside_the_graph_is_refused(
-        self, setup
-    ):
-        graph, plan = setup
-        assignment = plan.assignment()
-        del assignment[graph.vertex_list()[-1]]
-        assignment["elsewhere"] = 0
-        ledger = BudgetLedger(PrivacyParams(1.0))
-        with pytest.raises(VertexNotFoundError):
-            DistanceService(
-                graph, 1.0, Rng(85), plan=ShardPlan(3, assignment),
-                ledger=ledger,
             )
         assert ledger.records() == []
 

@@ -1,20 +1,23 @@
 """The sharded service's topology derivations against the per-edge
 Python oracle in :mod:`topology_reference`.
 
-The CSR arrays, the shard plans (as JSON bytes), the boundary and cut
-edges the shard router derives from a plan, the tenant subgraphs
-(vertex, edge and neighbour orders and weights),
+The CSR arrays, the shard plans (their assignments, in order), the
+boundary and cut edges the shard router derives from a plan, the
+tenant subgraphs (vertex, edge and neighbour orders and weights),
 the shard router's tables, its relay ball buckets and the
 full-refresh topology check must
 equal what the reference derives, on road grids, random connected
 graphs with shuffled string labels and tuple-labelled grids built in
-a shuffled order, at 1-8 shards and partition seeds 0-9.  Nothing here
-needs scipy.
+a shuffled order, at 1-8 shards and partition seeds 0-9.  Every shard
+of every partition induces a weakly connected subgraph, which is why
+the router checks no shard, and a sharded service routes by the
+seed-0 partition of its graph.  Nothing here needs scipy.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -169,21 +172,74 @@ def test_csr_arrays_of_edgeless_graphs():
 
 
 @pytest.mark.parametrize("name", list(GRAPHS))
-def test_partition_plans_match_reference_bytes(name):
-    """The plans' bytes, and the relay sites and cut edges the router
-    derives from them: the sites are the boundary a plan used to
-    store, in the same order."""
+def test_partition_plans_match_reference(name):
+    """The plans' assignments, in order, and the relay sites and cut
+    edges the router derives from them: the sites are the boundary a
+    plan used to store, in the same order."""
     graph = GRAPHS[name]()
     for shards in SHARDS:
         for seed in SEEDS:
             plan = partition_graph(graph, shards, seed=seed)
             assignment = reference_partition(graph, shards, seed=seed)
-            want = ShardPlan(shards, assignment, seed=seed)
-            assert plan.to_json() == want.to_json(), (shards, seed)
-            assert plan.members(0) == want.members(0)
+            assert plan.num_shards == shards
+            assert list(plan.assignment().items()) == list(
+                assignment.items()
+            ), (shards, seed)
             assert _router_cut(plan, graph) == reference_cut(
                 graph, assignment
             ), (shards, seed)
+
+
+def _weakly_connected(graph: WeightedGraph, keep) -> bool:
+    """Whether ``keep`` induces a weakly connected subgraph of
+    ``graph``: a breadth-first walk over the induced edges, each
+    followed both ways."""
+    keep = set(keep)
+    neighbours = {v: [] for v in keep}
+    for u, v in graph.edge_list():
+        if u in keep and v in keep:
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+    start = next(iter(keep))
+    seen, queue = {start}, deque([start])
+    while queue:
+        for w in neighbours[queue.popleft()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen == keep
+
+
+@pytest.mark.parametrize("name", [*GRAPHS, *DIRECTED])
+def test_every_shard_is_weakly_connected(name):
+    """Region growing keeps every shard connected, so the shard router
+    checks no shard."""
+    graph = {**GRAPHS, **DIRECTED}[name]()
+    for shards in SHARDS:
+        for seed in SEEDS:
+            plan = partition_graph(graph, shards, seed=seed)
+            for shard in range(shards):
+                assert _weakly_connected(graph, plan.members(shard)), (
+                    shards, seed, shard,
+                )
+
+
+@pytest.mark.parametrize("name", list(GRAPHS))
+def test_service_plan_is_the_seed_zero_partition(name):
+    """A sharded service partitions its own copy of the graph at seed
+    0: the assignment ``partition_graph`` gives the caller's graph, in
+    the same order."""
+    graph = GRAPHS[name]()
+    for shards in range(2, 9):
+        service = DistanceService(
+            graph, 1e6, Rng(16), shards=shards,
+            mechanism="all-pairs-basic", telemetry=NULL_TELEMETRY,
+        )
+        want = partition_graph(graph, shards)
+        assert service.plan.num_shards == shards
+        assert list(service.plan.assignment().items()) == list(
+            want.assignment().items()
+        ), shards
 
 
 @pytest.mark.parametrize("name", [*GRAPHS, *DIRECTED])
@@ -195,7 +251,7 @@ def test_router_cut_of_any_assignment_matches_reference(name):
         # Every shard gets a vertex, so the plan is valid.
         for shard, v in zip(range(shards), graph.vertices()):
             assignment[v] = shard
-        plan = ShardPlan(shards, assignment, seed=shards)
+        plan = ShardPlan(shards, assignment)
         assert _router_cut(plan, graph) == reference_cut(graph, assignment)
 
 
@@ -321,22 +377,15 @@ def test_topology_check_refuses_what_the_reference_refuses(name, shards):
     reference accepts; an accepted graph's weights come out in the
     service's edge order, and a refused one spends nothing."""
     graph = {**GRAPHS, **DIRECTED}[name]()
-    if graph.directed:
-        plan = ShardPlan(
-            shards, {v: i % shards for i, v in enumerate(graph.vertices())}
-        )
-        service = None
-    else:
-        plan = partition_graph(graph, shards, seed=2)
-        service = DistanceService(
-            graph, 1e6, Rng(15), plan=plan, mechanism="all-pairs-basic",
-            ledger=BudgetLedger(PrivacyParams(1e9)),
-            telemetry=NULL_TELEMETRY,
-        )
-    edge_keys = graph.edge_list()
+    service = None if graph.directed else DistanceService(
+        graph, 1e6, Rng(15), shards=shards, mechanism="all-pairs-basic",
+        ledger=BudgetLedger(PrivacyParams(1e9)),
+        telemetry=NULL_TELEMETRY,
+    )
+    vertices, edge_keys = graph.vertex_list(), graph.edge_list()
     verdicts = []
     for variant in _variants(graph, random.Random(14)):
-        want = reference_accepts(plan, edge_keys, variant)
+        want = reference_accepts(vertices, edge_keys, variant)
         try:
             weights = _refresh_weights(graph, variant)
             got = True

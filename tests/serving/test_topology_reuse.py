@@ -22,6 +22,7 @@ from repro import BudgetLedger, PrivacyParams, Rng, WeightedGraph
 from repro.algorithms import traversal
 from repro.apsp import hubs as hubs_module
 from repro.apsp.hubs import HubSetRelease
+from repro.core import bounded_weight as bounded_weight_module
 from repro.engine import CSRGraph
 from repro.engine import csr as csr_module
 from repro.engine import frontier as frontier_module
@@ -316,3 +317,53 @@ def test_sharded_refresh_takes_plan_edges_in_any_order():
         service.refresh_shard(2, weights)
         answers.append(service.query_batch(pairs).answers)
     assert answers[0] == answers[1]
+
+
+#: sha256 over the synopsis JSON of every tenant at setup and after
+#: each of three refreshes of ``test_covering_built_once_per_topology``,
+#: recorded while every epoch still built its own covering.
+COVERING_DIGESTS = {
+    ("bounded-weight", 1): (
+        "f2439c8506079006c86316c2711fb5b66ec5e52cb46d9f8f8bd184046b33d18c"
+    ),
+    ("bounded-weight", 2): (
+        "e5f4681efe92a89795b0f133cc786836af06342c1182f145b0a0932161dc7d94"
+    ),
+    ("hub-bounded", 1): (
+        "f0d671aebc067256427f929b7b46ee838af9fbfa3be2efe4041a77ddb3fcc45c"
+    ),
+    ("hub-bounded", 2): (
+        "bd1fc6303def369fd051bbf686438dfeb5fbe6f5e3b04e65ebd28f534ac6a613"
+    ),
+}
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("mechanism", ["bounded-weight", "hub-bounded"])
+def test_covering_built_once_per_topology(monkeypatch, mechanism, shards):
+    """The default covering and its assignment read only the topology:
+    each tenant's is built at setup and every refresh reuses it, and
+    the releases stay what they were when each epoch built its own."""
+    coverings = []
+    build = bounded_weight_module.meir_moon_k_covering
+
+    def counting(graph, k):
+        coverings.append(graph.num_vertices)
+        return build(graph, k)
+
+    monkeypatch.setattr(
+        bounded_weight_module, "meir_moon_k_covering", counting
+    )
+    service = DistanceService(
+        _grid(12, 0), 30.0, Rng(SEED), shards=shards, mechanism=mechanism,
+        weight_bound=3.0, telemetry=NULL_TELEMETRY,
+        ledger=BudgetLedger(PrivacyParams(1e8)),
+    )
+    digest = hashlib.sha256()
+    for epoch in range(4):
+        if epoch:
+            service.refresh(_grid(12, epoch))
+        for synopsis in service.shard_synopses:
+            digest.update(synopsis.to_json().encode())
+    assert len(coverings) == shards
+    assert digest.hexdigest() == COVERING_DIGESTS[(mechanism, shards)]

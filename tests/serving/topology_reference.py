@@ -216,17 +216,14 @@ def reference_relay_buckets(
 
 
 def reference_accepts(
-    plan: ShardPlan, edge_keys: List, graph: WeightedGraph
+    vertices: List, edge_keys: List, graph: WeightedGraph
 ) -> bool:
     """Whether the full-refresh topology check passes ``graph``, for
-    a router built over a graph with canonical edges ``edge_keys``."""
+    a service built over a graph with vertices ``vertices`` and
+    canonical edges ``edge_keys``."""
     return (
-        graph.num_vertices == plan.num_vertices
+        graph.num_vertices == len(vertices)
         and graph.num_edges == len(edge_keys)
         and all(graph.has_edge(u, v) for u, v in edge_keys)
-        and all(
-            graph.has_vertex(v)
-            for shard in range(plan.num_shards)
-            for v in plan.members(shard)
-        )
+        and all(graph.has_vertex(v) for v in vertices)
     )

@@ -30,8 +30,7 @@ from repro.graphs import generators
 from repro.graphs.io import graph_from_json, graph_to_json, save_graph
 from repro.privlint import LintResult, lint_document, validate_lint_report
 from repro.privlint.findings import Finding
-from repro.serving import DistanceService, ServingConfig, ShardPlan
-from repro.serving.routing import partition_graph
+from repro.serving import DistanceService, ServingConfig
 from repro.serving.synopsis import (
     AllPairsSynopsis,
     build_single_pair_synopsis,
@@ -184,13 +183,6 @@ READERS = [
             ("kind", "eps", "delta") + keys,
         )
         for kind, keys in _SYNOPSIS_KEYS.items()
-    ),
-    Reader(
-        "shard-plan",
-        GraphError,
-        lambda tmp: json.loads(partition_graph(GRID, 2).to_json()),
-        _read_text(ShardPlan.from_json),
-        ("num_shards", "assignment"),
     ),
     Reader(
         "telemetry-snapshot",
@@ -346,7 +338,6 @@ _BAD_SCALES = {"negative": -3.0, "nan": float("nan"), "string": "1"}
 NESTED = [
     ("graph-short-edge", "graph", lambda d: d["edges"][0].pop()),
     ("graph-unhashable-vertex", "graph", lambda d: d["vertices"].append([1])),
-    ("plan-short-row", "shard-plan", lambda d: d["assignment"][0].pop()),
     (
         "synopsis-short-pair",
         "synopsis-all-pairs",
